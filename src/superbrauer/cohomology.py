@@ -630,15 +630,17 @@ def h2_closed_field(
 ) -> CohomologyGroup:
     """H^2(G, k*) for algebraically closed k of characteristic zero.
 
-    Computed as H^2(G, Z_M) with M = |G| (any multiple of exp(G) works)
-    modulo the image of the connecting map from Hom(G, Z_M); that image is
-    exactly the kernel of the comparison with divisible coefficients, so the
-    quotient is the Schur multiplier.
+    Computed as H^2(G, Z_M) with M = |G|, or a given multiple of |G|, modulo
+    the image of the connecting map from Hom(G, Z_M); that image is exactly
+    the kernel of the comparison with divisible coefficients.  The comparison
+    is onto because M kills the Schur multiplier, so the quotient is the
+    Schur multiplier.  A multiple of exp(G) alone is not enough: exp M(G)
+    need not divide exp(G) (Moravec, J. Algebra 2007).
     """
     m = g.order if modulus is None else modulus
     m = max(m, 1)
-    if modulus is not None and g.order > 1 and m % group_exponent(g):
-        raise ParseError("closed-field modulus must be a multiple of exp(G)")
+    if m % g.order:
+        raise ParseError("closed-field modulus must be a multiple of |G|")
     _check_h2_budget(g, budget)
     cache = _h2_cache(g)
     key = ("closed", m)

@@ -49,7 +49,3 @@ class NotMinusOne(SuperbrauerError):
 
 class E8Refused(SuperbrauerError):
     """W(E8) construction is refused at any budget."""
-
-
-class VerificationFailed(SuperbrauerError):
-    """An axiom check found a counterexample."""

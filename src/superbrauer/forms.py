@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
-from .groups import CentralInvolution, FiniteGroup, Matrix, _mat_identity, _mat_mul, parse_rational
+from .groups import CentralInvolution, FiniteGroup, Matrix, _det, _mat_identity, _mat_mul, _row_reduce, parse_rational
 
 
 def as_matrix(rows) -> Matrix:
@@ -108,43 +108,16 @@ def _sym_from_coords(dim: int, vec: list[Fraction]) -> Matrix:
     return tuple(tuple(row) for row in m)
 
 
-def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    if not rows:
-        return []
-    out = [r[:] for r in rows]
-    ncols = len(out[0])
-    lead = 0
-    for c in range(ncols):
-        piv = next((r for r in range(lead, len(out)) if out[r][c] != 0), None)
-        if piv is None:
-            continue
-        out[lead], out[piv] = out[piv], out[lead]
-        pv = out[lead][c]
-        out[lead] = [x / pv for x in out[lead]]
-        for r in range(len(out)):
-            if r != lead and out[r][c] != 0:
-                f = out[r][c]
-                out[r] = [x - f * y for x, y in zip(out[r], out[lead])]
-        lead += 1
-        if lead == len(out):
-            break
-    return [r for r in out if any(x != 0 for x in r)]
-
-
 def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Canonical nullspace basis: free coordinate set to 1, echelon back-substitution."""
-    red = _rref(rows)
-    pivots = {}
-    for r, row in enumerate(red):
-        c = next(i for i, x in enumerate(row) if x != 0)
-        pivots[c] = r
-    free = [c for c in range(ncols) if c not in pivots]
+    red, pivot_cols, _ = _row_reduce(rows)
+    free = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
     for fc in free:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for c, r in pivots.items():
-            vec[c] = -red[r][fc]
+        for row, c in zip(red, pivot_cols):
+            vec[c] = -row[fc]
         basis.append(vec)
     return basis
 
@@ -171,7 +144,7 @@ def invariant_symmetric_forms(rep: Representation, verify_limit: int = 200) -> S
                         v -= 1
                     row.append(v)
                 rows.append(row)
-    basis_vecs = _rref(_nullspace(rows, len(pairs)))
+    basis_vecs = _row_reduce(_nullspace(rows, len(pairs)))[0]
     basis = [_sym_from_coords(d, v) for v in basis_vecs]
     if rep.group.order <= verify_limit:
         for sig in basis:
@@ -203,21 +176,3 @@ def leading_principal_minors_positive(sigma: Matrix) -> bool:
         if ok:
             return True
     return False
-
-
-def _det(rows) -> Fraction:
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] / m[c][c]
-            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det

@@ -9,6 +9,7 @@ module relies on both.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -34,22 +35,45 @@ def _mat_identity(n: int) -> Matrix:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def _mat_rank(m: Matrix) -> int:
-    rows = [list(r) for r in m]
-    n = len(rows)
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
+def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Exact Gauss-Jordan elimination of a matrix of Fractions.
+
+    Returns the nonzero rows of the reduced row echelon form, their pivot
+    columns, and the signed product of the pivots, which is the determinant
+    when the matrix is square and of full rank.
+    """
+    out = [list(r) for r in rows]
+    ncols = len(out[0]) if out else 0
+    pivots: list[int] = []
+    det = Fraction(1)
+    for c in range(ncols):
+        lead = len(pivots)
+        if lead == len(out):
+            break
+        piv = next((r for r in range(lead, len(out)) if out[r][c] != 0), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for r in range(n):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / pv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+        if piv != lead:
+            out[lead], out[piv] = out[piv], out[lead]
+            det = -det
+        pv = out[lead][c]
+        det *= pv
+        out[lead] = [x / pv for x in out[lead]]
+        for r in range(len(out)):
+            if r != lead and out[r][c] != 0:
+                f = out[r][c]
+                out[r] = [x - f * y for x, y in zip(out[r], out[lead])]
+        pivots.append(c)
+    return out[:len(pivots)], pivots, det
+
+
+def _mat_rank(m) -> int:
+    return len(_row_reduce(m)[1])
+
+
+def _det(rows) -> Fraction:
+    _, pivots, det = _row_reduce(rows)
+    return det if len(pivots) == len(rows) else Fraction(0)
 
 
 @dataclass(eq=False)
@@ -604,16 +628,10 @@ def all_characters(g: FiniteGroup, target_order: int, ab: AbelianInvariants | No
 
     ab = ab or abelianization(g)
     n = target_order
-    ranges = [range(0, n, n // _gcd(d, n)) for d in ab.cyclic_orders]
+    ranges = [range(0, n, n // math.gcd(d, n)) for d in ab.cyclic_orders]
     for values in itertools.product(*ranges):
         vals = (ab.projection @ np.array(values, dtype=np.int64)) % n
         yield GroupCharacter(group=g, target_order=n, values=vals)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def splitting_character(inv: CentralInvolution, ab: AbelianInvariants | None = None) -> GroupCharacter | None:
@@ -643,32 +661,41 @@ def parse_group_spec(spec: dict, cap: int = DEFAULT_CAP) -> tuple[FiniteGroup, i
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParseError("group spec must be an object with a 'kind' field")
     kind = spec["kind"]
-    if kind == "permutations":
-        g = close_generators([list(p) for p in spec["generators"]], cap=cap)
-    elif kind == "matrices":
-        g = close_generators([m for m in spec["generators"]], cap=cap)
-    elif kind == "table":
-        g = group_from_table(spec["table"] if "table" in spec else spec["generators"],
-                             identity=spec.get("identity"), labels=spec.get("labels"))
-    else:
-        raise ParseError(f"unknown group kind {kind!r}")
-    u = spec.get("u")
+    try:
+        if kind == "permutations":
+            g = close_generators([list(p) for p in spec["generators"]], cap=cap)
+        elif kind == "matrices":
+            g = close_generators(list(spec["generators"]), cap=cap)
+        elif kind == "table":
+            g = group_from_table(spec["table"] if "table" in spec else spec["generators"],
+                                 identity=spec.get("identity"), labels=spec.get("labels"))
+        else:
+            raise ParseError(f"unknown group kind {kind!r}")
+    except KeyError as exc:
+        raise ParseError(f"group spec of kind {kind!r} lacks the field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed group spec of kind {kind!r}: {exc}") from exc
+    return g, resolve_u(g, spec.get("u"))
+
+
+def resolve_u(g: FiniteGroup, u) -> int | None:
+    """The element named by u: an index, a word "g0 g1" or "g0*g1" in the
+    generators, or a list of generator indices; None stays None."""
     if u is None:
-        return g, None
-    if isinstance(u, int):
+        return None
+    if isinstance(u, int) and not isinstance(u, bool):
         if not 0 <= u < g.order:
             raise ParseError(f"u index {u} out of range")
-        return g, u
+        return u
     if isinstance(u, str):
-        toks = [t for t in u.replace("*", " ").split() if t]
         word = []
-        for t in toks:
-            if not t.startswith("g"):
+        for t in u.replace("*", " ").split():
+            if not (t.startswith("g") and t[1:].isdecimal()):
                 raise ParseError(f"bad generator token {t!r} in u word")
             word.append(int(t[1:]))
-        return g, g.word_to_element(word)
-    if isinstance(u, list):
-        return g, g.word_to_element([int(x) for x in u])
+        return g.word_to_element(word)
+    if isinstance(u, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in u):
+        return g.word_to_element(u)
     raise ParseError("u must be an element index or a word in generators")
 
 

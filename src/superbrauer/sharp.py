@@ -21,6 +21,7 @@ from .cohomology import (
     h2,
     h2_closed_field,
     is_cocycle,
+    restriction_square_class,
 )
 from .groups import CentralInvolution, FiniteGroup, GroupCharacter, abelianization, quotient_by_central_involution, splitting_character
 
@@ -348,17 +349,6 @@ class BMGroup:
         return k
 
 
-def _marker_of(rep: Cochain2, inv: CentralInvolution, field: FieldDescriptor) -> int:
-    if field.kind == "closed":
-        return 0
-    n = rep.modulus
-    v = int(rep.values[inv.u, inv.u])
-    half = n // 2
-    if v % half:
-        raise ParseError("representative sigma(u,u) is not +-1")
-    return (v // half) % 2
-
-
 def bm_group(
     g: FiniteGroup,
     inv: CentralInvolution,
@@ -378,7 +368,7 @@ def bm_group(
         raise BudgetExceeded(f"|BM| = {total} exceeds enumeration budget {budget}")
     classes, sharp_table = sharp_class_table(cg, inv)
     index = {c.coords: i for i, c in enumerate(classes)}
-    markers = [_marker_of(c.representative(), inv, field) for c in classes]
+    markers = [0 if field.kind == "closed" else restriction_square_class(inv, c.representative()) for c in classes]
     n = cg.coeff.n
     if split:
         c11 = Cochain2(g, n, (n // 2) * np.outer(chi.values, chi.values))

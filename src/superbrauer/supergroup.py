@@ -27,9 +27,8 @@ from .forms import (
     invariant_symmetric_forms,
     is_invariant_form,
     is_symmetric,
-    _det,
 )
-from .groups import CentralInvolution, FiniteGroup, cyclic_group, quotient_by_central_involution, splitting_character
+from .groups import CentralInvolution, FiniteGroup, _det, cyclic_group, quotient_by_central_involution, splitting_character
 from .sharp import BMGroup, FieldDescriptor, bm_group
 
 DEFAULT_DIM_BUDGET = 64
@@ -309,21 +308,31 @@ def r_u(h: SupergroupAlgebra) -> Tensor:
     return {(one, one): half, (one, u): half, (u, one): half, (u, u): -half}
 
 
-def _subsets(n: int, size: int) -> list[tuple[int, ...]]:
-    return list(itertools.combinations(range(n), size))
+def _checked_form(a, h: SupergroupAlgebra, what: str, en: bool = False) -> Matrix:
+    """a as a symmetric dim V x dim V matrix; with en, h must also be some E(n)."""
+    A = as_matrix(a)
+    if not is_symmetric(A):
+        raise NotSymmetric(f"{what} needs a symmetric matrix")
+    if en and h.group.order != 2:
+        raise ParseError(f"{what} lives on E(n), i.e. G = Z_2")
+    if len(A) != h.nv:
+        raise ParseError("matrix size must match dim V")
+    return A
 
 
-def _mask(subset: tuple[int, ...]) -> int:
-    m = 0
-    for i in subset:
-        m |= 1 << i
-    return m
-
-
-def _minor(a: Matrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> Fraction:
-    if not rows:
-        return Fraction(1)
-    return _det([[a[i][j] for j in cols] for i in rows])
+def _signed_minors(a: Matrix) -> dict[tuple[int, int], Fraction]:
+    """{(mask P, mask Q): (-1)^(s(s-1)/2) det A[P,Q]} over |P| = |Q| = s, nonzero values only."""
+    n = len(a)
+    out: dict[tuple[int, int], Fraction] = {}
+    for s in range(n + 1):
+        pref = (-1) ** (s * (s - 1) // 2)
+        subsets = [(sum(1 << i for i in P), P) for P in itertools.combinations(range(n), s)]
+        for pm, P in subsets:
+            for qm, Q in subsets:
+                d = _det([[a[i][j] for j in Q] for i in P])
+                if d:
+                    out[(pm, qm)] = pref * d
+    return out
 
 
 def r_matrix_RA(a, h: SupergroupAlgebra) -> Tensor:
@@ -332,60 +341,31 @@ def r_matrix_RA(a, h: SupergroupAlgebra) -> Tensor:
     R_A = (1/2) sum_{|P|=|F|} (-1)^(s(s-1)/2) det A[P,F]
           (v_P x v_F + u v_P x v_F + (-1)^s v_P x u v_F - (-1)^s u v_P x u v_F).
     """
-    A = as_matrix(a)
-    if not is_symmetric(A):
-        raise NotSymmetric("R_A needs a symmetric matrix")
-    if h.group.order != 2:
-        raise ParseError("the R_A family lives on E(n), i.e. G = Z_2")
-    n = h.nv
-    if len(A) != n:
-        raise ParseError("matrix size must match dim V")
-    e = h.group.identity
-    uu = h.inv.u
+    A = _checked_form(a, h, "R_A", en=True)
+    e, uu = h.group.identity, h.inv.u
     out: Tensor = {}
-    half = Fraction(1, 2)
-    for s in range(n + 1):
-        pref = (-1) ** (s * (s - 1) // 2)
-        for P in _subsets(n, s):
-            for F in _subsets(n, s):
-                coef = half * pref * _minor(A, P, F)
-                if not coef:
-                    continue
-                pm, fm = _mask(P), _mask(F)
-                sgn = (-1) ** s
-                _tns_add(out, (h.encode(e, pm), h.encode(e, fm)), coef)
-                _tns_add(out, (h.encode(uu, pm), h.encode(e, fm)), coef)
-                _tns_add(out, (h.encode(e, pm), h.encode(uu, fm)), coef * sgn)
-                _tns_add(out, (h.encode(uu, pm), h.encode(uu, fm)), -coef * sgn)
+    for (pm, fm), minor in _signed_minors(A).items():
+        coef = minor / 2
+        sgn = -1 if bin(pm).count("1") % 2 else 1
+        _tns_add(out, (h.encode(e, pm), h.encode(e, fm)), coef)
+        _tns_add(out, (h.encode(uu, pm), h.encode(e, fm)), coef)
+        _tns_add(out, (h.encode(e, pm), h.encode(uu, fm)), coef * sgn)
+        _tns_add(out, (h.encode(uu, pm), h.encode(uu, fm)), -coef * sgn)
     return out
 
 
 def dual_r_matrix(a, h: SupergroupAlgebra) -> HCochain2:
     """The dual triangular structure r_A of the self-dual E(n), as a functional
     on H (x) H; omega_Sigma = r_0 * r_{-Sigma} in the convolution algebra."""
-    A = as_matrix(a)
-    if not is_symmetric(A):
-        raise NotSymmetric("r_A needs a symmetric matrix")
-    if h.group.order != 2:
-        raise ParseError("the r_A family lives on E(n)")
-    n = h.nv
-    if len(A) != n:
-        raise ParseError("matrix size must match dim V")
+    A = _checked_form(a, h, "r_A", en=True)
     vals = [[Fraction(0)] * h.dim for _ in range(h.dim)]
     e, uu = h.group.identity, h.inv.u
-    for s in range(n + 1):
-        pref = (-1) ** (s * (s - 1) // 2)
-        sgn = (-1) ** s
-        for P in _subsets(n, s):
-            for F in _subsets(n, s):
-                coef = pref * _minor(A, P, F)
-                if not coef:
-                    continue
-                pm, fm = _mask(P), _mask(F)
-                vals[h.encode(e, pm)][h.encode(e, fm)] += coef
-                vals[h.encode(e, pm)][h.encode(uu, fm)] += coef
-                vals[h.encode(uu, pm)][h.encode(e, fm)] += coef * sgn
-                vals[h.encode(uu, pm)][h.encode(uu, fm)] += -coef * sgn
+    for (pm, fm), coef in _signed_minors(A).items():
+        sgn = -1 if bin(pm).count("1") % 2 else 1
+        vals[h.encode(e, pm)][h.encode(e, fm)] += coef
+        vals[h.encode(e, pm)][h.encode(uu, fm)] += coef
+        vals[h.encode(uu, pm)][h.encode(e, fm)] += coef * sgn
+        vals[h.encode(uu, pm)][h.encode(uu, fm)] += -coef * sgn
     return HCochain2(h, vals)
 
 
@@ -405,28 +385,21 @@ class VerifyReport:
         return self.passed
 
 
-def _basis_triples(h: SupergroupAlgebra, budget: int, seed: int):
+def _basis_tuples(h: SupergroupAlgebra, arity: int, budget: int, seed: int):
+    """All arity-tuples of basis elements while dim <= budget, else
+    SAMPLED_TRIPLES tuples drawn from random.Random(seed); returns (tuples, sampled)."""
     if h.dim <= budget:
-        return itertools.product(h.basis(), repeat=3), False
+        return itertools.product(h.basis(), repeat=arity), False
     rng = random.Random(seed)
-    triples = [
-        (rng.randrange(h.dim), rng.randrange(h.dim), rng.randrange(h.dim))
-        for _ in range(SAMPLED_TRIPLES)
-    ]
-    return iter(triples), True
+    return [tuple(rng.randrange(h.dim) for _ in range(arity)) for _ in range(SAMPLED_TRIPLES)], True
 
 
 def verify_hopf(h: SupergroupAlgebra, budget: int = DEFAULT_DIM_BUDGET, seed: int = 0) -> VerifyReport:
     """Bialgebra and antipode axioms on basis elements (pairs exhaustive up to
     the dim budget, sampled beyond)."""
-    sampled = h.dim > budget
-    rng = random.Random(seed)
-    if sampled:
-        pairs = [(rng.randrange(h.dim), rng.randrange(h.dim)) for _ in range(SAMPLED_TRIPLES)]
-        singles = sorted({a for p in pairs for a in p})
-    else:
-        pairs = list(itertools.product(h.basis(), repeat=2))
-        singles = list(h.basis())
+    pairs, sampled = _basis_tuples(h, 2, budget, seed)
+    pairs = list(pairs)
+    singles = sorted({a for p in pairs for a in p})
     # counit and antipode laws
     for b in singles:
         cop = h.coproduct_basis(b)
@@ -491,13 +464,8 @@ def verify_quasitriangular(h: SupergroupAlgebra, r: Tensor, budget: int = DEFAUL
         _tns_add(eps2, a, c * h.counit_basis(b))
     if eps1 != {h.unit: Fraction(1)} or eps2 != {h.unit: Fraction(1)}:
         return VerifyReport("quasitriangular", False, "(eps x id)R != 1")
-    sampled = h.dim > budget
-    if sampled:
-        rng = random.Random(seed)
-        elems = [rng.randrange(h.dim) for _ in range(SAMPLED_TRIPLES)]
-    else:
-        elems = list(h.basis())
-    for b in elems:
+    elems, sampled = _basis_tuples(h, 1, budget, seed)
+    for (b,) in elems:
         d = _cop_tensor(h, b)
         dop = tensor_flip(d)
         if tensor_mul(h, r, d) != tensor_mul(h, dop, r):
@@ -576,14 +544,15 @@ def tensor_functional(h: SupergroupAlgebra, t: Tensor) -> HCochain2:
     return HCochain2(h, vals)
 
 
-def is_left_cocycle(sigma: HCochain2, budget: int = DEFAULT_DIM_BUDGET, seed: int = 0) -> VerifyReport:
-    """sum sigma(a1,b1) sigma(a2 b2, c) = sum sigma(b1,c1) sigma(a, b2 c2)."""
+def _cocycle_check(sigma: HCochain2, coproduct, check: str, detail: str, budget: int, seed: int) -> VerifyReport:
+    """sum sigma(a1,b1) sigma(a2 b2, c) = sum sigma(b1,c1) sigma(a, b2 c2), where
+    coproduct(b) lists the splits (b1, b2, coefficient) of Delta(b)."""
     h = sigma.algebra
-    triples, sampled = _basis_triples(h, budget, seed)
+    triples, sampled = _basis_tuples(h, 3, budget, seed)
     for a, b, c in triples:
         lhs = Fraction(0)
-        for a1, a2, x in h.coproduct_basis(a):
-            for b1, b2, y in h.coproduct_basis(b):
+        for a1, a2, x in coproduct(a):
+            for b1, b2, y in coproduct(b):
                 s1 = sigma.values[a1][b1]
                 if not s1:
                     continue
@@ -592,8 +561,8 @@ def is_left_cocycle(sigma: HCochain2, budget: int = DEFAULT_DIM_BUDGET, seed: in
                     inner += cz * sigma.values[z][c]
                 lhs += x * y * s1 * inner
         rhs = Fraction(0)
-        for b1, b2, y in h.coproduct_basis(b):
-            for c1, c2, w in h.coproduct_basis(c):
+        for b1, b2, y in coproduct(b):
+            for c1, c2, w in coproduct(c):
                 s1 = sigma.values[b1][c1]
                 if not s1:
                     continue
@@ -602,51 +571,33 @@ def is_left_cocycle(sigma: HCochain2, budget: int = DEFAULT_DIM_BUDGET, seed: in
                     inner += cz * sigma.values[a][z]
                 rhs += y * w * s1 * inner
         if lhs != rhs:
-            return VerifyReport("left-cocycle", False, "cocycle equation fails",
-                                (h.label(a), h.label(b), h.label(c)), sampled)
-    return VerifyReport("left-cocycle", True, "", None, sampled)
+            return VerifyReport(check, False, detail, (h.label(a), h.label(b), h.label(c)), sampled)
+    return VerifyReport(check, True, "", None, sampled)
+
+
+def is_left_cocycle(sigma: HCochain2, budget: int = DEFAULT_DIM_BUDGET, seed: int = 0) -> VerifyReport:
+    """sum sigma(a1,b1) sigma(a2 b2, c) = sum sigma(b1,c1) sigma(a, b2 c2)."""
+    return _cocycle_check(sigma, sigma.algebra.coproduct_basis, "left-cocycle", "cocycle equation fails", budget, seed)
 
 
 def is_right_cocycle(sigma: HCochain2, budget: int = DEFAULT_DIM_BUDGET, seed: int = 0) -> VerifyReport:
-    """sum sigma(a1 b1, c) sigma(a2, b2) = sum sigma(a, b1 c1) sigma(b2, c2)."""
+    """sum sigma(a1 b1, c) sigma(a2, b2) = sum sigma(a, b1 c1) sigma(b2, c2):
+    the left cocycle equation on H^cop, whose coproduct swaps the two factors."""
     h = sigma.algebra
-    triples, sampled = _basis_triples(h, budget, seed)
-    for a, b, c in triples:
-        lhs = Fraction(0)
-        for a1, a2, x in h.coproduct_basis(a):
-            for b1, b2, y in h.coproduct_basis(b):
-                s2 = sigma.values[a2][b2]
-                if not s2:
-                    continue
-                inner = Fraction(0)
-                for z, cz in h.product_basis(a1, b1).items():
-                    inner += cz * sigma.values[z][c]
-                lhs += x * y * s2 * inner
-        rhs = Fraction(0)
-        for b1, b2, y in h.coproduct_basis(b):
-            for c1, c2, w in h.coproduct_basis(c):
-                s2 = sigma.values[b2][c2]
-                if not s2:
-                    continue
-                inner = Fraction(0)
-                for z, cz in h.product_basis(b1, c1).items():
-                    inner += cz * sigma.values[a][z]
-                rhs += y * w * s2 * inner
-        if lhs != rhs:
-            return VerifyReport("right-cocycle", False, "right cocycle equation fails",
-                                (h.label(a), h.label(b), h.label(c)), sampled)
-    return VerifyReport("right-cocycle", True, "", None, sampled)
+    cop: dict[int, list[tuple[int, int, Fraction]]] = {}
+
+    def coproduct_op(b: int) -> list[tuple[int, int, Fraction]]:
+        if b not in cop:
+            cop[b] = [(b2, b1, c) for b1, b2, c in h.coproduct_basis(b)]
+        return cop[b]
+
+    return _cocycle_check(sigma, coproduct_op, "right-cocycle", "right cocycle equation fails", budget, seed)
 
 
 def is_lazy(sigma: HCochain2, budget: int = DEFAULT_DIM_BUDGET, seed: int = 0) -> VerifyReport:
     """sum sigma(a1,b1) a2 b2 = sum sigma(a2,b2) a1 b1 in H."""
     h = sigma.algebra
-    sampled = h.dim > budget
-    if sampled:
-        rng = random.Random(seed)
-        pairs = [(rng.randrange(h.dim), rng.randrange(h.dim)) for _ in range(SAMPLED_TRIPLES)]
-    else:
-        pairs = itertools.product(h.basis(), repeat=2)
+    pairs, sampled = _basis_tuples(h, 2, budget, seed)
     for a, b in pairs:
         lhs: Element = {}
         rhs: Element = {}
@@ -719,50 +670,18 @@ def omega_sigma(sigma_matrix, h: SupergroupAlgebra) -> HCochain2:
     omega(u^a v_P, u^b v_Q) = 0 unless |P| = |Q| = s, in which case it is
     (-1)^(b s) (-1)^(s(s-1)/2) det_{PQ}(Sigma); in particular
     omega(v_i, v_j) = Sigma_ij and omega = eps x eps when Sigma = 0.
+    This is lambda on E(n), where u acts on V as -1.
     """
-    S = as_matrix(sigma_matrix)
-    if not is_symmetric(S):
-        raise NotSymmetric("omega_Sigma needs a symmetric matrix")
-    if h.group.order != 2:
-        raise ParseError("omega_Sigma lives on E(n), i.e. G = Z_2")
-    if len(S) != h.nv:
-        raise ParseError("matrix size must match dim V")
-    vals = [[Fraction(0)] * h.dim for _ in range(h.dim)]
-    subsets_by_size = [(s, _subsets(h.nv, s)) for s in range(h.nv + 1)]
-    for s, subs in subsets_by_size:
-        pref = (-1) ** (s * (s - 1) // 2)
-        for P in subs:
-            for Q in subs:
-                base = pref * _minor(S, P, Q)
-                if not base:
-                    continue
-                pm, qm = _mask(P), _mask(Q)
-                for a in range(2):
-                    for b in range(2):
-                        ga = h.group.identity if a == 0 else h.inv.u
-                        gb = h.group.identity if b == 0 else h.inv.u
-                        sign = (-1) ** (b * s)
-                        vals[h.encode(ga, pm)][h.encode(gb, qm)] = base * sign
-    return HCochain2(h, vals)
+    return lambda_cocycle(h, _checked_form(sigma_matrix, h, "omega_Sigma", en=True))
 
 
 def lambda_cocycle(h: SupergroupAlgebra, sigma_matrix, require_invariant: bool = True) -> HCochain2:
     """lambda(g v_P, h v_Q) = omega_Sigma(h^{-1}.v_P, v_Q), the lazy cocycle
     attached to an invariant symmetric form."""
-    S = as_matrix(sigma_matrix)
-    if not is_symmetric(S):
-        raise NotSymmetric("lambda needs a symmetric matrix")
-    if len(S) != h.nv:
-        raise ParseError("matrix size must match dim V")
+    S = _checked_form(sigma_matrix, h, "lambda")
     if require_invariant and not is_invariant_form(h.rep, S):
         raise NotInvariant("symmetric form is not G-invariant")
-    nv = h.nv
-    minors: dict[tuple[int, int], Fraction] = {}
-    for s in range(nv + 1):
-        pref = (-1) ** (s * (s - 1) // 2)
-        for P in _subsets(nv, s):
-            for Q in _subsets(nv, s):
-                minors[(_mask(P), _mask(Q))] = pref * _minor(S, P, Q)
+    minors = _signed_minors(S)
     vals = [[Fraction(0)] * h.dim for _ in range(h.dim)]
     for b1 in h.basis():
         g, pm = h.decode(b1)

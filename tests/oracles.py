@@ -1,11 +1,14 @@
-"""Independent brute-force oracles for the cohomology tests.
+"""Independent brute-force oracles for the tests.
 
-Everything here works on the full dense normalized bar system with plain
-Gaussian elimination or integer Smith normal form; none of it shares code
-with the production pipeline.
+The cohomology oracles work on the full dense normalized bar system with
+plain Gaussian elimination or integer Smith normal form; the determinant is
+the Leibniz expansion.  None of it shares code with the production pipeline.
 """
 
 from __future__ import annotations
+
+import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -143,3 +146,16 @@ def brute_h2_order(g, q):
     """|H^2(G, Z_q)| = |Z^2| / |B^2| from the dense bar system."""
     D, E = dense_bar_matrices(g)
     return count_kernel_mod(D, q) // count_image_mod(E, q)
+
+
+def leibniz_det(m):
+    """det m as the signed sum over all permutations."""
+    n = len(m)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -72,6 +73,22 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "spec, u",
+    [
+        ({"kind": "permutations"}, None),  # no generators
+        ({"kind": "permutations", "generators": [[1, 0]]}, "gx"),  # bad u word
+        ({"kind": "permutations", "generators": [[1, 0]]}, "7"),  # u index past |G| = 2
+    ],
+)
+def test_malformed_input_exit_code(tmp_path, capsys, spec, u):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(spec))
+    args = ["h2sharp", "--group", str(path), "--field", "closed"] + (["--u", u] if u else [])
+    code, _ = _run(args, capsys)
+    assert code == EXIT_PARSE
+
+
 def test_budget_exit_code(capsys):
     code, _ = _run(["h2", "--type", "B3", "--budget-h2", "10"], capsys)
     assert code == EXIT_BUDGET
@@ -129,3 +146,33 @@ def test_out_file(tmp_path, zz_file, capsys):
     code, _ = _run(["h2", "--group", zz_file, "--format", "json", "--out", str(out)], capsys)
     assert code == 0
     assert json.loads(out.read_text())["schema"] == "superbrauer-report/1"
+
+
+# SHA-256 of the --format json reports, frozen so that refactors keep them byte-identical
+GOLDEN_REPORTS = [
+    (["verify", "--algebra", "E2", "--check", "hopf"],
+     "1eaae1f6cd3b4b9e71a0fa58868780017930011bb3f615605a852212d35d9f21"),
+    (["verify", "--algebra", "E2", "--check", "quasitriangular"],
+     "a0a4a1e42c4c70139905896c731d0b59d1bc7ef81b0bf12a61c55750ec4ef4f3"),
+    (["verify", "--algebra", "E2", "--check", "triangular"],
+     "9b618a66a698813e88b3a8ebcbf19fc1e2cd88e50b2da5f0d32a6e32d2417342"),
+    (["verify", "--algebra", "E2", "--check", "omega-lazy"],
+     "90da1e18d25dd454bd237e540cd495b650ce40a1b2ed1c05d4aaf16f391668d9"),
+    (["verify", "--algebra", "E2", "--check", "omega-cocycle"],
+     "2ae3f18c91174b3182a797e8b3785f04b63637a9f865f9af667e0ad77605deca"),
+    (["verify", "--algebra", "E2", "--check", "lambda-lazy"],
+     "a63868c57821955334e63d5b215bda59b66cb3f17901f045472a9d32bb67124e"),
+    (["verify", "--algebra", "E2", "--check", "lambda-cocycle"],
+     "a305245704d5c75343bca65dc720de4ecd34176ca242718f4a113737ade84cba"),
+    (["verify", "--type", "B2", "--check", "lambda-lazy", "--budget-dim", "16"],  # sampled
+     "20086b62f1ff8d38dda2665adc4896d9dd20db1d5b9b3d3b8d6502d2947307dd"),
+    (["invforms", "--type", "G2"],
+     "6af3daa0762a32c2c7a9f21fb7f9f85ff19daf246d29a4470319cd3418b8f633"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN_REPORTS, ids=[" ".join(a) for a, _ in GOLDEN_REPORTS])
+def test_golden_reports(args, digest, capsys):
+    code, out = _run(args + ["--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -8,6 +8,7 @@ import pytest
 from superbrauer import (
     Cochain2,
     NotCocycle,
+    ParseError,
     close_generators,
     coboundary,
     cyclic_group,
@@ -107,6 +108,13 @@ def test_h2_closed_field_values(z2, z2z2, s4):
     assert h2_closed_field(z2).invariants == ()
     assert h2_closed_field(z2z2).invariants == (2,)
     assert h2_closed_field(s4).invariants == (2,)
+
+
+def test_h2_closed_field_modulus_multiple_of_order(z2z2):
+    # exp(Z2 x Z2) = 2 does not suffice; a multiple of |G| = 4 does
+    with pytest.raises(ParseError):
+        h2_closed_field(z2z2, modulus=2)
+    assert h2_closed_field(z2z2, modulus=8).invariants == (2,)
 
 
 def test_h2_closed_field_annihilation(q8, s4):

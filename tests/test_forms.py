@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from superbrauer import (
     CentralInvolution,
     Representation,
@@ -11,7 +13,10 @@ from superbrauer import (
     cyclic_group,
     invariant_symmetric_forms,
 )
-from superbrauer.forms import leading_principal_minors_positive, mat_transpose, _mat_mul
+from superbrauer.forms import leading_principal_minors_positive, mat_transpose, _mat_mul, _nullspace
+from superbrauer.groups import _det, _mat_rank
+
+from .oracles import leibniz_det
 
 
 def _frac_mat(rows):
@@ -84,3 +89,27 @@ def test_generator_invariance_implies_group_invariance(datum_b3):
     for x in range(datum_b3.group.order):
         m = datum_b3.rep.matrix(x)
         assert _mat_mul(_mat_mul(mat_transpose(m), sig), m) == sig
+
+
+_entries = st.one_of(st.integers(-2, 2).map(Fraction), st.fractions(-3, 3, max_denominator=3))
+
+
+@st.composite
+def _rational_matrices(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return [[draw(_entries) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_matrices())
+def test_elimination_properties(m):
+    ncols = len(m[0])
+    rank = _mat_rank(m)
+    null = _nullspace(m, ncols)
+    assert rank + len(null) == ncols
+    for v in null:
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+    if len(m) == ncols:
+        det = _det(m)
+        assert det == leibniz_det(m)
+        assert (det != 0) == (rank == ncols)

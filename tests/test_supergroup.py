@@ -229,6 +229,10 @@ def test_perturbed_omega_fails_cocycle():
     vals[h.encode(0, 0b01)][h.encode(0, 0b10)] += 1  # tweak one entry
     bad = HCochain2(h, vals)
     assert not is_left_cocycle(bad).passed
+    right = is_right_cocycle(bad)
+    assert not right.passed
+    assert (right.check, right.detail) == ("right-cocycle", "right cocycle equation fails")
+    assert right.counterexample == ("g0*v0", "g0*v1", "g1")
 
 
 def test_lambda_on_en_equals_omega():
