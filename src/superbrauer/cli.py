@@ -85,10 +85,13 @@ def _load_rep(path: str, g: FiniteGroup) -> Representation:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise errors.ParseError(f"cannot read representation file {path}: {exc}") from exc
-    mats = data["matrices"] if isinstance(data, dict) else data
-    if len(mats) != len(g.gens):
-        raise errors.ParseError("representation file must list one matrix per group generator")
-    gm = [tuple(tuple(parse_rational(x) for x in row) for row in m) for m in mats]
+    try:
+        mats = data["matrices"] if isinstance(data, dict) else data
+        if len(mats) != len(g.gens):
+            raise errors.ParseError("representation file must list one matrix per group generator")
+        gm = [tuple(tuple(parse_rational(x) for x in row) for row in m) for m in mats]
+    except (KeyError, TypeError) as exc:
+        raise errors.ParseError(f"representation file {path} must give 'matrices', one per generator") from exc
     return Representation(group=g, dim=len(gm[0]), gen_matrices=gm)
 
 
@@ -248,7 +251,7 @@ def cmd_weyl_table(args) -> dict:
 def _algebra_from_args(args):
     if getattr(args, "algebra", None):
         name = args.algebra.upper()
-        if not name.startswith("E"):
+        if not (name.startswith("E") and name[1:].isdecimal()):
             raise errors.ParseError("--algebra expects E<n>, e.g. E2")
         return build_en(int(name[1:]))
     if getattr(args, "type", None):

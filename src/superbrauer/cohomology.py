@@ -137,15 +137,16 @@ def coboundary(group: FiniteGroup, modulus: int, gamma) -> Cochain2:
 
 
 def is_cocycle(sigma: Cochain2) -> bool:
-    """sigma(g,h) + sigma(gh,l) = sigma(h,l) + sigma(g,hl) for all triples."""
+    """sigma(g,h) + sigma(gh,s) = sigma(h,s) + sigma(g,hs) for s in G.gens.
+
+    For a normalized cochain this forces the equation on every triple, by
+    the d(d sigma) = 0 argument of the module docstring.
+    """
     v = sigma.values
-    n = sigma.group.order
-    mod = sigma.modulus
     mul = np.asarray(sigma.group.mul)
-    for g in range(n):
-        lhs = v[g, :][:, None] + v[mul[g, :], :]
-        rhs = v + v[g, :][mul]
-        if ((lhs - rhs) % mod).any():
+    for s in sigma.group.gens:
+        col = v[:, s]
+        if ((v + col[mul] - col[None, :] - v[:, mul[:, s]]) % sigma.modulus).any():
             return False
     return True
 
@@ -282,8 +283,8 @@ def _frontier_system(g: FiniteGroup) -> _FrontierSystem:
 def _cocycle_kernel(sys: _FrontierSystem, p: int, e: int) -> np.ndarray:
     """Generators of the frontier cocycle module over Z_{p^e}.
 
-    Solves a strided subsample exactly, then intersects with the violated
-    equations until every equation vanishes on the candidate module.
+    Solves a strided subsample exactly, then intersects once with the
+    equations that the sample's kernel violates.
     """
     q = p**e
     f = sys.fprime
@@ -315,29 +316,26 @@ def _cocycle_kernel(sys: _FrontierSystem, p: int, e: int) -> np.ndarray:
         % q
     )
     K = kernel_mod(sample, p, e)
-
+    if K.shape[1] == 0:
+        return K
+    # Rows that K satisfies stay satisfied by K Y, and K ker(C) satisfies the
+    # violated rows, so one refinement solves every equation.
     use_float = f * q * q < 2**52
-    chunk = 4096
-    for _ in range(64):
-        if K.shape[1] == 0:
-            return K
-        bad = []
-        Kf = K.astype(np.float64) if use_float else K
-        for lo in range(0, total, chunk):
-            hi = min(lo + chunk, total)
-            blk = dense_block(lo, hi)
-            if use_float:
-                res = np.rint(blk.astype(np.float64) @ Kf).astype(np.int64) % q
-            else:
-                res = (blk @ K) % q
-            viol = np.nonzero(res.any(axis=1))[0]
-            if len(viol):
-                bad.append(blk[viol])
-        if not bad:
-            return K
-        C = (np.vstack(bad) @ K) % q
-        K = (K @ kernel_mod(C, p, e)) % q
-    raise ParseError("cocycle kernel iteration failed to converge")
+    Kf = K.astype(np.float64) if use_float else K
+    bad = []
+    for lo in range(0, total, 4096):
+        blk = dense_block(lo, min(lo + 4096, total))
+        if use_float:
+            res = np.rint(blk.astype(np.float64) @ Kf).astype(np.int64) % q
+        else:
+            res = (blk @ K) % q
+        viol = np.nonzero(res.any(axis=1))[0]
+        if len(viol):
+            bad.append(blk[viol])
+    if not bad:
+        return K
+    C = (np.vstack(bad) @ K) % q
+    return (K @ kernel_mod(C, p, e)) % q
 
 
 @dataclass(eq=False)
@@ -525,9 +523,8 @@ def _check_h2_budget(g: FiniteGroup, budget: int) -> None:
         raise BudgetExceeded(f"H^2 needs ({n}-1)^2 unknowns > budget {budget}")
 
 
-def _h2_impl(g: FiniteGroup, coeff: CoefficientModule, mode: str, budget: int) -> CohomologyGroup:
+def _h2_impl(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> CohomologyGroup:
     n = g.order
-    _check_h2_budget(g, budget)
     N = coeff.n
     if n == 1 or N == 1:
         return _trivial_cohomology(g, coeff, mode)
@@ -614,7 +611,7 @@ def h2(g: FiniteGroup, coeff: CoefficientModule | int, budget: int = DEFAULT_H2_
     cache = _h2_cache(g)
     key = ("muN", coeff.n)
     if key not in cache:
-        cache[key] = _h2_impl(g, coeff, "muN", budget)
+        cache[key] = _h2_impl(g, coeff, "muN")
     return cache[key]
 
 
@@ -645,7 +642,7 @@ def h2_closed_field(
     cache = _h2_cache(g)
     key = ("closed", m)
     if key not in cache:
-        cache[key] = _h2_impl(g, CoefficientModule(m), "closed", budget)
+        cache[key] = _h2_impl(g, CoefficientModule(m), "closed")
     return cache[key]
 
 

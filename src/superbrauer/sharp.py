@@ -23,7 +23,16 @@ from .cohomology import (
     is_cocycle,
     restriction_square_class,
 )
-from .groups import CentralInvolution, FiniteGroup, GroupCharacter, abelianization, quotient_by_central_involution, splitting_character
+from .groups import (
+    CentralInvolution,
+    FiniteGroup,
+    GroupCharacter,
+    _abelian_basis_from_table,
+    abelianization,
+    group_from_table,
+    quotient_by_central_involution,
+    splitting_character,
+)
 
 ENUMERATION_BUDGET = 2**12
 
@@ -187,74 +196,17 @@ def h2_sharp(
         raise BudgetExceeded(f"|H^2| = {cg.size} exceeds enumeration budget {budget}")
     classes, table = sharp_class_table(cg, inv)
     ident = next(i for i, c in enumerate(classes) if c.is_trivial())
-    invariants = abelian_invariants_from_table(table, ident)
-    _check_abelian_group_table(table, ident)
+    invariants = _abelian_table_invariants(table, ident)
     return SharpGroup(field=field, inv=inv, cohomology=cg, classes=classes, table=table, invariants=invariants)
 
 
-def _check_abelian_group_table(table: np.ndarray, ident: int, assoc_limit: int = 64, samples: int = 512) -> None:
-    m = table.shape[0]
+def _abelian_table_invariants(table: np.ndarray, ident: int) -> tuple[int, ...]:
+    """Invariant factors, largest first, of an enumerated product table after
+    checking that it is an abelian group table."""
     if (table != table.T).any():
         raise ParseError("enumerated product is not commutative")
-    if (table[ident, :] != np.arange(m)).any():
-        raise ParseError("enumerated product has no identity")
-    for i in range(m):
-        if ident not in table[i, :]:
-            raise ParseError("enumerated product has a non-invertible element")
-    if m <= assoc_limit:
-        for a in range(m):
-            if not (table[table[a, :], :] == table[a, table]).all():
-                raise ParseError("enumerated product is not associative")
-    else:
-        rng = np.random.default_rng(0)
-        for a, b, c in zip(*(rng.integers(0, m, samples) for _ in range(3))):
-            if table[table[a, b], c] != table[a, table[b, c]]:
-                raise ParseError("enumerated product is not associative (sampled)")
-
-
-def abelian_invariants_from_table(table: np.ndarray, ident: int) -> tuple[int, ...]:
-    """Invariant factors, largest first, of a finite abelian Cayley table.
-
-    Uses order statistics: c_j = #{x : x^(p^j) = e} satisfies
-    c_j / c_{j-1} = p^(number of invariants with exponent >= j).
-    """
-    from .modlinalg import prime_power_factors
-
-    m = table.shape[0]
-    orders = []
-    for x in range(m):
-        k, y = 1, x
-        while y != ident:
-            y = int(table[y, x])
-            k += 1
-        orders.append(k)
-    exponent = 1
-    for o in orders:
-        exponent = int(np.lcm(exponent, o))
-    primary: dict[int, list[int]] = {}
-    for p, emax in prime_power_factors(exponent):
-        cs = [sum(1 for o in orders if p**j % o == 0) for j in range(emax + 1)]
-        ms = []
-        for j in range(1, emax + 1):
-            ratio, mj = cs[j] // cs[j - 1], 0
-            while ratio > 1:
-                ratio //= p
-                mj += 1
-            ms.append(mj)
-        factors = []
-        for j in range(1, emax + 1):
-            cnt = ms[j - 1] - (ms[j] if j < emax else 0)
-            factors.extend([p**j] * cnt)
-        primary[p] = sorted(factors, reverse=True)
-    depth = max((len(v) for v in primary.values()), default=0)
-    out = []
-    for i in range(depth):
-        d = 1
-        for lst in primary.values():
-            if i < len(lst):
-                d *= lst[i]
-        out.append(d)
-    return tuple(out)
+    group_from_table(table, identity=ident)
+    return tuple(_abelian_basis_from_table(table, ident)[1])
 
 
 def quaternion_symbol(a: int, b: int, field: FieldDescriptor) -> int:
@@ -401,8 +353,7 @@ def bm_group(
         for j in range(m):
             bm.table[i, j] = bm.index_of(bm.multiply(elements[i], elements[j]))
     ident = bm.index_of(bm.identity_element())
-    _check_abelian_group_table(bm.table, ident)
-    bm.invariants = abelian_invariants_from_table(bm.table, ident)
+    bm.invariants = _abelian_table_invariants(bm.table, ident)
     expected = field.brauer_order * cg.size * (2 if split else 1)
     if m != expected:
         raise ParseError("BM enumeration size mismatch")
@@ -509,8 +460,7 @@ def q_group(
         for j in range(m):
             qg.table[i, j] = qg.index_of(qg.multiply(elements[i], elements[j]))
     ident = qg.index_of(QkGElement(cq.zero_class(), qg._char_lookup[(np.zeros(q.order, dtype=np.int64)).tobytes()], 0, 0))
-    _check_abelian_group_table(qg.table, ident)
-    qg.invariants = abelian_invariants_from_table(qg.table, ident)
+    qg.invariants = _abelian_table_invariants(qg.table, ident)
     return qg
 
 
@@ -544,14 +494,12 @@ class TwistedGroupAlgebra:
         return (self.sigma.values - self.sigma.values.T) % self.sigma.modulus
 
     def degrees_are_characters(self) -> bool:
-        n = self.sigma.modulus
+        """chi_h(x s) = chi_h(x) + chi_h(s) for s in G.gens; chi_h(1) = 0 and
+        the BFS words then give chi_h(x y) = chi_h(x) + chi_h(y) for all y."""
+        gens = np.array(self.group.gens)
         deg = self.degree_map()
-        mul = np.asarray(self.group.mul)
-        for h in range(self.group.order):
-            col = deg[:, h]
-            if ((col[:, None] + col[None, :]) % n != col[mul]).any():
-                return False
-        return True
+        xs = np.asarray(self.group.mul)[:, gens]
+        return not ((deg[:, None, :] + deg[gens][None, :, :] - deg[xs]) % self.sigma.modulus).any()
 
     def associativity_holds(self) -> bool:
         return is_cocycle(self.sigma)

@@ -1,8 +1,10 @@
 """Independent brute-force oracles for the tests.
 
 The cohomology oracles work on the full dense normalized bar system with
-plain Gaussian elimination or integer Smith normal form; the determinant is
-the Leibniz expansion.  None of it shares code with the production pipeline.
+plain Gaussian elimination or integer Smith normal form; the cocycle test
+runs over all triples; the invariant factors of an abelian Cayley table come
+from order statistics; the determinant is the Leibniz expansion.  None of it
+shares code with the production pipeline.
 """
 
 from __future__ import annotations
@@ -159,3 +161,86 @@ def leibniz_det(m):
             term *= m[i][perm[i]]
         total += term
     return total
+
+
+def all_triples_is_cocycle(sigma):
+    """sigma(g,h) + sigma(gh,l) = sigma(h,l) + sigma(g,hl) for all triples."""
+    v = sigma.values
+    n = sigma.group.order
+    mod = sigma.modulus
+    mul = np.asarray(sigma.group.mul)
+    for g in range(n):
+        lhs = v[g, :][:, None] + v[mul[g, :], :]
+        rhs = v + v[g, :][mul]
+        if ((lhs - rhs) % mod).any():
+            return False
+    return True
+
+
+def all_pairs_degrees_are_characters(sigma):
+    """Every column chi_h(g) = sigma(g,h) - sigma(h,g) is additive on all pairs."""
+    v = sigma.values
+    n = sigma.modulus
+    mul = np.asarray(sigma.group.mul)
+    deg = (v - v.T) % n
+    for h in range(sigma.group.order):
+        col = deg[:, h]
+        if ((col[:, None] + col[None, :]) % n != col[mul]).any():
+            return False
+    return True
+
+
+def _prime_powers(n):
+    out, p = [], 2
+    while n > 1:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out
+
+
+def abelian_invariants_from_table(table, ident):
+    """Invariant factors, largest first, of a finite abelian Cayley table.
+
+    Uses order statistics: c_j = #{x : x^(p^j) = e} satisfies
+    c_j / c_{j-1} = p^(number of invariants with exponent >= j).
+    """
+    m = table.shape[0]
+    orders = []
+    for x in range(m):
+        k, y = 1, x
+        while y != ident:
+            y = int(table[y, x])
+            k += 1
+        orders.append(k)
+    exponent = 1
+    for o in orders:
+        exponent = int(np.lcm(exponent, o))
+    primary = {}
+    for p, emax in _prime_powers(exponent):
+        cs = [sum(1 for o in orders if p**j % o == 0) for j in range(emax + 1)]
+        ms = []
+        for j in range(1, emax + 1):
+            ratio, mj = cs[j] // cs[j - 1], 0
+            while ratio > 1:
+                ratio //= p
+                mj += 1
+            ms.append(mj)
+        factors = []
+        for j in range(1, emax + 1):
+            cnt = ms[j - 1] - (ms[j] if j < emax else 0)
+            factors.extend([p**j] * cnt)
+        primary[p] = sorted(factors, reverse=True)
+    depth = max((len(v) for v in primary.values()), default=0)
+    out = []
+    for i in range(depth):
+        d = 1
+        for lst in primary.values():
+            if i < len(lst):
+                d *= lst[i]
+        out.append(d)
+    return tuple(out)

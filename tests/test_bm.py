@@ -19,6 +19,8 @@ from superbrauer import (
     symmetric_group,
 )
 
+from .oracles import abelian_invariants_from_table
+
 
 def test_bm_closed_z2():
     z2 = cyclic_group(2)
@@ -88,7 +90,6 @@ def test_bm_order_identity(field):
 def test_bm_closed_invariants_match_h2_times_split():
     """Over the closed descriptor BM = H^2(G, k*) x Z_2^split exactly."""
     from superbrauer import h2_closed_field
-    from superbrauer.sharp import abelian_invariants_from_table
 
     for g, u in _order_identity_cases():
         inv = CentralInvolution(g, u)

@@ -89,6 +89,23 @@ def test_malformed_input_exit_code(tmp_path, capsys, spec, u):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("rep", [{}, {"kind": "permutations", "generators": [[1, 0]]}, {"matrices": [5]}],
+                         ids=["empty", "group-file", "scalar-matrix"])
+def test_malformed_rep_exit_code(tmp_path, capsys, rep):
+    group = tmp_path / "z2.json"
+    group.write_text(json.dumps({"kind": "permutations", "generators": [[1, 0]], "u": "g0"}))
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep))
+    code, _ = _run(["lazy", "--group", str(group), "--rep", str(path)], capsys)
+    assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("name", ["EX", "E-1", "F2"])
+def test_malformed_algebra_exit_code(capsys, name):
+    assert main(["verify", "--algebra", name, "--check", "hopf"]) == EXIT_PARSE
+    assert "--algebra expects E<n>" in capsys.readouterr().err
+
+
 def test_budget_exit_code(capsys):
     code, _ = _run(["h2", "--type", "B3", "--budget-h2", "10"], capsys)
     assert code == EXIT_BUDGET
@@ -168,6 +185,14 @@ GOLDEN_REPORTS = [
      "20086b62f1ff8d38dda2665adc4896d9dd20db1d5b9b3d3b8d6502d2947307dd"),
     (["invforms", "--type", "G2"],
      "6af3daa0762a32c2c7a9f21fb7f9f85ff19daf246d29a4470319cd3418b8f633"),
+    (["bm", "--type", "B3", "--field", "real"],
+     "0085df3a98d8c452ca7cfc4ffae0496a90e49eabf6ab16788127beaab903c0b0"),
+    (["h2sharp", "--type", "B2", "--field", "real"],
+     "ac52660f84ef23c0cd631ea657a8676a73fdd2e48f53b0a937ce8dbc1c807407"),
+    (["h2", "--type", "A3"],
+     "61639c77dcdc056d99aa609231bbdc01f0a49278dc588d8355098299a0318f65"),
+    (["weyl-table", "--types", "A1,B2,G2"],
+     "c26be73283e4601af2abb2407bcb678ca36a794aef16c1989a170d5e99d976f3"),
 ]
 
 

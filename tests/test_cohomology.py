@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superbrauer import (
+    ALG_CLOSED,
     Cochain2,
     NotCocycle,
     ParseError,
+    TwistedGroupAlgebra,
     close_generators,
     coboundary,
     cyclic_group,
@@ -20,7 +25,7 @@ from superbrauer import (
 )
 from superbrauer.cohomology import group_exponent
 
-from .oracles import brute_h2_order
+from .oracles import all_pairs_degrees_are_characters, all_triples_is_cocycle, brute_h2_order
 
 
 def lam_cochain(z2z2):
@@ -205,3 +210,58 @@ def test_cochain_sparse_roundtrip(z2z2):
         doc = rep.to_sparse()
         back = cochain_from_sparse(z2z2, doc)
         assert back.equals(rep)
+
+
+def _dihedral(n):
+    rot = [(i + 1) % n for i in range(n)]
+    ref = [(-i) % n for i in range(n)]
+    return close_generators([rot, ref])
+
+
+_SMALL_GROUPS = {
+    **{f"Z{n}": functools.partial(cyclic_group, n) for n in (2, 3, 4, 6, 8, 12)},
+    "Z2xZ2": lambda: direct_product(cyclic_group(2), cyclic_group(2)),
+    "Z2xZ4": lambda: direct_product(cyclic_group(2), cyclic_group(4)),
+    "Z4xZ4": lambda: direct_product(cyclic_group(4), cyclic_group(4)),
+    "Z3xZ6": lambda: direct_product(cyclic_group(3), cyclic_group(6)),
+    "Z2xZ2xZ8": lambda: direct_product(direct_product(cyclic_group(2), cyclic_group(2)), cyclic_group(8)),
+    **{f"D{n}": functools.partial(_dihedral, n) for n in (3, 4, 5, 8, 16)},
+    "S3xZ2": lambda: direct_product(symmetric_group(3), cyclic_group(2)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _small_group(name):
+    g = _SMALL_GROUPS[name]()
+    assert g.order <= 32
+    return g
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_SMALL_GROUPS)),
+    modulus=st.sampled_from([2, 3, 4]),
+    seed=st.integers(0, 2**32 - 1),
+    perturb=st.booleans(),
+)
+def test_is_cocycle_matches_all_triples_oracle(name, modulus, seed, perturb):
+    """The generator-level check agrees with the all-triples check on H^2
+    representatives plus coboundaries, with and without one perturbed entry."""
+    g = _small_group(name)
+    rng = np.random.default_rng(seed)
+    H = h2(g, modulus)
+    gamma = rng.integers(0, modulus, g.order)
+    gamma[g.identity] = 0
+    sigma = H.rep_of_coords(rng.integers(0, modulus, len(H.invariants))) + coboundary(g, modulus, gamma)
+    if perturb:
+        vals = sigma.values.copy()
+        i, j = (int(x) for x in rng.choice([x for x in range(g.order) if x != g.identity], 2))
+        vals[i, j] += int(rng.integers(1, modulus))
+        sigma = sigma.copy_with(vals)
+    assert is_cocycle(sigma) == all_triples_is_cocycle(sigma)
+    if not perturb:
+        assert is_cocycle(sigma)
+    if all(g.commutator(a, b) == g.identity for a in g.gens for b in g.gens):
+        alg = TwistedGroupAlgebra(g, Cochain2.zero(g, modulus), ALG_CLOSED)
+        alg.sigma = sigma  # the constructor admits cocycles only; compare on any cochain
+        assert alg.degrees_are_characters() == all_pairs_degrees_are_characters(sigma)

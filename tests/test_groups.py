@@ -18,6 +18,7 @@ from superbrauer import (
     close_generators,
     cyclic_group,
     direct_product,
+    group_from_table,
     parse_group_spec,
     quotient_by_central_involution,
     serialize_group,
@@ -55,6 +56,24 @@ def test_group_axioms_exhaustive():
         mul = np.asarray(g.mul)
         for a in range(n):
             assert (mul[mul[a, :], :] == mul[a, mul]).all()
+
+
+def _intercalate_z1024(symmetric=False):
+    """Z_1024 with the intercalate at rows 3, 515 and columns 5, 517 swapped:
+    still a Latin square with identity 0, but not associative."""
+    n = 1024
+    t = np.add.outer(np.arange(n), np.arange(n)) % n
+    rows, cols = [3, 3, 515, 515], [5, 517, 5, 517]
+    t[rows, cols] = t[rows, [517, 5, 517, 5]]
+    if symmetric:
+        t[cols, rows] = t[rows, cols]
+    return t
+
+
+def test_intercalate_table_rejected():
+    """Light's test catches one swapped intercalate in a table of order 1024."""
+    with pytest.raises(ParseError, match="associativity"):
+        group_from_table(_intercalate_z1024())
 
 
 def test_quotient_z4():

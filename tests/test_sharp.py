@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superbrauer import (
     ALG_CLOSED,
@@ -14,6 +15,7 @@ from superbrauer import (
     Cochain2,
     NotCocycle,
     NotSplit,
+    ParseError,
     QkGElement,
     coboundary,
     cyclic_group,
@@ -32,6 +34,10 @@ from superbrauer import (
     theta,
     twisted_group_algebra,
 )
+from superbrauer.sharp import _abelian_table_invariants
+
+from .oracles import abelian_invariants_from_table
+from .test_groups import _intercalate_z1024
 
 
 def lam_cochain(z2z2, modulus=2):
@@ -273,3 +279,26 @@ def test_twisted_group_algebra(z2z2, invx):
     vals[1, 2] = 1
     with pytest.raises(NotCocycle):
         twisted_group_algebra(z2z2, Cochain2(z2z2, 2, vals), REAL_CLOSED)
+
+
+def test_symmetric_intercalate_rejected_by_table_check():
+    """A commutative Latin square of order 1024 that is not associative."""
+    table = _intercalate_z1024(symmetric=True)
+    assert (table == table.T).all()
+    with pytest.raises(ParseError, match="associativity"):
+        _abelian_table_invariants(table, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(lambda ds: np.prod(ds) <= 256),
+       st.integers(0, 2**32 - 1))
+def test_table_invariants_match_order_statistics_oracle(orders, seed):
+    """Invariant factors of a shuffled product of cyclic groups."""
+    g = cyclic_group(orders[0])
+    for d in orders[1:]:
+        g = direct_product(g, cyclic_group(d))
+    perm = np.random.default_rng(seed).permutation(g.order)  # relabel x -> perm[x]
+    table = np.empty_like(np.asarray(g.mul))
+    table[np.ix_(perm, perm)] = perm[np.asarray(g.mul)]
+    ident = int(perm[g.identity])
+    assert _abelian_table_invariants(table, ident) == abelian_invariants_from_table(table, ident)
