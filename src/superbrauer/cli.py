@@ -64,10 +64,17 @@ def _invariants(inv) -> list[int]:
     return [int(d) for d in inv]
 
 
+def _weyl_datum(args, cap: int):
+    """The Weyl datum of --type; it fixes u = w0, so --u is refused."""
+    if getattr(args, "u", None) is not None:
+        raise errors.ParseError("--u cannot be combined with --type: the Weyl datum fixes u = w0")
+    return group_datum(RootSystemType.parse(args.type), cap=cap)
+
+
 def _need_group(args, cap: int) -> tuple[FiniteGroup, int | None, Representation | None]:
     """Group datum from --group/--u or --type; Weyl types also give the rep."""
     if getattr(args, "type", None):
-        datum = group_datum(RootSystemType.parse(args.type), cap=cap)
+        datum = _weyl_datum(args, cap)
         return datum.group, datum.inv.u, datum.rep
     if not getattr(args, "group", None):
         raise errors.ParseError("either --group FILE or --type XN is required")
@@ -255,7 +262,7 @@ def _algebra_from_args(args):
             raise errors.ParseError("--algebra expects E<n>, e.g. E2")
         return build_en(int(name[1:]))
     if getattr(args, "type", None):
-        datum = group_datum(RootSystemType.parse(args.type), cap=args.budget_cap)
+        datum = _weyl_datum(args, args.budget_cap)
         return build_supergroup(datum.group, datum.inv, datum.rep)
     raise errors.ParseError("verify needs --algebra E<n> or --type XN")
 

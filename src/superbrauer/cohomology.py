@@ -54,12 +54,6 @@ class CoefficientModule:
         if self.n < 1:
             raise ParseError("coefficient modulus must be positive")
 
-    @property
-    def minus_one(self) -> int:
-        if self.n % 2 != 0:
-            raise ParseError("minus_one needs an even modulus")
-        return self.n // 2
-
 
 @dataclass(eq=False)
 class Cochain2:
@@ -93,9 +87,6 @@ class Cochain2:
 
     def __neg__(self) -> "Cochain2":
         return self.copy_with(-self.values)
-
-    def scale(self, k: int) -> "Cochain2":
-        return self.copy_with(self.values * int(k))
 
     def equals(self, other: "Cochain2") -> bool:
         return (
@@ -382,9 +373,6 @@ class CohomologyClass:
 
     def __sub__(self, other: "CohomologyClass") -> "CohomologyClass":
         return self + (-other)
-
-    def scale(self, k: int) -> "CohomologyClass":
-        return CohomologyClass(self.parent, tuple(k * a for a in self.coords))
 
     def is_trivial(self) -> bool:
         return all(c == 0 for c in self.coords)

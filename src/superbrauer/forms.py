@@ -15,6 +15,8 @@ from .groups import CentralInvolution, FiniteGroup, Matrix, _det, _mat_identity,
 
 
 def as_matrix(rows) -> Matrix:
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise ParseError("matrix must be a list of rows")
     m = tuple(tuple(parse_rational(x) for x in row) for row in rows)
     if any(len(r) != len(m) for r in m):
         raise ParseError("matrix must be square")

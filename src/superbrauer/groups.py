@@ -135,10 +135,6 @@ class FiniteGroup:
             raise ParseError("generators do not generate the group")
         return [words[i] for i in range(self.order)]
 
-    def conjugate(self, g: int, h: int) -> int:
-        """h g h^-1."""
-        return int(self.mul[self.mul[h, g], self.inv[h]])
-
     def commutator(self, g: int, h: int) -> int:
         """g^-1 h^-1 g h."""
         return int(self.mul[self.mul[self.inv[g], self.inv[h]], self.mul[g, h]])

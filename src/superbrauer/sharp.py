@@ -51,10 +51,6 @@ class FieldDescriptor:
             )
 
     @property
-    def minus_one_is_square(self) -> bool:
-        return self.kind == "closed"
-
-    @property
     def square_class_order(self) -> int:
         return 1 if self.kind == "closed" else 2
 
@@ -168,15 +164,29 @@ class SharpGroup:
 
 
 def sharp_class_table(cg: CohomologyGroup, inv: CentralInvolution) -> tuple[list[CohomologyClass], np.ndarray]:
+    """Cayley table of the sharp product on the classes of cg, in all_classes order.
+
+    theta of rep_of_coords(x) is sum_a x_a theta_a mod 2, class_of is additive
+    and (N/2) k mod N depends only on k mod 2, so
+    x # y = x + y + sum_ab (x_a mod 2)(y_b mod 2) P_ab, where P_ab is the class
+    of the twist (N/2) theta_a (x) theta_b of the generator representatives."""
     classes = list(cg.all_classes())
-    reps = [c.representative() for c in classes]
-    index = {c.coords: i for i, c in enumerate(classes)}
-    m = len(classes)
-    table = np.zeros((m, m), dtype=np.int32)
-    for i in range(m):
-        for j in range(m):
-            prod = cg.class_of(sharp(reps[i], reps[j], inv))
-            table[i, j] = index[prod.coords]
+    n = cg.coeff.n
+    degrees = [theta(rep, inv).degree for rep in cg.reps]
+    r = len(degrees)
+    twist = np.zeros((r, r, r), dtype=np.int64)
+    for a, da in enumerate(degrees):
+        for b, db in enumerate(degrees):
+            twist[a, b] = cg.class_of(Cochain2(cg.group, n, (n // 2) * np.outer(da, db))).coords
+    orders = np.array(cg.invariants, dtype=np.int64)
+    coords = np.array([c.coords for c in classes], dtype=np.int64)
+    parity = coords % 2
+    # position in all_classes order: mixed radix with the last coordinate fastest
+    radix = np.array([int(np.prod(orders[k + 1:])) for k in range(r)], dtype=np.int64)
+    table = np.zeros((len(classes), len(classes)), dtype=np.int32)
+    for i, x in enumerate(coords):
+        prod = (x + coords + parity @ np.tensordot(parity[i], twist, axes=1)) % orders
+        table[i] = prod @ radix
     return classes, table
 
 
@@ -480,10 +490,6 @@ class TwistedGroupAlgebra:
     def __post_init__(self) -> None:
         if not is_cocycle(self.sigma):
             raise NotCocycle("twisted group algebra needs a 2-cocycle")
-
-    @property
-    def root_order(self) -> int:
-        return self.sigma.modulus
 
     def product(self, i: int, j: int) -> tuple[int, int]:
         """(exponent of zeta, index of the product basis element)."""

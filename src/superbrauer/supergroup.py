@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -77,7 +78,7 @@ class SupergroupAlgebra:
         self._prod: dict[tuple[int, int], Element] = {}
         self._cop: dict[int, list[tuple[int, int, Fraction]]] = {}
         self._anti: dict[int, Element] = {}
-        self._inv_mats: list[Matrix] = [self.rep.matrix(int(self.group.inv[x])) for x in range(self.group.order)]
+        self._action: dict[tuple[int, int], dict[int, Fraction]] = {}
 
     # encoding ---------------------------------------------------------
 
@@ -108,29 +109,28 @@ class SupergroupAlgebra:
 
     # structure constants ----------------------------------------------
 
-    def act_on_wedge(self, mat: Matrix, mask: int) -> dict[int, Fraction]:
-        cur: dict[int, Fraction] = {0: Fraction(1)}
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            nxt: dict[int, Fraction] = {}
-            for em, c in cur.items():
+    def inverse_action(self, h: int, mask: int) -> dict[int, Fraction]:
+        """h^{-1}.v_P as {mask R: coefficient}, computed once per (h, P): the
+        image of v_{P minus its top index} wedged with h^{-1}.v_top."""
+        key = (h, mask)
+        out = self._action.get(key)
+        if out is not None:
+            return out
+        out = {}
+        if mask == 0:
+            out[0] = Fraction(1)
+        else:
+            i = mask.bit_length() - 1
+            mat = self.rep.matrix(int(self.group.inv[h]))
+            for em, c in self.inverse_action(h, mask & ~(1 << i)).items():
                 for j in range(self.nv):
                     a = mat[j][i]
                     if a == 0 or (em >> j) & 1:
                         continue
                     sign = -1 if _popcount_above(em, j) % 2 else 1
-                    key = em | (1 << j)
-                    val = nxt.get(key, Fraction(0)) + c * a * sign
-                    if val:
-                        nxt[key] = val
-                    elif key in nxt:
-                        del nxt[key]
-            cur = nxt
-            if not cur:
-                break
-        return cur
+                    _tns_add(out, em | (1 << j), c * a * sign)
+        self._action[key] = out
+        return out
 
     def product_basis(self, b1: int, b2: int) -> Element:
         key = (b1, b2)
@@ -141,19 +141,10 @@ class SupergroupAlgebra:
         h, qmask = self.decode(b2)
         gh = int(self.group.mul[g, h])
         out = {}
-        if pmask == 0:
-            out = {self.encode(gh, qmask): Fraction(1)}
-        else:
-            moved = self.act_on_wedge(self._inv_mats[h], pmask)
-            for rmask, c in moved.items():
-                s = wedge_sign(rmask, qmask)
-                if s:
-                    key2 = self.encode(gh, rmask | qmask)
-                    val = out.get(key2, Fraction(0)) + c * s
-                    if val:
-                        out[key2] = val
-                    elif key2 in out:
-                        del out[key2]
+        for rmask, c in self.inverse_action(h, pmask).items():
+            s = wedge_sign(rmask, qmask)
+            if s:
+                _tns_add(out, self.encode(gh, rmask | qmask), c * s)
         self._prod[key] = out
         return out
 
@@ -212,13 +203,6 @@ class SupergroupAlgebra:
             acc = {k: -v for k, v in acc.items()}
         self._anti[b] = acc
         return acc
-
-    def coproduct_element(self, x: Element) -> Tensor:
-        out: Tensor = {}
-        for b, c in x.items():
-            for b1, b2, cc in self.coproduct_basis(b):
-                _tns_add(out, (b1, b2), c * cc)
-        return out
 
 
 def _tns_add(t: dict, key, val: Fraction) -> None:
@@ -489,10 +473,13 @@ def verify_triangular(h: SupergroupAlgebra, r: Tensor, budget: int = DEFAULT_DIM
 
 @dataclass(eq=False)
 class HCochain2:
-    """Normalized 2-cochain on H: sigma(1, x) = sigma(x, 1) = eps(x)."""
+    """Normalized 2-cochain on H: sigma(1, x) = sigma(x, 1) = eps(x).
+
+    values[a] is the row sigma(a, .); rows may be shared between basis
+    elements (lambda_cocycle shares one immutable row per subset P)."""
 
     algebra: SupergroupAlgebra
-    values: list[list[Fraction]]
+    values: Sequence[Sequence[Fraction]]
 
     def __post_init__(self) -> None:
         h = self.algebra
@@ -504,15 +491,10 @@ class HCochain2:
     def __call__(self, b1: int, b2: int) -> Fraction:
         return self.values[b1][b2]
 
-    def eval(self, x: Element, y: Element) -> Fraction:
-        out = Fraction(0)
-        for b1, c1 in x.items():
-            for b2, c2 in y.items():
-                out += c1 * c2 * self.values[b1][b2]
-        return out
-
     def equals(self, other: "HCochain2") -> bool:
-        return self.values == other.values
+        return len(self.values) == len(other.values) and all(
+            a is b or tuple(a) == tuple(b) for a, b in zip(self.values, other.values)
+        )
 
 
 def eps_tensor_eps(h: SupergroupAlgebra) -> HCochain2:
@@ -533,14 +515,6 @@ def convolve(s1: HCochain2, s2: HCochain2) -> HCochain2:
                 for b1, b2, y in cb:
                     acc += x * y * s1.values[a1][b1] * s2.values[a2][b2]
             vals[a][b] = acc
-    return HCochain2(h, vals)
-
-
-def tensor_functional(h: SupergroupAlgebra, t: Tensor) -> HCochain2:
-    """Interpret an element of H* (x) H* given by dual-basis coefficients."""
-    vals = [[Fraction(0)] * h.dim for _ in range(h.dim)]
-    for (a, b), c in t.items():
-        vals[a][b] += c
     return HCochain2(h, vals)
 
 
@@ -677,24 +651,25 @@ def omega_sigma(sigma_matrix, h: SupergroupAlgebra) -> HCochain2:
 
 def lambda_cocycle(h: SupergroupAlgebra, sigma_matrix, require_invariant: bool = True) -> HCochain2:
     """lambda(g v_P, h v_Q) = omega_Sigma(h^{-1}.v_P, v_Q), the lazy cocycle
-    attached to an invariant symmetric form."""
+    attached to an invariant symmetric form.
+
+    The row lambda(g v_P, .) does not depend on g, so one immutable row is
+    built per subset P and shared by every g v_P."""
     S = _checked_form(sigma_matrix, h, "lambda")
     if require_invariant and not is_invariant_form(h.rep, S):
         raise NotInvariant("symmetric form is not G-invariant")
-    minors = _signed_minors(S)
-    vals = [[Fraction(0)] * h.dim for _ in range(h.dim)]
-    for b1 in h.basis():
-        g, pm = h.decode(b1)
-        for b2 in h.basis():
-            hh, qm = h.decode(b2)
-            if bin(pm).count("1") != bin(qm).count("1"):
-                continue
-            moved = h.act_on_wedge(h._inv_mats[hh], pm)
-            acc = Fraction(0)
-            for rm, c in moved.items():
-                acc += c * minors.get((rm, qm), Fraction(0))
-            vals[b1][b2] = acc
-    return HCochain2(h, vals)
+    by_first: dict[int, list[tuple[int, Fraction]]] = {}
+    for (rm, qm), minor in _signed_minors(S).items():
+        by_first.setdefault(rm, []).append((qm, minor))
+    rows = []
+    for pm in range(1 << h.nv):
+        row = [Fraction(0)] * h.dim
+        for hh in range(h.group.order):
+            for rm, c in h.inverse_action(hh, pm).items():
+                for qm, minor in by_first.get(rm, ()):
+                    row[h.encode(hh, qm)] += c * minor
+        rows.append(tuple(row))
+    return HCochain2(h, [rows[h.decode(b)[1]] for b in h.basis()])
 
 
 # ---------------------------------------------------------------------------
@@ -742,12 +717,6 @@ class BMSupergroup:
     @property
     def invariants(self) -> tuple[int, ...]:
         return self.bm.invariants
-
-    def describe(self) -> str:
-        fin = " x ".join(f"Z{d}" for d in self.invariants) if self.invariants else "1"
-        lab = "C" if self.bm.field.kind == "closed" else "R"
-        lin = f" x {lab}^{self.linear_dim}" if self.linear_dim else ""
-        return fin + lin
 
 
 def bm_supergroup(

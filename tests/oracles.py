@@ -3,8 +3,11 @@
 The cohomology oracles work on the full dense normalized bar system with
 plain Gaussian elimination or integer Smith normal form; the cocycle test
 runs over all triples; the invariant factors of an abelian Cayley table come
-from order statistics; the determinant is the Leibniz expansion.  None of it
-shares code with the production pipeline.
+from order statistics; the determinant is the Leibniz expansion; the lazy
+cocycle lambda is filled entry by entry.  None of it shares code with the
+production pipeline, except the sharp-table enumeration, which multiplies
+every pair of class representatives with the production `sharp` and
+`class_of` instead of deriving the table from the twist classes.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+
+from superbrauer import sharp
 
 
 def dense_bar_matrices(g):
@@ -244,3 +249,60 @@ def abelian_invariants_from_table(table, ident):
                 d *= lst[i]
         out.append(d)
     return tuple(out)
+
+
+def _wedge_image(mat, mask, n):
+    """mat applied to v_P, wedged out factor by factor in increasing order."""
+    cur = {0: Fraction(1)}
+    for i in range(n):
+        if not (mask >> i) & 1:
+            continue
+        nxt = {}
+        for em, c in cur.items():
+            for j in range(n):
+                if mat[j][i] == 0 or (em >> j) & 1:
+                    continue
+                sign = -1 if bin(em >> (j + 1)).count("1") % 2 else 1
+                nxt[em | (1 << j)] = nxt.get(em | (1 << j), Fraction(0)) + c * mat[j][i] * sign
+        cur = nxt
+    return cur
+
+
+def dense_lambda_cocycle(h, sigma):
+    """lambda(g v_P, h v_Q) = sum_R [h^-1.v_P : v_R] (-1)^(s(s-1)/2) det sigma[R, Q],
+    one entry at a time, as a dim x dim list of lists."""
+    n = h.nv
+    S = [[Fraction(x) for x in row] for row in sigma]
+    minors = {}
+
+    def minor(rm, qm):
+        if (rm, qm) not in minors:
+            R = [i for i in range(n) if (rm >> i) & 1]
+            Q = [j for j in range(n) if (qm >> j) & 1]
+            s = len(R)
+            minors[(rm, qm)] = (-1) ** (s * (s - 1) // 2) * leibniz_det([[S[i][j] for j in Q] for i in R])
+        return minors[(rm, qm)]
+
+    vals = [[Fraction(0)] * h.dim for _ in range(h.dim)]
+    for b1 in range(h.dim):
+        pm = b1 % (1 << n)
+        for b2 in range(h.dim):
+            x, qm = divmod(b2, 1 << n)
+            if bin(pm).count("1") != bin(qm).count("1"):
+                continue
+            moved = _wedge_image(h.rep.matrix(int(h.group.inv[x])), pm, n)
+            vals[b1][b2] = sum((c * minor(rm, qm) for rm, c in moved.items()), Fraction(0))
+    return vals
+
+
+def enumerated_sharp_table(cg, inv):
+    """The sharp Cayley table on cg.all_classes(), one full sharp product and
+    one class_of per cell."""
+    classes = list(cg.all_classes())
+    reps = [c.representative() for c in classes]
+    index = {c.coords: i for i, c in enumerate(classes)}
+    table = np.zeros((len(classes), len(classes)), dtype=np.int32)
+    for i, x in enumerate(reps):
+        for j, y in enumerate(reps):
+            table[i, j] = index[cg.class_of(sharp(x, y, inv)).coords]
+    return table

@@ -106,6 +106,21 @@ def test_malformed_algebra_exit_code(capsys, name):
     assert "--algebra expects E<n>" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("matrix", [5, [1, 2], "ab", {"a": 1}], ids=["scalar", "flat-list", "string", "object"])
+@pytest.mark.parametrize("flag, check", [("--sigma", "omega-lazy"), ("--A", "triangular")])
+def test_malformed_matrix_exit_code(tmp_path, capsys, matrix, flag, check):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix))
+    assert main(["verify", "--algebra", "E2", "--check", check, flag, str(path)]) == EXIT_PARSE
+    assert "matrix must be a list of rows" in capsys.readouterr().err
+
+
+def test_u_with_type_exit_code(capsys):
+    """The Weyl datum fixes u = w0; a --u next to --type is refused, not ignored."""
+    assert main(["bm", "--type", "A1", "--field", "real", "--u", "0"]) == EXIT_PARSE
+    assert main(["verify", "--type", "B2", "--check", "hopf", "--u", "0"]) == EXIT_PARSE
+
+
 def test_budget_exit_code(capsys):
     code, _ = _run(["h2", "--type", "B3", "--budget-h2", "10"], capsys)
     assert code == EXIT_BUDGET
@@ -193,6 +208,12 @@ GOLDEN_REPORTS = [
      "61639c77dcdc056d99aa609231bbdc01f0a49278dc588d8355098299a0318f65"),
     (["weyl-table", "--types", "A1,B2,G2"],
      "c26be73283e4601af2abb2407bcb678ca36a794aef16c1989a170d5e99d976f3"),
+    (["h2sharp", "--type", "A3", "--field", "closed"],
+     "117daebd28e5dd0c3c959f71c27ac6af542d5222d6335221c016721b5ea0a86c"),
+    (["bm", "--type", "G2", "--field", "real"],
+     "2356d671bd33467550c7d6d48f98489499981f4b3365f66975a35b9fe0835fd3"),
+    (["verify", "--type", "D4", "--check", "lambda-lazy", "--seed", "1"],  # dim 3072, sampled
+     "ddc647a51a704f441f45d4868de61b47e4e895cb02619528eef4179e1ed02d5a"),
 ]
 
 
@@ -200,4 +221,23 @@ GOLDEN_REPORTS = [
 def test_golden_reports(args, digest, capsys):
     code, out = _run(args + ["--format", "json"], capsys)
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# failing lambda reports for the non-invariant Sigma = diag(1, 2) on W(B2), whose
+# first counterexample is (g0*v0, g0*v0, g2) when the check is exhaustive
+FAILING_LAMBDA_REPORTS = [
+    (["verify", "--type", "B2", "--check", "lambda-lazy", "--skip-invariance"],
+     "487f7948032e7e7f309da777a0a8ddc1ccfccb88bf40e7bfb5e31c1213227c3b"),
+    (["verify", "--type", "B2", "--check", "lambda-cocycle", "--skip-invariance", "--budget-dim", "16"],  # sampled
+     "2197a346bf525df2f32b0c52fc5de0b1673f86028d582a1470cf524e8d79033e"),
+]
+
+
+@pytest.mark.parametrize("args, digest", FAILING_LAMBDA_REPORTS, ids=[" ".join(a) for a, _ in FAILING_LAMBDA_REPORTS])
+def test_golden_failing_lambda_reports(tmp_path, args, digest, capsys):
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text("[[1, 0], [0, 2]]")
+    code, out = _run(args + ["--sigma", str(sigma), "--format", "json"], capsys)
+    assert code == EXIT_VERIFY
     assert hashlib.sha256(out.encode()).hexdigest() == digest

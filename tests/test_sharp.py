@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 
 import numpy as np
@@ -13,13 +14,16 @@ from superbrauer import (
     REAL_CLOSED,
     CentralInvolution,
     Cochain2,
+    CohomologyGroup,
     NotCocycle,
     NotSplit,
     ParseError,
     QkGElement,
+    RootSystemType,
     coboundary,
     cyclic_group,
     direct_product,
+    group_datum,
     h2,
     h2_closed_field,
     h2_sharp,
@@ -34,9 +38,10 @@ from superbrauer import (
     theta,
     twisted_group_algebra,
 )
-from superbrauer.sharp import _abelian_table_invariants
+from superbrauer.sharp import _abelian_table_invariants, sharp_class_table
 
-from .oracles import abelian_invariants_from_table
+from .oracles import abelian_invariants_from_table, enumerated_sharp_table
+from .test_cohomology import _dihedral
 from .test_groups import _intercalate_z1024
 
 
@@ -302,3 +307,55 @@ def test_table_invariants_match_order_statistics_oracle(orders, seed):
     table[np.ix_(perm, perm)] = perm[np.asarray(g.mul)]
     ident = int(perm[g.identity])
     assert _abelian_table_invariants(table, ident) == abelian_invariants_from_table(table, ident)
+
+
+def _central_involutions(g):
+    return [x for x in range(g.order)
+            if x != g.identity and g.mul[x, x] == g.identity and g.is_central(x)]
+
+
+def _twist_table_cases():
+    cases = []
+    for g in (direct_product(cyclic_group(2), cyclic_group(2)),
+              direct_product(cyclic_group(4), cyclic_group(2)),
+              _dihedral(4), _dihedral(6), _dihedral(8)):
+        for u in _central_involutions(g):
+            for field in (REAL_CLOSED, ALG_CLOSED):
+                cases.append((g, CentralInvolution(g, u), field))
+    for name in ("B2", "A3"):
+        d = group_datum(RootSystemType.parse(name))
+        cases += [(d.group, d.inv, REAL_CLOSED), (d.group, d.inv, ALG_CLOSED)]
+    d = group_datum(RootSystemType.parse("B3"))
+    cases.append((d.group, d.inv, REAL_CLOSED))
+    return cases
+
+
+def test_sharp_table_from_twist_matches_enumeration(monkeypatch):
+    """The table derived from the r x r twist classes equals the m x m
+    enumeration, using r theta calls and r^2 class_of calls, and every class
+    is the class of its own representative."""
+    sharp_mod = importlib.import_module("superbrauer.sharp")  # the package attribute is the function
+
+    for g, inv, field in _twist_table_cases():
+        cg = field.cohomology(g)
+        for c in cg.all_classes():
+            assert cg.class_of(c.representative()) == c
+        calls = {"theta": 0, "class_of": 0}
+        real_theta, real_class_of = sharp_mod.theta, CohomologyGroup.class_of
+
+        def counting_theta(*args):
+            calls["theta"] += 1
+            return real_theta(*args)
+
+        def counting_class_of(self, sigma):
+            calls["class_of"] += 1
+            return real_class_of(self, sigma)
+
+        with monkeypatch.context() as m:
+            m.setattr(sharp_mod, "theta", counting_theta)
+            m.setattr(CohomologyGroup, "class_of", counting_class_of)
+            classes, table = sharp_class_table(cg, inv)
+        r = len(cg.invariants)
+        assert calls == {"theta": r, "class_of": r * r}
+        assert [c.coords for c in classes] == [c.coords for c in cg.all_classes()]
+        assert (table == enumerated_sharp_table(cg, inv)).all()

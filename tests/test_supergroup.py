@@ -21,6 +21,7 @@ from superbrauer import (
     dual_r_matrix,
     eps_tensor_eps,
     h2_closed_field,
+    invariant_symmetric_forms,
     is_convolution_invertible,
     is_lazy,
     is_left_cocycle,
@@ -35,6 +36,8 @@ from superbrauer import (
     verify_triangular,
 )
 from superbrauer.supergroup import HCochain2
+
+from .oracles import dense_lambda_cocycle
 
 
 def _elem(h, b):
@@ -225,7 +228,7 @@ def test_omega_sigma_is_convolution_of_dual_structures():
 def test_perturbed_omega_fails_cocycle():
     h = build_en(2)
     om = omega_sigma([[1, 0], [0, 1]], h)
-    vals = [row[:] for row in om.values]
+    vals = [list(row) for row in om.values]
     vals[h.encode(0, 0b01)][h.encode(0, 0b10)] += 1  # tweak one entry
     bad = HCochain2(h, vals)
     assert not is_left_cocycle(bad).passed
@@ -265,6 +268,61 @@ def test_lambda_wb2_exhaustive(wb2_signed, wb2_inv):
     bad = lambda_cocycle(h, [[1, 0], [0, 2]], require_invariant=False)
     rep2 = is_left_cocycle(bad)
     assert not rep2.passed and rep2.counterexample is not None
+
+
+def _random_symmetric(rng, n):
+    S = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            S[i][j] = S[j][i]
+    return S
+
+
+def _lambda_cases(datum_a2, datum_b2):
+    """(algebra, Sigma, invariant) with random forms on E(1)-E(3), W(A2), W(B2)."""
+    rng = random.Random(11)
+    cases = []
+    for n in (1, 2, 3):
+        h = build_en(n)
+        cases += [(h, _random_symmetric(rng, n), True) for _ in range(2)]
+    for d in (datum_a2, datum_b2):
+        h = build_supergroup(d.group, d.inv, d.rep)
+        basis = invariant_symmetric_forms(d.rep).basis
+        for _ in range(2):
+            coefs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in basis]
+            S = [[sum(c * b[i][j] for c, b in zip(coefs, basis)) for j in range(h.nv)] for i in range(h.nv)]
+            cases.append((h, S, True))
+            cases.append((h, _random_symmetric(rng, h.nv), False))
+    return cases
+
+
+def test_lambda_rows_match_dense_oracle(datum_a2, datum_b2):
+    """The shared-row lambda equals the entry-by-entry oracle, for invariant
+    and non-invariant forms, and holds at most one row object per subset."""
+    for h, S, invariant in _lambda_cases(datum_a2, datum_b2):
+        lam = lambda_cocycle(h, S, require_invariant=invariant)
+        dense = dense_lambda_cocycle(h, S)
+        assert [list(row) for row in lam.values] == dense
+        assert lam.equals(HCochain2(h, dense))
+        assert len({id(row) for row in lam.values}) <= 2**h.nv
+
+
+def test_group_action_computed_once_per_element_and_subset(datum_b2):
+    """h^-1.v_P is computed at most |G| 2^n times while lambda is built and checked."""
+    h = build_supergroup(datum_b2.group, datum_b2.inv, datum_b2.rep)
+    computed = []
+    cached = h.inverse_action
+
+    def counting(x, mask):
+        if (x, mask) not in h._action:
+            computed.append((x, mask))
+        return cached(x, mask)
+
+    h.inverse_action = counting  # also catches the recursive calls
+    S = invariant_symmetric_forms(datum_b2.rep).basis[0]
+    lam = lambda_cocycle(h, S)
+    assert is_left_cocycle(lam).passed and is_lazy(lam).passed
+    assert computed and len(computed) == len(set(computed)) <= h.group.order * 2**h.nv
 
 
 def test_counit_cochain_passes_everything():
