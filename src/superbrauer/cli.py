@@ -257,6 +257,9 @@ def cmd_weyl_table(args) -> dict:
 
 def _algebra_from_args(args):
     if getattr(args, "algebra", None):
+        extra = [flag for flag in ("type", "group", "u") if getattr(args, flag, None) is not None]
+        if extra:
+            raise errors.ParseError(f"--algebra cannot be combined with --{extra[0]}")
         name = args.algebra.upper()
         if not (name.startswith("E") and name[1:].isdecimal()):
             raise errors.ParseError("--algebra expects E<n>, e.g. E2")

@@ -50,25 +50,18 @@ class Representation:
         for m in self.gen_matrices:
             if len(m) != self.dim or any(len(r) != self.dim for r in m):
                 raise ParseError("representation matrices must be dim x dim")
-        self._elements: list[Matrix | None] = [None] * self.group.order
-        self._elements[self.group.identity] = _mat_identity(self.dim)
-        self._fill_by_words()
-        self._check_homomorphism()
-
-    def _fill_by_words(self) -> None:
+        # one pass over (x, s) in word-length order: rho(xs) is set when first
+        # reached and compared on every later visit
         g = self.group
-        for x in range(g.order):
-            m = _mat_identity(self.dim)
-            for k in g.words[x]:
-                m = _mat_mul(m, self.gen_matrices[k])
-            self._elements[x] = m
-
-    def _check_homomorphism(self) -> None:
-        g = self.group
-        for x in range(g.order):
+        self._elements: list[Matrix | None] = [None] * g.order
+        self._elements[g.identity] = _mat_identity(self.dim)
+        for x in sorted(range(g.order), key=lambda y: len(g.words[y])):
             for k, s in enumerate(g.gens):
                 xs = int(g.mul[x, s])
-                if _mat_mul(self._elements[x], self.gen_matrices[k]) != self._elements[xs]:
+                m = _mat_mul(self._elements[x], self.gen_matrices[k])
+                if self._elements[xs] is None:
+                    self._elements[xs] = m
+                elif self._elements[xs] != m:
                     raise ParseError("generator matrices are not compatible with the group")
 
     def matrix(self, x: int) -> Matrix:
@@ -124,11 +117,12 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def invariant_symmetric_forms(rep: Representation, verify_limit: int = 200) -> SymFormSpace:
+def invariant_symmetric_forms(rep: Representation) -> SymFormSpace:
     """Nullspace of rho(s)^t Sigma rho(s) = Sigma over the generators.
 
-    Generator-level invariance implies invariance under the whole group;
-    this is re-verified element by element when |G| <= verify_limit.
+    The representation is a verified homomorphism, so invariance under the
+    generators is invariance under the whole group; each basis form is
+    re-checked at generator level.
     """
     d = rep.dim
     pairs = _sym_coords(d)
@@ -148,12 +142,8 @@ def invariant_symmetric_forms(rep: Representation, verify_limit: int = 200) -> S
                 rows.append(row)
     basis_vecs = _row_reduce(_nullspace(rows, len(pairs)))[0]
     basis = [_sym_from_coords(d, v) for v in basis_vecs]
-    if rep.group.order <= verify_limit:
-        for sig in basis:
-            for x in range(rep.group.order):
-                m = rep.matrix(x)
-                if _mat_mul(_mat_mul(mat_transpose(m), sig), m) != sig:
-                    raise ParseError("generator-invariant form not group-invariant")
+    if not all(is_invariant_form(rep, sig) for sig in basis):
+        raise ParseError("invariant form basis fails the generator check")
     return SymFormSpace(rep=rep, basis=basis)
 
 

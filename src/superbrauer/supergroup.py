@@ -11,6 +11,7 @@ which matches E(n) under c -> u, x_i -> u v_i.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections.abc import Sequence
@@ -229,7 +230,7 @@ def build_en(n: int) -> SupergroupAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# tensors in H (x) H and H (x) H (x) H
+# tensors in H (x) H
 
 
 def tensor_mul(h: SupergroupAlgebra, t1: Tensor, t2: Tensor) -> Tensor:
@@ -242,47 +243,8 @@ def tensor_mul(h: SupergroupAlgebra, t1: Tensor, t2: Tensor) -> Tensor:
     return out
 
 
-def tensor3_mul(h: SupergroupAlgebra, t1: Tensor3, t2: Tensor3) -> Tensor3:
-    out: Tensor3 = {}
-    for (a, b, c), c1 in t1.items():
-        for (d, e, f), c2 in t2.items():
-            for x, cx in h.product_basis(a, d).items():
-                for y, cy in h.product_basis(b, e).items():
-                    for z, cz in h.product_basis(c, f).items():
-                        _tns_add(out, (x, y, z), c1 * c2 * cx * cy * cz)
-    return out
-
-
 def tensor_flip(t: Tensor) -> Tensor:
     return {(b, a): c for (a, b), c in t.items()}
-
-
-def embed_13(h: SupergroupAlgebra, t: Tensor) -> Tensor3:
-    return {(a, h.unit, b): c for (a, b), c in t.items()}
-
-
-def embed_12(h: SupergroupAlgebra, t: Tensor) -> Tensor3:
-    return {(a, b, h.unit): c for (a, b), c in t.items()}
-
-
-def embed_23(h: SupergroupAlgebra, t: Tensor) -> Tensor3:
-    return {(h.unit, a, b): c for (a, b), c in t.items()}
-
-
-def coproduct_first(h: SupergroupAlgebra, t: Tensor) -> Tensor3:
-    out: Tensor3 = {}
-    for (a, b), c in t.items():
-        for a1, a2, ca in h.coproduct_basis(a):
-            _tns_add(out, (a1, a2, b), c * ca)
-    return out
-
-
-def coproduct_second(h: SupergroupAlgebra, t: Tensor) -> Tensor3:
-    out: Tensor3 = {}
-    for (a, b), c in t.items():
-        for b1, b2, cb in h.coproduct_basis(b):
-            _tns_add(out, (a, b1, b2), c * cb)
-    return out
 
 
 def r_u(h: SupergroupAlgebra) -> Tensor:
@@ -430,15 +392,34 @@ def _cop_tensor(h: SupergroupAlgebra, b: int) -> Tensor:
     return {(b1, b2): c for b1, b2, c in h.coproduct_basis(b)}
 
 
+def _r_legs(h: SupergroupAlgebra, r: Tensor) -> tuple[Tensor3, Tensor3, Tensor3, Tensor3]:
+    """(Delta x id)R, R13 R23, (id x Delta)R and R13 R12 in one pass over R.
+
+    By the unit law R13 R23 = sum r(a,b) r(c,d) a (x) c (x) bd and
+    R13 R12 = sum r(a,b) r(c,d) ac (x) d (x) b: one product per pair of terms."""
+    cop1: Tensor3 = {}
+    r13r23: Tensor3 = {}
+    cop2: Tensor3 = {}
+    r13r12: Tensor3 = {}
+    for (a, b), c in r.items():
+        for a1, a2, ca in h.coproduct_basis(a):
+            _tns_add(cop1, (a1, a2, b), c * ca)
+        for b1, b2, cb in h.coproduct_basis(b):
+            _tns_add(cop2, (a, b1, b2), c * cb)
+        for (x, y), cxy in r.items():
+            for z, cz in h.product_basis(b, y).items():
+                _tns_add(r13r23, (a, x, z), c * cxy * cz)
+            for z, cz in h.product_basis(a, x).items():
+                _tns_add(r13r12, (z, y, b), c * cxy * cz)
+    return cop1, r13r23, cop2, r13r12
+
+
 def verify_quasitriangular(h: SupergroupAlgebra, r: Tensor, budget: int = DEFAULT_DIM_BUDGET, seed: int = 0) -> VerifyReport:
     """(Delta x id)R = R13 R23, (id x Delta)R = R13 R12, R Delta = Delta^op R."""
-    lhs = coproduct_first(h, r)
-    rhs = tensor3_mul(h, embed_13(h, r), embed_23(h, r))
-    if lhs != rhs:
+    cop1, r13r23, cop2, r13r12 = _r_legs(h, r)
+    if cop1 != r13r23:
         return VerifyReport("quasitriangular", False, "(Delta x id)R != R13 R23")
-    lhs = coproduct_second(h, r)
-    rhs = tensor3_mul(h, embed_13(h, r), embed_12(h, r))
-    if lhs != rhs:
+    if cop2 != r13r12:
         return VerifyReport("quasitriangular", False, "(id x Delta)R != R13 R12")
     # counit normalization
     eps1: Element = {}
@@ -518,32 +499,28 @@ def convolve(s1: HCochain2, s2: HCochain2) -> HCochain2:
     return HCochain2(h, vals)
 
 
-def _cocycle_check(sigma: HCochain2, coproduct, check: str, detail: str, budget: int, seed: int) -> VerifyReport:
-    """sum sigma(a1,b1) sigma(a2 b2, c) = sum sigma(b1,c1) sigma(a, b2 c2), where
-    coproduct(b) lists the splits (b1, b2, coefficient) of Delta(b)."""
+def _twisted_product(sigma: HCochain2, a: int, b: int, op: bool = False) -> Element:
+    """m(a,b) = sum sigma(a1,b1) a2 b2, or with op m^op(a,b) = sum sigma(a2,b2) a1 b1."""
     h = sigma.algebra
+    out: Element = {}
+    for a1, a2, x in h.coproduct_basis(a):
+        for b1, b2, y in h.coproduct_basis(b):
+            s, p, q = (sigma.values[a2][b2], a1, b1) if op else (sigma.values[a1][b1], a2, b2)
+            if s:
+                for z, cz in h.product_basis(p, q).items():
+                    _tns_add(out, z, x * y * s * cz)
+    return out
+
+
+def _cocycle_check(sigma: HCochain2, op: bool, check: str, detail: str, budget: int, seed: int) -> VerifyReport:
+    """sigma(m(a,b), c) = sigma(a, m(b,c)) with m the (op-)twisted product,
+    memoized per pair for this call."""
+    h = sigma.algebra
+    m = functools.cache(functools.partial(_twisted_product, sigma, op=op))
     triples, sampled = _basis_tuples(h, 3, budget, seed)
     for a, b, c in triples:
-        lhs = Fraction(0)
-        for a1, a2, x in coproduct(a):
-            for b1, b2, y in coproduct(b):
-                s1 = sigma.values[a1][b1]
-                if not s1:
-                    continue
-                inner = Fraction(0)
-                for z, cz in h.product_basis(a2, b2).items():
-                    inner += cz * sigma.values[z][c]
-                lhs += x * y * s1 * inner
-        rhs = Fraction(0)
-        for b1, b2, y in coproduct(b):
-            for c1, c2, w in coproduct(c):
-                s1 = sigma.values[b1][c1]
-                if not s1:
-                    continue
-                inner = Fraction(0)
-                for z, cz in h.product_basis(b2, c2).items():
-                    inner += cz * sigma.values[a][z]
-                rhs += y * w * s1 * inner
+        lhs = sum((cz * sigma.values[z][c] for z, cz in m(a, b).items()), Fraction(0))
+        rhs = sum((cz * sigma.values[a][z] for z, cz in m(b, c).items()), Fraction(0))
         if lhs != rhs:
             return VerifyReport(check, False, detail, (h.label(a), h.label(b), h.label(c)), sampled)
     return VerifyReport(check, True, "", None, sampled)
@@ -551,42 +528,21 @@ def _cocycle_check(sigma: HCochain2, coproduct, check: str, detail: str, budget:
 
 def is_left_cocycle(sigma: HCochain2, budget: int = DEFAULT_DIM_BUDGET, seed: int = 0) -> VerifyReport:
     """sum sigma(a1,b1) sigma(a2 b2, c) = sum sigma(b1,c1) sigma(a, b2 c2)."""
-    return _cocycle_check(sigma, sigma.algebra.coproduct_basis, "left-cocycle", "cocycle equation fails", budget, seed)
+    return _cocycle_check(sigma, False, "left-cocycle", "cocycle equation fails", budget, seed)
 
 
 def is_right_cocycle(sigma: HCochain2, budget: int = DEFAULT_DIM_BUDGET, seed: int = 0) -> VerifyReport:
     """sum sigma(a1 b1, c) sigma(a2, b2) = sum sigma(a, b1 c1) sigma(b2, c2):
-    the left cocycle equation on H^cop, whose coproduct swaps the two factors."""
-    h = sigma.algebra
-    cop: dict[int, list[tuple[int, int, Fraction]]] = {}
-
-    def coproduct_op(b: int) -> list[tuple[int, int, Fraction]]:
-        if b not in cop:
-            cop[b] = [(b2, b1, c) for b1, b2, c in h.coproduct_basis(b)]
-        return cop[b]
-
-    return _cocycle_check(sigma, coproduct_op, "right-cocycle", "right cocycle equation fails", budget, seed)
+    the left cocycle equation with the mirrored product m^op."""
+    return _cocycle_check(sigma, True, "right-cocycle", "right cocycle equation fails", budget, seed)
 
 
 def is_lazy(sigma: HCochain2, budget: int = DEFAULT_DIM_BUDGET, seed: int = 0) -> VerifyReport:
-    """sum sigma(a1,b1) a2 b2 = sum sigma(a2,b2) a1 b1 in H."""
+    """sum sigma(a1,b1) a2 b2 = sum sigma(a2,b2) a1 b1 in H, i.e. m(a,b) = m^op(a,b)."""
     h = sigma.algebra
     pairs, sampled = _basis_tuples(h, 2, budget, seed)
     for a, b in pairs:
-        lhs: Element = {}
-        rhs: Element = {}
-        for a1, a2, x in h.coproduct_basis(a):
-            for b1, b2, y in h.coproduct_basis(b):
-                c = x * y
-                s = sigma.values[a1][b1]
-                if s:
-                    for z, cz in h.product_basis(a2, b2).items():
-                        _tns_add(lhs, z, c * s * cz)
-                s = sigma.values[a2][b2]
-                if s:
-                    for z, cz in h.product_basis(a1, b1).items():
-                        _tns_add(rhs, z, c * s * cz)
-        if lhs != rhs:
+        if _twisted_product(sigma, a, b) != _twisted_product(sigma, a, b, op=True):
             return VerifyReport("lazy", False, "lazy condition fails", (h.label(a), h.label(b)), sampled)
     return VerifyReport("lazy", True, "", None, sampled)
 

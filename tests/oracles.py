@@ -7,17 +7,23 @@ from order statistics; the determinant is the Leibniz expansion; the lazy
 cocycle lambda is filled entry by entry.  None of it shares code with the
 production pipeline, except the sharp-table enumeration, which multiplies
 every pair of class representatives with the production `sharp` and
-`class_of` instead of deriving the table from the twist classes.
+`class_of` instead of deriving the table from the twist classes.  The Hopf-side
+oracles use only the algebra's `product_basis` and `coproduct_basis`: the
+cocycle and lazy checks expand both coproducts and the product for every
+basis tuple, and the R-matrix legs are multiplied in H (x) H (x) H.  The
+invariant-form oracle checks a form against the matrix of every element.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 
 from superbrauer import sharp
+from superbrauer.supergroup import DEFAULT_DIM_BUDGET, SAMPLED_TRIPLES
 
 
 def dense_bar_matrices(g):
@@ -306,3 +312,109 @@ def enumerated_sharp_table(cg, inv):
         for j, y in enumerate(reps):
             table[i, j] = index[cg.class_of(sharp(x, y, inv)).coords]
     return table
+
+
+def _basis_label(h, b):
+    g, mask = divmod(b, 1 << h.nv)
+    vs = "".join(f"v{i}" for i in range(h.nv) if (mask >> i) & 1)
+    return f"g{g}{('*' + vs) if vs else ''}"
+
+
+def _tuples(h, arity, budget, seed):
+    """All basis tuples while dim <= budget, else the production's sample draw."""
+    if h.dim <= budget:
+        return itertools.product(range(h.dim), repeat=arity), False
+    rng = random.Random(seed)
+    return [tuple(rng.randrange(h.dim) for _ in range(arity)) for _ in range(SAMPLED_TRIPLES)], True
+
+
+def four_loop_cocycle_check(sigma, right=False, budget=DEFAULT_DIM_BUDGET, seed=0):
+    """(check, passed, detail, counterexample, sampled) of the left (or right)
+    cocycle equation, expanding both coproducts and the product per triple."""
+    h = sigma.algebra
+    v = sigma.values
+    if right:
+        check, detail = "right-cocycle", "right cocycle equation fails"
+
+        def cop(b):
+            return [(b2, b1, c) for b1, b2, c in h.coproduct_basis(b)]
+    else:
+        check, detail = "left-cocycle", "cocycle equation fails"
+        cop = h.coproduct_basis
+    triples, sampled = _tuples(h, 3, budget, seed)
+    for a, b, c in triples:
+        lhs = Fraction(0)
+        for a1, a2, x in cop(a):
+            for b1, b2, y in cop(b):
+                if not v[a1][b1]:
+                    continue
+                for z, cz in h.product_basis(a2, b2).items():
+                    lhs += x * y * v[a1][b1] * cz * v[z][c]
+        rhs = Fraction(0)
+        for b1, b2, y in cop(b):
+            for c1, c2, w in cop(c):
+                if not v[b1][c1]:
+                    continue
+                for z, cz in h.product_basis(b2, c2).items():
+                    rhs += y * w * v[b1][c1] * cz * v[a][z]
+        if lhs != rhs:
+            return check, False, detail, tuple(_basis_label(h, t) for t in (a, b, c)), sampled
+    return check, True, "", None, sampled
+
+
+def four_loop_is_lazy(sigma, budget=DEFAULT_DIM_BUDGET, seed=0):
+    """(check, passed, detail, counterexample, sampled) of
+    sum sigma(a1,b1) a2 b2 = sum sigma(a2,b2) a1 b1, expanded per pair."""
+    h = sigma.algebra
+    v = sigma.values
+    pairs, sampled = _tuples(h, 2, budget, seed)
+    for a, b in pairs:
+        diff = {}
+        for a1, a2, x in h.coproduct_basis(a):
+            for b1, b2, y in h.coproduct_basis(b):
+                for z, cz in h.product_basis(a2, b2).items():
+                    diff[z] = diff.get(z, Fraction(0)) + x * y * v[a1][b1] * cz
+                for z, cz in h.product_basis(a1, b1).items():
+                    diff[z] = diff.get(z, Fraction(0)) - x * y * v[a2][b2] * cz
+        if any(diff.values()):
+            return "lazy", False, "lazy condition fails", (_basis_label(h, a), _basis_label(h, b)), sampled
+    return "lazy", True, "", None, sampled
+
+
+def triple_tensor_legs(h, r):
+    """(Delta x id)R, R13 R23, (id x Delta)R, R13 R12 with the legs embedded
+    in H (x) H (x) H and multiplied factor by factor; zero entries dropped."""
+    one = h.group.identity << h.nv
+
+    def mul3(t1, t2):
+        out = {}
+        for (a, b, c), c1 in t1.items():
+            for (d, e, f), c2 in t2.items():
+                for x, cx in h.product_basis(a, d).items():
+                    for y, cy in h.product_basis(b, e).items():
+                        for z, cz in h.product_basis(c, f).items():
+                            out[(x, y, z)] = out.get((x, y, z), Fraction(0)) + c1 * c2 * cx * cy * cz
+        return out
+
+    r12 = {(a, b, one): c for (a, b), c in r.items()}
+    r13 = {(a, one, b): c for (a, b), c in r.items()}
+    r23 = {(one, a, b): c for (a, b), c in r.items()}
+    cop1, cop2 = {}, {}
+    for (a, b), c in r.items():
+        for a1, a2, ca in h.coproduct_basis(a):
+            cop1[(a1, a2, b)] = cop1.get((a1, a2, b), Fraction(0)) + c * ca
+        for b1, b2, cb in h.coproduct_basis(b):
+            cop2[(a, b1, b2)] = cop2.get((a, b1, b2), Fraction(0)) + c * cb
+    return tuple({k: x for k, x in t.items() if x} for t in (cop1, mul3(r13, r23), cop2, mul3(r13, r12)))
+
+
+def is_group_invariant_form(rep, sigma):
+    """rho(x)^t Sigma rho(x) = Sigma for every group element x."""
+    n = len(sigma)
+    for x in range(rep.group.order):
+        m = rep.matrix(x)
+        moved = [[sum(m[k][i] * sigma[k][l] * m[l][j] for k in range(n) for l in range(n)) for j in range(n)]
+                 for i in range(n)]
+        if moved != [list(row) for row in sigma]:
+            return False
+    return True

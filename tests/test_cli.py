@@ -106,6 +106,16 @@ def test_malformed_algebra_exit_code(capsys, name):
     assert "--algebra expects E<n>" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--type", "B2"), ("--group", "z2.json"), ("--u", "1")])
+def test_algebra_with_group_input_exit_code(tmp_path, capsys, flag, value):
+    """--algebra names the whole algebra; a group input next to it is refused, not ignored."""
+    (tmp_path / "z2.json").write_text(json.dumps({"kind": "permutations", "generators": [[1, 0]], "u": "g0"}))
+    if flag == "--group":
+        value = str(tmp_path / value)
+    assert main(["verify", "--algebra", "E2", flag, value, "--check", "hopf"]) == EXIT_PARSE
+    assert f"--algebra cannot be combined with {flag}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("matrix", [5, [1, 2], "ab", {"a": 1}], ids=["scalar", "flat-list", "string", "object"])
 @pytest.mark.parametrize("flag, check", [("--sigma", "omega-lazy"), ("--A", "triangular")])
 def test_malformed_matrix_exit_code(tmp_path, capsys, matrix, flag, check):
@@ -240,4 +250,24 @@ def test_golden_failing_lambda_reports(tmp_path, args, digest, capsys):
     sigma.write_text("[[1, 0], [0, 2]]")
     code, out = _run(args + ["--sigma", str(sigma), "--format", "json"], capsys)
     assert code == EXIT_VERIFY
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# passing E(3) reports for matrix files: a dense symmetric A and a diagonal Sigma
+MATRIX_FILE_REPORTS = [
+    (["verify", "--algebra", "E3", "--check", "triangular", "--A"],
+     '[[1, 2, -1], [2, "1/3", "1/2"], [-1, "1/2", 2]]',
+     "692f906352380a4b830c9fa0add3a2d6ac1fb56ae415770ef75f878a095f22e4"),
+    (["verify", "--algebra", "E3", "--check", "omega-lazy", "--sigma"],
+     '[[2, 0, 0], [0, -1, 0], [0, 0, "3/2"]]',
+     "c753d6173a6724d773fa9589b7b949311fa5b06708255b3044e0858b2028df6a"),
+]
+
+
+@pytest.mark.parametrize("args, matrix, digest", MATRIX_FILE_REPORTS, ids=[" ".join(a) for a, _, _ in MATRIX_FILE_REPORTS])
+def test_golden_matrix_file_reports(tmp_path, args, matrix, digest, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text(matrix)
+    code, out = _run(args + [str(path), "--format", "json"], capsys)
+    assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

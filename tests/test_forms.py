@@ -4,19 +4,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from superbrauer import (
     CentralInvolution,
+    ParseError,
     Representation,
     acts_as_minus_one,
     cyclic_group,
     invariant_symmetric_forms,
 )
-from superbrauer.forms import leading_principal_minors_positive, mat_transpose, _mat_mul, _nullspace
+from superbrauer.forms import leading_principal_minors_positive, _mat_mul, _nullspace
 from superbrauer.groups import _det, _mat_rank
 
-from .oracles import leibniz_det
+from .oracles import is_group_invariant_form, leibniz_det
 
 
 def _frac_mat(rows):
@@ -82,13 +84,17 @@ def test_dim_invariant_under_base_change(wb2_signed, wb2_inv):
         assert invariant_symmetric_forms(rep2).dim == base
 
 
-def test_generator_invariance_implies_group_invariance(datum_b3):
-    # verified internally for |G| <= 200 at construction; spot check by hand
-    forms = invariant_symmetric_forms(datum_b3.rep)
-    sig = forms.basis[0]
-    for x in range(datum_b3.group.order):
-        m = datum_b3.rep.matrix(x)
-        assert _mat_mul(_mat_mul(mat_transpose(m), sig), m) == sig
+def test_generator_invariance_implies_group_invariance(datum_a2, datum_b2, datum_b3, datum_g2, datum_a3):
+    """Every basis form, checked on generators only, is invariant under every element."""
+    for d in (datum_a2, datum_b2, datum_b3, datum_g2, datum_a3):
+        forms = invariant_symmetric_forms(d.rep)
+        assert forms.basis and all(is_group_invariant_form(d.rep, sig) for sig in forms.basis)
+
+
+def test_incompatible_generator_matrices_rejected():
+    """rho(g)^3 = -1 != rho(g^3) = 1 on Z3."""
+    with pytest.raises(ParseError, match="not compatible with the group"):
+        Representation(group=cyclic_group(3), dim=1, gen_matrices=[_frac_mat([[-1]])])
 
 
 _entries = st.one_of(st.integers(-2, 2).map(Fraction), st.fractions(-3, 3, max_denominator=3))

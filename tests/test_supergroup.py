@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superbrauer import (
     ALG_CLOSED,
@@ -35,9 +37,9 @@ from superbrauer import (
     verify_quasitriangular,
     verify_triangular,
 )
-from superbrauer.supergroup import HCochain2
+from superbrauer.supergroup import HCochain2, _r_legs
 
-from .oracles import dense_lambda_cocycle
+from .oracles import dense_lambda_cocycle, four_loop_cocycle_check, four_loop_is_lazy, triple_tensor_legs
 
 
 def _elem(h, b):
@@ -402,3 +404,82 @@ def test_bm_order_identity_supergroup(datum_b2, datum_b3):
             size *= x
         expect = hc.size * (2 if split else 1)
         assert size == expect
+
+
+def _report_tuple(rep):
+    return rep.check, rep.passed, rep.detail, rep.counterexample, rep.sampled
+
+
+@functools.cache
+def _algebra(name):
+    """E(1)-E(3) and W(B2), built once so their product caches are shared."""
+    if name == "B2":
+        from superbrauer import RootSystemType, group_datum
+
+        d = group_datum(RootSystemType.parse("B2"))
+        return build_supergroup(d.group, d.inv, d.rep)
+    return build_en(int(name[1:]))
+
+
+_small = st.fractions(-3, 3, max_denominator=2)
+_nonzero = st.sampled_from([Fraction(k, d) for k in (-3, -1, 1, 2) for d in (1, 2)])
+
+
+@st.composite
+def _perturbed_cochains(draw):
+    """omega or lambda on E(1)-E(3), lambda on W(B2), one non-unit entry moved."""
+    name = draw(st.sampled_from(["E1", "E2", "E3", "B2"]))
+    h = _algebra(name)
+    n = h.nv
+    if name == "B2":
+        basis = invariant_symmetric_forms(h.rep).basis
+        coefs = [draw(_small) for _ in basis]
+        S = [[sum(c * b[i][j] for c, b in zip(coefs, basis)) for j in range(n)] for i in range(n)]
+        sigma = lambda_cocycle(h, S)
+    else:
+        S = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                S[i][j] = S[j][i] = draw(_small)
+        sigma = omega_sigma(S, h) if draw(st.booleans()) else lambda_cocycle(h, S)
+    vals = [list(row) for row in sigma.values]
+    non_unit = st.integers(0, h.dim - 2).map(lambda b: b + (b >= h.unit))
+    vals[draw(non_unit)][draw(non_unit)] += draw(_nonzero)
+    budget = draw(st.sampled_from([h.dim, h.dim - 1]))  # exhaustive, or sampled
+    return HCochain2(h, vals), budget, draw(st.integers(0, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_perturbed_cochains())
+def test_twisted_product_checks_match_four_loop_oracle(case):
+    """Left, right and lazy checks through m_sigma/m_sigma^op give the report
+    of the per-tuple expansion: verdict, detail, first counterexample, sampled."""
+    sigma, budget, seed = case
+    assert _report_tuple(is_left_cocycle(sigma, budget, seed)) == four_loop_cocycle_check(sigma, False, budget, seed)
+    assert _report_tuple(is_right_cocycle(sigma, budget, seed)) == four_loop_cocycle_check(sigma, True, budget, seed)
+    assert _report_tuple(is_lazy(sigma, budget, seed)) == four_loop_is_lazy(sigma, budget, seed)
+
+
+def test_r_legs_match_triple_tensor_oracle():
+    """The four leg tensors agree with the H (x) H (x) H products on random
+    symmetric A, and on R_A with one coefficient changed."""
+    rng = random.Random(7)
+    for n in (1, 2, 3):
+        h = build_en(n)
+        for _ in range(3):
+            r = r_matrix_RA(_random_symmetric(rng, n), h)
+            assert _r_legs(h, r) == triple_tensor_legs(h, r)
+            bad = dict(r)
+            key = rng.choice(sorted(bad))
+            bad[key] += Fraction(rng.choice([-2, -1, 1, 3]), 2)
+            legs = _r_legs(h, bad)
+            assert legs == triple_tensor_legs(h, bad)
+            assert legs[0] != legs[1] or legs[2] != legs[3]
+            assert not verify_quasitriangular(h, bad).passed
+
+
+def test_unit_law_on_basis(datum_b2):
+    """The leg formulas use x 1 = 1 x = x on every basis element."""
+    for h in (build_en(3), build_supergroup(datum_b2.group, datum_b2.inv, datum_b2.rep)):
+        for x in h.basis():
+            assert h.product_basis(x, h.unit) == h.product_basis(h.unit, x) == {x: Fraction(1)}
