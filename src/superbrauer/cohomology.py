@@ -508,7 +508,7 @@ def _delta_rows(g: FiniteGroup, ab: AbelianInvariants, sys: _FrontierSystem, m: 
 def _check_h2_budget(g: FiniteGroup, budget: int) -> None:
     n = g.order
     if (n - 1) ** 2 > budget:
-        raise BudgetExceeded(f"H^2 needs ({n}-1)^2 unknowns > budget {budget}")
+        raise BudgetExceeded(f"H^2 needs ({n}-1)^2 unknowns > budget {budget}; raise --budget-h2")
 
 
 def _h2_impl(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> CohomologyGroup:

@@ -1,5 +1,7 @@
 """The grading attached to a 2-cocycle, the twisted sharp product on H^2,
-and the Brauer group BM(k, k[G], R_u) with element-level multiplication.
+and the Brauer group BM(k, k[G], R_u) and the group Q(k, G), whose Cayley
+tables are built from generating data: the sharp table, the sigma(u,u)
+markers and the class of C(1)^2 or the character pairing classes.
 
 Only two base-field descriptors exist: algebraically closed of
 characteristic zero, and real closed.  Anything else has square classes and
@@ -26,9 +28,9 @@ from .cohomology import (
 from .groups import (
     CentralInvolution,
     FiniteGroup,
-    GroupCharacter,
     _abelian_basis_from_table,
     abelianization,
+    all_characters,
     group_from_table,
     quotient_by_central_involution,
     splitting_character,
@@ -163,6 +165,14 @@ class SharpGroup:
         self._index = {c.coords: i for i, c in enumerate(self.classes)}
 
 
+def _positions(coords, orders) -> np.ndarray:
+    """Position in all_classes order (last coordinate fastest) of each
+    coordinate vector along the last axis, reduced mod the invariants."""
+    orders = np.asarray(orders, dtype=np.int64)
+    radix = np.array([np.prod(orders[k + 1:]) for k in range(len(orders))], dtype=np.int64)
+    return (np.asarray(coords, dtype=np.int64) % orders) @ radix
+
+
 def sharp_class_table(cg: CohomologyGroup, inv: CentralInvolution) -> tuple[list[CohomologyClass], np.ndarray]:
     """Cayley table of the sharp product on the classes of cg, in all_classes order.
 
@@ -178,15 +188,11 @@ def sharp_class_table(cg: CohomologyGroup, inv: CentralInvolution) -> tuple[list
     for a, da in enumerate(degrees):
         for b, db in enumerate(degrees):
             twist[a, b] = cg.class_of(Cochain2(cg.group, n, (n // 2) * np.outer(da, db))).coords
-    orders = np.array(cg.invariants, dtype=np.int64)
     coords = np.array([c.coords for c in classes], dtype=np.int64)
     parity = coords % 2
-    # position in all_classes order: mixed radix with the last coordinate fastest
-    radix = np.array([int(np.prod(orders[k + 1:])) for k in range(r)], dtype=np.int64)
     table = np.zeros((len(classes), len(classes)), dtype=np.int32)
     for i, x in enumerate(coords):
-        prod = (x + coords + parity @ np.tensordot(parity[i], twist, axes=1)) % orders
-        table[i] = prod @ radix
+        table[i] = _positions(x + coords + parity @ np.tensordot(parity[i], twist, axes=1), cg.invariants)
     return classes, table
 
 
@@ -203,7 +209,7 @@ def h2_sharp(
         raise TrivialInvolution("H^2_sharp needs u != 1")
     cg = field.cohomology(g)
     if cg.size > budget:
-        raise BudgetExceeded(f"|H^2| = {cg.size} exceeds enumeration budget {budget}")
+        raise BudgetExceeded(f"|H^2| = {cg.size} exceeds enumeration budget {budget}; raise --budget-enum")
     classes, table = sharp_class_table(cg, inv)
     ident = next(i for i, c in enumerate(classes) if c.is_trivial())
     invariants = _abelian_table_invariants(table, ident)
@@ -219,96 +225,31 @@ def _abelian_table_invariants(table: np.ndarray, ident: int) -> tuple[int, ...]:
     return tuple(_abelian_basis_from_table(table, ident)[1])
 
 
-def quaternion_symbol(a: int, b: int, field: FieldDescriptor) -> int:
+def quaternion_symbol(a, b, field: FieldDescriptor):
     """Brauer class bit of the quaternion algebra <a, b / k>.
 
-    Arguments are square-class bits (0 = square, 1 = non-square); over a
-    real closed field the symbol is nontrivial exactly for (-1, -1).
+    Arguments are square-class bits (0 = square, 1 = non-square), ints or
+    arrays; over a real closed field the symbol is nontrivial exactly for
+    (-1, -1).
     """
-    if field.kind == "closed":
-        return 0
-    return 1 if (a % 2 == 1 and b % 2 == 1) else 0
-
-
-@dataclass(eq=False)
-class BMElement:
-    """(Brauer part, H^2 class with stored square-class marker, parity bit)."""
-
-    brauer_part: int
-    h2_class: CohomologyClass
-    marker: int
-    parity: int
-
-    def key(self) -> tuple:
-        return (self.brauer_part, self.h2_class.coords, self.parity)
+    return (field.kind == "real") * (a % 2) * (b % 2)
 
 
 @dataclass(eq=False)
 class BMGroup:
-    """BM(k, k[G], R_u): central extension of Br(k) by H^2_sharp or Q(k, G)."""
+    """BM(k, k[G], R_u): central extension of Br(k) by H^2_sharp or Q(k, G).
 
-    field: FieldDescriptor
-    group: FiniteGroup
-    inv: CentralInvolution
+    Element (b, i, a) = (Brauer part, i-th class of cohomology.all_classes(),
+    parity) is row (b |H^2| + i)(1 + split) + a of the Cayley table."""
+
     split: bool
-    chi: GroupCharacter | None
     cohomology: CohomologyGroup
-    classes: list[CohomologyClass]
-    markers: list[int]
-    sharp_table: np.ndarray
-    c11_index: int
-    elements: list[BMElement]
     table: np.ndarray
     invariants: tuple[int, ...]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    def index_of(self, el: BMElement) -> int:
-        return self._index[el.key()]
-
-    def __post_init__(self) -> None:
-        self._index = {el.key(): i for i, el in enumerate(self.elements)}
-        self._class_index = {c.coords: i for i, c in enumerate(self.classes)}
-
-    def multiply(self, x: BMElement, y: BMElement) -> BMElement:
-        """Product rules: Brauer parts twist by the quaternion symbol of the
-        sigma(u,u) values, classes multiply by sharp, parities add, and
-        C(1) * C(1) contributes the class with sigma(u,u) = -1."""
-        bo = self.field.brauer_order
-        i1 = self._class_index[x.h2_class.coords]
-        i2 = self._class_index[y.h2_class.coords]
-        s1, s2 = self.markers[i1], self.markers[i2]
-        b = (x.brauer_part + y.brauer_part + quaternion_symbol(s1, s2, self.field)) % bo
-        ci = int(self.sharp_table[i1, i2])
-        parity = (x.parity + y.parity) % 2 if self.split else 0
-        if x.parity and y.parity:
-            s12 = self.markers[ci]
-            b = (b + quaternion_symbol(s12, 1, self.field)) % bo
-            ci = int(self.sharp_table[ci, self.c11_index])
-        return BMElement(
-            brauer_part=b, h2_class=self.classes[ci], marker=self.markers[ci], parity=parity
-        )
-
-    def identity_element(self) -> BMElement:
-        zero = self.cohomology.zero_class()
-        i = self._class_index[zero.coords]
-        return BMElement(0, zero, self.markers[i], 0)
-
-    def power(self, x: BMElement, k: int) -> BMElement:
-        out = self.identity_element()
-        for _ in range(k):
-            out = self.multiply(out, x)
-        return out
-
-    def element_order(self, x: BMElement) -> int:
-        ident = self.identity_element().key()
-        k, y = 1, x
-        while y.key() != ident:
-            y = self.multiply(y, x)
-            k += 1
-        return k
+        return self.table.shape[0]
 
 
 def bm_group(
@@ -317,7 +258,15 @@ def bm_group(
     field: FieldDescriptor,
     budget: int = ENUMERATION_BUDGET,
 ) -> BMGroup:
-    """Enumerate BM(k, k[G], R_u) for u != 1 under the stated product rules."""
+    """BM(k, k[G], R_u) for u != 1, its Cayley table built from generating data.
+
+    (b1, i1, a1)(b2, i2, a2) has class S[i1, i2], shifted by sharp with the
+    class of C(1)^2 when a1 = a2 = 1; Brauer part b1 + b2 + <M1, M2> plus
+    <M12, -1> when a1 = a2 = 1, with <,> the quaternion symbol and M the
+    sigma(u,u) square-class markers; parity a1 + a2.  A marker is
+    restriction_square_class of rep_of_coords, a sum of generator
+    representatives whose sigma_a(u,u) lie in {0, N/2}, so it is linear mod 2
+    in the class coordinates."""
     if inv.group is not g:
         raise ParseError("involution lives on a different group")
     if inv.is_trivial:
@@ -325,107 +274,48 @@ def bm_group(
     chi = splitting_character(inv)
     split = chi is not None
     cg = field.cohomology(g)
-    total = field.brauer_order * cg.size * (2 if split else 1)
-    if total > budget:
-        raise BudgetExceeded(f"|BM| = {total} exceeds enumeration budget {budget}")
-    classes, sharp_table = sharp_class_table(cg, inv)
-    index = {c.coords: i for i, c in enumerate(classes)}
-    markers = [0 if field.kind == "closed" else restriction_square_class(inv, c.representative()) for c in classes]
-    n = cg.coeff.n
+    bo, h, s = field.brauer_order, cg.size, 1 + split
+    if bo * h * s > budget:
+        raise BudgetExceeded(f"|BM| = {bo * h * s} exceeds enumeration budget {budget}; raise --budget-enum")
+    classes, S = sharp_class_table(cg, inv)
+    M = np.zeros(h, dtype=np.int32)
+    if field.kind == "real":
+        coords = np.array([c.coords for c in classes], dtype=np.int64)
+        M[:] = coords @ np.array([restriction_square_class(inv, rep) for rep in cg.reps], dtype=np.int64) % 2
+    c11 = 0
     if split:
-        c11 = Cochain2(g, n, (n // 2) * np.outer(chi.values, chi.values))
-        c11_index = index[cg.class_of(c11).coords]
-    else:
-        c11_index = index[cg.zero_class().coords]
-    elements = [
-        BMElement(b, c, markers[i], a)
-        for b in range(field.brauer_order)
-        for i, c in enumerate(classes)
-        for a in (range(2) if split else range(1))
-    ]
-    bm = BMGroup(
-        field=field,
-        group=g,
-        inv=inv,
-        split=split,
-        chi=chi,
-        cohomology=cg,
-        classes=classes,
-        markers=markers,
-        sharp_table=sharp_table,
-        c11_index=c11_index,
-        elements=elements,
-        table=np.zeros((len(elements), len(elements)), dtype=np.int32),
-        invariants=(),
-    )
-    m = len(elements)
-    for i in range(m):
-        for j in range(m):
-            bm.table[i, j] = bm.index_of(bm.multiply(elements[i], elements[j]))
-    ident = bm.index_of(bm.identity_element())
-    bm.invariants = _abelian_table_invariants(bm.table, ident)
-    expected = field.brauer_order * cg.size * (2 if split else 1)
-    if m != expected:
-        raise ParseError("BM enumeration size mismatch")
-    return bm
-
-
-@dataclass(eq=False)
-class QkGElement:
-    quotient_class: CohomologyClass
-    chi_index: int
-    square_class: int
-    parity: int
-
-    def key(self) -> tuple:
-        return (self.quotient_class.coords, self.chi_index, self.square_class, self.parity)
+        n = cg.coeff.n
+        c11_class = cg.class_of(Cochain2(g, n, (n // 2) * np.outer(chi.values, chi.values)))
+        c11 = int(_positions(c11_class.coords, cg.invariants))
+    b1, i1, a1, b2, i2, a2 = np.ix_(*(np.arange(d, dtype=np.int32) for d in (bo, h, s) * 2))
+    ij = S[i1, i2]
+    both = a1 * a2
+    table = b1 + b2 + quaternion_symbol(M[i1], M[i2], field) + both * quaternion_symbol(M[ij], 1, field)
+    # the row (b h + class) s + parity, in place: the table is the one array of full size
+    table %= bo
+    table *= h
+    table += np.where(both, S[ij, c11], ij)
+    table *= s
+    table += (a1 + a2) % s
+    table = table.reshape(bo * h * s, -1)
+    # the identity (0, zero class, 0) is element 0
+    return BMGroup(split=split, cohomology=cg, table=table, invariants=_abelian_table_invariants(table, 0))
 
 
 @dataclass(eq=False)
 class QGroup:
-    """Q(k, G) for split G: H^2(G/U) x Hom(G/U, Z_2) x k*/(k*)^2 x Z_2."""
+    """Q(k, G) for split G: H^2(G/U) x Hom(G/U, Z_2) x k*/(k*)^2 x Z_2.
 
-    field: FieldDescriptor
-    inv: CentralInvolution
-    quotient_cohomology: CohomologyGroup
-    characters: list[GroupCharacter]
-    elements: list[QkGElement]
+    Element (c, x, s, e) = (c-th class of H^2(G/U).all_classes(), x-th
+    character of all_characters(G/U, 2), square class, parity) is row
+    ((c |Hom| + x) |k*/(k*)^2| + s) 2 + e of the Cayley table."""
+
     table: np.ndarray
     invariants: tuple[int, ...]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    def index_of(self, el: QkGElement) -> int:
-        return self._index[el.key()]
-
-    def __post_init__(self) -> None:
-        self._index = {el.key(): i for i, el in enumerate(self.elements)}
-        self._char_lookup = {(c.values % 2).tobytes(): i for i, c in enumerate(self.characters)}
-
-    def multiply(self, x: QkGElement, y: QkGElement) -> QkGElement:
-        chi = self.characters[x.chi_index]
-        chi2 = self.characters[y.chi_index]
-        cls = x.quotient_class + y.quotient_class + self._pairing_class(chi, chi2)
-        ci = self._char_product(x.chi_index, y.chi_index)
-        s = (x.square_class + y.square_class + x.parity * y.parity) % max(self.field.square_class_order, 1)
-        if self.field.square_class_order == 1:
-            s = 0
-        return QkGElement(cls, ci, s, (x.parity + y.parity) % 2)
-
-    def _pairing_class(self, chi: GroupCharacter, chi2: GroupCharacter) -> CohomologyClass:
-        cq = self.quotient_cohomology
-        if not chi.values.any() or not chi2.values.any():
-            return cq.zero_class()
-        n = cq.coeff.n
-        vals = (n // 2) * np.outer(chi.values % 2, chi2.values % 2)
-        return cq.class_of(Cochain2(cq.group, n, vals))
-
-    def _char_product(self, i: int, j: int) -> int:
-        v = (self.characters[i].values + self.characters[j].values) % 2
-        key = v.tobytes()
-        return self._char_lookup[key]
+        return self.table.shape[0]
 
 
 def q_group(
@@ -434,44 +324,34 @@ def q_group(
     field: FieldDescriptor,
     budget: int = ENUMERATION_BUDGET,
 ) -> QGroup:
-    """The group Q(k, G) of the split short exact sequence, by enumeration."""
+    """The group Q(k, G) of the split short exact sequence.
+
+    (c1, x1, s1, e1)(c2, x2, s2, e2) = (c1 + c2 + P[x1, x2], x1 x2,
+    s1 + s2 + e1 e2, e1 + e2), with P[x1, x2] the class of the pairing
+    cocycle (N/2) x1 (x) x2: one class_of per pair of nontrivial characters."""
     if inv.is_trivial:
         raise TrivialInvolution("Q(k, G) needs u != 1")
-    chi0 = splitting_character(inv)
-    if chi0 is None:
+    if splitting_character(inv) is None:
         raise NotSplit("U is not a direct summand of G")
-    qd = quotient_by_central_involution(inv)
-    q = qd.quotient
+    q = quotient_by_central_involution(inv).quotient
     cq = field.cohomology(q)
-    from .groups import all_characters
-
-    chars = list(all_characters(q, 2))
-    total = cq.size * len(chars) * field.square_class_order * 2
-    if total > budget:
-        raise BudgetExceeded(f"|Q(k,G)| = {total} exceeds enumeration budget {budget}")
-    elements = [
-        QkGElement(c, ci, s, e)
-        for c in cq.all_classes()
-        for ci in range(len(chars))
-        for s in range(field.square_class_order)
-        for e in range(2)
-    ]
-    qg = QGroup(
-        field=field,
-        inv=inv,
-        quotient_cohomology=cq,
-        characters=chars,
-        elements=elements,
-        table=np.zeros((len(elements), len(elements)), dtype=np.int32),
-        invariants=(),
-    )
-    m = len(elements)
-    for i in range(m):
-        for j in range(m):
-            qg.table[i, j] = qg.index_of(qg.multiply(elements[i], elements[j]))
-    ident = qg.index_of(QkGElement(cq.zero_class(), qg._char_lookup[(np.zeros(q.order, dtype=np.int64)).tobytes()], 0, 0))
-    qg.invariants = _abelian_table_invariants(qg.table, ident)
-    return qg
+    chars = [c.values % 2 for c in all_characters(q, 2)]
+    h, nc, sq = cq.size, len(chars), field.square_class_order
+    if h * nc * sq * 2 > budget:
+        raise BudgetExceeded(f"|Q(k,G)| = {h * nc * sq * 2} exceeds enumeration budget {budget}; raise --budget-enum")
+    n = cq.coeff.n
+    lookup = {v.tobytes(): i for i, v in enumerate(chars)}
+    product = np.array([[lookup[((v + w) % 2).tobytes()] for w in chars] for v in chars], dtype=np.int32)
+    pairing = _positions([[cq.class_of(Cochain2(q, n, (n // 2) * np.outer(v, w))).coords if v.any() and w.any()
+                           else cq.zero_class().coords for w in chars] for v in chars], cq.invariants)
+    coords = np.array([c.coords for c in cq.all_classes()], dtype=np.int64)
+    add = _positions(coords[:, None] + coords[None, :], cq.invariants)
+    c1, x1, s1, e1, c2, x2, s2, e2 = np.ix_(*(np.arange(d, dtype=np.int32) for d in (h, nc, sq, 2) * 2))
+    cls = add[add[c1, c2], pairing[x1, x2]]
+    table = ((cls * nc + product[x1, x2]) * sq + (s1 + s2 + e1 * e2) % sq) * 2 + (e1 + e2) % 2
+    table = table.reshape(h * nc * sq * 2, -1)
+    # the identity (zero class, trivial character, 0, 0) is element 0
+    return QGroup(table=table, invariants=_abelian_table_invariants(table, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +386,6 @@ class TwistedGroupAlgebra:
         deg = self.degree_map()
         xs = np.asarray(self.group.mul)[:, gens]
         return not ((deg[:, None, :] + deg[gens][None, :, :] - deg[xs]) % self.sigma.modulus).any()
-
-    def associativity_holds(self) -> bool:
-        return is_cocycle(self.sigma)
 
 
 def twisted_group_algebra(g: FiniteGroup, sigma: Cochain2, field: FieldDescriptor) -> TwistedGroupAlgebra:

@@ -7,7 +7,10 @@ from order statistics; the determinant is the Leibniz expansion; the lazy
 cocycle lambda is filled entry by entry.  None of it shares code with the
 production pipeline, except the sharp-table enumeration, which multiplies
 every pair of class representatives with the production `sharp` and
-`class_of` instead of deriving the table from the twist classes.  The Hopf-side
+`class_of` instead of deriving the table from the twist classes, and the BM
+and Q(k, G) enumerations, which multiply element tuples one cell at a time
+on top of it (markers from each class representative, one pairing `class_of`
+per cell) instead of deriving the tables from generating data.  The Hopf-side
 oracles use only the algebra's `product_basis` and `coproduct_basis`: the
 cocycle and lazy checks expand both coproducts and the product for every
 basis tuple, and the R-matrix legs are multiplied in H (x) H (x) H.  The
@@ -22,7 +25,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from superbrauer import sharp
+from superbrauer import (
+    CohomologyClass,
+    Cochain2,
+    all_characters,
+    quaternion_symbol,
+    quotient_by_central_involution,
+    restriction_square_class,
+    sharp,
+    splitting_character,
+)
 from superbrauer.supergroup import DEFAULT_DIM_BUDGET, SAMPLED_TRIPLES
 
 
@@ -201,6 +213,23 @@ def all_pairs_degrees_are_characters(sigma):
     return True
 
 
+def table_power(table, x, k, ident):
+    """x^k in a Cayley table, by k - 1 row lookups."""
+    y = ident
+    for _ in range(k):
+        y = int(table[y, x])
+    return y
+
+
+def table_order(table, x, ident):
+    """The order of x in a Cayley table."""
+    k, y = 1, x
+    while y != ident:
+        y = int(table[y, x])
+        k += 1
+    return k
+
+
 def _prime_powers(n):
     out, p = [], 2
     while n > 1:
@@ -220,14 +249,7 @@ def abelian_invariants_from_table(table, ident):
     Uses order statistics: c_j = #{x : x^(p^j) = e} satisfies
     c_j / c_{j-1} = p^(number of invariants with exponent >= j).
     """
-    m = table.shape[0]
-    orders = []
-    for x in range(m):
-        k, y = 1, x
-        while y != ident:
-            y = int(table[y, x])
-            k += 1
-        orders.append(k)
+    orders = [table_order(table, x, ident) for x in range(table.shape[0])]
     exponent = 1
     for o in orders:
         exponent = int(np.lcm(exponent, o))
@@ -313,6 +335,61 @@ def enumerated_sharp_table(cg, inv):
             table[i, j] = index[cg.class_of(sharp(x, y, inv)).coords]
     return table
 
+
+
+def enumerated_bm_table(g, inv, field):
+    """The BM(k, k[G], R_u) Cayley table in the production layout, element
+    (b, i, a) at row (b |H^2| + i)(1 + split) + a, filled by one element-level
+    multiply per cell on the enumerated sharp table, with one
+    restriction_square_class per class representative."""
+    cg = field.cohomology(g)
+    chi = splitting_character(inv)
+    classes = list(cg.all_classes())
+    index = {c.coords: i for i, c in enumerate(classes)}
+    sharp_table = enumerated_sharp_table(cg, inv)
+    markers = [restriction_square_class(inv, c.representative()) if field.kind == "real" else 0 for c in classes]
+    c11 = index[cg.zero_class().coords]
+    if chi is not None:
+        n = cg.coeff.n
+        c11 = index[cg.class_of(Cochain2(g, n, (n // 2) * np.outer(chi.values, chi.values))).coords]
+    parities = 2 if chi is not None else 1
+    elements = list(itertools.product(range(field.brauer_order), range(len(classes)), range(parities)))
+    position = {el: k for k, el in enumerate(elements)}
+
+    def multiply(x, y):
+        (b1, i1, a1), (b2, i2, a2) = x, y
+        b = b1 + b2 + quaternion_symbol(markers[i1], markers[i2], field)
+        ci = int(sharp_table[i1, i2])
+        if a1 and a2:  # C(1) C(1): the class with sigma(u,u) = -1
+            b += quaternion_symbol(markers[ci], 1, field)
+            ci = int(sharp_table[ci, c11])
+        return b % field.brauer_order, ci, (a1 + a2) % parities
+
+    return np.array([[position[multiply(x, y)] for y in elements] for x in elements], dtype=np.int32)
+
+
+def enumerated_q_table(g, inv, field):
+    """The Q(k, G) Cayley table in the production layout, element
+    (c, x, s, e) at row ((c |Hom| + x) |k*/(k*)^2| + s) 2 + e, filled by one
+    element-level multiply per cell with one pairing class_of per cell."""
+    q = quotient_by_central_involution(inv).quotient
+    cq = field.cohomology(q)
+    n = cq.coeff.n
+    chars = [c.values % 2 for c in all_characters(q, 2)]
+    sq = field.square_class_order
+    elements = [(c.coords, x, s, e) for c in cq.all_classes() for x in range(len(chars)) for s in range(sq)
+                for e in range(2)]
+    position = {el: k for k, el in enumerate(elements)}
+
+    def multiply(x, y):
+        (c1, x1, s1, e1), (c2, x2, s2, e2) = x, y
+        cls = CohomologyClass(cq, c1) + CohomologyClass(cq, c2)
+        if chars[x1].any() and chars[x2].any():
+            cls = cls + cq.class_of(Cochain2(q, n, (n // 2) * np.outer(chars[x1], chars[x2])))
+        prod = next(k for k, v in enumerate(chars) if ((chars[x1] + chars[x2]) % 2 == v).all())
+        return cls.coords, prod, (s1 + s2 + e1 * e2) % sq, (e1 + e2) % 2
+
+    return np.array([[position[multiply(x, y)] for y in elements] for x in elements], dtype=np.int32)
 
 def _basis_label(h, b):
     g, mask = divmod(b, 1 << h.nv)

@@ -1,25 +1,44 @@
-"""BM(k, k[G], R_u) enumerations and the order identity."""
+"""BM(k, k[G], R_u) and Q(k, G) tables against their enumerations, and the
+order identity."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from superbrauer import (
     ALG_CLOSED,
     REAL_CLOSED,
-    BMElement,
     CentralInvolution,
+    CohomologyGroup,
+    RootSystemType,
     TrivialInvolution,
+    all_characters,
     bm_group,
     cyclic_group,
     direct_product,
+    group_datum,
     h2_sharp,
+    q_group,
+    quotient_by_central_involution,
     splitting_character,
     symmetric_group,
 )
 
-from .oracles import abelian_invariants_from_table
+from .oracles import (
+    abelian_invariants_from_table,
+    enumerated_bm_table,
+    enumerated_q_table,
+    table_order,
+    table_power,
+)
+from .test_cohomology import _dihedral
+
+
+def _bm_index(bm, b, i, a):
+    """Row of the element (Brauer part b, i-th class, parity a)."""
+    return (b * bm.cohomology.size + i) * (1 + bm.split) + a
 
 
 def test_bm_closed_z2():
@@ -35,11 +54,10 @@ def test_bm_real_z2_is_z8_generated_by_c1():
     bm = bm_group(z2, CentralInvolution(z2, 1), REAL_CLOSED)
     assert bm.order == 8
     assert bm.invariants == (8,)
-    c1 = BMElement(0, bm.cohomology.zero_class(), 0, 1)
-    assert bm.element_order(c1) == 8
+    c1 = _bm_index(bm, 0, 0, 1)  # the zero class is the first class
+    assert table_order(bm.table, c1, 0) == 8
     # the fourth power is the Hamilton quaternion class: pure Brauer part
-    fourth = bm.power(c1, 4)
-    assert fourth.brauer_part == 1 and fourth.parity == 0 and fourth.h2_class.is_trivial()
+    assert table_power(bm.table, c1, 4, 0) == _bm_index(bm, 1, 0, 0)
 
 
 def test_bm_closed_wb2(datum_b2):
@@ -83,8 +101,7 @@ def test_bm_order_identity(field):
         assert bm.split == split
         # Brauer part embeds centrally: (b, 0, 0) has order dividing 2
         if field.brauer_order == 2:
-            br = BMElement(1, bm.cohomology.zero_class(), 0, 0)
-            assert bm.element_order(br) == 2
+            assert table_order(bm.table, _bm_index(bm, 1, 0, 0), 0) == 2
 
 
 def test_bm_closed_invariants_match_h2_times_split():
@@ -126,5 +143,104 @@ def test_bm_real_z2z2_structure(z2z2):
     hs = h2_sharp(z2z2, inv, REAL_CLOSED)
     assert hs.invariants == (4, 2)
     # BM contains an element of order 8: [C(1)] with the order-4 sharp class above it
-    orders = {bm.element_order(el) for el in bm.elements}
+    orders = {table_order(bm.table, x, 0) for x in range(bm.order)}
     assert max(orders) == 8
+
+
+
+_GROUPS = {
+    "Z2": lambda: cyclic_group(2),
+    "Z4": lambda: cyclic_group(4),
+    "Z2xZ2": lambda: direct_product(cyclic_group(2), cyclic_group(2)),
+    "Z2xZ4": lambda: direct_product(cyclic_group(2), cyclic_group(4)),
+    "Z2xS3": lambda: direct_product(cyclic_group(2), symmetric_group(3)),
+}
+
+
+def _group_and_involution(name, u):
+    """A named small group with the involution of index u, or a Weyl datum with u = w0."""
+    if name in _GROUPS:
+        g = _GROUPS[name]()
+        return g, CentralInvolution(g, u)
+    d = group_datum(RootSystemType.parse(name))
+    return d.group, d.inv
+
+
+_FIELDS = pytest.mark.parametrize("field", [ALG_CLOSED, REAL_CLOSED], ids=["closed", "real"])
+
+
+@_FIELDS
+@pytest.mark.parametrize("name, u", [("Z2", 1), ("Z4", 2), ("Z2xZ2", 2), ("Z2xZ4", 4), ("Z2xZ4", 2),
+                                     ("Z2xS3", 6), ("B2", None), ("B3", None), ("G2", None), ("A3", None)],
+                         ids=["Z2", "Z4", "Z2xZ2", "Z2xZ4-u(1,0)", "Z2xZ4-u(0,2)", "Z2xS3", "W(B2)", "W(B3)",
+                              "W(G2)", "W(A3)"])
+def test_bm_table_matches_enumeration(name, u, field):
+    """The table built from generating data equals the element-by-element
+    enumeration, cell for cell, in the same layout."""
+    g, inv = _group_and_involution(name, u)
+    bm = bm_group(g, inv, field)
+    assert (bm.table == enumerated_bm_table(g, inv, field)).all()
+
+
+@_FIELDS
+@pytest.mark.parametrize("name, u", [("Z2", 1), ("Z2xZ2", 2), ("Z2xZ4", 4), ("Z2xS3", 6)],
+                         ids=["Z2", "Z2xZ2", "Z2xZ4-u(1,0)", "Z2xS3"])
+def test_q_table_matches_enumeration(name, u, field, monkeypatch):
+    """Q(k, G) equals its enumeration and costs at most one class_of per
+    pair of characters of G/U."""
+    g, inv = _group_and_involution(name, u)
+    chars = list(all_characters(quotient_by_central_involution(inv).quotient, 2))
+    calls = {"class_of": 0}
+    real_class_of = CohomologyGroup.class_of
+
+    def counting_class_of(self, sigma):
+        calls["class_of"] += 1
+        return real_class_of(self, sigma)
+
+    with monkeypatch.context() as m:
+        m.setattr(CohomologyGroup, "class_of", counting_class_of)
+        qg = q_group(g, inv, field)
+    assert calls["class_of"] <= len(chars) ** 2
+    assert (qg.table == enumerated_q_table(g, inv, field)).all()
+    assert qg.invariants == abelian_invariants_from_table(qg.table, 0)
+
+
+def _cyclic_product(orders):
+    """Z_d0 x Z_d1 x ... over the longest prefix of orders of product <= 32."""
+    g = cyclic_group(orders[0])
+    for d in orders[1:]:
+        if g.order * d > 32:
+            break
+        g = direct_product(g, cyclic_group(d))
+    return g
+
+
+_RANDOM_GROUPS = st.one_of(
+    st.lists(st.integers(2, 16), min_size=1, max_size=4)
+    .map(lambda ds: [2 * (ds[0] // 2 + 1) if ds[0] % 2 else ds[0]] + ds[1:]).map(_cyclic_product),
+    st.sampled_from([2, 4, 6, 8, 10, 12, 14, 16]).map(_dihedral),
+    st.just(None).map(lambda _: direct_product(symmetric_group(3), cyclic_group(2))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RANDOM_GROUPS, st.integers(0, 2**16), st.sampled_from([ALG_CLOSED, REAL_CLOSED]))
+def test_bm_order_and_invariants_on_random_groups(g, pick, field):
+    """|BM| = |Br| |H^2_sharp| 2^split, and the invariants read off the built
+    table equal the order statistics of the enumerated table."""
+    involutions = [x for x in range(g.order)
+                   if x != g.identity and g.mul[x, x] == g.identity and g.is_central(x)]
+    inv = CentralInvolution(g, involutions[pick % len(involutions)])
+    split = splitting_character(inv) is not None
+    assume(field.brauer_order * field.cohomology(g).size * (1 + split) <= 256)
+    bm = bm_group(g, inv, field)
+    assert bm.order == field.brauer_order * h2_sharp(g, inv, field).size * 2 ** split
+    assert bm.invariants == abelian_invariants_from_table(enumerated_bm_table(g, inv, field), 0)
+
+
+def test_bm_real_z2_4():
+    """Z2^4 with u = g0 sits at the default enumeration budget: 4096 elements."""
+    g = _cyclic_product([2, 2, 2, 2])
+    bm = bm_group(g, CentralInvolution(g, int(g.gens[0])), REAL_CLOSED)
+    assert bm.order == 4096
+    assert bm.invariants == (8, 4, 4, 4, 2, 2, 2)

@@ -138,6 +138,16 @@ def test_budget_exit_code(capsys):
     assert code == 0  # E8 row falls back to literature mode, no build attempted
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["h2", "--type", "B3", "--budget-h2", "10"], "--budget-h2"),
+    (["h2sharp", "--type", "B3", "--field", "real", "--budget-enum", "10"], "--budget-enum"),
+    (["bm", "--type", "B3", "--field", "real", "--budget-enum", "10"], "--budget-enum"),
+], ids=["h2", "h2sharp", "bm"])
+def test_budget_refusal_names_its_flag(capsys, args, flag):
+    assert main(args) == EXIT_BUDGET
+    assert flag in capsys.readouterr().err
+
+
 def test_machine_output_deterministic(zz_file, capsys):
     args = ["h2sharp", "--group", zz_file, "--field", "real", "--format", "json"]
     _, out1 = _run(args, capsys)
@@ -224,11 +234,20 @@ GOLDEN_REPORTS = [
      "2356d671bd33467550c7d6d48f98489499981f4b3365f66975a35b9fe0835fd3"),
     (["verify", "--type", "D4", "--check", "lambda-lazy", "--seed", "1"],  # dim 3072, sampled
      "ddc647a51a704f441f45d4868de61b47e4e895cb02619528eef4179e1ed02d5a"),
+    (["bm", "--type", "B3", "--field", "closed"],
+     "49433bdcd04b3794d98368ce4add88f5af75c4aed3c171a1c6ba27ee5f9fa63b"),
+    (["bm", "--field", "real", "--group", "z2xz4.json"],  # u = (0, 2): not split
+     "122dcdd773d10d8251da45e1fa870a3f7a1176672f73f3e916fcf129d2635175"),
 ]
+
+# Z2 x Z4 on the points {0, 1} and {2, 3, 4, 5}, u = (0, 2)
+Z2XZ4_SPEC = {"kind": "permutations", "generators": [[1, 0, 2, 3, 4, 5], [0, 1, 3, 4, 5, 2]], "u": "g1 g1"}
 
 
 @pytest.mark.parametrize("args, digest", GOLDEN_REPORTS, ids=[" ".join(a) for a, _ in GOLDEN_REPORTS])
-def test_golden_reports(args, digest, capsys):
+def test_golden_reports(args, digest, capsys, tmp_path, monkeypatch):
+    (tmp_path / "z2xz4.json").write_text(json.dumps(Z2XZ4_SPEC))
+    monkeypatch.chdir(tmp_path)
     code, out = _run(args + ["--format", "json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,26 +1,44 @@
-"""Every function the traced benchmark wraps still exists under its name."""
+"""Every function the traced benchmark wraps still exists under its name, and
+the counters read the fields they count from real results."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import time
 from pathlib import Path
 
 import pytest
 
+from superbrauer import REAL_CLOSED, CentralInvolution, bm_group, cyclic_group, direct_product
+from superbrauer.sharp import sharp_class_table
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def _wrapped():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WRAPPED
+    return module
 
 
-@pytest.mark.parametrize("module, attr, metric", _wrapped())
+@pytest.mark.parametrize("module, attr, metric", _spans().WRAPPED)
 def test_wrapped_name_resolves(module, attr, metric):
     target = importlib.import_module(f"superbrauer.{module}")
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+def test_table_cell_counters_read_real_results():
+    """sharp.table_cells counts |H^2|^2 for the sharp table and |BM|^2 for BM."""
+    recorder = _spans().Recorder(time.perf_counter)
+    g = direct_product(cyclic_group(2), cyclic_group(4))
+    inv = CentralInvolution(g, 4)  # u = (1, 0): split
+    cg = REAL_CLOSED.cohomology(g)
+    recorder._count_hook("sharp_class_table")((cg, inv), sharp_class_table(cg, inv))
+    assert recorder.counts["sharp.classes_enumerated"] == 8
+    assert recorder.counts["sharp.table_cells"] == 8 ** 2
+    recorder._count_hook("bm_group")((g, inv, REAL_CLOSED), bm_group(g, inv, REAL_CLOSED))
+    assert recorder.counts["sharp.table_cells"] == 8 ** 2 + 32 ** 2

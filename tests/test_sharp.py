@@ -18,7 +18,6 @@ from superbrauer import (
     NotCocycle,
     NotSplit,
     ParseError,
-    QkGElement,
     RootSystemType,
     coboundary,
     cyclic_group,
@@ -40,7 +39,7 @@ from superbrauer import (
 )
 from superbrauer.sharp import _abelian_table_invariants, sharp_class_table
 
-from .oracles import abelian_invariants_from_table, enumerated_sharp_table
+from .oracles import abelian_invariants_from_table, enumerated_sharp_table, table_order
 from .test_cohomology import _dihedral
 from .test_groups import _intercalate_z1024
 
@@ -201,24 +200,16 @@ def test_q_group_real_z2():
     qg = q_group(z2, inv, REAL_CLOSED)
     assert qg.order == 4
     assert qg.invariants == (4,)
-    el = QkGElement(qg.quotient_cohomology.zero_class(), 0, 0, 1)
-    ident = qg.index_of(QkGElement(qg.quotient_cohomology.zero_class(), 0, 0, 0))
-    x, k = qg.index_of(el), 0
-    y = ident
-    for k in range(1, 5):
-        y = int(qg.table[y, x]) if k > 1 else x
-        if y == ident:
-            break
-    assert k == 4
-    sq = qg.multiply(el, el)
-    assert sq.square_class == 1 and sq.parity == 0  # (1bar,-1)^2 = (-1bar, 1)
+    # element (class, character, square class, parity) is row ((c |Hom| + x) 2 + s) 2 + e;
+    # the identity (0, trivial, 0, 0) is row 0 and el = (0, trivial, 0, 1) is row 1
+    assert table_order(qg.table, 1, 0) == 4
+    assert qg.table[1, 1] == 2  # (1bar,-1)^2 = (-1bar, 1): square class 1, parity 0
 
 
 def test_q_group_identity_squared(z2z2):
     inv = CentralInvolution(z2z2, 2)
     qg = q_group(z2z2, inv, REAL_CLOSED)
-    ident_el = QkGElement(qg.quotient_cohomology.zero_class(), 0, 0, 0)
-    assert qg.multiply(ident_el, ident_el).key() == ident_el.key()
+    assert qg.table[0, 0] == 0  # the identity (0, trivial, 0, 0) is row 0
 
 
 def test_q_group_closed_z2z2_order(z2z2):
@@ -274,7 +265,7 @@ def test_twisted_group_algebra(z2z2, invx):
     ex, ix = alg.product(2, 1)
     ey, iy = alg.product(1, 2)
     assert ix == iy and (ex - ey) % 2 == 1
-    assert alg.associativity_holds()
+    assert is_cocycle(alg.sigma)  # the structure constants are associative
     assert alg.degrees_are_characters()
     # trivial cocycle: plain group algebra
     triv = twisted_group_algebra(z2z2, Cochain2.zero(z2z2, 2), REAL_CLOSED)
