@@ -10,7 +10,12 @@ unknowns T(x, s) = sigma(x, s).  The d(d sigma) = 0 pentagon identity shows
 that imposing the cocycle equation for all (g, h, s) with s in S forces it
 for every triple, which keeps the bar-complex system at |G| * |S| unknowns.
 Each prime power of N is solved by exact Z_{p^e} elimination and the pieces
-are recombined by CRT.
+are recombined by CRT.  Only primes that can contribute are solved: |G| and
+p^e both kill H^2(G, Z_{p^e}), and on the closed field the p-part of M(G)
+restricts injectively to a Sylow p-subgroup, whose multiplier is 0 when it is
+cyclic (Karpilovsky 1987), i.e. when p does not divide |G| / exp(G).  The
+sparse pivot updates of snf_mod choose the same pivots and add the same
+nonzero terms, so kernel bases, and with them all reports, are unchanged.
 """
 
 from __future__ import annotations
@@ -284,22 +289,17 @@ def _cocycle_kernel(sys: _FrontierSystem, p: int, e: int) -> np.ndarray:
     rows, cols, vals = sys.eq_rows, sys.eq_cols, sys.eq_vals
     total = sys.eq_count
     if f * q * q >= 2**62:
-        raise BudgetExceeded("coefficient modulus too large for exact elimination")
-
-    def dense_block(lo: int, hi: int) -> np.ndarray:
-        a = np.searchsorted(rows, lo)
-        b = np.searchsorted(rows, hi)
-        flat = (rows[a:b].astype(np.int64) - lo) * f + cols[a:b]
-        blk = np.bincount(flat, weights=vals[a:b].astype(np.float64), minlength=(hi - lo) * f)
-        return blk.astype(np.int64).reshape(hi - lo, f) % q
+        raise BudgetExceeded(
+            f"exact elimination over Z_{q} needs f*q^2 < 2^62 with f = {f} unknowns; no budget flag admits this job"
+        )
 
     sample_rows = min(total, max(3 * f, 512))
     step = max(1, total // sample_rows)
     picks = np.arange(0, total, step, dtype=np.int64)
     rmap = np.full(total, -1, dtype=np.int64)
     rmap[picks] = np.arange(len(picks))
-    sel = rmap[rows.astype(np.int64)] >= 0
-    flat = rmap[rows[sel].astype(np.int64)] * f + cols[sel]
+    sel = rmap[rows] >= 0
+    flat = rmap[rows[sel]] * f + cols[sel]
     sample = (
         np.bincount(flat, weights=vals[sel].astype(np.float64), minlength=len(picks) * f)
         .astype(np.int64)
@@ -314,8 +314,13 @@ def _cocycle_kernel(sys: _FrontierSystem, p: int, e: int) -> np.ndarray:
     use_float = f * q * q < 2**52
     Kf = K.astype(np.float64) if use_float else K
     bad = []
-    for lo in range(0, total, 4096):
-        blk = dense_block(lo, min(lo + 4096, total))
+    starts = np.arange(0, total, 4096)
+    edges = np.searchsorted(rows, np.append(starts, total).astype(rows.dtype))
+    for lo, a, b in zip(starts, edges[:-1], edges[1:]):
+        hi = min(lo + 4096, total)
+        flat = (rows[a:b].astype(np.int64) - lo) * f + cols[a:b]
+        blk = np.bincount(flat, weights=vals[a:b].astype(np.float64), minlength=(hi - lo) * f)
+        blk = blk.astype(np.int64).reshape(hi - lo, f) % q
         if use_float:
             res = np.rint(blk.astype(np.float64) @ Kf).astype(np.int64) % q
         else:
@@ -436,13 +441,12 @@ class CohomologyGroup:
             raise ParseError("cochain lives on a different group")
         if sigma.modulus != self.coeff.n:
             raise ParseError("cochain modulus does not match the coefficient module")
+        if not is_cocycle(sigma):
+            raise NotCocycle("cochain fails the cocycle equations")
         if self._sys is None:
-            # order-1 group or modulus 1: everything is the trivial cocycle
-            return CohomologyClass(self, ())
-        sys = self._sys
-        tvec = sys.frontier_vector(sigma.values)
-        if not (sys.reconstruct(tvec, self.coeff.n) == sigma.values).all():
-            raise NotCocycle("cochain is not determined by its generator values")
+            # no prime can contribute: every cocycle is in the zero class
+            return self.zero_class()
+        tvec = self._sys.frontier_vector(sigma.values)
         per_prime: list[tuple[list[int], tuple[int, ...]]] = []
         for piece in self._pieces:
             sel = piece.coords_of(tvec)
@@ -514,7 +518,10 @@ def _check_h2_budget(g: FiniteGroup, budget: int) -> None:
 def _h2_impl(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> CohomologyGroup:
     n = g.order
     N = coeff.n
-    if n == 1 or N == 1:
+    # a prime contributes only if it divides |G| (Z_N), or |G| / exp(G) (closed)
+    live = n // group_exponent(g) if mode == "closed" else n
+    primes = [(p, e) for p, e in prime_power_factors(N) if live % p == 0]
+    if not primes:
         return _trivial_cohomology(g, coeff, mode)
     sys = _frontier_system(g)
     B = _coboundary_rows(g, sys)
@@ -522,7 +529,7 @@ def _h2_impl(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> CohomologyG
         B = np.vstack([B, _delta_rows(g, abelianization(g), sys, N)])
 
     pieces: list[_PrimePiece] = []
-    for p, e in prime_power_factors(N):
+    for p, e in primes:
         q = p**e
         K = _cocycle_kernel(sys, p, e)
         if K.shape[1] == 0:

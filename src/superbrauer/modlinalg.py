@@ -141,24 +141,27 @@ def snf_mod(
             if Linv is not None:
                 Linv[:, s] = (Linv[:, s] * u) % q
         piv = p**v
-        col = A[s + 1 :, s]
-        if col.any():
-            m = col // piv  # exact: the pivot has minimal valuation in its column
-            A[s + 1 :, s:] -= m[:, None] * A[s, s:][None, :]
-            A[s + 1 :, s:] %= q
+        # row step: only rows with A[i, s] != 0 and the pivot row's nonzero
+        # columns change; every other entry would only gain a zero
+        ri = s + 1 + np.flatnonzero(A[s + 1 :, s])
+        if len(ri):
+            m = A[ri, s] // piv  # exact: the pivot has minimal valuation in its column
+            cj = s + np.flatnonzero(A[s, s:])
+            blk = np.ix_(ri, cj)
+            A[blk] = (A[blk] - np.outer(m, A[s, cj])) % q
             if L is not None:
-                L[s + 1 :, :] = (L[s + 1 :, :] - np.outer(m, L[s, :])) % q
+                L[ri, :] = (L[ri, :] - np.outer(m, L[s, :])) % q
             if Linv is not None:
-                Linv[:, s] = (Linv[:, s] + Linv[:, s + 1 :] @ m) % q
-        row = A[s, s + 1 :]
-        if row.any():
-            m = row // piv
-            A[s:, s + 1 :] -= A[s:, s][:, None] * m[None, :]
-            A[s:, s + 1 :] %= q
+                Linv[:, s] = (Linv[:, s] + Linv[:, ri] @ m) % q
+        # column step: column s is now zero below the pivot and row s is never
+        # read again, so only R and Rinv change
+        cj = s + 1 + np.flatnonzero(A[s, s + 1 :])
+        if len(cj):
+            m = A[s, cj] // piv
             if R is not None:
-                R[:, s + 1 :] = (R[:, s + 1 :] - np.outer(R[:, s], m)) % q
+                R[:, cj] = (R[:, cj] - np.outer(R[:, s], m)) % q
             if Rinv is not None:
-                Rinv[s, :] = (Rinv[s, :] + m @ Rinv[s + 1 :, :]) % q
+                Rinv[s, :] = (Rinv[s, :] + m @ Rinv[cj, :]) % q
         diag.append(v)
     return SnfMod(p=p, e=e, diag=diag, rows=rows, cols=cols, L=L, Linv=Linv, R=R, Rinv=Rinv)
 

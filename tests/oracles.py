@@ -15,6 +15,8 @@ oracles use only the algebra's `product_basis` and `coproduct_basis`: the
 cocycle and lazy checks expand both coproducts and the product for every
 basis tuple, and the R-matrix legs are multiplied in H (x) H (x) H.  The
 invariant-form oracle checks a form against the matrix of every element.
+The elimination oracle `dense_snf_mod` is the dense `snf_mod`: the same
+pivots, but every pivot rewrites the whole trailing block and transforms.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from superbrauer import (
     sharp,
     splitting_character,
 )
+from superbrauer.modlinalg import SnfMod, _val, _val_matrix, inverse_mod
 from superbrauer.supergroup import DEFAULT_DIM_BUDGET, SAMPLED_TRIPLES
 
 
@@ -495,3 +498,87 @@ def is_group_invariant_form(rep, sigma):
         if moved != [list(row) for row in sigma]:
             return False
     return True
+
+
+def dense_snf_mod(
+    M: np.ndarray,
+    p: int,
+    e: int,
+    *,
+    want_l: bool = False,
+    want_linv: bool = False,
+    want_r: bool = False,
+    want_rinv: bool = False,
+) -> SnfMod:
+    """Diagonalize M over Z/p**e by minimal-valuation full pivoting."""
+    q = p**e
+    A = np.asarray(M, dtype=np.int64) % q
+    rows, cols = A.shape
+    L = np.eye(rows, dtype=np.int64) if want_l else None
+    Linv = np.eye(rows, dtype=np.int64) if want_linv else None
+    R = np.eye(cols, dtype=np.int64) if want_r else None
+    Rinv = np.eye(cols, dtype=np.int64) if want_rinv else None
+
+    diag: list[int] = []
+    for s in range(min(rows, cols)):
+        # pivot search: unit in the current column, then any unit, then min valuation
+        colunits = (A[s:, s] % p) != 0
+        if colunits.any():
+            i, j = s + int(np.argmax(colunits)), s
+        else:
+            block = A[s:, s:]
+            units = (block % p) != 0
+            if units.any():
+                flat = int(np.argmax(units))
+                bi, bj = divmod(flat, cols - s)
+                i, j = s + bi, s + bj
+            elif not block.any():
+                break
+            else:
+                vals = _val_matrix(block, p, e)
+                flat = int(np.argmin(vals))
+                bi, bj = divmod(flat, cols - s)
+                i, j = s + bi, s + bj
+        if i != s:
+            A[[s, i], :] = A[[i, s], :]
+            if L is not None:
+                L[[s, i], :] = L[[i, s], :]
+            if Linv is not None:
+                Linv[:, [s, i]] = Linv[:, [i, s]]
+        if j != s:
+            A[:, [s, j]] = A[:, [j, s]]
+            if R is not None:
+                R[:, [s, j]] = R[:, [j, s]]
+            if Rinv is not None:
+                Rinv[[s, j], :] = Rinv[[j, s], :]
+        a = int(A[s, s])
+        v = _val(a, p, e)
+        u = a // p**v
+        if u != 1:
+            uinv = inverse_mod(u, q)
+            A[s, s:] = (A[s, s:] * uinv) % q
+            if L is not None:
+                L[s, :] = (L[s, :] * uinv) % q
+            if Linv is not None:
+                Linv[:, s] = (Linv[:, s] * u) % q
+        piv = p**v
+        col = A[s + 1 :, s]
+        if col.any():
+            m = col // piv  # exact: the pivot has minimal valuation in its column
+            A[s + 1 :, s:] -= m[:, None] * A[s, s:][None, :]
+            A[s + 1 :, s:] %= q
+            if L is not None:
+                L[s + 1 :, :] = (L[s + 1 :, :] - np.outer(m, L[s, :])) % q
+            if Linv is not None:
+                Linv[:, s] = (Linv[:, s] + Linv[:, s + 1 :] @ m) % q
+        row = A[s, s + 1 :]
+        if row.any():
+            m = row // piv
+            A[s:, s + 1 :] -= A[s:, s][:, None] * m[None, :]
+            A[s:, s + 1 :] %= q
+            if R is not None:
+                R[:, s + 1 :] = (R[:, s + 1 :] - np.outer(R[:, s], m)) % q
+            if Rinv is not None:
+                Rinv[s, :] = (Rinv[s, :] + m @ Rinv[s + 1 :, :]) % q
+        diag.append(v)
+    return SnfMod(p=p, e=e, diag=diag, rows=rows, cols=cols, L=L, Linv=Linv, R=R, Rinv=Rinv)

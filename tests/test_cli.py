@@ -148,6 +148,19 @@ def test_budget_refusal_names_its_flag(capsys, args, flag):
     assert flag in capsys.readouterr().err
 
 
+def test_coprime_modulus_computes(capsys):
+    """H^2(G, Z_q) = 0 for q prime to |G|, however large q is."""
+    code, out = _run(["h2", "--type", "B2", "--coeff", "1000000007", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["invariants"] == []
+
+
+def test_modulus_too_large_states_its_size(capsys):
+    assert main(["h2", "--type", "B2", "--coeff", str(2**31)]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert "f = 14" in err and f"Z_{2**31}" in err and "no budget flag" in err
+
+
 def test_machine_output_deterministic(zz_file, capsys):
     args = ["h2sharp", "--group", zz_file, "--field", "real", "--format", "json"]
     _, out1 = _run(args, capsys)
@@ -238,6 +251,12 @@ GOLDEN_REPORTS = [
      "49433bdcd04b3794d98368ce4add88f5af75c4aed3c171a1c6ba27ee5f9fa63b"),
     (["bm", "--field", "real", "--group", "z2xz4.json"],  # u = (0, 2): not split
      "122dcdd773d10d8251da45e1fa870a3f7a1176672f73f3e916fcf129d2635175"),
+    (["h2", "--type", "D4"],  # closed field, Z_192: p = 3 has a cyclic Sylow and is skipped
+     "b820a44d46fd5b4871c099b42c4109d05feb01a543fa26d827743a3b49e03157"),
+    (["h2", "--type", "B3", "--coeff", "6"],  # p = 3 kept for Ext(G^ab, Z_3)
+     "3425c324fe28db6cf6684fe3a9345aeaff5ab6557c124ed12a596b46df8119d5"),
+    (["h2", "--group", "z2xz4.json", "--coeff", "12"],  # p = 3 does not divide 8 and is skipped
+     "8b6c2e31a4fc4d38510c26f5de912b81d1360223c9db972e5c0b4bebe3ae5206"),
 ]
 
 # Z2 x Z4 on the points {0, 1} and {2, 3, 4, 5}, u = (0, 2)

@@ -13,7 +13,10 @@ from superbrauer import (
     Cochain2,
     NotCocycle,
     ParseError,
+    RootSystemType,
     TwistedGroupAlgebra,
+    abelianization,
+    build_weyl,
     close_generators,
     coboundary,
     cyclic_group,
@@ -23,6 +26,7 @@ from superbrauer import (
     is_cocycle,
     symmetric_group,
 )
+from superbrauer import cohomology
 from superbrauer.cohomology import group_exponent
 
 from .oracles import all_pairs_degrees_are_characters, all_triples_is_cocycle, brute_h2_order
@@ -265,3 +269,62 @@ def test_is_cocycle_matches_all_triples_oracle(name, modulus, seed, perturb):
         alg = TwistedGroupAlgebra(g, Cochain2.zero(g, modulus), ALG_CLOSED)
         alg.sigma = sigma  # the constructor admits cocycles only; compare on any cochain
         assert alg.degrees_are_characters() == all_pairs_degrees_are_characters(sigma)
+
+
+# every Sylow subgroup of these is cyclic, so the closed field solves no prime
+_ALL_PRIMES_DEAD = ["Z3", "Z4", "Z6", "Z12", "D3", "D5", "Dic3"]
+# groups of order <= 12
+_SCHUR_GROUPS = {
+    **{name: _SMALL_GROUPS[name] for name in ("Z2", "Z3", "Z4", "Z6", "Z8", "Z12", "Z2xZ2", "Z2xZ4")},
+    "Z2xZ6": lambda: direct_product(cyclic_group(2), cyclic_group(6)),
+    "Z3xZ3": lambda: direct_product(cyclic_group(3), cyclic_group(3)),
+    "Z2xZ2xZ2": lambda: direct_product(direct_product(cyclic_group(2), cyclic_group(2)), cyclic_group(2)),
+    **{f"D{n}": functools.partial(_dihedral, n) for n in (3, 4, 5, 6)},
+    "S3xZ2": _SMALL_GROUPS["S3xZ2"],
+    "A4": lambda: close_generators([[1, 2, 0, 3], [0, 2, 3, 1]]),
+    "Q8": lambda: close_generators([
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+        [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+    ]),
+    # Z3 x| Z4, the generator of Z4 inverting Z3
+    "Dic3": lambda: close_generators([[1, 2, 0, 3, 4, 5, 6], [0, 2, 1, 4, 5, 6, 3]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCHUR_GROUPS))
+def test_closed_field_matches_brute_schur_multiplier(name):
+    """|M(G)| = |H^2(G, Z_|G|)| / |G^ab| from the dense bar system, whether
+    the cyclic-Sylow rule skips all, some or none of the primes of |G|."""
+    g = _SCHUR_GROUPS[name]()
+    assert g.order <= 12
+    ab_order = int(np.prod(abelianization(g).cyclic_orders, dtype=np.int64))
+    assert h2_closed_field(g).size == brute_h2_order(g, g.order) // ab_order
+
+
+@pytest.mark.parametrize("name", _ALL_PRIMES_DEAD)
+def test_class_of_checks_cocycles_when_every_prime_is_skipped(name):
+    g = _SCHUR_GROUPS[name]()
+    cg = h2_closed_field(g)
+    assert cg.invariants == ()
+    rng = np.random.default_rng(g.order)
+    gamma = rng.integers(0, g.order, g.order)
+    gamma[g.identity] = 0
+    sigma = coboundary(g, g.order, gamma)
+    assert cg.class_of(sigma).is_trivial()
+    vals = sigma.values.copy()
+    a, b = [x for x in range(g.order) if x != g.identity][:2]  # breaks the equation on (c, a, b), c != 1, a
+    vals[a, b] += 1
+    with pytest.raises(NotCocycle):
+        cg.class_of(sigma.copy_with(vals))
+
+
+def test_dead_primes_are_not_solved(monkeypatch):
+    """Closed W(B3) (|G| = 48, exp 12) solves p = 2 only; 3 does not divide |W(B2)|."""
+    solved = []
+    kernel = cohomology._cocycle_kernel
+    monkeypatch.setattr(cohomology, "_cocycle_kernel", lambda sys, p, e: solved.append(p) or kernel(sys, p, e))
+    assert h2_closed_field(build_weyl(RootSystemType.parse("B3")).group).invariants == (2, 2)
+    assert solved == [2]
+    solved.clear()
+    assert h2(build_weyl(RootSystemType.parse("B2")).group, 3).invariants == ()
+    assert solved == []

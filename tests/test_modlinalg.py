@@ -6,7 +6,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from superbrauer import RootSystemType, build_weyl
+from superbrauer.cohomology import _frontier_system
 from superbrauer.modlinalg import (
     cokernel_mod,
     kernel_mod,
@@ -14,6 +17,8 @@ from superbrauer.modlinalg import (
     snf_mod,
     solve_mod,
 )
+
+from .oracles import dense_snf_mod
 
 
 def test_prime_power_factors():
@@ -93,3 +98,43 @@ def test_cokernel_invariants():
     gen = ck.basis_vectors()[0]
     seen = {ck.class_coords((k * gen) % 8) for k in range(4)}
     assert len(seen) == 4
+
+
+def _assert_same_snf(M, p, e):
+    flags = dict(want_l=True, want_linv=True, want_r=True, want_rinv=True)
+    got, want = snf_mod(M, p, e, **flags), dense_snf_mod(M, p, e, **flags)
+    assert got.diag == want.diag
+    for name in ("L", "Linv", "R", "Rinv"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@st.composite
+def _matrices_mod_prime_power(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    e = draw(st.integers(1, 4))
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    density = draw(st.floats(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.integers(0, p**e, (rows, cols)) * (rng.random((rows, cols)) < density)
+    # rows scaled by p^k can leave a column without units, so the any-unit and
+    # minimal-valuation pivot searches run too
+    return (M * p ** rng.integers(0, e + 1, (rows, 1))) % p**e, p, e
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices_mod_prime_power())
+def test_snf_mod_matches_dense_oracle(case):
+    """The sparse pivot updates give the dense elimination's diag, L, Linv, R, Rinv."""
+    _assert_same_snf(*case)
+
+
+def test_snf_mod_matches_dense_oracle_on_zero_and_frontier_sample():
+    _assert_same_snf(np.zeros((7, 5), dtype=np.int64), 2, 3)
+    # a strided sample of the W(B3) frontier equations, over Z_16
+    sys = _frontier_system(build_weyl(RootSystemType.parse("B3")).group)
+    picks = np.arange(0, sys.eq_count, sys.eq_count // max(3 * sys.fprime, 512))
+    keep = np.isin(sys.eq_rows, picks)
+    M = np.zeros((len(picks), sys.fprime), dtype=np.int64)
+    np.add.at(M, (np.searchsorted(picks, sys.eq_rows[keep]), sys.eq_cols[keep]), sys.eq_vals[keep])
+    assert np.count_nonzero(M % 16) < M.size // 10
+    _assert_same_snf(M % 16, 2, 4)
