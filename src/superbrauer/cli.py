@@ -65,9 +65,10 @@ def _invariants(inv) -> list[int]:
 
 
 def _weyl_datum(args, cap: int):
-    """The Weyl datum of --type; it fixes u = w0, so --u is refused."""
-    if getattr(args, "u", None) is not None:
-        raise errors.ParseError("--u cannot be combined with --type: the Weyl datum fixes u = w0")
+    """The Weyl datum of --type; it fixes G, u = w0 and V, so --group, --u and --rep are refused."""
+    extra = [flag for flag in ("group", "u", "rep") if getattr(args, flag, None) is not None]
+    if extra:
+        raise errors.ParseError(f"--{extra[0]} cannot be combined with --type: the Weyl datum fixes G, u = w0 and V")
     return group_datum(RootSystemType.parse(args.type), cap=cap)
 
 
@@ -275,12 +276,12 @@ def cmd_verify(args) -> dict:
     check = args.check
     budgets = {"cap": args.budget_cap, "dim": args.budget_dim}
     if check == "hopf":
-        rep = verify_hopf(alg, budget=args.budget_dim, seed=args.seed)
+        rep = verify_hopf(alg)
     elif check in ("quasitriangular", "triangular"):
         amat = _matrix_arg(args.A or "zero", alg.nv)
         r = r_matrix_RA(amat, alg)
         fn = verify_quasitriangular if check == "quasitriangular" else verify_triangular
-        rep = fn(alg, r, budget=args.budget_dim, seed=args.seed)
+        rep = fn(alg, r)
     elif check in ("omega-lazy", "omega-cocycle"):
         smat = _matrix_arg(args.sigma or "identity", alg.nv)
         om = omega_sigma(smat, alg)
@@ -404,7 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma", help="symmetric matrix for omega/lambda: identity, zero, or JSON file")
     sp.add_argument("--skip-invariance", action="store_true",
                     help="build lambda from a non-invariant form (the checks will then fail)")
-    sp.add_argument("--budget-dim", dest="budget_dim", type=int, default=DEFAULT_DIM_BUDGET)
+    sp.add_argument("--budget-dim", dest="budget_dim", type=int, default=DEFAULT_DIM_BUDGET,
+                    help="the Hopf and R-matrix checks are exhaustive at every dimension; --budget-dim governs "
+                         "only the omega-*/lambda-* checks, exhaustive up to this dim and sampled beyond")
     sp.set_defaults(func=cmd_verify)
 
     return p

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, NotCocycle, NotSplit, ParseError, TrivialInvolution
 from .cohomology import (
+    DEFAULT_H2_BUDGET,
     CohomologyClass,
     CohomologyGroup,
     Cochain2,
@@ -60,10 +61,10 @@ class FieldDescriptor:
     def brauer_order(self) -> int:
         return 1 if self.kind == "closed" else 2
 
-    def cohomology(self, g: FiniteGroup, budget: int | None = None) -> CohomologyGroup:
+    def cohomology(self, g: FiniteGroup, budget: int = DEFAULT_H2_BUDGET) -> CohomologyGroup:
         if self.kind == "closed":
-            return h2_closed_field(g) if budget is None else h2_closed_field(g, budget)
-        return h2(g, 2) if budget is None else h2(g, 2, budget)
+            return h2_closed_field(g, budget)
+        return h2(g, 2, budget)
 
     def square_class(self, x) -> int:
         """0 for squares, 1 for non-squares; x a nonzero rational."""

@@ -11,10 +11,13 @@ every pair of class representatives with the production `sharp` and
 and Q(k, G) enumerations, which multiply element tuples one cell at a time
 on top of it (markers from each class representative, one pairing `class_of`
 per cell) instead of deriving the tables from generating data.  The Hopf-side
-oracles use only the algebra's `product_basis` and `coproduct_basis`: the
-cocycle and lazy checks expand both coproducts and the product for every
-basis tuple, and the R-matrix legs are multiplied in H (x) H (x) H.  The
-invariant-form oracle checks a form against the matrix of every element.
+oracles use only the algebra's structure constants and its `H (x) H`
+product: the cocycle and lazy checks expand both coproducts and the product
+for every basis tuple, the R-matrix legs are multiplied in H (x) H (x) H, and
+the Hopf axioms and `R Delta = Delta^op R` are checked on every basis pair or
+element (on the production's seeded sample above the dim budget) instead of
+on the algebra generators.  The invariant-form oracle checks a form against
+the matrix of every element.
 The elimination oracle `dense_snf_mod` is the dense `snf_mod`: the same
 pivots, but every pivot rewrites the whole trailing block and transforms.
 """
@@ -38,7 +41,15 @@ from superbrauer import (
     splitting_character,
 )
 from superbrauer.modlinalg import SnfMod, _val, _val_matrix, inverse_mod
-from superbrauer.supergroup import DEFAULT_DIM_BUDGET, SAMPLED_TRIPLES
+from superbrauer.supergroup import (
+    DEFAULT_DIM_BUDGET,
+    SAMPLED_TRIPLES,
+    VerifyReport,
+    _cop_tensor,
+    _tns_add,
+    tensor_flip,
+    tensor_mul,
+)
 
 
 def dense_bar_matrices(g):
@@ -459,6 +470,67 @@ def four_loop_is_lazy(sigma, budget=DEFAULT_DIM_BUDGET, seed=0):
         if any(diff.values()):
             return "lazy", False, "lazy condition fails", (_basis_label(h, a), _basis_label(h, b)), sampled
     return "lazy", True, "", None, sampled
+
+
+def all_pairs_verify_hopf(h, budget=DEFAULT_DIM_BUDGET, seed=0):
+    """The per-pair Hopf check: counit, antipode and coassociativity laws on
+    every basis element met, and Delta(ab) = Delta(a)Delta(b) on all pairs
+    while dim <= budget, else on the seeded sample of pairs."""
+    pairs, sampled = _tuples(h, 2, budget, seed)
+    pairs = list(pairs)
+    singles = sorted({a for p in pairs for a in p})
+    # counit and antipode laws
+    for b in singles:
+        cop = h.coproduct_basis(b)
+        left = {}
+        right = {}
+        anti1 = {}
+        anti2 = {}
+        for b1, b2, c in cop:
+            _tns_add(left, b2, c * h.counit_basis(b1))
+            _tns_add(right, b1, c * h.counit_basis(b2))
+            for z, cz in h.mul_elements(h.antipode_basis(b1), {b2: Fraction(1)}).items():
+                _tns_add(anti1, z, c * cz)
+            for z, cz in h.mul_elements({b1: Fraction(1)}, h.antipode_basis(b2)).items():
+                _tns_add(anti2, z, c * cz)
+        if left != {b: Fraction(1)} or right != {b: Fraction(1)}:
+            return VerifyReport("hopf", False, "counit law fails", (h.label(b),), sampled)
+        eps = {h.unit: h.counit_basis(b)} if h.counit_basis(b) else {}
+        if anti1 != eps or anti2 != eps:
+            return VerifyReport("hopf", False, "antipode axiom fails", (h.label(b),), sampled)
+        # coassociativity
+        lhs = {}
+        rhs = {}
+        for b1, b2, c in cop:
+            for x1, x2, cx in h.coproduct_basis(b1):
+                _tns_add(lhs, (x1, x2, b2), c * cx)
+            for y1, y2, cy in h.coproduct_basis(b2):
+                _tns_add(rhs, (b1, y1, y2), c * cy)
+        if lhs != rhs:
+            return VerifyReport("hopf", False, "coassociativity fails", (h.label(b),), sampled)
+    # Delta is an algebra map
+    for a, b in pairs:
+        prod = h.product_basis(a, b)
+        lhs2 = {}
+        for z, cz in prod.items():
+            for z1, z2, c in h.coproduct_basis(z):
+                _tns_add(lhs2, (z1, z2), cz * c)
+        rhs2 = tensor_mul(h, _cop_tensor(h, a), _cop_tensor(h, b))
+        if lhs2 != rhs2:
+            return VerifyReport("hopf", False, "coproduct not multiplicative", (h.label(a), h.label(b)), sampled)
+    return VerifyReport("hopf", True, f"dim {h.dim}", None, sampled)
+
+
+def all_basis_r_delta(h, r, budget=DEFAULT_DIM_BUDGET, seed=0):
+    """R Delta(b) = Delta^op(b) R on every basis element b while dim <= budget,
+    else on the seeded sample."""
+    elems, sampled = _tuples(h, 1, budget, seed)
+    for (b,) in elems:
+        d = _cop_tensor(h, b)
+        dop = tensor_flip(d)
+        if tensor_mul(h, r, d) != tensor_mul(h, dop, r):
+            return VerifyReport("quasitriangular", False, "R Delta != Delta^op R", (h.label(b),), sampled)
+    return VerifyReport("quasitriangular", True, "", None, sampled)
 
 
 def triple_tensor_legs(h, r):

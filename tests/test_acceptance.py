@@ -299,11 +299,12 @@ def test_criterion_8_hopf_r_matrix_suite():
         t0 = time.perf_counter()
         from superbrauer import group_datum
 
-        # Hopf axioms for H(Phi) with dim <= 64 and E(n), n <= 4
-        for name in ("A1", "A2", "B2", "G2"):
+        # Hopf axioms for H(Phi) with dim <= 64, for W(B3) (dim 384, exhaustive
+        # above the dim budget too) and for E(n), n <= 4
+        for name in ("A1", "A2", "B2", "G2", "B3"):
             datum = group_datum(RootSystemType.parse(name))
             alg = build_supergroup(datum.group, datum.inv, datum.rep)
-            assert alg.dim <= 64
+            assert alg.dim <= 64 or (name, alg.dim) == ("B3", 384)
             rep = verify_hopf(alg)
             assert rep.passed and not rep.sampled, name
         for n in (1, 2, 3, 4):

@@ -125,6 +125,19 @@ def test_malformed_matrix_exit_code(tmp_path, capsys, matrix, flag, check):
     assert "matrix must be a list of rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["lazy", "--type", "B2", "--rep", "nonexistent.json"],
+    ["invforms", "--type", "B2", "--rep", "nonexistent.json"],
+    ["bm", "--type", "B2", "--field", "real", "--rep", "nonexistent.json"],
+    ["h2", "--type", "B2", "--group", "nonexistent.json"],
+    ["h2sharp", "--type", "B2", "--field", "real", "--group", "nonexistent.json"],
+], ids=["lazy", "invforms", "bm", "h2", "h2sharp"])
+def test_group_input_with_type_exit_code(capsys, args):
+    """The Weyl datum fixes G and V; a --group or --rep next to --type is refused, not ignored."""
+    assert main(args) == EXIT_PARSE
+    assert f"{args[-2]} cannot be combined with --type" in capsys.readouterr().err
+
+
 def test_u_with_type_exit_code(capsys):
     """The Weyl datum fixes u = w0; a --u next to --type is refused, not ignored."""
     assert main(["bm", "--type", "A1", "--field", "real", "--u", "0"]) == EXIT_PARSE
@@ -257,6 +270,12 @@ GOLDEN_REPORTS = [
      "3425c324fe28db6cf6684fe3a9345aeaff5ab6557c124ed12a596b46df8119d5"),
     (["h2", "--group", "z2xz4.json", "--coeff", "12"],  # p = 3 does not divide 8 and is skipped
      "8b6c2e31a4fc4d38510c26f5de912b81d1360223c9db972e5c0b4bebe3ae5206"),
+    (["verify", "--type", "B3", "--check", "hopf"],  # dim 384: exhaustive above the dim budget
+     "394741f78edb6f7e82d7cf415f9e62ef4b2e68842ac2f34d5a47c93bed6eedd5"),
+    (["verify", "--algebra", "E6", "--check", "hopf"],  # dim 128
+     "f25cb088ffad78c119e32021be04e2aa42494074b58ce43cc02e26d24abb8a8f"),
+    (["verify", "--algebra", "E6", "--check", "triangular", "--A", "identity"],  # dim 128
+     "73eb7e4c8425eeff487cce210d21a245bad34bfb15e406cf5b01412e68847cea"),
 ]
 
 # Z2 x Z4 on the points {0, 1} and {2, 3, 4, 5}, u = (0, 2)

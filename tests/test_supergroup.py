@@ -39,7 +39,14 @@ from superbrauer import (
 )
 from superbrauer.supergroup import HCochain2, _r_legs
 
-from .oracles import dense_lambda_cocycle, four_loop_cocycle_check, four_loop_is_lazy, triple_tensor_legs
+from .oracles import (
+    all_basis_r_delta,
+    all_pairs_verify_hopf,
+    dense_lambda_cocycle,
+    four_loop_cocycle_check,
+    four_loop_is_lazy,
+    triple_tensor_legs,
+)
 
 
 def _elem(h, b):
@@ -111,12 +118,27 @@ def test_hopf_axioms_en():
         assert verify_hopf(build_en(n)).passed
 
 
-def test_hopf_axioms_weyl_small(datum_a2, datum_b2, datum_g2):
-    for d in (datum_a2, datum_b2, datum_g2):
+def test_hopf_axioms_weyl_small(datum_a2, datum_b2, datum_g2, datum_b3):
+    """Exhaustive below the dim budget, and above it (W(B3), dim 384) too."""
+    for d in (datum_a2, datum_b2, datum_g2, datum_b3):
         h = build_supergroup(d.group, d.inv, d.rep)
-        assert h.dim <= 64
+        assert h.dim <= 64 or d is datum_b3 and h.dim == 384
         rep = verify_hopf(h)
         assert rep.passed and not rep.sampled
+
+
+def test_hopf_check_catches_error_the_sampled_check_missed(datum_d4):
+    """One extra term 1 (x) b in Delta(b), b = g12*v0v2v3 on the W(D4) datum
+    (dim 3072): the seeded sample of pairs misses it, the generator check does not."""
+    h = build_supergroup(datum_d4.group, datum_d4.inv, datum_d4.rep)
+    b = h.encode(12, 0b1101)
+    assert h.label(b) == "g12*v0v2v3"
+    h._cop[b] = h.coproduct_basis(b) + [(h.unit, b, Fraction(1))]
+    rep = verify_hopf(h)
+    assert (rep.passed, rep.detail, rep.counterexample, rep.sampled) == (
+        False, "coproduct not multiplicative", ("g3*v0v1v2", "g4"), False)
+    old = all_pairs_verify_hopf(h)
+    assert old.passed and old.sampled
 
 
 def test_build_requires_minus_one(datum_a2):
@@ -412,11 +434,11 @@ def _report_tuple(rep):
 
 @functools.cache
 def _algebra(name):
-    """E(1)-E(3) and W(B2), built once so their product caches are shared."""
-    if name == "B2":
+    """E(0)-E(3), W(A1) and W(B2), built once so their product caches are shared."""
+    if name in ("A1", "B2"):
         from superbrauer import RootSystemType, group_datum
 
-        d = group_datum(RootSystemType.parse("B2"))
+        d = group_datum(RootSystemType.parse(name))
         return build_supergroup(d.group, d.inv, d.rep)
     return build_en(int(name[1:]))
 
@@ -458,6 +480,61 @@ def test_twisted_product_checks_match_four_loop_oracle(case):
     assert _report_tuple(is_left_cocycle(sigma, budget, seed)) == four_loop_cocycle_check(sigma, False, budget, seed)
     assert _report_tuple(is_right_cocycle(sigma, budget, seed)) == four_loop_cocycle_check(sigma, True, budget, seed)
     assert _report_tuple(is_lazy(sigma, budget, seed)) == four_loop_is_lazy(sigma, budget, seed)
+
+
+@st.composite
+def _perturbed_hopf_algebras(draw):
+    """(algebra, memo dict, b, value) with Delta(b) or S(b) of one basis element
+    of E(0)-E(3), W(A1) or W(B2) moved by one coefficient; (algebra, None, None,
+    None) leaves the algebra as built."""
+    h = _algebra(draw(st.sampled_from(["E0", "E1", "E2", "E3", "A1", "B2"])))
+    kind = draw(st.sampled_from([None, "coproduct", "antipode"]))
+    if kind is None:
+        return h, None, None, None
+    basis = st.integers(0, h.dim - 1)
+    b = draw(basis)
+    if kind == "coproduct":
+        memo, value = h._cop, {(b1, b2): c for b1, b2, c in h.coproduct_basis(b)}
+        key = (draw(basis), draw(basis))
+    else:
+        memo, value = h._anti, dict(h.antipode_basis(b))
+        key = draw(basis)
+    value[key] = value.get(key, Fraction(0)) + draw(_nonzero)
+    value = {k: c for k, c in value.items() if c}
+    if kind == "coproduct":
+        value = [(b1, b2, c) for (b1, b2), c in value.items()]
+    return h, memo, b, value
+
+
+@settings(max_examples=80, deadline=None)
+@given(_perturbed_hopf_algebras())
+def test_generator_hopf_check_matches_all_pairs_oracle(case):
+    """The check on basis x generators gives the verdict of the all-pairs
+    check, on the algebra as built and with one Delta(b) or S(b) moved."""
+    h, memo, b, value = case
+    if memo is not None:
+        saved, memo[b] = memo[b], value  # the strategy filled memo[b]
+    try:
+        new, old = verify_hopf(h), all_pairs_verify_hopf(h)
+    finally:
+        if memo is not None:
+            memo[b] = saved
+    assert new.passed == old.passed
+    assert not new.sampled and not old.sampled
+    assert memo is not None or new.passed
+
+
+def test_generator_r_delta_matches_all_basis_oracle(datum_b2):
+    """R Delta = Delta^op R on the generators decides as on every basis element:
+    R_A on E(1)-E(3) and R_u on W(B2) pass, and R = 1 x 1, which passes the legs
+    and commutes with Delta(g), fails on the v_i."""
+    rng = random.Random(3)
+    for h in [build_en(n) for n in (1, 2, 3)] + [build_supergroup(datum_b2.group, datum_b2.inv, datum_b2.rep)]:
+        r = r_matrix_RA(_random_symmetric(rng, h.nv), h) if h.group.order == 2 else r_u(h)
+        for cand, ok in ((r, True), ({(h.unit, h.unit): Fraction(1)}, False)):
+            rep = verify_quasitriangular(h, cand)
+            assert rep.passed == all_basis_r_delta(h, cand).passed == ok
+            assert ok or rep.detail == "R Delta != Delta^op R"
 
 
 def test_r_legs_match_triple_tensor_oracle():
