@@ -271,6 +271,15 @@ def _algebra_from_args(args):
     raise errors.ParseError("verify needs --algebra E<n> or --type XN")
 
 
+# the checks behind each composite --check, in order; the first failure is reported
+COMPOSITE_CHECKS = {
+    "omega-lazy": (is_lazy, is_left_cocycle),
+    "omega-cocycle": (is_left_cocycle,),
+    "lambda-lazy": (is_left_cocycle, is_lazy),
+    "lambda-cocycle": (is_left_cocycle, is_lazy),
+}
+
+
 def cmd_verify(args) -> dict:
     alg = _algebra_from_args(args)
     check = args.check
@@ -282,28 +291,22 @@ def cmd_verify(args) -> dict:
         r = r_matrix_RA(amat, alg)
         fn = verify_quasitriangular if check == "quasitriangular" else verify_triangular
         rep = fn(alg, r)
-    elif check in ("omega-lazy", "omega-cocycle"):
-        smat = _matrix_arg(args.sigma or "identity", alg.nv)
-        om = omega_sigma(smat, alg)
-        rep = is_lazy(om, budget=args.budget_dim, seed=args.seed) if check == "omega-lazy" else is_left_cocycle(om, budget=args.budget_dim, seed=args.seed)
-        if rep.passed and check == "omega-lazy":
-            rep2 = is_left_cocycle(om, budget=args.budget_dim, seed=args.seed)
-            if not rep2.passed:
-                rep = rep2
-    elif check in ("lambda-lazy", "lambda-cocycle"):
-        if args.sigma:
-            smat = _matrix_arg(args.sigma, alg.nv)
+    elif check in COMPOSITE_CHECKS:
+        if check.startswith("omega-"):
+            cochain = omega_sigma(_matrix_arg(args.sigma or "identity", alg.nv), alg)
         else:
-            forms = invariant_symmetric_forms(alg.rep)
-            if not forms.basis:
-                raise errors.ParseError("no invariant symmetric form available")
-            smat = [[x for x in row] for row in forms.basis[0]]
-        lam = lambda_cocycle(alg, smat, require_invariant=not args.skip_invariance)
-        rep = is_left_cocycle(lam, budget=args.budget_dim, seed=args.seed)
-        if rep.passed:
-            rep2 = is_lazy(lam, budget=args.budget_dim, seed=args.seed)
-            if not rep2.passed:
-                rep = rep2
+            if args.sigma:
+                smat = _matrix_arg(args.sigma, alg.nv)
+            else:
+                forms = invariant_symmetric_forms(alg.rep)
+                if not forms.basis:
+                    raise errors.ParseError("no invariant symmetric form available")
+                smat = [[x for x in row] for row in forms.basis[0]]
+            cochain = lambda_cocycle(alg, smat, require_invariant=not args.skip_invariance)
+        for fn in COMPOSITE_CHECKS[check]:
+            rep = fn(cochain, budget=args.budget_dim, seed=args.seed)
+            if not rep.passed:
+                break
     else:
         raise errors.ParseError(f"unknown check {check!r}")
     payload = {

@@ -13,9 +13,13 @@ Each prime power of N is solved by exact Z_{p^e} elimination and the pieces
 are recombined by CRT.  Only primes that can contribute are solved: |G| and
 p^e both kill H^2(G, Z_{p^e}), and on the closed field the p-part of M(G)
 restricts injectively to a Sylow p-subgroup, whose multiplier is 0 when it is
-cyclic (Karpilovsky 1987), i.e. when p does not divide |G| / exp(G).  The
-sparse pivot updates of snf_mod choose the same pivots and add the same
-nonzero terms, so kernel bases, and with them all reports, are unchanged.
+cyclic (Karpilovsky 1987), i.e. when p does not divide |G| / exp(G).
+
+The equations are never stored.  `_equation_rows` builds the dense signed
+rows for any list of row ids from the padded BFS chains: a strided sample is
+solved exactly, and float64 windows verify its kernel.  A row has at most
+4L + 2 entries of +-1 for the longest word length L, and q < 2^31 is
+enforced, so every residual is an integer below 2^53 and exact in float64.
 """
 
 from __future__ import annotations
@@ -153,17 +157,18 @@ def is_cocycle(sigma: Cochain2) -> bool:
 
 @dataclass(eq=False)
 class _FrontierSystem:
+    """Unknowns T(x, s) plus every element's BFS chain, padded to the longest
+    word: step j of h's word multiplies chain_el[h, j] by the generator
+    chain_gen[h, j], and chain_mask[h, j] is False past the word's end."""
+
     group: FiniteGroup
     num_gens: int
     fprime: int
     xpos: np.ndarray  # element -> frontier row, identity -> -1
     nonid: np.ndarray
-    chain_x: list[np.ndarray]
-    chain_k: list[np.ndarray]
-    eq_rows: np.ndarray
-    eq_cols: np.ndarray
-    eq_vals: np.ndarray
-    eq_count: int
+    chain_el: np.ndarray  # n x L
+    chain_gen: np.ndarray  # n x L
+    chain_mask: np.ndarray  # n x L
 
     def frontier_vector(self, values: np.ndarray) -> np.ndarray:
         gen_els = np.array(self.group.gens, dtype=np.int64)
@@ -171,100 +176,40 @@ class _FrontierSystem:
 
     def reconstruct(self, tvec: np.ndarray, modulus: int) -> np.ndarray:
         """Expand frontier values into the full cochain they determine."""
-        g = self.group
-        n = g.order
-        mul = np.asarray(g.mul)
+        n = self.group.order
+        mul = np.asarray(self.group.mul)
         vfull = np.zeros((n, self.num_gens), dtype=np.int64)
         vfull[self.nonid, :] = np.asarray(tvec, dtype=np.int64).reshape(len(self.nonid), self.num_gens)
         out = np.zeros((n, n), dtype=np.int64)
-        for h in range(n):
-            cx, ck = self.chain_x[h], self.chain_k[h]
-            if len(cx) == 0:
-                continue
-            acc = np.zeros(n, dtype=np.int64)
-            for x, k in zip(cx, ck):
-                acc += vfull[mul[:, x], k] - vfull[x, k]
-            out[:, h] = acc % modulus
-        return out
+        for x, k, live in zip(self.chain_el.T, self.chain_gen.T, self.chain_mask.T):
+            out += (vfull[mul[:, x], k] - vfull[x, k]) * live
+        return out % modulus
 
 
 def _build_frontier_system(g: FiniteGroup) -> _FrontierSystem:
     n = g.order
-    num_gens = len(g.gens)
     mul = np.asarray(g.mul, dtype=np.int64)
     xpos = np.full(n, -1, dtype=np.int64)
     nonid = np.array([x for x in range(n) if x != g.identity], dtype=np.int64)
     xpos[nonid] = np.arange(len(nonid))
-    fprime = len(nonid) * num_gens
-
-    chain_x: list[np.ndarray] = []
-    chain_k: list[np.ndarray] = []
-    for h in range(n):
-        word = g.words[h]
-        xs, x = [], g.identity
-        for k in word:
-            xs.append(x)
+    width = max(len(w) for w in g.words)
+    chain_el = np.full((n, width), g.identity, dtype=np.int64)
+    chain_gen = np.zeros((n, width), dtype=np.int64)
+    chain_mask = np.zeros((n, width), dtype=bool)
+    for h, word in enumerate(g.words):
+        x = g.identity
+        for j, k in enumerate(word):
+            chain_el[h, j], chain_gen[h, j], chain_mask[h, j] = x, k, True
             x = int(mul[x, g.gens[k]])
-        chain_x.append(np.array(xs, dtype=np.int64))
-        chain_k.append(np.array(word, dtype=np.int64))
-
-    rows_acc, cols_acc, vals_acc = [], [], []
-
-    def emit(rows, cols, vals, mask):
-        rows_acc.append(np.asarray(rows)[mask].astype(np.int32))
-        cols_acc.append(np.asarray(cols)[mask].astype(np.int32))
-        vals_acc.append(np.asarray(vals)[mask].astype(np.int8))
-
-    ng = len(nonid)
-    eq = 0
-    for h in range(n):
-        if h == g.identity:
-            continue
-        cxh, ckh = chain_x[h], chain_k[h]
-        gxh = mul[np.ix_(nonid, cxh)]
-        exp_h_cols = xpos[gxh] * num_gens + ckh[None, :]
-        exp_h_mask = xpos[gxh] >= 0
-        const_h_cols = xpos[cxh] * num_gens + ckh
-        const_h_mask = xpos[cxh] >= 0
-        for k in range(num_gens):
-            s_el = g.gens[k]
-            hs = int(mul[h, s_el])
-            cxs, cks = chain_x[hs], chain_k[hs]
-            rids = eq + np.arange(ng, dtype=np.int64)
-            ones = np.ones(ng, dtype=np.int8)
-            # + expansion of sigma(g, h)
-            rr = np.repeat(rids, len(cxh))
-            emit(rr, exp_h_cols.reshape(-1), np.ones(ng * len(cxh)), exp_h_mask.reshape(-1))
-            emit(rr, np.tile(const_h_cols, ng), -np.ones(ng * len(cxh)), np.tile(const_h_mask, ng))
-            # + T(g h, k)
-            gh = mul[nonid, h]
-            emit(rids, xpos[gh] * num_gens + k, ones, xpos[gh] >= 0)
-            # - T(h, k)
-            emit(rids, np.full(ng, xpos[h] * num_gens + k), -ones, np.ones(ng, dtype=bool))
-            # - expansion of sigma(g, h s)
-            if len(cxs):
-                gxs = mul[np.ix_(nonid, cxs)]
-                rr = np.repeat(rids, len(cxs))
-                cc = (xpos[gxs] * num_gens + cks[None, :]).reshape(-1)
-                emit(rr, cc, -np.ones(ng * len(cxs)), (xpos[gxs] >= 0).reshape(-1))
-                emit(rr, np.tile(xpos[cxs] * num_gens + cks, ng), np.ones(ng * len(cxs)), np.tile(xpos[cxs] >= 0, ng))
-            eq += ng
-    rows = np.concatenate(rows_acc) if rows_acc else np.zeros(0, dtype=np.int32)
-    cols = np.concatenate(cols_acc) if cols_acc else np.zeros(0, dtype=np.int32)
-    vals = np.concatenate(vals_acc) if vals_acc else np.zeros(0, dtype=np.int8)
-    order = np.argsort(rows, kind="stable")
     return _FrontierSystem(
         group=g,
-        num_gens=num_gens,
-        fprime=fprime,
+        num_gens=len(g.gens),
+        fprime=len(nonid) * len(g.gens),
         xpos=xpos,
         nonid=nonid,
-        chain_x=chain_x,
-        chain_k=chain_k,
-        eq_rows=rows[order],
-        eq_cols=cols[order],
-        eq_vals=vals[order],
-        eq_count=eq,
+        chain_el=chain_el,
+        chain_gen=chain_gen,
+        chain_mask=chain_mask,
     )
 
 
@@ -274,6 +219,32 @@ def _frontier_system(g: FiniteGroup) -> _FrontierSystem:
         sys = _build_frontier_system(g)
         object.__setattr__(g, "_h2_system", sys)
     return sys
+
+
+def _equation_rows(sys: _FrontierSystem, ids: np.ndarray) -> np.ndarray:
+    """Dense signed float64 rows of the frontier equations numbered `ids`.
+
+    Row (h_pos |S| + k)(n-1) + g_pos, with g and h in nonid order, is
+    sigma(g, h) + T(gh, k) - T(h, k) - sigma(g, h s_k), each sigma expanded
+    along its padded chain; padding and identity entries weigh 0.
+    """
+    mul = np.asarray(sys.group.mul)
+    hk, gpos = np.divmod(np.asarray(ids, dtype=np.int64), len(sys.nonid))
+    hpos, k = np.divmod(hk, sys.num_gens)
+    g, h = sys.nonid[gpos], sys.nonid[hpos]
+    hs = mul[h, np.asarray(sys.group.gens)[k]]
+
+    def sigma(y, sign):  # sign * sigma(g, y) = sign * sum_j T(g c_j, k_j) - T(c_j, k_j)
+        chain, gens, live = sys.chain_el[y], sys.chain_gen[y], sys.chain_mask[y]
+        return [(mul[g[:, None], chain], gens, sign * live), (chain, gens, -sign * live)]
+
+    one = np.ones((len(g), 1), dtype=np.int64)
+    terms = sigma(h, 1) + [(mul[g, h][:, None], k[:, None], one), (h[:, None], k[:, None], -one)] + sigma(hs, -1)
+    els, gens, weights = (np.hstack(t) for t in zip(*terms))
+    cols = sys.xpos[els] * sys.num_gens + gens  # negative exactly at the identity
+    flat = np.arange(len(g))[:, None] * sys.fprime + np.maximum(cols, 0)
+    out = np.bincount(flat.ravel(), weights=(weights * (cols >= 0)).ravel(), minlength=len(g) * sys.fprime)
+    return out.reshape(len(g), sys.fprime)
 
 
 def _cocycle_kernel(sys: _FrontierSystem, p: int, e: int) -> np.ndarray:
@@ -286,8 +257,7 @@ def _cocycle_kernel(sys: _FrontierSystem, p: int, e: int) -> np.ndarray:
     f = sys.fprime
     if f == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    rows, cols, vals = sys.eq_rows, sys.eq_cols, sys.eq_vals
-    total = sys.eq_count
+    total = len(sys.nonid) ** 2 * sys.num_gens
     if f * q * q >= 2**62:
         raise BudgetExceeded(
             f"exact elimination over Z_{q} needs f*q^2 < 2^62 with f = {f} unknowns; no budget flag admits this job"
@@ -295,42 +265,22 @@ def _cocycle_kernel(sys: _FrontierSystem, p: int, e: int) -> np.ndarray:
 
     sample_rows = min(total, max(3 * f, 512))
     step = max(1, total // sample_rows)
-    picks = np.arange(0, total, step, dtype=np.int64)
-    rmap = np.full(total, -1, dtype=np.int64)
-    rmap[picks] = np.arange(len(picks))
-    sel = rmap[rows] >= 0
-    flat = rmap[rows[sel]] * f + cols[sel]
-    sample = (
-        np.bincount(flat, weights=vals[sel].astype(np.float64), minlength=len(picks) * f)
-        .astype(np.int64)
-        .reshape(len(picks), f)
-        % q
-    )
-    K = kernel_mod(sample, p, e)
+    K = kernel_mod(_equation_rows(sys, np.arange(0, total, step)), p, e)
     if K.shape[1] == 0:
         return K
     # Rows that K satisfies stay satisfied by K Y, and K ker(C) satisfies the
-    # violated rows, so one refinement solves every equation.
-    use_float = f * q * q < 2**52
-    Kf = K.astype(np.float64) if use_float else K
+    # violated rows, so one refinement solves every equation.  A row has at
+    # most 4L + 2 entries of +-1 (L the longest word), so each residual is at
+    # most (4L + 2)(q - 1) in size; the guard above gives q < 2^31, so every
+    # float64 residual is an exact integer below 2^53.
+    Kf = K.astype(np.float64)
     bad = []
-    starts = np.arange(0, total, 4096)
-    edges = np.searchsorted(rows, np.append(starts, total).astype(rows.dtype))
-    for lo, a, b in zip(starts, edges[:-1], edges[1:]):
-        hi = min(lo + 4096, total)
-        flat = (rows[a:b].astype(np.int64) - lo) * f + cols[a:b]
-        blk = np.bincount(flat, weights=vals[a:b].astype(np.float64), minlength=(hi - lo) * f)
-        blk = blk.astype(np.int64).reshape(hi - lo, f) % q
-        if use_float:
-            res = np.rint(blk.astype(np.float64) @ Kf).astype(np.int64) % q
-        else:
-            res = (blk @ K) % q
-        viol = np.nonzero(res.any(axis=1))[0]
-        if len(viol):
-            bad.append(blk[viol])
-    if not bad:
+    for lo in range(0, total, 1024):
+        res = _equation_rows(sys, np.arange(lo, min(lo + 1024, total))) @ Kf
+        bad.append(res[(res % q).any(axis=1)])
+    C = np.vstack(bad)
+    if not len(C):
         return K
-    C = (np.vstack(bad) @ K) % q
     return (K @ kernel_mod(C, p, e)) % q
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import CapExceeded, NotInvertible, ParseError, TrivialInvolution
 
 DEFAULT_CAP = 200_000
+MAX_TABLE_ORDER = 20_000  # largest group whose n x n multiplication table is built
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -325,7 +326,7 @@ def _close_matrices_integer(gens: list[Matrix], dim: int, cap: int) -> FiniteGro
                     nxt.append(j)
         frontier = nxt
     n = len(store)
-    if n > 20_000:
+    if n > MAX_TABLE_ORDER:
         raise CapExceeded(f"group of order {n} needs an unreasonable {n}x{n} table")
     arr = np.stack(store)
     mul = np.empty((n, n), dtype=np.int32)

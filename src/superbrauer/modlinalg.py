@@ -72,7 +72,6 @@ class SnfMod:
     L: np.ndarray | None
     Linv: np.ndarray | None
     R: np.ndarray | None
-    Rinv: np.ndarray | None
 
     @property
     def q(self) -> int:
@@ -87,7 +86,6 @@ def snf_mod(
     want_l: bool = False,
     want_linv: bool = False,
     want_r: bool = False,
-    want_rinv: bool = False,
 ) -> SnfMod:
     """Diagonalize M over Z/p**e by minimal-valuation full pivoting."""
     q = p**e
@@ -96,7 +94,6 @@ def snf_mod(
     L = np.eye(rows, dtype=np.int64) if want_l else None
     Linv = np.eye(rows, dtype=np.int64) if want_linv else None
     R = np.eye(cols, dtype=np.int64) if want_r else None
-    Rinv = np.eye(cols, dtype=np.int64) if want_rinv else None
 
     diag: list[int] = []
     for s in range(min(rows, cols)):
@@ -128,8 +125,6 @@ def snf_mod(
             A[:, [s, j]] = A[:, [j, s]]
             if R is not None:
                 R[:, [s, j]] = R[:, [j, s]]
-            if Rinv is not None:
-                Rinv[[s, j], :] = Rinv[[j, s], :]
         a = int(A[s, s])
         v = _val(a, p, e)
         u = a // p**v
@@ -154,16 +149,12 @@ def snf_mod(
             if Linv is not None:
                 Linv[:, s] = (Linv[:, s] + Linv[:, ri] @ m) % q
         # column step: column s is now zero below the pivot and row s is never
-        # read again, so only R and Rinv change
+        # read again, so only R changes
         cj = s + 1 + np.flatnonzero(A[s, s + 1 :])
-        if len(cj):
-            m = A[s, cj] // piv
-            if R is not None:
-                R[:, cj] = (R[:, cj] - np.outer(R[:, s], m)) % q
-            if Rinv is not None:
-                Rinv[s, :] = (Rinv[s, :] + m @ Rinv[cj, :]) % q
+        if R is not None and len(cj):
+            R[:, cj] = (R[:, cj] - np.outer(R[:, s], A[s, cj] // piv)) % q
         diag.append(v)
-    return SnfMod(p=p, e=e, diag=diag, rows=rows, cols=cols, L=L, Linv=Linv, R=R, Rinv=Rinv)
+    return SnfMod(p=p, e=e, diag=diag, rows=rows, cols=cols, L=L, Linv=Linv, R=R)
 
 
 def kernel_from_snf(snf: SnfMod) -> np.ndarray:

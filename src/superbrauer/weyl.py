@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .errors import CapExceeded, E8Refused, ParseError
 from .forms import Representation
-from .groups import DEFAULT_CAP, CentralInvolution, FiniteGroup, close_generators
-from .sharp import ALG_CLOSED, FieldDescriptor
+from .groups import DEFAULT_CAP, MAX_TABLE_ORDER, CentralInvolution, FiniteGroup, close_generators
+from .sharp import ALG_CLOSED
 from .supergroup import bm_supergroup, build_supergroup, lazy_cohomology
 
 WEYL_GROUP_BUDGET = 300  # largest |G(Phi)| computed by default; B4 = 384 is opt-in
@@ -163,13 +163,13 @@ def _is_minus_identity(mat) -> bool:
     return all(mat[i][j] == (-1 if i == j else 0) for i in range(n) for j in range(n))
 
 
-def build_weyl(t: RootSystemType, cap: int = DEFAULT_CAP, allow_e7: bool = False) -> WeylGroupData:
+def build_weyl(t: RootSystemType, cap: int = DEFAULT_CAP) -> WeylGroupData:
     """Closure of the simple reflections; w0 is the unique element sending
     every simple root to a negative root."""
     if t.family == "E" and t.rank == 8:
         raise E8Refused("W(E8) has ~7e8 elements and is refused at any budget")
-    if t.family == "E" and t.rank == 7 and not allow_e7:
-        raise CapExceeded("W(E7) has 2903040 elements; pass allow_e7 and a matching cap")
+    if t.family == "E" and t.rank == 7:
+        raise CapExceeded(f"W(E7) has 2903040 elements, above the {MAX_TABLE_ORDER}-element multiplication table limit")
     if classical_order(t) > cap:
         raise CapExceeded(f"|W({t.name})| = {classical_order(t)} exceeds cap {cap}")
     mats = reflection_matrices(t)
@@ -212,17 +212,17 @@ class GroupDatum:
 _DATUM_CACHE: dict[tuple[str, int], "GroupDatum"] = {}
 
 
-def group_datum(t: RootSystemType, cap: int = DEFAULT_CAP, allow_e7: bool = False) -> GroupDatum:
+def group_datum(t: RootSystemType, cap: int = DEFAULT_CAP) -> GroupDatum:
     key = (t.name, cap)
     if key in _DATUM_CACHE:
         return _DATUM_CACHE[key]
-    datum = _group_datum_impl(t, cap, allow_e7)
+    datum = _group_datum_impl(t, cap)
     _DATUM_CACHE[key] = datum
     return datum
 
 
-def _group_datum_impl(t: RootSystemType, cap: int, allow_e7: bool) -> GroupDatum:
-    wd = build_weyl(t, cap=cap, allow_e7=allow_e7)
+def _group_datum_impl(t: RootSystemType, cap: int) -> GroupDatum:
+    wd = build_weyl(t, cap=cap)
     n = t.rank
     if wd.w0_is_minus_one:
         g = wd.group
@@ -344,13 +344,10 @@ def datum_size(t: RootSystemType) -> int:
 
 def table_row(
     t: RootSystemType,
-    field: FieldDescriptor = ALG_CLOSED,
     group_budget: int = WEYL_GROUP_BUDGET,
     cap: int = DEFAULT_CAP,
 ) -> TableRow:
     """One row of the two final tables; computed when |G(Phi)| fits the budget."""
-    if field.kind != "closed":
-        raise ParseError("the table rows are stated over the closed descriptor")
     if datum_size(t) > group_budget or (t.family == "E" and t.rank == 8):
         return TableRow(
             type_name=t.name,
@@ -363,7 +360,7 @@ def table_row(
     datum = group_datum(t, cap=cap)
     alg = build_supergroup(datum.group, datum.inv, datum.rep)
     lc = lazy_cohomology(alg)
-    bm = bm_supergroup(datum.group, datum.inv, datum.rep, field)
+    bm = bm_supergroup(datum.group, datum.inv, datum.rep, ALG_CLOSED)
     return TableRow(
         type_name=t.name,
         mode="computed",
@@ -374,6 +371,6 @@ def table_row(
     )
 
 
-# A4 (order 240) also computes within the default budget but takes minutes;
-# request it explicitly when wanted.
+# A4 (order 240) also computes within the default budget; its row takes about
+# 18 s on a 2-core machine, so it is requested explicitly.
 DEFAULT_TABLE_TYPES = ["A1", "A2", "A3", "B2", "B3", "D4", "G2", "B4", "D5", "F4", "E6", "E7", "E8"]

@@ -20,12 +20,16 @@ on the algebra generators.  The invariant-form oracle checks a form against
 the matrix of every element.
 The elimination oracle `dense_snf_mod` is the dense `snf_mod`: the same
 pivots, but every pivot rewrites the whole trailing block and transforms.
+The H^2 frontier oracles `coo_frontier_system` and `coo_cocycle_kernel` are
+the stored-equation pipeline: every cocycle equation built once into sorted
+COO arrays, and a verification pass with a float64 and an int64 product path.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +44,8 @@ from superbrauer import (
     sharp,
     splitting_character,
 )
-from superbrauer.modlinalg import SnfMod, _val, _val_matrix, inverse_mod
+from superbrauer.errors import BudgetExceeded
+from superbrauer.modlinalg import SnfMod, _val, _val_matrix, inverse_mod, kernel_mod
 from superbrauer.supergroup import (
     DEFAULT_DIM_BUDGET,
     SAMPLED_TRIPLES,
@@ -580,7 +585,6 @@ def dense_snf_mod(
     want_l: bool = False,
     want_linv: bool = False,
     want_r: bool = False,
-    want_rinv: bool = False,
 ) -> SnfMod:
     """Diagonalize M over Z/p**e by minimal-valuation full pivoting."""
     q = p**e
@@ -589,7 +593,6 @@ def dense_snf_mod(
     L = np.eye(rows, dtype=np.int64) if want_l else None
     Linv = np.eye(rows, dtype=np.int64) if want_linv else None
     R = np.eye(cols, dtype=np.int64) if want_r else None
-    Rinv = np.eye(cols, dtype=np.int64) if want_rinv else None
 
     diag: list[int] = []
     for s in range(min(rows, cols)):
@@ -621,8 +624,6 @@ def dense_snf_mod(
             A[:, [s, j]] = A[:, [j, s]]
             if R is not None:
                 R[:, [s, j]] = R[:, [j, s]]
-            if Rinv is not None:
-                Rinv[[s, j], :] = Rinv[[j, s], :]
         a = int(A[s, s])
         v = _val(a, p, e)
         u = a // p**v
@@ -650,7 +651,172 @@ def dense_snf_mod(
             A[s:, s + 1 :] %= q
             if R is not None:
                 R[:, s + 1 :] = (R[:, s + 1 :] - np.outer(R[:, s], m)) % q
-            if Rinv is not None:
-                Rinv[s, :] = (Rinv[s, :] + m @ Rinv[s + 1 :, :]) % q
         diag.append(v)
-    return SnfMod(p=p, e=e, diag=diag, rows=rows, cols=cols, L=L, Linv=Linv, R=R, Rinv=Rinv)
+    return SnfMod(p=p, e=e, diag=diag, rows=rows, cols=cols, L=L, Linv=Linv, R=R)
+
+
+# ---------------------------------------------------------------------------
+# the stored H^2 frontier system and its kernel, as the production code had them
+# before the equations were generated from their row ids
+
+
+@dataclass(eq=False)
+class CooFrontierSystem:
+    group: object
+    num_gens: int
+    fprime: int
+    xpos: np.ndarray
+    nonid: np.ndarray
+    chain_x: list
+    chain_k: list
+    eq_rows: np.ndarray
+    eq_cols: np.ndarray
+    eq_vals: np.ndarray
+    eq_count: int
+
+
+def coo_frontier_system(g):
+    """The stored frontier system: every equation row as row-sorted COO arrays."""
+    n = g.order
+    num_gens = len(g.gens)
+    mul = np.asarray(g.mul, dtype=np.int64)
+    xpos = np.full(n, -1, dtype=np.int64)
+    nonid = np.array([x for x in range(n) if x != g.identity], dtype=np.int64)
+    xpos[nonid] = np.arange(len(nonid))
+    fprime = len(nonid) * num_gens
+
+    chain_x: list[np.ndarray] = []
+    chain_k: list[np.ndarray] = []
+    for h in range(n):
+        word = g.words[h]
+        xs, x = [], g.identity
+        for k in word:
+            xs.append(x)
+            x = int(mul[x, g.gens[k]])
+        chain_x.append(np.array(xs, dtype=np.int64))
+        chain_k.append(np.array(word, dtype=np.int64))
+
+    rows_acc, cols_acc, vals_acc = [], [], []
+
+    def emit(rows, cols, vals, mask):
+        rows_acc.append(np.asarray(rows)[mask].astype(np.int32))
+        cols_acc.append(np.asarray(cols)[mask].astype(np.int32))
+        vals_acc.append(np.asarray(vals)[mask].astype(np.int8))
+
+    ng = len(nonid)
+    eq = 0
+    for h in range(n):
+        if h == g.identity:
+            continue
+        cxh, ckh = chain_x[h], chain_k[h]
+        gxh = mul[np.ix_(nonid, cxh)]
+        exp_h_cols = xpos[gxh] * num_gens + ckh[None, :]
+        exp_h_mask = xpos[gxh] >= 0
+        const_h_cols = xpos[cxh] * num_gens + ckh
+        const_h_mask = xpos[cxh] >= 0
+        for k in range(num_gens):
+            s_el = g.gens[k]
+            hs = int(mul[h, s_el])
+            cxs, cks = chain_x[hs], chain_k[hs]
+            rids = eq + np.arange(ng, dtype=np.int64)
+            ones = np.ones(ng, dtype=np.int8)
+            # + expansion of sigma(g, h)
+            rr = np.repeat(rids, len(cxh))
+            emit(rr, exp_h_cols.reshape(-1), np.ones(ng * len(cxh)), exp_h_mask.reshape(-1))
+            emit(rr, np.tile(const_h_cols, ng), -np.ones(ng * len(cxh)), np.tile(const_h_mask, ng))
+            # + T(g h, k)
+            gh = mul[nonid, h]
+            emit(rids, xpos[gh] * num_gens + k, ones, xpos[gh] >= 0)
+            # - T(h, k)
+            emit(rids, np.full(ng, xpos[h] * num_gens + k), -ones, np.ones(ng, dtype=bool))
+            # - expansion of sigma(g, h s)
+            if len(cxs):
+                gxs = mul[np.ix_(nonid, cxs)]
+                rr = np.repeat(rids, len(cxs))
+                cc = (xpos[gxs] * num_gens + cks[None, :]).reshape(-1)
+                emit(rr, cc, -np.ones(ng * len(cxs)), (xpos[gxs] >= 0).reshape(-1))
+                emit(rr, np.tile(xpos[cxs] * num_gens + cks, ng), np.ones(ng * len(cxs)), np.tile(xpos[cxs] >= 0, ng))
+            eq += ng
+    rows = np.concatenate(rows_acc) if rows_acc else np.zeros(0, dtype=np.int32)
+    cols = np.concatenate(cols_acc) if cols_acc else np.zeros(0, dtype=np.int32)
+    vals = np.concatenate(vals_acc) if vals_acc else np.zeros(0, dtype=np.int8)
+    order = np.argsort(rows, kind="stable")
+    return CooFrontierSystem(
+        group=g,
+        num_gens=num_gens,
+        fprime=fprime,
+        xpos=xpos,
+        nonid=nonid,
+        chain_x=chain_x,
+        chain_k=chain_k,
+        eq_rows=rows[order],
+        eq_cols=cols[order],
+        eq_vals=vals[order],
+        eq_count=eq,
+    )
+
+
+def coo_cocycle_kernel(sys, p: int, e: int) -> np.ndarray:
+    """Generators of the frontier cocycle module over Z_{p^e}.
+
+    Solves a strided subsample exactly, then intersects once with the
+    equations that the sample's kernel violates.
+    """
+    q = p**e
+    f = sys.fprime
+    if f == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    rows, cols, vals = sys.eq_rows, sys.eq_cols, sys.eq_vals
+    total = sys.eq_count
+    if f * q * q >= 2**62:
+        raise BudgetExceeded(
+            f"exact elimination over Z_{q} needs f*q^2 < 2^62 with f = {f} unknowns; no budget flag admits this job"
+        )
+
+    sample_rows = min(total, max(3 * f, 512))
+    step = max(1, total // sample_rows)
+    picks = np.arange(0, total, step, dtype=np.int64)
+    rmap = np.full(total, -1, dtype=np.int64)
+    rmap[picks] = np.arange(len(picks))
+    sel = rmap[rows] >= 0
+    flat = rmap[rows[sel]] * f + cols[sel]
+    sample = (
+        np.bincount(flat, weights=vals[sel].astype(np.float64), minlength=len(picks) * f)
+        .astype(np.int64)
+        .reshape(len(picks), f)
+        % q
+    )
+    K = kernel_mod(sample, p, e)
+    if K.shape[1] == 0:
+        return K
+    # Rows that K satisfies stay satisfied by K Y, and K ker(C) satisfies the
+    # violated rows, so one refinement solves every equation.
+    use_float = f * q * q < 2**52
+    Kf = K.astype(np.float64) if use_float else K
+    bad = []
+    starts = np.arange(0, total, 4096)
+    edges = np.searchsorted(rows, np.append(starts, total).astype(rows.dtype))
+    for lo, a, b in zip(starts, edges[:-1], edges[1:]):
+        hi = min(lo + 4096, total)
+        flat = (rows[a:b].astype(np.int64) - lo) * f + cols[a:b]
+        blk = np.bincount(flat, weights=vals[a:b].astype(np.float64), minlength=(hi - lo) * f)
+        blk = blk.astype(np.int64).reshape(hi - lo, f) % q
+        if use_float:
+            res = np.rint(blk.astype(np.float64) @ Kf).astype(np.int64) % q
+        else:
+            res = (blk @ K) % q
+        viol = np.nonzero(res.any(axis=1))[0]
+        if len(viol):
+            bad.append(blk[viol])
+    if not bad:
+        return K
+    C = (np.vstack(bad) @ K) % q
+    return (K @ kernel_mod(C, p, e)) % q
+
+
+def coo_equation_rows(sys, lo: int, hi: int) -> np.ndarray:
+    """Dense signed rows lo..hi-1 of the stored system."""
+    a, b = np.searchsorted(sys.eq_rows, [lo, hi])
+    M = np.zeros((hi - lo, sys.fprime), dtype=np.int64)
+    np.add.at(M, (sys.eq_rows[a:b] - lo, sys.eq_cols[a:b]), sys.eq_vals[a:b])
+    return M

@@ -270,6 +270,8 @@ GOLDEN_REPORTS = [
      "3425c324fe28db6cf6684fe3a9345aeaff5ab6557c124ed12a596b46df8119d5"),
     (["h2", "--group", "z2xz4.json", "--coeff", "12"],  # p = 3 does not divide 8 and is skipped
      "8b6c2e31a4fc4d38510c26f5de912b81d1360223c9db972e5c0b4bebe3ae5206"),
+    (["h2", "--group", "z2xz4.json", "--coeff", "33554432"],  # 2^25: f q^2 >= 2^52, past float64 for rows reduced mod q
+     "ff01f1549fc6df89b204dd8a8374d52ded93b57b3ae407d605565429b4024e45"),
     (["verify", "--type", "B3", "--check", "hopf"],  # dim 384: exhaustive above the dim budget
      "394741f78edb6f7e82d7cf415f9e62ef4b2e68842ac2f34d5a47c93bed6eedd5"),
     (["verify", "--algebra", "E6", "--check", "hopf"],  # dim 128

@@ -21,6 +21,7 @@ from superbrauer import (
     coboundary,
     cyclic_group,
     direct_product,
+    group_datum,
     h2,
     h2_closed_field,
     is_cocycle,
@@ -28,8 +29,16 @@ from superbrauer import (
 )
 from superbrauer import cohomology
 from superbrauer.cohomology import group_exponent
+from superbrauer.modlinalg import prime_power_factors, solve_mod
 
-from .oracles import all_pairs_degrees_are_characters, all_triples_is_cocycle, brute_h2_order
+from .oracles import (
+    all_pairs_degrees_are_characters,
+    all_triples_is_cocycle,
+    brute_h2_order,
+    coo_cocycle_kernel,
+    coo_equation_rows,
+    coo_frontier_system,
+)
 
 
 def lam_cochain(z2z2):
@@ -328,3 +337,60 @@ def test_dead_primes_are_not_solved(monkeypatch):
     solved.clear()
     assert h2(build_weyl(RootSystemType.parse("B2")).group, 3).invariants == ()
     assert solved == []
+
+
+_FRONTIER_GROUPS = {
+    "Z2xZ4": _SMALL_GROUPS["Z2xZ4"],
+    "S4": functools.partial(symmetric_group, 4),
+    "Z7": functools.partial(cyclic_group, 7),
+    **{f"W({t})": (lambda t=t: build_weyl(RootSystemType.parse(t)).group) for t in ("A1", "A2", "B2", "G2", "B3")},
+    **{f"G({t})": (lambda t=t: group_datum(RootSystemType.parse(t)).group) for t in ("A3", "D4")},
+}
+
+
+@pytest.mark.parametrize("name", list(_FRONTIER_GROUPS))
+def test_equation_rows_match_stored_system(name):
+    """Rows generated from their ids equal the stored COO system's rows, by
+    windows over all ids and for ids in random order."""
+    g = _FRONTIER_GROUPS[name]()
+    sys, coo = cohomology._frontier_system(g), coo_frontier_system(g)
+    total = coo.eq_count
+    for lo in range(0, total, 4096):
+        hi = min(lo + 4096, total)
+        assert np.array_equal(cohomology._equation_rows(sys, np.arange(lo, hi)), coo_equation_rows(coo, lo, hi))
+    ids = np.random.default_rng(g.order).permutation(total)[:200]
+    want = np.vstack([coo_equation_rows(coo, i, i + 1) for i in ids])
+    assert np.array_equal(cohomology._equation_rows(sys, ids), want)
+
+
+@pytest.mark.parametrize("name", list(_FRONTIER_GROUPS))
+def test_cocycle_kernel_matches_stored_system(name):
+    """The kernel is array-equal to the stored system's, for every prime power
+    of |G|, and mod 2^25 on Z2 x Z4 where f q^2 >= 2^52."""
+    g = _FRONTIER_GROUPS[name]()
+    sys, coo = cohomology._frontier_system(g), coo_frontier_system(g)
+    cases = prime_power_factors(g.order) + ([(2, 25)] if name == "Z2xZ4" else [])
+    for p, e in cases:
+        assert np.array_equal(cohomology._cocycle_kernel(sys, p, e), coo_cocycle_kernel(coo, p, e)), (p, e)
+
+
+@pytest.mark.parametrize("name", ["Z2xZ4", "S4", "W(B2)"])
+def test_refinement_alone_solves_every_equation(name, monkeypatch):
+    """With the sample's kernel replaced by the identity, every nonzero row is
+    violated, and the one refinement must still give the cocycle module."""
+    g = _FRONTIER_GROUPS[name]()
+    sys = cohomology._frontier_system(g)
+    kernel_mod = cohomology.kernel_mod
+    for p, e in prime_power_factors(g.order):
+        want = cohomology._cocycle_kernel(sys, p, e)
+        calls = []
+
+        def identity_first(M, p, e):
+            calls.append(M.shape)
+            return np.eye(M.shape[1], dtype=np.int64) if len(calls) == 1 else kernel_mod(M, p, e)
+
+        monkeypatch.setattr(cohomology, "kernel_mod", identity_first)
+        got = cohomology._cocycle_kernel(sys, p, e)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert solve_mod(got, want, p, e) is not None and solve_mod(want, got, p, e) is not None

@@ -77,8 +77,10 @@ def test_e8_refused():
 
 
 def test_e7_needs_opt_in():
-    with pytest.raises(CapExceeded):
+    """W(E7) is refused before its closure, naming the table limit."""
+    with pytest.raises(CapExceeded, match="multiplication table limit") as exc:
         build_weyl(RootSystemType.parse("E7"))
+    assert "allow_e7" not in str(exc.value)
 
 
 def test_split_branch_agrees_with_paper_list(datum_a1, datum_a2, datum_a3, datum_b2, datum_b3, datum_d4, datum_g2):
