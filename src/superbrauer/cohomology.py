@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import BudgetExceeded, NotCocycle, ParseError
 from .groups import (
-    AbelianInvariants,
     CentralInvolution,
     FiniteGroup,
     GroupCharacter,
@@ -419,44 +418,30 @@ def _trivial_cohomology(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> 
     return CohomologyGroup(group=g, coeff=coeff, field_mode=mode, invariants=(), reps=[])
 
 
-def _coboundary_rows(g: FiniteGroup, sys: _FrontierSystem) -> np.ndarray:
-    """Frontier coordinates of d(gamma_y), one row per non-identity y."""
-    num_gens = sys.num_gens
-    xpos = sys.xpos
-    mul = np.asarray(g.mul)
-    gen_els = np.array(g.gens, dtype=np.int64)
-    nonid = sys.nonid
-    B = np.zeros((len(nonid), sys.fprime), dtype=np.int64)
-    tcols = (xpos[nonid][:, None] * num_gens + np.arange(num_gens)[None, :]).reshape(-1)
-    xs = np.repeat(nonid, num_gens)
-    ss = np.tile(gen_els, len(nonid))
-    np.add.at(B, (xpos[xs], tcols), 1)
-    np.add.at(B, (xpos[ss], tcols), 1)
-    prods = mul[xs, ss]
-    mask = prods != g.identity
-    np.add.at(B, (xpos[prods[mask]], tcols[mask]), -1)
+def _frontier_coboundaries(sys: _FrontierSystem, gammas: np.ndarray, m: int = 1) -> np.ndarray:
+    """(gamma(x) + gamma(s) - gamma(xs)) / m at every frontier pair (x, s),
+    one row per row gamma: G -> Z of `gammas`: the coboundary d(gamma) for
+    m = 1, and for a character phi: G -> Z_m the Z_m-valued carry delta(phi)."""
+    mul = np.asarray(sys.group.mul)
+    at_x = gammas[:, sys.nonid]
+    out = np.empty((len(gammas), len(sys.nonid), sys.num_gens), dtype=np.int64)
+    for k, s in enumerate(sys.group.gens):  # a generator at a time keeps temporaries at (rows, n - 1)
+        out[:, :, k] = (at_x + gammas[:, [s]] - gammas[:, mul[sys.nonid, s]]) // m
+    return out.reshape(len(gammas), sys.fprime)
+
+
+def _relation_rows(sys: _FrontierSystem, mode: str, N: int) -> np.ndarray:
+    """The coboundaries d(gamma_y), y != 1, and on the closed field the carries
+    delta(phi) of the character generators phi: G -> Z_N; the delta(phi)
+    classes exhaust the kernel of the comparison between mu_N and divisible
+    coefficients."""
+    g = sys.group
+    B = _frontier_coboundaries(sys, np.eye(g.order, dtype=np.int64)[sys.nonid])
+    if mode == "closed":
+        ab = abelianization(g)
+        steps = N // np.gcd(np.array(ab.cyclic_orders, dtype=np.int64), N)
+        B = np.vstack([B, _frontier_coboundaries(sys, (ab.projection * steps).T % N, N)])
     return B
-
-
-def _delta_rows(g: FiniteGroup, ab: AbelianInvariants, sys: _FrontierSystem, m: int) -> np.ndarray:
-    """Connecting-map cocycles delta(phi), one per character generator.
-
-    For phi: G -> Z_m the carry (phi(x) + phi(s) - phi(xs)) / m is a
-    2-cocycle valued in Z_m; its classes exhaust the kernel of the
-    comparison between mu_m and divisible coefficients.
-    """
-    mul = np.asarray(g.mul)
-    gen_els = np.array(g.gens, dtype=np.int64)
-    nonid = sys.nonid
-    rows = []
-    for i, d in enumerate(ab.cyclic_orders):
-        step = m // int(np.gcd(d, m))
-        phi = (ab.projection[:, i] * step) % m
-        carry = (phi[nonid][:, None] + phi[gen_els][None, :] - phi[mul[np.ix_(nonid, gen_els)]]) // m
-        rows.append(carry.reshape(-1))
-    if not rows:
-        return np.zeros((0, sys.fprime), dtype=np.int64)
-    return np.stack(rows, axis=0)
 
 
 def _check_h2_budget(g: FiniteGroup, budget: int) -> None:
@@ -474,9 +459,7 @@ def _h2_impl(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> CohomologyG
     if not primes:
         return _trivial_cohomology(g, coeff, mode)
     sys = _frontier_system(g)
-    B = _coboundary_rows(g, sys)
-    if mode == "closed":
-        B = np.vstack([B, _delta_rows(g, abelianization(g), sys, N)])
+    B = _relation_rows(sys, mode, N)
 
     pieces: list[_PrimePiece] = []
     for p, e in primes:

@@ -1,17 +1,22 @@
 """G-invariant symmetric bilinear forms over exact rationals.
 
-No floating point anywhere: representations carry Fraction matrices and the
-space of invariant forms is the exact nullspace of the generator constraints
-rho(s)^t Sigma rho(s) - Sigma = 0 inside the symmetric coordinates.
+No floating point anywhere: representations carry exact rational matrices
+and the space of invariant forms is the exact nullspace of the generator
+constraints rho(s)^t Sigma rho(s) - Sigma = 0 inside the symmetric
+coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
-from .errors import ParseError
-from .groups import CentralInvolution, FiniteGroup, Matrix, _det, _mat_identity, _mat_mul, _row_reduce, parse_rational
+import numpy as np
+
+from .errors import CapExceeded, NotInvertible, ParseError
+from .groups import (CentralInvolution, FiniteGroup, Matrix, _close_matrices, _det, _mat_identity, _mat_mul,
+                     _row_reduce, parse_rational)
 
 
 def as_matrix(rows) -> Matrix:
@@ -38,7 +43,9 @@ def is_symmetric(a: Matrix) -> bool:
 
 @dataclass(eq=False)
 class Representation:
-    """Exact rational matrix representation, defined on the group generators."""
+    """Exact rational matrix representation, defined on the group generators.
+    Its image is the closure of the generator matrices; x maps to the image
+    element its BFS word reaches, and rho(x) rho(s) = rho(xs) is checked."""
 
     group: FiniteGroup
     dim: int
@@ -50,25 +57,21 @@ class Representation:
         for m in self.gen_matrices:
             if len(m) != self.dim or any(len(r) != self.dim for r in m):
                 raise ParseError("representation matrices must be dim x dim")
-        # one pass over (x, s) in word-length order: rho(xs) is set when first
-        # reached and compared on every later visit
         g = self.group
-        self._elements: list[Matrix | None] = [None] * g.order
-        self._elements[g.identity] = _mat_identity(self.dim)
-        for x in sorted(range(g.order), key=lambda y: len(g.words[y])):
-            for k, s in enumerate(g.gens):
-                xs = int(g.mul[x, s])
-                m = _mat_mul(self._elements[x], self.gen_matrices[k])
-                if self._elements[xs] is None:
-                    self._elements[xs] = m
-                elif self._elements[xs] != m:
-                    raise ParseError("generator matrices are not compatible with the group")
+        try:
+            self._image, right, _ = _close_matrices(self.gen_matrices, self.dim, g.order)
+        except (CapExceeded, NotInvertible) as exc:
+            raise ParseError("generator matrices are not compatible with the group") from exc
+        steps = right.tolist()
+        self._index = np.array([reduce(lambda i, k: steps[i][k], word, 0) for word in g.words], dtype=np.int64)
+        if not (self._index[np.asarray(g.mul)[:, list(g.gens)]] == right[self._index]).all():
+            raise ParseError("generator matrices are not compatible with the group")
 
     def matrix(self, x: int) -> Matrix:
-        return self._elements[x]
+        return self._image[int(self._index[x])]
 
     def is_faithful(self) -> bool:
-        return len({self._elements[x] for x in range(self.group.order)}) == self.group.order
+        return len(self._image) == self.group.order
 
 
 def acts_as_minus_one(rep: Representation, inv: CentralInvolution) -> bool:

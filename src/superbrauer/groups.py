@@ -3,7 +3,9 @@
 Element indexing is deterministic: breadth-first from the identity, taking
 generators in the order given and multiplying on the right.  Every group
 carries a generating set and a BFS word for each element; the cohomology
-module relies on both.
+module relies on both.  A closure keeps only x * s for each element x and
+generator s; the table follows, because x * j = (x * p) * s when j was
+first reached as p * s, and one BFS gives generators, words and subgroups.
 """
 
 from __future__ import annotations
@@ -95,46 +97,35 @@ class FiniteGroup:
         if not self.gens:
             self._choose_generators()
         if not self.words:
-            self.words = self._bfs_words()
+            words = self._bfs(self.gens)
+            if len(words) != self.order:
+                raise ParseError("generators do not generate the group")
+            self.words = [words[i] for i in range(self.order)]
+
+    def _bfs(self, gens) -> dict[int, tuple[int, ...]]:
+        """Word of each element reached from the identity by right
+        multiplication with `gens`, visiting elements in BFS order."""
+        words = {self.identity: ()}
+        queue = [self.identity]
+        for x in queue:  # the queue grows while it is read
+            for k, s in enumerate(gens):
+                y = int(self.mul[x, s])
+                if y not in words:
+                    words[y] = words[x] + (k,)
+                    queue.append(y)
+        return words
 
     def _choose_generators(self) -> None:
         """Greedy small generating set for table-built groups."""
         gens: list[int] = []
-        reached = {self.identity}
+        reached = {self.identity: ()}
         for x in range(self.order):
-            if x in reached:
-                continue
-            gens.append(x)
-            frontier = [self.identity]
-            reached = {self.identity}
-            while frontier:
-                nxt = []
-                for y in frontier:
-                    for s in gens:
-                        z = int(self.mul[y, s])
-                        if z not in reached:
-                            reached.add(z)
-                            nxt.append(z)
-                frontier = nxt
-            if len(reached) == self.order:
-                break
+            if x not in reached:
+                gens.append(x)
+                reached = self._bfs(gens)
+                if len(reached) == self.order:
+                    break
         self.gens = tuple(gens)
-
-    def _bfs_words(self) -> list[tuple[int, ...]]:
-        words: dict[int, tuple[int, ...]] = {self.identity: ()}
-        queue = [self.identity]
-        while queue:
-            nxt = []
-            for x in queue:
-                for k, s in enumerate(self.gens):
-                    y = int(self.mul[x, s])
-                    if y not in words:
-                        words[y] = words[x] + (k,)
-                        nxt.append(y)
-            queue = nxt
-        if len(words) != self.order:
-            raise ParseError("generators do not generate the group")
-        return [words[i] for i in range(self.order)]
 
     def commutator(self, g: int, h: int) -> int:
         """g^-1 h^-1 g h."""
@@ -167,18 +158,7 @@ class FiniteGroup:
         return bool((self.mul[g, :] == self.mul[:, g]).all())
 
     def subgroup_closure(self, seeds: list[int]) -> list[int]:
-        reached = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in seeds:
-                    y = int(self.mul[x, s])
-                    if y not in reached:
-                        reached.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return sorted(reached)
+        return sorted(self._bfs(seeds))
 
     def check_axioms(self) -> None:
         """Identity, inverse and associativity laws; raises ParseError on failure.
@@ -201,25 +181,35 @@ class FiniteGroup:
                     raise ParseError("associativity fails")
 
 
+def _admit(j: int, cap: int) -> None:
+    """Refuse element index j of a closure once min(cap, MAX_TABLE_ORDER) are in."""
+    if j >= min(cap, MAX_TABLE_ORDER):
+        raise CapExceeded(f"closure exceeded cap {cap}" if cap <= MAX_TABLE_ORDER
+                          else f"closure passed the {MAX_TABLE_ORDER}-element multiplication table limit")
+
+
 def _close_bfs(gen_objs: list, op, identity, cap: int):
-    """Generic right-multiplication BFS closure; returns (elements, index)."""
+    """Right-multiplication BFS closure, element by element, as (elements,
+    right, parent): right[i, k] indexes elements[i] * gen_objs[k], and
+    element j was first reached as elements[p] * gen_objs[k], (p, k) = parent[j]."""
     index = {identity: 0}
     elements = [identity]
-    queue = [0]
-    while queue:
-        nxt = []
-        for i in queue:
-            for g in gen_objs:
-                y = op(elements[i], g)
-                if y not in index:
-                    j = len(elements)
-                    if j >= cap:
-                        raise CapExceeded(f"closure exceeded cap {cap}")
-                    index[y] = j
-                    elements.append(y)
-                    nxt.append(j)
-        queue = nxt
-    return elements, index
+    parent = [(0, 0)]
+    right = []
+    for i, x in enumerate(elements):  # the list grows while it is read
+        row = []
+        for k, g in enumerate(gen_objs):
+            y = op(x, g)
+            j = index.get(y)
+            if j is None:
+                j = len(elements)
+                _admit(j, cap)
+                index[y] = j
+                elements.append(y)
+                parent.append((i, k))
+            row.append(j)
+        right.append(row)
+    return elements, np.array(right, dtype=np.int32).reshape(len(elements), len(gen_objs)), parent
 
 
 def close_generators(generators: list, cap: int = DEFAULT_CAP) -> FiniteGroup:
@@ -234,8 +224,8 @@ def close_generators(generators: list, cap: int = DEFAULT_CAP) -> FiniteGroup:
         raise ParseError("at least one generator required")
     first = generators[0]
     if _looks_like_matrix(first):
-        return _close_matrices(generators, cap)
-    return _close_permutations(generators, cap)
+        return _finish_group(*_close_matrices(generators, len(first), cap), kind="matrices")
+    return _finish_group(*_close_permutations(generators, cap), kind="permutations")
 
 
 def _looks_like_matrix(g) -> bool:
@@ -257,7 +247,7 @@ def parse_rational(x) -> Fraction:
     raise ParseError(f"bad rational entry {x!r}")
 
 
-def _close_permutations(generators: list, cap: int) -> FiniteGroup:
+def _close_permutations(generators: list, cap: int):
     deg = len(generators[0])
     gens = []
     for g in generators:
@@ -265,24 +255,16 @@ def _close_permutations(generators: list, cap: int) -> FiniteGroup:
         if sorted(p) != list(range(deg)):
             raise ParseError(f"not a permutation of 0..{deg - 1}: {g}")
         gens.append(p)
-    identity = tuple(range(deg))
 
     def op(a, b):  # a * b acts as "apply b, then a"
         return tuple(a[b[i]] for i in range(deg))
 
-    elements, index = _close_bfs(gens, op, identity, cap)
-    n = len(elements)
-    arr = np.array(elements, dtype=np.int64)
-    mul = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        prod = arr[i][arr]  # compose elements[i] with every element
-        for j in range(n):
-            mul[i, j] = index[tuple(int(v) for v in prod[j])]
-    return _finish_group(mul, elements, [index[g] for g in gens], kind="permutations")
+    return _close_bfs(gens, op, tuple(range(deg)), cap)
 
 
-def _close_matrices(generators: list, cap: int) -> FiniteGroup:
-    dim = len(generators[0])
+def _close_matrices(generators: list, dim: int, cap: int):
+    """Closure of invertible rational dim x dim matrices, as (elements,
+    right, parent); integer generators take the batched numpy path."""
     gens: list[Matrix] = []
     for g in generators:
         m = tuple(tuple(parse_rational(x) for x in row) for row in g)
@@ -292,65 +274,71 @@ def _close_matrices(generators: list, cap: int) -> FiniteGroup:
             raise NotInvertible("singular matrix generator")
         gens.append(m)
     if all(x.denominator == 1 for m in gens for row in m for x in row):
-        return _close_matrices_integer(gens, dim, cap)
-    identity = _mat_identity(dim)
-    elements, index = _close_bfs(gens, _mat_mul, identity, cap)
-    n = len(elements)
-    mul = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        for j in range(n):
-            mul[i, j] = index[_mat_mul(elements[i], elements[j])]
-    return _finish_group(mul, elements, [index[g] for g in gens], kind="matrices")
+        return _close_integer(gens, dim, cap)
+    return _close_bfs(gens, _mat_mul, _mat_identity(dim), cap)
 
 
-def _close_matrices_integer(gens: list[Matrix], dim: int, cap: int) -> FiniteGroup:
-    """Batched numpy closure for integer matrix generators (the Weyl path)."""
-    garr = np.array([[[int(x) for x in row] for row in m] for m in gens], dtype=np.int64)
-    ident = np.eye(dim, dtype=np.int64)
-    store: list[np.ndarray] = [ident]
-    index: dict[bytes, int] = {ident.tobytes(): 0}
-    frontier = [0]
-    while frontier:
-        batch = np.stack([store[i] for i in frontier])
-        nxt = []
-        for gmat in garr:
-            prods = batch @ gmat
-            for row in prods:
+def _check_int64(term: int, dim: int) -> None:
+    """Refuse products whose sums of dim terms of size `term` could leave int64."""
+    if term * dim >= 2**62:
+        raise CapExceeded(f"integer matrix products with terms up to {term} leave exact int64 arithmetic "
+                          "(term x dim must stay below 2^62)")
+
+
+def _close_integer(gens: list[Matrix], dim: int, cap: int):
+    """Batched numpy closure of integer matrices (the Weyl path), generator by
+    generator within each BFS level, returning what `_close_bfs` does; a level
+    is multiplied only while max|entry| * max|generator entry| * dim < 2^62."""
+    gmax = max((abs(int(x)) for m in gens for row in m for x in row), default=0)
+    _check_int64(gmax, dim)
+    garr = np.array([[[int(x) for x in row] for row in m] for m in gens], dtype=np.int64).reshape(len(gens), dim, dim)
+    store = [np.eye(dim, dtype=np.int64)]
+    index = {store[0].tobytes(): 0}
+    parent = [(0, 0)]
+    blocks = []
+    lo = 0
+    while lo < len(store):
+        hi = len(store)
+        batch = np.stack(store[lo:hi])
+        _check_int64(int(np.abs(batch).max(initial=0)) * gmax, dim)
+        block = np.empty((hi - lo, len(gens)), dtype=np.int32)
+        for k, gmat in enumerate(garr):
+            for r, row in enumerate(batch @ gmat):
                 key = row.tobytes()
-                if key not in index:
+                j = index.get(key)
+                if j is None:
                     j = len(store)
-                    if j >= cap:
-                        raise CapExceeded(f"closure exceeded cap {cap}")
+                    _admit(j, cap)
                     index[key] = j
                     store.append(row.copy())
-                    nxt.append(j)
-        frontier = nxt
-    n = len(store)
-    if n > MAX_TABLE_ORDER:
-        raise CapExceeded(f"group of order {n} needs an unreasonable {n}x{n} table")
-    arr = np.stack(store)
+                    parent.append((lo + r, k))
+                block[r, k] = j
+        blocks.append(block)
+        lo = hi
+    elements = [tuple(map(tuple, m.tolist())) for m in store]
+    return elements, np.vstack(blocks), parent
+
+
+def _table(right: np.ndarray, parent: list) -> np.ndarray:
+    """Multiplication table from the generator columns: when j was first
+    reached as p * s_k, column j is x * j = (x * p) * s_k = right[x * p, k]."""
+    n = len(right)
     mul = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        prods = arr[i] @ arr
-        for j in range(n):
-            mul[i, j] = index[prods[j].tobytes()]
-    elements = [tuple(tuple(int(x) for x in row) for row in m) for m in store]
-    gen_idx = [index[np.array([[int(x) for x in row] for row in m], dtype=np.int64).tobytes()] for m in gens]
-    return _finish_group(mul, elements, gen_idx, kind="matrices")
+    mul[:, 0] = np.arange(n)
+    for j in range(1, n):
+        p, k = parent[j]
+        mul[:, j] = right[mul[:, p], k]
+    return mul
 
 
-def _finish_group(mul: np.ndarray, elements: list, gen_indices: list[int], kind: str) -> FiniteGroup:
-    n = mul.shape[0]
-    inv = np.empty(n, dtype=np.int32)
-    for i in range(n):
-        js = np.nonzero(mul[i, :] == 0)[0]
-        inv[i] = js[0]
+def _finish_group(elements: list, right: np.ndarray, parent: list, kind: str) -> FiniteGroup:
+    mul = _table(right, parent)
     g = FiniteGroup(
-        order=n,
+        order=len(elements),
         mul=mul,
-        inv=inv,
+        inv=np.argmin(mul, axis=1).astype(np.int32),  # x * inv(x) is element 0
         identity=0,
-        gens=tuple(dict.fromkeys(gi for gi in gen_indices if gi != 0)) or (0,),
+        gens=tuple(dict.fromkeys(int(j) for j in right[0] if j != 0)) or (0,),
         element_data=elements,
         kind=kind,
     )
@@ -466,11 +454,10 @@ def _quotient_impl(inv: CentralInvolution) -> QuotientData:
     rep = np.minimum(np.arange(n), partner)
     rep[g.identity] = g.identity
     rep[int(partner[g.identity])] = g.identity
-    reps = sorted(set(int(r) for r in rep))
-    reps.remove(g.identity)
-    reps.insert(0, g.identity)
-    rep_index = {r: i for i, r in enumerate(reps)}
-    proj = np.array([rep_index[int(rep[x])] for x in range(n)], dtype=np.int32)
+    reps = [g.identity] + sorted(set(rep.tolist()) - {g.identity})
+    pos = np.zeros(n, dtype=np.int32)
+    pos[reps] = np.arange(len(reps))
+    proj = pos[rep]
     section = np.array(reps, dtype=np.int32)
     m = len(reps)
     mul = proj[np.asarray(g.mul)[np.ix_(section, section)]].astype(np.int32)
@@ -512,8 +499,9 @@ class AbelianInvariants:
         return tuple(int(x) for x in self.projection[g])
 
 
-def _abelian_basis_from_table(mul: np.ndarray, identity: int) -> tuple[list[int], list[int]]:
-    """Basis realizing the invariant factors (largest first) of an abelian table group.
+def _abelian_basis_from_table(mul: np.ndarray, identity: int) -> tuple[list[int], list[int], dict]:
+    """Basis realizing the invariant factors (largest first) of an abelian
+    table group, and the span {element: its coordinates in that basis}.
 
     Greedy maximal-quotient-order extraction; successive orders are exactly
     the invariant factors since the adjusted generator spans a direct summand.
@@ -561,7 +549,7 @@ def _abelian_basis_from_table(mul: np.ndarray, identity: int) -> tuple[list[int]
         if len(new_span) != len(span) * j:
             raise ParseError("abelian basis extraction failed (span collision)")
         span = new_span
-    return basis, orders
+    return basis, orders, span
 
 
 def abelianization(g: FiniteGroup) -> AbelianInvariants:
@@ -573,48 +561,25 @@ def abelianization(g: FiniteGroup) -> AbelianInvariants:
 
 
 def _abelianization_impl(g: FiniteGroup) -> AbelianInvariants:
-    comms = sorted({g.commutator(a, b) for a in range(g.order) for b in range(g.order)})
-    ksub = g.subgroup_closure(comms)
-    kset = set(ksub)
-    # cosets of the commutator subgroup
-    rep_of = {}
-    coset_reps = []
-    for x in range(g.order):
-        if x in rep_of:
-            continue
-        members = sorted(int(g.mul[x, k]) for k in ksub)
-        r = members[0] if g.identity not in members else g.identity
-        for m in members:
-            rep_of[m] = r
-        coset_reps.append(r)
-    coset_reps = sorted(set(rep_of.values()))
-    idx = {r: i for i, r in enumerate(coset_reps)}
-    m = len(coset_reps)
-    qmul = np.empty((m, m), dtype=np.int32)
-    for i, a in enumerate(coset_reps):
-        for j, b in enumerate(coset_reps):
-            qmul[i, j] = idx[rep_of[int(g.mul[a, b])]]
-    qid = idx[rep_of[g.identity]]
-    basis, factors = _abelian_basis_from_table(qmul, qid)
-    # discrete log over the whole quotient
-    coords = {qid: tuple(0 for _ in factors)}
-    for pos, (b, d) in enumerate(zip(basis, factors)):
-        new = {}
-        for x, c in coords.items():
-            y = x
-            for k in range(d):
-                cc = list(c)
-                cc[pos] = k
-                new[y] = tuple(cc)
-                y = int(qmul[y, b])
-        coords = new
-    proj = np.zeros((g.order, len(factors)), dtype=np.int64)
-    for x in range(g.order):
-        proj[x] = coords[idx[rep_of[x]]]
+    n, e = g.order, g.identity
+    mul, inv = np.asarray(g.mul), np.asarray(g.inv)
+    is_comm = np.zeros(n, dtype=bool)
+    is_comm[mul[mul[np.ix_(inv, inv)], mul]] = True  # a^-1 b^-1 (a b) for every a, b
+    ksub = g.subgroup_closure(np.flatnonzero(is_comm).tolist())
+    # each coset x K is represented by its least element, K itself by e
+    rep = mul[:, ksub].min(axis=1)
+    rep[rep == rep[e]] = e
+    coset_reps = sorted(set(rep.tolist()))
+    pos = np.zeros(n, dtype=np.int64)
+    pos[coset_reps] = np.arange(len(coset_reps))
+    coset = pos[rep]
+    qmul = coset[mul[np.ix_(coset_reps, coset_reps)]]
+    _, factors, span = _abelian_basis_from_table(qmul, int(pos[e]))
+    coords = np.array([span[q] for q in range(len(coset_reps))], dtype=np.int64).reshape(len(coset_reps), len(factors))
     return AbelianInvariants(
         group=g,
         cyclic_orders=tuple(factors),
-        projection=proj,
+        projection=coords[coset],
         commutator_subgroup=tuple(ksub),
     )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, E8Refused, ParseError
-from .forms import Representation
+from .forms import Representation, as_matrix
 from .groups import DEFAULT_CAP, MAX_TABLE_ORDER, CentralInvolution, FiniteGroup, close_generators
 from .sharp import ALG_CLOSED
 from .supergroup import bm_supergroup, build_supergroup, lazy_cohomology
@@ -241,10 +241,7 @@ def _group_datum_impl(t: RootSystemType, cap: int) -> GroupDatum:
         u = minus[0]
         extended = True
     inv = CentralInvolution(g, u)
-    gen_mats = [
-        tuple(tuple(Fraction(x) for x in row) for row in g.element_data[s]) for s in g.gens
-    ]
-    rep = Representation(group=g, dim=n, gen_matrices=gen_mats)
+    rep = Representation(group=g, dim=n, gen_matrices=[as_matrix(g.element_data[s]) for s in g.gens])
     if not rep.is_faithful():
         raise ParseError("standard representation is not faithful")
     return GroupDatum(type=t, weyl=wd, group=g, inv=inv, rep=rep, extended=extended)

@@ -23,6 +23,11 @@ pivots, but every pivot rewrites the whole trailing block and transforms.
 The H^2 frontier oracles `coo_frontier_system` and `coo_cocycle_kernel` are
 the stored-equation pipeline: every cocycle equation built once into sorted
 COO arrays, and a verification pass with a float64 and an int64 product path.
+`enumerated_table` looks up the product of every pair of group elements
+instead of deriving the table from the generator columns,
+`walked_representation` multiplies Fraction matrices along every (x, s)
+instead of closing the generator matrices, and `coboundary_rows` and
+`delta_rows` build the H^2 relation rows term by term.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from superbrauer import (
     sharp,
     splitting_character,
 )
-from superbrauer.errors import BudgetExceeded
+from superbrauer.errors import BudgetExceeded, ParseError
 from superbrauer.modlinalg import SnfMod, _val, _val_matrix, inverse_mod, kernel_mod
 from superbrauer.supergroup import (
     DEFAULT_DIM_BUDGET,
@@ -820,3 +825,89 @@ def coo_equation_rows(sys, lo: int, hi: int) -> np.ndarray:
     M = np.zeros((hi - lo, sys.fprime), dtype=np.int64)
     np.add.at(M, (sys.eq_rows[a:b] - lo, sys.eq_cols[a:b]), sys.eq_vals[a:b])
     return M
+
+
+# ---------------------------------------------------------------------------
+# group tables, representations and H^2 coboundary rows, as the production code
+# built them before tables came from the generator columns
+
+
+def enumerated_table(elements, products):
+    """mul[i, j] = index of elements[i] * elements[j], every cell looked up;
+    products(a) lists a * b for the elements b in order."""
+    index = {x: i for i, x in enumerate(elements)}
+    return np.array([[index[y] for y in products(a)] for a in elements], dtype=np.int32)
+
+
+def _exact_mat_mul(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n))
+
+
+def enumerated_group_table(g):
+    """The table of a closed group: permutations composed, integer matrices
+    multiplied a row at a time in numpy, rational matrices one pair at a time."""
+    els = g.element_data
+    if g.kind == "permutations":
+        return enumerated_table(els, lambda a: [tuple(a[i] for i in b) for b in els])
+    if all(isinstance(x, int) for m in els for row in m for x in row):  # keyed by their int64 bytes
+        arr = np.array(els, dtype=np.int64)
+        return enumerated_table([m.tobytes() for m in arr], lambda a: [
+            m.tobytes() for m in np.frombuffer(a, dtype=np.int64).reshape(arr.shape[1:]) @ arr])
+    return enumerated_table(els, lambda a: [_exact_mat_mul(a, b) for b in els])
+
+
+def walked_representation(g, gen_matrices, dim):
+    """rho(x) for every x as Fraction matrices: in word-length order rho(xs)
+    is set when first reached and compared on every later visit; ParseError
+    on a mismatch.  Faithful iff the list has |G| distinct entries."""
+    one, zero = Fraction(1), Fraction(0)
+    mats = [tuple(tuple(Fraction(x) for x in row) for row in m) for m in gen_matrices]
+    out = [None] * g.order
+    out[g.identity] = tuple(tuple(one if i == j else zero for j in range(dim)) for i in range(dim))
+    for x in sorted(range(g.order), key=lambda y: len(g.words[y])):
+        for k, s in enumerate(g.gens):
+            xs = int(g.mul[x, s])
+            m = _exact_mat_mul(out[x], mats[k])
+            if out[xs] is None:
+                out[xs] = m
+            elif out[xs] != m:
+                raise ParseError("generator matrices are not compatible with the group")
+    return out
+
+
+def coboundary_rows(g, sys):
+    """Frontier coordinates of d(gamma_y), one row per non-identity y, by
+    scattering the three terms of every frontier pair."""
+    num_gens = sys.num_gens
+    xpos = sys.xpos
+    mul = np.asarray(g.mul)
+    gen_els = np.array(g.gens, dtype=np.int64)
+    nonid = sys.nonid
+    B = np.zeros((len(nonid), sys.fprime), dtype=np.int64)
+    tcols = (xpos[nonid][:, None] * num_gens + np.arange(num_gens)[None, :]).reshape(-1)
+    xs = np.repeat(nonid, num_gens)
+    ss = np.tile(gen_els, len(nonid))
+    np.add.at(B, (xpos[xs], tcols), 1)
+    np.add.at(B, (xpos[ss], tcols), 1)
+    prods = mul[xs, ss]
+    mask = prods != g.identity
+    np.add.at(B, (xpos[prods[mask]], tcols[mask]), -1)
+    return B
+
+
+def delta_rows(g, ab, sys, m):
+    """The carry (phi(x) + phi(s) - phi(xs)) / m of each character generator
+    phi: G -> Z_m at every frontier pair."""
+    mul = np.asarray(g.mul)
+    gen_els = np.array(g.gens, dtype=np.int64)
+    nonid = sys.nonid
+    rows = []
+    for i, d in enumerate(ab.cyclic_orders):
+        step = m // int(np.gcd(d, m))
+        phi = (ab.projection[:, i] * step) % m
+        carry = (phi[nonid][:, None] + phi[gen_els][None, :] - phi[mul[np.ix_(nonid, gen_els)]]) // m
+        rows.append(carry.reshape(-1))
+    if not rows:
+        return np.zeros((0, sys.fprime), dtype=np.int64)
+    return np.stack(rows, axis=0)

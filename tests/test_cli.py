@@ -151,6 +151,21 @@ def test_budget_exit_code(capsys):
     assert code == 0  # E8 row falls back to literature mode, no build attempted
 
 
+@pytest.mark.parametrize("generator, term", [
+    ([["-9223372036854775807"]], 2**63 - 1),  # squares to 1 in int64; the group is infinite
+    ([["9223372036854775808"]], 2**63),  # not an int64
+    ([["3037000500", "0"], ["0", "1"]], 3037000500**2),  # squares past 2^63
+], ids=["wraps", "overflows", "squares-past"])
+def test_integer_closure_refuses_int64_overflow(tmp_path, capsys, generator, term):
+    """An integer closure whose products could leave int64 is refused (exit 3),
+    naming the size of the product terms, instead of wrapping or crashing."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"kind": "matrices", "generators": [generator]}))
+    assert main(["h2", "--group", str(path)]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert f"terms up to {term} leave exact int64 arithmetic" in err
+
+
 @pytest.mark.parametrize("args, flag", [
     (["h2", "--type", "B3", "--budget-h2", "10"], "--budget-h2"),
     (["h2sharp", "--type", "B3", "--field", "real", "--budget-enum", "10"], "--budget-enum"),

@@ -35,9 +35,11 @@ from .oracles import (
     all_pairs_degrees_are_characters,
     all_triples_is_cocycle,
     brute_h2_order,
+    coboundary_rows,
     coo_cocycle_kernel,
     coo_equation_rows,
     coo_frontier_system,
+    delta_rows,
 )
 
 
@@ -372,6 +374,19 @@ def test_cocycle_kernel_matches_stored_system(name):
     cases = prime_power_factors(g.order) + ([(2, 25)] if name == "Z2xZ4" else [])
     for p, e in cases:
         assert np.array_equal(cohomology._cocycle_kernel(sys, p, e), coo_cocycle_kernel(coo, p, e)), (p, e)
+
+
+@pytest.mark.parametrize("name", list(_FRONTIER_GROUPS) + ["Z1"])
+def test_relation_rows_match_term_by_term(name):
+    """The H^2 relation rows equal the coboundaries d(gamma_y) and the carries
+    delta(phi) built term by term, for moduli |G|, 2|G| and 12."""
+    g = cyclic_group(1) if name == "Z1" else _FRONTIER_GROUPS[name]()
+    sys = cohomology._frontier_system(g)
+    d = coboundary_rows(g, sys)
+    assert np.array_equal(cohomology._relation_rows(sys, "muN", g.order), d)
+    for N in (g.order, 2 * g.order, 12):
+        want = np.vstack([d, delta_rows(g, abelianization(g), sys, N)])
+        assert np.array_equal(cohomology._relation_rows(sys, "closed", N), want), N
 
 
 @pytest.mark.parametrize("name", ["Z2xZ4", "S4", "W(B2)"])

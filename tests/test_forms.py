@@ -12,13 +12,15 @@ from superbrauer import (
     ParseError,
     Representation,
     acts_as_minus_one,
+    build_en,
     cyclic_group,
     invariant_symmetric_forms,
+    symmetric_group,
 )
 from superbrauer.forms import leading_principal_minors_positive, _mat_mul, _nullspace
 from superbrauer.groups import _det, _mat_rank
 
-from .oracles import is_group_invariant_form, leibniz_det
+from .oracles import is_group_invariant_form, leibniz_det, walked_representation
 
 
 def _frac_mat(rows):
@@ -95,6 +97,38 @@ def test_incompatible_generator_matrices_rejected():
     """rho(g)^3 = -1 != rho(g^3) = 1 on Z3."""
     with pytest.raises(ParseError, match="not compatible with the group"):
         Representation(group=cyclic_group(3), dim=1, gen_matrices=[_frac_mat([[-1]])])
+
+
+@pytest.mark.parametrize("group, matrices", [
+    ("Z2", [[[0]]]),
+    ("Z2", [[[2]]]),
+    ("Z2", [[[-(2**63 - 1)]]]),
+    ("Z2", [[[2**63]]]),
+    ("S3", [[[-1]], [[1]]]),
+], ids=["singular", "infinite-image", "int64-wraps", "int64-overflows", "S3-closes-but-no-homomorphism"])
+def test_more_incompatible_generator_matrices_rejected(group, matrices):
+    """Z2 has no singular image, no element of infinite order, and (1 - 2^63)^2 != 1
+    although it wraps to 1 in int64; on S3 the image {1, -1} fits in |G| but
+    rho(s0 s1)^3 = -1."""
+    g = cyclic_group(2) if group == "Z2" else symmetric_group(3)
+    with pytest.raises(ParseError, match="not compatible with the group"):
+        Representation(group=g, dim=1, gen_matrices=[_frac_mat(m) for m in matrices])
+
+
+def _reps_to_walk():
+    yield from (f"datum_{t}" for t in ("a1", "a2", "a3", "b2", "b3", "d4", "g2"))
+    yield "S3-sign", lambda: Representation(group=symmetric_group(3), dim=1, gen_matrices=[_frac_mat([[-1]])] * 2)
+    yield "dim-0", lambda: Representation(group=cyclic_group(4), dim=0, gen_matrices=[()])
+    yield "E3", lambda: build_en(3).rep
+
+
+@pytest.mark.parametrize("case", list(_reps_to_walk()), ids=lambda c: c if isinstance(c, str) else c[0])
+def test_representation_matches_walk(case, request):
+    """Every rho(x) and faithfulness agree with the Fraction walk over every (x, s)."""
+    rep = request.getfixturevalue(case).rep if isinstance(case, str) else case[1]()
+    want = walked_representation(rep.group, rep.gen_matrices, rep.dim)
+    assert [rep.matrix(x) for x in range(rep.group.order)] == want
+    assert rep.is_faithful() == (len(set(want)) == rep.group.order)
 
 
 _entries = st.one_of(st.integers(-2, 2).map(Fraction), st.fractions(-3, 3, max_denominator=3))

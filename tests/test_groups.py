@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ from superbrauer import (
 )
 from superbrauer.weyl import RootSystemType, reflection_matrices
 
+from .oracles import enumerated_group_table
+
 
 def test_close_b2_matrices():
     g = close_generators(reflection_matrices(RootSystemType.parse("B2")))
@@ -39,9 +43,72 @@ def test_close_permutations_s3():
 
 
 def test_e8_cap_exceeded():
+    """W(E8) is refused once its closure passes the table limit, not at the cap."""
     mats = reflection_matrices(RootSystemType.parse("E8"))
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="20000-element multiplication table limit"):
         close_generators(mats, cap=10**6)
+
+
+@pytest.mark.parametrize("gens", [
+    [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]],  # S8, 40320 elements
+    [[[1, "1/2"], [0, 1]]],  # infinite, through the rational closure
+], ids=["S8", "rational"])
+def test_table_limit_refused_while_closing(gens):
+    """Every closure kind stops at min(cap, 20000) elements and says which bound it hit."""
+    with pytest.raises(CapExceeded, match="20000-element multiplication table limit"):
+        close_generators(gens, cap=10**6)
+    with pytest.raises(CapExceeded, match="closure exceeded cap 50$"):
+        close_generators(gens, cap=50)
+
+
+def _conjugated_b3():
+    """W(B3) conjugated by diag(1, 2, 3): a rational, non-integral closure."""
+    d = [1, 2, 3]
+    return [[[Fraction(m[i][j] * d[i], d[j]) for j in range(3)] for i in range(3)]
+            for m in reflection_matrices(RootSystemType.parse("B3"))]
+
+
+_Q8 = [[[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+       [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]]
+
+# generating data for each closure kind; the SHA-256 prefixes of (element
+# data, table, inverses, gens, words) and of the abelianization were taken
+# when every table cell was still computed by multiplying its two elements
+_CLOSED_GROUPS = {
+    "S4": (lambda: [[1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3, 2]], "61f6596fbf577845", "144b6f08e1908a66"),
+    "A4": (lambda: [[1, 2, 0, 3], [0, 2, 3, 1]], "b5addd69cc973fe6", "b1b32d4581deba07"),
+    "Z2xZ4": (lambda: [[1, 0, 2, 3, 4, 5], [0, 1, 3, 4, 5, 2]], "b2e2f0863e835944", "e5605c4c41ef9df1"),
+    "W(B3)": (lambda: reflection_matrices(RootSystemType.parse("B3")), "3c0ea5e0475b7b13", "0ca3c0f67c218e75"),
+    "W(F4)": (lambda: reflection_matrices(RootSystemType.parse("F4")), "85321d82a800833d", "22b307778a6d87a1"),
+    "Q8": (lambda: _Q8, "a56f7234dd8f40ed", "34eea38c6c57f693"),
+    "W(B3)^diag(1,2,3)": (_conjugated_b3, "6addd3a220bbe455", "0ca3c0f67c218e75"),
+}
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(np.ascontiguousarray(part).tobytes() if isinstance(part, np.ndarray) else repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", list(_CLOSED_GROUPS))
+def test_table_matches_enumeration(name):
+    """The table from the generator columns equals the product of every pair."""
+    g = close_generators(_CLOSED_GROUPS[name][0]())
+    assert np.array_equal(g.mul, enumerated_group_table(g))
+
+
+@pytest.mark.parametrize("name", list(_CLOSED_GROUPS))
+def test_closure_results_pinned(name):
+    """Element order, table, words and abelianization are those of the
+    pair-by-pair closure, digest for digest."""
+    gens, group_digest, ab_digest = _CLOSED_GROUPS[name]
+    g = close_generators(gens())
+    mul, inv = np.asarray(g.mul, dtype=np.int32), np.asarray(g.inv, dtype=np.int32)
+    assert _digest(g.element_data, mul, inv, g.gens, g.words) == group_digest
+    ab = abelianization(g)
+    assert _digest(ab.cyclic_orders, np.asarray(ab.projection, dtype=np.int64), ab.commutator_subgroup) == ab_digest
 
 
 def test_singular_generator_rejected():
