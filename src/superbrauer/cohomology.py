@@ -1,25 +1,30 @@
-"""Second group cohomology H^2(G, Z_N) from the normalized bar complex.
+"""Second group cohomology H^2(G, Z_N) from a presentation of G.
 
-A normalized 2-cocycle is determined by its values on G x S for any
-generating set S: peeling the last generator off the second argument gives
+A normalized 2-cocycle is determined by its labels T(x, s) = sigma(x, s) on
+the edges of the Cayley graph, x in G and s in the generating set S:
+peeling the last generator off the second argument gives
 
     sigma(g, h s) = sigma(g, h) + sigma(g h, s) - sigma(h, s)
 
-so sigma(g, h) expands along the BFS word of h into a signed sum of the
-unknowns T(x, s) = sigma(x, s).  The d(d sigma) = 0 pentagon identity shows
-that imposing the cocycle equation for all (g, h, s) with s in S forces it
-for every triple, which keeps the bar-complex system at |G| * |S| unknowns.
+so sigma(g, h) is the label sum along the BFS word of h from g, minus the
+sum from 1.  The d(d sigma) = 0 pentagon identity shows that the cocycle
+equation for all (g, h, s) with s in S forces it for every triple.  Adding
+the coboundary of the label sum from 1 along the BFS tree gives the
+cohomologous cocycle that vanishes on the tree (the gauge); the unknowns are
+its labels on the n |S| - (n - 1) other edges.
+
+A labelling comes from a cocycle exactly when every relator r of a
+presentation <S | R> of G has the same label sum from every start x (Hopf
+1942; Gruenberg, LNM 143, 1970): the sum is the central value of the lifted
+r, and conversely the maps (a, x) -> (a + T(x, s), x s) generate a central
+extension.  So the cocycle module is the kernel of (n - 1) |R| rows; the
+coboundaries left in the gauge are those of the |S| tree-additive cochains.
+
 Each prime power of N is solved by exact Z_{p^e} elimination and the pieces
 are recombined by CRT.  Only primes that can contribute are solved: |G| and
 p^e both kill H^2(G, Z_{p^e}), and on the closed field the p-part of M(G)
 restricts injectively to a Sylow p-subgroup, whose multiplier is 0 when it is
 cyclic (Karpilovsky 1987), i.e. when p does not divide |G| / exp(G).
-
-The equations are never stored.  `_equation_rows` builds the dense signed
-rows for any list of row ids from the padded BFS chains: a strided sample is
-solved exactly, and float64 windows verify its kernel.  A row has at most
-4L + 2 entries of +-1 for the longest word length L, and q < 2^31 is
-enforced, so every residual is an integer below 2^53 and exact in float64.
 """
 
 from __future__ import annotations
@@ -117,12 +122,20 @@ class Cochain2:
 
 
 def cochain_from_sparse(group: FiniteGroup, data: dict) -> Cochain2:
-    n = int(data["modulus"])
-    if int(data.get("order", group.order)) != group.order:
+    """Inverse of Cochain2.to_sparse; ParseError on any malformed document."""
+    try:
+        n = CoefficientModule(int(data["modulus"])).n
+        order = int(data.get("order", group.order))
+        entries = [[int(x) for x in entry] for entry in data["entries"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed sparse cochain: {exc}") from exc
+    if order != group.order:
         raise ParseError("cocycle order does not match the group")
     vals = np.zeros((group.order, group.order), dtype=np.int64)
-    for i, j, v in data["entries"]:
-        vals[int(i), int(j)] = int(v) % n
+    for entry in entries:
+        if len(entry) != 3 or not (0 <= entry[0] < order and 0 <= entry[1] < order):
+            raise ParseError(f"sparse cochain entry {entry} is not [i, j, value] with 0 <= i, j < {order}")
+        vals[entry[0], entry[1]] = entry[2] % n
     return Cochain2(group, n, vals)
 
 
@@ -151,142 +164,131 @@ def is_cocycle(sigma: Cochain2) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# frontier system: unknowns T(x, s) for x != 1 and s a generator
+# the presentation: unknowns T(x, s) on the non-tree edges of the Cayley graph
 
 
 @dataclass(eq=False)
-class _FrontierSystem:
-    """Unknowns T(x, s) plus every element's BFS chain, padded to the longest
-    word: step j of h's word multiplies chain_el[h, j] by the generator
-    chain_gen[h, j], and chain_mask[h, j] is False past the word's end."""
+class _Presentation:
+    """Edge (x, s_k) of the Cayley graph has id x |S| + k; the unknowns are
+    the edges off the BFS tree and away from 1, where the gauge and the
+    normalization fix T = 0.  tree lists the BFS-tree edges (x, k, x s_k) in
+    word-length order.  Relators are words of (generator index, +-1) steps."""
 
     group: FiniteGroup
-    num_gens: int
-    fprime: int
-    xpos: np.ndarray  # element -> frontier row, identity -> -1
-    nonid: np.ndarray
-    chain_el: np.ndarray  # n x L
-    chain_gen: np.ndarray  # n x L
-    chain_mask: np.ndarray  # n x L
+    tree: list[tuple[int, int, int]]
+    unknowns: np.ndarray  # edge id of each unknown
+    relators: list
 
-    def frontier_vector(self, values: np.ndarray) -> np.ndarray:
-        gen_els = np.array(self.group.gens, dtype=np.int64)
-        return values[np.ix_(self.nonid, gen_els)].reshape(-1)
+    def gauge_fix(self, labels: np.ndarray) -> np.ndarray:
+        """Unknowns of the cocycles with edge labels `labels` (..., n, |S|)
+        plus d(pot), pot(y) the label sum from 1 to y along the tree: the
+        cohomologous cocycles that vanish on the tree edges."""
+        pot = np.zeros(labels.shape[:-1], dtype=np.int64)
+        for x, k, y in self.tree:
+            pot[..., y] = pot[..., x] + labels[..., x, k]
+        gens = list(self.group.gens)
+        fixed = labels + pot[..., :, None] + pot[..., None, gens] - pot[..., np.asarray(self.group.mul)[:, gens]]
+        x, k = np.divmod(self.unknowns, len(gens))
+        return fixed[..., x, k]
 
     def reconstruct(self, tvec: np.ndarray, modulus: int) -> np.ndarray:
-        """Expand frontier values into the full cochain they determine."""
-        n = self.group.order
+        """The cochain of gauge-fixed unknowns: sigma(g, x s) = sigma(g, x) +
+        T(g x, s) on each tree edge x s, where T(x, s) = 0."""
+        n, m = self.group.order, len(self.group.gens)
         mul = np.asarray(self.group.mul)
-        vfull = np.zeros((n, self.num_gens), dtype=np.int64)
-        vfull[self.nonid, :] = np.asarray(tvec, dtype=np.int64).reshape(len(self.nonid), self.num_gens)
+        labels = np.zeros((n, m), dtype=np.int64)
+        labels.flat[self.unknowns] = tvec
         out = np.zeros((n, n), dtype=np.int64)
-        for x, k, live in zip(self.chain_el.T, self.chain_gen.T, self.chain_mask.T):
-            out += (vfull[mul[:, x], k] - vfull[x, k]) * live
+        for x, k, y in self.tree:
+            out[:, y] = out[:, x] + labels[mul[:, x], k]
         return out % modulus
 
 
-def _build_frontier_system(g: FiniteGroup) -> _FrontierSystem:
-    n = g.order
-    mul = np.asarray(g.mul, dtype=np.int64)
-    xpos = np.full(n, -1, dtype=np.int64)
-    nonid = np.array([x for x in range(n) if x != g.identity], dtype=np.int64)
-    xpos[nonid] = np.arange(len(nonid))
-    width = max(len(w) for w in g.words)
-    chain_el = np.full((n, width), g.identity, dtype=np.int64)
-    chain_gen = np.zeros((n, width), dtype=np.int64)
-    chain_mask = np.zeros((n, width), dtype=bool)
-    for h, word in enumerate(g.words):
-        x = g.identity
-        for j, k in enumerate(word):
-            chain_el[h, j], chain_gen[h, j], chain_mask[h, j] = x, k, True
-            x = int(mul[x, g.gens[k]])
-    return _FrontierSystem(
-        group=g,
-        num_gens=len(g.gens),
-        fprime=len(nonid) * len(g.gens),
-        xpos=xpos,
-        nonid=nonid,
-        chain_el=chain_el,
-        chain_gen=chain_gen,
-        chain_mask=chain_mask,
-    )
+def _cycle_edges(g: FiniteGroup, relator) -> tuple[np.ndarray, np.ndarray]:
+    """Edge ids (n x len) of the cycle x r from every start x, and the sign
+    with which each step crosses its edge."""
+    mul, inv = np.asarray(g.mul), np.asarray(g.inv)
+    x = np.arange(g.order)
+    ids = []
+    for k, sign in relator:
+        if sign < 0:
+            x = mul[x, inv[g.gens[k]]]
+        ids.append(x * len(g.gens) + k)
+        if sign > 0:
+            x = mul[x, g.gens[k]]
+    return np.stack(ids, axis=1), np.array([sign for _, sign in relator], dtype=np.int64)
 
 
-def _frontier_system(g: FiniteGroup) -> _FrontierSystem:
+def _complete(g: FiniteGroup, filled: np.ndarray) -> list:
+    """Relators that provably present G.  An edge is filled if it is a tree
+    edge (`filled` on entry) or the only unfilled edge of some relator cycle
+    x r, crossed once; its loop then bounds.  Once every edge is filled, the
+    Cayley complex is simply connected, so the relators present G.  The
+    first unfilled edge (x, s) adds its Schreier relator w_x s w_{xs}^-1,
+    until none is left."""
+    relators, cycles = [], []
+    while True:
+        before = -1
+        while before != filled.sum():
+            before = filled.sum()
+            for ids in cycles:
+                open_ = ~filled[ids]
+                once = open_.sum(axis=1) == 1
+                filled[ids[once][open_[once]]] = True
+        rest = np.flatnonzero(~filled)
+        if not len(rest):
+            return relators
+        x, k = divmod(int(rest[0]), len(g.gens))
+        xs = int(g.mul[x, g.gens[k]])
+        relators.append([(j, 1) for j in g.words[x]] + [(k, 1)] + [(j, -1) for j in reversed(g.words[xs])])
+        cycles.append(_cycle_edges(g, relators[-1])[0])
+
+
+def _presentation(g: FiniteGroup) -> _Presentation:
+    """The presentation of g, built once per group."""
     sys = getattr(g, "_h2_system", None)
-    if sys is None:
-        sys = _build_frontier_system(g)
-        object.__setattr__(g, "_h2_system", sys)
+    if sys is not None:
+        return sys
+    m = len(g.gens)
+    tree = [(g.word_to_element(g.words[y][:-1]), g.words[y][-1], y)
+            for y in sorted(range(g.order), key=lambda y: len(g.words[y])) if g.words[y]]
+    fixed = np.zeros(g.order * m, dtype=bool)
+    fixed[[x * m + k for x, k, _ in tree]] = True
+    relators = _complete(g, fixed.copy())
+    fixed[g.identity * m : (g.identity + 1) * m] = True
+    sys = _Presentation(group=g, tree=tree, unknowns=np.flatnonzero(~fixed), relators=relators)
+    object.__setattr__(g, "_h2_system", sys)
     return sys
 
 
-def _equation_rows(sys: _FrontierSystem, ids: np.ndarray) -> np.ndarray:
-    """Dense signed float64 rows of the frontier equations numbered `ids`.
-
-    Row (h_pos |S| + k)(n-1) + g_pos, with g and h in nonid order, is
-    sigma(g, h) + T(gh, k) - T(h, k) - sigma(g, h s_k), each sigma expanded
-    along its padded chain; padding and identity entries weigh 0.
-    """
-    mul = np.asarray(sys.group.mul)
-    hk, gpos = np.divmod(np.asarray(ids, dtype=np.int64), len(sys.nonid))
-    hpos, k = np.divmod(hk, sys.num_gens)
-    g, h = sys.nonid[gpos], sys.nonid[hpos]
-    hs = mul[h, np.asarray(sys.group.gens)[k]]
-
-    def sigma(y, sign):  # sign * sigma(g, y) = sign * sum_j T(g c_j, k_j) - T(c_j, k_j)
-        chain, gens, live = sys.chain_el[y], sys.chain_gen[y], sys.chain_mask[y]
-        return [(mul[g[:, None], chain], gens, sign * live), (chain, gens, -sign * live)]
-
-    one = np.ones((len(g), 1), dtype=np.int64)
-    terms = sigma(h, 1) + [(mul[g, h][:, None], k[:, None], one), (h[:, None], k[:, None], -one)] + sigma(hs, -1)
-    els, gens, weights = (np.hstack(t) for t in zip(*terms))
-    cols = sys.xpos[els] * sys.num_gens + gens  # negative exactly at the identity
-    flat = np.arange(len(g))[:, None] * sys.fprime + np.maximum(cols, 0)
-    out = np.bincount(flat.ravel(), weights=(weights * (cols >= 0)).ravel(), minlength=len(g) * sys.fprime)
-    return out.reshape(len(g), sys.fprime)
+def _relator_rows(sys: _Presentation, relators) -> np.ndarray:
+    """For each relator and start x != 1, its label sum from x minus its
+    label sum from 1, as a dense row over the unknowns."""
+    g = sys.group
+    n, edges = g.order, g.order * len(g.gens)
+    blocks = []
+    for r in relators:
+        ids, signs = _cycle_edges(g, r)
+        flat = (np.arange(n)[:, None] * edges + ids).ravel()
+        sums = np.bincount(flat, weights=np.broadcast_to(signs, ids.shape).ravel(), minlength=n * edges)
+        sums = sums.astype(np.int64).reshape(n, edges)[:, sys.unknowns]
+        blocks.append(np.delete(sums - sums[g.identity], g.identity, axis=0))
+    return np.vstack(blocks)
 
 
-def _cocycle_kernel(sys: _FrontierSystem, p: int, e: int) -> np.ndarray:
-    """Generators of the frontier cocycle module over Z_{p^e}.
-
-    Solves a strided subsample exactly, then intersects once with the
-    equations that the sample's kernel violates.
-    """
+def _cocycle_kernel(rows: np.ndarray, p: int, e: int) -> np.ndarray:
+    """Generators of the gauge-fixed cocycle module over Z_{p^e}."""
     q = p**e
-    f = sys.fprime
-    if f == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    total = len(sys.nonid) ** 2 * sys.num_gens
+    f = rows.shape[1]
     if f * q * q >= 2**62:
         raise BudgetExceeded(
             f"exact elimination over Z_{q} needs f*q^2 < 2^62 with f = {f} unknowns; no budget flag admits this job"
         )
-
-    sample_rows = min(total, max(3 * f, 512))
-    step = max(1, total // sample_rows)
-    K = kernel_mod(_equation_rows(sys, np.arange(0, total, step)), p, e)
-    if K.shape[1] == 0:
-        return K
-    # Rows that K satisfies stay satisfied by K Y, and K ker(C) satisfies the
-    # violated rows, so one refinement solves every equation.  A row has at
-    # most 4L + 2 entries of +-1 (L the longest word), so each residual is at
-    # most (4L + 2)(q - 1) in size; the guard above gives q < 2^31, so every
-    # float64 residual is an exact integer below 2^53.
-    Kf = K.astype(np.float64)
-    bad = []
-    for lo in range(0, total, 1024):
-        res = _equation_rows(sys, np.arange(lo, min(lo + 1024, total))) @ Kf
-        bad.append(res[(res % q).any(axis=1)])
-    C = np.vstack(bad)
-    if not len(C):
-        return K
-    return (K @ kernel_mod(C, p, e)) % q
+    return kernel_mod(rows, p, e)
 
 
 @dataclass(eq=False)
 class _PrimePiece:
-    p: int
-    e: int
     q: int
     K: np.ndarray
     ksnf: SnfMod | None
@@ -362,7 +364,7 @@ class CohomologyGroup:
     invariants: tuple[int, ...]
     reps: list[Cochain2]
     _pieces: list[_PrimePiece] = field(default_factory=list)
-    _sys: _FrontierSystem | None = None
+    _sys: _Presentation | None = None
 
     @property
     def size(self) -> int:
@@ -395,7 +397,7 @@ class CohomologyGroup:
         if self._sys is None:
             # no prime can contribute: every cocycle is in the zero class
             return self.zero_class()
-        tvec = self._sys.frontier_vector(sigma.values)
+        tvec = self._sys.gauge_fix(sigma.values[:, list(self.group.gens)])
         per_prime: list[tuple[list[int], tuple[int, ...]]] = []
         for piece in self._pieces:
             sel = piece.coords_of(tvec)
@@ -418,36 +420,34 @@ def _trivial_cohomology(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> 
     return CohomologyGroup(group=g, coeff=coeff, field_mode=mode, invariants=(), reps=[])
 
 
-def _frontier_coboundaries(sys: _FrontierSystem, gammas: np.ndarray, m: int = 1) -> np.ndarray:
-    """(gamma(x) + gamma(s) - gamma(xs)) / m at every frontier pair (x, s),
-    one row per row gamma: G -> Z of `gammas`: the coboundary d(gamma) for
-    m = 1, and for a character phi: G -> Z_m the Z_m-valued carry delta(phi)."""
-    mul = np.asarray(sys.group.mul)
-    at_x = gammas[:, sys.nonid]
-    out = np.empty((len(gammas), len(sys.nonid), sys.num_gens), dtype=np.int64)
-    for k, s in enumerate(sys.group.gens):  # a generator at a time keeps temporaries at (rows, n - 1)
-        out[:, :, k] = (at_x + gammas[:, [s]] - gammas[:, mul[sys.nonid, s]]) // m
-    return out.reshape(len(gammas), sys.fprime)
+def _edge_coboundaries(g: FiniteGroup, gammas: np.ndarray, m: int = 1) -> np.ndarray:
+    """(gamma(x) + gamma(s) - gamma(xs)) / m on every edge (x, s), an n x |S|
+    table per row gamma: G -> Z of `gammas`: the coboundary d(gamma) for m = 1,
+    and for a character phi: G -> Z_m the Z_m-valued carry delta(phi)."""
+    gens = list(g.gens)
+    return (gammas[:, :, None] + gammas[:, None, gens] - gammas[:, np.asarray(g.mul)[:, gens]]) // m
 
 
-def _relation_rows(sys: _FrontierSystem, mode: str, N: int) -> np.ndarray:
-    """The coboundaries d(gamma_y), y != 1, and on the closed field the carries
+def _relation_rows(sys: _Presentation, mode: str, N: int) -> np.ndarray:
+    """The coboundaries left in the gauge: d(gamma_s) for each generator s,
+    gamma_s counting the letter s in the BFS words (the gauge-fixed d of the
+    point mass at s), and on the closed field the gauge-fixed carries
     delta(phi) of the character generators phi: G -> Z_N; the delta(phi)
     classes exhaust the kernel of the comparison between mu_N and divisible
     coefficients."""
     g = sys.group
-    B = _frontier_coboundaries(sys, np.eye(g.order, dtype=np.int64)[sys.nonid])
+    B = sys.gauge_fix(_edge_coboundaries(g, np.eye(g.order, dtype=np.int64)[list(g.gens)]))
     if mode == "closed":
         ab = abelianization(g)
         steps = N // np.gcd(np.array(ab.cyclic_orders, dtype=np.int64), N)
-        B = np.vstack([B, _frontier_coboundaries(sys, (ab.projection * steps).T % N, N)])
+        B = np.vstack([B, sys.gauge_fix(_edge_coboundaries(g, (ab.projection * steps).T % N, N))])
     return B
 
 
 def _check_h2_budget(g: FiniteGroup, budget: int) -> None:
     n = g.order
     if (n - 1) ** 2 > budget:
-        raise BudgetExceeded(f"H^2 needs ({n}-1)^2 unknowns > budget {budget}; raise --budget-h2")
+        raise BudgetExceeded(f"H^2 budget {budget} is below (|G|-1)^2 = {(n - 1) ** 2}; raise --budget-h2")
 
 
 def _h2_impl(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> CohomologyGroup:
@@ -458,15 +458,16 @@ def _h2_impl(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> CohomologyG
     primes = [(p, e) for p, e in prime_power_factors(N) if live % p == 0]
     if not primes:
         return _trivial_cohomology(g, coeff, mode)
-    sys = _frontier_system(g)
+    sys = _presentation(g)
+    rows = _relator_rows(sys, sys.relators)
     B = _relation_rows(sys, mode, N)
 
     pieces: list[_PrimePiece] = []
     for p, e in primes:
         q = p**e
-        K = _cocycle_kernel(sys, p, e)
+        K = _cocycle_kernel(rows, p, e)
         if K.shape[1] == 0:
-            pieces.append(_PrimePiece(p=p, e=e, q=q, K=K, ksnf=None, ck=None, ck_orders=[], ck_sel=[]))
+            pieces.append(_PrimePiece(q=q, K=K, ksnf=None, ck=None, ck_orders=[], ck_sel=[]))
             continue
         ksnf = snf_mod(K, p, e, want_l=True, want_r=True)
         X = solve_from_snf(ksnf, B.T % q)
@@ -480,8 +481,6 @@ def _h2_impl(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> CohomologyG
         pos_in_output = {i: j for j, i in enumerate(nontrivial)}
         pieces.append(
             _PrimePiece(
-                p=p,
-                e=e,
                 q=q,
                 K=K,
                 ksnf=ksnf,

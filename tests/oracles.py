@@ -27,7 +27,10 @@ COO arrays, and a verification pass with a float64 and an int64 product path.
 instead of deriving the table from the generator columns,
 `walked_representation` multiplies Fraction matrices along every (x, s)
 instead of closing the generator matrices, and `coboundary_rows` and
-`delta_rows` build the H^2 relation rows term by term.
+`delta_rows` build the frontier H^2 relation rows term by term.  The
+production H^2 solves relator rows in the gauge that vanishes on the BFS
+tree; `gauge_fixed` moves frontier cochains into that gauge one element at
+a time, so the two systems are compared by the modules they span.
 """
 
 from __future__ import annotations
@@ -873,6 +876,27 @@ def walked_representation(g, gen_matrices, dim):
                 out[xs] = m
             elif out[xs] != m:
                 raise ParseError("generator matrices are not compatible with the group")
+    return out
+
+
+def gauge_fixed(g, labels):
+    """The edge labels T(x, s_k) (an n x |S| table per cochain) of the
+    cohomologous cochains T + d(gamma) that vanish on the BFS-tree edges:
+    element by element in word-length order, gamma(y) = gamma(x) + T(x, s_k)
+    + gamma(s_k) on the tree edge x s_k = y, with gamma = 0 on 1 and on the
+    generators."""
+    labels = np.asarray(labels, dtype=np.int64)
+    mul = np.asarray(g.mul)
+    gamma = np.zeros(labels.shape[:-1], dtype=np.int64)
+    for y in sorted(range(g.order), key=lambda y: len(g.words[y])):
+        word = g.words[y]
+        if len(word) > 1:
+            x, k = g.word_to_element(word[:-1]), word[-1]
+            gamma[..., y] = gamma[..., x] + labels[..., x, k] + gamma[..., g.gens[k]]
+    out = labels.copy()
+    for x in range(g.order):
+        for k, s in enumerate(g.gens):
+            out[..., x, k] += gamma[..., x] + gamma[..., s] - gamma[..., mul[x, s]]
     return out
 
 

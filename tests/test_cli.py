@@ -186,7 +186,8 @@ def test_coprime_modulus_computes(capsys):
 def test_modulus_too_large_states_its_size(capsys):
     assert main(["h2", "--type", "B2", "--coeff", str(2**31)]) == EXIT_BUDGET
     err = capsys.readouterr().err
-    assert "f = 14" in err and f"Z_{2**31}" in err and "no budget flag" in err
+    # f counts the unknowns: the 8 * 2 edges of the Cayley graph of W(B2) less its 7 BFS-tree edges
+    assert "f = 9" in err and f"Z_{2**31}" in err and "no budget flag" in err
 
 
 def test_machine_output_deterministic(zz_file, capsys):
@@ -262,31 +263,31 @@ GOLDEN_REPORTS = [
     (["invforms", "--type", "G2"],
      "6af3daa0762a32c2c7a9f21fb7f9f85ff19daf246d29a4470319cd3418b8f633"),
     (["bm", "--type", "B3", "--field", "real"],
-     "0085df3a98d8c452ca7cfc4ffae0496a90e49eabf6ab16788127beaab903c0b0"),
+     "ec2986a5933abb9e0ae69bb5ed589967dccd491fc1c5cd67af70fec52c0fd2be"),
     (["h2sharp", "--type", "B2", "--field", "real"],
-     "ac52660f84ef23c0cd631ea657a8676a73fdd2e48f53b0a937ce8dbc1c807407"),
+     "c7aa1d752a3549d08829ce810f54fb9a41677acf55da282a0a395cf437edd156"),
     (["h2", "--type", "A3"],
-     "61639c77dcdc056d99aa609231bbdc01f0a49278dc588d8355098299a0318f65"),
+     "f8e40f92889eb6f20e2976647c6b6f18ec088c743371c712795f7ccef0026aa7"),
     (["weyl-table", "--types", "A1,B2,G2"],
      "c26be73283e4601af2abb2407bcb678ca36a794aef16c1989a170d5e99d976f3"),
     (["h2sharp", "--type", "A3", "--field", "closed"],
-     "117daebd28e5dd0c3c959f71c27ac6af542d5222d6335221c016721b5ea0a86c"),
+     "02093ffe2e16e074242e2e474cb1e122fb79c3134ac8d315c345e51ebe25c566"),
     (["bm", "--type", "G2", "--field", "real"],
-     "2356d671bd33467550c7d6d48f98489499981f4b3365f66975a35b9fe0835fd3"),
+     "8fd41533fe490a38948572282d45301f6b9bf73953b9d325ca514ef1885ae3c6"),
     (["verify", "--type", "D4", "--check", "lambda-lazy", "--seed", "1"],  # dim 3072, sampled
      "ddc647a51a704f441f45d4868de61b47e4e895cb02619528eef4179e1ed02d5a"),
     (["bm", "--type", "B3", "--field", "closed"],
-     "49433bdcd04b3794d98368ce4add88f5af75c4aed3c171a1c6ba27ee5f9fa63b"),
+     "99dc3a969f144d1b5595eabd5ff713488c6d6587016f33d380b3544eb7291cbd"),
     (["bm", "--field", "real", "--group", "z2xz4.json"],  # u = (0, 2): not split
-     "122dcdd773d10d8251da45e1fa870a3f7a1176672f73f3e916fcf129d2635175"),
+     "25a2a697a6512148892b92b9eae5ae95ce6920d9b97416b74308438382eed47e"),
     (["h2", "--type", "D4"],  # closed field, Z_192: p = 3 has a cyclic Sylow and is skipped
-     "b820a44d46fd5b4871c099b42c4109d05feb01a543fa26d827743a3b49e03157"),
+     "98afba5f7ea9ea07050ea7c6137f4c4131ff4793e0f5a2ad9c0256e6e70cb505"),
     (["h2", "--type", "B3", "--coeff", "6"],  # p = 3 kept for Ext(G^ab, Z_3)
-     "3425c324fe28db6cf6684fe3a9345aeaff5ab6557c124ed12a596b46df8119d5"),
+     "62c52eaaa403e58b59635d429d1324a29349542a2d631c53e82ed4ac6da8c3de"),
     (["h2", "--group", "z2xz4.json", "--coeff", "12"],  # p = 3 does not divide 8 and is skipped
-     "8b6c2e31a4fc4d38510c26f5de912b81d1360223c9db972e5c0b4bebe3ae5206"),
-    (["h2", "--group", "z2xz4.json", "--coeff", "33554432"],  # 2^25: f q^2 >= 2^52, past float64 for rows reduced mod q
-     "ff01f1549fc6df89b204dd8a8374d52ded93b57b3ae407d605565429b4024e45"),
+     "520a9509e9ad7d5b5a3c7e64e050a5d8ff625b8209c18a20ac82966924472152"),
+    (["h2", "--group", "z2xz4.json", "--coeff", "33554432"],  # 2^25: f q^2 = 9 * 2^50, inside the exact int64 bound 2^62, past float64's 2^53
+     "4fa84a6b5afbea16bd0ce04bad946bb2930bcc4b7fd889e012864c4fc231486d"),
     (["verify", "--type", "B3", "--check", "hopf"],  # dim 384: exhaustive above the dim budget
      "394741f78edb6f7e82d7cf415f9e62ef4b2e68842ac2f34d5a47c93bed6eedd5"),
     (["verify", "--algebra", "E6", "--check", "hopf"],  # dim 128

@@ -6,7 +6,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from superbrauer import (
     ALG_CLOSED,
@@ -37,9 +37,9 @@ from .oracles import (
     brute_h2_order,
     coboundary_rows,
     coo_cocycle_kernel,
-    coo_equation_rows,
     coo_frontier_system,
     delta_rows,
+    gauge_fixed,
 )
 
 
@@ -227,6 +227,19 @@ def test_cochain_sparse_roundtrip(z2z2):
         assert back.equals(rep)
 
 
+@pytest.mark.parametrize("doc", [
+    {"modulus": 2, "entries": [[-1, -1, 1]]},
+    {"modulus": 2, "entries": [[0, 2, 1]]},
+    {"modulus": 0, "entries": [[1, 1, 1]]},
+    {"modulus": 2, "entries": [[1, 1]]},
+], ids=["negative-index", "index-past-order", "modulus-0", "two-element-entry"])
+def test_cochain_from_sparse_rejects_malformed(z2, doc):
+    from superbrauer import cochain_from_sparse
+
+    with pytest.raises(ParseError):
+        cochain_from_sparse(z2, doc)
+
+
 def _dihedral(n):
     rot = [(i + 1) % n for i in range(n)]
     ref = [(-i) % n for i in range(n)]
@@ -333,7 +346,7 @@ def test_dead_primes_are_not_solved(monkeypatch):
     """Closed W(B3) (|G| = 48, exp 12) solves p = 2 only; 3 does not divide |W(B2)|."""
     solved = []
     kernel = cohomology._cocycle_kernel
-    monkeypatch.setattr(cohomology, "_cocycle_kernel", lambda sys, p, e: solved.append(p) or kernel(sys, p, e))
+    monkeypatch.setattr(cohomology, "_cocycle_kernel", lambda rows, p, e: solved.append(p) or kernel(rows, p, e))
     assert h2_closed_field(build_weyl(RootSystemType.parse("B3")).group).invariants == (2, 2)
     assert solved == [2]
     solved.clear()
@@ -350,62 +363,107 @@ _FRONTIER_GROUPS = {
 }
 
 
-@pytest.mark.parametrize("name", list(_FRONTIER_GROUPS))
-def test_equation_rows_match_stored_system(name):
-    """Rows generated from their ids equal the stored COO system's rows, by
-    windows over all ids and for ids in random order."""
-    g = _FRONTIER_GROUPS[name]()
-    sys, coo = cohomology._frontier_system(g), coo_frontier_system(g)
-    total = coo.eq_count
-    for lo in range(0, total, 4096):
-        hi = min(lo + 4096, total)
-        assert np.array_equal(cohomology._equation_rows(sys, np.arange(lo, hi)), coo_equation_rows(coo, lo, hi))
-    ids = np.random.default_rng(g.order).permutation(total)[:200]
-    want = np.vstack([coo_equation_rows(coo, i, i + 1) for i in ids])
-    assert np.array_equal(cohomology._equation_rows(sys, ids), want)
+def _same_span(a, b, p, e):
+    return solve_mod(a, b, p, e) is not None and solve_mod(b, a, p, e) is not None
+
+
+def _gauge_fixed_columns(g, sys, frontier):
+    """Gauge-fixed unknowns of the frontier vectors in the columns of
+    `frontier` (T(x, s_k) at row (x_pos |S| + k), x != 1), as columns; the
+    gauge-fixed labels must vanish on every edge that is not an unknown."""
+    k = frontier.shape[1]
+    nonid = [x for x in range(g.order) if x != g.identity]
+    labels = np.zeros((k, g.order, len(g.gens)), dtype=np.int64)
+    labels[:, nonid, :] = frontier.T.reshape(k, len(nonid), len(g.gens))
+    fixed = gauge_fixed(g, labels).reshape(k, g.order * len(g.gens))
+    assert not np.delete(fixed, sys.unknowns, axis=1).any()
+    return fixed[:, sys.unknowns].T
+
+
+def _assert_kernels_agree(g, cases):
+    sys, coo = cohomology._presentation(g), coo_frontier_system(g)
+    rows = cohomology._relator_rows(sys, sys.relators)
+    for p, e in cases:
+        want = _gauge_fixed_columns(g, sys, coo_cocycle_kernel(coo, p, e))
+        assert _same_span(cohomology._cocycle_kernel(rows, p, e), want, p, e), (p, e)
 
 
 @pytest.mark.parametrize("name", list(_FRONTIER_GROUPS))
 def test_cocycle_kernel_matches_stored_system(name):
-    """The kernel is array-equal to the stored system's, for every prime power
-    of |G|, and mod 2^25 on Z2 x Z4 where f q^2 >= 2^52."""
+    """The relator kernel spans the gauge-fixed kernel of every frontier
+    equation, for every prime power of |G|, and mod 2^25 on Z2 x Z4."""
     g = _FRONTIER_GROUPS[name]()
-    sys, coo = cohomology._frontier_system(g), coo_frontier_system(g)
-    cases = prime_power_factors(g.order) + ([(2, 25)] if name == "Z2xZ4" else [])
-    for p, e in cases:
-        assert np.array_equal(cohomology._cocycle_kernel(sys, p, e), coo_cocycle_kernel(coo, p, e)), (p, e)
+    _assert_kernels_agree(g, prime_power_factors(g.order) + ([(2, 25)] if name == "Z2xZ4" else []))
 
 
 @pytest.mark.parametrize("name", list(_FRONTIER_GROUPS) + ["Z1"])
 def test_relation_rows_match_term_by_term(name):
-    """The H^2 relation rows equal the coboundaries d(gamma_y) and the carries
-    delta(phi) built term by term, for moduli |G|, 2|G| and 12."""
+    """The H^2 relation rows span the gauge-fixed coboundaries d(gamma_y) and
+    carries delta(phi) built term by term, for moduli |G|, 2|G| and 12."""
     g = cyclic_group(1) if name == "Z1" else _FRONTIER_GROUPS[name]()
-    sys = cohomology._frontier_system(g)
-    d = coboundary_rows(g, sys)
-    assert np.array_equal(cohomology._relation_rows(sys, "muN", g.order), d)
+    sys, coo = cohomology._presentation(g), coo_frontier_system(g)
+    d = coboundary_rows(g, coo)
     for N in (g.order, 2 * g.order, 12):
-        want = np.vstack([d, delta_rows(g, abelianization(g), sys, N)])
-        assert np.array_equal(cohomology._relation_rows(sys, "closed", N), want), N
+        closed = np.vstack([d, delta_rows(g, abelianization(g), coo, N)])
+        for mode, frontier in (("muN", d), ("closed", closed)):
+            want = _gauge_fixed_columns(g, sys, frontier.T)
+            got = cohomology._relation_rows(sys, mode, N).T
+            for p, e in prime_power_factors(N):
+                assert _same_span(got, want, p, e), (mode, N, p)
 
 
-@pytest.mark.parametrize("name", ["Z2xZ4", "S4", "W(B2)"])
-def test_refinement_alone_solves_every_equation(name, monkeypatch):
-    """With the sample's kernel replaced by the identity, every nonzero row is
-    violated, and the one refinement must still give the cocycle module."""
+@pytest.mark.parametrize("name", ["Z2xZ4", "W(B3)", "G(A3)"])
+def test_unfilled_edge_gives_false_cocycles(name):
+    """The Schreier completion adds a relator only for an edge that the
+    earlier ones leave unfilled.  Without the last relator they need not
+    present G, and here their kernel holds columns that are no cocycle; the
+    completed presentation's kernel holds none."""
     g = _FRONTIER_GROUPS[name]()
-    sys = cohomology._frontier_system(g)
-    kernel_mod = cohomology.kernel_mod
-    for p, e in prime_power_factors(g.order):
-        want = cohomology._cocycle_kernel(sys, p, e)
-        calls = []
+    sys = cohomology._presentation(g)
+    for relators, all_cocycles in ((sys.relators[:-1], False), (sys.relators, True)):
+        for p, e in prime_power_factors(g.order):
+            K = cohomology.kernel_mod(cohomology._relator_rows(sys, relators), p, e)
+            columns = [Cochain2(g, p**e, sys.reconstruct(col, p**e)) for col in K.T]
+            assert all(is_cocycle(c) for c in columns) == all_cocycles, (p, len(relators))
 
-        def identity_first(M, p, e):
-            calls.append(M.shape)
-            return np.eye(M.shape[1], dtype=np.int64) if len(calls) == 1 else kernel_mod(M, p, e)
 
-        monkeypatch.setattr(cohomology, "kernel_mod", identity_first)
-        got = cohomology._cocycle_kernel(sys, p, e)
-        monkeypatch.undo()
-        assert len(calls) == 2
-        assert solve_mod(got, want, p, e) is not None and solve_mod(want, got, p, e) is not None
+def _points(cycles):
+    """A permutation of range(sum of lengths) with one rotation per cycle."""
+    out, lo = [], 0
+    for size, step in cycles:
+        out += [lo + (i + step) % size for i in range(size)]
+        lo += size
+    return out
+
+
+@st.composite
+def _random_groups(draw):
+    """Cyclic products, dihedral groups and groups on up to 5 points, each
+    closed from 1-3 random elements, some redundant: a product or a power
+    of the earlier ones."""
+    family = draw(st.sampled_from(["cyclic", "dihedral", "points"]))
+    if family == "cyclic":
+        sizes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+        elements = st.tuples(*(st.integers(0, d - 1) for d in sizes)).map(lambda exps: _points(zip(sizes, exps)))
+    elif family == "dihedral":
+        n = draw(st.integers(3, 8))
+        elements = st.tuples(st.integers(0, n - 1), st.booleans()).map(
+            lambda t: [(t[0] + (-i if t[1] else i)) % n for i in range(n)])
+    else:
+        elements = st.permutations(range(draw(st.integers(2, 5)))).map(list)
+    gens = draw(st.lists(elements, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        gens.append([a[i] for i in b])
+    return close_generators(gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=_random_groups(), q=st.sampled_from([2, 3, 4, 6]))
+def test_presentation_h2_on_random_groups(g, q):
+    """|H^2(G, Z_q)| equals the dense bar-complex count for |G| <= 12, and
+    the relator kernel spans the frontier kernel for |G| <= 48."""
+    assume(g.order <= 48)
+    if g.order <= 12:
+        assert h2(g, q).size == brute_h2_order(g, q)
+    _assert_kernels_agree(g, prime_power_factors(g.order))

@@ -151,7 +151,6 @@ def test_w0_minus_one_prediction_matches():
         assert w0_acts_as_minus_one(RootSystemType.parse(name)) == expect
 
 
-@pytest.mark.slow
 def test_b4_stretch_row():
     """The flagged stretch target: |W(B4)| = 384 with raised budget."""
     row = table_row(RootSystemType.parse("B4"), group_budget=400)
