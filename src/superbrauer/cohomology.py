@@ -30,6 +30,7 @@ cyclic (Karpilovsky 1987), i.e. when p does not divide |G| / exp(G).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,9 +45,11 @@ from .groups import (
     cyclic_group,
 )
 from .modlinalg import (
+    CokernelData,
     SnfMod,
     cokernel_mod,
-    inverse_mod,
+    crt,
+    direct_sum,
     kernel_from_snf,
     kernel_mod,
     prime_power_factors,
@@ -291,19 +294,12 @@ def _cocycle_kernel(rows: np.ndarray, p: int, e: int) -> np.ndarray:
 class _PrimePiece:
     q: int
     K: np.ndarray
-    ksnf: SnfMod | None
-    ck: object | None
-    ck_orders: list[int]  # nontrivial factor orders, descending
-    ck_sel: list[int]  # positions into ck.class_coords output
+    ksnf: SnfMod
+    ck: CokernelData
 
-    def coords_of(self, tvec: np.ndarray) -> tuple[int, ...] | None:
-        if self.K.shape[1] == 0:
-            return () if not (tvec % self.q).any() else None
+    def coords_of(self, tvec: np.ndarray) -> np.ndarray | None:
         x = solve_from_snf(self.ksnf, tvec % self.q)
-        if x is None:
-            return None
-        raw = self.ck.class_coords(x)
-        return tuple(raw[i] for i in self.ck_sel)
+        return None if x is None else self.ck.class_coords(x)
 
 
 @dataclass(eq=False)
@@ -398,22 +394,13 @@ class CohomologyGroup:
             # no prime can contribute: every cocycle is in the zero class
             return self.zero_class()
         tvec = self._sys.gauge_fix(sigma.values[:, list(self.group.gens)])
-        per_prime: list[tuple[list[int], tuple[int, ...]]] = []
+        parts = []
         for piece in self._pieces:
-            sel = piece.coords_of(tvec)
-            if sel is None:
+            coords = piece.coords_of(tvec)
+            if coords is None:
                 raise NotCocycle("cochain fails the cocycle equations")
-            per_prime.append((piece.ck_orders, sel))
-        coords_out = []
-        for i, d in enumerate(self.invariants):
-            c, m = 0, 1
-            for orders, sel in per_prime:
-                if i < len(orders):
-                    o, r = orders[i], sel[i]
-                    t = ((r - c) * inverse_mod(m % o, o)) % o
-                    c, m = c + m * t, m * o
-            coords_out.append(c % d)
-        return CohomologyClass(self, tuple(coords_out))
+            parts.append((piece.ck.orders, coords))
+        return CohomologyClass(self, tuple(int(c) for c in direct_sum(parts)[1]))
 
 
 def _trivial_cohomology(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> CohomologyGroup:
@@ -466,50 +453,23 @@ def _h2_impl(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> CohomologyG
     for p, e in primes:
         q = p**e
         K = _cocycle_kernel(rows, p, e)
-        if K.shape[1] == 0:
-            pieces.append(_PrimePiece(q=q, K=K, ksnf=None, ck=None, ck_orders=[], ck_sel=[]))
-            continue
         ksnf = snf_mod(K, p, e, want_l=True, want_r=True)
         X = solve_from_snf(ksnf, B.T % q)
         if X is None:
             raise ParseError("coboundary outside the cocycle module (internal error)")
-        rel = kernel_from_snf(ksnf)
-        P = np.hstack([X, rel]) if rel.shape[1] else X
-        ck = cokernel_mod(P, p, e)
-        nontrivial = [i for i, o in enumerate(ck.orders) if o > 1]
-        factors = sorted(((ck.orders[i], i) for i in nontrivial), key=lambda t: -t[0])
-        pos_in_output = {i: j for j, i in enumerate(nontrivial)}
-        pieces.append(
-            _PrimePiece(
-                q=q,
-                K=K,
-                ksnf=ksnf,
-                ck=ck,
-                ck_orders=[o for o, _ in factors],
-                ck_sel=[pos_in_output[i] for _, i in factors],
-            )
-        )
+        ck = cokernel_mod(np.hstack([X, kernel_from_snf(ksnf)]), p, e)
+        pieces.append(_PrimePiece(q=q, K=K, ksnf=ksnf, ck=ck))
+    # H^2 is the sum of the prime pieces; only its factors are needed here
+    invariants, _ = direct_sum([(piece.ck.orders, np.zeros(len(piece.ck.orders), dtype=np.int64)) for piece in pieces])
 
-    depth = max((len(piece.ck_orders) for piece in pieces), default=0)
-    invariants = tuple(
-        int(np.prod([piece.ck_orders[i] for piece in pieces if i < len(piece.ck_orders)]))
-        for i in range(depth)
-    )
-
+    qs = [piece.q for piece in pieces]
     reps: list[Cochain2] = []
-    for i in range(depth):
-        vals = np.zeros((n, n), dtype=np.int64)
-        for piece in pieces:
-            if i >= len(piece.ck_orders):
-                continue
-            q = piece.q
-            basis = piece.ck.basis_vectors()
-            xvec = basis[piece.ck_sel[i]]
-            tvec = (piece.K @ xvec) % q
-            table = sys.reconstruct(tvec, q)
-            ep = (N // q) * inverse_mod((N // q) % q, q) % N
-            vals = (vals + table * ep) % N
-        reps.append(Cochain2(g, N, vals))
+    for i in range(len(invariants)):
+        # factor i of each piece mod its q; 0 mod the q of a piece with fewer
+        # factors and mod the prime powers of N that no piece solves
+        tables = [sys.reconstruct(piece.K @ piece.ck.Linv[:, i] % piece.q, piece.q) if i < len(piece.ck.orders) else 0
+                  for piece in pieces]
+        reps.append(Cochain2(g, N, crt(tables + [0], qs + [N // math.prod(qs)])))
 
     return CohomologyGroup(
         group=g,

@@ -5,7 +5,7 @@ generators in the order given and multiplying on the right.  Every group
 carries a generating set and a BFS word for each element; the cohomology
 module relies on both.  A closure keeps only x * s for each element x and
 generator s; the table follows, because x * j = (x * p) * s when j was
-first reached as p * s, and one BFS gives generators, words and subgroups.
+first reached as p * s, and one BFS gives generators and words.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapExceeded, NotInvertible, ParseError, TrivialInvolution
+from .modlinalg import cokernel_mod, direct_sum, prime_power_factors
 
 DEFAULT_CAP = 200_000
 MAX_TABLE_ORDER = 20_000  # largest group whose n x n multiplication table is built
@@ -156,9 +157,6 @@ class FiniteGroup:
 
     def is_central(self, g: int) -> bool:
         return bool((self.mul[g, :] == self.mul[:, g]).all())
-
-    def subgroup_closure(self, seeds: list[int]) -> list[int]:
-        return sorted(self._bfs(seeds))
 
     def check_axioms(self) -> None:
         """Identity, inverse and associativity laws; raises ParseError on failure.
@@ -347,17 +345,29 @@ def _finish_group(elements: list, right: np.ndarray, parent: list, kind: str) ->
 
 
 def group_from_table(table, identity: int | None = None, labels: list[str] | None = None) -> FiniteGroup:
-    mul = np.array(table, dtype=np.int32)
-    if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
+    raw = np.asarray(table)
+    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise ParseError("multiplication table must be square")
-    n = mul.shape[0]
-    if mul.min() < 0 or mul.max() >= n:
+    n = raw.shape[0]
+    # numpy would truncate floats, parse strings and read bools as 0 and 1
+    bools = not isinstance(table, np.ndarray) and any(isinstance(x, bool) for row in table for x in row)
+    if raw.dtype.kind not in "iu" or bools:
+        raise ParseError("table entries must be integers")
+    if raw.min(initial=0) < 0 or raw.max(initial=0) >= n:
         raise ParseError("table entries out of range")
+    mul = raw.astype(np.int32)
     if identity is None:
-        ids = [e for e in range(n) if (mul[e, :] == np.arange(n)).all()]
-        if not ids:
+        identity = next((e for e in range(n) if (mul[e, :] == np.arange(n)).all()), None)
+        if identity is None:
             raise ParseError("table has no identity element")
-        identity = ids[0]
+    elif isinstance(identity, bool) or not isinstance(identity, (int, np.integer)) or not 0 <= identity < n:
+        raise ParseError(f"identity {identity!r} is not an element index in 0..{n - 1}")
+    identity = int(identity)
+    if not ((mul[identity, :] == np.arange(n)).all() and (mul[:, identity] == np.arange(n)).all()):
+        raise ParseError(f"element {identity} is not the identity of the table")
+    if labels is not None and not (isinstance(labels, list) and len(labels) == n
+                                   and all(isinstance(x, str) for x in labels)):
+        raise ParseError(f"labels must be a list of {n} strings, one per element")
     inv = np.empty(n, dtype=np.int32)
     for i in range(n):
         js = np.nonzero(mul[i, :] == identity)[0]
@@ -499,59 +509,6 @@ class AbelianInvariants:
         return tuple(int(x) for x in self.projection[g])
 
 
-def _abelian_basis_from_table(mul: np.ndarray, identity: int) -> tuple[list[int], list[int], dict]:
-    """Basis realizing the invariant factors (largest first) of an abelian
-    table group, and the span {element: its coordinates in that basis}.
-
-    Greedy maximal-quotient-order extraction; successive orders are exactly
-    the invariant factors since the adjusted generator spans a direct summand.
-    """
-    n = mul.shape[0]
-
-    def power(x: int, k: int) -> int:
-        y = identity
-        for _ in range(k):
-            y = int(mul[y, x])
-        return y
-
-    basis: list[int] = []
-    orders: list[int] = []
-    span = {identity: ()}
-    while len(span) < n:
-        best, best_ord = None, 0
-        for x in range(n):
-            if x in span:
-                continue
-            k = 1
-            y = x
-            while y not in span:
-                y = int(mul[y, x])
-                k += 1
-            if k > best_ord:
-                best, best_ord = x, k
-        x = best
-        j = best_ord
-        tail = power(x, j)  # lies in span; fix x so that x**j = 1
-        if tail != identity:
-            fixed = next((y for y in span if power(y, j) == tail), None)
-            if fixed is None:
-                raise ParseError("abelian basis extraction failed")
-            fixed_inv = int(np.nonzero(mul[fixed, :] == identity)[0][0])
-            x = int(mul[x, fixed_inv])
-        basis.append(x)
-        orders.append(j)
-        new_span = {}
-        for s, coords in span.items():
-            y = s
-            for c in range(j):
-                new_span[y] = coords + (c,)
-                y = int(mul[y, x])
-        if len(new_span) != len(span) * j:
-            raise ParseError("abelian basis extraction failed (span collision)")
-        span = new_span
-    return basis, orders, span
-
-
 def abelianization(g: FiniteGroup) -> AbelianInvariants:
     cached = getattr(g, "_abelianization", None)
     if cached is None:
@@ -561,26 +518,24 @@ def abelianization(g: FiniteGroup) -> AbelianInvariants:
 
 
 def _abelianization_impl(g: FiniteGroup) -> AbelianInvariants:
-    n, e = g.order, g.identity
-    mul, inv = np.asarray(g.mul), np.asarray(g.inv)
-    is_comm = np.zeros(n, dtype=bool)
-    is_comm[mul[mul[np.ix_(inv, inv)], mul]] = True  # a^-1 b^-1 (a b) for every a, b
-    ksub = g.subgroup_closure(np.flatnonzero(is_comm).tolist())
-    # each coset x K is represented by its least element, K itself by e
-    rep = mul[:, ksub].min(axis=1)
-    rep[rep == rep[e]] = e
-    coset_reps = sorted(set(rep.tolist()))
-    pos = np.zeros(n, dtype=np.int64)
-    pos[coset_reps] = np.arange(len(coset_reps))
-    coset = pos[rep]
-    qmul = coset[mul[np.ix_(coset_reps, coset_reps)]]
-    _, factors, span = _abelian_basis_from_table(qmul, int(pos[e]))
-    coords = np.array([span[q] for q in range(len(coset_reps))], dtype=np.int64).reshape(len(coset_reps), len(factors))
+    """G^ab is Z^S modulo the abelianized Schreier generators c(x) + e_s -
+    c(xs), c(x) the letter count of the BFS word of x (Reidemeister-Schreier),
+    and x maps to the class of c(x).  p^e || |G| kills the p-part of G^ab, so
+    the cokernel of the relations over Z_{p^e} is that p-part."""
+    n, m = g.order, len(g.gens)
+    counts = np.array([np.bincount(w, minlength=m) for w in g.words], dtype=np.int64)
+    rel = counts[:, None, :] + np.eye(m, dtype=np.int64) - counts[np.asarray(g.mul)[:, list(g.gens)]]
+    parts = []
+    for p, e in prime_power_factors(n):
+        ck = cokernel_mod(rel.reshape(n * m, m).T, p, e)
+        parts.append((ck.orders, ck.class_coords(counts)))
+    orders, coords = direct_sum(parts)
+    projection = np.array(coords, dtype=np.int64).reshape(len(orders), n).T
     return AbelianInvariants(
         group=g,
-        cyclic_orders=tuple(factors),
-        projection=coords[coset],
-        commutator_subgroup=tuple(ksub),
+        cyclic_orders=orders,
+        projection=projection,
+        commutator_subgroup=tuple(np.flatnonzero(~projection.any(axis=1)).tolist()),
     )
 
 

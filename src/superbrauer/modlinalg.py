@@ -9,6 +9,7 @@ invariants, which is everything the cohomology pipeline needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,37 +207,45 @@ def solve_mod(M: np.ndarray, B: np.ndarray, p: int, e: int) -> np.ndarray | None
 
 @dataclass
 class CokernelData:
-    """Structure of Z_q**z / colspan(P) with coordinates y = L @ x."""
+    """Z_q**z / colspan(P) as a sum of its nontrivial cyclic factors, largest
+    first: x has coordinates (L @ x) mod orders, and column i of Linv is a
+    preimage of the generator of factor i."""
 
     p: int
     e: int
-    orders: list[int]  # cyclic order of each quotient coordinate (may be 1)
-    L: np.ndarray
-    Linv: np.ndarray
+    orders: tuple[int, ...]
+    L: np.ndarray  # (k, z)
+    Linv: np.ndarray  # (z, k)
 
-    def class_coords(self, x: np.ndarray) -> tuple[int, ...]:
-        q = self.p**self.e
-        y = (self.L @ (np.asarray(x, dtype=np.int64) % q)) % q
-        return tuple(int(y[i] % o) for i, o in enumerate(self.orders) if o > 1)
-
-    def basis_vectors(self) -> list[np.ndarray]:
-        """Preimages in Z_q**z of the standard generators of each cyclic factor."""
-        out = []
-        for i, o in enumerate(self.orders):
-            if o > 1:
-                out.append(self.Linv[:, i].copy())
-        return out
-
-    def nontrivial_orders(self) -> list[int]:
-        return [o for o in self.orders if o > 1]
+    def class_coords(self, x: np.ndarray) -> np.ndarray:
+        """Coordinates of x (z,), or of each row of x (m, z)."""
+        return (np.asarray(x, dtype=np.int64) % self.p**self.e @ self.L.T) % np.array(self.orders, dtype=np.int64)
 
 
 def cokernel_mod(P: np.ndarray, p: int, e: int) -> CokernelData:
     """Invariants of Z_q**z modulo the column span of P (z x t)."""
-    q = p**e
     snf = snf_mod(P, p, e, want_l=True, want_linv=True)
-    orders = []
-    for i in range(snf.rows):
-        a = snf.diag[i] if i < len(snf.diag) else e
-        orders.append(p ** min(a, e))
-    return CokernelData(p=p, e=e, orders=orders, L=snf.L, Linv=snf.Linv)
+    vals = snf.diag + [e] * (snf.rows - len(snf.diag))
+    sel = sorted((i for i, a in enumerate(vals) if a > 0), key=lambda i: -vals[i])
+    return CokernelData(p=p, e=e, orders=tuple(p ** vals[i] for i in sel), L=snf.L[sel], Linv=snf.Linv[:, sel])
+
+
+def crt(residues, moduli):
+    """The x in [0, prod(moduli)) with x = r mod q for each residue r (an int
+    or an int array) and modulus q, the moduli pairwise coprime (Garner)."""
+    x, m = 0, 1
+    for r, q in zip(residues, moduli):
+        x = x + m * ((r - x) * inverse_mod(m, q) % q)
+        m *= q
+    return x
+
+
+def direct_sum(parts) -> tuple[tuple[int, ...], list]:
+    """Invariant factors, largest first, and coordinates of a direct sum of
+    finite abelian groups of coprime orders, each part given as (its factor
+    orders largest first, coordinates (..., len(orders))): factor i of the
+    sum is the product of the parts' factors i, its coordinate their CRT."""
+    depth = max((len(orders) for orders, _ in parts), default=0)
+    factors = [[(orders[i], c[..., i]) for orders, c in parts if i < len(orders)] for i in range(depth)]
+    return (tuple(math.prod(q for q, _ in f) for f in factors),
+            [crt([c for _, c in f], [q for q, _ in f]) for f in factors])

@@ -29,7 +29,6 @@ from .cohomology import (
 from .groups import (
     CentralInvolution,
     FiniteGroup,
-    _abelian_basis_from_table,
     abelianization,
     all_characters,
     group_from_table,
@@ -222,8 +221,7 @@ def _abelian_table_invariants(table: np.ndarray, ident: int) -> tuple[int, ...]:
     checking that it is an abelian group table."""
     if (table != table.T).any():
         raise ParseError("enumerated product is not commutative")
-    group_from_table(table, identity=ident)
-    return tuple(_abelian_basis_from_table(table, ident)[1])
+    return abelianization(group_from_table(table, identity=ident)).cyclic_orders
 
 
 def quaternion_symbol(a, b, field: FieldDescriptor):

@@ -369,5 +369,5 @@ def table_row(
 
 
 # A4 (order 240) also computes within the default budget; its row takes about
-# 18 s on a 2-core machine, so it is requested explicitly.
+# 1 s as a cold CLI job on a 2-core machine, and it is requested explicitly.
 DEFAULT_TABLE_TYPES = ["A1", "A2", "A3", "B2", "B3", "D4", "G2", "B4", "D5", "F4", "E6", "E7", "E8"]

@@ -3,8 +3,9 @@
 The cohomology oracles work on the full dense normalized bar system with
 plain Gaussian elimination or integer Smith normal form; the cocycle test
 runs over all triples; the invariant factors of an abelian Cayley table come
-from order statistics; the determinant is the Leibniz expansion; the lazy
-cocycle lambda is filled entry by entry.  None of it shares code with the
+from order statistics, and those of G^ab from the coset table of the
+commutator subgroup and a greedy basis; the determinant is the Leibniz
+expansion; the lazy cocycle lambda is filled entry by entry.  None of it shares code with the
 production pipeline, except the sharp-table enumeration, which multiplies
 every pair of class representatives with the production `sharp` and
 `class_of` instead of deriving the table from the twist classes, and the BM
@@ -304,6 +305,82 @@ def abelian_invariants_from_table(table, ident):
                 d *= lst[i]
         out.append(d)
     return tuple(out)
+
+
+def _abelian_basis_from_table(mul: np.ndarray, identity: int) -> tuple[list[int], list[int], dict]:
+    """Basis realizing the invariant factors (largest first) of an abelian
+    table group, and the span {element: its coordinates in that basis}.
+
+    Greedy maximal-quotient-order extraction; successive orders are exactly
+    the invariant factors since the adjusted generator spans a direct summand.
+    """
+    n = mul.shape[0]
+
+    def power(x: int, k: int) -> int:
+        y = identity
+        for _ in range(k):
+            y = int(mul[y, x])
+        return y
+
+    basis: list[int] = []
+    orders: list[int] = []
+    span = {identity: ()}
+    while len(span) < n:
+        best, best_ord = None, 0
+        for x in range(n):
+            if x in span:
+                continue
+            k = 1
+            y = x
+            while y not in span:
+                y = int(mul[y, x])
+                k += 1
+            if k > best_ord:
+                best, best_ord = x, k
+        x = best
+        j = best_ord
+        tail = power(x, j)  # lies in span; fix x so that x**j = 1
+        if tail != identity:
+            fixed = next((y for y in span if power(y, j) == tail), None)
+            if fixed is None:
+                raise ParseError("abelian basis extraction failed")
+            fixed_inv = int(np.nonzero(mul[fixed, :] == identity)[0][0])
+            x = int(mul[x, fixed_inv])
+        basis.append(x)
+        orders.append(j)
+        new_span = {}
+        for s, coords in span.items():
+            y = s
+            for c in range(j):
+                new_span[y] = coords + (c,)
+                y = int(mul[y, x])
+        if len(new_span) != len(span) * j:
+            raise ParseError("abelian basis extraction failed (span collision)")
+        span = new_span
+    return basis, orders, span
+
+
+def quotient_table_abelianization(g):
+    """(invariant factors, commutator subgroup) of G^ab from the table: the
+    commutators a^-1 b^-1 a b of every pair, the subgroup they generate by
+    right multiplication, the coset table of the quotient and its greedy
+    basis."""
+    e = g.identity
+    mul, inv = np.asarray(g.mul), np.asarray(g.inv)
+    comm = np.unique(mul[mul[np.ix_(inv, inv)], mul]).tolist()
+    ksub, queue = {e}, [e]
+    for x in queue:  # the queue grows while it is read
+        for y in mul[x, comm].tolist():
+            if y not in ksub:
+                ksub.add(y)
+                queue.append(y)
+    ksub = sorted(ksub)
+    rep = mul[:, ksub].min(axis=1)
+    reps = sorted(set(rep.tolist()))
+    pos = {r: i for i, r in enumerate(reps)}
+    qmul = np.array([[pos[int(rep[mul[a, b]])] for b in reps] for a in reps])
+    _, orders, _ = _abelian_basis_from_table(qmul, pos[int(rep[e])])
+    return tuple(orders), tuple(ksub)
 
 
 def _wedge_image(mat, mask, n):

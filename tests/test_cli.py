@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -87,6 +88,28 @@ def test_malformed_input_exit_code(tmp_path, capsys, spec, u):
     args = ["h2sharp", "--group", str(path), "--field", "closed"] + (["--u", u] if u else [])
     code, _ = _run(args, capsys)
     assert code == EXIT_PARSE
+
+
+_Z2_TABLE = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"table": [[0, 1.5], [1, 0]]}, "table entries must be integers"),
+    ({"table": [["0", "1"], ["1", "0"]]}, "table entries must be integers"),
+    ({"table": [[0, True], [True, 0]]}, "table entries must be integers"),
+    ({"identity": 5}, r"identity 5 is not an element index in 0\.\.1"),
+    ({"identity": -1}, r"identity -1 is not an element index in 0\.\.1"),
+    ({"identity": "a"}, r"identity 'a' is not an element index in 0\.\.1"),
+    ({"identity": 1}, "element 1 is not the identity of the table"),
+    ({"labels": ["e"]}, "labels must be a list of 2 strings"),
+], ids=["float-entry", "string-entries", "bool-entries", "identity-past-end", "identity-negative",
+        "identity-string", "identity-not-neutral", "labels-short"])
+def test_malformed_table_exit_code(tmp_path, capsys, fields, message):
+    """Each fault of a table group file is refused with exit 2 and named."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"kind": "table", "table": _Z2_TABLE, **fields}))
+    assert main(["h2", "--group", str(path)]) == EXIT_PARSE
+    assert re.search(message, capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("rep", [{}, {"kind": "permutations", "generators": [[1, 0]]}, {"matrices": [5]}],

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superbrauer import (
     CapExceeded,
@@ -29,7 +30,7 @@ from superbrauer import (
 )
 from superbrauer.weyl import RootSystemType, reflection_matrices
 
-from .oracles import enumerated_group_table
+from .oracles import enumerated_group_table, quotient_table_abelianization
 
 
 def test_close_b2_matrices():
@@ -73,14 +74,17 @@ _Q8 = [[[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
 
 # generating data for each closure kind; the SHA-256 prefixes of (element
 # data, table, inverses, gens, words) and of the abelianization were taken
-# when every table cell was still computed by multiplying its two elements
+# when every table cell was still computed by multiplying its two elements;
+# the A4 and Q8 abelianization digests were re-taken when G^ab moved from a
+# greedy basis of the quotient table to the Smith form of the Schreier
+# relations (same invariants and commutator subgroups, another basis)
 _CLOSED_GROUPS = {
     "S4": (lambda: [[1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3, 2]], "61f6596fbf577845", "144b6f08e1908a66"),
-    "A4": (lambda: [[1, 2, 0, 3], [0, 2, 3, 1]], "b5addd69cc973fe6", "b1b32d4581deba07"),
+    "A4": (lambda: [[1, 2, 0, 3], [0, 2, 3, 1]], "b5addd69cc973fe6", "db031218eb01e132"),
     "Z2xZ4": (lambda: [[1, 0, 2, 3, 4, 5], [0, 1, 3, 4, 5, 2]], "b2e2f0863e835944", "e5605c4c41ef9df1"),
     "W(B3)": (lambda: reflection_matrices(RootSystemType.parse("B3")), "3c0ea5e0475b7b13", "0ca3c0f67c218e75"),
     "W(F4)": (lambda: reflection_matrices(RootSystemType.parse("F4")), "85321d82a800833d", "22b307778a6d87a1"),
-    "Q8": (lambda: _Q8, "a56f7234dd8f40ed", "34eea38c6c57f693"),
+    "Q8": (lambda: _Q8, "a56f7234dd8f40ed", "4f480165ec37cadb"),
     "W(B3)^diag(1,2,3)": (_conjugated_b3, "6addd3a220bbe455", "0ca3c0f67c218e75"),
 }
 
@@ -202,6 +206,54 @@ def test_abelianization_projection_kills_commutators(s4):
         for b in range(s4.order):
             ab_sum = tuple((x + y) % d for x, y, d in zip(ab.coords(a), ab.coords(b), ab.cyclic_orders))
             assert ab.coords(int(s4.mul[a, b])) == ab_sum
+
+
+def _cyclic_product(orders):
+    g = cyclic_group(orders[0])
+    for d in orders[1:]:
+        g = direct_product(g, cyclic_group(d))
+    return g
+
+
+def _dihedral(n):
+    return close_generators([[(i + 1) % n for i in range(n)], [(-i) % n for i in range(n)]])
+
+
+_NAMED_GROUPS = {
+    "Z4xZ6": lambda: _cyclic_product([4, 6]),
+    "Z3xZ6": lambda: _cyclic_product([3, 6]),
+    "Z12": lambda: cyclic_group(12),
+    "Q8": lambda: close_generators(_Q8),
+    "A4": lambda: close_generators(_CLOSED_GROUPS["A4"][0]()),
+    "A5": lambda: close_generators([[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]]),  # perfect
+    "Z1": lambda: cyclic_group(1),
+}
+
+_small_groups = st.one_of(
+    st.sampled_from(sorted(_NAMED_GROUPS)).map(lambda name: _NAMED_GROUPS[name]()),
+    st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12]), min_size=1, max_size=3)
+      .filter(lambda ds: np.prod(ds) <= 144).map(_cyclic_product),
+    st.integers(3, 12).map(_dihedral),
+    st.tuples(st.sampled_from(["Q8", "A4", "Z12"]), st.integers(3, 6))
+      .map(lambda t: direct_product(_NAMED_GROUPS[t[0]](), _dihedral(t[1]))),
+    st.integers(2, 6).flatmap(lambda deg: st.lists(st.permutations(list(range(deg))), min_size=1, max_size=3))
+      .map(close_generators),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_groups)
+def test_abelianization_matches_quotient_table_oracle(g):
+    """The Smith form of the Schreier relations gives the invariant factors and
+    commutator subgroup of the coset-table oracle, and its projection is a
+    homomorphism onto the product of the cyclic factors."""
+    ab = abelianization(g)
+    assert (ab.cyclic_orders, ab.commutator_subgroup) == quotient_table_abelianization(g)
+    orders = np.array(ab.cyclic_orders, dtype=np.int64)
+    proj = np.asarray(ab.projection)
+    assert proj.shape == (g.order, len(orders))
+    assert not ((proj[np.asarray(g.mul)] - proj[:, None] - proj[None, :]) % orders).any()
+    assert len({tuple(row) for row in proj.tolist()}) == np.prod(orders, dtype=np.int64)
 
 
 def test_splitting_character_examples(datum_g2, datum_b2):

@@ -11,9 +11,13 @@ from hypothesis import given, settings, strategies as st
 from superbrauer import RootSystemType, build_weyl
 from superbrauer.modlinalg import (
     cokernel_mod,
+    crt,
+    direct_sum,
+    kernel_from_snf,
     kernel_mod,
     prime_power_factors,
     snf_mod,
+    solve_from_snf,
     solve_mod,
 )
 
@@ -87,15 +91,52 @@ def test_solve_detects_unsolvable():
 def test_cokernel_invariants():
     # Z_8^2 / <(2,0), (0,1)> = Z_2
     ck = cokernel_mod(np.array([[2, 0], [0, 1]]).T, 2, 3)
-    assert sorted(ck.nontrivial_orders()) == [2]
-    assert ck.class_coords(np.array([2, 0])) == (0,)
+    assert sorted(ck.orders) == [2]
+    assert tuple(ck.class_coords(np.array([2, 0]))) == (0,)
     # Z_8^2 / <(4,0), (0,1)> = Z_4 and the generator has order 4
     ck = cokernel_mod(np.array([[4, 0], [0, 1]]).T, 2, 3)
-    assert sorted(ck.nontrivial_orders()) == [4]
-    assert ck.class_coords(np.array([4, 0])) == (0,)
-    gen = ck.basis_vectors()[0]
-    seen = {ck.class_coords((k * gen) % 8) for k in range(4)}
+    assert sorted(ck.orders) == [4]
+    assert tuple(ck.class_coords(np.array([4, 0]))) == (0,)
+    gen = ck.Linv[:, 0]
+    seen = {tuple(ck.class_coords((k * gen) % 8)) for k in range(4)}
     assert len(seen) == 4
+
+
+def test_cokernel_factors_largest_first():
+    """Z_8^3 / <(0,4,0), (2,0,0)> = Z_8 + Z_4 + Z_2, listed largest first,
+    with class_coords of a row matrix equal to those of each row."""
+    ck = cokernel_mod(np.array([[0, 4, 0], [2, 0, 0]]).T, 2, 3)
+    assert ck.orders == (8, 4, 2)
+    xs = np.random.default_rng(3).integers(0, 8, (20, 3))
+    assert np.array_equal(ck.class_coords(xs), np.array([ck.class_coords(x) for x in xs]))
+    assert np.array_equal(ck.class_coords(ck.Linv.T), np.eye(3, dtype=np.int64))
+
+
+def test_empty_column_matrix():
+    """An f x 0 matrix has no pivots: its kernel is 0, M X = B is solvable
+    exactly for B = 0, and its cokernel is all of Z_q^f."""
+    M = np.zeros((3, 0), dtype=np.int64)
+    snf = snf_mod(M, 2, 2, want_l=True, want_r=True)
+    assert snf.diag == []
+    assert kernel_from_snf(snf).shape == (0, 0)
+    assert solve_from_snf(snf, np.zeros((3, 2), dtype=np.int64)).shape == (0, 2)
+    assert solve_from_snf(snf, np.array([0, 1, 0])) is None
+    ck = cokernel_mod(M, 2, 2)
+    assert ck.orders == (4, 4, 4)
+    assert tuple(ck.class_coords(np.array([1, 2, 7]))) == (1, 2, 3)
+    # a (0, b) system, as the cocycle kernel of a group without cocycles gives
+    ck = cokernel_mod(np.zeros((0, 2), dtype=np.int64), 3, 1)
+    assert ck.orders == () and ck.class_coords(np.zeros(0, dtype=np.int64)).shape == (0,)
+
+
+def test_crt_and_direct_sum():
+    assert crt([1, 2], [4, 3]) == 5
+    assert crt([np.array([3, 0]), 0], [4, 1]).tolist() == [3, 0]
+    # Z_4 + Z_2 (2-part) plus Z_3 (3-part) is Z_12 + Z_2
+    orders, coords = direct_sum([((4, 2), np.array([[1, 1], [2, 0]])), ((3,), np.array([[2], [0]]))])
+    assert orders == (12, 2)
+    assert [c.tolist() for c in coords] == [[5, 6], [1, 0]]
+    assert direct_sum([((), np.zeros((5, 0)))]) == ((), [])
 
 
 def _assert_same_snf(M, p, e):
