@@ -345,6 +345,17 @@ def _text_from_report(doc: dict) -> str:
     return "\n".join(lines)
 
 
+def _budget(text: str) -> int:
+    """argparse type of every --budget-* flag: a non-negative integer (0 is legal)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a budget cannot be negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="superbrauer",
                                 description="Exact Brauer groups and lazy cohomology of modified supergroup algebras.")
@@ -354,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--out", help="write the report to this path instead of stdout")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--budget-cap", dest="budget_cap", type=int, default=DEFAULT_CAP,
+        sp.add_argument("--budget-cap", dest="budget_cap", type=_budget, default=DEFAULT_CAP,
                         help="group enumeration cap")
         if group_input:
             sp.add_argument("--group", help="group input JSON file")
@@ -365,26 +376,26 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--coeff", type=int, help="coefficient modulus N (overrides --field)")
     sp.add_argument("--field", choices=("closed", "real"), default="closed")
-    sp.add_argument("--budget-h2", dest="budget_h2", type=int, default=DEFAULT_H2_BUDGET)
+    sp.add_argument("--budget-h2", dest="budget_h2", type=_budget, default=DEFAULT_H2_BUDGET)
     sp.set_defaults(func=cmd_h2)
 
     sp = sub.add_parser("h2sharp", help="H^2 under the sharp product, by enumeration")
     common(sp)
     sp.add_argument("--field", choices=("closed", "real"), required=True)
-    sp.add_argument("--budget-enum", dest="budget_enum", type=int, default=ENUMERATION_BUDGET)
+    sp.add_argument("--budget-enum", dest="budget_enum", type=_budget, default=ENUMERATION_BUDGET)
     sp.set_defaults(func=cmd_h2sharp)
 
     sp = sub.add_parser("bm", help="BM(k, k[G], R_u) with Cayley table")
     common(sp)
     sp.add_argument("--field", choices=("closed", "real"), required=True)
     sp.add_argument("--rep", help="representation JSON (adds the linear summand dimension)")
-    sp.add_argument("--budget-enum", dest="budget_enum", type=int, default=ENUMERATION_BUDGET)
+    sp.add_argument("--budget-enum", dest="budget_enum", type=_budget, default=ENUMERATION_BUDGET)
     sp.set_defaults(func=cmd_bm)
 
     sp = sub.add_parser("lazy", help="lazy cohomology of k[G] x Lambda V")
     common(sp)
     sp.add_argument("--rep", help="representation JSON file (one matrix per generator)")
-    sp.add_argument("--budget-h2", dest="budget_h2", type=int, default=DEFAULT_H2_BUDGET)
+    sp.add_argument("--budget-h2", dest="budget_h2", type=_budget, default=DEFAULT_H2_BUDGET)
     sp.set_defaults(func=cmd_lazy)
 
     sp = sub.add_parser("invforms", help="G-invariant symmetric forms, exact rationals")
@@ -395,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("weyl-table", help="the two final tables per root system type")
     common(sp, group_input=False)
     sp.add_argument("--types", help="comma separated list, e.g. A1,B2,D4")
-    sp.add_argument("--budget-weyl", dest="budget_weyl", type=int, default=WEYL_GROUP_BUDGET)
+    sp.add_argument("--budget-weyl", dest="budget_weyl", type=_budget, default=WEYL_GROUP_BUDGET)
     sp.set_defaults(func=cmd_weyl_table)
 
     sp = sub.add_parser("verify", help="axiom checks with first counterexample")
@@ -408,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma", help="symmetric matrix for omega/lambda: identity, zero, or JSON file")
     sp.add_argument("--skip-invariance", action="store_true",
                     help="build lambda from a non-invariant form (the checks will then fail)")
-    sp.add_argument("--budget-dim", dest="budget_dim", type=int, default=DEFAULT_DIM_BUDGET,
+    sp.add_argument("--budget-dim", dest="budget_dim", type=_budget, default=DEFAULT_DIM_BUDGET,
                     help="the Hopf and R-matrix checks are exhaustive at every dimension; --budget-dim governs "
                          "only the omega-*/lambda-* checks, exhaustive up to this dim and sampled beyond")
     sp.set_defaults(func=cmd_verify)

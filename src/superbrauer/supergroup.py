@@ -36,9 +36,17 @@ from .sharp import BMGroup, FieldDescriptor, bm_group
 DEFAULT_DIM_BUDGET = 64
 SAMPLED_TRIPLES = 1500
 
-Element = dict[int, Fraction]
-Tensor = dict[tuple[int, int], Fraction]
-Tensor3 = dict[tuple[int, int, int], Fraction]
+# coefficients are int wherever a value is integral and Fraction where a
+# denominator survives; both are exact and compare equal across the types
+Element = dict[int, int | Fraction]
+Tensor = dict[tuple[int, int], int | Fraction]
+Tensor3 = dict[tuple[int, int, int], int | Fraction]
+
+
+def _exact(x: int | Fraction) -> int | Fraction:
+    """x as an int when it is integral: int arithmetic is several times
+    faster than Fraction arithmetic and stays exact."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _popcount_above(mask: int, j: int) -> int:
@@ -77,9 +85,9 @@ class SupergroupAlgebra:
         self.nv = self.rep.dim
         self.dim = self.group.order * (1 << self.nv)
         self._prod: dict[tuple[int, int], Element] = {}
-        self._cop: dict[int, list[tuple[int, int, Fraction]]] = {}
+        self._cop: dict[int, list[tuple[int, int, int | Fraction]]] = {}
         self._anti: dict[int, Element] = {}
-        self._action: dict[tuple[int, int], dict[int, Fraction]] = {}
+        self._action: dict[tuple[int, int], Element] = {}
 
     # encoding ---------------------------------------------------------
 
@@ -110,7 +118,7 @@ class SupergroupAlgebra:
 
     # structure constants ----------------------------------------------
 
-    def inverse_action(self, h: int, mask: int) -> dict[int, Fraction]:
+    def inverse_action(self, h: int, mask: int) -> Element:
         """h^{-1}.v_P as {mask R: coefficient}, computed once per (h, P): the
         image of v_{P minus its top index} wedged with h^{-1}.v_top."""
         key = (h, mask)
@@ -119,7 +127,7 @@ class SupergroupAlgebra:
             return out
         out = {}
         if mask == 0:
-            out[0] = Fraction(1)
+            out[0] = 1
         else:
             i = mask.bit_length() - 1
             mat = self.rep.matrix(int(self.group.inv[h]))
@@ -129,7 +137,7 @@ class SupergroupAlgebra:
                     if a == 0 or (em >> j) & 1:
                         continue
                     sign = -1 if _popcount_above(em, j) % 2 else 1
-                    _tns_add(out, em | (1 << j), c * a * sign)
+                    _tns_add(out, em | (1 << j), c * _exact(a) * sign)
         self._action[key] = out
         return out
 
@@ -154,19 +162,19 @@ class SupergroupAlgebra:
         for b1, c1 in x.items():
             for b2, c2 in y.items():
                 for b3, c3 in self.product_basis(b1, b2).items():
-                    val = out.get(b3, Fraction(0)) + c1 * c2 * c3
+                    val = out.get(b3, 0) + c1 * c2 * c3
                     if val:
                         out[b3] = val
                     elif b3 in out:
                         del out[b3]
         return out
 
-    def coproduct_basis(self, b: int) -> list[tuple[int, int, Fraction]]:
+    def coproduct_basis(self, b: int) -> list[tuple[int, int, int | Fraction]]:
         got = self._cop.get(b)
         if got is not None:
             return got
         g, mask = self.decode(b)
-        cur: Tensor = {(self.encode(g, 0), self.encode(g, 0)): Fraction(1)}
+        cur: Tensor = {(self.encode(g, 0), self.encode(g, 0)): 1}
         m = mask
         while m:
             i = (m & -m).bit_length() - 1
@@ -185,29 +193,29 @@ class SupergroupAlgebra:
         self._cop[b] = out
         return out
 
-    def counit_basis(self, b: int) -> Fraction:
+    def counit_basis(self, b: int) -> int:
         _, mask = self.decode(b)
-        return Fraction(1) if mask == 0 else Fraction(0)
+        return 1 if mask == 0 else 0
 
     def antipode_basis(self, b: int) -> Element:
         got = self._anti.get(b)
         if got is not None:
             return got
         g, mask = self.decode(b)
-        acc: Element = {self.unit: Fraction(1)}
+        acc: Element = {self.unit: 1}
         bits = [i for i in range(self.nv) if (mask >> i) & 1]
         for i in reversed(bits):
-            term = self.mul_elements({self.u_element: Fraction(1)}, {self.v_element(i): Fraction(1)})
+            term = self.mul_elements({self.u_element: 1}, {self.v_element(i): 1})
             acc = self.mul_elements(acc, term)
-        acc = self.mul_elements(acc, {self.encode(int(self.group.inv[g]), 0): Fraction(1)})
+        acc = self.mul_elements(acc, {self.encode(int(self.group.inv[g]), 0): 1})
         if len(bits) % 2:
             acc = {k: -v for k, v in acc.items()}
         self._anti[b] = acc
         return acc
 
 
-def _tns_add(t: dict, key, val: Fraction) -> None:
-    cur = t.get(key, Fraction(0)) + val
+def _tns_add(t: dict, key, val: int | Fraction) -> None:
+    cur = t.get(key, 0) + val
     if cur:
         t[key] = cur
     elif key in t:
@@ -266,10 +274,10 @@ def _checked_form(a, h: SupergroupAlgebra, what: str, en: bool = False) -> Matri
     return A
 
 
-def _signed_minors(a: Matrix) -> dict[tuple[int, int], Fraction]:
+def _signed_minors(a: Matrix) -> dict[tuple[int, int], int | Fraction]:
     """{(mask P, mask Q): (-1)^(s(s-1)/2) det A[P,Q]} over |P| = |Q| = s, nonzero values only."""
     n = len(a)
-    out: dict[tuple[int, int], Fraction] = {}
+    out: dict[tuple[int, int], int | Fraction] = {}
     for s in range(n + 1):
         pref = (-1) ** (s * (s - 1) // 2)
         subsets = [(sum(1 << i for i in P), P) for P in itertools.combinations(range(n), s)]
@@ -277,7 +285,7 @@ def _signed_minors(a: Matrix) -> dict[tuple[int, int], Fraction]:
             for qm, Q in subsets:
                 d = _det([[a[i][j] for j in Q] for i in P])
                 if d:
-                    out[(pm, qm)] = pref * d
+                    out[(pm, qm)] = pref * _exact(d)
     return out
 
 
@@ -291,7 +299,7 @@ def r_matrix_RA(a, h: SupergroupAlgebra) -> Tensor:
     e, uu = h.group.identity, h.inv.u
     out: Tensor = {}
     for (pm, fm), minor in _signed_minors(A).items():
-        coef = minor / 2
+        coef = _exact(Fraction(minor, 2))
         sgn = -1 if bin(pm).count("1") % 2 else 1
         _tns_add(out, (h.encode(e, pm), h.encode(e, fm)), coef)
         _tns_add(out, (h.encode(uu, pm), h.encode(e, fm)), coef)
@@ -304,7 +312,7 @@ def dual_r_matrix(a, h: SupergroupAlgebra) -> HCochain2:
     """The dual triangular structure r_A of the self-dual E(n), as a functional
     on H (x) H; omega_Sigma = r_0 * r_{-Sigma} in the convolution algebra."""
     A = _checked_form(a, h, "r_A", en=True)
-    vals = [[Fraction(0)] * h.dim for _ in range(h.dim)]
+    vals = [[0] * h.dim for _ in range(h.dim)]
     e, uu = h.group.identity, h.inv.u
     for (pm, fm), coef in _signed_minors(A).items():
         sgn = -1 if bin(pm).count("1") % 2 else 1
@@ -351,7 +359,7 @@ def verify_hopf(h: SupergroupAlgebra) -> VerifyReport:
     generators hold on all pairs (induction on words); the counit, antipode and coassociativity
     laws are closed under products, so 1 and the generators suffice: dim (|S| + n) products."""
     gens = _generators(h)
-    if _cop_tensor(h, h.unit) != {(h.unit, h.unit): Fraction(1)}:
+    if _cop_tensor(h, h.unit) != {(h.unit, h.unit): 1}:
         return VerifyReport("hopf", False, "coproduct not unital", (h.label(h.unit),))
     for b in [h.unit, *gens]:
         cop = h.coproduct_basis(b)
@@ -362,11 +370,11 @@ def verify_hopf(h: SupergroupAlgebra) -> VerifyReport:
         for b1, b2, c in cop:
             _tns_add(left, b2, c * h.counit_basis(b1))
             _tns_add(right, b1, c * h.counit_basis(b2))
-            for z, cz in h.mul_elements(h.antipode_basis(b1), {b2: Fraction(1)}).items():
+            for z, cz in h.mul_elements(h.antipode_basis(b1), {b2: 1}).items():
                 _tns_add(anti1, z, c * cz)
-            for z, cz in h.mul_elements({b1: Fraction(1)}, h.antipode_basis(b2)).items():
+            for z, cz in h.mul_elements({b1: 1}, h.antipode_basis(b2)).items():
                 _tns_add(anti2, z, c * cz)
-        if left != {b: Fraction(1)} or right != {b: Fraction(1)}:
+        if left != {b: 1} or right != {b: 1}:
             return VerifyReport("hopf", False, "counit law fails", (h.label(b),))
         eps = {h.unit: h.counit_basis(b)} if h.counit_basis(b) else {}
         if anti1 != eps or anti2 != eps:
@@ -394,7 +402,7 @@ def verify_hopf(h: SupergroupAlgebra) -> VerifyReport:
             pair = (h.label(a), h.label(s))
             if delta != tensor_mul(h, _cop_tensor(h, a), _cop_tensor(h, s)):
                 return VerifyReport("hopf", False, "coproduct not multiplicative", pair)
-            if sum((cz * h.counit_basis(z) for z, cz in prod.items()), Fraction(0)) != h.counit_basis(a) * h.counit_basis(s):
+            if sum(cz * h.counit_basis(z) for z, cz in prod.items()) != h.counit_basis(a) * h.counit_basis(s):
                 return VerifyReport("hopf", False, "counit not multiplicative", pair)
             if anti != h.mul_elements(h.antipode_basis(s), h.antipode_basis(a)):
                 return VerifyReport("hopf", False, "antipode not anti-multiplicative", pair)
@@ -427,14 +435,29 @@ def _r_legs(h: SupergroupAlgebra, r: Tensor) -> tuple[Tensor3, Tensor3, Tensor3,
     return cop1, r13r23, cop2, r13r12
 
 
+def _cleared(r: Tensor) -> tuple[Tensor, int]:
+    """(D R, D) with D the least common denominator of the coefficients of R,
+    so that D R has int coefficients; D = 2 for R_A of an integral A, whose
+    odd minors (the empty one among them) give halves."""
+    d = 1
+    for c in r.values():
+        d *= (d * c).denominator  # lcm(d, denominator of c)
+    return {k: _exact(d * c) for k, c in r.items()}, d
+
+
 def verify_quasitriangular(h: SupergroupAlgebra, r: Tensor) -> VerifyReport:
     """(Delta x id)R = R13 R23, (id x Delta)R = R13 R12, R Delta = Delta^op R.  Presumes a
     bialgebra (verify_hopf): Delta and Delta^op are algebra maps, so the b with
-    R Delta(b) = Delta^op(b) R form a subalgebra and the generators suffice."""
+    R Delta(b) = Delta^op(b) R form a subalgebra and the generators suffice.
+
+    Each identity is homogeneous in R, so it is checked on the int numerator R' = D R
+    with the degrees balanced by D: D (Delta x id)R' = R'13 R'23, D (id x Delta)R' =
+    R'13 R'12, (eps x id)R' = (id x eps)R' = D 1 and R' Delta = Delta^op R'."""
+    r, d = _cleared(r)
     cop1, r13r23, cop2, r13r12 = _r_legs(h, r)
-    if cop1 != r13r23:
+    if {k: d * c for k, c in cop1.items()} != r13r23:
         return VerifyReport("quasitriangular", False, "(Delta x id)R != R13 R23")
-    if cop2 != r13r12:
+    if {k: d * c for k, c in cop2.items()} != r13r12:
         return VerifyReport("quasitriangular", False, "(id x Delta)R != R13 R12")
     # counit normalization
     eps1: Element = {}
@@ -442,20 +465,22 @@ def verify_quasitriangular(h: SupergroupAlgebra, r: Tensor) -> VerifyReport:
     for (a, b), c in r.items():
         _tns_add(eps1, b, c * h.counit_basis(a))
         _tns_add(eps2, a, c * h.counit_basis(b))
-    if eps1 != {h.unit: Fraction(1)} or eps2 != {h.unit: Fraction(1)}:
+    if eps1 != {h.unit: d} or eps2 != {h.unit: d}:
         return VerifyReport("quasitriangular", False, "(eps x id)R != 1")
     for s in _generators(h):
-        d = _cop_tensor(h, s)
-        if tensor_mul(h, r, d) != tensor_mul(h, tensor_flip(d), r):
+        dl = _cop_tensor(h, s)
+        if tensor_mul(h, r, dl) != tensor_mul(h, tensor_flip(dl), r):
             return VerifyReport("quasitriangular", False, "R Delta != Delta^op R", (h.label(s),))
     return VerifyReport("quasitriangular", True)
 
 
 def verify_triangular(h: SupergroupAlgebra, r: Tensor) -> VerifyReport:
+    """Quasitriangular and R21 R = 1 x 1, checked as R'21 R' = D^2 (1 x 1) on R' = D R."""
     rep = verify_quasitriangular(h, r)
     if not rep.passed:
         return VerifyReport("triangular", False, rep.detail, rep.counterexample)
-    if tensor_mul(h, tensor_flip(r), r) != {(h.unit, h.unit): Fraction(1)}:
+    r, d = _cleared(r)
+    if tensor_mul(h, tensor_flip(r), r) != {(h.unit, h.unit): d * d}:
         return VerifyReport("triangular", False, "R21 * R != 1 x 1")
     return VerifyReport("triangular", True)
 
@@ -472,7 +497,7 @@ class HCochain2:
     elements (lambda_cocycle shares one immutable row per subset P)."""
 
     algebra: SupergroupAlgebra
-    values: Sequence[Sequence[Fraction]]
+    values: Sequence[Sequence[int | Fraction]]
 
     def __post_init__(self) -> None:
         h = self.algebra
@@ -481,7 +506,7 @@ class HCochain2:
             if self.values[one][b] != h.counit_basis(b) or self.values[b][one] != h.counit_basis(b):
                 raise ParseError("H-cochain is not normalized")
 
-    def __call__(self, b1: int, b2: int) -> Fraction:
+    def __call__(self, b1: int, b2: int) -> int | Fraction:
         return self.values[b1][b2]
 
     def equals(self, other: "HCochain2") -> bool:
@@ -498,12 +523,12 @@ def eps_tensor_eps(h: SupergroupAlgebra) -> HCochain2:
 def convolve(s1: HCochain2, s2: HCochain2) -> HCochain2:
     """(s1 * s2)(a, b) = sum s1(a1, b1) s2(a2, b2)."""
     h = s1.algebra
-    vals = [[Fraction(0)] * h.dim for _ in range(h.dim)]
+    vals = [[0] * h.dim for _ in range(h.dim)]
     for a in h.basis():
         ca = h.coproduct_basis(a)
         for b in h.basis():
             cb = h.coproduct_basis(b)
-            acc = Fraction(0)
+            acc = 0
             for a1, a2, x in ca:
                 for b1, b2, y in cb:
                     acc += x * y * s1.values[a1][b1] * s2.values[a2][b2]
@@ -531,8 +556,8 @@ def _cocycle_check(sigma: HCochain2, op: bool, check: str, detail: str, budget: 
     m = functools.cache(functools.partial(_twisted_product, sigma, op=op))
     triples, sampled = _basis_tuples(h, 3, budget, seed)
     for a, b, c in triples:
-        lhs = sum((cz * sigma.values[z][c] for z, cz in m(a, b).items()), Fraction(0))
-        rhs = sum((cz * sigma.values[a][z] for z, cz in m(b, c).items()), Fraction(0))
+        lhs = sum(cz * sigma.values[z][c] for z, cz in m(a, b).items())
+        rhs = sum(cz * sigma.values[a][z] for z, cz in m(b, c).items())
         if lhs != rhs:
             return VerifyReport(check, False, detail, (h.label(a), h.label(b), h.label(c)), sampled)
     return VerifyReport(check, True, "", None, sampled)
@@ -566,7 +591,7 @@ def is_convolution_invertible(sigma: HCochain2) -> tuple[bool, HCochain2 | None]
     the system is triangular once sigma is nonzero on grouplike pairs.
     """
     h = sigma.algebra
-    vals = [[Fraction(0)] * h.dim for _ in range(h.dim)]
+    vals = [[0] * h.dim for _ in range(h.dim)]
     order = sorted(
         ((a, b) for a in h.basis() for b in h.basis()),
         key=lambda ab: bin(h.decode(ab[0])[1]).count("1") + bin(h.decode(ab[1])[1]).count("1"),
@@ -580,13 +605,13 @@ def is_convolution_invertible(sigma: HCochain2) -> tuple[bool, HCochain2 | None]
         if lead == 0:
             return False, None
         target = h.counit_basis(a) * h.counit_basis(b)
-        acc = Fraction(0)
+        acc = 0
         for a1, a2, x in h.coproduct_basis(a):
             for b1, b2, y in h.coproduct_basis(b):
                 if a2 == a and b2 == b:
                     continue  # the leading term, solved for below
                 acc += x * y * sigma.values[a1][b1] * vals[a2][b2]
-        vals[a][b] = (target - acc) / lead
+        vals[a][b] = _exact(Fraction(target - acc, lead))
     tau = HCochain2(h, vals)
     if not convolve(sigma, tau).equals(eps_tensor_eps(h)):
         return False, None
@@ -626,17 +651,17 @@ def lambda_cocycle(h: SupergroupAlgebra, sigma_matrix, require_invariant: bool =
     S = _checked_form(sigma_matrix, h, "lambda")
     if require_invariant and not is_invariant_form(h.rep, S):
         raise NotInvariant("symmetric form is not G-invariant")
-    by_first: dict[int, list[tuple[int, Fraction]]] = {}
+    by_first: dict[int, list[tuple[int, int | Fraction]]] = {}
     for (rm, qm), minor in _signed_minors(S).items():
         by_first.setdefault(rm, []).append((qm, minor))
     rows = []
     for pm in range(1 << h.nv):
-        row = [Fraction(0)] * h.dim
+        row = [0] * h.dim
         for hh in range(h.group.order):
             for rm, c in h.inverse_action(hh, pm).items():
                 for qm, minor in by_first.get(rm, ()):
                     row[h.encode(hh, qm)] += c * minor
-        rows.append(tuple(row))
+        rows.append(tuple(map(_exact, row)))
     return HCochain2(h, [rows[h.decode(b)[1]] for b in h.basis()])
 
 

@@ -17,8 +17,10 @@ product: the cocycle and lazy checks expand both coproducts and the product
 for every basis tuple, the R-matrix legs are multiplied in H (x) H (x) H, and
 the Hopf axioms and `R Delta = Delta^op R` are checked on every basis pair or
 element (on the production's seeded sample above the dim budget) instead of
-on the algebra generators.  The invariant-form oracle checks a form against
-the matrix of every element.
+on the algebra generators.  `uncleared_r_checks` checks the R-matrix
+identities on `R` itself, with the legs from `triple_tensor_legs`, where the
+production clears the common denominator of `R` first.  The invariant-form
+oracle checks a form against the matrix of every element.
 The elimination oracle `dense_snf_mod` is the dense `snf_mod`: the same
 pivots, but every pivot rewrites the whole trailing block and transforms.
 The H^2 frontier oracles `coo_frontier_system` and `coo_cocycle_kernel` are
@@ -648,6 +650,36 @@ def triple_tensor_legs(h, r):
         for b1, b2, cb in h.coproduct_basis(b):
             cop2[(a, b1, b2)] = cop2.get((a, b1, b2), Fraction(0)) + c * cb
     return tuple({k: x for k, x in t.items() if x} for t in (cop1, mul3(r13, r23), cop2, mul3(r13, r12)))
+
+
+def uncleared_r_checks(h, r):
+    """(quasitriangular, triangular) reports of R with its coefficients as
+    given, no denominator cleared: the legs multiplied in H (x) H (x) H, the
+    counit laws, R Delta(s) = Delta^op(s) R on g in G.gens then v_0 .. v_{n-1},
+    and R21 R = 1 x 1."""
+
+    def report(detail, counterexample=None):
+        return (VerifyReport("quasitriangular", False, detail, counterexample),
+                VerifyReport("triangular", False, detail, counterexample))
+
+    cop1, r13r23, cop2, r13r12 = triple_tensor_legs(h, r)
+    if cop1 != r13r23:
+        return report("(Delta x id)R != R13 R23")
+    if cop2 != r13r12:
+        return report("(id x Delta)R != R13 R12")
+    eps1, eps2 = {}, {}
+    for (a, b), c in r.items():
+        _tns_add(eps1, b, c * h.counit_basis(a))
+        _tns_add(eps2, a, c * h.counit_basis(b))
+    if eps1 != {h.unit: Fraction(1)} or eps2 != {h.unit: Fraction(1)}:
+        return report("(eps x id)R != 1")
+    for s in [h.encode(int(g), 0) for g in h.group.gens] + [h.v_element(i) for i in range(h.nv)]:
+        d = _cop_tensor(h, s)
+        if tensor_mul(h, r, d) != tensor_mul(h, tensor_flip(d), r):
+            return report("R Delta != Delta^op R", (h.label(s),))
+    if tensor_mul(h, tensor_flip(r), r) != {(h.unit, h.unit): Fraction(1)}:
+        return VerifyReport("quasitriangular", True), VerifyReport("triangular", False, "R21 * R != 1 x 1")
+    return VerifyReport("quasitriangular", True), VerifyReport("triangular", True)
 
 
 def is_group_invariant_form(rep, sigma):

@@ -199,6 +199,22 @@ def test_budget_refusal_names_its_flag(capsys, args, flag):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, flag, zero_code", [
+    (["h2", "--type", "A2", "--budget-cap", "-1"], "--budget-cap", EXIT_BUDGET),
+    (["h2", "--type", "A2", "--budget-h2", "-5"], "--budget-h2", EXIT_BUDGET),
+    (["bm", "--type", "A2", "--field", "real", "--budget-enum", "-1"], "--budget-enum", EXIT_BUDGET),
+    (["weyl-table", "--types", "A1", "--budget-weyl", "-3"], "--budget-weyl", 0),  # A1 row from the literature
+    (["verify", "--algebra", "E2", "--check", "omega-lazy", "--budget-dim", "-1"], "--budget-dim", 0),  # sampled
+], ids=["cap", "h2", "enum", "weyl", "dim"])
+def test_negative_budget_exit_code(capsys, args, flag, zero_code):
+    """A negative budget is an input error (exit 2) naming its flag; 0 stays legal."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == EXIT_PARSE
+    assert f"argument {flag}: a budget cannot be negative" in capsys.readouterr().err
+    assert main(args[:-1] + ["0"]) == zero_code
+
+
 def test_coprime_modulus_computes(capsys):
     """H^2(G, Z_q) = 0 for q prime to |G|, however large q is."""
     code, out = _run(["h2", "--type", "B2", "--coeff", "1000000007", "--format", "json"], capsys)

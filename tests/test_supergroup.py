@@ -37,7 +37,8 @@ from superbrauer import (
     verify_quasitriangular,
     verify_triangular,
 )
-from superbrauer.supergroup import HCochain2, _r_legs
+from superbrauer.groups import _mat_mul
+from superbrauer.supergroup import HCochain2, _cleared, _r_legs
 
 from .oracles import (
     all_basis_r_delta,
@@ -46,6 +47,7 @@ from .oracles import (
     four_loop_cocycle_check,
     four_loop_is_lazy,
     triple_tensor_legs,
+    uncleared_r_checks,
 )
 
 
@@ -560,3 +562,115 @@ def test_unit_law_on_basis(datum_b2):
     for h in (build_en(3), build_supergroup(datum_b2.group, datum_b2.inv, datum_b2.rep)):
         for x in h.basis():
             assert h.product_basis(x, h.unit) == h.product_basis(h.unit, x) == {x: Fraction(1)}
+
+
+def _is_exact(x):
+    """An int, or a Fraction whose denominator survives: never a float, never an integral Fraction."""
+    return type(x) is int or type(x) is Fraction and x.denominator != 1
+
+
+def _integral_cases(datum_b2):
+    """(algebra, Sigma, A): E(2) with even minors of A, E(3) with odd minors of
+    Sigma and A, and the W(B2) datum with an integral invariant form; A only on E(n)."""
+    b2 = build_supergroup(datum_b2.group, datum_b2.inv, datum_b2.rep)
+    form = invariant_symmetric_forms(datum_b2.rep).basis[0]  # [[1, -1/2], [-1/2, 1/2]]
+    return [
+        (build_en(2), [[2, 1], [1, 3]], [[2, 4], [4, -2]]),
+        (build_en(3), [[1, 0, 2], [0, 3, 1], [2, 1, -1]], [[1, 2, -1], [2, 3, 1], [-1, 1, 5]]),
+        (b2, [[2 * x for x in row] for row in form], None),
+    ]
+
+
+def test_coefficients_are_int_where_integral(datum_b2):
+    """On integral data every structure constant and lambda/omega value is an int;
+    R_A and tau are ints where integral and Fractions only where a denominator survives."""
+    for h, S, A in _integral_cases(datum_b2):
+        constants = [c for a in h.basis() for b in h.basis() for c in h.product_basis(a, b).values()]
+        constants += [c for b in h.basis() for _, _, c in h.coproduct_basis(b)]
+        constants += [c for b in h.basis() for c in h.antipode_basis(b).values()]
+        sigma = omega_sigma(S, h) if A is not None else lambda_cocycle(h, S)
+        constants += [x for row in sigma.values for x in row]
+        assert constants and all(type(c) is int for c in constants)
+        ok, tau = is_convolution_invertible(sigma)
+        assert ok and all(_is_exact(x) for row in tau.values for x in row)
+        if A is not None:
+            r = r_matrix_RA(A, h)
+            assert all(_is_exact(c) for c in r.values())
+            halves = {c for c in r.values() if type(c) is Fraction}
+            assert halves and {c.denominator for c in halves} == {2}
+            assert any(type(c) is int for c in r.values())  # from the even minors of A
+
+
+def _conjugated_b2(datum_b2):
+    """The W(B2) datum with rho conjugated by P = [[1, 1/2], [0, 1]]: the matrices
+    and the invariant forms get denominators, and rho(u) = -1 still."""
+    p = ((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(1)))
+    p_inv = ((Fraction(1), Fraction(-1, 2)), (Fraction(0), Fraction(1)))
+    mats = [_mat_mul(_mat_mul(p_inv, m), p) for m in datum_b2.rep.gen_matrices]
+    assert any(x.denominator != 1 for m in mats for row in m for x in row)
+    rep = Representation(group=datum_b2.group, dim=2, gen_matrices=mats)
+    return build_supergroup(datum_b2.group, datum_b2.inv, rep)
+
+
+def test_mixed_coefficients_match_oracles(datum_b2):
+    """Where Fractions survive, the Hopf, cocycle and lazy checks pass and give
+    the oracle reports, and a perturbed lambda fails as in the oracles."""
+    h = _conjugated_b2(datum_b2)
+    new, old = verify_hopf(h), all_pairs_verify_hopf(h)
+    assert new.passed and old.passed
+    lam = lambda_cocycle(h, invariant_symmetric_forms(h.rep).basis[0])
+    assert any(type(x) is Fraction for row in lam.values for x in row)
+    vals = [list(row) for row in lam.values]
+    vals[h.encode(3, 0b01)][h.encode(5, 0b10)] += Fraction(1, 3)
+    for sigma, ok in ((lam, True), (HCochain2(h, vals), False)):
+        reports = [_report_tuple(is_left_cocycle(sigma)), _report_tuple(is_right_cocycle(sigma)),
+                   _report_tuple(is_lazy(sigma))]
+        assert reports == [four_loop_cocycle_check(sigma, False), four_loop_cocycle_check(sigma, True),
+                           four_loop_is_lazy(sigma)]
+        assert all(rep[1] == ok for rep in reports[:2])
+
+
+def test_r_matrix_odd_minor_is_triangular():
+    """R_A with odd minors has the common denominator D = 2 and is triangular."""
+    for n, A in ((1, [[1]]), (2, [[1, 3], [3, 2]]), (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])):
+        h = build_en(n)
+        r = r_matrix_RA(A, h)
+        cleared, d = _cleared(r)
+        assert d == 2 and all(type(c) is int for c in cleared.values())
+        assert verify_quasitriangular(h, r).passed and verify_triangular(h, r).passed
+
+
+def _r_candidates():
+    """(algebra, R) pairs meeting each R-matrix detail: R_A on E(1)-E(3) with one
+    coefficient moved by 1/2 (every coefficient on E(1), E(2), every seventh on
+    E(3)), R = 0, R = 1 (x) (1 + u)/2, and on E(2) the quasitriangular,
+    non-triangular R_A of A = [[0, 1], [0, 0]]."""
+    half = Fraction(1, 2)
+    for n, A in ((1, [[3]]), (2, [[1, 2], [2, 4]]), (3, [[1, 2, -1], [2, 3, 1], [-1, 1, 5]])):
+        h = build_en(n)
+        r = r_matrix_RA(A, h)
+        for key in sorted(r)[::1 if n < 3 else 7] + [(h.unit, h.v_element(0)), (h.v_element(0), h.u_element)]:
+            bad = dict(r)
+            bad[key] = bad.get(key, 0) + half
+            yield h, bad
+    h = build_en(2)
+    e, u = h.group.identity, h.inv.u
+    yield h, {}
+    yield h, {(h.unit, h.unit): half, (h.unit, h.u_element): half}
+    upper = dict(r_u(h))
+    for (g1, g2), c in {(e, e): half, (u, e): half, (e, u): -half, (u, u): half}.items():
+        upper[(h.encode(g1, 0b01), h.encode(g2, 0b10))] = c
+    yield h, upper
+
+
+def test_cleared_r_checks_match_uncleared_oracle():
+    """Checked on D R, every identity gives the report of the check on R itself:
+    verdict, detail and counterexample, for each of the five details."""
+    details = set()
+    for h, r in _r_candidates():
+        reports = (verify_quasitriangular(h, r), verify_triangular(h, r))
+        assert [_report_tuple(x) for x in reports] == [_report_tuple(x) for x in uncleared_r_checks(h, r)]
+        assert not reports[1].passed
+        details.add(reports[1].detail)
+    assert details == {"(Delta x id)R != R13 R23", "(id x Delta)R != R13 R12", "(eps x id)R != 1",
+                       "R21 * R != 1 x 1"}
