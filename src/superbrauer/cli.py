@@ -28,6 +28,7 @@ from .groups import (
 from .sharp import ENUMERATION_BUDGET, bm_group, field_from_name, h2_sharp
 from .supergroup import (
     DEFAULT_DIM_BUDGET,
+    bm_supergroup,
     build_en,
     build_supergroup,
     is_lazy,
@@ -180,7 +181,8 @@ def cmd_bm(args) -> dict:
         raise errors.ParseError("a central involution u is required (file key 'u' or --u)")
     inv = CentralInvolution(g, u)
     field = field_from_name(args.field)
-    bm = bm_group(g, inv, field, budget=args.budget_enum)
+    bms = bm_supergroup(g, inv, rep, field, budget=args.budget_enum) if rep is not None else None
+    bm = bms.bm if bms is not None else bm_group(g, inv, field, budget=args.budget_enum)
     budgets = {"cap": args.budget_cap, "enum": args.budget_enum}
     gens = []
     if field.brauer_order > 1:
@@ -200,9 +202,8 @@ def cmd_bm(args) -> dict:
         "generators": gens,
         "cayley_table": bm.table.tolist(),
     }
-    if rep is not None:
-        forms = invariant_symmetric_forms(rep)
-        result["linear_dim"] = forms.dim
+    if bms is not None:
+        result["linear_dim"] = bms.linear_dim
     payload = {"group": _group_header(g), "result": result}
     return _report(args, "bm", payload, budgets)
 
@@ -271,12 +272,13 @@ def _algebra_from_args(args):
     raise errors.ParseError("verify needs --algebra E<n> or --type XN")
 
 
-# the checks behind each composite --check, in order; the first failure is reported
+# the checks behind each composite --check, in order; the first failure is
+# reported.  They are named, not bound, so a rebound module attribute is called.
 COMPOSITE_CHECKS = {
-    "omega-lazy": (is_lazy, is_left_cocycle),
-    "omega-cocycle": (is_left_cocycle,),
-    "lambda-lazy": (is_left_cocycle, is_lazy),
-    "lambda-cocycle": (is_left_cocycle, is_lazy),
+    "omega-lazy": ("is_lazy", "is_left_cocycle"),
+    "omega-cocycle": ("is_left_cocycle",),
+    "lambda-lazy": ("is_left_cocycle", "is_lazy"),
+    "lambda-cocycle": ("is_left_cocycle", "is_lazy"),
 }
 
 
@@ -303,8 +305,8 @@ def cmd_verify(args) -> dict:
                     raise errors.ParseError("no invariant symmetric form available")
                 smat = [[x for x in row] for row in forms.basis[0]]
             cochain = lambda_cocycle(alg, smat, require_invariant=not args.skip_invariance)
-        for fn in COMPOSITE_CHECKS[check]:
-            rep = fn(cochain, budget=args.budget_dim, seed=args.seed)
+        for name in COMPOSITE_CHECKS[check]:
+            rep = globals()[name](cochain, budget=args.budget_dim, seed=args.seed)
             if not rep.passed:
                 break
     else:

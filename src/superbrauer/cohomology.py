@@ -173,12 +173,11 @@ def is_cocycle(sigma: Cochain2) -> bool:
 @dataclass(eq=False)
 class _Presentation:
     """Edge (x, s_k) of the Cayley graph has id x |S| + k; the unknowns are
-    the edges off the BFS tree and away from 1, where the gauge and the
-    normalization fix T = 0.  tree lists the BFS-tree edges (x, k, x s_k) in
-    word-length order.  Relators are words of (generator index, +-1) steps."""
+    the edges off the BFS tree group.tree and away from 1, where the gauge
+    and the normalization fix T = 0.  Relators are words of (generator
+    index, +-1) steps."""
 
     group: FiniteGroup
-    tree: list[tuple[int, int, int]]
     unknowns: np.ndarray  # edge id of each unknown
     relators: list
 
@@ -187,7 +186,7 @@ class _Presentation:
         plus d(pot), pot(y) the label sum from 1 to y along the tree: the
         cohomologous cocycles that vanish on the tree edges."""
         pot = np.zeros(labels.shape[:-1], dtype=np.int64)
-        for x, k, y in self.tree:
+        for x, k, y in self.group.tree:
             pot[..., y] = pot[..., x] + labels[..., x, k]
         gens = list(self.group.gens)
         fixed = labels + pot[..., :, None] + pot[..., None, gens] - pot[..., np.asarray(self.group.mul)[:, gens]]
@@ -202,7 +201,7 @@ class _Presentation:
         labels = np.zeros((n, m), dtype=np.int64)
         labels.flat[self.unknowns] = tvec
         out = np.zeros((n, n), dtype=np.int64)
-        for x, k, y in self.tree:
+        for x, k, y in self.group.tree:
             out[:, y] = out[:, x] + labels[mul[:, x], k]
         return out % modulus
 
@@ -249,19 +248,16 @@ def _complete(g: FiniteGroup, filled: np.ndarray) -> list:
 
 def _presentation(g: FiniteGroup) -> _Presentation:
     """The presentation of g, built once per group."""
-    sys = getattr(g, "_h2_system", None)
-    if sys is not None:
-        return sys
+    return g.memo("presentation", lambda: _presentation_impl(g))
+
+
+def _presentation_impl(g: FiniteGroup) -> _Presentation:
     m = len(g.gens)
-    tree = [(g.word_to_element(g.words[y][:-1]), g.words[y][-1], y)
-            for y in sorted(range(g.order), key=lambda y: len(g.words[y])) if g.words[y]]
     fixed = np.zeros(g.order * m, dtype=bool)
-    fixed[[x * m + k for x, k, _ in tree]] = True
+    fixed[[x * m + k for x, k, _ in g.tree]] = True
     relators = _complete(g, fixed.copy())
     fixed[g.identity * m : (g.identity + 1) * m] = True
-    sys = _Presentation(group=g, tree=tree, unknowns=np.flatnonzero(~fixed), relators=relators)
-    object.__setattr__(g, "_h2_system", sys)
-    return sys
+    return _Presentation(group=g, unknowns=np.flatnonzero(~fixed), relators=relators)
 
 
 def _relator_rows(sys: _Presentation, relators) -> np.ndarray:
@@ -403,10 +399,6 @@ class CohomologyGroup:
         return CohomologyClass(self, tuple(int(c) for c in direct_sum(parts)[1]))
 
 
-def _trivial_cohomology(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> CohomologyGroup:
-    return CohomologyGroup(group=g, coeff=coeff, field_mode=mode, invariants=(), reps=[])
-
-
 def _edge_coboundaries(g: FiniteGroup, gammas: np.ndarray, m: int = 1) -> np.ndarray:
     """(gamma(x) + gamma(s) - gamma(xs)) / m on every edge (x, s), an n x |S|
     table per row gamma: G -> Z of `gammas`: the coboundary d(gamma) for m = 1,
@@ -444,7 +436,7 @@ def _h2_impl(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> CohomologyG
     live = n // group_exponent(g) if mode == "closed" else n
     primes = [(p, e) for p, e in prime_power_factors(N) if live % p == 0]
     if not primes:
-        return _trivial_cohomology(g, coeff, mode)
+        return CohomologyGroup(group=g, coeff=coeff, field_mode=mode, invariants=(), reps=[])
     sys = _presentation(g)
     rows = _relator_rows(sys, sys.relators)
     B = _relation_rows(sys, mode, N)
@@ -482,24 +474,12 @@ def _h2_impl(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> CohomologyG
     )
 
 
-def _h2_cache(g: FiniteGroup) -> dict:
-    cache = getattr(g, "_h2_results", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(g, "_h2_results", cache)
-    return cache
-
-
 def h2(g: FiniteGroup, coeff: CoefficientModule | int, budget: int = DEFAULT_H2_BUDGET) -> CohomologyGroup:
     """H^2(G, Z_N) with trivial action, as invariant factors plus representatives."""
     if isinstance(coeff, int):
         coeff = CoefficientModule(coeff)
     _check_h2_budget(g, budget)
-    cache = _h2_cache(g)
-    key = ("muN", coeff.n)
-    if key not in cache:
-        cache[key] = _h2_impl(g, coeff, "muN")
-    return cache[key]
+    return g.memo(("h2", "muN", coeff.n), lambda: _h2_impl(g, coeff, "muN"))
 
 
 def group_exponent(g: FiniteGroup) -> int:
@@ -526,11 +506,7 @@ def h2_closed_field(
     if m % g.order:
         raise ParseError("closed-field modulus must be a multiple of |G|")
     _check_h2_budget(g, budget)
-    cache = _h2_cache(g)
-    key = ("closed", m)
-    if key not in cache:
-        cache[key] = _h2_impl(g, CoefficientModule(m), "closed")
-    return cache[key]
+    return g.memo(("h2", "closed", m), lambda: _h2_impl(g, CoefficientModule(m), "closed"))
 
 
 def h2_real_closed(g: FiniteGroup, budget: int = DEFAULT_H2_BUDGET) -> CohomologyGroup:
@@ -571,19 +547,11 @@ def u_subgroup(inv: CentralInvolution) -> tuple[FiniteGroup, np.ndarray]:
     """U = {1, u} as a standalone group plus its embedding into G.
 
     Memoized per (group, u) so repeated calls share one group instance and
-    its cohomology caches.
+    its memo.  The embedding lists the identity first: element 0 of U is 1.
     """
     g = inv.group
-    cache = getattr(g, "_u_subgroups", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(g, "_u_subgroups", cache)
-    if inv.u not in cache:
-        if inv.is_trivial:
-            cache[inv.u] = (cyclic_group(1), np.array([g.identity], dtype=np.int64))
-        else:
-            cache[inv.u] = (cyclic_group(2), np.array([g.identity, inv.u], dtype=np.int64))
-    return cache[inv.u]
+    embed = np.array([g.identity] if inv.is_trivial else [g.identity, inv.u], dtype=np.int64)
+    return g.memo(("u_subgroup", inv.u), lambda: (cyclic_group(len(embed)), embed))
 
 
 def restriction(inv: CentralInvolution, cls: CohomologyClass, target: CohomologyGroup | None = None) -> CohomologyClass:

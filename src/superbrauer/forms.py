@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -45,7 +44,7 @@ def is_symmetric(a: Matrix) -> bool:
 class Representation:
     """Exact rational matrix representation, defined on the group generators.
     Its image is the closure of the generator matrices; x maps to the image
-    element its BFS word reaches, and rho(x) rho(s) = rho(xs) is checked."""
+    element its BFS-tree path reaches, and rho(x) rho(s) = rho(xs) is checked."""
 
     group: FiniteGroup
     dim: int
@@ -62,8 +61,10 @@ class Representation:
             self._image, right, _ = _close_matrices(self.gen_matrices, self.dim, g.order)
         except (CapExceeded, NotInvertible) as exc:
             raise ParseError("generator matrices are not compatible with the group") from exc
-        steps = right.tolist()
-        self._index = np.array([reduce(lambda i, k: steps[i][k], word, 0) for word in g.words], dtype=np.int64)
+        steps, index = right.tolist(), [0] * g.order
+        for x, k, y in g.tree:
+            index[y] = steps[index[x]][k]
+        self._index = np.array(index, dtype=np.int64)
         if not (self._index[np.asarray(g.mul)[:, list(g.gens)]] == right[self._index]).all():
             raise ParseError("generator matrices are not compatible with the group")
 

@@ -2,10 +2,12 @@
 
 Element indexing is deterministic: breadth-first from the identity, taking
 generators in the order given and multiplying on the right.  Every group
-carries a generating set and a BFS word for each element; the cohomology
-module relies on both.  A closure keeps only x * s for each element x and
-generator s; the table follows, because x * j = (x * p) * s when j was
-first reached as p * s, and one BFS gives generators and words.
+carries a generating set, a BFS word for each element and the BFS spanning
+tree; the cohomology and forms modules rely on them.  A closure keeps only
+x * s for each element x and generator s; the table follows, because
+x * j = (x * p) * s when j was first reached as p * s, and one BFS gives
+generators, words and tree.  Everything else derived from a group (G^ab,
+G/U, the presentation, H^2) is built once and kept in its memo.
 """
 
 from __future__ import annotations
@@ -90,43 +92,53 @@ class FiniteGroup:
     identity: int = 0
     element_labels: list[str] | None = None
     gens: tuple[int, ...] = ()
-    words: list[tuple[int, ...]] = field(default_factory=list)
+    words: list[tuple[int, ...]] = field(init=False)
+    tree: list[tuple[int, int, int]] = field(init=False)  # BFS-tree edges (x, k, x s_k), parents first
     element_data: list | None = None  # permutation tuples or rational matrices
     kind: str = "table"
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.gens:
-            self._choose_generators()
-        if not self.words:
-            words = self._bfs(self.gens)
-            if len(words) != self.order:
-                raise ParseError("generators do not generate the group")
-            self.words = [words[i] for i in range(self.order)]
+        words, self.tree = self._bfs(self.gens) if self.gens else self._choose_generators()
+        if len(words) != self.order:
+            raise ParseError("generators do not generate the group")
+        self.words = [words[i] for i in range(self.order)]
 
-    def _bfs(self, gens) -> dict[int, tuple[int, ...]]:
+    def memo(self, key, build):
+        """The structure derived from this group under `key`, built by
+        build() on the first call and shared by every later one."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def _bfs(self, gens) -> tuple[dict[int, tuple[int, ...]], list[tuple[int, int, int]]]:
         """Word of each element reached from the identity by right
-        multiplication with `gens`, visiting elements in BFS order."""
+        multiplication with `gens`, and the edges (x, k, x s_k) that first
+        reach each element, in BFS order."""
         words = {self.identity: ()}
+        tree = []
         queue = [self.identity]
         for x in queue:  # the queue grows while it is read
             for k, s in enumerate(gens):
                 y = int(self.mul[x, s])
                 if y not in words:
                     words[y] = words[x] + (k,)
+                    tree.append((x, k, y))
                     queue.append(y)
-        return words
+        return words, tree
 
-    def _choose_generators(self) -> None:
-        """Greedy small generating set for table-built groups."""
+    def _choose_generators(self):
+        """Greedy small generating set for table-built groups; returns its BFS."""
         gens: list[int] = []
-        reached = {self.identity: ()}
+        bfs = self._bfs(gens)
         for x in range(self.order):
-            if x not in reached:
+            if x not in bfs[0]:
                 gens.append(x)
-                reached = self._bfs(gens)
-                if len(reached) == self.order:
+                bfs = self._bfs(gens)
+                if len(bfs[0]) == self.order:
                     break
         self.gens = tuple(gens)
+        return bfs
 
     def commutator(self, g: int, h: int) -> int:
         """g^-1 h^-1 g h."""
@@ -445,16 +457,7 @@ def quotient_by_central_involution(inv: CentralInvolution) -> QuotientData:
     """Quotient by {1, u}; coset reps are minimal indices, identity coset excepted."""
     if inv.is_trivial:
         raise TrivialInvolution("u = 1 has trivial quotient data")
-    g = inv.group
-    cache = getattr(g, "_quotient_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(g, "_quotient_cache", cache)
-    if inv.u in cache:
-        return cache[inv.u]
-    qd = _quotient_impl(inv)
-    cache[inv.u] = qd
-    return qd
+    return inv.group.memo(("quotient", inv.u), lambda: _quotient_impl(inv))
 
 
 def _quotient_impl(inv: CentralInvolution) -> QuotientData:
@@ -510,11 +513,7 @@ class AbelianInvariants:
 
 
 def abelianization(g: FiniteGroup) -> AbelianInvariants:
-    cached = getattr(g, "_abelianization", None)
-    if cached is None:
-        cached = _abelianization_impl(g)
-        object.__setattr__(g, "_abelianization", cached)
-    return cached
+    return g.memo("abelianization", lambda: _abelianization_impl(g))
 
 
 def _abelianization_impl(g: FiniteGroup) -> AbelianInvariants:
@@ -523,8 +522,10 @@ def _abelianization_impl(g: FiniteGroup) -> AbelianInvariants:
     and x maps to the class of c(x).  p^e || |G| kills the p-part of G^ab, so
     the cokernel of the relations over Z_{p^e} is that p-part."""
     n, m = g.order, len(g.gens)
-    counts = np.array([np.bincount(w, minlength=m) for w in g.words], dtype=np.int64)
-    rel = counts[:, None, :] + np.eye(m, dtype=np.int64) - counts[np.asarray(g.mul)[:, list(g.gens)]]
+    counts, eye = np.zeros((n, m), dtype=np.int64), np.eye(m, dtype=np.int64)
+    for x, k, y in g.tree:
+        counts[y] = counts[x] + eye[k]
+    rel = counts[:, None, :] + eye - counts[np.asarray(g.mul)[:, list(g.gens)]]
     parts = []
     for p, e in prime_power_factors(n):
         ck = cokernel_mod(rel.reshape(n * m, m).T, p, e)
@@ -579,10 +580,12 @@ def parse_group_spec(spec: dict, cap: int = DEFAULT_CAP) -> tuple[FiniteGroup, i
         raise ParseError("group spec must be an object with a 'kind' field")
     kind = spec["kind"]
     try:
-        if kind == "permutations":
-            g = close_generators([list(p) for p in spec["generators"]], cap=cap)
-        elif kind == "matrices":
-            g = close_generators(list(spec["generators"]), cap=cap)
+        if kind in ("permutations", "matrices"):
+            gens = [list(p) for p in spec["generators"]]
+            if any(_looks_like_matrix(p) != (kind == "matrices") for p in gens):
+                raise ParseError(f"kind {kind!r} needs each generator as "
+                                 + ("a list of matrix rows" if kind == "matrices" else "a flat list of point images"))
+            g = close_generators(gens, cap=cap)
         elif kind == "table":
             g = group_from_table(spec["table"] if "table" in spec else spec["generators"],
                                  identity=spec.get("identity"), labels=spec.get("labels"))

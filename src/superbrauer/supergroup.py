@@ -31,7 +31,7 @@ from .forms import (
     is_symmetric,
 )
 from .groups import CentralInvolution, FiniteGroup, _det, cyclic_group, quotient_by_central_involution, splitting_character
-from .sharp import BMGroup, FieldDescriptor, bm_group
+from .sharp import ENUMERATION_BUDGET, BMGroup, FieldDescriptor, bm_group
 
 DEFAULT_DIM_BUDGET = 64
 SAMPLED_TRIPLES = 1500
@@ -296,15 +296,9 @@ def r_matrix_RA(a, h: SupergroupAlgebra) -> Tensor:
           (v_P x v_F + u v_P x v_F + (-1)^s v_P x u v_F - (-1)^s u v_P x u v_F).
     """
     A = _checked_form(a, h, "R_A", en=True)
-    e, uu = h.group.identity, h.inv.u
     out: Tensor = {}
-    for (pm, fm), minor in _signed_minors(A).items():
-        coef = _exact(Fraction(minor, 2))
-        sgn = -1 if bin(pm).count("1") % 2 else 1
-        _tns_add(out, (h.encode(e, pm), h.encode(e, fm)), coef)
-        _tns_add(out, (h.encode(uu, pm), h.encode(e, fm)), coef)
-        _tns_add(out, (h.encode(e, pm), h.encode(uu, fm)), coef * sgn)
-        _tns_add(out, (h.encode(uu, pm), h.encode(uu, fm)), -coef * sgn)
+    for x, y, c in _minor_terms(A, h, dual=False):
+        _tns_add(out, (x, y), _exact(Fraction(c, 2)))
     return out
 
 
@@ -313,14 +307,21 @@ def dual_r_matrix(a, h: SupergroupAlgebra) -> HCochain2:
     on H (x) H; omega_Sigma = r_0 * r_{-Sigma} in the convolution algebra."""
     A = _checked_form(a, h, "r_A", en=True)
     vals = [[0] * h.dim for _ in range(h.dim)]
-    e, uu = h.group.identity, h.inv.u
-    for (pm, fm), coef in _signed_minors(A).items():
-        sgn = -1 if bin(pm).count("1") % 2 else 1
-        vals[h.encode(e, pm)][h.encode(e, fm)] += coef
-        vals[h.encode(e, pm)][h.encode(uu, fm)] += coef
-        vals[h.encode(uu, pm)][h.encode(e, fm)] += coef * sgn
-        vals[h.encode(uu, pm)][h.encode(uu, fm)] += -coef * sgn
+    for x, y, c in _minor_terms(A, h, dual=True):
+        vals[x][y] += c
     return HCochain2(h, vals)
+
+
+def _minor_terms(A: Matrix, h: SupergroupAlgebra, dual: bool):
+    """(x, y, c) for the four terms c (v_P x v_F + u v_P x v_F + (-1)^s v_P x u v_F
+    - (-1)^s u v_P x u v_F) of each signed minor c of A, the sum of R_A without
+    its 1/2; the dual r_A exchanges u v_P x v_F and v_P x u v_F."""
+    e, uu = h.group.identity, h.inv.u
+    middle = ((e, uu), (uu, e)) if dual else ((uu, e), (e, uu))
+    for (pm, fm), c in _signed_minors(A).items():
+        sgn = -1 if bin(pm).count("1") % 2 else 1
+        for (g1, g2), coef in zip(((e, e), *middle, (uu, uu)), (c, c, c * sgn, -c * sgn)):
+            yield h.encode(g1, pm), h.encode(g2, fm), coef
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +712,8 @@ class BMSupergroup:
         return self.bm.invariants
 
 
-def bm_supergroup(g: FiniteGroup, inv: CentralInvolution, rep: Representation, field: FieldDescriptor) -> BMSupergroup:
+def bm_supergroup(g: FiniteGroup, inv: CentralInvolution, rep: Representation, field: FieldDescriptor,
+                  budget: int = ENUMERATION_BUDGET) -> BMSupergroup:
     if not acts_as_minus_one(rep, inv):
         raise NotMinusOne("u must act as -1 on V")
-    return BMSupergroup(bm=bm_group(g, inv, field), linear_dim=invariant_symmetric_forms(rep).dim)
+    return BMSupergroup(bm=bm_group(g, inv, field, budget), linear_dim=invariant_symmetric_forms(rep).dim)

@@ -1,5 +1,5 @@
-"""Shared fixtures; expensive Weyl data is session scoped so the cohomology
-caches attached to the group instances are reused across test modules."""
+"""Shared fixtures; expensive Weyl data is session scoped so the memos
+attached to the group instances are reused across test modules."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from superbrauer import (
     cyclic_group,
     direct_product,
     group_datum,
+    group_from_table,
     symmetric_group,
 )
 
@@ -24,6 +25,12 @@ def z2():
 @pytest.fixture(scope="session")
 def z4():
     return cyclic_group(4)
+
+
+@pytest.fixture(scope="session")
+def z4_shifted():
+    """Z4 as a table with element i + 1 for i in Z4: the identity is element 1."""
+    return group_from_table([[(a + b - 1) % 4 for b in range(4)] for a in range(4)])
 
 
 @pytest.fixture(scope="session")

@@ -112,6 +112,46 @@ def test_malformed_table_exit_code(tmp_path, capsys, fields, message):
     assert re.search(message, capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "matrices", "generators": [[1, 0]]},
+    {"kind": "permutations", "generators": [[[0, 1], [1, 0]]]},
+    {"kind": "matrices", "generators": [[]]},
+], ids=["permutation-as-matrix", "matrix-as-permutation", "empty-matrix"])
+def test_generators_must_fit_the_declared_kind(tmp_path, capsys, spec):
+    """The declared kind decides how generators are read; a misfit is refused, not re-guessed."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(spec))
+    assert main(["h2", "--group", str(path)]) == EXIT_PARSE
+    assert f"kind {spec['kind']!r} needs each generator as" in capsys.readouterr().err
+
+
+def test_bm_rep_must_send_u_to_minus_one(tmp_path, capsys):
+    """bm with --rep refuses rho(u) = +1, as lazy does."""
+    group, rep = tmp_path / "z2.json", tmp_path / "rep.json"
+    group.write_text(json.dumps({"kind": "permutations", "generators": [[1, 0]], "u": "g0"}))
+    rep.write_text(json.dumps({"matrices": [[[1]]]}))
+    for args in (["bm", "--field", "real"], ["bm", "--field", "closed"], ["lazy"]):
+        assert main(args + ["--group", str(group), "--rep", str(rep)]) == EXIT_PARSE
+        assert "u must act as -1 on V" in capsys.readouterr().err
+
+
+def test_composite_checks_call_the_current_module_attributes(monkeypatch):
+    """verify resolves the checks of omega-*/lambda-* when it runs, so a rebound
+    is_lazy or is_left_cocycle (e.g. a tracing wrapper) is the one called."""
+    import superbrauer.cli as cli
+
+    called = []
+    for name in ("is_lazy", "is_left_cocycle"):
+        def record(*args, _check=getattr(cli, name), _name=name, **kwargs):
+            called.append(_name)
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(cli, name, record)
+    for check in ("omega-lazy", "lambda-lazy"):
+        called.clear()
+        assert main(["verify", "--algebra", "E2", "--check", check]) == 0
+        assert sorted(called) == ["is_lazy", "is_left_cocycle"]
+
+
 @pytest.mark.parametrize("rep", [{}, {"kind": "permutations", "generators": [[1, 0]]}, {"matrices": [5]}],
                          ids=["empty", "group-file", "scalar-matrix"])
 def test_malformed_rep_exit_code(tmp_path, capsys, rep):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from superbrauer import (
     ALG_CLOSED,
+    CentralInvolution,
     Cochain2,
     NotCocycle,
     ParseError,
@@ -25,6 +26,8 @@ from superbrauer import (
     h2,
     h2_closed_field,
     is_cocycle,
+    quotient_by_central_involution,
+    restriction,
     symmetric_group,
 )
 from superbrauer import cohomology
@@ -467,3 +470,25 @@ def test_presentation_h2_on_random_groups(g, q):
     if g.order <= 12:
         assert h2(g, q).size == brute_h2_order(g, q)
     _assert_kernels_agree(g, prime_power_factors(g.order))
+
+
+def test_derived_structures_are_built_once():
+    """Every structure derived from a group is built on the first call and
+    shared by the later ones."""
+    g = direct_product(cyclic_group(2), symmetric_group(3))
+    inv = CentralInvolution(g, symmetric_group(3).order)  # u = (1, e)
+    for build in (lambda: quotient_by_central_involution(inv), lambda: abelianization(g),
+                  lambda: cohomology._presentation(g), lambda: h2(g, 4), lambda: h2_closed_field(g),
+                  lambda: cohomology.u_subgroup(inv)):
+        assert build() is build()
+
+
+def test_u_subgroup_maps_its_identity_to_the_identity(z4_shifted):
+    """On a table group whose identity is not element 0, element 0 of U is
+    still the identity, and the nonzero class of H^2(Z4, Z2) (the extension
+    Z8) restricts to the nonzero class of H^2(U, Z2)."""
+    inv = CentralInvolution(z4_shifted, 3)
+    ugroup, embed = cohomology.u_subgroup(inv)
+    assert ugroup.identity == 0 and embed.tolist() == [z4_shifted.identity, 3]
+    cls = next(c for c in h2(z4_shifted, 2).all_classes() if not c.is_trivial())
+    assert not restriction(inv, cls).is_trivial()

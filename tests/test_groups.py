@@ -115,6 +115,31 @@ def test_closure_results_pinned(name):
     assert _digest(ab.cyclic_orders, np.asarray(ab.projection, dtype=np.int64), ab.commutator_subgroup) == ab_digest
 
 
+def _assert_bfs_tree(g):
+    """Each non-identity element is reached by exactly one tree edge (x, k, y),
+    from an x reached earlier, and its word extends the word of x by k."""
+    reached = {g.identity}
+    for x, k, y in g.tree:
+        assert x in reached and y not in reached
+        assert int(g.mul[x, g.gens[k]]) == y and g.words[y] == g.words[x] + (k,)
+        reached.add(y)
+    assert len(reached) == g.order == len(g.tree) + 1
+
+
+@pytest.mark.parametrize("name", list(_CLOSED_GROUPS))
+def test_bfs_tree_of_closures(name):
+    _assert_bfs_tree(close_generators(_CLOSED_GROUPS[name][0]()))
+
+
+def test_bfs_tree_of_table_groups(z4_shifted):
+    """A table group whose identity is not element 0, a direct product and a quotient."""
+    assert z4_shifted.identity == 1
+    s3xz4 = direct_product(symmetric_group(3), z4_shifted)
+    quotient = quotient_by_central_involution(CentralInvolution(s3xz4, 3)).quotient  # u = (1, the involution of Z4)
+    for g in (z4_shifted, s3xz4, quotient):
+        _assert_bfs_tree(g)
+
+
 def test_singular_generator_rejected():
     with pytest.raises(NotInvertible):
         close_generators([[[1, 0], [0, 0]]])
