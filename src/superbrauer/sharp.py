@@ -32,6 +32,7 @@ from .groups import (
     abelianization,
     all_characters,
     group_from_table,
+    is_character,
     quotient_by_central_involution,
     splitting_character,
 )
@@ -95,11 +96,9 @@ class ZGrading:
     degree: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.degree, dtype=np.int64) % 2
-        mul = np.asarray(self.group.mul)
-        if not ((d[:, None] + d[None, :]) % 2 == d[mul]).all():
+        self.degree = np.asarray(self.degree, dtype=np.int64) % 2
+        if not is_character(self.group, self.degree, 2):
             raise ParseError("grading is not a homomorphism to Z_2")
-        self.degree = d
 
     def is_trivial(self) -> bool:
         return not self.degree.any()
@@ -379,12 +378,8 @@ class TwistedGroupAlgebra:
         return (self.sigma.values - self.sigma.values.T) % self.sigma.modulus
 
     def degrees_are_characters(self) -> bool:
-        """chi_h(x s) = chi_h(x) + chi_h(s) for s in G.gens; chi_h(1) = 0 and
-        the BFS words then give chi_h(x y) = chi_h(x) + chi_h(y) for all y."""
-        gens = np.array(self.group.gens)
-        deg = self.degree_map()
-        xs = np.asarray(self.group.mul)[:, gens]
-        return not ((deg[:, None, :] + deg[gens][None, :, :] - deg[xs]) % self.sigma.modulus).any()
+        """Every column chi_h of the degree map is a character G -> Z_N."""
+        return is_character(self.group, self.degree_map(), self.sigma.modulus)
 
 
 def twisted_group_algebra(g: FiniteGroup, sigma: Cochain2, field: FieldDescriptor) -> TwistedGroupAlgebra:

@@ -7,6 +7,13 @@ an integer g_index * 2**n + bitmask.  Products use Koszul signs inside the
 exterior algebra and the reindexing rule v_i g = g (g^{-1}.v_i); the
 coproduct is determined by Delta(g) = g (x) g and Delta(v) = v (x) 1 + u (x) v,
 which matches E(n) under c -> u, x_i -> u v_i.
+
+One routine, _compound, builds the exterior power Lambda(M) of a matrix: the
+group action h^{-1}.v_P is column P of Lambda rho(h^{-1}), and R_A, r_A,
+omega_Sigma and lambda read their signed minors det A[P,Q] off Lambda(A).
+Delta and S are written in closed form, with A = P minus B:
+  Delta(g v_P) = sum_{B in P} wedge_sign(B, A) g u^|B| v_A (x) g v_B,
+  S(g v_P) = (-1)^|P| u^|P| g^{-1} (g.v_P).
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .forms import (
     is_invariant_form,
     is_symmetric,
 )
-from .groups import CentralInvolution, FiniteGroup, _det, cyclic_group, quotient_by_central_involution, splitting_character
+from .groups import CentralInvolution, FiniteGroup, cyclic_group, quotient_by_central_involution, splitting_character
 from .sharp import ENUMERATION_BUDGET, BMGroup, FieldDescriptor, bm_group
 
 DEFAULT_DIM_BUDGET = 64
@@ -85,9 +92,9 @@ class SupergroupAlgebra:
         self.nv = self.rep.dim
         self.dim = self.group.order * (1 << self.nv)
         self._prod: dict[tuple[int, int], Element] = {}
-        self._cop: dict[int, list[tuple[int, int, int | Fraction]]] = {}
+        self._cop: dict[int, list[tuple[int, int, int]]] = {}
         self._anti: dict[int, Element] = {}
-        self._action: dict[tuple[int, int], Element] = {}
+        self._action: dict[int, list[Element]] = {}  # h -> the columns of Lambda rho(h^{-1})
 
     # encoding ---------------------------------------------------------
 
@@ -119,27 +126,16 @@ class SupergroupAlgebra:
     # structure constants ----------------------------------------------
 
     def inverse_action(self, h: int, mask: int) -> Element:
-        """h^{-1}.v_P as {mask R: coefficient}, computed once per (h, P): the
-        image of v_{P minus its top index} wedged with h^{-1}.v_top."""
-        key = (h, mask)
-        out = self._action.get(key)
-        if out is not None:
-            return out
-        out = {}
-        if mask == 0:
-            out[0] = 1
-        else:
-            i = mask.bit_length() - 1
-            mat = self.rep.matrix(int(self.group.inv[h]))
-            for em, c in self.inverse_action(h, mask & ~(1 << i)).items():
-                for j in range(self.nv):
-                    a = mat[j][i]
-                    if a == 0 or (em >> j) & 1:
-                        continue
-                    sign = -1 if _popcount_above(em, j) % 2 else 1
-                    _tns_add(out, em | (1 << j), c * _exact(a) * sign)
-        self._action[key] = out
-        return out
+        """h^{-1}.v_P as {mask R: coefficient}: column P of Lambda rho(h^{-1}),
+        built once per h."""
+        cols = self._action.get(h)
+        if cols is None:
+            cols = self._action[h] = _compound(self.rep.matrix(int(self.group.inv[h])), self.nv)
+        return cols[mask]
+
+    def times_u(self, g: int, k: int) -> int:
+        """The group element g u^k (u is central of order 2)."""
+        return int(self.group.mul[g, self.inv.u]) if k % 2 else g
 
     def product_basis(self, b1: int, b2: int) -> Element:
         key = (b1, b2)
@@ -169,49 +165,34 @@ class SupergroupAlgebra:
                         del out[b3]
         return out
 
-    def coproduct_basis(self, b: int) -> list[tuple[int, int, int | Fraction]]:
+    def coproduct_basis(self, b: int) -> list[tuple[int, int, int]]:
+        """Delta(g v_P) = sum_{B in P} wedge_sign(B, A) g u^|B| v_A (x) g v_B, A = P minus B:
+        in (g x g) prod_i (v_i x 1 + u x v_i) each u moves left past the v_a with
+        a < b, and v_a u = -u v_a."""
         got = self._cop.get(b)
-        if got is not None:
-            return got
-        g, mask = self.decode(b)
-        cur: Tensor = {(self.encode(g, 0), self.encode(g, 0)): 1}
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            vi = self.v_element(i)
-            u = self.u_element
-            nxt: Tensor = {}
-            for (b1, b2), c in cur.items():
-                for nb1, c1 in self.product_basis(b1, vi).items():
-                    _tns_add(nxt, (nb1, b2), c * c1)
-                for nb1, c1 in self.product_basis(b1, u).items():
-                    for nb2, c2 in self.product_basis(b2, vi).items():
-                        _tns_add(nxt, (nb1, nb2), c * c1 * c2)
-            cur = nxt
-        out = [(b1, b2, c) for (b1, b2), c in cur.items() if c]
-        self._cop[b] = out
-        return out
+        if got is None:
+            g, mask = self.decode(b)
+            got = self._cop[b] = [
+                (self.encode(self.times_u(g, bin(sub).count("1")), mask ^ sub), self.encode(g, sub),
+                 wedge_sign(sub, mask ^ sub))
+                for sub in range(mask + 1) if sub & mask == sub
+            ]
+        return got
 
     def counit_basis(self, b: int) -> int:
         _, mask = self.decode(b)
         return 1 if mask == 0 else 0
 
     def antipode_basis(self, b: int) -> Element:
+        """S(g v_P) = (-1)^|P| u^|P| g^{-1} (g.v_P), from S(v_i) = -u v_i: moving the u's
+        of S(v_P) = S(v_ik)...S(v_i1) left and reordering the v's give the same sign."""
         got = self._anti.get(b)
-        if got is not None:
-            return got
-        g, mask = self.decode(b)
-        acc: Element = {self.unit: 1}
-        bits = [i for i in range(self.nv) if (mask >> i) & 1]
-        for i in reversed(bits):
-            term = self.mul_elements({self.u_element: 1}, {self.v_element(i): 1})
-            acc = self.mul_elements(acc, term)
-        acc = self.mul_elements(acc, {self.encode(int(self.group.inv[g]), 0): 1})
-        if len(bits) % 2:
-            acc = {k: -v for k, v in acc.items()}
-        self._anti[b] = acc
-        return acc
+        if got is None:
+            g, mask = self.decode(b)
+            gi, s = int(self.group.inv[g]), bin(mask).count("1")
+            top, sign = self.times_u(gi, s), (-1) ** s
+            got = self._anti[b] = {self.encode(top, r): sign * c for r, c in self.inverse_action(gi, mask).items()}
+        return got
 
 
 def _tns_add(t: dict, key, val: int | Fraction) -> None:
@@ -274,19 +255,29 @@ def _checked_form(a, h: SupergroupAlgebra, what: str, en: bool = False) -> Matri
     return A
 
 
-def _signed_minors(a: Matrix) -> dict[tuple[int, int], int | Fraction]:
-    """{(mask P, mask Q): (-1)^(s(s-1)/2) det A[P,Q]} over |P| = |Q| = s, nonzero values only."""
-    n = len(a)
-    out: dict[tuple[int, int], int | Fraction] = {}
-    for s in range(n + 1):
-        pref = (-1) ** (s * (s - 1) // 2)
-        subsets = [(sum(1 << i for i in P), P) for P in itertools.combinations(range(n), s)]
-        for pm, P in subsets:
-            for qm, Q in subsets:
-                d = _det([[a[i][j] for j in Q] for i in P])
-                if d:
-                    out[(pm, qm)] = pref * _exact(d)
-    return out
+def _compound(mat: Matrix, n: int) -> list[Element]:
+    """The exterior power Lambda(mat) of an n x n matrix: entry P is the column
+    mat.v_P = {mask R: det mat[R, P]}, nonzero minors only.  Column P is column
+    P minus its top index i wedged with column i of mat."""
+    cols: list[Element] = [{0: 1}]
+    for mask in range(1, 1 << n):
+        i = mask.bit_length() - 1
+        out: Element = {}
+        for em, c in cols[mask & ~(1 << i)].items():
+            for j in range(n):
+                a = mat[j][i]
+                if a == 0 or (em >> j) & 1:
+                    continue
+                sign = -1 if _popcount_above(em, j) % 2 else 1
+                _tns_add(out, em | (1 << j), c * _exact(a) * sign)
+        cols.append({r: _exact(c) for r, c in out.items()})
+    return cols
+
+
+def _signed_minors(a: Matrix) -> list[Element]:
+    """Column Q of Lambda(A) signed: {mask P: (-1)^(s(s-1)/2) det A[P,Q]}, s = |Q|."""
+    signs = [(-1) ** (s * (s - 1) // 2) for s in range(len(a) + 1)]
+    return [{pm: signs[bin(qm).count("1")] * c for pm, c in col.items()} for qm, col in enumerate(_compound(a, len(a)))]
 
 
 def r_matrix_RA(a, h: SupergroupAlgebra) -> Tensor:
@@ -318,10 +309,11 @@ def _minor_terms(A: Matrix, h: SupergroupAlgebra, dual: bool):
     its 1/2; the dual r_A exchanges u v_P x v_F and v_P x u v_F."""
     e, uu = h.group.identity, h.inv.u
     middle = ((e, uu), (uu, e)) if dual else ((uu, e), (e, uu))
-    for (pm, fm), c in _signed_minors(A).items():
-        sgn = -1 if bin(pm).count("1") % 2 else 1
-        for (g1, g2), coef in zip(((e, e), *middle, (uu, uu)), (c, c, c * sgn, -c * sgn)):
-            yield h.encode(g1, pm), h.encode(g2, fm), coef
+    for fm, col in enumerate(_signed_minors(A)):
+        sgn = -1 if bin(fm).count("1") % 2 else 1
+        for pm, c in col.items():
+            for (g1, g2), coef in zip(((e, e), *middle, (uu, uu)), (c, c, c * sgn, -c * sgn)):
+                yield h.encode(g1, pm), h.encode(g2, fm), coef
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +592,8 @@ def is_convolution_invertible(sigma: HCochain2) -> tuple[bool, HCochain2 | None]
     for a, b in order:
         ga, ma = h.decode(a)
         gb, mb = h.decode(b)
-        top_a = h.encode(int(_u_power(h, ga, bin(ma).count("1"))), 0)
-        top_b = h.encode(int(_u_power(h, gb, bin(mb).count("1"))), 0)
+        top_a = h.encode(h.times_u(ga, bin(ma).count("1")), 0)
+        top_b = h.encode(h.times_u(gb, bin(mb).count("1")), 0)
         lead = sigma.values[top_a][top_b]
         if lead == 0:
             return False, None
@@ -619,13 +611,6 @@ def is_convolution_invertible(sigma: HCochain2) -> tuple[bool, HCochain2 | None]
     if not convolve(tau, sigma).equals(eps_tensor_eps(h)):
         return False, None
     return True, tau
-
-
-def _u_power(h: SupergroupAlgebra, g: int, k: int) -> int:
-    out = g
-    for _ in range(k % 2):
-        out = int(h.group.mul[out, h.inv.u])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -652,15 +637,13 @@ def lambda_cocycle(h: SupergroupAlgebra, sigma_matrix, require_invariant: bool =
     S = _checked_form(sigma_matrix, h, "lambda")
     if require_invariant and not is_invariant_form(h.rep, S):
         raise NotInvariant("symmetric form is not G-invariant")
-    by_first: dict[int, list[tuple[int, int | Fraction]]] = {}
-    for (rm, qm), minor in _signed_minors(S).items():
-        by_first.setdefault(rm, []).append((qm, minor))
+    minors = _signed_minors(S)  # column R: +-det S[Q, R] = +-det S[R, Q], S symmetric
     rows = []
     for pm in range(1 << h.nv):
         row = [0] * h.dim
         for hh in range(h.group.order):
             for rm, c in h.inverse_action(hh, pm).items():
-                for qm, minor in by_first.get(rm, ()):
+                for qm, minor in minors[rm].items():
                     row[h.encode(hh, qm)] += c * minor
         rows.append(tuple(map(_exact, row)))
     return HCochain2(h, [rows[h.decode(b)[1]] for b in h.basis()])

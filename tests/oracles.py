@@ -17,7 +17,10 @@ product: the cocycle and lazy checks expand both coproducts and the product
 for every basis tuple, the R-matrix legs are multiplied in H (x) H (x) H, and
 the Hopf axioms and `R Delta = Delta^op R` are checked on every basis pair or
 element (on the production's seeded sample above the dim budget) instead of
-on the algebra generators.  `uncleared_r_checks` checks the R-matrix
+on the algebra generators.  `factor_coproduct` and `product_antipode` multiply
+Delta and S out from their values on the generators, and `det_signed_minors`
+takes one Gauss-Jordan determinant per minor, where the production writes
+Delta and S in closed form and reads every minor off one exterior power.  `uncleared_r_checks` checks the R-matrix
 identities on `R` itself, with the legs from `triple_tensor_legs`, where the
 production clears the common denominator of `R` first.  The invariant-form
 oracle checks a form against the matrix of every element.
@@ -56,12 +59,14 @@ from superbrauer import (
     splitting_character,
 )
 from superbrauer.errors import BudgetExceeded, ParseError
+from superbrauer.groups import _det
 from superbrauer.modlinalg import SnfMod, _val, _val_matrix, inverse_mod, kernel_mod
 from superbrauer.supergroup import (
     DEFAULT_DIM_BUDGET,
     SAMPLED_TRIPLES,
     VerifyReport,
     _cop_tensor,
+    _exact,
     _tns_add,
     tensor_flip,
     tensor_mul,
@@ -243,6 +248,12 @@ def all_pairs_degrees_are_characters(sigma):
     return True
 
 
+def all_pairs_is_character(g, v, n):
+    """v(xy) = v(x) + v(y) mod n on all pairs of elements."""
+    v = np.asarray(v, dtype=np.int64)
+    return bool(not ((v[:, None] + v[None, :] - v[np.asarray(g.mul)]) % n).any())
+
+
 def table_power(table, x, k, ident):
     """x^k in a Cayley table, by k - 1 row lookups."""
     y = ident
@@ -400,6 +411,59 @@ def _wedge_image(mat, mask, n):
                 nxt[em | (1 << j)] = nxt.get(em | (1 << j), Fraction(0)) + c * mat[j][i] * sign
         cur = nxt
     return cur
+
+
+def factor_coproduct(h, b):
+    """Delta(g v_P) multiplied out factor by factor: (g x g) times v_i x 1 + u x v_i
+    for each i in P, in increasing order, with the algebra's products."""
+    g, mask = h.decode(b)
+    cur = {(h.encode(g, 0), h.encode(g, 0)): 1}
+    m = mask
+    while m:
+        i = (m & -m).bit_length() - 1
+        m &= m - 1
+        vi = h.v_element(i)
+        u = h.u_element
+        nxt = {}
+        for (b1, b2), c in cur.items():
+            for nb1, c1 in h.product_basis(b1, vi).items():
+                _tns_add(nxt, (nb1, b2), c * c1)
+            for nb1, c1 in h.product_basis(b1, u).items():
+                for nb2, c2 in h.product_basis(b2, vi).items():
+                    _tns_add(nxt, (nb1, nb2), c * c1 * c2)
+        cur = nxt
+    return [(b1, b2, c) for (b1, b2), c in cur.items() if c]
+
+
+def product_antipode(h, b):
+    """S(g v_P) = S(v_P) S(g) multiplied out with mul_elements from S(g) = g^-1
+    and S(v_i) = -u v_i."""
+    g, mask = h.decode(b)
+    acc = {h.unit: 1}
+    bits = [i for i in range(h.nv) if (mask >> i) & 1]
+    for i in reversed(bits):
+        term = h.mul_elements({h.u_element: 1}, {h.v_element(i): 1})
+        acc = h.mul_elements(acc, term)
+    acc = h.mul_elements(acc, {h.encode(int(h.group.inv[g]), 0): 1})
+    if len(bits) % 2:
+        acc = {k: -v for k, v in acc.items()}
+    return acc
+
+
+def det_signed_minors(a):
+    """{(mask P, mask Q): (-1)^(s(s-1)/2) det A[P,Q]} over |P| = |Q| = s, nonzero
+    values only, one Gauss-Jordan determinant per minor."""
+    n = len(a)
+    out = {}
+    for s in range(n + 1):
+        pref = (-1) ** (s * (s - 1) // 2)
+        subsets = [(sum(1 << i for i in P), P) for P in itertools.combinations(range(n), s)]
+        for pm, P in subsets:
+            for qm, Q in subsets:
+                d = _det([[a[i][j] for j in Q] for i in P])
+                if d:
+                    out[(pm, qm)] = pref * _exact(d)
+    return out
 
 
 def dense_lambda_cocycle(h, sigma):

@@ -112,17 +112,22 @@ def test_malformed_table_exit_code(tmp_path, capsys, fields, message):
     assert re.search(message, capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("spec", [
-    {"kind": "matrices", "generators": [[1, 0]]},
-    {"kind": "permutations", "generators": [[[0, 1], [1, 0]]]},
-    {"kind": "matrices", "generators": [[]]},
-], ids=["permutation-as-matrix", "matrix-as-permutation", "empty-matrix"])
-def test_generators_must_fit_the_declared_kind(tmp_path, capsys, spec):
-    """The declared kind decides how generators are read; a misfit is refused, not re-guessed."""
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "matrices", "generators": [[1, 0]]}, "kind 'matrices' needs each generator as"),
+    ({"kind": "permutations", "generators": [[[0, 1], [1, 0]]]}, "kind 'permutations' needs each generator as"),
+    ({"kind": "matrices", "generators": [[]]}, "kind 'matrices' needs each generator as"),
+    ({"kind": "permutations", "generators": [[1.5, 0]]}, "permutation entries must be integers, got 1.5"),
+    ({"kind": "permutations", "generators": [["1", "0"]]}, "permutation entries must be integers, got '1'"),
+    ({"kind": "permutations", "generators": [[True, False]]}, "permutation entries must be integers, got True"),
+], ids=["permutation-as-matrix", "matrix-as-permutation", "empty-matrix", "float-point-image",
+        "string-point-images", "bool-point-images"])
+def test_generators_must_fit_the_declared_kind(tmp_path, capsys, spec, message):
+    """The declared kind decides how generators are read; a misfit, or a point
+    image that is not an integer, is refused, not re-guessed or truncated."""
     path = tmp_path / "g.json"
     path.write_text(json.dumps(spec))
     assert main(["h2", "--group", str(path)]) == EXIT_PARSE
-    assert f"kind {spec['kind']!r} needs each generator as" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_bm_rep_must_send_u_to_minus_one(tmp_path, capsys):

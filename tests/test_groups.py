@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,9 +29,11 @@ from superbrauer import (
     splitting_character,
     symmetric_group,
 )
+from superbrauer.groups import is_character
+from superbrauer.sharp import ZGrading
 from superbrauer.weyl import RootSystemType, reflection_matrices
 
-from .oracles import enumerated_group_table, quotient_table_abelianization
+from .oracles import all_pairs_is_character, enumerated_group_table, quotient_table_abelianization
 
 
 def test_close_b2_matrices():
@@ -279,6 +282,43 @@ def test_abelianization_matches_quotient_table_oracle(g):
     assert proj.shape == (g.order, len(orders))
     assert not ((proj[np.asarray(g.mul)] - proj[:, None] - proj[None, :]) % orders).any()
     assert len({tuple(row) for row in proj.tolist()}) == np.prod(orders, dtype=np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_groups, st.sampled_from([2, 3, 4, 6]), st.data())
+def test_generator_character_check_matches_all_pairs_oracle(g, n, data):
+    """is_character on the generators decides as the all-pairs compare, on
+    characters, on characters moved at one element and on random values, one
+    map at a time and as columns of one array."""
+    chars = list(all_characters(g, n))
+    maps = []
+    for kind in data.draw(st.lists(st.sampled_from(["character", "moved", "random"]), min_size=1, max_size=3)):
+        v = np.array(chars[data.draw(st.integers(0, len(chars) - 1))].values, dtype=np.int64)
+        if kind == "moved":
+            v[data.draw(st.integers(0, g.order - 1))] += data.draw(st.integers(1, n - 1))
+        elif kind == "random":
+            v = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=g.order, max_size=g.order)))
+        maps.append(v)
+        assert is_character(g, v, n) == all_pairs_is_character(g, v, n)
+        assert kind != "character" or is_character(g, v, n)
+    verdicts = [all_pairs_is_character(g, v, n) for v in maps]
+    assert is_character(g, np.stack(maps, axis=1), n) == all(verdicts)
+
+
+def test_character_checks_stay_linear_in_the_order():
+    """A splitting character of Z2 x Z2000 and its grading are checked on the
+    generators: the all-pairs compares held 4000 x 4000 arrays (about 260 MB)."""
+    g = direct_product(cyclic_group(2), cyclic_group(2000))
+    inv = CentralInvolution(g, 2000)
+    tracemalloc.start()
+    try:
+        chi = splitting_character(inv)
+        grading = ZGrading(group=g, degree=chi.values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chi(inv.u) == 1 and grading.degree.tolist() == chi.values.tolist()
+    assert peak < 16 * 2**20
 
 
 def test_splitting_character_examples(datum_g2, datum_b2):

@@ -37,15 +37,20 @@ from superbrauer import (
     verify_quasitriangular,
     verify_triangular,
 )
+from superbrauer import supergroup
 from superbrauer.groups import _mat_mul
-from superbrauer.supergroup import HCochain2, _cleared, _r_legs
+from superbrauer.supergroup import HCochain2, _cleared, _compound, _r_legs, _signed_minors
 
 from .oracles import (
     all_basis_r_delta,
     all_pairs_verify_hopf,
     dense_lambda_cocycle,
+    det_signed_minors,
+    factor_coproduct,
     four_loop_cocycle_check,
     four_loop_is_lazy,
+    leibniz_det,
+    product_antipode,
     triple_tensor_legs,
     uncleared_r_checks,
 )
@@ -141,6 +146,53 @@ def test_hopf_check_catches_error_the_sampled_check_missed(datum_d4):
         False, "coproduct not multiplicative", ("g3*v0v1v2", "g4"), False)
     old = all_pairs_verify_hopf(h)
     assert old.passed and old.sampled
+
+
+@pytest.mark.parametrize("name", ["E0", "E1", "E2", "E3", "E4", "datum_a1", "datum_b2", "datum_a2", "datum_b3"])
+def test_closed_forms_match_multiplied_out_coproduct_and_antipode(request, name):
+    """Delta and S in closed form equal Delta and S multiplied out from their
+    values on the generators, on every basis element of E(0)-E(4) and of the
+    W(A1), W(B2), G(A2) and W(B3) data."""
+    if name.startswith("E"):
+        h = build_en(int(name[1:]))
+    else:
+        d = request.getfixturevalue(name)
+        h = build_supergroup(d.group, d.inv, d.rep)
+    for b in h.basis():
+        assert sorted(h.coproduct_basis(b)) == sorted(factor_coproduct(h, b))
+        assert h.antipode_basis(b) == product_antipode(h, b)
+
+
+@st.composite
+def _square_matrices(draw):
+    """Rational n x n matrices, n <= 4; half of them with one row a multiple of the next."""
+    n = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        k, c = draw(st.integers(0, n - 1)), draw(st.fractions(-2, 2, max_denominator=2))
+        rows[k] = [c * x for x in rows[(k + 1) % n]] if n > 1 else [Fraction(0)]
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(_square_matrices())
+def test_compound_matches_leibniz_minors(m):
+    """Column P of the compound holds det m[R, P] for every R with |R| = |P|, by
+    the Leibniz expansion, nonzero values only and ints where integral; the
+    signed minors are those of the per-minor Gauss-Jordan loop."""
+    n = len(m)
+    cols = _compound(m, n)
+    assert len(cols) == 2**n
+    for pm, col in enumerate(cols):
+        P = [j for j in range(n) if (pm >> j) & 1]
+        for rm in range(2**n):
+            R = [i for i in range(n) if (rm >> i) & 1]
+            want = leibniz_det([[m[i][j] for j in P] for i in R]) if len(R) == len(P) else 0
+            assert col.get(rm, 0) == want
+        assert all(c and (isinstance(c, int) or c.denominator > 1) for c in col.values())
+    signed = {(pm, qm): c for qm, col in enumerate(_signed_minors(m)) for pm, c in col.items()}
+    assert signed == det_signed_minors(m)
 
 
 def test_build_requires_minus_one(datum_a2):
@@ -333,22 +385,25 @@ def test_lambda_rows_match_dense_oracle(datum_a2, datum_b2):
         assert len({id(row) for row in lam.values}) <= 2**h.nv
 
 
-def test_group_action_computed_once_per_element_and_subset(datum_b2):
-    """h^-1.v_P is computed at most |G| 2^n times while lambda is built and checked."""
+def test_group_action_computed_once_per_element_and_subset(datum_b2, monkeypatch):
+    """Lambda rho(h^-1), every h^-1.v_P at once, is built at most once per h while
+    lambda is built and checked; the one other exterior power is that of Sigma."""
     h = build_supergroup(datum_b2.group, datum_b2.inv, datum_b2.rep)
-    computed = []
-    cached = h.inverse_action
+    built, calls = [], []
 
-    def counting(x, mask):
-        if (x, mask) not in h._action:
-            computed.append((x, mask))
-        return cached(x, mask)
+    class Counting(dict):
+        def __setitem__(self, x, cols):
+            built.append(x)
+            super().__setitem__(x, cols)
 
-    h.inverse_action = counting  # also catches the recursive calls
+    compound = supergroup._compound
+    monkeypatch.setattr(supergroup, "_compound", lambda mat, n: calls.append(mat) or compound(mat, n))
+    h._action = Counting()
     S = invariant_symmetric_forms(datum_b2.rep).basis[0]
     lam = lambda_cocycle(h, S)
     assert is_left_cocycle(lam).passed and is_lazy(lam).passed
-    assert computed and len(computed) == len(set(computed)) <= h.group.order * 2**h.nv
+    assert built and len(built) == len(set(built)) <= h.group.order
+    assert len(calls) == len(built) + 1
 
 
 def test_counit_cochain_passes_everything():
