@@ -10,15 +10,18 @@ so sigma(g, h) is the label sum along the BFS word of h from g, minus the
 sum from 1.  The d(d sigma) = 0 pentagon identity shows that the cocycle
 equation for all (g, h, s) with s in S forces it for every triple.  Adding
 the coboundary of the label sum from 1 along the BFS tree gives the
-cohomologous cocycle that vanishes on the tree (the gauge); the unknowns are
-its labels on the n |S| - (n - 1) other edges.
+cohomologous cocycle that vanishes on the tree (the gauge).
 
 A labelling comes from a cocycle exactly when every relator r of a
-presentation <S | R> of G has the same label sum from every start x (Hopf
-1942; Gruenberg, LNM 143, 1970): the sum is the central value of the lifted
-r, and conversely the maps (a, x) -> (a + T(x, s), x s) generate a central
-extension.  So the cocycle module is the kernel of (n - 1) |R| rows; the
-coboundaries left in the gauge are those of the |S| tree-additive cochains.
+presentation <S | R> of G has the same label sum z_r from every start x
+(Hopf 1942; Gruenberg, LNM 143, 1970): z_r is the central value of the
+lifted r, and conversely the maps (a, x) -> (a + T(x, s), x s) generate a
+central extension.  In the gauge the central values fix every label: the
+Schreier fill that proves the presentation fills each edge as the one open
+edge of some cycle x r, so T = L z.  The cocycle module is the kernel of the
+|G| |R| + |S| rows C over the |R| unknowns z, the coboundaries are z = A c
+(A the exponent sums of the relators), and H^2 = ker C / im A is Hopf's
+formula.
 
 Each prime power of N is solved by exact Z_{p^e} elimination and the pieces
 are recombined by CRT.  Only primes that can contribute are solved: |G| and
@@ -62,13 +65,16 @@ DEFAULT_H2_BUDGET = 150_000
 
 @dataclass(frozen=True)
 class CoefficientModule:
-    """Trivial coefficients Z_N, written additively (Z_N = mu_N)."""
+    """Trivial coefficients Z_N, written additively (Z_N = mu_N), N < 2^62
+    so that the sum of two int64 cochain values is exact."""
 
     n: int
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ParseError("coefficient modulus must be positive")
+        if self.n >= 2**62:
+            raise ParseError(f"coefficient modulus {self.n} is not below 2^62")
 
 
 @dataclass(eq=False)
@@ -167,42 +173,56 @@ def is_cocycle(sigma: Cochain2) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the presentation: unknowns T(x, s) on the non-tree edges of the Cayley graph
+# the presentation: edge labels T(x, s) as linear forms in the central values
 
 
 @dataclass(eq=False)
 class _Presentation:
-    """Edge (x, s_k) of the Cayley graph has id x |S| + k; the unknowns are
-    the edges off the BFS tree group.tree and away from 1, where the gauge
-    and the normalization fix T = 0.  Relators are words of (generator
-    index, +-1) steps."""
+    """Edge (x, s_k) of the Cayley graph has id x |S| + k.  Relators are
+    words of (generator index, +-1) steps; cycles[j] holds the edge ids
+    (n x len) of the cycles x r_j from every start x and the sign with which
+    each step crosses its edge.  The Schreier fill is recorded as batches
+    (j, starts, pos): each start's cycle x r_j had one open edge, at `pos`,
+    which the batch filled."""
 
     group: FiniteGroup
-    unknowns: np.ndarray  # edge id of each unknown
     relators: list
+    cycles: list
+    schedule: list
 
-    def gauge_fix(self, labels: np.ndarray) -> np.ndarray:
-        """Unknowns of the cocycles with edge labels `labels` (..., n, |S|)
-        plus d(pot), pot(y) the label sum from 1 to y along the tree: the
-        cohomologous cocycles that vanish on the tree edges."""
-        pot = np.zeros(labels.shape[:-1], dtype=np.int64)
-        for x, k, y in self.group.tree:
-            pot[..., y] = pot[..., x] + labels[..., x, k]
-        gens = list(self.group.gens)
-        fixed = labels + pot[..., :, None] + pot[..., None, gens] - pot[..., np.asarray(self.group.mul)[:, gens]]
-        x, k = np.divmod(self.unknowns, len(gens))
-        return fixed[..., x, k]
+    def system(self, q: int) -> tuple[np.ndarray, np.ndarray]:
+        """L and C over Z_q.  Replaying the fill, every edge label of the
+        cocycle that vanishes on the tree is a linear form in the central
+        values z, T = L z (L is n |S| x |R|): a filled edge is
+        sign (z_j - the other signed labels of its cycle).  The rows of C
+        are every cycle's L-sum minus its z_j and, for normalization, L on
+        the edges from 1; the cocycle module is ker C."""
+        g, r = self.group, len(self.relators)
+        L = np.zeros((g.order * len(g.gens), r), dtype=np.int64)
+        eye = np.eye(r, dtype=np.int64)
+        for j, starts, pos in self.schedule:
+            ids, signs = self.cycles[j]
+            rows = ids[starts]
+            # the open edge is crossed once and still has label 0
+            L[rows[np.arange(len(starts)), pos]] = signs[pos][:, None] * (eye[j] - np.tensordot(signs, L[rows.T], 1)) % q
+        m, e = len(g.gens), g.identity
+        C = np.vstack([np.tensordot(signs, L[ids.T], 1) - eye[j] for j, (ids, signs) in enumerate(self.cycles)]
+                      + [L[e * m : (e + 1) * m]])
+        return L, C % q
 
-    def reconstruct(self, tvec: np.ndarray, modulus: int) -> np.ndarray:
-        """The cochain of gauge-fixed unknowns: sigma(g, x s) = sigma(g, x) +
-        T(g x, s) on each tree edge x s, where T(x, s) = 0."""
+    def central_values(self, labels: np.ndarray) -> np.ndarray:
+        """z_j, the signed sum of the edge labels (n |S|,) along r_j from 1."""
+        e = self.group.identity
+        return np.array([signs @ labels[ids[e]] for ids, signs in self.cycles], dtype=np.int64)
+
+    def reconstruct(self, labels: np.ndarray, modulus: int) -> np.ndarray:
+        """The cochain with edge labels `labels` (n |S|,) vanishing on the
+        tree: sigma(g, x s) = sigma(g, x) + T(g x, s) on each tree edge x s."""
         n, m = self.group.order, len(self.group.gens)
         mul = np.asarray(self.group.mul)
-        labels = np.zeros((n, m), dtype=np.int64)
-        labels.flat[self.unknowns] = tvec
         out = np.zeros((n, n), dtype=np.int64)
         for x, k, y in self.group.tree:
-            out[:, y] = out[:, x] + labels[mul[:, x], k]
+            out[:, y] = out[:, x] + labels[mul[:, x] * m + k]
         return out % modulus
 
 
@@ -221,81 +241,58 @@ def _cycle_edges(g: FiniteGroup, relator) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(ids, axis=1), np.array([sign for _, sign in relator], dtype=np.int64)
 
 
-def _complete(g: FiniteGroup, filled: np.ndarray) -> list:
-    """Relators that provably present G.  An edge is filled if it is a tree
-    edge (`filled` on entry) or the only unfilled edge of some relator cycle
-    x r, crossed once; its loop then bounds.  Once every edge is filled, the
-    Cayley complex is simply connected, so the relators present G.  The
-    first unfilled edge (x, s) adds its Schreier relator w_x s w_{xs}^-1,
-    until none is left."""
-    relators, cycles = [], []
-    while True:
-        before = -1
-        while before != filled.sum():
-            before = filled.sum()
-            for ids in cycles:
-                open_ = ~filled[ids]
-                once = open_.sum(axis=1) == 1
-                filled[ids[once][open_[once]]] = True
-        rest = np.flatnonzero(~filled)
-        if not len(rest):
-            return relators
-        x, k = divmod(int(rest[0]), len(g.gens))
-        xs = int(g.mul[x, g.gens[k]])
-        relators.append([(j, 1) for j in g.words[x]] + [(k, 1)] + [(j, -1) for j in reversed(g.words[xs])])
-        cycles.append(_cycle_edges(g, relators[-1])[0])
-
-
 def _presentation(g: FiniteGroup) -> _Presentation:
     """The presentation of g, built once per group."""
     return g.memo("presentation", lambda: _presentation_impl(g))
 
 
 def _presentation_impl(g: FiniteGroup) -> _Presentation:
+    """Relators that provably present G.  An edge is filled if it is a tree
+    edge or the only open edge of some relator cycle x r, crossed once; its
+    loop then bounds.  Once every edge is filled, the Cayley complex is
+    simply connected, so the relators present G.  The first open edge
+    (x, s) adds its Schreier relator w_x s w_{xs}^-1, until none is left."""
     m = len(g.gens)
-    fixed = np.zeros(g.order * m, dtype=bool)
-    fixed[[x * m + k for x, k, _ in g.tree]] = True
-    relators = _complete(g, fixed.copy())
-    fixed[g.identity * m : (g.identity + 1) * m] = True
-    return _Presentation(group=g, unknowns=np.flatnonzero(~fixed), relators=relators)
+    filled = np.zeros(g.order * m, dtype=bool)
+    filled[[x * m + k for x, k, _ in g.tree]] = True
+    relators, cycles, schedule = [], [], []
+    while True:
+        before = -1
+        while before != filled.sum():
+            before = filled.sum()
+            for j, (ids, _) in enumerate(cycles):
+                open_ = ~filled[ids]
+                starts = np.flatnonzero(open_.sum(axis=1) == 1)
+                pos = open_[starts].argmax(axis=1)
+                edges, first = np.unique(ids[starts, pos], return_index=True)
+                if len(edges):
+                    filled[edges] = True
+                    schedule.append((j, starts[first], pos[first]))
+        rest = np.flatnonzero(~filled)
+        if not len(rest):
+            return _Presentation(group=g, relators=relators, cycles=cycles, schedule=schedule)
+        x, k = divmod(int(rest[0]), m)
+        xs = int(g.mul[x, g.gens[k]])
+        relators.append([(j, 1) for j in g.words[x]] + [(k, 1)] + [(j, -1) for j in reversed(g.words[xs])])
+        cycles.append(_cycle_edges(g, relators[-1]))
 
 
-def _relator_rows(sys: _Presentation, relators) -> np.ndarray:
-    """For each relator and start x != 1, its label sum from x minus its
-    label sum from 1, as a dense row over the unknowns."""
-    g = sys.group
-    n, edges = g.order, g.order * len(g.gens)
-    blocks = []
-    for r in relators:
-        ids, signs = _cycle_edges(g, r)
-        flat = (np.arange(n)[:, None] * edges + ids).ravel()
-        sums = np.bincount(flat, weights=np.broadcast_to(signs, ids.shape).ravel(), minlength=n * edges)
-        sums = sums.astype(np.int64).reshape(n, edges)[:, sys.unknowns]
-        blocks.append(np.delete(sums - sums[g.identity], g.identity, axis=0))
-    return np.vstack(blocks)
-
-
-def _cocycle_kernel(rows: np.ndarray, p: int, e: int) -> np.ndarray:
-    """Generators of the gauge-fixed cocycle module over Z_{p^e}."""
+def _cocycle_kernel(C: np.ndarray, p: int, e: int) -> np.ndarray:
+    """Generators of the cocycle module over Z_{p^e}, in central values."""
     q = p**e
-    f = rows.shape[1]
-    if f * q * q >= 2**62:
+    r = C.shape[1]
+    if r * q * q >= 2**62:
         raise BudgetExceeded(
-            f"exact elimination over Z_{q} needs f*q^2 < 2^62 with f = {f} unknowns; no budget flag admits this job"
+            f"exact elimination over Z_{q} needs |R|*q^2 < 2^62 with |R| = {r} relators; no budget flag admits this job"
         )
-    return kernel_mod(rows, p, e)
+    return kernel_mod(C, p, e)
 
 
 @dataclass(eq=False)
 class _PrimePiece:
     q: int
-    K: np.ndarray
     ksnf: SnfMod
     ck: CokernelData
-
-    def coords_of(self, tvec: np.ndarray) -> np.ndarray | None:
-        x = solve_from_snf(self.ksnf, tvec % self.q)
-        return None if x is None else self.ck.class_coords(x)
 
 
 @dataclass(eq=False)
@@ -389,38 +386,36 @@ class CohomologyGroup:
         if self._sys is None:
             # no prime can contribute: every cocycle is in the zero class
             return self.zero_class()
-        tvec = self._sys.gauge_fix(sigma.values[:, list(self.group.gens)])
+        labels = sigma.values[:, list(self.group.gens)].ravel()
         parts = []
         for piece in self._pieces:
-            coords = piece.coords_of(tvec)
-            if coords is None:
-                raise NotCocycle("cochain fails the cocycle equations")
-            parts.append((piece.ck.orders, coords))
+            # a cocycle's z lies in ker C; a coboundary moves it inside im A
+            z = self._sys.central_values(labels % piece.q) % piece.q
+            parts.append((piece.ck.orders, piece.ck.class_coords(solve_from_snf(piece.ksnf, z))))
         return CohomologyClass(self, tuple(int(c) for c in direct_sum(parts)[1]))
 
 
-def _edge_coboundaries(g: FiniteGroup, gammas: np.ndarray, m: int = 1) -> np.ndarray:
-    """(gamma(x) + gamma(s) - gamma(xs)) / m on every edge (x, s), an n x |S|
-    table per row gamma: G -> Z of `gammas`: the coboundary d(gamma) for m = 1,
-    and for a character phi: G -> Z_m the Z_m-valued carry delta(phi)."""
-    gens = list(g.gens)
-    return (gammas[:, :, None] + gammas[:, None, gens] - gammas[:, np.asarray(g.mul)[:, gens]]) // m
-
-
-def _relation_rows(sys: _Presentation, mode: str, N: int) -> np.ndarray:
-    """The coboundaries left in the gauge: d(gamma_s) for each generator s,
-    gamma_s counting the letter s in the BFS words (the gauge-fixed d of the
-    point mass at s), and on the closed field the gauge-fixed carries
-    delta(phi) of the character generators phi: G -> Z_N; the delta(phi)
-    classes exhaust the kernel of the comparison between mu_N and divisible
-    coefficients."""
+def _coboundary_values(sys: _Presentation, mode: str, N: int) -> np.ndarray:
+    """Central values (columns) of the coboundaries.  By telescoping,
+    z(d gamma) = A gamma(S) with A the |R| x |S| exponent sums of the
+    relators, spanned by the point masses gamma at the generators other than
+    1.  On the closed field add A phi(S) / N, the carries delta(phi) of the
+    character generators phi: G -> Z_N lifted to [0, N); phi kills every
+    relator, so the division is exact.  The delta(phi) classes exhaust the
+    kernel of the comparison between mu_N and divisible coefficients."""
     g = sys.group
-    B = sys.gauge_fix(_edge_coboundaries(g, np.eye(g.order, dtype=np.int64)[list(g.gens)]))
-    if mode == "closed":
-        ab = abelianization(g)
-        steps = N // np.gcd(np.array(ab.cyclic_orders, dtype=np.int64), N)
-        B = np.vstack([B, sys.gauge_fix(_edge_coboundaries(g, (ab.projection * steps).T % N, N))])
-    return B
+    A = np.zeros((len(sys.relators), len(g.gens)), dtype=np.int64)
+    for j, r in enumerate(sys.relators):
+        for k, sign in r:
+            A[j, k] += sign
+    gens = np.array(g.gens)
+    B = A @ ((gens[:, None] == gens[None, :]) & (gens != g.identity))
+    if mode != "closed":
+        return B
+    ab = abelianization(g)
+    steps = N // np.gcd(np.array(ab.cyclic_orders, dtype=np.int64), N)
+    phi = (ab.projection[gens] * steps % N).astype(object)
+    return np.hstack([B, (A.astype(object) @ phi // N).astype(np.int64)])
 
 
 def _check_h2_budget(g: FiniteGroup, budget: int) -> None:
@@ -434,23 +429,26 @@ def _h2_impl(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> CohomologyG
     N = coeff.n
     # a prime contributes only if it divides |G| (Z_N), or |G| / exp(G) (closed)
     live = n // group_exponent(g) if mode == "closed" else n
-    primes = [(p, e) for p, e in prime_power_factors(N) if live % p == 0]
+    # v_p(N) is the first e with p^(e+1) not dividing N; N itself is never factored
+    primes = [(p, next(e for e in itertools.count() if N % p ** (e + 1))) for p, _ in prime_power_factors(live) if N % p == 0]
     if not primes:
         return CohomologyGroup(group=g, coeff=coeff, field_mode=mode, invariants=(), reps=[])
     sys = _presentation(g)
-    rows = _relator_rows(sys, sys.relators)
-    B = _relation_rows(sys, mode, N)
+    B = _coboundary_values(sys, mode, N)
 
     pieces: list[_PrimePiece] = []
+    gen_labels = []
     for p, e in primes:
         q = p**e
-        K = _cocycle_kernel(rows, p, e)
+        L, C = sys.system(q)
+        K = _cocycle_kernel(C, p, e)
         ksnf = snf_mod(K, p, e, want_l=True, want_r=True)
-        X = solve_from_snf(ksnf, B.T % q)
+        X = solve_from_snf(ksnf, B % q)
         if X is None:
             raise ParseError("coboundary outside the cocycle module (internal error)")
         ck = cokernel_mod(np.hstack([X, kernel_from_snf(ksnf)]), p, e)
-        pieces.append(_PrimePiece(q=q, K=K, ksnf=ksnf, ck=ck))
+        pieces.append(_PrimePiece(q=q, ksnf=ksnf, ck=ck))
+        gen_labels.append(L @ (K @ ck.Linv % q) % q)
     # H^2 is the sum of the prime pieces; only its factors are needed here
     invariants, _ = direct_sum([(piece.ck.orders, np.zeros(len(piece.ck.orders), dtype=np.int64)) for piece in pieces])
 
@@ -459,8 +457,7 @@ def _h2_impl(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> CohomologyG
     for i in range(len(invariants)):
         # factor i of each piece mod its q; 0 mod the q of a piece with fewer
         # factors and mod the prime powers of N that no piece solves
-        tables = [sys.reconstruct(piece.K @ piece.ck.Linv[:, i] % piece.q, piece.q) if i < len(piece.ck.orders) else 0
-                  for piece in pieces]
+        tables = [sys.reconstruct(labels[:, i], q) if i < labels.shape[1] else 0 for labels, q in zip(gen_labels, qs)]
         reps.append(Cochain2(g, N, crt(tables + [0], qs + [N // math.prod(qs)])))
 
     return CohomologyGroup(

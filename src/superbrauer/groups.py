@@ -397,23 +397,24 @@ def group_from_table(table, identity: int | None = None, labels: list[str] | Non
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Direct product with index (i, j) -> i * |b| + j."""
     na, nb = a.order, b.order
-    ia = np.repeat(np.arange(na), nb)
-    ib = np.tile(np.arange(nb), na)
-    mul = (a.mul[np.ix_(ia, ia)] * nb + b.mul[np.ix_(ib, ib)]).astype(np.int32)
-    inv = (np.asarray(a.inv)[ia] * nb + np.asarray(b.inv)[ib]).astype(np.int32)
+    nb32 = np.int32(nb)
+    # one int32 allocation: axes (i1, j1, i2, j2) of the products (i1, j1)(i2, j2)
+    mul = np.asarray(a.mul, dtype=np.int32)[:, None, :, None] * nb32 + np.asarray(b.mul, dtype=np.int32)[None, :, None, :]
+    inv = np.asarray(a.inv, dtype=np.int32)[:, None] * nb32 + np.asarray(b.inv, dtype=np.int32)[None, :]
     return FiniteGroup(
         order=na * nb,
-        mul=mul,
-        inv=inv,
+        mul=mul.reshape(na * nb, na * nb),
+        inv=inv.ravel(),
         identity=int(a.identity * nb + b.identity),
         kind="table",
     )
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    idx = np.arange(n)
-    mul = ((idx[:, None] + idx[None, :]) % n).astype(np.int32)
-    inv = ((-idx) % n).astype(np.int32)
+    idx = np.arange(n, dtype=np.int32)
+    mul = idx[:, None] + idx[None, :]
+    np.subtract(mul, np.int32(n), out=mul, where=mul >= n)
+    inv = (-idx) % n
     return FiniteGroup(order=n, mul=mul, inv=inv, identity=0, gens=(1 % n,) if n > 1 else (0,), kind="table")
 
 

@@ -34,9 +34,13 @@ instead of deriving the table from the generator columns,
 `walked_representation` multiplies Fraction matrices along every (x, s)
 instead of closing the generator matrices, and `coboundary_rows` and
 `delta_rows` build the frontier H^2 relation rows term by term.  The
-production H^2 solves relator rows in the gauge that vanishes on the BFS
-tree; `gauge_fixed` moves frontier cochains into that gauge one element at
-a time, so the two systems are compared by the modules they span.
+production H^2 solves for the central values of the relators in the gauge
+that vanishes on the BFS tree; `gauge_fixed` moves frontier
+cochains into that gauge one element at a time, so the two systems are
+compared by the label modules they span.  `relator_rows`, `gauge_fix` and
+`f_column_kernel` are the production's earlier solve over the edge labels
+(it shares `_cycle_edges` with the production); `presentation_unknowns`
+selects those labels.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from superbrauer import (
     sharp,
     splitting_character,
 )
+from superbrauer.cohomology import _cycle_edges
 from superbrauer.errors import BudgetExceeded, ParseError
 from superbrauer.groups import _det
 from superbrauer.modlinalg import SnfMod, _val, _val_matrix, inverse_mod, kernel_mod
@@ -1071,6 +1076,60 @@ def gauge_fixed(g, labels):
         for k, s in enumerate(g.gens):
             out[..., x, k] += gamma[..., x] + gamma[..., s] - gamma[..., mul[x, s]]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the f-column H^2 solve: the gauge-fixed edge labels off the tree and away
+# from 1 as unknowns, one dense row per relator and start x != 1, as the
+# production code solved it before the central values
+
+
+def presentation_unknowns(g):
+    """Edge ids x |S| + k of the unknowns: the edges off the BFS tree and
+    away from 1, where the gauge and the normalization fix T = 0."""
+    m = len(g.gens)
+    fixed = np.zeros(g.order * m, dtype=bool)
+    fixed[[x * m + k for x, k, _ in g.tree]] = True
+    fixed[g.identity * m : (g.identity + 1) * m] = True
+    return np.flatnonzero(~fixed)
+
+
+def gauge_fix(g, unknowns, labels):
+    """Unknowns of the cocycles with edge labels `labels` (..., n, |S|)
+    plus d(pot), pot(y) the label sum from 1 to y along the tree: the
+    cohomologous cocycles that vanish on the tree edges."""
+    pot = np.zeros(labels.shape[:-1], dtype=np.int64)
+    for x, k, y in g.tree:
+        pot[..., y] = pot[..., x] + labels[..., x, k]
+    gens = list(g.gens)
+    fixed = labels + pot[..., :, None] + pot[..., None, gens] - pot[..., np.asarray(g.mul)[:, gens]]
+    x, k = np.divmod(unknowns, len(gens))
+    return fixed[..., x, k]
+
+
+def relator_rows(g, unknowns, relators):
+    """For each relator and start x != 1, its label sum from x minus its
+    label sum from 1, as a dense row over the unknowns."""
+    n, edges = g.order, g.order * len(g.gens)
+    blocks = []
+    for r in relators:
+        ids, signs = _cycle_edges(g, r)
+        flat = (np.arange(n)[:, None] * edges + ids).ravel()
+        sums = np.bincount(flat, weights=np.broadcast_to(signs, ids.shape).ravel(), minlength=n * edges)
+        sums = sums.astype(np.int64).reshape(n, edges)[:, unknowns]
+        blocks.append(np.delete(sums - sums[g.identity], g.identity, axis=0))
+    return np.vstack(blocks)
+
+
+def f_column_kernel(rows, p: int, e: int) -> np.ndarray:
+    """Generators of the gauge-fixed cocycle module over Z_{p^e}."""
+    q = p**e
+    f = rows.shape[1]
+    if f * q * q >= 2**62:
+        raise BudgetExceeded(
+            f"exact elimination over Z_{q} needs f*q^2 < 2^62 with f = {f} unknowns; no budget flag admits this job"
+        )
+    return kernel_mod(rows, p, e)
 
 
 def coboundary_rows(g, sys):

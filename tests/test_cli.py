@@ -270,8 +270,30 @@ def test_coprime_modulus_computes(capsys):
 def test_modulus_too_large_states_its_size(capsys):
     assert main(["h2", "--type", "B2", "--coeff", str(2**31)]) == EXIT_BUDGET
     err = capsys.readouterr().err
-    # f counts the unknowns: the 8 * 2 edges of the Cayley graph of W(B2) less its 7 BFS-tree edges
-    assert "f = 9" in err and f"Z_{2**31}" in err and "no budget flag" in err
+    # |R| counts the unknowns: the central values of the three relators of W(B2)
+    assert "|R| = 3" in err and f"Z_{2**31}" in err and "no budget flag" in err
+
+
+@pytest.fixture()
+def z2xz4_cwd(tmp_path, monkeypatch):
+    (tmp_path / "z2xz4.json").write_text(json.dumps(Z2XZ4_SPEC))
+    monkeypatch.chdir(tmp_path)
+
+
+def test_modulus_inside_the_relator_bound(z2xz4_cwd, capsys):
+    """2^30 on Z2 x Z4: |R| q^2 = 3 * 2^60 < 2^62 (the f-column solve had
+    f = 9 unknowns and refused it)."""
+    code, out = _run(["h2", "--group", "z2xz4.json", "--coeff", str(2**30), "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["invariants"] == [4, 2, 2]
+
+
+@pytest.mark.parametrize("modulus", [2**25 * 1099511627791, 8 * (2**61 - 1)], ids=["66-bit", "8(2^61-1)"])
+def test_modulus_past_2_62_is_an_input_error(z2xz4_cwd, capsys, modulus):
+    """Sums of two cochain values must stay exact in int64, so N >= 2^62 is
+    refused as input (exit 2), not with an overflow traceback."""
+    assert main(["h2", "--group", "z2xz4.json", "--coeff", str(modulus)]) == EXIT_PARSE
+    assert f"coefficient modulus {modulus} is not below 2^62" in capsys.readouterr().err
 
 
 def test_machine_output_deterministic(zz_file, capsys):
@@ -347,31 +369,31 @@ GOLDEN_REPORTS = [
     (["invforms", "--type", "G2"],
      "6af3daa0762a32c2c7a9f21fb7f9f85ff19daf246d29a4470319cd3418b8f633"),
     (["bm", "--type", "B3", "--field", "real"],
-     "ec2986a5933abb9e0ae69bb5ed589967dccd491fc1c5cd67af70fec52c0fd2be"),
+     "3d8586315bccb4fc88e4089922ee411f429b20158e0b7276aa921efe35149c4e"),
     (["h2sharp", "--type", "B2", "--field", "real"],
-     "c7aa1d752a3549d08829ce810f54fb9a41677acf55da282a0a395cf437edd156"),
+     "fe40189ec129ef444b65595e762b425bfabc47cac714133e62ddc4d5c5af5f1d"),
     (["h2", "--type", "A3"],
-     "f8e40f92889eb6f20e2976647c6b6f18ec088c743371c712795f7ccef0026aa7"),
+     "2a6f106db6b1b80bba304d65670ac0fa9827aefd9c4d4f04a36d84dde7a0a364"),
     (["weyl-table", "--types", "A1,B2,G2"],
      "c26be73283e4601af2abb2407bcb678ca36a794aef16c1989a170d5e99d976f3"),
     (["h2sharp", "--type", "A3", "--field", "closed"],
-     "02093ffe2e16e074242e2e474cb1e122fb79c3134ac8d315c345e51ebe25c566"),
+     "8debbea3ea9ca57432e624409bfe12821c65b2b7a7ccba5a39477889d0703857"),
     (["bm", "--type", "G2", "--field", "real"],
-     "8fd41533fe490a38948572282d45301f6b9bf73953b9d325ca514ef1885ae3c6"),
+     "c51cad1e6063b0c21ce83410fae99aa8634402fc7ca7443eca05a48ca7790130"),
     (["verify", "--type", "D4", "--check", "lambda-lazy", "--seed", "1"],  # dim 3072, sampled
      "ddc647a51a704f441f45d4868de61b47e4e895cb02619528eef4179e1ed02d5a"),
     (["bm", "--type", "B3", "--field", "closed"],
-     "99dc3a969f144d1b5595eabd5ff713488c6d6587016f33d380b3544eb7291cbd"),
+     "54a073a4b7ed9f0fb38cdc4c4926186b49b0869b046ca3a1e46dbe8a60c683d3"),
     (["bm", "--field", "real", "--group", "z2xz4.json"],  # u = (0, 2): not split
-     "25a2a697a6512148892b92b9eae5ae95ce6920d9b97416b74308438382eed47e"),
+     "fd2c0a2401ba563640e8b2d4f122405d71d105a34a5e4d55d60d829ff8ac064f"),
     (["h2", "--type", "D4"],  # closed field, Z_192: p = 3 has a cyclic Sylow and is skipped
-     "98afba5f7ea9ea07050ea7c6137f4c4131ff4793e0f5a2ad9c0256e6e70cb505"),
+     "172f7113d210a6c96da38cdd08e87856e86d61ba9db3a635b1f10b7cb3ab6375"),
     (["h2", "--type", "B3", "--coeff", "6"],  # p = 3 kept for Ext(G^ab, Z_3)
-     "62c52eaaa403e58b59635d429d1324a29349542a2d631c53e82ed4ac6da8c3de"),
+     "639356533924d61faf563d78734323115116f5e7ca960031022f24745b2122e6"),
     (["h2", "--group", "z2xz4.json", "--coeff", "12"],  # p = 3 does not divide 8 and is skipped
-     "520a9509e9ad7d5b5a3c7e64e050a5d8ff625b8209c18a20ac82966924472152"),
-    (["h2", "--group", "z2xz4.json", "--coeff", "33554432"],  # 2^25: f q^2 = 9 * 2^50, inside the exact int64 bound 2^62, past float64's 2^53
-     "4fa84a6b5afbea16bd0ce04bad946bb2930bcc4b7fd889e012864c4fc231486d"),
+     "6fe2f2cd59cbefd05c9d10b9710ca4db7d5fe59b9e0b98727a92811f61169c5e"),
+    (["h2", "--group", "z2xz4.json", "--coeff", "33554432"],  # 2^25: |R| q^2 = 3 * 2^50, inside the exact int64 bound 2^62, past float64's 2^53
+     "db7a752c594ab761b1607c06a5d49df509c847fa58343d5398a0c993609d7700"),
     (["verify", "--type", "B3", "--check", "hopf"],  # dim 384: exhaustive above the dim budget
      "394741f78edb6f7e82d7cf415f9e62ef4b2e68842ac2f34d5a47c93bed6eedd5"),
     (["verify", "--algebra", "E6", "--check", "hopf"],  # dim 128

@@ -30,7 +30,7 @@ from superbrauer import (
     restriction,
     symmetric_group,
 )
-from superbrauer import cohomology
+from superbrauer import cohomology, groups, modlinalg
 from superbrauer.cohomology import group_exponent
 from superbrauer.modlinalg import prime_power_factors, solve_mod
 
@@ -42,7 +42,11 @@ from .oracles import (
     coo_cocycle_kernel,
     coo_frontier_system,
     delta_rows,
+    f_column_kernel,
+    gauge_fix,
     gauge_fixed,
+    presentation_unknowns,
+    relator_rows,
 )
 
 
@@ -357,6 +361,25 @@ def test_dead_primes_are_not_solved(monkeypatch):
     assert solved == []
 
 
+def test_large_modulus_is_not_factored(monkeypatch):
+    """Only the primes of |G| are solved, so v_p(N) is read for those and
+    N = 4 P, P the first prime above 2^59, is never factored (trial division
+    of N took minutes)."""
+    P = 2**59 + 131
+    calls = []
+
+    def factors(n):
+        assert n != 4 * P, "prime_power_factors called on the coefficient modulus"
+        calls.append(n)
+        return prime_power_factors(n)
+
+    for module in (modlinalg, groups, cohomology):
+        monkeypatch.setattr(module, "prime_power_factors", factors)
+    g = direct_product(cyclic_group(2), cyclic_group(4))
+    assert h2(g, 4 * P).invariants == (4, 2, 2)
+    assert calls
+
+
 _FRONTIER_GROUPS = {
     "Z2xZ4": _SMALL_GROUPS["Z2xZ4"],
     "S4": functools.partial(symmetric_group, 4),
@@ -370,7 +393,7 @@ def _same_span(a, b, p, e):
     return solve_mod(a, b, p, e) is not None and solve_mod(b, a, p, e) is not None
 
 
-def _gauge_fixed_columns(g, sys, frontier):
+def _gauge_fixed_columns(g, unknowns, frontier):
     """Gauge-fixed unknowns of the frontier vectors in the columns of
     `frontier` (T(x, s_k) at row (x_pos |S| + k), x != 1), as columns; the
     gauge-fixed labels must vanish on every edge that is not an unknown."""
@@ -379,39 +402,53 @@ def _gauge_fixed_columns(g, sys, frontier):
     labels = np.zeros((k, g.order, len(g.gens)), dtype=np.int64)
     labels[:, nonid, :] = frontier.T.reshape(k, len(nonid), len(g.gens))
     fixed = gauge_fixed(g, labels).reshape(k, g.order * len(g.gens))
-    assert not np.delete(fixed, sys.unknowns, axis=1).any()
-    return fixed[:, sys.unknowns].T
+    assert not np.delete(fixed, unknowns, axis=1).any()
+    return fixed[:, unknowns].T
+
+
+def _labels_of(g, unknowns, labels, p, e):
+    """The unknowns of the labels (n |S| x k) over Z_{p^e}; the labels must
+    vanish on every edge that is not an unknown."""
+    labels = labels % p**e
+    assert not np.delete(labels, unknowns, axis=0).any()
+    return labels[unknowns]
 
 
 def _assert_kernels_agree(g, cases):
-    sys, coo = cohomology._presentation(g), coo_frontier_system(g)
-    rows = cohomology._relator_rows(sys, sys.relators)
+    """L K, the labels of the central-value kernel K, span the gauge-fixed
+    kernel of every frontier equation."""
+    sys, coo, unknowns = cohomology._presentation(g), coo_frontier_system(g), presentation_unknowns(g)
     for p, e in cases:
-        want = _gauge_fixed_columns(g, sys, coo_cocycle_kernel(coo, p, e))
-        assert _same_span(cohomology._cocycle_kernel(rows, p, e), want, p, e), (p, e)
+        L, C = sys.system(p**e)
+        got = _labels_of(g, unknowns, L @ cohomology._cocycle_kernel(C, p, e), p, e)
+        want = _gauge_fixed_columns(g, unknowns, coo_cocycle_kernel(coo, p, e))
+        assert _same_span(got, want, p, e), (p, e)
 
 
 @pytest.mark.parametrize("name", list(_FRONTIER_GROUPS))
 def test_cocycle_kernel_matches_stored_system(name):
-    """The relator kernel spans the gauge-fixed kernel of every frontier
-    equation, for every prime power of |G|, and mod 2^25 on Z2 x Z4."""
+    """The labels of the central-value kernel span the gauge-fixed kernel of
+    every frontier equation, for every prime power of |G|, and mod 2^25 on
+    Z2 x Z4."""
     g = _FRONTIER_GROUPS[name]()
     _assert_kernels_agree(g, prime_power_factors(g.order) + ([(2, 25)] if name == "Z2xZ4" else []))
 
 
 @pytest.mark.parametrize("name", list(_FRONTIER_GROUPS) + ["Z1"])
 def test_relation_rows_match_term_by_term(name):
-    """The H^2 relation rows span the gauge-fixed coboundaries d(gamma_y) and
-    carries delta(phi) built term by term, for moduli |G|, 2|G| and 12."""
+    """The labels L [A | A phi(S) / N] of the coboundaries' central values
+    span the gauge-fixed coboundaries d(gamma_y) and carries delta(phi) built
+    term by term, for moduli |G|, 2|G| and 12."""
     g = cyclic_group(1) if name == "Z1" else _FRONTIER_GROUPS[name]()
-    sys, coo = cohomology._presentation(g), coo_frontier_system(g)
+    sys, coo, unknowns = cohomology._presentation(g), coo_frontier_system(g), presentation_unknowns(g)
     d = coboundary_rows(g, coo)
     for N in (g.order, 2 * g.order, 12):
         closed = np.vstack([d, delta_rows(g, abelianization(g), coo, N)])
         for mode, frontier in (("muN", d), ("closed", closed)):
-            want = _gauge_fixed_columns(g, sys, frontier.T)
-            got = cohomology._relation_rows(sys, mode, N).T
+            want = _gauge_fixed_columns(g, unknowns, frontier.T)
+            Z = cohomology._coboundary_values(sys, mode, N)
             for p, e in prime_power_factors(N):
+                got = _labels_of(g, unknowns, sys.system(p**e)[0] @ (Z % p**e), p, e)
                 assert _same_span(got, want, p, e), (mode, N, p)
 
 
@@ -419,15 +456,42 @@ def test_relation_rows_match_term_by_term(name):
 def test_unfilled_edge_gives_false_cocycles(name):
     """The Schreier completion adds a relator only for an edge that the
     earlier ones leave unfilled.  Without the last relator they need not
-    present G, and here their kernel holds columns that are no cocycle; the
-    completed presentation's kernel holds none."""
+    present G, and here the kernel of the f-column relator rows holds
+    columns that are no cocycle; the completed presentation's kernel holds
+    none."""
     g = _FRONTIER_GROUPS[name]()
-    sys = cohomology._presentation(g)
+    sys, unknowns = cohomology._presentation(g), presentation_unknowns(g)
     for relators, all_cocycles in ((sys.relators[:-1], False), (sys.relators, True)):
         for p, e in prime_power_factors(g.order):
-            K = cohomology.kernel_mod(cohomology._relator_rows(sys, relators), p, e)
-            columns = [Cochain2(g, p**e, sys.reconstruct(col, p**e)) for col in K.T]
+            K = f_column_kernel(relator_rows(g, unknowns, relators), p, e)
+            labels = np.zeros((K.shape[1], g.order * len(g.gens)), dtype=np.int64)
+            labels[:, unknowns] = K.T
+            columns = [Cochain2(g, p**e, sys.reconstruct(lab, p**e)) for lab in labels]
             assert all(is_cocycle(c) for c in columns) == all_cocycles, (p, len(relators))
+
+
+@pytest.mark.parametrize("name", list(_FRONTIER_GROUPS))
+def test_labels_are_linear_in_central_values(name):
+    """T = L z: the gauge-fixed labels of a cocycle are L applied to its
+    central values z, and a coboundary shifts z by A gamma(S) and leaves the
+    class alone."""
+    g = _FRONTIER_GROUPS[name]()
+    sys, unknowns = cohomology._presentation(g), presentation_unknowns(g)
+    rng = np.random.default_rng(g.order)
+    for N in (g.order, 12):
+        H, L = h2(g, N), sys.system(N)[0]
+        A = cohomology._coboundary_values(sys, "muN", N)
+        sigma = H.rep_of_coords(rng.integers(0, N, len(H.invariants)))
+        labels = np.zeros(g.order * len(g.gens), dtype=np.int64)
+        labels[unknowns] = gauge_fix(g, unknowns, sigma.values[:, list(g.gens)])
+        z = sys.central_values(labels) % N
+        assert ((L @ z - labels) % N == 0).all()
+        gamma = rng.integers(0, N, g.order)
+        gamma[g.identity] = 0
+        shifted = sigma + coboundary(g, N, gamma)
+        z_shifted, z_sigma = (sys.central_values(c.values[:, list(g.gens)].ravel()) for c in (shifted, sigma))
+        assert ((z_shifted - z_sigma - A @ gamma[list(g.gens)]) % N == 0).all()
+        assert H.class_of(shifted) == H.class_of(sigma)
 
 
 def _points(cycles):

@@ -29,6 +29,7 @@ from superbrauer import (
     splitting_character,
     symmetric_group,
 )
+from superbrauer import groups
 from superbrauer.groups import is_character
 from superbrauer.sharp import ZGrading
 from superbrauer.weyl import RootSystemType, reflection_matrices
@@ -319,6 +320,28 @@ def test_character_checks_stay_linear_in_the_order():
         tracemalloc.stop()
     assert chi(inv.u) == 1 and grading.degree.tolist() == chi.values.tolist()
     assert peak < 16 * 2**20
+
+
+def test_tables_are_built_without_int64_temporaries(monkeypatch):
+    """The int32 tables of Z4000 and Z2 x Z2000 peak below 1.5 times their
+    size while they are built.  The peak is read when the table reaches the
+    FiniteGroup constructor, whose BFS words are as large as the table for a
+    cyclic group and are not part of the build."""
+    z2, z2000 = cyclic_group(2), cyclic_group(2000)
+    built = []
+    monkeypatch.setattr(groups, "FiniteGroup", lambda **kw: built.append((tracemalloc.get_traced_memory()[1], kw["mul"])))
+    for build in (lambda: cyclic_group(4000), lambda: direct_product(z2, z2000)):
+        tracemalloc.start()
+        try:
+            build()
+        finally:
+            tracemalloc.stop()
+    (peak_c, mul_c), (peak_d, mul_d) = built
+    assert mul_c[3999, 1] == 0 and mul_c[1234, 3000] == 234
+    assert mul_d[2000 + 1999, 2000 + 1] == 0 and mul_d[1, 2000 + 1999] == 2000
+    for peak, mul in built:
+        assert mul.dtype == np.int32 and mul.shape == (4000, 4000)
+        assert peak < 1.5 * mul.nbytes
 
 
 def test_splitting_character_examples(datum_g2, datum_b2):

@@ -12,6 +12,7 @@ from superbrauer import (
     E8Refused,
     RootSystemType,
     build_weyl,
+    h2_closed_field,
     splitting_character,
     table_row,
 )
@@ -157,3 +158,11 @@ def test_b4_stretch_row():
     assert row.mode == "computed"
     assert row.h2l_invariants == (2, 2, 2)
     assert row.bm_invariants == (2, 2, 2)
+
+
+def test_f4_schur_multiplier_computed():
+    """The closed H^2 of W(F4), 1152 elements, is solved in the central
+    values of its relators and equals the printed Schur multiplier."""
+    t = RootSystemType.parse("F4")
+    g = build_weyl(t).group
+    assert h2_closed_field(g, budget=(g.order - 1) ** 2).invariants == literature_schur_multiplier(t)
