@@ -373,7 +373,11 @@ class CohomologyGroup:
         n = self.coeff.n
         vals = np.zeros((self.group.order, self.group.order), dtype=np.int64)
         for c, rep in zip(coords, self.reps):
-            vals = (vals + int(c) * rep.values) % n
+            c = int(c) % n
+            if c * n < 2**62:  # vals + c * rep.values < (c + 1) n < 2^63
+                vals = (vals + c * rep.values) % n
+            else:  # exact Python ints where int64 would wrap
+                vals = ((vals.astype(object) + c * rep.values.astype(object)) % n).astype(np.int64)
         return Cochain2(self.group, n, vals)
 
     def class_of(self, sigma: Cochain2) -> CohomologyClass:

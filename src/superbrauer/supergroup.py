@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -428,13 +429,16 @@ def _r_legs(h: SupergroupAlgebra, r: Tensor) -> tuple[Tensor3, Tensor3, Tensor3,
     return cop1, r13r23, cop2, r13r12
 
 
+def _denominator_lcm(values) -> int:
+    """The least common denominator D of exact values: D x is an int for each x."""
+    return math.lcm(*{x.denominator for x in values})
+
+
 def _cleared(r: Tensor) -> tuple[Tensor, int]:
     """(D R, D) with D the least common denominator of the coefficients of R,
     so that D R has int coefficients; D = 2 for R_A of an integral A, whose
     odd minors (the empty one among them) give halves."""
-    d = 1
-    for c in r.values():
-        d *= (d * c).denominator  # lcm(d, denominator of c)
+    d = _denominator_lcm(r.values())
     return {k: _exact(d * c) for k, c in r.items()}, d
 
 
@@ -529,28 +533,44 @@ def convolve(s1: HCochain2, s2: HCochain2) -> HCochain2:
     return HCochain2(h, vals)
 
 
-def _twisted_product(sigma: HCochain2, a: int, b: int, op: bool = False) -> Element:
-    """m(a,b) = sum sigma(a1,b1) a2 b2, or with op m^op(a,b) = sum sigma(a2,b2) a1 b1."""
-    h = sigma.algebra
+def _cleared_rows(sigma: HCochain2) -> tuple[list[tuple[int, ...]], int]:
+    """(rows of D sigma, D) with D the least common denominator of sigma's values.
+    Each distinct row is scaled once, so rows shared by identity stay shared."""
+    distinct = {id(row): row for row in sigma.values}
+    d = _denominator_lcm(x for row in distinct.values() for x in row)
+    scaled = {key: tuple(int(d * x) for x in row) for key, row in distinct.items()}
+    return [scaled[id(row)] for row in sigma.values], d
+
+
+def _twisted_product(h: SupergroupAlgebra, rows, a: int, b: int, op: bool = False) -> Element:
+    """m(a,b) = sum sigma(a1,b1) a2 b2, or with op m^op(a,b) = sum sigma(a2,b2) a1 b1,
+    for the cochain with the given rows."""
+    ca, cb = h.coproduct_basis(a), h.coproduct_basis(b)
+    if op:
+        ca, cb = [(a2, a1, x) for a1, a2, x in ca], [(b2, b1, y) for b1, b2, y in cb]
     out: Element = {}
-    for a1, a2, x in h.coproduct_basis(a):
-        for b1, b2, y in h.coproduct_basis(b):
-            s, p, q = (sigma.values[a2][b2], a1, b1) if op else (sigma.values[a1][b1], a2, b2)
+    for a1, a2, x in ca:
+        row = rows[a1]
+        for b1, b2, y in cb:
+            s = row[b1]
             if s:
-                for z, cz in h.product_basis(p, q).items():
-                    _tns_add(out, z, x * y * s * cz)
-    return out
+                s *= x * y
+                for z, cz in h.product_basis(a2, b2).items():
+                    out[z] = out.get(z, 0) + s * cz
+    return {z: c for z, c in out.items() if c}
 
 
 def _cocycle_check(sigma: HCochain2, op: bool, check: str, detail: str, budget: int, seed: int) -> VerifyReport:
     """sigma(m(a,b), c) = sigma(a, m(b,c)) with m the (op-)twisted product,
-    memoized per pair for this call."""
+    memoized per pair for this call.  Both sides have degree 2 in sigma, so the
+    identity is checked on the int rows of D sigma."""
     h = sigma.algebra
-    m = functools.cache(functools.partial(_twisted_product, sigma, op=op))
+    rows, _ = _cleared_rows(sigma)
+    m = functools.cache(functools.partial(_twisted_product, h, rows, op=op))
     triples, sampled = _basis_tuples(h, 3, budget, seed)
     for a, b, c in triples:
-        lhs = sum(cz * sigma.values[z][c] for z, cz in m(a, b).items())
-        rhs = sum(cz * sigma.values[a][z] for z, cz in m(b, c).items())
+        lhs = sum(cz * rows[z][c] for z, cz in m(a, b).items())
+        rhs = sum(cz * rows[a][z] for z, cz in m(b, c).items())
         if lhs != rhs:
             return VerifyReport(check, False, detail, (h.label(a), h.label(b), h.label(c)), sampled)
     return VerifyReport(check, True, "", None, sampled)
@@ -568,11 +588,13 @@ def is_right_cocycle(sigma: HCochain2, budget: int = DEFAULT_DIM_BUDGET, seed: i
 
 
 def is_lazy(sigma: HCochain2, budget: int = DEFAULT_DIM_BUDGET, seed: int = 0) -> VerifyReport:
-    """sum sigma(a1,b1) a2 b2 = sum sigma(a2,b2) a1 b1 in H, i.e. m(a,b) = m^op(a,b)."""
+    """sum sigma(a1,b1) a2 b2 = sum sigma(a2,b2) a1 b1 in H, i.e. m(a,b) = m^op(a,b);
+    both sides have degree 1 in sigma, so it is checked on the int rows of D sigma."""
     h = sigma.algebra
+    rows, _ = _cleared_rows(sigma)
     pairs, sampled = _basis_tuples(h, 2, budget, seed)
     for a, b in pairs:
-        if _twisted_product(sigma, a, b) != _twisted_product(sigma, a, b, op=True):
+        if _twisted_product(h, rows, a, b) != _twisted_product(h, rows, a, b, op=True):
             return VerifyReport("lazy", False, "lazy condition fails", (h.label(a), h.label(b)), sampled)
     return VerifyReport("lazy", True, "", None, sampled)
 

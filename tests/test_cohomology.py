@@ -12,6 +12,7 @@ from superbrauer import (
     ALG_CLOSED,
     CentralInvolution,
     Cochain2,
+    CoefficientModule,
     NotCocycle,
     ParseError,
     RootSystemType,
@@ -378,6 +379,19 @@ def test_large_modulus_is_not_factored(monkeypatch):
     g = direct_product(cyclic_group(2), cyclic_group(4))
     assert h2(g, 4 * P).invariants == (4, 2, 2)
     assert calls
+
+
+def test_rep_of_coords_is_exact_when_c_times_n_passes_int64():
+    """c rep mod N is exact once c N >= 2^63: for N = 8 (2^58 + 69) the int64
+    product 7 rep wrapped on 28 of the 64 entries."""
+    N = 8 * (2**58 + 69)
+    H = h2(cyclic_group(8), CoefficientModule(N))
+    assert H.invariants == (8,)
+    sigma = H.rep_of_coords((7,))
+    exact = [[7 * int(x) % N for x in row] for row in H.reps[0].values]
+    assert sigma.values.tolist() == exact
+    assert is_cocycle(sigma) and H.class_of(sigma).coords == (7,)
+    assert H.rep_of_coords((7 + 8 * N,)).values.tolist() == exact
 
 
 _FRONTIER_GROUPS = {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ from superbrauer import (
 )
 from superbrauer import supergroup
 from superbrauer.groups import _mat_mul
-from superbrauer.supergroup import HCochain2, _cleared, _compound, _r_legs, _signed_minors
+from superbrauer.supergroup import HCochain2, _cleared, _cleared_rows, _compound, _r_legs, _signed_minors
 
 from .oracles import (
     all_basis_r_delta,
@@ -683,6 +684,37 @@ def test_mixed_coefficients_match_oracles(datum_b2):
         assert reports == [four_loop_cocycle_check(sigma, False), four_loop_cocycle_check(sigma, True),
                            four_loop_is_lazy(sigma)]
         assert all(rep[1] == ok for rep in reports[:2])
+
+
+def test_cleared_checks_match_oracles_with_mixed_denominators(datum_b2):
+    """With Sigma = form/3 on the W(B2) datum lambda has the denominators 3, 6
+    and 36, so D = 36 is their lcm, not their product; with one entry moved by
+    1/5 it is 180.  Left, right and lazy reports equal the oracle reports."""
+    h = build_supergroup(datum_b2.group, datum_b2.inv, datum_b2.rep)
+    form = invariant_symmetric_forms(datum_b2.rep).basis[0]  # [[1, -1/2], [-1/2, 1/2]]
+    lam = lambda_cocycle(h, [[x / 3 for x in row] for row in form])
+    vals = [list(row) for row in lam.values]
+    vals[h.encode(3, 0b01)][h.encode(5, 0b10)] += Fraction(1, 5)
+    for sigma, d, ok in ((lam, 36, True), (HCochain2(h, vals), 180, False)):
+        dens = {x.denominator for row in sigma.values for x in row}
+        assert _cleared_rows(sigma)[1] == d < math.prod(dens)
+        reports = [_report_tuple(is_left_cocycle(sigma)), _report_tuple(is_right_cocycle(sigma)),
+                   _report_tuple(is_lazy(sigma))]
+        assert reports == [four_loop_cocycle_check(sigma, False), four_loop_cocycle_check(sigma, True),
+                           four_loop_is_lazy(sigma)]
+        assert all(rep[1] == ok for rep in reports)
+
+
+def test_cleared_rows_are_int_and_stay_shared(datum_b3):
+    """On the W(B3) datum, whose form basis[0] has half-integer entries, the
+    checks read int rows D lambda, at most one row object per subset P."""
+    h = build_supergroup(datum_b3.group, datum_b3.inv, datum_b3.rep)
+    lam = lambda_cocycle(h, invariant_symmetric_forms(datum_b3.rep).basis[0])
+    assert any(type(x) is Fraction for row in lam.values for x in row)
+    rows, d = _cleared_rows(lam)
+    assert d == 8 and all(type(x) is int for row in rows for x in row)
+    assert len({id(row) for row in rows}) <= 2**h.nv
+    assert all(list(row) == [d * x for x in orig] for row, orig in zip(rows, lam.values))
 
 
 def test_r_matrix_odd_minor_is_triangular():
