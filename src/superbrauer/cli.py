@@ -265,7 +265,11 @@ def _algebra_from_args(args):
         name = args.algebra.upper()
         if not (name.startswith("E") and name[1:].isdecimal()):
             raise errors.ParseError("--algebra expects E<n>, e.g. E2")
-        return build_en(int(name[1:]))
+        n = int(name[1:])
+        # 2^(n+1) > cap exactly when n + 1 >= cap.bit_length(), with no 2^(n+1) built
+        if n + 1 >= args.budget_cap.bit_length():
+            raise errors.BudgetExceeded(f"dim E({n}) = 2^{n + 1} exceeds cap {args.budget_cap}; raise --budget-cap")
+        return build_en(n)
     if getattr(args, "type", None):
         datum = _weyl_datum(args, args.budget_cap)
         return build_supergroup(datum.group, datum.inv, datum.rep)

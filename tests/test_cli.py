@@ -219,6 +219,30 @@ def test_budget_exit_code(capsys):
     assert code == 0  # E8 row falls back to literature mode, no build attempted
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--algebra", "E99"], "dim E(99) = 2^100 exceeds cap 200000; raise --budget-cap"),
+    (["--algebra", "E" + "9" * 40], f"dim E({'9' * 40}) = 2^1{'0' * 40} exceeds cap 200000"),
+    (["--algebra", "E3", "--budget-cap", "15"], "dim E(3) = 2^4 exceeds cap 15; raise --budget-cap"),
+    (["--algebra", "E0", "--budget-cap", "0"], "dim E(0) = 2^1 exceeds cap 0; raise --budget-cap"),
+], ids=["E99", "E10^40", "E3-cap15", "E0-cap0"])
+def test_en_dimension_is_refused_before_building(capsys, monkeypatch, args, message):
+    """dim E(n) = 2^(n+1) above --budget-cap is refused (exit 3), naming the bound
+    and the flag, before E(n) is built."""
+    from superbrauer import cli
+
+    def unbuilt(n):
+        raise AssertionError(f"E({n}) was built")
+
+    monkeypatch.setattr(cli, "build_en", unbuilt)
+    assert main(["verify", "--check", "hopf", *args]) == EXIT_BUDGET
+    assert message in capsys.readouterr().err
+
+
+def test_en_dimension_at_the_cap_is_admitted(capsys):
+    code, out = _run(["verify", "--check", "hopf", "--algebra", "E3", "--budget-cap", "16", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["result"]["dim"] == 16
+
+
 @pytest.mark.parametrize("generator, term", [
     ([["-9223372036854775807"]], 2**63 - 1),  # squares to 1 in int64; the group is infinite
     ([["9223372036854775808"]], 2**63),  # not an int64

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -40,7 +41,16 @@ from superbrauer import (
 )
 from superbrauer import supergroup
 from superbrauer.groups import _mat_mul
-from superbrauer.supergroup import HCochain2, _cleared, _cleared_rows, _compound, _r_legs, _signed_minors
+from superbrauer.supergroup import (
+    HCochain2,
+    _cleared,
+    _cleared_rows,
+    _compound,
+    _r_legs,
+    _signed_minors,
+    tensor_flip,
+    tensor_mul,
+)
 
 from .oracles import (
     all_basis_r_delta,
@@ -257,6 +267,26 @@ def test_r_matrix_random_triangular():
             assert verify_triangular(h, r_matrix_RA(A, h)).passed
             count += 1
     assert count >= 20
+
+
+def _integral_symmetric(rng, n):
+    S = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+    return [[S[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
+def test_r_matrix_triangular_e4_e5():
+    """R_A is triangular on E(4) and E(5) for integral and rational symmetric A,
+    and R_A with one coefficient moved by 1/2 is not."""
+    rng = random.Random(44)
+    for n in (4, 5):
+        h = build_en(n)
+        for A in (_integral_symmetric(rng, n), _random_symmetric(rng, n)):
+            r = r_matrix_RA(A, h)
+            assert verify_triangular(h, r).passed
+            bad = dict(r)
+            key = rng.choice(sorted(bad))
+            bad[key] += Fraction(1, 2)
+            assert not verify_triangular(h, bad).passed
 
 
 def test_r_matrix_rejects_asymmetric():
@@ -595,22 +625,58 @@ def test_generator_r_delta_matches_all_basis_oracle(datum_b2):
             assert ok or rep.detail == "R Delta != Delta^op R"
 
 
+def _low_slices(h, legs):
+    """The leg tensors cut to the entries _r_legs keeps: (Delta x id)R and R13 R23
+    where the middle leg has degree <= 1, (id x Delta)R and R13 R12 where the last has."""
+    def low(b):
+        return bin(h.decode(b)[1]).count("1") <= 1
+
+    cop1, r13r23, cop2, r13r12 = legs
+    return tuple({k: c for k, c in t.items() if low(k[leg])}
+                 for t, leg in ((cop1, 1), (r13r23, 1), (cop2, 2), (r13r12, 2)))
+
+
 def test_r_legs_match_triple_tensor_oracle():
-    """The four leg tensors agree with the H (x) H (x) H products on random
-    symmetric A, and on R_A with one coefficient changed."""
+    """The four leg tensors agree with the degree <= 1 slices of the H (x) H (x) H
+    products on random symmetric A, and on R_A with one coefficient changed."""
     rng = random.Random(7)
     for n in (1, 2, 3):
         h = build_en(n)
         for _ in range(3):
             r = r_matrix_RA(_random_symmetric(rng, n), h)
-            assert _r_legs(h, r) == triple_tensor_legs(h, r)
+            assert _r_legs(h, r) == _low_slices(h, triple_tensor_legs(h, r))
             bad = dict(r)
             key = rng.choice(sorted(bad))
             bad[key] += Fraction(rng.choice([-2, -1, 1, 3]), 2)
             legs = _r_legs(h, bad)
-            assert legs == triple_tensor_legs(h, bad)
+            assert legs == _low_slices(h, triple_tensor_legs(h, bad))
             assert legs[0] != legs[1] or legs[2] != legs[3]
             assert not verify_quasitriangular(h, bad).passed
+
+
+def test_r_legs_catch_perturbations_off_the_slices(datum_b2):
+    """R_A on E(2), E(3) and R_u on W(B2) moved only in entries whose legs both have
+    degree >= 2, which no inner loop of _r_legs reads: the reports still equal the
+    full-tensor oracle's, and every moved R fails at a leg identity."""
+    half = Fraction(1, 2)
+    b2 = build_supergroup(datum_b2.group, datum_b2.inv, datum_b2.rep)
+    e2, e3 = build_en(2), build_en(3)
+    cases = [(e2, r_matrix_RA([[1, 2], [2, 4]], e2), 1),
+             (e3, r_matrix_RA([[1, 2, -1], [2, 3, 1], [-1, 1, 5]], e3), 5),
+             (b2, r_u(b2), 9)]
+    details = set()
+    for h, r, step in cases:
+        high = [b for b in h.basis() if bin(h.decode(b)[1]).count("1") >= 2]
+        keys = list(itertools.product(high, repeat=2))[::step]
+        assert keys
+        for i, key in enumerate(keys):
+            bad = dict(r)
+            bad[key] = bad.get(key, 0) + (i % 3 + 1) * half
+            reports = (verify_quasitriangular(h, bad), verify_triangular(h, bad))
+            assert [_report_tuple(x) for x in reports] == [_report_tuple(x) for x in uncleared_r_checks(h, bad)]
+            assert not reports[0].passed
+            details.add(reports[0].detail)
+    assert details <= {"(Delta x id)R != R13 R23", "(id x Delta)R != R13 R12"}
 
 
 def test_unit_law_on_basis(datum_b2):
@@ -761,3 +827,25 @@ def test_cleared_r_checks_match_uncleared_oracle():
         details.add(reports[1].detail)
     assert details == {"(Delta x id)R != R13 R23", "(id x Delta)R != R13 R12", "(eps x id)R != 1",
                        "R21 * R != 1 x 1"}
+
+
+def test_antipode_form_matches_r21_r_oracle(datum_b2):
+    """Where R is quasitriangular, R21 = (S x id)R exactly when R21 R = 1 x 1:
+    verify_triangular gives the verdict of the R21 R product on the quasitriangular
+    _r_candidates case (the R_A of A = [[0, 1], [0, 0]]), R_A on E(1)-E(4) for
+    integral and rational A, and R_u on W(B2)."""
+    rng = random.Random(21)
+    b2 = build_supergroup(datum_b2.group, datum_b2.inv, datum_b2.rep)
+    cases = [*_r_candidates(), (b2, r_u(b2))]
+    for n in (1, 2, 3, 4):
+        h = build_en(n)
+        cases += [(h, r_matrix_RA(_integral_symmetric(rng, n), h)), (h, r_matrix_RA(_random_symmetric(rng, n), h))]
+    outcomes = []
+    for h, r in cases:
+        if verify_quasitriangular(h, r).passed:
+            rep = verify_triangular(h, r)
+            r21_r = tensor_mul(h, tensor_flip(r), r) == {(h.unit, h.unit): 1}
+            assert rep.passed == r21_r
+            assert r21_r or rep.detail == "R21 * R != 1 x 1"
+            outcomes.append(r21_r)
+    assert outcomes.count(False) == 1 and outcomes.count(True) == 9
