@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .groups import (
     QuotientData,
     abelianization,
     cyclic_group,
+    is_character,
 )
 from .modlinalg import (
     CokernelData,
@@ -166,9 +168,11 @@ def is_cocycle(sigma: Cochain2) -> bool:
     v = sigma.values
     mul = np.asarray(sigma.group.mul)
     for s in sigma.group.gens:
-        col = v[:, s]
-        if ((v + col[mul] - col[None, :] - v[:, mul[:, s]]) % sigma.modulus).any():
-            return False
+        col, right = v[:, s], mul[:, s]
+        for lo in range(0, len(v), 64):  # row blocks keep the temporaries small
+            rows = v[lo:lo + 64]
+            if ((rows + col[mul[lo:lo + 64]] - col[None, :] - rows[:, right]) % sigma.modulus).any():
+                return False
     return True
 
 
@@ -217,13 +221,20 @@ class _Presentation:
 
     def reconstruct(self, labels: np.ndarray, modulus: int) -> np.ndarray:
         """The cochain with edge labels `labels` (n |S|,) vanishing on the
-        tree: sigma(g, x s) = sigma(g, x) + T(g x, s) on each tree edge x s."""
-        n, m = self.group.order, len(self.group.gens)
-        mul = np.asarray(self.group.mul)
+        tree: sigma(g, x s) = sigma(g, x) + T(g x, s) on each tree edge x s,
+        for all the edges of one BFS level at once (rows out[y] = sigma(., y)).
+        Each step is reduced, so labels in [0, modulus), modulus < 2^62, stay
+        exact in int64."""
+        g = self.group
+        n, m = g.order, len(g.gens)
+        mul = np.asarray(g.mul)
+        edges = np.array(g.tree, dtype=np.int64).reshape(-1, 3)
+        depth = np.array([len(g.words[y]) for y in edges[:, 2]], dtype=np.int64)
         out = np.zeros((n, n), dtype=np.int64)
-        for x, k, y in self.group.tree:
-            out[:, y] = out[:, x] + labels[mul[:, x] * m + k]
-        return out % modulus
+        for d in range(1, depth.max(initial=0) + 1):
+            x, k, y = edges[depth == d].T
+            out[y] = (out[x] + labels[mul[:, x].T * m + k[:, None]]) % modulus
+        return np.ascontiguousarray(out.T)
 
 
 def _cycle_edges(g: FiniteGroup, relator) -> tuple[np.ndarray, np.ndarray]:
@@ -290,9 +301,13 @@ def _cocycle_kernel(C: np.ndarray, p: int, e: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class _PrimePiece:
+    """The Z_q part of H^2: the kernel SNF and cokernel of the class map,
+    and the edge labels (n |S| x factors) of its factor generators mod q."""
+
     q: int
     ksnf: SnfMod
     ck: CokernelData
+    labels: np.ndarray
 
 
 @dataclass(eq=False)
@@ -345,13 +360,15 @@ class CohomologyClass:
 
 @dataclass(eq=False)
 class CohomologyGroup:
-    """H^2(G, Z_N) with invariant factors, representatives and a class map."""
+    """H^2(G, Z_N) with invariant factors, representatives and a class map.
+
+    Classes are handled through the edge labels of the presentation; a dense
+    n x n cochain is built only for a representative that is asked for."""
 
     group: FiniteGroup
     coeff: CoefficientModule
     field_mode: str  # "muN" or "closed"
     invariants: tuple[int, ...]
-    reps: list[Cochain2]
     _pieces: list[_PrimePiece] = field(default_factory=list)
     _sys: _Presentation | None = None
 
@@ -362,6 +379,12 @@ class CohomologyGroup:
             out *= d
         return out
 
+    @cached_property
+    def reps(self) -> list[Cochain2]:
+        """One representative per invariant factor, built on first use."""
+        k = len(self.invariants)
+        return [self.rep_of_coords([int(i == j) for j in range(k)]) for i in range(k)]
+
     def zero_class(self) -> CohomologyClass:
         return CohomologyClass(self, (0,) * len(self.invariants))
 
@@ -370,15 +393,18 @@ class CohomologyGroup:
             yield CohomologyClass(self, coords)
 
     def rep_of_coords(self, coords) -> Cochain2:
-        n = self.coeff.n
-        vals = np.zeros((self.group.order, self.group.order), dtype=np.int64)
-        for c, rep in zip(coords, self.reps):
-            c = int(c) % n
-            if c * n < 2**62:  # vals + c * rep.values < (c + 1) n < 2^63
-                vals = (vals + c * rep.values) % n
-            else:  # exact Python ints where int64 would wrap
-                vals = ((vals.astype(object) + c * rep.values.astype(object)) % n).astype(np.int64)
-        return Cochain2(self.group, n, vals)
+        """sum_i c_i rep_i: per prime piece the labels sum_i c_i labels_i mod q
+        (each sum below |R| q^2 < 2^62), glued by CRT with 0 mod the prime
+        powers of N that no piece solves, and rebuilt once mod N."""
+        g, n = self.group, self.coeff.n
+        if not self._pieces:
+            return Cochain2.zero(g, n)
+        labels = []
+        for piece in self._pieces:
+            c = np.array([int(x) % piece.q for x in coords[: piece.labels.shape[1]]], dtype=np.int64)
+            labels.append(piece.labels @ c % piece.q)
+        qs = [piece.q for piece in self._pieces]
+        return Cochain2(g, n, self._sys.reconstruct(crt(labels + [0], qs + [n // math.prod(qs)]), n))
 
     def class_of(self, sigma: Cochain2) -> CohomologyClass:
         if sigma.group is not self.group:
@@ -387,10 +413,28 @@ class CohomologyGroup:
             raise ParseError("cochain modulus does not match the coefficient module")
         if not is_cocycle(sigma):
             raise NotCocycle("cochain fails the cocycle equations")
+        return self._class_of_labels(sigma.values[:, list(self.group.gens)].ravel())
+
+    def pairing_class(self, a, b) -> CohomologyClass:
+        """The class of (N/2) a (x) b for characters a, b: G -> Z_2 (values
+        one per element).  A bilinear pairing of characters is a normalized
+        cocycle, so its labels (N/2) a(x) b(s) need no cocycle check."""
+        g = self.group
+        a, b = (np.asarray(v, dtype=np.int64) % 2 for v in (a, b))
+        if a.shape != (g.order,) or b.shape != (g.order,):
+            raise ParseError("a character needs one value per group element")
+        if not is_character(g, np.stack([a, b], axis=1), 2):
+            raise NotCocycle("a Z_2 pairing needs two characters G -> Z_2")
+        half, odd = divmod(self.coeff.n, 2)
+        if odd and a.any() and b.any():
+            raise ParseError("a nonzero Z_2 pairing needs an even coefficient modulus")
+        return self._class_of_labels((half * np.outer(a, b[list(g.gens)])).ravel())
+
+    def _class_of_labels(self, labels: np.ndarray) -> CohomologyClass:
+        """The class of the cocycle with edge labels `labels` (n |S|,)."""
         if self._sys is None:
             # no prime can contribute: every cocycle is in the zero class
             return self.zero_class()
-        labels = sigma.values[:, list(self.group.gens)].ravel()
         parts = []
         for piece in self._pieces:
             # a cocycle's z lies in ker C; a coboundary moves it inside im A
@@ -436,12 +480,11 @@ def _h2_impl(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> CohomologyG
     # v_p(N) is the first e with p^(e+1) not dividing N; N itself is never factored
     primes = [(p, next(e for e in itertools.count() if N % p ** (e + 1))) for p, _ in prime_power_factors(live) if N % p == 0]
     if not primes:
-        return CohomologyGroup(group=g, coeff=coeff, field_mode=mode, invariants=(), reps=[])
+        return CohomologyGroup(group=g, coeff=coeff, field_mode=mode, invariants=())
     sys = _presentation(g)
     B = _coboundary_values(sys, mode, N)
 
     pieces: list[_PrimePiece] = []
-    gen_labels = []
     for p, e in primes:
         q = p**e
         L, C = sys.system(q)
@@ -451,28 +494,10 @@ def _h2_impl(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> CohomologyG
         if X is None:
             raise ParseError("coboundary outside the cocycle module (internal error)")
         ck = cokernel_mod(np.hstack([X, kernel_from_snf(ksnf)]), p, e)
-        pieces.append(_PrimePiece(q=q, ksnf=ksnf, ck=ck))
-        gen_labels.append(L @ (K @ ck.Linv % q) % q)
+        pieces.append(_PrimePiece(q=q, ksnf=ksnf, ck=ck, labels=L @ (K @ ck.Linv % q) % q))
     # H^2 is the sum of the prime pieces; only its factors are needed here
     invariants, _ = direct_sum([(piece.ck.orders, np.zeros(len(piece.ck.orders), dtype=np.int64)) for piece in pieces])
-
-    qs = [piece.q for piece in pieces]
-    reps: list[Cochain2] = []
-    for i in range(len(invariants)):
-        # factor i of each piece mod its q; 0 mod the q of a piece with fewer
-        # factors and mod the prime powers of N that no piece solves
-        tables = [sys.reconstruct(labels[:, i], q) if i < labels.shape[1] else 0 for labels, q in zip(gen_labels, qs)]
-        reps.append(Cochain2(g, N, crt(tables + [0], qs + [N // math.prod(qs)])))
-
-    return CohomologyGroup(
-        group=g,
-        coeff=coeff,
-        field_mode=mode,
-        invariants=invariants,
-        reps=reps,
-        _pieces=pieces,
-        _sys=sys,
-    )
+    return CohomologyGroup(group=g, coeff=coeff, field_mode=mode, invariants=invariants, _pieces=pieces, _sys=sys)
 
 
 def h2(g: FiniteGroup, coeff: CoefficientModule | int, budget: int = DEFAULT_H2_BUDGET) -> CohomologyGroup:
@@ -484,9 +509,25 @@ def h2(g: FiniteGroup, coeff: CoefficientModule | int, budget: int = DEFAULT_H2_
 
 
 def group_exponent(g: FiniteGroup) -> int:
+    """exp(G) from power maps over the table: for p^v || |G| the p-part of
+    exp(G) is the least p^a with (x^(|G|/p^v))^(p^a) = 1 for every x."""
+    mul, e = np.asarray(g.mul), g.identity
     out = 1
-    for x in range(g.order):
-        out = int(np.lcm(out, g.element_order(x)))
+    for p, v in prime_power_factors(g.order):
+        y = _power_map(mul, e, np.arange(g.order), g.order // p**v)
+        while (y != e).any():
+            y = _power_map(mul, e, y, p)
+            out *= p
+    return out
+
+
+def _power_map(mul: np.ndarray, identity: int, x: np.ndarray, k: int) -> np.ndarray:
+    """x^k for every element of the array x, by repeated squaring."""
+    out = np.full_like(x, identity)
+    while k:
+        if k & 1:
+            out = mul[out, x]
+        x, k = mul[x, x], k >> 1
     return out
 
 

@@ -552,11 +552,11 @@ def _abelianization_impl(g: FiniteGroup) -> AbelianInvariants:
     )
 
 
-def all_characters(g: FiniteGroup, target_order: int, ab: AbelianInvariants | None = None):
+def all_characters(g: FiniteGroup, target_order: int):
     """Yield every character G -> Z_N (finitely many via the abelianization)."""
     import itertools
 
-    ab = ab or abelianization(g)
+    ab = abelianization(g)
     n = target_order
     ranges = [range(0, n, n // math.gcd(d, n)) for d in ab.cyclic_orders]
     for values in itertools.product(*ranges):
@@ -564,7 +564,7 @@ def all_characters(g: FiniteGroup, target_order: int, ab: AbelianInvariants | No
         yield GroupCharacter(group=g, target_order=n, values=vals)
 
 
-def splitting_character(inv: CentralInvolution, ab: AbelianInvariants | None = None) -> GroupCharacter | None:
+def splitting_character(inv: CentralInvolution) -> GroupCharacter | None:
     """A character chi: G -> Z_2 with chi(u) = 1, when one exists.
 
     Existence is equivalent to G = U x G/U and to the image of u in G^ab
@@ -573,7 +573,7 @@ def splitting_character(inv: CentralInvolution, ab: AbelianInvariants | None = N
     if inv.is_trivial:
         raise TrivialInvolution("u = 1 admits no splitting character")
     g = inv.group
-    ab = ab or abelianization(g)
+    ab = abelianization(g)
     ucoords = ab.coords(inv.u)
     for i, d in enumerate(ab.cyclic_orders):
         if d % 2 == 0 and ucoords[i] % 2 == 1:

@@ -175,18 +175,17 @@ def _positions(coords, orders) -> np.ndarray:
 def sharp_class_table(cg: CohomologyGroup, inv: CentralInvolution) -> tuple[list[CohomologyClass], np.ndarray]:
     """Cayley table of the sharp product on the classes of cg, in all_classes order.
 
-    theta of rep_of_coords(x) is sum_a x_a theta_a mod 2, class_of is additive
-    and (N/2) k mod N depends only on k mod 2, so
-    x # y = x + y + sum_ab (x_a mod 2)(y_b mod 2) P_ab, where P_ab is the class
-    of the twist (N/2) theta_a (x) theta_b of the generator representatives."""
+    theta of rep_of_coords(x) is sum_a x_a theta_a mod 2, the class map is
+    additive and (N/2) k mod N depends only on k mod 2, so
+    x # y = x + y + sum_ab (x_a mod 2)(y_b mod 2) P_ab, where P_ab is the
+    pairing_class of theta_a and theta_b of the generator representatives."""
     classes = list(cg.all_classes())
-    n = cg.coeff.n
     degrees = [theta(rep, inv).degree for rep in cg.reps]
     r = len(degrees)
     twist = np.zeros((r, r, r), dtype=np.int64)
     for a, da in enumerate(degrees):
         for b, db in enumerate(degrees):
-            twist[a, b] = cg.class_of(Cochain2(cg.group, n, (n // 2) * np.outer(da, db))).coords
+            twist[a, b] = cg.pairing_class(da, db).coords
     coords = np.array([c.coords for c in classes], dtype=np.int64)
     parity = coords % 2
     table = np.zeros((len(classes), len(classes)), dtype=np.int32)
@@ -282,9 +281,7 @@ def bm_group(
         M[:] = coords @ np.array([restriction_square_class(inv, rep) for rep in cg.reps], dtype=np.int64) % 2
     c11 = 0
     if split:
-        n = cg.coeff.n
-        c11_class = cg.class_of(Cochain2(g, n, (n // 2) * np.outer(chi.values, chi.values)))
-        c11 = int(_positions(c11_class.coords, cg.invariants))
+        c11 = int(_positions(cg.pairing_class(chi.values, chi.values).coords, cg.invariants))
     b1, i1, a1, b2, i2, a2 = np.ix_(*(np.arange(d, dtype=np.int32) for d in (bo, h, s) * 2))
     ij = S[i1, i2]
     both = a1 * a2
@@ -325,8 +322,8 @@ def q_group(
     """The group Q(k, G) of the split short exact sequence.
 
     (c1, x1, s1, e1)(c2, x2, s2, e2) = (c1 + c2 + P[x1, x2], x1 x2,
-    s1 + s2 + e1 e2, e1 + e2), with P[x1, x2] the class of the pairing
-    cocycle (N/2) x1 (x) x2: one class_of per pair of nontrivial characters."""
+    s1 + s2 + e1 e2, e1 + e2), with P[x1, x2] the pairing_class of x1 and
+    x2, one per pair of characters."""
     if inv.is_trivial:
         raise TrivialInvolution("Q(k, G) needs u != 1")
     if splitting_character(inv) is None:
@@ -337,11 +334,9 @@ def q_group(
     h, nc, sq = cq.size, len(chars), field.square_class_order
     if h * nc * sq * 2 > budget:
         raise BudgetExceeded(f"|Q(k,G)| = {h * nc * sq * 2} exceeds enumeration budget {budget}; raise --budget-enum")
-    n = cq.coeff.n
     lookup = {v.tobytes(): i for i, v in enumerate(chars)}
     product = np.array([[lookup[((v + w) % 2).tobytes()] for w in chars] for v in chars], dtype=np.int32)
-    pairing = _positions([[cq.class_of(Cochain2(q, n, (n // 2) * np.outer(v, w))).coords if v.any() and w.any()
-                           else cq.zero_class().coords for w in chars] for v in chars], cq.invariants)
+    pairing = _positions([[cq.pairing_class(v, w).coords for w in chars] for v in chars], cq.invariants)
     coords = np.array([c.coords for c in cq.all_classes()], dtype=np.int64)
     add = _positions(coords[:, None] + coords[None, :], cq.invariants)
     c1, x1, s1, e1, c2, x2, s2, e2 = np.ix_(*(np.arange(d, dtype=np.int32) for d in (h, nc, sq, 2) * 2))

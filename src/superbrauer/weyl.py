@@ -285,7 +285,12 @@ def literature_h2l(t: RootSystemType) -> tuple[int, ...]:
 
 
 def literature_bm(t: RootSystemType) -> tuple[int, ...]:
-    """Finite part of the printed Brauer-group table (always x C)."""
+    """Finite part of the printed Brauer-group table (always x C).
+
+    Where w0 != -1, G(Phi) = W x <-w0> and H^2(G(Phi)) = H^2(W) x Z2; the
+    printed display drops that Z2, so a computed row (table_row) has one Z2
+    more than this value: A2, A3, A5 and D5 do.  H^2_L and the rows with
+    w0 = -1 agree."""
     fam, n = t.family, t.rank
     if fam == "A":
         return (2,) if n <= 2 else (2, 2)

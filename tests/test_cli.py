@@ -206,6 +206,28 @@ def test_group_input_with_type_exit_code(capsys, args):
     assert f"{args[-2]} cannot be combined with --type" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["h2"], "either --group FILE or --type XN is required"),
+    (["h2sharp", "--field", "real", "--group", "{no_u}"], "a central involution u is required (file key 'u' or --u)"),
+    (["bm", "--field", "real", "--group", "{no_u}"], "a central involution u is required (file key 'u' or --u)"),
+    (["lazy", "--group", "{with_u}"], "lazy cohomology needs a representation (--rep or --type)"),
+    (["lazy", "--group", "{no_u}", "--rep", "{rep}"], "a central involution u is required"),
+    (["invforms", "--group", "{with_u}"], "invforms needs a representation (--rep or --type)"),
+    (["verify", "--check", "hopf"], "verify needs --algebra E<n> or --type XN"),
+], ids=["h2-no-group", "h2sharp-no-u", "bm-no-u", "lazy-no-rep", "lazy-no-u", "invforms-no-rep", "verify-no-algebra"])
+def test_missing_input_exit_code(tmp_path, capsys, args, message):
+    """A command that lacks the group, u or representation it needs exits 2 and says which."""
+    files = {"no_u": {"kind": "permutations", "generators": [[1, 0]]},
+             "with_u": {"kind": "permutations", "generators": [[1, 0]], "u": "g0"},
+             "rep": {"matrices": [[[-1]]]}}
+    paths = {}
+    for name, doc in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    assert main([a.format(**paths) for a in args]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_u_with_type_exit_code(capsys):
     """The Weyl datum fixes u = w0; a --u next to --type is refused, not ignored."""
     assert main(["bm", "--type", "A1", "--field", "real", "--u", "0"]) == EXIT_PARSE

@@ -18,15 +18,19 @@ from superbrauer import (
     RootSystemType,
     TwistedGroupAlgebra,
     abelianization,
+    all_characters,
+    build_supergroup,
     build_weyl,
     close_generators,
     coboundary,
     cyclic_group,
     direct_product,
     group_datum,
+    group_from_table,
     h2,
     h2_closed_field,
     is_cocycle,
+    lazy_cohomology,
     quotient_by_central_involution,
     restriction,
     symmetric_group,
@@ -570,3 +574,80 @@ def test_u_subgroup_maps_its_identity_to_the_identity(z4_shifted):
     assert ugroup.identity == 0 and embed.tolist() == [z4_shifted.identity, 3]
     cls = next(c for c in h2(z4_shifted, 2).all_classes() if not c.is_trivial())
     assert not restriction(inv, cls).is_trivial()
+
+
+_PAIRING_GROUPS = {
+    "Z2xZ4": _SMALL_GROUPS["Z2xZ4"],
+    "W(B3)": _FRONTIER_GROUPS["W(B3)"],
+    "G(A3)": _FRONTIER_GROUPS["G(A3)"],
+    # Z4 as a table whose identity is element 1
+    "Z4 shifted": lambda: group_from_table([[(a + b - 1) % 4 for b in range(4)] for a in range(4)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_PAIRING_GROUPS))
+def test_pairing_class_matches_dense_class_of(name):
+    """The class read off the labels (N/2) a(x) b(s) equals class_of of the
+    dense pairing (N/2) a (x) b, for every pair of characters G -> Z_2, over
+    the closed field, Z_2 and Z_12."""
+    g = _PAIRING_GROUPS[name]()
+    chars = [c.values for c in all_characters(g, 2)]
+    assert len(chars) > 1
+    for cg in (h2_closed_field(g), h2(g, 2), h2(g, 12)):
+        n = cg.coeff.n
+        for a in chars:
+            for b in chars:
+                dense = cg.class_of(Cochain2(g, n, (n // 2) * np.outer(a, b)))
+                assert cg.pairing_class(a, b) == dense, (n, a.tolist(), b.tolist())
+
+
+def test_pairing_class_refuses_a_non_character():
+    g = _FRONTIER_GROUPS["W(B3)"]()
+    cg = h2(g, 2)
+    point = np.zeros(g.order, dtype=np.int64)
+    point[g.gens[0]] = 1
+    chi = next(c.values for c in all_characters(g, 2) if c.values.any())
+    for a, b in ((point, chi), (chi, point)):
+        with pytest.raises(NotCocycle):
+            cg.pairing_class(a, b)
+
+
+def test_reps_are_built_only_when_read(monkeypatch):
+    """The solve keeps labels: lazy cohomology and the invariants never
+    rebuild a dense cochain, and reading the representatives does."""
+    def refuse(*args):
+        raise RuntimeError("reconstruct called")
+
+    monkeypatch.setattr(cohomology._Presentation, "reconstruct", refuse)
+    datum = group_datum(RootSystemType.parse("B3"))  # a fresh group with empty memos
+    lc = lazy_cohomology(build_supergroup(datum.group, datum.inv, datum.rep))
+    assert lc.invariants == (2,)
+    H = h2(datum.group, 12)
+    assert H.invariants == (2, 2, 2, 2)
+    with pytest.raises(RuntimeError, match="reconstruct called"):
+        H.reps
+
+
+def _lcm_of_orders(g):
+    out = 1
+    for x in range(g.order):
+        out = int(np.lcm(out, g.element_order(x)))
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cyclic_group(1),
+    lambda: cyclic_group(12),
+    lambda: cyclic_group(97),
+    lambda: direct_product(cyclic_group(4), cyclic_group(6)),
+    lambda: direct_product(cyclic_group(2), cyclic_group(8)),
+    lambda: direct_product(symmetric_group(3), cyclic_group(4)),
+    lambda: symmetric_group(5),
+    lambda: build_weyl(RootSystemType.parse("B3")).group,
+    lambda: group_datum(RootSystemType.parse("A3")).group,
+    lambda: build_weyl(RootSystemType.parse("G2")).group,
+    _PAIRING_GROUPS["Z4 shifted"],
+])
+def test_group_exponent_is_lcm_of_element_orders(build):
+    g = build()
+    assert group_exponent(g) == _lcm_of_orders(g)

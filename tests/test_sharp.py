@@ -323,20 +323,25 @@ def _twist_table_cases():
 
 def test_sharp_table_from_twist_matches_enumeration(monkeypatch):
     """The table derived from the r x r twist classes equals the m x m
-    enumeration, using r theta calls and r^2 class_of calls, and every class
-    is the class of its own representative."""
+    enumeration, using r theta calls, r^2 pairing_class calls and no
+    class_of call, and every class is the class of its own representative."""
     sharp_mod = importlib.import_module("superbrauer.sharp")  # the package attribute is the function
 
     for g, inv, field in _twist_table_cases():
         cg = field.cohomology(g)
         for c in cg.all_classes():
             assert cg.class_of(c.representative()) == c
-        calls = {"theta": 0, "class_of": 0}
-        real_theta, real_class_of = sharp_mod.theta, CohomologyGroup.class_of
+        calls = {"theta": 0, "pairing_class": 0, "class_of": 0}
+        real_theta = sharp_mod.theta
+        real_pairing_class, real_class_of = CohomologyGroup.pairing_class, CohomologyGroup.class_of
 
         def counting_theta(*args):
             calls["theta"] += 1
             return real_theta(*args)
+
+        def counting_pairing_class(self, a, b):
+            calls["pairing_class"] += 1
+            return real_pairing_class(self, a, b)
 
         def counting_class_of(self, sigma):
             calls["class_of"] += 1
@@ -344,9 +349,10 @@ def test_sharp_table_from_twist_matches_enumeration(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(sharp_mod, "theta", counting_theta)
+            m.setattr(CohomologyGroup, "pairing_class", counting_pairing_class)
             m.setattr(CohomologyGroup, "class_of", counting_class_of)
             classes, table = sharp_class_table(cg, inv)
         r = len(cg.invariants)
-        assert calls == {"theta": r, "class_of": r * r}
+        assert calls == {"theta": r, "pairing_class": r * r, "class_of": 0}
         assert [c.coords for c in classes] == [c.coords for c in cg.all_classes()]
         assert (table == enumerated_sharp_table(cg, inv)).all()

@@ -793,11 +793,37 @@ def test_r_matrix_odd_minor_is_triangular():
         assert verify_quasitriangular(h, r).passed and verify_triangular(h, r).passed
 
 
+def _degree_one_r_candidates():
+    """R_u on E(2) plus (1/2) u v_0 (x) (1 - u), and its flip.  The first is
+    e_1 (x) 1 + e_u (x) u with e_1 = (1 + u)/2 + u v_0 / 2 and e_u = (1 - u)/2 - u v_0 / 2
+    orthogonal idempotents, so (id x Delta)R = R13 R12 holds, and (Delta x id)R = R13 R23
+    fails only where the middle leg has degree 1; the flip fails (id x Delta)R = R13 R12
+    only where the last leg has degree 1."""
+    h = build_en(2)
+    moved = dict(r_u(h))
+    uv = h.encode(h.inv.u, 0b01)
+    moved[uv, h.unit], moved[uv, h.u_element] = Fraction(1, 2), Fraction(-1, 2)
+    return [(h, moved), (h, tensor_flip(moved))]
+
+
+def test_degree_one_r_candidates_fail_only_on_degree_one_slices():
+    """The full-tensor legs of the two candidates differ only on entries whose
+    middle (first candidate) or last (second candidate) leg has degree 1."""
+    for (h, r), broken in zip(_degree_one_r_candidates(), (0, 1)):
+        legs = triple_tensor_legs(h, r)
+        for i, leg in ((0, 1), (1, 2)):
+            lhs, rhs = legs[2 * i], legs[2 * i + 1]
+            moved = [k for k in set(lhs) | set(rhs) if lhs.get(k, 0) != rhs.get(k, 0)]
+            degrees = {bin(h.decode(k[leg])[1]).count("1") for k in moved}
+            assert degrees == ({1} if i == broken else set())
+
+
 def _r_candidates():
     """(algebra, R) pairs meeting each R-matrix detail: R_A on E(1)-E(3) with one
     coefficient moved by 1/2 (every coefficient on E(1), E(2), every seventh on
-    E(3)), R = 0, R = 1 (x) (1 + u)/2, and on E(2) the quasitriangular,
-    non-triangular R_A of A = [[0, 1], [0, 0]]."""
+    E(3)), R = 0, R = 1 (x) (1 + u)/2, the two R that fail a leg identity only on
+    a degree-1 slice, and on E(2) the quasitriangular, non-triangular R_A of
+    A = [[0, 1], [0, 0]]."""
     half = Fraction(1, 2)
     for n, A in ((1, [[3]]), (2, [[1, 2], [2, 4]]), (3, [[1, 2, -1], [2, 3, 1], [-1, 1, 5]])):
         h = build_en(n)
@@ -810,6 +836,7 @@ def _r_candidates():
     e, u = h.group.identity, h.inv.u
     yield h, {}
     yield h, {(h.unit, h.unit): half, (h.unit, h.u_element): half}
+    yield from _degree_one_r_candidates()
     upper = dict(r_u(h))
     for (g1, g2), c in {(e, e): half, (u, e): half, (e, u): -half, (u, u): half}.items():
         upper[(h.encode(g1, 0b01), h.encode(g2, 0b10))] = c

@@ -160,6 +160,22 @@ def test_b4_stretch_row():
     assert row.bm_invariants == (2, 2, 2)
 
 
+def test_split_rows_keep_the_z2_the_printed_bm_drops():
+    """Where w0 != -1, G(Phi) = W x <-w0> and H^2(G(Phi)) = H^2(W) x Z2; the
+    printed BM display drops that Z2.  The computed A2 and A3 rows are the
+    printed BM plus one Z2 and the printed H^2_L; B4 (w0 = -1) agrees in both."""
+    for name in ("A2", "A3"):
+        t = RootSystemType.parse(name)
+        row = table_row(t)
+        assert row.mode == "computed" and not w0_acts_as_minus_one(t)
+        assert row.bm_invariants == literature_bm(t) + (2,)
+        assert row.h2l_invariants == literature_h2l(t)
+    t = RootSystemType.parse("B4")
+    row = table_row(t, group_budget=400)
+    assert row.mode == "computed" and w0_acts_as_minus_one(t)
+    assert (row.h2l_invariants, row.bm_invariants) == (literature_h2l(t), literature_bm(t))
+
+
 def test_f4_schur_multiplier_computed():
     """The closed H^2 of W(F4), 1152 elements, is solved in the central
     values of its relators and equals the printed Schur multiplier."""
