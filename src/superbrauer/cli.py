@@ -24,6 +24,7 @@ from .groups import (
     load_group_file,
     parse_rational,
     resolve_u,
+    splitting_character,
 )
 from .sharp import ENUMERATION_BUDGET, bm_group, field_from_name, h2_sharp
 from .supergroup import (
@@ -153,8 +154,6 @@ def cmd_h2sharp(args) -> dict:
     inv = CentralInvolution(g, u)
     field = field_from_name(args.field)
     hs = h2_sharp(g, inv, field, budget=args.budget_enum)
-    from .groups import splitting_character
-
     budgets = {"cap": args.budget_cap, "enum": args.budget_enum}
     payload = {
         "group": _group_header(g),
@@ -164,10 +163,10 @@ def cmd_h2sharp(args) -> dict:
             "split": splitting_character(inv) is not None,
             "invariants": _invariants(hs.invariants),
             "classes": [list(c.coords) for c in hs.classes],
+            # the last generator first, the order in which all_classes meets them
             "generators": [
-                {"coords": list(c.coords), "representative": c.representative().to_sparse()}
-                for c in hs.cohomology.all_classes()
-                if any(x == 1 for x in c.coords) and sum(1 for x in c.coords if x) == 1
+                {"coords": list(c.coords), "representative": rep.to_sparse()}
+                for c, rep in reversed(list(zip(hs.cohomology.generators(), hs.cohomology.reps)))
             ],
             "cayley_table": hs.table.tolist(),
         },
@@ -187,10 +186,8 @@ def cmd_bm(args) -> dict:
     gens = []
     if field.brauer_order > 1:
         gens.append({"kind": "brauer", "order": 2})
-    for i, d in enumerate(bm.cohomology.invariants):
-        coords = tuple(1 if j == i else 0 for j in range(len(bm.cohomology.invariants)))
-        cls = bm.cohomology.rep_of_coords(coords)
-        gens.append({"kind": "cohomology", "order_in_h2": int(d), "representative": cls.to_sparse()})
+    for d, rep in zip(bm.cohomology.invariants, bm.cohomology.reps):
+        gens.append({"kind": "cohomology", "order_in_h2": int(d), "representative": rep.to_sparse()})
     if bm.split:
         gens.append({"kind": "C(1)", "parity": 1})
     result = {

@@ -237,9 +237,9 @@ class _Presentation:
         return np.ascontiguousarray(out.T)
 
 
-def _cycle_edges(g: FiniteGroup, relator) -> tuple[np.ndarray, np.ndarray]:
-    """Edge ids (n x len) of the cycle x r from every start x, and the sign
-    with which each step crosses its edge."""
+def cycle_edges(g: FiniteGroup, relator) -> tuple[np.ndarray, np.ndarray]:
+    """Edge ids (n x len, also for an empty walk) of the cycle x r from every
+    start x, and the sign with which each step crosses its edge."""
     mul, inv = np.asarray(g.mul), np.asarray(g.inv)
     x = np.arange(g.order)
     ids = []
@@ -249,7 +249,17 @@ def _cycle_edges(g: FiniteGroup, relator) -> tuple[np.ndarray, np.ndarray]:
         ids.append(x * len(g.gens) + k)
         if sign > 0:
             x = mul[x, g.gens[k]]
-    return np.stack(ids, axis=1), np.array([sign for _, sign in relator], dtype=np.int64)
+    return np.array(ids, dtype=np.int64).reshape(-1, g.order).T, np.array([sign for _, sign in relator], dtype=np.int64)
+
+
+def walk_sums(ids: np.ndarray, signs: np.ndarray, labels: np.ndarray, modulus: int) -> np.ndarray:
+    """Signed sums mod `modulus` of the edge labels (n |S|,) in [0, modulus) along a
+    cycle_edges walk from every start, reduced at each step to stay exact.  On a
+    cocycle's labels a closed walk sums to the central value of its lift."""
+    acc = np.zeros(len(ids), dtype=np.int64)
+    for col, sign in zip(ids.T, signs):
+        acc = (acc + sign * labels[col]) % modulus
+    return acc
 
 
 def _presentation(g: FiniteGroup) -> _Presentation:
@@ -285,7 +295,7 @@ def _presentation_impl(g: FiniteGroup) -> _Presentation:
         x, k = divmod(int(rest[0]), m)
         xs = int(g.mul[x, g.gens[k]])
         relators.append([(j, 1) for j in g.words[x]] + [(k, 1)] + [(j, -1) for j in reversed(g.words[xs])])
-        cycles.append(_cycle_edges(g, relators[-1]))
+        cycles.append(cycle_edges(g, relators[-1]))
 
 
 def _cocycle_kernel(C: np.ndarray, p: int, e: int) -> np.ndarray:
@@ -379,11 +389,13 @@ class CohomologyGroup:
             out *= d
         return out
 
+    def generators(self) -> list[CohomologyClass]:
+        return [CohomologyClass(self, tuple(e)) for e in np.eye(len(self.invariants), dtype=np.int64)]
+
     @cached_property
     def reps(self) -> list[Cochain2]:
         """One representative per invariant factor, built on first use."""
-        k = len(self.invariants)
-        return [self.rep_of_coords([int(i == j) for j in range(k)]) for i in range(k)]
+        return [c.representative() for c in self.generators()]
 
     def zero_class(self) -> CohomologyClass:
         return CohomologyClass(self, (0,) * len(self.invariants))
@@ -392,19 +404,29 @@ class CohomologyGroup:
         for coords in itertools.product(*(range(d) for d in self.invariants)):
             yield CohomologyClass(self, coords)
 
-    def rep_of_coords(self, coords) -> Cochain2:
-        """sum_i c_i rep_i: per prime piece the labels sum_i c_i labels_i mod q
-        (each sum below |R| q^2 < 2^62), glued by CRT with 0 mod the prime
-        powers of N that no piece solves, and rebuilt once mod N."""
+    def labels_of_coords(self, coords) -> np.ndarray:
+        """The edge labels (n |S|,) of sum_i c_i rep_i: sum_i c_i labels_i mod q per piece (below
+        |R| q^2 < 2^62), glued by CRT with 0 mod the prime powers of N that no piece solves."""
         g, n = self.group, self.coeff.n
-        if not self._pieces:
-            return Cochain2.zero(g, n)
         labels = []
         for piece in self._pieces:
             c = np.array([int(x) % piece.q for x in coords[: piece.labels.shape[1]]], dtype=np.int64)
             labels.append(piece.labels @ c % piece.q)
         qs = [piece.q for piece in self._pieces]
-        return Cochain2(g, n, self._sys.reconstruct(crt(labels + [0], qs + [n // math.prod(qs)]), n))
+        return crt(labels + [np.zeros(g.order * len(g.gens), dtype=np.int64)], qs + [n // math.prod(qs)])
+
+    def rep_of_coords(self, coords) -> Cochain2:
+        """sum_i c_i rep_i, rebuilt once mod N from its labels."""
+        if self._sys is None:
+            return Cochain2.zero(self.group, self.coeff.n)
+        return Cochain2(self.group, self.coeff.n, self._sys.reconstruct(self.labels_of_coords(coords), self.coeff.n))
+
+    def is_cocycle_labels(self, labels: np.ndarray) -> bool:
+        """The rows of C on edge labels (n |S|,) in [0, N): the edges from 1
+        carry 0, and every relator has one signed label sum from every start."""
+        g, m = self.group, len(self.group.gens)
+        return not labels[g.identity * m : (g.identity + 1) * m].any() and all(
+            np.ptp(walk_sums(ids, signs, labels, self.coeff.n)) == 0 for ids, signs in _presentation(g).cycles)
 
     def class_of(self, sigma: Cochain2) -> CohomologyClass:
         if sigma.group is not self.group:
@@ -609,17 +631,6 @@ def restriction(inv: CentralInvolution, cls: CohomologyClass, target: Cohomology
             target = h2(ugroup, cls.parent.coeff)
     vals = _embed_values(rep.values[np.ix_(embed, embed)], rep.modulus, target.coeff.n)
     return target.class_of(Cochain2(ugroup, target.coeff.n, vals))
-
-
-def restriction_square_class(inv: CentralInvolution, sigma: Cochain2) -> int:
-    """sigma(u, u) as a square-class bit: 0 for +1, 1 for -1 (even modulus)."""
-    if sigma.modulus % 2:
-        raise ParseError("square class needs an even modulus")
-    v = int(sigma.values[inv.u, inv.u])
-    half = sigma.modulus // 2
-    if v % half:
-        raise ParseError("sigma(u,u) is not a +-1 value")
-    return (v // half) % 2
 
 
 def transgression(

@@ -23,8 +23,9 @@ from .cohomology import (
     Cochain2,
     h2,
     h2_closed_field,
+    cycle_edges,
     is_cocycle,
-    restriction_square_class,
+    walk_sums,
 )
 from .groups import (
     CentralInvolution,
@@ -104,23 +105,31 @@ class ZGrading:
         return not self.degree.any()
 
 
-def theta(sigma: Cochain2, inv: CentralInvolution) -> ZGrading:
-    """Degree map g -> sigma(g,u) - sigma(u,g), valued in {0, N/2} ~ Z_2."""
-    if sigma.group is not inv.group:
+def theta(sigma: Cochain2 | CohomologyClass, inv: CentralInvolution) -> ZGrading:
+    """Degree map g -> sigma(g,u) - sigma(u,g) in {0, N/2} ~ Z_2, the commutator of
+    lifts of g and u: a character, as u is central.  theta(s) is the label walk
+    s w_u s^-1 w_u^-1 from 1 (w_u the BFS word of u), carried to G by the tree.
+    A class's labels must pass the relator rows, a cochain is_cocycle."""
+    if isinstance(sigma, CohomologyClass):
+        cg = sigma.parent
+        g, n, labels = cg.group, cg.coeff.n, cg.labels_of_coords(sigma.coords)
+        cocycle = cg.is_cocycle_labels(labels)
+    else:
+        g, n, labels = sigma.group, sigma.modulus, sigma.values[:, list(sigma.group.gens)].ravel()
+        cocycle = is_cocycle(sigma)
+    if g is not inv.group:
         raise ParseError("cocycle and involution live on different groups")
-    n = sigma.modulus
     if n % 2:
         raise ParseError("theta needs an even coefficient modulus")
-    if not is_cocycle(sigma):
+    if not cocycle:
         raise NotCocycle("theta is only defined on cocycles")
-    half = n // 2
-    t = (sigma.values[:, inv.u] - sigma.values[inv.u, :]) % n
-    if (t % half).any():
-        raise NotCocycle("cocycle pairing with u is not +-1 valued")
-    deg = (t // half) % 2
-    if deg[inv.u] != 0:
-        raise ParseError("u must be even in every induced grading")
-    return ZGrading(group=sigma.group, degree=deg)
+    w = walk_sums(*cycle_edges(g, [(j, 1) for j in g.words[inv.u]]), labels, n)  # along w_u from every start
+    from_1, from_u = labels.reshape(g.order, -1)[[g.identity, inv.u]]  # labels of the edges (1, s) and (u, s)
+    t = (from_1 + w[list(g.gens)] - from_u - w[g.identity]) % n // (n // 2)  # s, w_u, s^-1 into u, w_u^-1 to 1
+    deg = np.zeros(g.order, dtype=np.int64)
+    for x, k, y in g.tree:
+        deg[y] = deg[x] + t[k]
+    return ZGrading(group=g, degree=deg)
 
 
 def sharp(sigma: Cochain2, omega: Cochain2, inv: CentralInvolution) -> Cochain2:
@@ -178,14 +187,11 @@ def sharp_class_table(cg: CohomologyGroup, inv: CentralInvolution) -> tuple[list
     theta of rep_of_coords(x) is sum_a x_a theta_a mod 2, the class map is
     additive and (N/2) k mod N depends only on k mod 2, so
     x # y = x + y + sum_ab (x_a mod 2)(y_b mod 2) P_ab, where P_ab is the
-    pairing_class of theta_a and theta_b of the generator representatives."""
+    pairing_class of theta_a and theta_b of the generator classes."""
     classes = list(cg.all_classes())
-    degrees = [theta(rep, inv).degree for rep in cg.reps]
-    r = len(degrees)
-    twist = np.zeros((r, r, r), dtype=np.int64)
-    for a, da in enumerate(degrees):
-        for b, db in enumerate(degrees):
-            twist[a, b] = cg.pairing_class(da, db).coords
+    degrees = [theta(c, inv).degree for c in cg.generators()]
+    pairings = [[cg.pairing_class(da, db).coords for db in degrees] for da in degrees]  # P_ab
+    twist = np.array(pairings, dtype=np.int64).reshape((len(degrees),) * 3)
     coords = np.array([c.coords for c in classes], dtype=np.int64)
     parity = coords % 2
     table = np.zeros((len(classes), len(classes)), dtype=np.int32)
@@ -209,8 +215,7 @@ def h2_sharp(
     if cg.size > budget:
         raise BudgetExceeded(f"|H^2| = {cg.size} exceeds enumeration budget {budget}; raise --budget-enum")
     classes, table = sharp_class_table(cg, inv)
-    ident = next(i for i, c in enumerate(classes) if c.is_trivial())
-    invariants = _abelian_table_invariants(table, ident)
+    invariants = _abelian_table_invariants(table, 0)  # all_classes starts at the zero class
     return SharpGroup(field=field, inv=inv, cohomology=cg, classes=classes, table=table, invariants=invariants)
 
 
@@ -260,10 +265,9 @@ def bm_group(
     (b1, i1, a1)(b2, i2, a2) has class S[i1, i2], shifted by sharp with the
     class of C(1)^2 when a1 = a2 = 1; Brauer part b1 + b2 + <M1, M2> plus
     <M12, -1> when a1 = a2 = 1, with <,> the quaternion symbol and M the
-    sigma(u,u) square-class markers; parity a1 + a2.  A marker is
-    restriction_square_class of rep_of_coords, a sum of generator
-    representatives whose sigma_a(u,u) lie in {0, N/2}, so it is linear mod 2
-    in the class coordinates."""
+    sigma(u,u) square-class markers; parity a1 + a2.  Over Z_2 a marker is
+    sigma(u,u) of rep_of_coords, a sum of generator representatives, so it
+    is linear mod 2 in the class coordinates."""
     if inv.group is not g:
         raise ParseError("involution lives on a different group")
     if inv.is_trivial:
@@ -277,8 +281,10 @@ def bm_group(
     classes, S = sharp_class_table(cg, inv)
     M = np.zeros(h, dtype=np.int32)
     if field.kind == "real":
-        coords = np.array([c.coords for c in classes], dtype=np.int64)
-        M[:] = coords @ np.array([restriction_square_class(inv, rep) for rep in cg.reps], dtype=np.int64) % 2
+        # over Z_2 the bit sigma_a(u,u), the label sum along w_u from u (from 1 it is 0: the labels vanish on the tree)
+        ids, signs = cycle_edges(g, [(j, 1) for j in g.words[inv.u]])
+        marks = [walk_sums(ids, signs, cg.labels_of_coords(c.coords), 2)[inv.u] for c in cg.generators()]
+        M[:] = np.array([c.coords for c in classes], dtype=np.int64) @ np.array(marks, dtype=np.int64) % 2
     c11 = 0
     if split:
         c11 = int(_positions(cg.pairing_class(chi.values, chi.values).coords, cg.invariants))

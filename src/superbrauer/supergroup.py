@@ -30,7 +30,6 @@ from .cohomology import DEFAULT_H2_BUDGET, CohomologyGroup, h2_closed_field
 from .forms import (
     Matrix,
     Representation,
-    SymFormSpace,
     acts_as_minus_one,
     as_matrix,
     invariant_symmetric_forms,
@@ -728,7 +727,6 @@ class LazyCohomology:
     linear_dim: int
     group_part: CohomologyGroup
     k_trivial: bool  # CoInt/CoInn is trivial iff a splitting character exists
-    sym_forms: SymFormSpace | None
 
     @property
     def invariants(self) -> tuple[int, ...]:
@@ -736,18 +734,12 @@ class LazyCohomology:
 
 
 def lazy_cohomology(h: SupergroupAlgebra, budget: int = DEFAULT_H2_BUDGET) -> LazyCohomology:
+    # rho(u) = -1 on V != 0 forces u != 1
+    k_trivial = h.inv.is_trivial or splitting_character(h.inv) is not None
     if h.nv == 0:
-        group_part = h2_closed_field(h.group, budget)
-        if h.inv.is_trivial:
-            k_trivial = True
-        else:
-            k_trivial = splitting_character(h.inv) is not None
-        return LazyCohomology(h, 0, group_part, k_trivial, None)
-    forms = invariant_symmetric_forms(h.rep)
-    qd = quotient_by_central_involution(h.inv)
-    group_part = h2_closed_field(qd.quotient, budget)
-    k_trivial = splitting_character(h.inv) is not None
-    return LazyCohomology(h, forms.dim, group_part, k_trivial, forms)
+        return LazyCohomology(h, 0, h2_closed_field(h.group, budget), k_trivial)
+    group_part = h2_closed_field(quotient_by_central_involution(h.inv).quotient, budget)
+    return LazyCohomology(h, invariant_symmetric_forms(h.rep).dim, group_part, k_trivial)
 
 
 @dataclass(eq=False)

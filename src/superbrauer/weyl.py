@@ -10,6 +10,7 @@ when the group fits the budget, and quoted from the printed tables
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -209,19 +210,13 @@ class GroupDatum:
     extended: bool  # True when G = W x <theta w0>
 
 
-_DATUM_CACHE: dict[tuple[str, int], "GroupDatum"] = {}
-
-
 def group_datum(t: RootSystemType, cap: int = DEFAULT_CAP) -> GroupDatum:
-    key = (t.name, cap)
-    if key in _DATUM_CACHE:
-        return _DATUM_CACHE[key]
-    datum = _group_datum_impl(t, cap)
-    _DATUM_CACHE[key] = datum
-    return datum
+    """The datum of type t, built once per (type, cap)."""
+    return _group_datum(t, cap)
 
 
-def _group_datum_impl(t: RootSystemType, cap: int) -> GroupDatum:
+@functools.cache
+def _group_datum(t: RootSystemType, cap: int) -> GroupDatum:
     wd = build_weyl(t, cap=cap)
     n = t.rank
     if wd.w0_is_minus_one:

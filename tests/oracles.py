@@ -7,11 +7,13 @@ from order statistics, and those of G^ab from the coset table of the
 commutator subgroup and a greedy basis; the determinant is the Leibniz
 expansion; the lazy cocycle lambda is filled entry by entry.  None of it shares code with the
 production pipeline, except the sharp-table enumeration, which multiplies
-every pair of class representatives with the production `sharp` and
-`class_of` instead of deriving the table from the twist classes, and the BM
+every pair of class representatives with the dense sharp product (degrees
+from `dense_theta`, the u-column and u-row of each cochain, where the
+production reads them off edge-label walks) and the production `class_of`
+instead of deriving the table from the twist classes, and the BM
 and Q(k, G) enumerations, which multiply element tuples one cell at a time
-on top of it (markers from each class representative, one pairing `class_of`
-per cell) instead of deriving the tables from generating data.  The Hopf-side
+on top of it (markers `restriction_square_class` of each class
+representative, one pairing `class_of` per cell) instead of deriving the tables from generating data.  The Hopf-side
 oracles use only the algebra's structure constants and its `H (x) H`
 product: the cocycle and lazy checks expand both coproducts and the product
 for every basis tuple, the R-matrix legs are multiplied in H (x) H (x) H, and
@@ -39,7 +41,7 @@ that vanishes on the BFS tree; `gauge_fixed` moves frontier
 cochains into that gauge one element at a time, so the two systems are
 compared by the label modules they span.  `relator_rows`, `gauge_fix` and
 `f_column_kernel` are the production's earlier solve over the edge labels
-(it shares `_cycle_edges` with the production); `presentation_unknowns`
+(it shares `cycle_edges` with the production); `presentation_unknowns`
 selects those labels.
 """
 
@@ -58,11 +60,9 @@ from superbrauer import (
     all_characters,
     quaternion_symbol,
     quotient_by_central_involution,
-    restriction_square_class,
-    sharp,
     splitting_character,
 )
-from superbrauer.cohomology import _cycle_edges
+from superbrauer.cohomology import cycle_edges
 from superbrauer.errors import BudgetExceeded, ParseError
 from superbrauer.groups import _det
 from superbrauer.modlinalg import SnfMod, _val, _val_matrix, inverse_mod, kernel_mod
@@ -498,16 +498,43 @@ def dense_lambda_cocycle(h, sigma):
     return vals
 
 
+def dense_theta(sigma, inv):
+    """The degree map g -> sigma(g,u) - sigma(u,g) of a cocycle as Z_2 bits,
+    read off its dense u-column and u-row."""
+    half = sigma.modulus // 2
+    t = (sigma.values[:, inv.u] - sigma.values[inv.u, :]) % sigma.modulus
+    assert not (t % half).any(), "cocycle pairing with u is not +-1 valued"
+    return (t // half) % 2
+
+
+def restriction_square_class(inv, sigma):
+    """sigma(u, u) as a square-class bit: 0 for +1, 1 for -1 (even modulus)."""
+    if sigma.modulus % 2:
+        raise ParseError("square class needs an even modulus")
+    v = int(sigma.values[inv.u, inv.u])
+    half = sigma.modulus // 2
+    if v % half:
+        raise ParseError("sigma(u,u) is not a +-1 value")
+    return (v // half) % 2
+
+
+def dense_sharp(sigma, omega, inv):
+    """(sigma # omega)(g,h) = sigma(g,h) + omega(g,h) + (N/2) |g|_sigma |h|_omega,
+    with the degrees from dense_theta."""
+    half = sigma.modulus // 2
+    return sigma.copy_with(sigma.values + omega.values + half * np.outer(dense_theta(sigma, inv), dense_theta(omega, inv)))
+
+
 def enumerated_sharp_table(cg, inv):
-    """The sharp Cayley table on cg.all_classes(), one full sharp product and
-    one class_of per cell."""
+    """The sharp Cayley table on cg.all_classes(), one full dense sharp product
+    and one class_of per cell."""
     classes = list(cg.all_classes())
     reps = [c.representative() for c in classes]
     index = {c.coords: i for i, c in enumerate(classes)}
     table = np.zeros((len(classes), len(classes)), dtype=np.int32)
     for i, x in enumerate(reps):
         for j, y in enumerate(reps):
-            table[i, j] = index[cg.class_of(sharp(x, y, inv)).coords]
+            table[i, j] = index[cg.class_of(dense_sharp(x, y, inv)).coords]
     return table
 
 
@@ -1113,7 +1140,7 @@ def relator_rows(g, unknowns, relators):
     n, edges = g.order, g.order * len(g.gens)
     blocks = []
     for r in relators:
-        ids, signs = _cycle_edges(g, r)
+        ids, signs = cycle_edges(g, r)
         flat = (np.arange(n)[:, None] * edges + ids).ravel()
         sums = np.bincount(flat, weights=np.broadcast_to(signs, ids.shape).ravel(), minlength=n * edges)
         sums = sums.astype(np.int64).reshape(n, edges)[:, unknowns]

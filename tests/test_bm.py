@@ -30,10 +30,12 @@ from .oracles import (
     abelian_invariants_from_table,
     enumerated_bm_table,
     enumerated_q_table,
+    restriction_square_class,
     table_order,
     table_power,
 )
 from .test_cohomology import _dihedral
+from .test_sharp import _theta_data
 
 
 def _bm_index(bm, b, i, a):
@@ -203,6 +205,22 @@ def test_q_table_matches_enumeration(name, u, field, monkeypatch):
     assert calls["class_of"] <= len(chars) ** 2
     assert (qg.table == enumerated_q_table(g, inv, field)).all()
     assert qg.invariants == abelian_invariants_from_table(qg.table, 0)
+
+
+def test_bm_markers_match_dense_square_class():
+    """Over the real field (0, i, 0)^2 has Brauer part <M_i, M_i> = M_i, the
+    marker read off the labels; it equals restriction_square_class of the
+    class representative, for the generators and every other class."""
+    ones = 0
+    for g, inv in _theta_data():
+        bm = bm_group(g, inv, REAL_CLOSED)
+        h, s = bm.cohomology.size, 1 + bm.split
+        for i, c in enumerate(bm.cohomology.all_classes()):
+            row = _bm_index(bm, 0, i, 0)
+            marker = restriction_square_class(inv, c.representative())
+            assert bm.table[row, row] // (h * s) == marker
+            ones += marker
+    assert ones  # some sigma(u,u) = -1
 
 
 def _cyclic_product(orders):

@@ -17,11 +17,12 @@ from superbrauer import (
     inflation,
     quotient_by_central_involution,
     restriction,
-    restriction_square_class,
     symmetric_group,
     transgression,
     u_subgroup,
 )
+
+from .oracles import restriction_square_class
 
 
 def _u_char(ugroup, value, order=2):

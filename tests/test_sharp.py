@@ -19,6 +19,7 @@ from superbrauer import (
     NotSplit,
     ParseError,
     RootSystemType,
+    bm_group,
     coboundary,
     cyclic_group,
     direct_product,
@@ -37,9 +38,17 @@ from superbrauer import (
     theta,
     twisted_group_algebra,
 )
+from superbrauer import cohomology
 from superbrauer.sharp import _abelian_table_invariants, sharp_class_table
+from superbrauer.weyl import build_weyl
 
-from .oracles import abelian_invariants_from_table, enumerated_sharp_table, table_order
+from .oracles import (
+    abelian_invariants_from_table,
+    all_triples_is_cocycle,
+    dense_theta,
+    enumerated_sharp_table,
+    table_order,
+)
 from .test_cohomology import _dihedral
 from .test_groups import _intercalate_z1024
 
@@ -356,3 +365,95 @@ def test_sharp_table_from_twist_matches_enumeration(monkeypatch):
         assert calls == {"theta": r, "pairing_class": r * r, "class_of": 0}
         assert [c.coords for c in classes] == [c.coords for c in cg.all_classes()]
         assert (table == enumerated_sharp_table(cg, inv)).all()
+
+
+def _theta_data():
+    """W(B3), G(A3) and W(B4) with u = -1, and Z2 x Z4 x Z6 with each of its
+    seven involutions."""
+    data = [(d.group, d.inv) for d in (group_datum(RootSystemType.parse(t)) for t in ("B3", "A3", "B4"))]
+    g = direct_product(direct_product(cyclic_group(2), cyclic_group(4)), cyclic_group(6))
+    return data + [(g, CentralInvolution(g, u)) for u in _central_involutions(g)]
+
+
+@pytest.mark.parametrize("field", [ALG_CLOSED, REAL_CLOSED], ids=["closed", "real"])
+def test_theta_of_classes_matches_dense_oracle(field):
+    """theta of every class, read off the walks in its labels, equals the
+    u-column minus the u-row of its dense representative, and so does theta of
+    that representative plus a random coboundary.  With u = 1 (an empty walk)
+    every grading is trivial."""
+    rng = np.random.default_rng(20)
+    odd = 0
+    for g, inv in _theta_data():
+        cg = field.cohomology(g)
+        n = cg.coeff.n
+        for c in cg.all_classes():
+            rep = c.representative()
+            expected = dense_theta(rep, inv)
+            gamma = rng.integers(0, n, g.order)
+            gamma[g.identity] = 0
+            assert (theta(c, inv).degree == expected).all()
+            assert (theta(rep + coboundary(g, n, gamma), inv).degree == expected).all()
+            assert theta(c, CentralInvolution(g, g.identity)).is_trivial()
+            odd += bool(expected.any())
+    assert odd  # some grading is nontrivial
+
+
+def test_sharp_and_bm_build_no_dense_cochain(monkeypatch):
+    """h2_sharp, bm_group and q_group rebuild no representative and run no
+    dense cocycle check: theta and the markers read the edge labels."""
+    def refuse(*args):
+        raise RuntimeError("dense cochain work")
+
+    sharp_mod = importlib.import_module("superbrauer.sharp")  # the package attribute is the function
+    monkeypatch.setattr(cohomology._Presentation, "reconstruct", refuse)
+    monkeypatch.setattr(cohomology, "is_cocycle", refuse)
+    monkeypatch.setattr(sharp_mod, "is_cocycle", refuse)
+    wd = build_weyl(RootSystemType.parse("B3"))  # fresh groups: no memo holds a representative
+    z = direct_product(direct_product(cyclic_group(2), cyclic_group(4)), cyclic_group(6))
+    split = [u for u in _central_involutions(z) if splitting_character(CentralInvolution(z, u)) is not None]
+    for g, u in ((wd.group, wd.w0), (z, split[0])):
+        inv = CentralInvolution(g, u)
+        for field in (ALG_CLOSED, REAL_CLOSED):
+            assert h2_sharp(g, inv, field).cohomology.size > 1
+            bm_group(g, inv, field)
+            q_group(g, inv, field)
+
+
+@pytest.mark.parametrize("field", [ALG_CLOSED, REAL_CLOSED], ids=["closed", "real"])
+@pytest.mark.parametrize("name, outcomes", [("B3", (144, 0)), ("Z4", (1, 3))])
+def test_theta_rejects_corrupted_labels(name, outcomes, field, monkeypatch):
+    """Moving one label of a class by 1 makes theta raise NotCocycle exactly
+    when the labels stop being a cocycle's: always on the edges from 1, and
+    elsewhere when the cochain built from them, sigma(g, h) = the label sum
+    along w_h from g minus the sum from 1, fails the all-triples check.
+    Otherwise theta equals the dense oracle on that cochain.  On W(B3) every
+    move breaks a relator; on Z4 every labelling off the edge from 1 is a
+    cocycle's.  outcomes = (moves that raise, moves that do not)."""
+    if name == "Z4":
+        g = cyclic_group(4)
+        inv = CentralInvolution(g, 2)
+    else:
+        d = group_datum(RootSystemType.parse(name))
+        g, inv = d.group, d.inv
+    cg = field.cohomology(g)
+    n, m = cg.coeff.n, len(g.gens)
+    cls = sum(cg.generators(), cg.zero_class())
+    labels = cg.labels_of_coords(cls.coords)
+    raised = kept = 0
+    for e in range(len(labels)):
+        bad = labels.copy()
+        bad[e] = (bad[e] + 1) % n
+        sigma = None
+        if e // m != g.identity:
+            sums = cohomology._presentation(g).reconstruct(bad, n)  # [g, h]: the label sum along w_h from g
+            sigma = Cochain2(g, n, sums - sums[g.identity])
+        with monkeypatch.context() as mp:
+            mp.setattr(CohomologyGroup, "labels_of_coords", lambda self, coords, bad=bad: bad)
+            if sigma is None or not all_triples_is_cocycle(sigma):
+                with pytest.raises(NotCocycle):
+                    theta(cls, inv)
+                raised += 1
+            else:
+                assert (theta(cls, inv).degree == dense_theta(sigma, inv)).all()
+                kept += 1
+    assert (raised, kept) == outcomes
