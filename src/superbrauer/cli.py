@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import errors
 from .cohomology import CoefficientModule, DEFAULT_H2_BUDGET, h2
 from .forms import Representation, invariant_symmetric_forms

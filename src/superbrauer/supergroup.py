@@ -14,16 +14,21 @@ omega_Sigma and lambda read their signed minors det A[P,Q] off Lambda(A).
 Delta and S are written in closed form, with A = P minus B:
   Delta(g v_P) = sum_{B in P} wedge_sign(B, A) g u^|B| v_A (x) g v_B,
   S(g v_P) = (-1)^|P| u^|P| g^{-1} (g.v_P).
+
+The cocycle and lazy checks of a 2-cochain run on the batched twisted-product
+kernel of the twisted module, which is imported on a check's first call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import NotInvariant, NotMinusOne, NotSymmetric, ParseError
 from .cohomology import DEFAULT_H2_BUDGET, CohomologyGroup, h2_closed_field
@@ -38,6 +43,9 @@ from .forms import (
 )
 from .groups import CentralInvolution, FiniteGroup, cyclic_group, quotient_by_central_involution, splitting_character
 from .sharp import ENUMERATION_BUDGET, BMGroup, FieldDescriptor, bm_group
+
+if TYPE_CHECKING:
+    from .twisted import ProductTables
 
 DEFAULT_DIM_BUDGET = 64
 SAMPLED_TRIPLES = 1500
@@ -94,6 +102,7 @@ class SupergroupAlgebra:
         self._cop: dict[int, list[tuple[int, int, int]]] = {}
         self._anti: dict[int, Element] = {}
         self._action: dict[int, list[Element]] = {}  # h -> the columns of Lambda rho(h^{-1})
+        self._tables: ProductTables | None = None
 
     # encoding ---------------------------------------------------------
 
@@ -177,6 +186,14 @@ class SupergroupAlgebra:
                 for sub in range(mask + 1) if sub & mask == sub
             ]
         return got
+
+    def product_tables(self) -> ProductTables:
+        """The coproduct and the product as the integer tables of the twisted-product kernel."""
+        if self._tables is None:
+            from .twisted import product_tables
+
+            self._tables = product_tables(self)
+        return self._tables
 
     def counit_basis(self, b: int) -> int:
         _, mask = self.decode(b)
@@ -520,7 +537,9 @@ class HCochain2:
     """Normalized 2-cochain on H: sigma(1, x) = sigma(x, 1) = eps(x).
 
     values[a] is the row sigma(a, .); rows may be shared between basis
-    elements (lambda_cocycle shares one immutable row per subset P)."""
+    elements (lambda_cocycle shares one immutable row per subset P).  The
+    checks read the values once, through cleared, so they must not change
+    after the cochain is built."""
 
     algebra: SupergroupAlgebra
     values: Sequence[Sequence[int | Fraction]]
@@ -534,6 +553,23 @@ class HCochain2:
 
     def __call__(self, b1: int, b2: int) -> int | Fraction:
         return self.values[b1][b2]
+
+    @functools.cached_property
+    def cleared(self) -> tuple[list[tuple[int, ...]], list[int], int]:
+        """(the distinct rows of D sigma as int tuples, the row id of each basis
+        element, D), D the least common denominator of the values; built once.
+        Rows are distinct by identity, so each shared row is scaled once."""
+        ids: dict[int, int] = {}
+        distinct = []
+        rid = []
+        for row in self.values:
+            i = ids.get(id(row))
+            if i is None:
+                i = ids[id(row)] = len(distinct)
+                distinct.append(row)
+            rid.append(i)
+        d = _denominator_lcm(x for row in distinct for x in row)
+        return [tuple(int(d * x) for x in row) for row in distinct], rid, d
 
     def equals(self, other: "HCochain2") -> bool:
         return len(self.values) == len(other.values) and all(
@@ -565,59 +601,18 @@ def convolve(s1: HCochain2, s2: HCochain2) -> HCochain2:
 def _cleared_rows(sigma: HCochain2) -> tuple[list[tuple[int, ...]], int]:
     """(rows of D sigma, D) with D the least common denominator of sigma's values.
     Each distinct row is scaled once, so rows shared by identity stay shared."""
-    distinct = {id(row): row for row in sigma.values}
-    d = _denominator_lcm(x for row in distinct.values() for x in row)
-    scaled = {key: tuple(int(d * x) for x in row) for key, row in distinct.items()}
-    return [scaled[id(row)] for row in sigma.values], d
-
-
-def _twisted_product(h: SupergroupAlgebra, rows, a: int, b: int, op: bool = False) -> Element:
-    """m(a,b) = sum sigma(a1,b1) a2 b2, or with op m^op(a,b) = sum sigma(a2,b2) a1 b1,
-    for the cochain with the given rows."""
-    ca, cb = h.coproduct_basis(a), h.coproduct_basis(b)
-    if op:
-        ca, cb = [(a2, a1, x) for a1, a2, x in ca], [(b2, b1, y) for b1, b2, y in cb]
-    out: Element = {}
-    for a1, a2, x in ca:
-        row = rows[a1]
-        for b1, b2, y in cb:
-            s = row[b1]
-            if s:
-                s *= x * y
-                for z, cz in h.product_basis(a2, b2).items():
-                    out[z] = out.get(z, 0) + s * cz
-    return {z: c for z, c in out.items() if c}
+    rows, rid, d = sigma.cleared
+    return [rows[i] for i in rid], d
 
 
 def _cocycle_check(sigma: HCochain2, op: bool, check: str, detail: str, budget: int, seed: int) -> VerifyReport:
-    """sigma(m(a,b), c) = sigma(a, m(b,c)) with m the (op-)twisted product,
-    memoized per pair for this call.  Both sides have degree 2 in sigma, so the
-    identity is checked on the int rows of D sigma.  m(a,b) and the row of a are
-    kept while consecutive triples share (a, b), as every exhaustive run does."""
-    h = sigma.algebra
-    rows, _ = _cleared_rows(sigma)
-    memo: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+    """sigma(m(a,b), c) = sigma(a, m(b,c)) with m the (op-)twisted product."""
+    from .twisted import cocycle_failure
 
-    def m(a: int, b: int) -> tuple[tuple[int, int], ...]:
-        got = memo.get((a, b))
-        if got is None:
-            got = memo[a, b] = tuple(_twisted_product(h, rows, a, b, op).items())
-        return got
-
-    triples, sampled = _basis_tuples(h, 3, budget, seed)
-    last_a = last_b = -1
-    for a, b, c in triples:
-        if a != last_a or b != last_b:
-            last_a, last_b, ab, row_a = a, b, m(a, b), rows[a]
-        lhs = 0
-        for z, cz in ab:
-            lhs += cz * rows[z][c]
-        rhs = 0
-        for z, cz in m(b, c):
-            rhs += cz * row_a[z]
-        if lhs != rhs:
-            return VerifyReport(check, False, detail, (h.label(a), h.label(b), h.label(c)), sampled)
-    return VerifyReport(check, True, "", None, sampled)
+    bad, sampled = cocycle_failure(sigma, op, budget, seed)
+    if bad is None:
+        return VerifyReport(check, True, "", None, sampled)
+    return VerifyReport(check, False, detail, tuple(map(sigma.algebra.label, bad)), sampled)
 
 
 def is_left_cocycle(sigma: HCochain2, budget: int = DEFAULT_DIM_BUDGET, seed: int = 0) -> VerifyReport:
@@ -632,15 +627,13 @@ def is_right_cocycle(sigma: HCochain2, budget: int = DEFAULT_DIM_BUDGET, seed: i
 
 
 def is_lazy(sigma: HCochain2, budget: int = DEFAULT_DIM_BUDGET, seed: int = 0) -> VerifyReport:
-    """sum sigma(a1,b1) a2 b2 = sum sigma(a2,b2) a1 b1 in H, i.e. m(a,b) = m^op(a,b);
-    both sides have degree 1 in sigma, so it is checked on the int rows of D sigma."""
-    h = sigma.algebra
-    rows, _ = _cleared_rows(sigma)
-    pairs, sampled = _basis_tuples(h, 2, budget, seed)
-    for a, b in pairs:
-        if _twisted_product(h, rows, a, b) != _twisted_product(h, rows, a, b, op=True):
-            return VerifyReport("lazy", False, "lazy condition fails", (h.label(a), h.label(b)), sampled)
-    return VerifyReport("lazy", True, "", None, sampled)
+    """sum sigma(a1,b1) a2 b2 = sum sigma(a2,b2) a1 b1 in H, i.e. m(a,b) = m^op(a,b)."""
+    from .twisted import lazy_failure
+
+    bad, sampled = lazy_failure(sigma, budget, seed)
+    if bad is None:
+        return VerifyReport("lazy", True, "", None, sampled)
+    return VerifyReport("lazy", False, "lazy condition fails", tuple(map(sigma.algebra.label, bad)), sampled)
 
 
 def is_convolution_invertible(sigma: HCochain2) -> tuple[bool, HCochain2 | None]:

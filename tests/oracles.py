@@ -16,7 +16,9 @@ on top of it (markers `restriction_square_class` of each class
 representative, one pairing `class_of` per cell) instead of deriving the tables from generating data.  The Hopf-side
 oracles use only the algebra's structure constants and its `H (x) H`
 product: the cocycle and lazy checks expand both coproducts and the product
-for every basis tuple, the R-matrix legs are multiplied in H (x) H (x) H, and
+for every basis tuple, `twisted_product` expands one twisted product per
+pair in dicts where the production expands batches of pairs with numpy
+index arithmetic, the R-matrix legs are multiplied in H (x) H (x) H, and
 the Hopf axioms and `R Delta = Delta^op R` are checked on every basis pair or
 element (on the production's seeded sample above the dim budget) instead of
 on the algebra generators.  `factor_coproduct` and `product_antipode` multiply
@@ -69,6 +71,8 @@ from superbrauer.modlinalg import SnfMod, _val, _val_matrix, inverse_mod, kernel
 from superbrauer.supergroup import (
     DEFAULT_DIM_BUDGET,
     SAMPLED_TRIPLES,
+    Element,
+    SupergroupAlgebra,
     VerifyReport,
     _cop_tensor,
     _exact,
@@ -658,6 +662,24 @@ def four_loop_is_lazy(sigma, budget=DEFAULT_DIM_BUDGET, seed=0):
         if any(diff.values()):
             return "lazy", False, "lazy condition fails", (_basis_label(h, a), _basis_label(h, b)), sampled
     return "lazy", True, "", None, sampled
+
+
+def twisted_product(h: SupergroupAlgebra, rows, a: int, b: int, op: bool = False) -> Element:
+    """m(a,b) = sum sigma(a1,b1) a2 b2, or with op m^op(a,b) = sum sigma(a2,b2) a1 b1,
+    for the cochain with the given rows."""
+    ca, cb = h.coproduct_basis(a), h.coproduct_basis(b)
+    if op:
+        ca, cb = [(a2, a1, x) for a1, a2, x in ca], [(b2, b1, y) for b1, b2, y in cb]
+    out: Element = {}
+    for a1, a2, x in ca:
+        row = rows[a1]
+        for b1, b2, y in cb:
+            s = row[b1]
+            if s:
+                s *= x * y
+                for z, cz in h.product_basis(a2, b2).items():
+                    out[z] = out.get(z, 0) + s * cz
+    return {z: c for z, c in out.items() if c}
 
 
 def all_pairs_verify_hopf(h, budget=DEFAULT_DIM_BUDGET, seed=0):

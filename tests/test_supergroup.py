@@ -8,6 +8,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -43,6 +44,7 @@ from superbrauer import supergroup
 from superbrauer.groups import _mat_mul
 from superbrauer.supergroup import (
     HCochain2,
+    _basis_tuples,
     _cleared,
     _cleared_rows,
     _compound,
@@ -51,6 +53,7 @@ from superbrauer.supergroup import (
     tensor_flip,
     tensor_mul,
 )
+from superbrauer.twisted import kernel_rows, twisted_terms
 
 from .oracles import (
     all_basis_r_delta,
@@ -63,6 +66,7 @@ from .oracles import (
     leibniz_det,
     product_antipode,
     triple_tensor_legs,
+    twisted_product,
     uncleared_r_checks,
 )
 
@@ -781,6 +785,107 @@ def test_cleared_rows_are_int_and_stay_shared(datum_b3):
     assert d == 8 and all(type(x) is int for row in rows for x in row)
     assert len({id(row) for row in rows}) <= 2**h.nv
     assert all(list(row) == [d * x for x in orig] for row, orig in zip(rows, lam.values))
+
+
+@functools.cache
+def _kernel_algebra(name):
+    """E(1)-E(4), the W(A2), W(B2) and W(B3) data, and "B2/2": the W(B2) datum
+    conjugated by [[1, 1/2], [0, 1]], whose action has denominators."""
+    if name.startswith("E"):
+        return build_en(int(name[1:]))
+    from superbrauer import RootSystemType, group_datum
+
+    datum = group_datum(RootSystemType.parse(name[:2]))
+    if name == "B2/2":
+        return _conjugated_b2(datum)
+    return build_supergroup(datum.group, datum.inv, datum.rep)
+
+
+@functools.cache
+def _kernel_lambda(name):
+    h = _kernel_algebra(name)
+    return lambda_cocycle(h, invariant_symmetric_forms(h.rep).basis[0])
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(cochain, pairs): a normalized cochain on E(1)-E(4) with random integer
+    values, half of them 0, or lambda of the first invariant form on W(A2),
+    W(B2), W(B3) or the conjugated W(B2); and up to 30 random basis pairs."""
+    name = draw(st.sampled_from(["E1", "E2", "E3", "E4", "A2", "B2", "B3", "B2/2"]))
+    h = _kernel_algebra(name)
+    if name.startswith("E"):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        vals = [[rng.choice([0] * 8 + [-4, -3, -2, -1, 1, 2, 3, 4]) for _ in h.basis()] for _ in h.basis()]
+        for b in h.basis():
+            vals[h.unit][b] = vals[b][h.unit] = h.counit_basis(b)
+        sigma = HCochain2(h, vals)
+    else:
+        sigma = _kernel_lambda(name)
+    element = st.integers(0, h.dim - 1)
+    return sigma, draw(st.lists(st.tuples(element, element), min_size=1, max_size=30))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_cases())
+def test_twisted_terms_match_dict_oracle(case):
+    """The kernel's terms of D m(a, b) and D m^op(a, b) on the int rows of D' sigma,
+    added up per (pair, z) and divided by the action's denominator D, are the
+    dict-loop products of each pair on the same rows."""
+    sigma, pairs = case
+    h = sigma.algebra
+    t = h.product_tables()
+    rows, rid = kernel_rows(sigma, t)
+    a, b = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+    cleared = _cleared_rows(sigma)[0]
+    for op in (False, True):
+        got = [{} for _ in pairs]
+        for k, z, c in zip(*twisted_terms(t, rows, rid, a, b, op)):
+            got[k][int(z)] = got[k].get(int(z), 0) + Fraction(int(c), t.denominator)
+        for (x, y), terms in zip(pairs, got):
+            assert {z: c for z, c in terms.items() if c} == twisted_product(h, cleared, x, y, op)
+
+
+def test_conjugated_action_is_cleared():
+    """The conjugated W(B2) action has the common denominator 2 (the kernel
+    cases above exercise it); the Weyl and E(n) actions are integral."""
+    assert _kernel_algebra("B2/2").product_tables().denominator == 2
+    assert all(_kernel_algebra(name).product_tables().denominator == 1 for name in ("E3", "B2", "B3"))
+
+
+def test_big_values_take_python_ints():
+    """Sigma = 2^40 M on E(3) and omega_Sigma with its minors of size 2 and 3
+    dropped: eps x eps plus 2^40 times the linear part, values near 2^40.  The
+    cocycle sides differ by 2^80 times the missing quadratic term, which is 0 in
+    int64 arithmetic (mod 2^64), so only exact Python ints find the failure.
+    The kernel picks them from its overflow bound, and all three checks give
+    the reports of the four-loop oracles."""
+    h = build_en(3)
+    big = 2**40
+    m = [[1, 2, -1], [2, 3, 1], [-1, 1, 2]]
+    omega = omega_sigma([[big * x for x in row] for row in m], h)
+    low = [b for b in h.basis() if bin(h.decode(b)[1]).count("1") <= 1]
+    vals = [[omega(x, y) if x in low and y in low else 0 for y in h.basis()] for x in h.basis()]
+    sigma = HCochain2(h, vals)
+    assert max(abs(v) for row in vals for v in row) == 3 * big
+    assert kernel_rows(sigma, h.product_tables())[0].dtype == object
+    left = _report_tuple(is_left_cocycle(sigma))
+    assert not left[1]
+    assert left == four_loop_cocycle_check(sigma, False)
+    assert _report_tuple(is_right_cocycle(sigma)) == four_loop_cocycle_check(sigma, True)
+    assert _report_tuple(is_lazy(sigma)) == four_loop_is_lazy(sigma)
+
+
+def test_sampled_draw_is_pinned(datum_b3):
+    """Above the dim budget the checks read SAMPLED_TRIPLES tuples from
+    random.Random(seed): on W(B3) (dim 384) with seed 7 these are the tuples."""
+    h = build_supergroup(datum_b3.group, datum_b3.inv, datum_b3.rep)
+    triples, sampled = _basis_tuples(h, 3, 64, 7)
+    assert sampled and len(triples) == supergroup.SAMPLED_TRIPLES == 1500
+    assert triples[:5] == [(165, 77, 202), (333, 24, 37), (274, 48, 187), (298, 29, 259), (109, 19, 44)]
+    pairs, sampled = _basis_tuples(h, 2, 64, 7)
+    assert sampled and len(pairs) == 1500
+    assert pairs[:5] == [(165, 77), (202, 333), (24, 37), (274, 48), (187, 298)]
 
 
 def test_r_matrix_odd_minor_is_triangular():
