@@ -241,7 +241,9 @@ def cmd_invforms(args) -> dict:
 
 
 def cmd_weyl_table(args) -> dict:
-    names = [s for s in (args.types.split(",") if args.types else DEFAULT_TABLE_TYPES) if s]
+    names = DEFAULT_TABLE_TYPES if args.types is None else [s for s in args.types.split(",") if s]
+    if not names:
+        raise errors.ParseError("--types names no root system type")
     rows = [table_row(RootSystemType.parse(n), group_budget=args.budget_weyl, cap=args.budget_cap) for n in names]
     payload = {
         "result": {
@@ -434,6 +436,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         doc = args.func(args)
     except (errors.BudgetExceeded, errors.CapExceeded, errors.E8Refused) as exc:
+        text, hint, flag = str(exc).rpartition("; raise --")
+        if hint and not hasattr(args, flag.replace("-", "_")):  # name only a flag this command accepts
+            exc = f"{text}; {args.command} has no flag that raises it"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except errors.SuperbrauerError as exc:

@@ -229,7 +229,7 @@ class _Presentation:
         n, m = g.order, len(g.gens)
         mul = np.asarray(g.mul)
         edges = np.array(g.tree, dtype=np.int64).reshape(-1, 3)
-        depth = np.array([len(g.words[y]) for y in edges[:, 2]], dtype=np.int64)
+        depth = np.array([len(g.word(y)) for y in edges[:, 2]], dtype=np.int64)
         out = np.zeros((n, n), dtype=np.int64)
         for d in range(1, depth.max(initial=0) + 1):
             x, k, y = edges[depth == d].T
@@ -294,7 +294,7 @@ def _presentation_impl(g: FiniteGroup) -> _Presentation:
             return _Presentation(group=g, relators=relators, cycles=cycles, schedule=schedule)
         x, k = divmod(int(rest[0]), m)
         xs = int(g.mul[x, g.gens[k]])
-        relators.append([(j, 1) for j in g.words[x]] + [(k, 1)] + [(j, -1) for j in reversed(g.words[xs])])
+        relators.append([(j, 1) for j in g.word(x)] + [(k, 1)] + [(j, -1) for j in reversed(g.word(xs))])
         cycles.append(cycle_edges(g, relators[-1]))
 
 

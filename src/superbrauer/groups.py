@@ -2,12 +2,12 @@
 
 Element indexing is deterministic: breadth-first from the identity, taking
 generators in the order given and multiplying on the right.  Every group
-carries a generating set, a BFS word for each element and the BFS spanning
-tree; the cohomology and forms modules rely on them.  A closure keeps only
-x * s for each element x and generator s; the table follows, because
-x * j = (x * p) * s when j was first reached as p * s, and one BFS gives
-generators, words and tree.  Everything else derived from a group (G^ab,
-G/U, the presentation, H^2) is built once and kept in its memo.
+carries a generating set and the BFS spanning tree; the cohomology and forms
+modules rely on them.  A closure keeps only x * s for each element x and
+generator s; the table follows, because x * j = (x * p) * s when j was first
+reached as p * s, and one BFS gives generators and tree.  The BFS word of an
+element is read off the tree on demand.  Everything else derived from a
+group (G^ab, G/U, the presentation, H^2) is built once and kept in its memo.
 """
 
 from __future__ import annotations
@@ -92,17 +92,15 @@ class FiniteGroup:
     identity: int = 0
     element_labels: list[str] | None = None
     gens: tuple[int, ...] = ()
-    words: list[tuple[int, ...]] = field(init=False)
     tree: list[tuple[int, int, int]] = field(init=False)  # BFS-tree edges (x, k, x s_k), parents first
     element_data: list | None = None  # permutation tuples or rational matrices
     kind: str = "table"
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        words, self.tree = self._bfs(self.gens) if self.gens else self._choose_generators()
-        if len(words) != self.order:
+        reached, self.tree = self._bfs(self.gens) if self.gens else self._choose_generators()
+        if len(reached) != self.order:
             raise ParseError("generators do not generate the group")
-        self.words = [words[i] for i in range(self.order)]
 
     def memo(self, key, build):
         """The structure derived from this group under `key`, built by
@@ -111,34 +109,42 @@ class FiniteGroup:
             self._memo[key] = build()
         return self._memo[key]
 
-    def _bfs(self, gens) -> tuple[dict[int, tuple[int, ...]], list[tuple[int, int, int]]]:
-        """Word of each element reached from the identity by right
-        multiplication with `gens`, and the edges (x, k, x s_k) that first
-        reach each element, in BFS order."""
-        words = {self.identity: ()}
+    def word(self, x: int) -> tuple[int, ...]:
+        """The BFS word of x, read backwards off the Schreier vector: the tree
+        edge (p, k, y) that first reached each element y, built once."""
+        edge = self.memo("schreier", lambda: {e[2]: e for e in self.tree})
+        out = []
+        while x != self.identity:
+            x, k, _ = edge[x]
+            out.append(k)
+        return tuple(out[::-1])
+
+    def _bfs(self, gens) -> tuple[set[int], list[tuple[int, int, int]]]:
+        """The elements reached from the identity by right multiplication
+        with `gens`, and the edges (x, k, x s_k) that first reach each
+        element, in BFS order."""
+        reached = {self.identity}
         tree = []
         queue = [self.identity]
         for x in queue:  # the queue grows while it is read
             for k, s in enumerate(gens):
                 y = int(self.mul[x, s])
-                if y not in words:
-                    words[y] = words[x] + (k,)
+                if y not in reached:
+                    reached.add(y)
                     tree.append((x, k, y))
                     queue.append(y)
-        return words, tree
+        return reached, tree
 
     def _choose_generators(self):
         """Greedy small generating set for table-built groups; returns its BFS."""
         gens: list[int] = []
-        bfs = self._bfs(gens)
+        reached, tree = self._bfs(gens)
         for x in range(self.order):
-            if x not in bfs[0]:
+            if x not in reached:
                 gens.append(x)
-                bfs = self._bfs(gens)
-                if len(bfs[0]) == self.order:
-                    break
+                reached, tree = self._bfs(gens)
         self.gens = tuple(gens)
-        return bfs
+        return reached, tree
 
     def commutator(self, g: int, h: int) -> int:
         """g^-1 h^-1 g h."""

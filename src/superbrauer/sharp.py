@@ -123,7 +123,7 @@ def theta(sigma: Cochain2 | CohomologyClass, inv: CentralInvolution) -> ZGrading
         raise ParseError("theta needs an even coefficient modulus")
     if not cocycle:
         raise NotCocycle("theta is only defined on cocycles")
-    w = walk_sums(*cycle_edges(g, [(j, 1) for j in g.words[inv.u]]), labels, n)  # along w_u from every start
+    w = walk_sums(*cycle_edges(g, [(j, 1) for j in g.word(inv.u)]), labels, n)  # along w_u from every start
     from_1, from_u = labels.reshape(g.order, -1)[[g.identity, inv.u]]  # labels of the edges (1, s) and (u, s)
     t = (from_1 + w[list(g.gens)] - from_u - w[g.identity]) % n // (n // 2)  # s, w_u, s^-1 into u, w_u^-1 to 1
     deg = np.zeros(g.order, dtype=np.int64)
@@ -282,7 +282,7 @@ def bm_group(
     M = np.zeros(h, dtype=np.int32)
     if field.kind == "real":
         # over Z_2 the bit sigma_a(u,u), the label sum along w_u from u (from 1 it is 0: the labels vanish on the tree)
-        ids, signs = cycle_edges(g, [(j, 1) for j in g.words[inv.u]])
+        ids, signs = cycle_edges(g, [(j, 1) for j in g.word(inv.u)])
         marks = [walk_sums(ids, signs, cg.labels_of_coords(c.coords), 2)[inv.u] for c in cg.generators()]
         M[:] = np.array([c.coords for c in classes], dtype=np.int64) @ np.array(marks, dtype=np.int64) % 2
     c11 = 0

@@ -22,9 +22,7 @@ kernel of the twisted module, which is imported on a check's first call.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -348,15 +346,6 @@ class VerifyReport:
         return self.passed
 
 
-def _basis_tuples(h: SupergroupAlgebra, arity: int, budget: int, seed: int):
-    """All arity-tuples of basis elements while dim <= budget, else
-    SAMPLED_TRIPLES tuples drawn from random.Random(seed); returns (tuples, sampled)."""
-    if h.dim <= budget:
-        return itertools.product(h.basis(), repeat=arity), False
-    rng = random.Random(seed)
-    return [tuple(rng.randrange(h.dim) for _ in range(arity)) for _ in range(SAMPLED_TRIPLES)], True
-
-
 def _generators(h: SupergroupAlgebra) -> list[int]:
     """g for g in G.gens, then v_0 .. v_{n-1}: the algebra generators of H."""
     return [h.encode(int(g), 0) for g in h.group.gens] + [h.v_element(i) for i in range(h.nv)]
@@ -598,18 +587,10 @@ def convolve(s1: HCochain2, s2: HCochain2) -> HCochain2:
     return HCochain2(h, vals)
 
 
-def _cleared_rows(sigma: HCochain2) -> tuple[list[tuple[int, ...]], int]:
-    """(rows of D sigma, D) with D the least common denominator of sigma's values.
-    Each distinct row is scaled once, so rows shared by identity stay shared."""
-    rows, rid, d = sigma.cleared
-    return [rows[i] for i in rid], d
-
-
-def _cocycle_check(sigma: HCochain2, op: bool, check: str, detail: str, budget: int, seed: int) -> VerifyReport:
-    """sigma(m(a,b), c) = sigma(a, m(b,c)) with m the (op-)twisted product."""
-    from .twisted import cocycle_failure
-
-    bad, sampled = cocycle_failure(sigma, op, budget, seed)
+def _failure_report(sigma: HCochain2, check: str, detail: str, failure) -> VerifyReport:
+    """The report of a twisted-product check from its (first failing basis
+    tuple or None, sampled)."""
+    bad, sampled = failure
     if bad is None:
         return VerifyReport(check, True, "", None, sampled)
     return VerifyReport(check, False, detail, tuple(map(sigma.algebra.label, bad)), sampled)
@@ -617,23 +598,25 @@ def _cocycle_check(sigma: HCochain2, op: bool, check: str, detail: str, budget: 
 
 def is_left_cocycle(sigma: HCochain2, budget: int = DEFAULT_DIM_BUDGET, seed: int = 0) -> VerifyReport:
     """sum sigma(a1,b1) sigma(a2 b2, c) = sum sigma(b1,c1) sigma(a, b2 c2)."""
-    return _cocycle_check(sigma, False, "left-cocycle", "cocycle equation fails", budget, seed)
+    from .twisted import cocycle_failure
+
+    return _failure_report(sigma, "left-cocycle", "cocycle equation fails", cocycle_failure(sigma, False, budget, seed))
 
 
 def is_right_cocycle(sigma: HCochain2, budget: int = DEFAULT_DIM_BUDGET, seed: int = 0) -> VerifyReport:
     """sum sigma(a1 b1, c) sigma(a2, b2) = sum sigma(a, b1 c1) sigma(b2, c2):
     the left cocycle equation with the mirrored product m^op."""
-    return _cocycle_check(sigma, True, "right-cocycle", "right cocycle equation fails", budget, seed)
+    from .twisted import cocycle_failure
+
+    return _failure_report(sigma, "right-cocycle", "right cocycle equation fails",
+                           cocycle_failure(sigma, True, budget, seed))
 
 
 def is_lazy(sigma: HCochain2, budget: int = DEFAULT_DIM_BUDGET, seed: int = 0) -> VerifyReport:
     """sum sigma(a1,b1) a2 b2 = sum sigma(a2,b2) a1 b1 in H, i.e. m(a,b) = m^op(a,b)."""
     from .twisted import lazy_failure
 
-    bad, sampled = lazy_failure(sigma, budget, seed)
-    if bad is None:
-        return VerifyReport("lazy", True, "", None, sampled)
-    return VerifyReport("lazy", False, "lazy condition fails", tuple(map(sigma.algebra.label, bad)), sampled)
+    return _failure_report(sigma, "lazy", "lazy condition fails", lazy_failure(sigma, budget, seed))
 
 
 def is_convolution_invertible(sigma: HCochain2) -> tuple[bool, HCochain2 | None]:

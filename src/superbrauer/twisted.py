@@ -11,11 +11,12 @@ when a cochain check first runs, so jobs that check no cochain do not load it.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .supergroup import HCochain2, SupergroupAlgebra, _basis_tuples, _denominator_lcm, wedge_sign
+from .supergroup import SAMPLED_TRIPLES, HCochain2, SupergroupAlgebra, _denominator_lcm, wedge_sign
 
 _CHUNK_TERMS = 1 << 12  # about this many leg pairs or triple terms per numpy pass
 
@@ -159,17 +160,20 @@ def _segment_sums(vals: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sampled_columns(h: SupergroupAlgebra, arity: int, budget: int, seed: int) -> np.ndarray | None:
-    """The tuples of _basis_tuples as an arity x N int64 array when they are
-    sampled, None when the check is exhaustive."""
-    tuples, sampled = _basis_tuples(h, arity, budget, seed)
-    return np.array(tuples, dtype=np.int64).T if sampled else None
+def _sample(h: SupergroupAlgebra, arity: int, budget: int, seed: int) -> np.ndarray | None:
+    """None while dim <= budget, when a check visits every arity-tuple of basis
+    elements; else SAMPLED_TRIPLES tuples drawn from random.Random(seed), as an
+    arity x N int64 array."""
+    if h.dim <= budget:
+        return None
+    rng = random.Random(seed)
+    return np.array([[rng.randrange(h.dim) for _ in range(arity)] for _ in range(SAMPLED_TRIPLES)], dtype=np.int64).T
 
 
 def _tuple_blocks(sample: np.ndarray | None, dim: int, arity: int, size: int):
-    """The tuples a check visits, in the order of _basis_tuples, as blocks of at
-    most size tuples with one int64 array per position: the columns of sample,
-    or every arity-tuple computed from its running index."""
+    """The tuples a check visits as blocks of at most size tuples with one
+    int64 array per position: the columns of sample, or every arity-tuple in
+    lexicographic order, computed from its running index."""
     if sample is not None:
         for lo in range(0, sample.shape[1], size):
             yield tuple(sample[:, lo:lo + size])
@@ -181,7 +185,7 @@ def _tuple_blocks(sample: np.ndarray | None, dim: int, arity: int, size: int):
 
 
 def cocycle_failure(sigma: HCochain2, op: bool, budget: int, seed: int) -> tuple[tuple[int, ...] | None, bool]:
-    """(the first triple (a, b, c) of _basis_tuples where sigma(m(a,b), c) !=
+    """(the first triple (a, b, c) of _tuple_blocks where sigma(m(a,b), c) !=
     sigma(a, m(b,c)), or None; sampled), m the (op-)twisted product.  Both
     sides have degree 2 in sigma and degree 1 in the structure constants, so the
     identity is checked on the int rows of D sigma and the int action.  m is
@@ -191,7 +195,7 @@ def cocycle_failure(sigma: HCochain2, op: bool, budget: int, seed: int) -> tuple
     h, dim = sigma.algebra, sigma.algebra.dim
     t = h.product_tables()
     rows, rid = kernel_rows(sigma, t)
-    sample = _sampled_columns(h, 3, budget, seed)
+    sample = _sample(h, 3, budget, seed)
     if sample is None:
         keys = np.arange(dim * dim, dtype=np.int64)
     else:
@@ -227,14 +231,14 @@ def cocycle_failure(sigma: HCochain2, op: bool, budget: int, seed: int) -> tuple
 
 
 def lazy_failure(sigma: HCochain2, budget: int, seed: int) -> tuple[tuple[int, ...] | None, bool]:
-    """(the first pair (a, b) of _basis_tuples where m(a,b) != m^op(a,b), or None;
+    """(the first pair (a, b) of _tuple_blocks where m(a,b) != m^op(a,b), or None;
     sampled).  Both sides have degree 1 in sigma and in the structure
     constants, so they are compared on the int rows of D sigma and the int
     action, one block of pairs at a time."""
     h = sigma.algebra
     t = h.product_tables()
     rows, rid = kernel_rows(sigma, t)
-    sample = _sampled_columns(h, 2, budget, seed)
+    sample = _sample(h, 2, budget, seed)
     for a, b in _tuple_blocks(sample, h.dim, 2, t.pair_chunk):
         k1, z1, c1 = twisted_terms(t, rows, rid, a, b)
         k2, z2, c2 = twisted_terms(t, rows, rid, a, b, op=True)

@@ -17,8 +17,8 @@ from fractions import Fraction
 from .errors import CapExceeded, E8Refused, ParseError
 from .forms import Representation, as_matrix
 from .groups import DEFAULT_CAP, MAX_TABLE_ORDER, CentralInvolution, FiniteGroup, close_generators
-from .sharp import ALG_CLOSED
-from .supergroup import bm_supergroup, build_supergroup, lazy_cohomology
+from .sharp import ALG_CLOSED, bm_group
+from .supergroup import build_supergroup, lazy_cohomology
 
 WEYL_GROUP_BUDGET = 300  # largest |G(Phi)| computed by default; B4 = 384 is opt-in
 
@@ -344,7 +344,8 @@ def table_row(
     group_budget: int = WEYL_GROUP_BUDGET,
     cap: int = DEFAULT_CAP,
 ) -> TableRow:
-    """One row of the two final tables; computed when |G(Phi)| fits the budget."""
+    """One row of the two final tables; computed when |G(Phi)| fits the budget.
+    H^2_L and BM share their linear part dim S^2(V*)^G, computed once."""
     if datum_size(t) > group_budget or (t.family == "E" and t.rank == 8):
         return TableRow(
             type_name=t.name,
@@ -357,14 +358,14 @@ def table_row(
     datum = group_datum(t, cap=cap)
     alg = build_supergroup(datum.group, datum.inv, datum.rep)
     lc = lazy_cohomology(alg)
-    bm = bm_supergroup(datum.group, datum.inv, datum.rep, ALG_CLOSED)
+    bm = bm_group(datum.group, datum.inv, ALG_CLOSED)
     return TableRow(
         type_name=t.name,
         mode="computed",
         h2l_invariants=lc.invariants,
         h2l_linear_dim=lc.linear_dim,
         bm_invariants=bm.invariants,
-        bm_linear_dim=bm.linear_dim,
+        bm_linear_dim=lc.linear_dim,
     )
 
 

@@ -923,7 +923,7 @@ def coo_frontier_system(g):
     chain_x: list[np.ndarray] = []
     chain_k: list[np.ndarray] = []
     for h in range(n):
-        word = g.words[h]
+        word = g.word(h)
         xs, x = [], g.identity
         for k in word:
             xs.append(x)
@@ -1095,7 +1095,7 @@ def walked_representation(g, gen_matrices, dim):
     mats = [tuple(tuple(Fraction(x) for x in row) for row in m) for m in gen_matrices]
     out = [None] * g.order
     out[g.identity] = tuple(tuple(one if i == j else zero for j in range(dim)) for i in range(dim))
-    for x in sorted(range(g.order), key=lambda y: len(g.words[y])):
+    for x in sorted(range(g.order), key=lambda y: len(g.word(y))):
         for k, s in enumerate(g.gens):
             xs = int(g.mul[x, s])
             m = _exact_mat_mul(out[x], mats[k])
@@ -1115,8 +1115,8 @@ def gauge_fixed(g, labels):
     labels = np.asarray(labels, dtype=np.int64)
     mul = np.asarray(g.mul)
     gamma = np.zeros(labels.shape[:-1], dtype=np.int64)
-    for y in sorted(range(g.order), key=lambda y: len(g.words[y])):
-        word = g.words[y]
+    for y in sorted(range(g.order), key=lambda y: len(g.word(y))):
+        word = g.word(y)
         if len(word) > 1:
             x, k = g.word_to_element(word[:-1]), word[-1]
             gamma[..., y] = gamma[..., x] + labels[..., x, k] + gamma[..., g.gens[k]]

@@ -280,14 +280,32 @@ def test_integer_closure_refuses_int64_overflow(tmp_path, capsys, generator, ter
     assert f"terms up to {term} leave exact int64 arithmetic" in err
 
 
-@pytest.mark.parametrize("args, flag", [
-    (["h2", "--type", "B3", "--budget-h2", "10"], "--budget-h2"),
-    (["h2sharp", "--type", "B3", "--field", "real", "--budget-enum", "10"], "--budget-enum"),
-    (["bm", "--type", "B3", "--field", "real", "--budget-enum", "10"], "--budget-enum"),
-], ids=["h2", "h2sharp", "bm"])
-def test_budget_refusal_names_its_flag(capsys, args, flag):
+# the cyclic group of order 390 as permutations, u = g0^195: (|G|-1)^2 = 151 321
+# is just above the default H^2 budget of 150 000
+C390_SPEC = {"kind": "permutations", "generators": [[(i + 1) % 390 for i in range(390)]], "u": "g0 " * 195}
+
+
+@pytest.mark.parametrize("args, flag, named", [
+    (["h2", "--type", "B3", "--budget-h2", "10"], "--budget-h2", True),
+    (["h2sharp", "--type", "B3", "--field", "real", "--budget-enum", "10"], "--budget-enum", True),
+    (["bm", "--type", "B3", "--field", "real", "--budget-enum", "10"], "--budget-enum", True),
+    (["h2", "--group", "c390.json"], "--budget-h2", True),
+    (["h2sharp", "--group", "c390.json", "--field", "closed"], "--budget-h2", False),
+    (["bm", "--group", "c390.json", "--field", "closed"], "--budget-h2", False),
+    (["bm", "--group", "c390.json", "--field", "real"], "--budget-h2", False),
+    (["weyl-table", "--types", "F4", "--budget-weyl", "2000"], "--budget-h2", False),
+], ids=["h2", "h2sharp", "bm", "h2-c390", "h2sharp-c390", "bm-closed-c390", "bm-real-c390", "weyl-table-f4"])
+def test_budget_refusal_names_its_flag(tmp_path, monkeypatch, capsys, args, flag, named):
+    """A refusal names the flag that raises its budget when the command accepts
+    it.  h2sharp, bm and weyl-table have no --budget-h2, so their H^2 refusal
+    names the size and the budget and says that no flag of theirs raises it."""
+    (tmp_path / "c390.json").write_text(json.dumps(C390_SPEC))
+    monkeypatch.chdir(tmp_path)
     assert main(args) == EXIT_BUDGET
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert (flag in err) == named
+    if not named:
+        assert "is below (|G|-1)^2 = " in err and f"{args[0]} has no flag that raises it" in err
 
 
 @pytest.mark.parametrize("args, flag, zero_code", [
@@ -350,6 +368,22 @@ def test_machine_output_deterministic(zz_file, capsys):
     doc = json.loads(out1)
     assert doc["result"]["invariants"] == [4, 2]
     assert doc["budgets"] and "seed" in doc
+
+
+@pytest.mark.parametrize("types", ["", ","])
+def test_weyl_table_types_naming_no_type(capsys, types):
+    """--types that names no type is an input error, not the default table or an empty one."""
+    assert main(["weyl-table", "--types", types]) == EXIT_PARSE
+    assert "--types names no root system type" in capsys.readouterr().err
+
+
+def test_weyl_table_default_types(capsys, monkeypatch):
+    """Without --types the table has the default rows."""
+    from superbrauer import cli
+
+    monkeypatch.setattr(cli, "DEFAULT_TABLE_TYPES", ["A1", "E8"])
+    code, out = _run(["weyl-table", "--format", "json"], capsys)
+    assert code == 0 and [row["type"] for row in json.loads(out)["result"]["rows"]] == ["A1", "E8"]
 
 
 def test_weyl_table_output(capsys):

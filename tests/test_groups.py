@@ -110,11 +110,11 @@ def test_table_matches_enumeration(name):
 @pytest.mark.parametrize("name", list(_CLOSED_GROUPS))
 def test_closure_results_pinned(name):
     """Element order, table, words and abelianization are those of the
-    pair-by-pair closure, digest for digest."""
+    pair-by-pair closure, digest for digest; the words are read off the tree."""
     gens, group_digest, ab_digest = _CLOSED_GROUPS[name]
     g = close_generators(gens())
     mul, inv = np.asarray(g.mul, dtype=np.int32), np.asarray(g.inv, dtype=np.int32)
-    assert _digest(g.element_data, mul, inv, g.gens, g.words) == group_digest
+    assert _digest(g.element_data, mul, inv, g.gens, [g.word(x) for x in range(g.order)]) == group_digest
     ab = abelianization(g)
     assert _digest(ab.cyclic_orders, np.asarray(ab.projection, dtype=np.int64), ab.commutator_subgroup) == ab_digest
 
@@ -125,7 +125,7 @@ def _assert_bfs_tree(g):
     reached = {g.identity}
     for x, k, y in g.tree:
         assert x in reached and y not in reached
-        assert int(g.mul[x, g.gens[k]]) == y and g.words[y] == g.words[x] + (k,)
+        assert int(g.mul[x, g.gens[k]]) == y and g.word(y) == g.word(x) + (k,)
         reached.add(y)
     assert len(reached) == g.order == len(g.tree) + 1
 
@@ -325,8 +325,7 @@ def test_character_checks_stay_linear_in_the_order():
 def test_tables_are_built_without_int64_temporaries(monkeypatch):
     """The int32 tables of Z4000 and Z2 x Z2000 peak below 1.5 times their
     size while they are built.  The peak is read when the table reaches the
-    FiniteGroup constructor, whose BFS words are as large as the table for a
-    cyclic group and are not part of the build."""
+    FiniteGroup constructor, whose BFS is not part of the build."""
     z2, z2000 = cyclic_group(2), cyclic_group(2000)
     built = []
     monkeypatch.setattr(groups, "FiniteGroup", lambda **kw: built.append((tracemalloc.get_traced_memory()[1], kw["mul"])))
@@ -342,6 +341,29 @@ def test_tables_are_built_without_int64_temporaries(monkeypatch):
     for peak, mul in built:
         assert mul.dtype == np.int32 and mul.shape == (4000, 4000)
         assert peak < 1.5 * mul.nbytes
+
+
+def test_group_keeps_no_word_per_element():
+    """The BFS keeps its tree and no word per element: cyclic_group(4000) keeps
+    its 61 MB int32 table plus well under 1 MB (a word per element was 61 MB
+    more), and the greedy generator choice on the Z2 x Z2000 table keeps under
+    1 MB and peaks under 2 MB beyond the shared table."""
+    tracemalloc.start()
+    try:
+        g = cyclic_group(4000)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.word(3999) == (0,) * 3999 and kept < 62 * 2**20
+    d = direct_product(cyclic_group(2), cyclic_group(2000))
+    tracemalloc.start()
+    try:
+        g = groups.FiniteGroup(order=4000, mul=d.mul, inv=d.inv, identity=0)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.gens == (1, 2000) and g.word(2001) == (0, 1)
+    assert kept < 2**20 and peak < 2 * 2**20
 
 
 def test_splitting_character_examples(datum_g2, datum_b2):

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from superbrauer import REAL_CLOSED, CentralInvolution, bm_group, cyclic_group, direct_product
+from superbrauer import REAL_CLOSED, CentralInvolution, VerifyReport, bm_group, build_en, cyclic_group, direct_product
 from superbrauer.sharp import sharp_class_table
+from superbrauer.twisted import _sample
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -42,3 +43,14 @@ def test_table_cell_counters_read_real_results():
     assert recorder.counts["sharp.table_cells"] == 8 ** 2
     recorder._count_hook("bm_group")((g, inv, REAL_CLOSED), bm_group(g, inv, REAL_CLOSED))
     assert recorder.counts["sharp.table_cells"] == 8 ** 2 + 32 ** 2
+
+
+def test_sampled_check_size_resolves():
+    """A sampled check counts superbrauer.supergroup.SAMPLED_TRIPLES items: the
+    name resolves, and it is the number of tuples a sampled check draws."""
+    size = importlib.import_module("superbrauer.supergroup").SAMPLED_TRIPLES
+    h = build_en(2)
+    assert [_sample(h, arity, 0, 0).shape for arity in (2, 3)] == [(2, size), (3, size)]
+    recorder = _spans().Recorder(time.perf_counter)
+    recorder._count_hook("is_lazy")((h,), VerifyReport("lazy", True, sampled=True))
+    assert recorder.counts["supergroup.check_items"] == size

@@ -44,16 +44,14 @@ from superbrauer import supergroup
 from superbrauer.groups import _mat_mul
 from superbrauer.supergroup import (
     HCochain2,
-    _basis_tuples,
     _cleared,
-    _cleared_rows,
     _compound,
     _r_legs,
     _signed_minors,
     tensor_flip,
     tensor_mul,
 )
-from superbrauer.twisted import kernel_rows, twisted_terms
+from superbrauer.twisted import _sample, kernel_rows, twisted_terms
 
 from .oracles import (
     all_basis_r_delta,
@@ -767,7 +765,7 @@ def test_cleared_checks_match_oracles_with_mixed_denominators(datum_b2):
     vals[h.encode(3, 0b01)][h.encode(5, 0b10)] += Fraction(1, 5)
     for sigma, d, ok in ((lam, 36, True), (HCochain2(h, vals), 180, False)):
         dens = {x.denominator for row in sigma.values for x in row}
-        assert _cleared_rows(sigma)[1] == d < math.prod(dens)
+        assert sigma.cleared[2] == d < math.prod(dens)
         reports = [_report_tuple(is_left_cocycle(sigma)), _report_tuple(is_right_cocycle(sigma)),
                    _report_tuple(is_lazy(sigma))]
         assert reports == [four_loop_cocycle_check(sigma, False), four_loop_cocycle_check(sigma, True),
@@ -781,10 +779,10 @@ def test_cleared_rows_are_int_and_stay_shared(datum_b3):
     h = build_supergroup(datum_b3.group, datum_b3.inv, datum_b3.rep)
     lam = lambda_cocycle(h, invariant_symmetric_forms(datum_b3.rep).basis[0])
     assert any(type(x) is Fraction for row in lam.values for x in row)
-    rows, d = _cleared_rows(lam)
+    rows, rid, d = lam.cleared
     assert d == 8 and all(type(x) is int for row in rows for x in row)
-    assert len({id(row) for row in rows}) <= 2**h.nv
-    assert all(list(row) == [d * x for x in orig] for row, orig in zip(rows, lam.values))
+    assert len(rows) <= 2**h.nv
+    assert all(list(rows[i]) == [d * x for x in orig] for i, orig in zip(rid, lam.values))
 
 
 @functools.cache
@@ -837,7 +835,7 @@ def test_twisted_terms_match_dict_oracle(case):
     t = h.product_tables()
     rows, rid = kernel_rows(sigma, t)
     a, b = (np.array(col, dtype=np.int64) for col in zip(*pairs))
-    cleared = _cleared_rows(sigma)[0]
+    cleared = [sigma.cleared[0][i] for i in sigma.cleared[1]]
     for op in (False, True):
         got = [{} for _ in pairs]
         for k, z, c in zip(*twisted_terms(t, rows, rid, a, b, op)):
@@ -878,14 +876,16 @@ def test_big_values_take_python_ints():
 
 def test_sampled_draw_is_pinned(datum_b3):
     """Above the dim budget the checks read SAMPLED_TRIPLES tuples from
-    random.Random(seed): on W(B3) (dim 384) with seed 7 these are the tuples."""
+    random.Random(seed): on W(B3) (dim 384) with seed 7 these are the tuples.
+    At dim <= budget nothing is drawn: the checks visit every tuple."""
     h = build_supergroup(datum_b3.group, datum_b3.inv, datum_b3.rep)
-    triples, sampled = _basis_tuples(h, 3, 64, 7)
-    assert sampled and len(triples) == supergroup.SAMPLED_TRIPLES == 1500
-    assert triples[:5] == [(165, 77, 202), (333, 24, 37), (274, 48, 187), (298, 29, 259), (109, 19, 44)]
-    pairs, sampled = _basis_tuples(h, 2, 64, 7)
-    assert sampled and len(pairs) == 1500
-    assert pairs[:5] == [(165, 77), (202, 333), (24, 37), (274, 48), (187, 298)]
+    triples = _sample(h, 3, 64, 7)
+    assert triples.shape == (3, supergroup.SAMPLED_TRIPLES) and supergroup.SAMPLED_TRIPLES == 1500
+    assert triples.T[:5].tolist() == [[165, 77, 202], [333, 24, 37], [274, 48, 187], [298, 29, 259], [109, 19, 44]]
+    pairs = _sample(h, 2, 64, 7)
+    assert pairs.shape == (2, 1500)
+    assert pairs.T[:5].tolist() == [[165, 77], [202, 333], [24, 37], [274, 48], [187, 298]]
+    assert _sample(h, 3, h.dim, 7) is None and _sample(h, 2, h.dim, 7) is None
 
 
 def test_r_matrix_odd_minor_is_triangular():

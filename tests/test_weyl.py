@@ -99,6 +99,20 @@ def test_table_row_a1():
     assert row.bm_invariants == (2,) and row.bm_linear_dim == 1
 
 
+def test_table_row_computes_the_forms_once(monkeypatch):
+    """H^2_L and BM share their linear part dim S^2(V*)^G: one
+    invariant_symmetric_forms call per computed row, none for a quoted one."""
+    from superbrauer import supergroup
+
+    calls = []
+    forms = supergroup.invariant_symmetric_forms
+    monkeypatch.setattr(supergroup, "invariant_symmetric_forms", lambda rep: calls.append(rep) or forms(rep))
+    rows = [table_row(RootSystemType.parse(name)) for name in ("A1", "A2", "B2", "G2", "E8")]
+    assert [row.mode for row in rows] == ["computed"] * 4 + ["literature"]
+    assert len(calls) == 4
+    assert all(row.h2l_linear_dim == row.bm_linear_dim == 1 for row in rows)
+
+
 def test_table_row_e8_literature():
     row = table_row(RootSystemType.parse("E8"))
     assert row.mode == "literature"
