@@ -8,15 +8,20 @@ report can be reproduced byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
+import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import errors
-from .cohomology import CoefficientModule, DEFAULT_H2_BUDGET, h2
+from .cohomology import CoefficientModule, DEFAULT_H2_BUDGET, _check_h2_budget, h2
 from .forms import Representation, invariant_symmetric_forms
 from .groups import (
     DEFAULT_CAP,
+    MAX_TABLE_ORDER,
     CentralInvolution,
     FiniteGroup,
     load_group_file,
@@ -40,7 +45,7 @@ from .supergroup import (
     verify_quasitriangular,
     verify_triangular,
 )
-from .weyl import WEYL_GROUP_BUDGET, DEFAULT_TABLE_TYPES, RootSystemType, group_datum, table_row
+from .weyl import WEYL_GROUP_BUDGET, DEFAULT_TABLE_TYPES, RootSystemType, datum_size, group_datum, table_row
 
 SCHEMA = "superbrauer-report/1"
 
@@ -64,18 +69,26 @@ def _invariants(inv) -> list[int]:
     return [int(d) for d in inv]
 
 
-def _weyl_datum(args, cap: int):
-    """The Weyl datum of --type; it fixes G, u = w0 and V, so --group, --u and --rep are refused."""
+def _weyl_datum(args, cap: int, h2_budget: int | None = None):
+    """The Weyl datum of --type; it fixes G, u = w0 and V, so --group, --u and --rep are refused.
+    With h2_budget, a datum that the closure admits but whose H^2 the budget
+    refuses is refused before it is built; a datum past min(cap, table limit)
+    (E7 and E8 included) keeps the closure's own refusal."""
     extra = [flag for flag in ("group", "u", "rep") if getattr(args, flag, None) is not None]
     if extra:
         raise errors.ParseError(f"--{extra[0]} cannot be combined with --type: the Weyl datum fixes G, u = w0 and V")
-    return group_datum(RootSystemType.parse(args.type), cap=cap)
+    t = RootSystemType.parse(args.type)
+    size = datum_size(t)
+    if h2_budget is not None and size <= min(cap, MAX_TABLE_ORDER):
+        _check_h2_budget(size, h2_budget)
+    return group_datum(t, cap=cap)
 
 
-def _need_group(args, cap: int) -> tuple[FiniteGroup, int | None, Representation | None]:
-    """Group datum from --group/--u or --type; Weyl types also give the rep."""
+def _need_group(args, cap: int, h2_budget: int | None = None) -> tuple[FiniteGroup, int | None, Representation | None]:
+    """Group datum from --group/--u or --type; Weyl types also give the rep.
+    h2_budget is the H^2 budget of the job, checked early for --type."""
     if getattr(args, "type", None):
-        datum = _weyl_datum(args, cap)
+        datum = _weyl_datum(args, cap, h2_budget)
         return datum.group, datum.inv.u, datum.rep
     if not getattr(args, "group", None):
         raise errors.ParseError("either --group FILE or --type XN is required")
@@ -126,10 +139,11 @@ def _report(args, command: str, payload: dict, budgets: dict) -> dict:
 
 
 def cmd_h2(args) -> dict:
-    g, _, _ = _need_group(args, args.budget_cap)
+    coeff = None if args.coeff is None else CoefficientModule(args.coeff)
+    g, _, _ = _need_group(args, args.budget_cap, args.budget_h2)
     budgets = {"cap": args.budget_cap, "h2": args.budget_h2}
-    if args.coeff is not None:
-        cg = h2(g, CoefficientModule(args.coeff), budget=args.budget_h2)
+    if coeff is not None:
+        cg = h2(g, coeff, budget=args.budget_h2)
         coeff_desc = {"modulus": args.coeff}
     else:
         cg = field_from_name(args.field).cohomology(g, args.budget_h2)
@@ -146,7 +160,7 @@ def cmd_h2(args) -> dict:
 
 
 def cmd_h2sharp(args) -> dict:
-    g, u, _ = _need_group(args, args.budget_cap)
+    g, u, _ = _need_group(args, args.budget_cap, DEFAULT_H2_BUDGET)
     if u is None:
         raise errors.ParseError("a central involution u is required (file key 'u' or --u)")
     inv = CentralInvolution(g, u)
@@ -173,7 +187,7 @@ def cmd_h2sharp(args) -> dict:
 
 
 def cmd_bm(args) -> dict:
-    g, u, rep = _need_group(args, args.budget_cap)
+    g, u, rep = _need_group(args, args.budget_cap, DEFAULT_H2_BUDGET)
     if u is None:
         raise errors.ParseError("a central involution u is required (file key 'u' or --u)")
     inv = CentralInvolution(g, u)
@@ -325,7 +339,7 @@ def cmd_verify(args) -> dict:
     return _report(args, "verify", payload, budgets)
 
 
-def _text_from_report(doc: dict) -> str:
+def _text_lines(doc: dict) -> list[str]:
     lines = [f"superbrauer {doc['command']}  (schema {doc['schema']})"]
     for k, v in sorted(doc.get("budgets", {}).items()):
         lines.append(f"budget {k} = {v}")
@@ -336,7 +350,7 @@ def _text_from_report(doc: dict) -> str:
     res = doc.get("result", {})
     if doc["command"] == "weyl-table":
         lines.extend(res.get("pretty", []))
-        return "\n".join(lines)
+        return lines
     for key in ("coefficients", "field", "u", "split", "invariants", "order", "linear_dim",
                 "group_part_invariants", "k_trivial", "dim", "dim_H", "check", "passed",
                 "sampled", "detail", "counterexample"):
@@ -345,7 +359,43 @@ def _text_from_report(doc: dict) -> str:
     if "basis" in res:
         for b in res["basis"]:
             lines.append("  " + " ; ".join(",".join(row) for row in b))
-    return "\n".join(lines)
+    return lines
+
+
+def _write_report(doc: dict, fmt: str, fh) -> None:
+    """Stream the report into fh, never holding its text as one string.  The
+    JSON is json.dumps(doc, sort_keys=True, indent=2), written 1024 encoder
+    chunks at a time: json.dump's one write per chunk is slower than one join."""
+    if fmt == "json":
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+        fh.writelines(iter(lambda: "".join(itertools.islice(chunks, 1024)), ""))
+        fh.write("\n")
+    else:
+        fh.writelines(f"{line}\n" for line in _text_lines(doc))
+
+
+@contextlib.contextmanager
+def _destination(path: str | None):
+    """stdout, or a new file beside --out that replaces it once the report is
+    complete.  The file is made before the job runs, so an unwritable --out is
+    refused first; on any failure it is removed and --out is left as it was."""
+    if not path:
+        yield sys.stdout
+        return
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fh = open(tmp, "x")  # mode 0o666 less the umask, as open(path, "w") would give
+    except OSError as exc:
+        raise errors.ParseError(f"cannot write report to {path}: {exc.strerror}") from exc
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _budget(text: str) -> int:
@@ -434,7 +484,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = args.func(args)
+        with _destination(args.out) as fh:
+            doc = args.func(args)
+            _write_report(doc, args.format, fh)
     except (errors.BudgetExceeded, errors.CapExceeded, errors.E8Refused) as exc:
         text, hint, flag = str(exc).rpartition("; raise --")
         if hint and not hasattr(args, flag.replace("-", "_")):  # name only a flag this command accepts
@@ -444,11 +496,6 @@ def main(argv: list[str] | None = None) -> int:
     except errors.SuperbrauerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    text = json.dumps(doc, sort_keys=True, indent=2) if args.format == "json" else _text_from_report(doc)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
     if doc["command"] == "verify" and not doc["result"]["passed"]:
         return EXIT_VERIFY
     return EXIT_OK

@@ -128,7 +128,7 @@ class Cochain2:
         return {
             "modulus": self.modulus,
             "order": self.group.order,
-            "entries": [[int(i), int(j), int(self.values[i, j])] for i, j in zip(ii, jj)],
+            "entries": np.column_stack((ii, jj, self.values[ii, jj])).tolist(),
         }
 
 
@@ -488,10 +488,10 @@ def _coboundary_values(sys: _Presentation, mode: str, N: int) -> np.ndarray:
     return np.hstack([B, (A.astype(object) @ phi // N).astype(np.int64)])
 
 
-def _check_h2_budget(g: FiniteGroup, budget: int) -> None:
-    n = g.order
-    if (n - 1) ** 2 > budget:
-        raise BudgetExceeded(f"H^2 budget {budget} is below (|G|-1)^2 = {(n - 1) ** 2}; raise --budget-h2")
+def _check_h2_budget(order: int, budget: int) -> None:
+    """Refuse the H^2 of a group of this order when (|G|-1)^2 exceeds the budget."""
+    if (order - 1) ** 2 > budget:
+        raise BudgetExceeded(f"H^2 budget {budget} is below (|G|-1)^2 = {(order - 1) ** 2}; raise --budget-h2")
 
 
 def _h2_impl(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> CohomologyGroup:
@@ -526,7 +526,7 @@ def h2(g: FiniteGroup, coeff: CoefficientModule | int, budget: int = DEFAULT_H2_
     """H^2(G, Z_N) with trivial action, as invariant factors plus representatives."""
     if isinstance(coeff, int):
         coeff = CoefficientModule(coeff)
-    _check_h2_budget(g, budget)
+    _check_h2_budget(g.order, budget)
     return g.memo(("h2", "muN", coeff.n), lambda: _h2_impl(g, coeff, "muN"))
 
 
@@ -569,7 +569,7 @@ def h2_closed_field(
     m = max(m, 1)
     if m % g.order:
         raise ParseError("closed-field modulus must be a multiple of |G|")
-    _check_h2_budget(g, budget)
+    _check_h2_budget(g.order, budget)
     return g.memo(("h2", "closed", m), lambda: _h2_impl(g, CoefficientModule(m), "closed"))
 
 

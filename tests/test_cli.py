@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import stat
 
 import pytest
 
@@ -308,6 +310,89 @@ def test_budget_refusal_names_its_flag(tmp_path, monkeypatch, capsys, args, flag
         assert "is below (|G|-1)^2 = " in err and f"{args[0]} has no flag that raises it" in err
 
 
+@pytest.mark.parametrize("args, named", [
+    (["h2", "--type", "D5"], True),
+    (["h2sharp", "--type", "D5", "--field", "closed"], False),
+    (["bm", "--type", "D5", "--field", "closed"], False),
+], ids=["h2", "h2sharp", "bm"])
+def test_h2_budget_refuses_a_weyl_type_before_building(monkeypatch, capsys, args, named):
+    """|G(D5)| = 3840 is known from the type, so the H^2 budget refuses the job
+    (exit 3, same message) before G(D5) is closed."""
+    from superbrauer import cli
+
+    def unbuilt(t, cap):
+        raise AssertionError(f"G({t.name}) was built")
+
+    monkeypatch.setattr(cli, "group_datum", unbuilt)
+    assert main(args) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert "H^2 budget 150000 is below (|G|-1)^2 = 14737921" in err
+    assert ("raise --budget-h2" in err) == named
+
+
+@pytest.mark.parametrize("args, message", [
+    (["h2", "--type", "D5", "--budget-cap", "1000"], "|W(D5)| = 1920 exceeds cap 1000"),
+    (["h2", "--type", "A3", "--budget-cap", "30", "--budget-h2", "10"], "closure exceeded cap 30"),
+    (["h2", "--type", "E7", "--budget-cap", "10000000"], "above the 20000-element multiplication table limit"),
+    (["bm", "--type", "E8", "--field", "closed"], "W(E8) has ~7e8 elements and is refused at any budget"),
+], ids=["cap-D5", "cap-extended-A3", "table-limit-E7", "E8"])
+def test_weyl_type_too_large_to_build_keeps_its_refusal(capsys, args, message):
+    """A datum past min(cap, table limit) keeps the closure's refusal, not the H^2 budget's."""
+    assert main(args) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert message in err and "H^2 budget" not in err
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "directory"])
+def test_unwritable_out_is_refused_before_work(tmp_path, monkeypatch, capsys, target):
+    """An --out that cannot be written exits 2 before the command runs."""
+    from superbrauer import cli
+
+    def unrun(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "cmd_verify", unrun)
+    out = str(tmp_path / target)
+    assert main(["verify", "--algebra", "E1", "--check", "hopf", "--out", out]) == EXIT_PARSE
+    assert f"error: cannot write report to {out}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("old", [None, b"an older report\n"], ids=["absent", "existing"])
+def test_failed_job_leaves_out_as_it_was(tmp_path, monkeypatch, capsys, old):
+    """A refused job, and a report that fails part way through, leave --out
+    absent or with its old bytes, and no temporary file beside it."""
+    from superbrauer import cli
+
+    out = tmp_path / "report.json"
+    if old is not None:
+        out.write_bytes(old)
+
+    def unchanged():
+        assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["report.json"])
+        assert old is None or out.read_bytes() == old
+
+    assert main(["h2", "--type", "B3", "--budget-h2", "10", "--out", str(out)]) == EXIT_BUDGET
+    unchanged()
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: {"command": "verify", "result": {"a": 1, "b": object()}})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        main(["verify", "--algebra", "E1", "--check", "hopf", "--format", "json", "--out", str(out)])
+    unchanged()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_out_file_mode_follows_the_umask(tmp_path, zz_file, umask):
+    """The report gets the mode that open(path, "w") gives, not a temporary file's 0600."""
+    old = os.umask(umask)
+    try:
+        (tmp_path / "plain").open("w").close()
+        out = tmp_path / "report.json"
+        assert main(["h2", "--group", zz_file, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE((tmp_path / "plain").stat().st_mode) == 0o666 & ~umask
+
+
 @pytest.mark.parametrize("args, flag, zero_code", [
     (["h2", "--type", "A2", "--budget-cap", "-1"], "--budget-cap", EXIT_BUDGET),
     (["h2", "--type", "A2", "--budget-h2", "-5"], "--budget-h2", EXIT_BUDGET),
@@ -426,6 +511,8 @@ def test_out_file(tmp_path, zz_file, capsys):
     code, _ = _run(["h2", "--group", zz_file, "--format", "json", "--out", str(out)], capsys)
     assert code == 0
     assert json.loads(out.read_text())["schema"] == "superbrauer-report/1"
+    code, printed = _run(["h2", "--group", zz_file, "--format", "json", "--out", ""], capsys)  # an empty --out is stdout
+    assert code == 0 and printed.encode() == out.read_bytes()
 
 
 # SHA-256 of the --format json reports, frozen so that refactors keep them byte-identical
@@ -486,13 +573,19 @@ GOLDEN_REPORTS = [
 Z2XZ4_SPEC = {"kind": "permutations", "generators": [[1, 0, 2, 3, 4, 5], [0, 1, 3, 4, 5, 2]], "u": "g1 g1"}
 
 
-@pytest.mark.parametrize("args, digest", GOLDEN_REPORTS, ids=[" ".join(a) for a, _ in GOLDEN_REPORTS])
-def test_golden_reports(args, digest, capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("args, digest, to_file", [
+    pytest.param(args, digest, to_file, id=" ".join(args) + (" --out FILE" if to_file else ""))
+    for args, digest in GOLDEN_REPORTS for to_file in (False, True)
+])
+def test_golden_reports(args, digest, to_file, capsys, tmp_path, monkeypatch):
+    """Each golden report, on stdout and through --out FILE."""
     (tmp_path / "z2xz4.json").write_text(json.dumps(Z2XZ4_SPEC))
     monkeypatch.chdir(tmp_path)
-    code, out = _run(args + ["--format", "json"], capsys)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    out_args = ["--out", "report.json"] if to_file else []
+    code, out = _run(args + ["--format", "json", *out_args], capsys)
+    assert code == 0 and (out == "") == to_file
+    report = (tmp_path / "report.json").read_bytes() if to_file else out.encode()
+    assert hashlib.sha256(report).hexdigest() == digest
 
 
 # failing lambda reports for the non-invariant Sigma = diag(1, 2) on W(B2), whose
