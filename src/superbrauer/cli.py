@@ -13,6 +13,7 @@ import errno
 import itertools
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -376,25 +377,37 @@ def _write_report(doc: dict, fmt: str, fh) -> None:
 
 @contextlib.contextmanager
 def _destination(path: str | None):
-    """stdout, or a new file beside --out that replaces it once the report is
-    complete.  The file is made before the job runs, so an unwritable --out is
-    refused first; on any failure it is removed and --out is left as it was."""
+    """stdout, or --out.  A path that exists and is no regular file (a FIFO, a
+    device) is written in place.  Otherwise a new file beside the path's real
+    target replaces that target once the report is complete, so a symlink
+    stays a link and an existing file keeps its permission bits.  That file is
+    made before the job runs, so an unwritable --out is refused first; on any
+    failure it is removed and the target is left as it was."""
     if not path:
         yield sys.stdout
         return
-    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    tmp = None
     try:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        fh = open(tmp, "x")  # mode 0o666 less the umask, as open(path, "w") would give
+        if os.path.exists(path) and not os.path.isfile(path):
+            fh = open(path, "w")
+        else:
+            real = os.path.realpath(path)
+            tmp = f"{real}.{os.urandom(4).hex()}.tmp"
+            fh = open(tmp, "x")  # mode 0o666 less the umask, as open(path, "w") would give a new file
     except OSError as exc:
         raise errors.ParseError(f"cannot write report to {path}: {exc.strerror}") from exc
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        if tmp:
+            if os.path.isfile(real):
+                os.chmod(tmp, stat.S_IMODE(os.stat(real).st_mode))
+            os.replace(tmp, real)
     except BaseException:
-        os.unlink(tmp)
+        if tmp:
+            os.unlink(tmp)
         raise
 
 

@@ -1,7 +1,8 @@
 """Root systems, Weyl groups, longest elements and the group datum G(Phi).
 
-Simple reflections are integer matrices in the simple-root basis, built from
-exact root coordinates.  When the longest element is not -1 the diagram
+Simple reflections are integer matrices in the simple-root basis, read off
+the Cartan matrix of the Dynkin diagram; the longest element w0 is reached
+from 1 by descents, with a reduced word.  When w0 is not -1 the diagram
 automorphism -w0 is adjoined, giving G(Phi) = W(Phi) x <u>.  Table rows for
 the final lazy-cohomology and Brauer-group displays are computed outright
 when the group fits the budget, and quoted from the printed tables
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CapExceeded, E8Refused, ParseError
 from .forms import Representation, as_matrix
@@ -56,65 +56,56 @@ class RootSystemType:
             raise ParseError(f"cannot parse root system type {s!r}") from exc
 
 
-def simple_roots(t: RootSystemType) -> list[list[Fraction]]:
-    """Bourbaki coordinates of the simple roots in an ambient space."""
+def cartan_matrix(t: RootSystemType) -> list[list[int]]:
+    """Cartan integers c_ij = 2(alpha_i, alpha_j)/(alpha_i, alpha_i) from the
+    Dynkin diagram in Bourbaki's numbering (Lie Groups and Lie Algebras,
+    Ch. VI, Plates I-IX): -1 on each bond, and -2 or -3 from the short node
+    to the long node of the one multiple bond of B_n, F4 and G2."""
     n = t.rank
-    F = Fraction
-
-    def e(i: int, dim: int) -> list[Fraction]:
-        v = [F(0)] * dim
-        v[i] = F(1)
-        return v
-
-    def sub(a, b):
-        return [x - y for x, y in zip(a, b)]
-
-    def add(a, b):
-        return [x + y for x, y in zip(a, b)]
-
-    if t.family == "A":
-        dim = n + 1
-        return [sub(e(i, dim), e(i + 1, dim)) for i in range(n)]
-    if t.family == "B":
-        return [sub(e(i, n), e(i + 1, n)) for i in range(n - 1)] + [e(n - 1, n)]
     if t.family == "D":
-        return [sub(e(i, n), e(i + 1, n)) for i in range(n - 1)] + [add(e(n - 2, n), e(n - 1, n))]
-    if t.family == "G":
-        return [sub(e(0, 3), e(1, 3)), [F(-2), F(1), F(1)]]
-    if t.family == "F":
-        return [
-            sub(e(1, 4), e(2, 4)),
-            sub(e(2, 4), e(3, 4)),
-            e(3, 4),
-            [F(1, 2), F(-1, 2), F(-1, 2), F(-1, 2)],
-        ]
-    # E6, E7, E8 share the E8 coordinates; alpha_i = e_{i-1} - e_{i-2} for i >= 3
-    dim = 8
-    alpha1 = [F(1, 2), *([F(-1, 2)] * 6), F(1, 2)]
-    alpha2 = add(e(0, dim), e(1, dim))
-    rest = [sub(e(i - 2, dim), e(i - 3, dim)) for i in range(3, 9)]
-    roots = [alpha1, alpha2] + rest
-    return roots[:n]
-
-
-def _dot(a, b) -> Fraction:
-    return sum(x * y for x, y in zip(a, b))
+        bonds = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
+    elif t.family == "E":
+        bonds = [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]
+    else:  # A, B, F and G are paths
+        bonds = [(i, i + 1) for i in range(n - 1)]
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in bonds:
+        c[i][j] = c[j][i] = -1
+    multiple = {"B": (n - 1, n - 2, -2), "F": (2, 1, -2), "G": (0, 1, -3)}
+    if t.family in multiple:
+        short, long, c_sl = multiple[t.family]
+        c[short][long] = c_sl
+    return c
 
 
 def reflection_matrices(t: RootSystemType) -> list[list[list[int]]]:
-    """Simple reflections in the simple-root basis (integer Cartan entries)."""
-    roots = simple_roots(t)
+    """Simple reflections in the simple-root basis: column j of s_i is
+    s_i(alpha_j) = alpha_j - c_ij alpha_i."""
+    c = cartan_matrix(t)
     n = t.rank
     mats = []
     for i in range(n):
         m = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        for j in range(n):
-            cij = 2 * _dot(roots[i], roots[j]) / _dot(roots[i], roots[i])
-            if cij.denominator != 1:
-                raise ParseError("non-integral Cartan entry")
-            m[i][j] -= int(cij)
+        m[i] = [m[i][j] - c[i][j] for j in range(n)]
         mats.append(m)
     return mats
+
+
+def longest_word(mats: list[list[list[int]]]) -> tuple[list[list[int]], tuple[int, ...]]:
+    """The matrix of w0 and a reduced word for it.  From w = 1, multiply by any
+    s_i with w(alpha_i) > 0 (column i of w non-negative), which lengthens w
+    by one, until every simple root goes negative: that element is w0
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.8)."""
+    n = len(mats)
+    w = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
+    word = []
+    while True:
+        ascents = [i for i in range(n) if all(row[i] >= 0 for row in w)]
+        if not ascents:
+            return w, tuple(word)
+        s = mats[ascents[0]]
+        w = [[sum(row[k] * s[k][j] for k in range(n)) for j in range(n)] for row in w]
+        word.append(ascents[0])
 
 
 def classical_order(t: RootSystemType) -> int:
@@ -151,12 +142,9 @@ class WeylGroupData:
     group: FiniteGroup
     simple_reflections: tuple[int, ...]
     w0: int
+    w0_word: tuple[int, ...]  # a reduced word for w0 in the simple reflections
     coxeter_number: int
     w0_is_minus_one: bool
-
-
-def _is_negative_matrix(mat) -> bool:
-    return all(x <= 0 for row in mat for x in row)
 
 
 def _is_minus_identity(mat) -> bool:
@@ -165,34 +153,32 @@ def _is_minus_identity(mat) -> bool:
 
 
 def build_weyl(t: RootSystemType, cap: int = DEFAULT_CAP) -> WeylGroupData:
-    """Closure of the simple reflections; w0 is the unique element sending
-    every simple root to a negative root."""
+    """Closure of the simple reflections, refused before it starts past
+    min(cap, MAX_TABLE_ORDER); w0 comes from longest_word."""
     if t.family == "E" and t.rank == 8:
         raise E8Refused("W(E8) has ~7e8 elements and is refused at any budget")
-    if t.family == "E" and t.rank == 7:
-        raise CapExceeded(f"W(E7) has 2903040 elements, above the {MAX_TABLE_ORDER}-element multiplication table limit")
-    if classical_order(t) > cap:
-        raise CapExceeded(f"|W({t.name})| = {classical_order(t)} exceeds cap {cap}")
+    order = classical_order(t)
+    if order > min(cap, MAX_TABLE_ORDER):
+        raise CapExceeded(f"|W({t.name})| = {order} exceeds cap {cap}" if cap <= MAX_TABLE_ORDER else
+                          f"W({t.name}) has {order} elements, above the {MAX_TABLE_ORDER}-element multiplication table limit")
     mats = reflection_matrices(t)
     g = close_generators(mats, cap=cap)
-    if g.order != classical_order(t):
+    if g.order != order:
         raise ParseError(f"closure of {t.name} has wrong order {g.order}")
-    w0s = [i for i in range(g.order) if _is_negative_matrix(g.element_data[i])]
-    if len(w0s) != 1:
-        raise ParseError("longest element is not unique")
-    w0 = w0s[0]
+    w0mat, word = longest_word(mats)
     cox = g.identity
     for s in g.gens:
         cox = int(g.mul[cox, s])
     h = g.element_order(cox)
-    minus = _is_minus_identity(g.element_data[w0])
+    minus = _is_minus_identity(w0mat)
     if minus != w0_acts_as_minus_one(t):
         raise ParseError("w0 = -1 disagrees with the classical list")
     return WeylGroupData(
         type=t,
         group=g,
         simple_reflections=tuple(g.gens),
-        w0=w0,
+        w0=g.word_to_element(word),
+        w0_word=word,
         coxeter_number=h,
         w0_is_minus_one=minus,
     )
@@ -230,10 +216,9 @@ def _group_datum(t: RootSystemType, cap: int) -> GroupDatum:
         g = close_generators(mats, cap=cap)
         if g.order != 2 * wd.group.order:
             raise ParseError("extended group G(Phi) has wrong order")
-        minus = [i for i in range(g.order) if _is_minus_identity(g.element_data[i])]
-        if len(minus) != 1:
-            raise ParseError("extended group does not contain -1 uniquely")
-        u = minus[0]
+        u = g.word_to_element(wd.w0_word + (n,))  # w0 * theta = -w0^2 = -1
+        if not _is_minus_identity(g.element_data[u]):
+            raise ParseError("w0 * (-w0) is not -1 in the extended group")
         extended = True
     inv = CentralInvolution(g, u)
     rep = Representation(group=g, dim=n, gen_matrices=[as_matrix(g.element_data[s]) for s in g.gens])

@@ -44,7 +44,11 @@ cochains into that gauge one element at a time, so the two systems are
 compared by the label modules they span.  `relator_rows`, `gauge_fix` and
 `f_column_kernel` are the production's earlier solve over the edge labels
 (it shares `cycle_edges` with the production); `presentation_unknowns`
-selects those labels.
+selects those labels.  `coordinate_reflection_matrices` derives the simple
+reflections from Bourbaki's Euclidean coordinates of the simple roots, where
+the production reads them off the Cartan matrix of the Dynkin diagram, and
+`scanned_w0` finds w0 by testing every element of the closed group, where the
+production reaches it from 1 by descents.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ import numpy as np
 from superbrauer import (
     CohomologyClass,
     Cochain2,
+    RootSystemType,
     all_characters,
     quaternion_symbol,
     quotient_by_central_involution,
@@ -1216,3 +1221,83 @@ def delta_rows(g, ab, sys, m):
     if not rows:
         return np.zeros((0, sys.fprime), dtype=np.int64)
     return np.stack(rows, axis=0)
+
+
+# ---------------------------------------------------------------------------
+# Weyl data as the production code derived it before the Cartan matrix: the
+# simple reflections from Bourbaki's Euclidean coordinates of the simple roots,
+# and w0 by a scan of every element of the closed group
+
+
+def simple_roots(t: RootSystemType) -> list[list[Fraction]]:
+    """Bourbaki coordinates of the simple roots in an ambient space."""
+    n = t.rank
+    F = Fraction
+
+    def e(i: int, dim: int) -> list[Fraction]:
+        v = [F(0)] * dim
+        v[i] = F(1)
+        return v
+
+    def sub(a, b):
+        return [x - y for x, y in zip(a, b)]
+
+    def add(a, b):
+        return [x + y for x, y in zip(a, b)]
+
+    if t.family == "A":
+        dim = n + 1
+        return [sub(e(i, dim), e(i + 1, dim)) for i in range(n)]
+    if t.family == "B":
+        return [sub(e(i, n), e(i + 1, n)) for i in range(n - 1)] + [e(n - 1, n)]
+    if t.family == "D":
+        return [sub(e(i, n), e(i + 1, n)) for i in range(n - 1)] + [add(e(n - 2, n), e(n - 1, n))]
+    if t.family == "G":
+        return [sub(e(0, 3), e(1, 3)), [F(-2), F(1), F(1)]]
+    if t.family == "F":
+        return [
+            sub(e(1, 4), e(2, 4)),
+            sub(e(2, 4), e(3, 4)),
+            e(3, 4),
+            [F(1, 2), F(-1, 2), F(-1, 2), F(-1, 2)],
+        ]
+    # E6, E7, E8 share the E8 coordinates; alpha_i = e_{i-1} - e_{i-2} for i >= 3
+    dim = 8
+    alpha1 = [F(1, 2), *([F(-1, 2)] * 6), F(1, 2)]
+    alpha2 = add(e(0, dim), e(1, dim))
+    rest = [sub(e(i - 2, dim), e(i - 3, dim)) for i in range(3, 9)]
+    roots = [alpha1, alpha2] + rest
+    return roots[:n]
+
+
+def _dot(a, b) -> Fraction:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def coordinate_reflection_matrices(t: RootSystemType) -> list[list[list[int]]]:
+    """Simple reflections in the simple-root basis (integer Cartan entries)."""
+    roots = simple_roots(t)
+    n = t.rank
+    mats = []
+    for i in range(n):
+        m = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
+        for j in range(n):
+            cij = 2 * _dot(roots[i], roots[j]) / _dot(roots[i], roots[i])
+            if cij.denominator != 1:
+                raise ParseError("non-integral Cartan entry")
+            m[i][j] -= int(cij)
+        mats.append(m)
+    return mats
+
+
+def _is_negative_matrix(mat) -> bool:
+    return all(x <= 0 for row in mat for x in row)
+
+
+def scanned_w0(g) -> int:
+    """The unique element of a closed Weyl group sending every simple root to
+    a negative root, found by testing every element's matrix."""
+    w0s = [i for i in range(g.order) if _is_negative_matrix(g.element_data[i])]
+    if len(w0s) != 1:
+        raise ParseError("longest element is not unique")
+    return w0s[0]

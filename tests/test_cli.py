@@ -334,8 +334,9 @@ def test_h2_budget_refuses_a_weyl_type_before_building(monkeypatch, capsys, args
     (["h2", "--type", "D5", "--budget-cap", "1000"], "|W(D5)| = 1920 exceeds cap 1000"),
     (["h2", "--type", "A3", "--budget-cap", "30", "--budget-h2", "10"], "closure exceeded cap 30"),
     (["h2", "--type", "E7", "--budget-cap", "10000000"], "above the 20000-element multiplication table limit"),
+    (["h2", "--type", "E6"], "W(E6) has 51840 elements, above the 20000-element multiplication table limit"),
     (["bm", "--type", "E8", "--field", "closed"], "W(E8) has ~7e8 elements and is refused at any budget"),
-], ids=["cap-D5", "cap-extended-A3", "table-limit-E7", "E8"])
+], ids=["cap-D5", "cap-extended-A3", "table-limit-E7", "table-limit-E6", "E8"])
 def test_weyl_type_too_large_to_build_keeps_its_refusal(capsys, args, message):
     """A datum past min(cap, table limit) keeps the closure's refusal, not the H^2 budget's."""
     assert main(args) == EXIT_BUDGET
@@ -391,6 +392,62 @@ def test_out_file_mode_follows_the_umask(tmp_path, zz_file, umask):
     finally:
         os.umask(old)
     assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE((tmp_path / "plain").stat().st_mode) == 0o666 & ~umask
+
+
+INVFORMS_A1 = ["invforms", "--type", "A1"]
+
+
+def _printed(args, capsys) -> str:
+    assert main(args) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("dangling", [False, True], ids=["link", "dangling-link"])
+def test_out_through_a_symlink_replaces_its_target(tmp_path, capsys, dangling):
+    """--out naming a symlink keeps the link and writes the report to its
+    target, which is created when the link dangles."""
+    want = _printed(INVFORMS_A1, capsys)
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    if not dangling:
+        target.write_text("an older report\n")
+    link.symlink_to(target.name)
+    assert main([*INVFORMS_A1, "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_text() == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+    assert main(["h2", "--type", "B3", "--budget-h2", "10", "--out", str(link)]) == EXIT_BUDGET
+    assert link.is_symlink() and target.read_text() == want
+
+
+def test_out_fifo_is_written_in_place(tmp_path, capsys):
+    """A FIFO at --out stays a FIFO and its reader receives the report."""
+    import threading
+
+    want = _printed(INVFORMS_A1, capsys)
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main([*INVFORMS_A1, "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive() and got == [want]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["report.fifo"]
+
+
+def test_out_keeps_an_existing_files_permission_bits(tmp_path, capsys):
+    """A report that replaces an existing file keeps that file's mode, and
+    a refused job leaves both the bytes and the mode as they were."""
+    want = _printed(INVFORMS_A1, capsys)
+    out = tmp_path / "report.txt"
+    out.write_text("an older report\n")
+    out.chmod(0o600)
+    assert main([*INVFORMS_A1, "--out", str(out)]) == 0
+    assert out.read_text() == want and stat.S_IMODE(out.stat().st_mode) == 0o600
+    out.chmod(0o640)
+    assert main(["h2", "--type", "B3", "--budget-h2", "10", "--out", str(out)]) == EXIT_BUDGET
+    assert out.read_text() == want and stat.S_IMODE(out.stat().st_mode) == 0o640
 
 
 @pytest.mark.parametrize("args, flag, zero_code", [

@@ -18,13 +18,66 @@ from superbrauer import (
 )
 from superbrauer.errors import ParseError
 from superbrauer.weyl import (
+    _is_minus_identity,
     classical_order,
     datum_size,
     literature_bm,
     literature_h2l,
     literature_schur_multiplier,
+    longest_word,
+    reflection_matrices,
     w0_acts_as_minus_one,
 )
+
+from .oracles import coordinate_reflection_matrices, scanned_w0
+
+WEYL_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+              + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def _positive_roots(t: RootSystemType) -> int:
+    """|Phi+| from the classical counts (Bourbaki, Plates I-IX)."""
+    n = t.rank
+    counts = {"A": n * (n + 1) // 2, "B": n * n, "D": n * (n - 1), "E": {6: 36, 7: 63, 8: 120}.get(n), "F": 24, "G": 6}
+    return counts[t.family]
+
+
+@pytest.mark.parametrize("name", WEYL_TYPES)
+def test_weyl_data_from_the_cartan_matrix(name):
+    """The Cartan reflections equal the ones derived from root coordinates;
+    the descent walk ends at an element sending every simple root to a
+    negative root, along a word of length |Phi+|, with w0 = -1 exactly where
+    the classical list says so.  On the groups of at most 4000 elements (A1-A5,
+    B2-B5, D4, D5, F4, G2) its word gives the element the old scan found."""
+    t = RootSystemType.parse(name)
+    mats = reflection_matrices(t)
+    assert mats == coordinate_reflection_matrices(t)
+    w0mat, word = longest_word(mats)
+    assert all(row[i] <= 0 for row in w0mat for i in range(t.rank))  # the columns are roots, so negative ones
+    assert len(word) == _positive_roots(t)
+    assert _is_minus_identity(w0mat) == w0_acts_as_minus_one(t)
+    if classical_order(t) <= 4000:
+        wd = build_weyl(t)
+        assert wd.w0 == wd.group.word_to_element(word) == scanned_w0(wd.group)
+        assert wd.w0_word == word
+
+
+@pytest.mark.parametrize("name, cap, message", [
+    ("E6", 200_000, "W(E6) has 51840 elements, above the 20000-element multiplication table limit"),
+    ("E7", 200_000, "W(E7) has 2903040 elements, above the 20000-element multiplication table limit"),
+    ("E7", 100, "|W(E7)| = 2903040 exceeds cap 100"),
+    ("B6", 10**9, "W(B6) has 46080 elements, above the 20000-element multiplication table limit"),
+    ("D5", 1000, "|W(D5)| = 1920 exceeds cap 1000"),
+], ids=["E6", "E7", "E7-cap", "B6-cap", "D5-cap"])
+def test_refused_before_any_closure(monkeypatch, name, cap, message):
+    """A W past min(cap, table limit) is refused from its order alone, naming
+    whichever bound binds, and nothing is closed."""
+    from superbrauer import weyl
+
+    monkeypatch.setattr(weyl, "close_generators", lambda *a, **k: pytest.fail("a group was closed"))
+    with pytest.raises(CapExceeded) as exc:
+        build_weyl(RootSystemType.parse(name), cap=cap)
+    assert str(exc.value) == message
 
 
 def test_root_type_validation():
