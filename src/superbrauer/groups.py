@@ -234,8 +234,7 @@ def close_generators(generators: list, cap: int = DEFAULT_CAP) -> FiniteGroup:
     Permutations are given as 0-based image tuples on a common domain;
     matrices as nested sequences of ints, Fractions or "p/q" strings.
     """
-    if cap < 1:
-        raise ParseError("cap must be >= 1")
+    _admit(0, cap)
     if not generators:
         raise ParseError("at least one generator required")
     first = generators[0]
@@ -357,7 +356,7 @@ def _finish_group(elements: list, right: np.ndarray, parent: list, kind: str) ->
         mul=mul,
         inv=np.argmin(mul, axis=1).astype(np.int32),  # x * inv(x) is element 0
         identity=0,
-        gens=tuple(dict.fromkeys(int(j) for j in right[0] if j != 0)) or (0,),
+        gens=tuple(int(j) for j in right[0]),  # as listed, identity and repeats included
         element_data=elements,
         kind=kind,
     )

@@ -152,24 +152,28 @@ def _is_minus_identity(mat) -> bool:
     return all(mat[i][j] == (-1 if i == j else 0) for i in range(n) for j in range(n))
 
 
-def build_weyl(t: RootSystemType, cap: int = DEFAULT_CAP) -> WeylGroupData:
-    """Closure of the simple reflections, refused before it starts past
-    min(cap, MAX_TABLE_ORDER); w0 comes from longest_word."""
+def _admit_weyl(t: RootSystemType, cap: int) -> int:
+    """|W| from the type, refused before anything is closed past
+    min(cap, MAX_TABLE_ORDER), naming whichever bound binds."""
     if t.family == "E" and t.rank == 8:
         raise E8Refused("W(E8) has ~7e8 elements and is refused at any budget")
     order = classical_order(t)
     if order > min(cap, MAX_TABLE_ORDER):
         raise CapExceeded(f"|W({t.name})| = {order} exceeds cap {cap}" if cap <= MAX_TABLE_ORDER else
                           f"W({t.name}) has {order} elements, above the {MAX_TABLE_ORDER}-element multiplication table limit")
+    return order
+
+
+def build_weyl(t: RootSystemType, cap: int = DEFAULT_CAP) -> WeylGroupData:
+    """Closure of the simple reflections; w0 comes from longest_word, and the
+    Coxeter number h from |Phi| = rank * h (Humphreys, Reflection Groups and
+    Coxeter Groups, Prop. 3.18), as w0's reduced word has length |Phi+|."""
+    order = _admit_weyl(t, cap)
     mats = reflection_matrices(t)
     g = close_generators(mats, cap=cap)
     if g.order != order:
         raise ParseError(f"closure of {t.name} has wrong order {g.order}")
     w0mat, word = longest_word(mats)
-    cox = g.identity
-    for s in g.gens:
-        cox = int(g.mul[cox, s])
-    h = g.element_order(cox)
     minus = _is_minus_identity(w0mat)
     if minus != w0_acts_as_minus_one(t):
         raise ParseError("w0 = -1 disagrees with the classical list")
@@ -179,7 +183,7 @@ def build_weyl(t: RootSystemType, cap: int = DEFAULT_CAP) -> WeylGroupData:
         simple_reflections=tuple(g.gens),
         w0=g.word_to_element(word),
         w0_word=word,
-        coxeter_number=h,
+        coxeter_number=2 * len(word) // t.rank,
         w0_is_minus_one=minus,
     )
 
@@ -189,11 +193,10 @@ class GroupDatum:
     """(G(Phi), u, standard reflection representation) with rho(u) = -1."""
 
     type: RootSystemType
-    weyl: WeylGroupData
     group: FiniteGroup
     inv: CentralInvolution
     rep: Representation
-    extended: bool  # True when G = W x <theta w0>
+    extended: bool  # True when G = W x <theta>, theta = -w0
 
 
 def group_datum(t: RootSystemType, cap: int = DEFAULT_CAP) -> GroupDatum:
@@ -203,28 +206,24 @@ def group_datum(t: RootSystemType, cap: int = DEFAULT_CAP) -> GroupDatum:
 
 @functools.cache
 def _group_datum(t: RootSystemType, cap: int) -> GroupDatum:
-    wd = build_weyl(t, cap=cap)
-    n = t.rank
-    if wd.w0_is_minus_one:
-        g = wd.group
-        u = wd.w0
-        extended = False
-    else:
-        w0mat = wd.group.element_data[wd.w0]
-        theta = [[-x for x in row] for row in w0mat]
-        mats = reflection_matrices(t) + [theta]
-        g = close_generators(mats, cap=cap)
-        if g.order != 2 * wd.group.order:
-            raise ParseError("extended group G(Phi) has wrong order")
-        u = g.word_to_element(wd.w0_word + (n,))  # w0 * theta = -w0^2 = -1
-        if not _is_minus_identity(g.element_data[u]):
-            raise ParseError("w0 * (-w0) is not -1 in the extended group")
-        extended = True
+    """One closure of the simple reflections, with theta = -w0 appended where
+    w0 != -1; u is w0, or w0 * theta = -1, read off w0's reduced word."""
+    _admit_weyl(t, cap)
+    mats = reflection_matrices(t)
+    w0mat, word = longest_word(mats)
+    extended = not w0_acts_as_minus_one(t)
+    if extended:
+        mats.append([[-x for x in row] for row in w0mat])
+        word += (t.rank,)
+    g = close_generators(mats, cap=cap)
+    u = g.word_to_element(word)
+    if g.order != datum_size(t) or not _is_minus_identity(g.element_data[u]):
+        raise ParseError(f"G({t.name}) has wrong order {g.order} or its u is not -1")
     inv = CentralInvolution(g, u)
-    rep = Representation(group=g, dim=n, gen_matrices=[as_matrix(g.element_data[s]) for s in g.gens])
+    rep = Representation(group=g, dim=t.rank, gen_matrices=[as_matrix(g.element_data[s]) for s in g.gens])
     if not rep.is_faithful():
         raise ParseError("standard representation is not faithful")
-    return GroupDatum(type=t, weyl=wd, group=g, inv=inv, rep=rep, extended=extended)
+    return GroupDatum(type=t, group=g, inv=inv, rep=rep, extended=extended)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,89 @@ def test_budget_exit_code(capsys):
     assert code == 0  # E8 row falls back to literature mode, no build attempted
 
 
+def test_budget_cap_zero_refuses_a_group_file(zz_file, capsys):
+    """--budget-cap 0 is legal and refuses every closure with exit 3, for --group as for --type."""
+    assert main(["h2", "--group", zz_file, "--budget-cap", "0"]) == EXIT_BUDGET
+    assert capsys.readouterr().err == "error: closure exceeded cap 0\n"
+    assert main(["h2", "--type", "A1", "--budget-cap", "0"]) == EXIT_BUDGET
+
+
+def _exit_code(args) -> int:
+    """main's exit code, argparse's own exits included."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("args", [
+    ["lazy", "--group", "{zz}", "--rep", "{missing}"],
+    ["lazy", "--group", "{zz}", "--rep", "{not_json}"],
+    ["lazy", "--group", "{zz}", "--rep", "{scalar_matrices}"],
+    ["lazy", "--group", "{zz}", "--rep", "{one_short}"],
+    ["verify", "--algebra", "E2", "--check", "triangular", "--A", "{missing}"],
+    ["verify", "--algebra", "E2", "--check", "triangular", "--A", "{not_json}"],
+    ["verify", "--algebra", "E2", "--check", "omega-lazy", "--sigma", "{missing}"],
+    ["verify", "--algebra", "E2", "--check", "omega-lazy", "--sigma", "{not_json}"],
+    ["h2", "--type", "A1", "--budget-h2", "abc"],
+    ["verify", "--algebra", "E2", "--check", "hopf", "--budget-dim", "1.5"],
+], ids=["rep-missing", "rep-not-json", "rep-matrices-scalar", "rep-one-short", "A-missing", "A-not-json",
+        "sigma-missing", "sigma-not-json", "budget-h2-abc", "budget-dim-float"])
+def test_malformed_job_input_exit_code(tmp_path, zz_file, capsys, args):
+    """An unreadable or malformed input file or budget exits 2 with an error line, never a traceback."""
+    paths = {"zz": zz_file, "missing": tmp_path / "missing.json", "not_json": tmp_path / "not.json",
+             "scalar_matrices": tmp_path / "scalar.json", "one_short": tmp_path / "short.json"}
+    paths["not_json"].write_text("{not json")
+    paths["scalar_matrices"].write_text(json.dumps({"matrices": 5}))
+    paths["one_short"].write_text(json.dumps({"matrices": [[[-1]]]}))  # zz has two generators
+    assert _exit_code([a.format(**paths) for a in args]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def _messy_and_clean_files(tmp_path):
+    """Z2 x Z2 listed as [(0 1), id, (2 3), (0 1)] and as [(0 1), (2 3)], u = (0 1)(2 3),
+    with a representation sending (0 1) to -1 and (2 3) to 1."""
+    swap01, ident, swap23 = [1, 0, 2, 3], [0, 1, 2, 3], [0, 1, 3, 2]
+    files = {
+        "messy": {"kind": "permutations", "generators": [swap01, ident, swap23, swap01], "u": "g0 g2"},
+        "messy_rep": {"matrices": [[[-1]], [[1]], [[1]], [[-1]]]},
+        "clean": {"kind": "permutations", "generators": [swap01, swap23], "u": "g0 g1"},
+        "clean_rep": {"matrices": [[[-1]], [[1]]]},
+    }
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    return {name: str(tmp_path / f"{name}.json") for name in files}
+
+
+@pytest.mark.parametrize("args, keys", [
+    (["h2"], ["invariants"]),
+    (["bm", "--field", "real"], ["invariants", "order", "split", "u"]),
+    (["h2sharp", "--field", "real"], ["invariants", "split", "u", "classes", "cayley_table"]),
+    (["lazy", "--rep", "{rep}"], ["dim_H", "linear_dim", "group_part_invariants", "k_trivial"]),
+    (["invforms", "--rep", "{rep}"], ["dim", "basis"]),
+], ids=["h2", "bm", "h2sharp", "lazy", "invforms"])
+def test_words_and_rep_files_name_the_generators_as_listed(tmp_path, capsys, args, keys):
+    """gk in a u word and the k-th matrix of a representation file refer to the
+    k-th generator listed, identity and repeats included: the messy listing
+    gives the clean listing's invariants."""
+    files = _messy_and_clean_files(tmp_path)
+    results = {}
+    for side in ("messy", "clean"):
+        argv = [args[0], "--group", files[side], "--format", "json"]
+        argv += [a.format(rep=files[f"{side}_rep"]) for a in args[1:]]
+        code, out = _run(argv, capsys)
+        assert code == 0, capsys.readouterr().err
+        result = json.loads(out)["result"]
+        results[side] = {k: result[k] for k in keys}
+    assert results["messy"] == results["clean"]
+    if args[0] == "h2":
+        assert results["clean"]["invariants"] == [2]
+    if args[0] == "bm":
+        assert results["clean"]["invariants"] == [8, 4]
+
+
 @pytest.mark.parametrize("args, message", [
     (["--algebra", "E99"], "dim E(99) = 2^100 exceeds cap 200000; raise --budget-cap"),
     (["--algebra", "E" + "9" * 40], f"dim E({'9' * 40}) = 2^1{'0' * 40} exceeds cap 200000"),

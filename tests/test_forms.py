@@ -50,11 +50,11 @@ def test_weyl_forms_dim_one(datum_a2, datum_b2, datum_b3, datum_g2, datum_a3):
 
 
 def test_acts_as_minus_one(datum_b2, datum_a2):
-    from superbrauer.weyl import _is_minus_identity
+    from superbrauer.weyl import _is_minus_identity, build_weyl
 
     assert acts_as_minus_one(datum_b2.rep, datum_b2.inv)
     # w0 of A2 is not -1 on V (hence the diagram automorphism is adjoined)
-    w = datum_a2.weyl
+    w = build_weyl(datum_a2.type)
     assert not _is_minus_identity(w.group.element_data[w.w0])
     assert datum_a2.extended and acts_as_minus_one(datum_a2.rep, datum_a2.inv)
     # trivial representation never works for u != 1

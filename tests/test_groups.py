@@ -32,7 +32,7 @@ from superbrauer import (
 from superbrauer import groups
 from superbrauer.groups import is_character
 from superbrauer.sharp import ZGrading
-from superbrauer.weyl import RootSystemType, reflection_matrices
+from superbrauer.weyl import RootSystemType, build_weyl, reflection_matrices
 
 from .oracles import all_pairs_is_character, enumerated_group_table, quotient_table_abelianization
 
@@ -64,6 +64,8 @@ def test_table_limit_refused_while_closing(gens):
         close_generators(gens, cap=10**6)
     with pytest.raises(CapExceeded, match="closure exceeded cap 50$"):
         close_generators(gens, cap=50)
+    with pytest.raises(CapExceeded, match="^closure exceeded cap 0$"):  # a cap of 0 admits not even the identity
+        close_generators(gens, cap=0)
 
 
 def _conjugated_b3():
@@ -223,7 +225,7 @@ def test_trivial_involution_rejected():
 def test_abelianization_examples(s4, datum_b3):
     assert abelianization(s4).cyclic_orders == (2,)
     assert abelianization(cyclic_group(6)).cyclic_orders == (6,)
-    assert abelianization(datum_b3.weyl.group).cyclic_orders == (2, 2)
+    assert abelianization(build_weyl(datum_b3.type).group).cyclic_orders == (2, 2)
 
 
 def test_abelianization_projection_kills_commutators(s4):
@@ -407,6 +409,17 @@ def test_group_spec_u_word():
     g, u = parse_group_spec(spec)
     assert g.order == 4
     assert u == g.word_to_element([0, 1])
+
+
+def test_u_word_names_the_generators_as_listed():
+    """gk is the k-th generator of the file, identity and repeats included."""
+    swap01, ident, swap23 = [1, 0, 2, 3], [0, 1, 2, 3], [0, 1, 3, 2]
+    g, u = parse_group_spec({"kind": "permutations", "generators": [swap01, ident, swap23], "u": "g1"})
+    assert u == g.identity
+    assert [g.element_data[s] for s in g.gens] == [tuple(swap01), tuple(ident), tuple(swap23)]
+    g, u = parse_group_spec({"kind": "permutations", "generators": [swap01, ident, swap23, swap01], "u": "g0 g2"})
+    assert g.order == 4 and len(g.gens) == 4 and g.gens[0] == g.gens[3]
+    assert g.element_data[u] == (1, 0, 3, 2)
 
 
 def test_bad_specs_raise():

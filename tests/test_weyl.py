@@ -80,6 +80,27 @@ def test_refused_before_any_closure(monkeypatch, name, cap, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B3", "D4", "D5", "G2"])
+def test_group_datum_closes_one_group(monkeypatch, name):
+    """The datum closes G(Phi) once, W's reflections with -w0 appended where
+    w0 != -1, and never builds W on its own."""
+    from superbrauer import weyl
+
+    orders = []
+    close = weyl.close_generators
+
+    def record(*args, **kwargs):
+        g = close(*args, **kwargs)
+        orders.append(g.order)
+        return g
+
+    monkeypatch.setattr(weyl, "close_generators", record)
+    monkeypatch.setattr(weyl, "build_weyl", lambda *a, **k: pytest.fail("build_weyl was called"))
+    t = RootSystemType.parse(name)
+    d = weyl._group_datum.__wrapped__(t, weyl.DEFAULT_CAP)  # past the cache, which the fixtures share
+    assert orders == [datum_size(t)] == [d.group.order]
+
+
 def test_root_type_validation():
     for bad in ("A0", "B1", "D3", "E5", "E9", "F5", "G3", "H2", "X1"):
         with pytest.raises(ParseError):
@@ -89,7 +110,7 @@ def test_root_type_validation():
 
 def test_classical_orders_match_construction(datum_a3, datum_b2, datum_b3, datum_d4, datum_g2):
     for d in (datum_a3, datum_b2, datum_b3, datum_d4, datum_g2):
-        assert d.weyl.group.order == classical_order(d.type)
+        assert build_weyl(d.type).group.order == classical_order(d.type)
     f4 = build_weyl(RootSystemType.parse("F4"))
     assert f4.group.order == 1152
     assert math.factorial(5) == classical_order(RootSystemType.parse("A4"))
@@ -98,21 +119,21 @@ def test_classical_orders_match_construction(datum_a3, datum_b2, datum_b3, datum
 def test_coxeter_numbers(datum_a2, datum_b2, datum_b3, datum_d4, datum_g2):
     expected = {"A2": 3, "B2": 4, "B3": 6, "D4": 6, "G2": 6}
     for d in (datum_a2, datum_b2, datum_b3, datum_d4, datum_g2):
-        assert d.weyl.coxeter_number == expected[d.type.name]
+        assert build_weyl(d.type).coxeter_number == expected[d.type.name]
 
 
 def test_w0_is_minus_one_list(datum_a1, datum_a2, datum_a3, datum_b2, datum_b3, datum_d4, datum_g2):
     for d in (datum_a1, datum_b2, datum_b3, datum_d4, datum_g2):
-        assert d.weyl.w0_is_minus_one and not d.extended
+        assert build_weyl(d.type).w0_is_minus_one and not d.extended
     for d in (datum_a2, datum_a3):
-        assert not d.weyl.w0_is_minus_one and d.extended
-        assert d.group.order == 2 * d.weyl.group.order
+        assert not build_weyl(d.type).w0_is_minus_one and d.extended
+        assert d.group.order == 2 * build_weyl(d.type).group.order
 
 
 def test_w0_from_coxeter_element_all_orderings(datum_b2, datum_g2, datum_b3):
     """w0 = (s_{i1} ... s_{in})^(h/2) for every generator ordering when w0 = -1."""
     for d in (datum_b2, datum_g2, datum_b3):
-        wd = d.weyl
+        wd = build_weyl(d.type)
         g = wd.group
         h = wd.coxeter_number
         assert h % 2 == 0
