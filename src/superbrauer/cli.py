@@ -42,6 +42,7 @@ from .supergroup import (
     lazy_cohomology,
     omega_sigma,
     r_matrix_RA,
+    r_u,
     verify_hopf,
     verify_quasitriangular,
     verify_triangular,
@@ -70,26 +71,28 @@ def _invariants(inv) -> list[int]:
     return [int(d) for d in inv]
 
 
-def _weyl_datum(args, cap: int, h2_budget: int | None = None):
+def _weyl_datum(args, cap: int, h2_budget: int | None = None, h2_quotient: bool = False):
     """The Weyl datum of --type; it fixes G, u = w0 and V, so --group, --u and --rep are refused.
     With h2_budget, a datum that the closure admits but whose H^2 the budget
-    refuses is refused before it is built; a datum past min(cap, table limit)
-    (E7 and E8 included) keeps the closure's own refusal."""
+    refuses is refused before it is built: the H^2 of G, or with h2_quotient
+    that of G/U (|G|/2 elements, as V != 0); a datum past min(cap, table
+    limit) (E7 and E8 included) keeps the closure's own refusal."""
     extra = [flag for flag in ("group", "u", "rep") if getattr(args, flag, None) is not None]
     if extra:
         raise errors.ParseError(f"--{extra[0]} cannot be combined with --type: the Weyl datum fixes G, u = w0 and V")
     t = RootSystemType.parse(args.type)
     size = datum_size(t)
     if h2_budget is not None and size <= min(cap, MAX_TABLE_ORDER):
-        _check_h2_budget(size, h2_budget)
+        _check_h2_budget(size // 2 if h2_quotient else size, h2_budget)
     return group_datum(t, cap=cap)
 
 
-def _need_group(args, cap: int, h2_budget: int | None = None) -> tuple[FiniteGroup, int | None, Representation | None]:
+def _need_group(args, cap: int, h2_budget: int | None = None,
+                h2_quotient: bool = False) -> tuple[FiniteGroup, int | None, Representation | None]:
     """Group datum from --group/--u or --type; Weyl types also give the rep.
-    h2_budget is the H^2 budget of the job, checked early for --type."""
+    h2_budget is the H^2 budget of the job, of G or of G/U, checked early for --type."""
     if getattr(args, "type", None):
-        datum = _weyl_datum(args, cap, h2_budget)
+        datum = _weyl_datum(args, cap, h2_budget, h2_quotient)
         return datum.group, datum.inv.u, datum.rep
     if not getattr(args, "group", None):
         raise errors.ParseError("either --group FILE or --type XN is required")
@@ -149,15 +152,10 @@ def cmd_h2(args) -> dict:
     else:
         cg = field_from_name(args.field).cohomology(g, args.budget_h2)
         coeff_desc = {"field": args.field, "modulus": cg.coeff.n}
-    payload = {
-        "group": _group_header(g),
-        "result": {
-            "coefficients": coeff_desc,
-            "invariants": _invariants(cg.invariants),
-            "representatives": [r.to_sparse() for r in cg.reps],
-        },
-    }
-    return _report(args, "h2", payload, budgets)
+    result = {"coefficients": coeff_desc, "invariants": _invariants(cg.invariants)}
+    if args.format == "json":  # only the JSON report prints representatives; text builds none
+        result["representatives"] = [r.to_sparse() for r in cg.reps]
+    return _report(args, "h2", {"group": _group_header(g), "result": result}, budgets)
 
 
 def cmd_h2sharp(args) -> dict:
@@ -168,23 +166,21 @@ def cmd_h2sharp(args) -> dict:
     field = field_from_name(args.field)
     hs = h2_sharp(g, inv, field, budget=args.budget_enum)
     budgets = {"cap": args.budget_cap, "enum": args.budget_enum}
-    payload = {
-        "group": _group_header(g),
-        "result": {
-            "field": field.kind,
-            "u": int(u),
-            "split": splitting_character(inv) is not None,
-            "invariants": _invariants(hs.invariants),
-            "classes": [list(c.coords) for c in hs.classes],
-            # the last generator first, the order in which all_classes meets them
-            "generators": [
-                {"coords": list(c.coords), "representative": rep.to_sparse()}
-                for c, rep in reversed(list(zip(hs.cohomology.generators(), hs.cohomology.reps)))
-            ],
-            "cayley_table": hs.table.tolist(),
-        },
+    result = {
+        "field": field.kind,
+        "u": int(u),
+        "split": splitting_character(inv) is not None,
+        "invariants": _invariants(hs.invariants),
+        "classes": [list(c.coords) for c in hs.classes],
+        "cayley_table": hs.table.tolist(),
     }
-    return _report(args, "h2sharp", payload, budgets)
+    if args.format == "json":  # only the JSON report prints representatives; text builds none
+        # the last generator first, the order in which all_classes meets them
+        result["generators"] = [
+            {"coords": list(c.coords), "representative": rep.to_sparse()}
+            for c, rep in reversed(list(zip(hs.cohomology.generators(), hs.cohomology.reps)))
+        ]
+    return _report(args, "h2sharp", {"group": _group_header(g), "result": result}, budgets)
 
 
 def cmd_bm(args) -> dict:
@@ -196,22 +192,23 @@ def cmd_bm(args) -> dict:
     bms = bm_supergroup(g, inv, rep, field, budget=args.budget_enum) if rep is not None else None
     bm = bms.bm if bms is not None else bm_group(g, inv, field, budget=args.budget_enum)
     budgets = {"cap": args.budget_cap, "enum": args.budget_enum}
-    gens = []
-    if field.brauer_order > 1:
-        gens.append({"kind": "brauer", "order": 2})
-    for d, rep in zip(bm.cohomology.invariants, bm.cohomology.reps):
-        gens.append({"kind": "cohomology", "order_in_h2": int(d), "representative": rep.to_sparse()})
-    if bm.split:
-        gens.append({"kind": "C(1)", "parity": 1})
     result = {
         "field": field.kind,
         "u": int(u),
         "split": bm.split,
         "invariants": _invariants(bm.invariants),
         "order": bm.order,
-        "generators": gens,
         "cayley_table": bm.table.tolist(),
     }
+    if args.format == "json":  # only the JSON report prints representatives; text builds none
+        gens = []
+        if field.brauer_order > 1:
+            gens.append({"kind": "brauer", "order": 2})
+        for d, rep in zip(bm.cohomology.invariants, bm.cohomology.reps):
+            gens.append({"kind": "cohomology", "order_in_h2": int(d), "representative": rep.to_sparse()})
+        if bm.split:
+            gens.append({"kind": "C(1)", "parity": 1})
+        result["generators"] = gens
     if bms is not None:
         result["linear_dim"] = bms.linear_dim
     payload = {"group": _group_header(g), "result": result}
@@ -219,7 +216,7 @@ def cmd_bm(args) -> dict:
 
 
 def cmd_lazy(args) -> dict:
-    g, u, rep = _need_group(args, args.budget_cap)
+    g, u, rep = _need_group(args, args.budget_cap, args.budget_h2, h2_quotient=True)
     budgets = {"cap": args.budget_cap, "h2": args.budget_h2}
     if rep is None:
         raise errors.ParseError("lazy cohomology needs a representation (--rep or --type)")
@@ -305,8 +302,8 @@ def cmd_verify(args) -> dict:
     if check == "hopf":
         rep = verify_hopf(alg)
     elif check in ("quasitriangular", "triangular"):
-        amat = _matrix_arg(args.A or "zero", alg.nv)
-        r = r_matrix_RA(amat, alg)
+        # R_u, or R_A (E(n) only) with --A; on E(n), R_u is R_0
+        r = r_matrix_RA(_matrix_arg(args.A, alg.nv), alg) if args.A else r_u(alg)
         fn = verify_quasitriangular if check == "quasitriangular" else verify_triangular
         rep = fn(alg, r)
     elif check in COMPOSITE_CHECKS:
@@ -481,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--check", required=True,
                     choices=("hopf", "quasitriangular", "triangular", "omega-lazy",
                              "omega-cocycle", "lambda-lazy", "lambda-cocycle"))
-    sp.add_argument("--A", help="symmetric matrix for R_A: identity, zero, or a JSON file")
+    sp.add_argument("--A", help="symmetric matrix for R_A on E(n): identity, zero, or a JSON file (default: R_u)")
     sp.add_argument("--sigma", help="symmetric matrix for omega/lambda: identity, zero, or JSON file")
     sp.add_argument("--skip-invariance", action="store_true",
                     help="build lambda from a non-invariant form (the checks will then fail)")

@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceeded, NotInvertible, ParseError
-from .groups import (CentralInvolution, FiniteGroup, Matrix, _close_matrices, _det, _mat_identity, _mat_mul,
-                     _row_reduce, parse_rational)
+from .groups import (CentralInvolution, FiniteGroup, Matrix, _close_matrices, _mat_identity, _mat_mul, _row_reduce,
+                     parse_rational)
 
 
 def as_matrix(rows) -> Matrix:
@@ -158,17 +158,3 @@ def is_invariant_form(rep: Representation, sigma: Matrix) -> bool:
             return False
     return True
 
-
-def leading_principal_minors_positive(sigma: Matrix) -> bool:
-    """Sylvester check on sigma or -sigma (congruent-to-definite sanity)."""
-    for cand in (sigma, mat_neg(sigma)):
-        ok = True
-        n = len(cand)
-        for k in range(1, n + 1):
-            sub = [row[:k] for row in cand[:k]]
-            if _det(sub) <= 0:
-                ok = False
-                break
-        if ok:
-            return True
-    return False

@@ -146,25 +146,6 @@ class FiniteGroup:
         self.gens = tuple(gens)
         return reached, tree
 
-    def commutator(self, g: int, h: int) -> int:
-        """g^-1 h^-1 g h."""
-        return int(self.mul[self.mul[self.inv[g], self.inv[h]], self.mul[g, h]])
-
-    def element_order(self, g: int) -> int:
-        k, x = 1, g
-        while x != self.identity:
-            x = int(self.mul[x, g])
-            k += 1
-        return k
-
-    def power(self, g: int, k: int) -> int:
-        x = self.identity
-        if k < 0:
-            g, k = int(self.inv[g]), -k
-        for _ in range(k):
-            x = int(self.mul[x, g])
-        return x
-
     def word_to_element(self, word: list[int] | tuple[int, ...]) -> int:
         x = self.identity
         for k in word:

@@ -200,11 +200,6 @@ def solve_from_snf(snf: SnfMod, B: np.ndarray) -> np.ndarray | None:
     return X[:, 0] if single else X
 
 
-def solve_mod(M: np.ndarray, B: np.ndarray, p: int, e: int) -> np.ndarray | None:
-    """One solution X of M X = B over Z/p**e, or None if unsolvable."""
-    return solve_from_snf(snf_mod(M, p, e, want_l=True, want_r=True), B)
-
-
 @dataclass
 class CokernelData:
     """Z_q**z / colspan(P) as a sum of its nontrivial cyclic factors, largest

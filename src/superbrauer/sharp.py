@@ -11,7 +11,6 @@ Brauer groups outside the scope of this library and is rejected up front.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -66,15 +65,6 @@ class FieldDescriptor:
         if self.kind == "closed":
             return h2_closed_field(g, budget)
         return h2(g, 2, budget)
-
-    def square_class(self, x) -> int:
-        """0 for squares, 1 for non-squares; x a nonzero rational."""
-        x = Fraction(x)
-        if x == 0:
-            raise ParseError("square class of zero is undefined")
-        if self.kind == "closed":
-            return 0
-        return 0 if x > 0 else 1
 
 
 ALG_CLOSED = FieldDescriptor("closed")
@@ -352,42 +342,3 @@ def q_group(
     # the identity (zero class, trivial character, 0, 0) is element 0
     return QGroup(table=table, invariants=_abelian_table_invariants(table, 0))
 
-
-# ---------------------------------------------------------------------------
-# twisted group algebra k_sigma[G]
-
-
-@dataclass(eq=False)
-class TwistedGroupAlgebra:
-    """Structure constants f_g f_h = zeta^{sigma(g,h)} f_{gh} for a fixed
-    primitive N-th root marker zeta."""
-
-    group: FiniteGroup
-    sigma: Cochain2
-    field: FieldDescriptor
-
-    def __post_init__(self) -> None:
-        if not is_cocycle(self.sigma):
-            raise NotCocycle("twisted group algebra needs a 2-cocycle")
-
-    def product(self, i: int, j: int) -> tuple[int, int]:
-        """(exponent of zeta, index of the product basis element)."""
-        return int(self.sigma.values[i, j]), int(self.group.mul[i, j])
-
-    def degree_map(self) -> np.ndarray:
-        """chi_h(g) = sigma(g, h) - sigma(h, g), one column per h."""
-        return (self.sigma.values - self.sigma.values.T) % self.sigma.modulus
-
-    def degrees_are_characters(self) -> bool:
-        """Every column chi_h of the degree map is a character G -> Z_N."""
-        return is_character(self.group, self.degree_map(), self.sigma.modulus)
-
-
-def twisted_group_algebra(g: FiniteGroup, sigma: Cochain2, field: FieldDescriptor) -> TwistedGroupAlgebra:
-    if sigma.group is not g:
-        raise ParseError("cocycle lives on a different group")
-    alg = TwistedGroupAlgebra(group=g, sigma=sigma, field=field)
-    ab = abelianization(g)
-    if len(ab.commutator_subgroup) == 1 and not alg.degrees_are_characters():
-        raise ParseError("degree map failed the character check on an abelian group")
-    return alg

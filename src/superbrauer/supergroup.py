@@ -566,27 +566,6 @@ class HCochain2:
         )
 
 
-def eps_tensor_eps(h: SupergroupAlgebra) -> HCochain2:
-    vals = [[h.counit_basis(a) * h.counit_basis(b) for b in h.basis()] for a in h.basis()]
-    return HCochain2(h, vals)
-
-
-def convolve(s1: HCochain2, s2: HCochain2) -> HCochain2:
-    """(s1 * s2)(a, b) = sum s1(a1, b1) s2(a2, b2)."""
-    h = s1.algebra
-    vals = [[0] * h.dim for _ in range(h.dim)]
-    for a in h.basis():
-        ca = h.coproduct_basis(a)
-        for b in h.basis():
-            cb = h.coproduct_basis(b)
-            acc = 0
-            for a1, a2, x in ca:
-                for b1, b2, y in cb:
-                    acc += x * y * s1.values[a1][b1] * s2.values[a2][b2]
-            vals[a][b] = acc
-    return HCochain2(h, vals)
-
-
 def _failure_report(sigma: HCochain2, check: str, detail: str, failure) -> VerifyReport:
     """The report of a twisted-product check from its (first failing basis
     tuple or None, sampled)."""
@@ -617,42 +596,6 @@ def is_lazy(sigma: HCochain2, budget: int = DEFAULT_DIM_BUDGET, seed: int = 0) -
     from .twisted import lazy_failure
 
     return _failure_report(sigma, "lazy", "lazy condition fails", lazy_failure(sigma, budget, seed))
-
-
-def is_convolution_invertible(sigma: HCochain2) -> tuple[bool, HCochain2 | None]:
-    """Solve sigma * tau = eps x eps degree by degree along the Lambda V filtration.
-
-    The top split of Delta(g v_P) is g u^|P| (x) g v_P with coefficient 1, so
-    the system is triangular once sigma is nonzero on grouplike pairs.
-    """
-    h = sigma.algebra
-    vals = [[0] * h.dim for _ in range(h.dim)]
-    order = sorted(
-        ((a, b) for a in h.basis() for b in h.basis()),
-        key=lambda ab: bin(h.decode(ab[0])[1]).count("1") + bin(h.decode(ab[1])[1]).count("1"),
-    )
-    for a, b in order:
-        ga, ma = h.decode(a)
-        gb, mb = h.decode(b)
-        top_a = h.encode(h.times_u(ga, bin(ma).count("1")), 0)
-        top_b = h.encode(h.times_u(gb, bin(mb).count("1")), 0)
-        lead = sigma.values[top_a][top_b]
-        if lead == 0:
-            return False, None
-        target = h.counit_basis(a) * h.counit_basis(b)
-        acc = 0
-        for a1, a2, x in h.coproduct_basis(a):
-            for b1, b2, y in h.coproduct_basis(b):
-                if a2 == a and b2 == b:
-                    continue  # the leading term, solved for below
-                acc += x * y * sigma.values[a1][b1] * vals[a2][b2]
-        vals[a][b] = _exact(Fraction(target - acc, lead))
-    tau = HCochain2(h, vals)
-    if not convolve(sigma, tau).equals(eps_tensor_eps(h)):
-        return False, None
-    if not convolve(tau, sigma).equals(eps_tensor_eps(h)):
-        return False, None
-    return True, tau
 
 
 # ---------------------------------------------------------------------------

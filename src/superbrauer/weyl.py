@@ -230,21 +230,6 @@ def _group_datum(t: RootSystemType, cap: int) -> GroupDatum:
 # the printed tables (used verbatim for rows beyond the computation budget)
 
 
-def literature_schur_multiplier(t: RootSystemType) -> tuple[int, ...]:
-    fam, n = t.family, t.rank
-    if fam == "A":
-        return () if n <= 2 else (2,)
-    if fam == "B":
-        return (2,) if n == 2 else ((2, 2) if n == 3 else (2, 2, 2))
-    if fam == "D":
-        return (2, 2, 2) if n == 4 else (2, 2)
-    if fam == "E":
-        return (2,)
-    if fam == "F":
-        return (2, 2)
-    return (2,)  # G2
-
-
 def literature_h2l(t: RootSystemType) -> tuple[int, ...]:
     """Finite part of the printed lazy-cohomology table (always x C)."""
     fam, n = t.family, t.rank

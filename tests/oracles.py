@@ -49,6 +49,16 @@ reflections from Bourbaki's Euclidean coordinates of the simple roots, where
 the production reads them off the Cartan matrix of the Dynkin diagram, and
 `scanned_w0` finds w0 by testing every element of the closed group, where the
 production reaches it from 1 by descents.
+
+Some references have no production twin, because no job computes what they
+compute; the tests hold production data against them.  `convolve` is the
+convolution product of 2-cochains on H, `eps_tensor_eps` its unit, and
+`is_convolution_invertible` solves for an inverse degree by degree along the
+Lambda V filtration: they check `omega_Sigma = r_0 * r_{-Sigma}` and that
+`omega_Sigma` and `lambda` are invertible.  `leading_principal_minors_positive`
+is Sylvester's test, applied to the invariant form of a Weyl datum, and
+`literature_schur_multiplier` is the printed Schur multiplier of each Weyl
+group, which its computed closed-field H^2 must equal.
 """
 
 from __future__ import annotations
@@ -71,12 +81,14 @@ from superbrauer import (
 )
 from superbrauer.cohomology import cycle_edges
 from superbrauer.errors import BudgetExceeded, ParseError
+from superbrauer.forms import Matrix, mat_neg
 from superbrauer.groups import _det
 from superbrauer.modlinalg import SnfMod, _val, _val_matrix, inverse_mod, kernel_mod
 from superbrauer.supergroup import (
     DEFAULT_DIM_BUDGET,
     SAMPLED_TRIPLES,
     Element,
+    HCochain2,
     SupergroupAlgebra,
     VerifyReport,
     _cop_tensor,
@@ -805,6 +817,63 @@ def uncleared_r_checks(h, r):
     return VerifyReport("quasitriangular", True), VerifyReport("triangular", True)
 
 
+def eps_tensor_eps(h: SupergroupAlgebra) -> HCochain2:
+    vals = [[h.counit_basis(a) * h.counit_basis(b) for b in h.basis()] for a in h.basis()]
+    return HCochain2(h, vals)
+
+
+def convolve(s1: HCochain2, s2: HCochain2) -> HCochain2:
+    """(s1 * s2)(a, b) = sum s1(a1, b1) s2(a2, b2)."""
+    h = s1.algebra
+    vals = [[0] * h.dim for _ in range(h.dim)]
+    for a in h.basis():
+        ca = h.coproduct_basis(a)
+        for b in h.basis():
+            cb = h.coproduct_basis(b)
+            acc = 0
+            for a1, a2, x in ca:
+                for b1, b2, y in cb:
+                    acc += x * y * s1.values[a1][b1] * s2.values[a2][b2]
+            vals[a][b] = acc
+    return HCochain2(h, vals)
+
+
+def is_convolution_invertible(sigma: HCochain2) -> tuple[bool, HCochain2 | None]:
+    """Solve sigma * tau = eps x eps degree by degree along the Lambda V filtration.
+
+    The top split of Delta(g v_P) is g u^|P| (x) g v_P with coefficient 1, so
+    the system is triangular once sigma is nonzero on grouplike pairs.
+    """
+    h = sigma.algebra
+    vals = [[0] * h.dim for _ in range(h.dim)]
+    order = sorted(
+        ((a, b) for a in h.basis() for b in h.basis()),
+        key=lambda ab: bin(h.decode(ab[0])[1]).count("1") + bin(h.decode(ab[1])[1]).count("1"),
+    )
+    for a, b in order:
+        ga, ma = h.decode(a)
+        gb, mb = h.decode(b)
+        top_a = h.encode(h.times_u(ga, bin(ma).count("1")), 0)
+        top_b = h.encode(h.times_u(gb, bin(mb).count("1")), 0)
+        lead = sigma.values[top_a][top_b]
+        if lead == 0:
+            return False, None
+        target = h.counit_basis(a) * h.counit_basis(b)
+        acc = 0
+        for a1, a2, x in h.coproduct_basis(a):
+            for b1, b2, y in h.coproduct_basis(b):
+                if a2 == a and b2 == b:
+                    continue  # the leading term, solved for below
+                acc += x * y * sigma.values[a1][b1] * vals[a2][b2]
+        vals[a][b] = _exact(Fraction(target - acc, lead))
+    tau = HCochain2(h, vals)
+    if not convolve(sigma, tau).equals(eps_tensor_eps(h)):
+        return False, None
+    if not convolve(tau, sigma).equals(eps_tensor_eps(h)):
+        return False, None
+    return True, tau
+
+
 def is_group_invariant_form(rep, sigma):
     """rho(x)^t Sigma rho(x) = Sigma for every group element x."""
     n = len(sigma)
@@ -815,6 +884,21 @@ def is_group_invariant_form(rep, sigma):
         if moved != [list(row) for row in sigma]:
             return False
     return True
+
+
+def leading_principal_minors_positive(sigma: Matrix) -> bool:
+    """Sylvester check on sigma or -sigma (congruent-to-definite sanity)."""
+    for cand in (sigma, mat_neg(sigma)):
+        ok = True
+        n = len(cand)
+        for k in range(1, n + 1):
+            sub = [row[:k] for row in cand[:k]]
+            if _det(sub) <= 0:
+                ok = False
+                break
+        if ok:
+            return True
+    return False
 
 
 def dense_snf_mod(
@@ -1301,3 +1385,23 @@ def scanned_w0(g) -> int:
     if len(w0s) != 1:
         raise ParseError("longest element is not unique")
     return w0s[0]
+
+
+# ---------------------------------------------------------------------------
+# the printed Schur multipliers of the Weyl groups, which the closed-field H^2
+# of W is compared against
+
+
+def literature_schur_multiplier(t: RootSystemType) -> tuple[int, ...]:
+    fam, n = t.family, t.rank
+    if fam == "A":
+        return () if n <= 2 else (2,)
+    if fam == "B":
+        return (2,) if n == 2 else ((2, 2) if n == 3 else (2, 2, 2))
+    if fam == "D":
+        return (2, 2, 2) if n == 4 else (2, 2)
+    if fam == "E":
+        return (2,)
+    if fam == "F":
+        return (2, 2)
+    return (2,)  # G2

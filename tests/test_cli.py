@@ -55,6 +55,20 @@ def test_verify_e2_triangular_identity(capsys):
     assert "passed: True" in out
 
 
+@pytest.mark.parametrize("args, code, message", [
+    (["--type", "B2", "--check", "triangular"], 0, "passed: True"),
+    (["--type", "B3", "--check", "quasitriangular"], 0, "passed: True"),
+    (["--type", "B3", "--check", "triangular"], 0, "passed: True"),
+    (["--type", "B2", "--check", "triangular", "--A", "identity"], EXIT_PARSE, "R_A lives on E(n), i.e. G = Z_2"),
+], ids=["B2-triangular", "B3-quasitriangular", "B3-triangular", "B2-R_A"])
+def test_verify_weyl_type_checks_r_u(capsys, args, code, message):
+    """Without --A the (quasi)triangular checks take R_u, which every Weyl datum
+    carries; --A selects R_A, which lives on E(n) only."""
+    assert main(["verify", *args]) == code
+    seen = capsys.readouterr()
+    assert message in (seen.out if code == 0 else seen.err)
+
+
 def test_verify_failure_exit_code(capsys):
     code, out = _run(
         ["verify", "--type", "B2", "--check", "lambda-cocycle", "--sigma", "identity"],
@@ -393,12 +407,13 @@ def test_budget_refusal_names_its_flag(tmp_path, monkeypatch, capsys, args, flag
         assert "is below (|G|-1)^2 = " in err and f"{args[0]} has no flag that raises it" in err
 
 
-@pytest.mark.parametrize("args, named", [
-    (["h2", "--type", "D5"], True),
-    (["h2sharp", "--type", "D5", "--field", "closed"], False),
-    (["bm", "--type", "D5", "--field", "closed"], False),
-], ids=["h2", "h2sharp", "bm"])
-def test_h2_budget_refuses_a_weyl_type_before_building(monkeypatch, capsys, args, named):
+@pytest.mark.parametrize("args, square, named", [
+    (["h2", "--type", "D5"], 14737921, True),
+    (["h2sharp", "--type", "D5", "--field", "closed"], 14737921, False),
+    (["bm", "--type", "D5", "--field", "closed"], 14737921, False),
+    (["lazy", "--type", "D5"], 3682561, True),  # the H^2 of G/U, 1920 elements
+], ids=["h2", "h2sharp", "bm", "lazy"])
+def test_h2_budget_refuses_a_weyl_type_before_building(monkeypatch, capsys, args, square, named):
     """|G(D5)| = 3840 is known from the type, so the H^2 budget refuses the job
     (exit 3, same message) before G(D5) is closed."""
     from superbrauer import cli
@@ -409,7 +424,7 @@ def test_h2_budget_refuses_a_weyl_type_before_building(monkeypatch, capsys, args
     monkeypatch.setattr(cli, "group_datum", unbuilt)
     assert main(args) == EXIT_BUDGET
     err = capsys.readouterr().err
-    assert "H^2 budget 150000 is below (|G|-1)^2 = 14737921" in err
+    assert f"H^2 budget 150000 is below (|G|-1)^2 = {square}" in err
     assert ("raise --budget-h2" in err) == named
 
 
@@ -629,6 +644,26 @@ def test_lazy_and_invforms_via_type(capsys):
     code, out = _run(["invforms", "--type", "B2", "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["result"]["dim"] == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["h2"],
+    ["h2sharp", "--field", "real"],
+    ["bm", "--field", "real"],
+], ids=["h2", "h2sharp", "bm"])
+def test_text_reports_build_no_representative(zz_file, monkeypatch, capsys, args):
+    """The text report prints no representative, so it rebuilds no dense
+    cochain; the JSON report of the same job does."""
+    from superbrauer import cohomology
+
+    def refuse(*args):
+        raise RuntimeError("reconstruct called")
+
+    monkeypatch.setattr(cohomology._Presentation, "reconstruct", refuse)
+    code, out = _run([*args, "--group", zz_file], capsys)  # a group file is a fresh group with empty memos
+    assert code == 0 and "invariants: [" in out
+    with pytest.raises(RuntimeError, match="reconstruct called"):
+        main([*args, "--group", zz_file, "--format", "json"])
 
 
 def test_group_report_roundtrip(zz_file, capsys):

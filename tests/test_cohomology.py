@@ -9,14 +9,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from superbrauer import (
-    ALG_CLOSED,
     CentralInvolution,
     Cochain2,
     CoefficientModule,
     NotCocycle,
     ParseError,
     RootSystemType,
-    TwistedGroupAlgebra,
     abelianization,
     all_characters,
     build_supergroup,
@@ -37,7 +35,8 @@ from superbrauer import (
 )
 from superbrauer import cohomology, groups, modlinalg
 from superbrauer.cohomology import group_exponent
-from superbrauer.modlinalg import prime_power_factors, solve_mod
+from superbrauer.groups import is_character
+from superbrauer.modlinalg import prime_power_factors, snf_mod, solve_from_snf
 
 from .oracles import (
     all_pairs_degrees_are_characters,
@@ -52,6 +51,7 @@ from .oracles import (
     gauge_fixed,
     presentation_unknowns,
     relator_rows,
+    table_order,
 )
 
 
@@ -301,10 +301,9 @@ def test_is_cocycle_matches_all_triples_oracle(name, modulus, seed, perturb):
     assert is_cocycle(sigma) == all_triples_is_cocycle(sigma)
     if not perturb:
         assert is_cocycle(sigma)
-    if all(g.commutator(a, b) == g.identity for a in g.gens for b in g.gens):
-        alg = TwistedGroupAlgebra(g, Cochain2.zero(g, modulus), ALG_CLOSED)
-        alg.sigma = sigma  # the constructor admits cocycles only; compare on any cochain
-        assert alg.degrees_are_characters() == all_pairs_degrees_are_characters(sigma)
+    if all(g.mul[a, b] == g.mul[b, a] for a in g.gens for b in g.gens):
+        degrees = (sigma.values - sigma.values.T) % modulus
+        assert is_character(g, degrees, modulus) == all_pairs_degrees_are_characters(sigma)
 
 
 # every Sylow subgroup of these is cyclic, so the closed field solves no prime
@@ -408,7 +407,8 @@ _FRONTIER_GROUPS = {
 
 
 def _same_span(a, b, p, e):
-    return solve_mod(a, b, p, e) is not None and solve_mod(b, a, p, e) is not None
+    return all(solve_from_snf(snf_mod(m, p, e, want_l=True, want_r=True), rhs) is not None
+               for m, rhs in ((a, b), (b, a)))
 
 
 def _gauge_fixed_columns(g, unknowns, frontier):
@@ -631,7 +631,7 @@ def test_reps_are_built_only_when_read(monkeypatch):
 def _lcm_of_orders(g):
     out = 1
     for x in range(g.order):
-        out = int(np.lcm(out, g.element_order(x)))
+        out = int(np.lcm(out, table_order(g.mul, x, g.identity)))
     return out
 
 

@@ -17,10 +17,10 @@ from superbrauer import (
     invariant_symmetric_forms,
     symmetric_group,
 )
-from superbrauer.forms import leading_principal_minors_positive, _mat_mul, _nullspace
+from superbrauer.forms import _mat_mul, _nullspace
 from superbrauer.groups import _det, _mat_rank
 
-from .oracles import is_group_invariant_form, leibniz_det, walked_representation
+from .oracles import is_group_invariant_form, leading_principal_minors_positive, leibniz_det, walked_representation
 
 
 def _frac_mat(rows):

@@ -18,7 +18,6 @@ from superbrauer.modlinalg import (
     prime_power_factors,
     snf_mod,
     solve_from_snf,
-    solve_mod,
 )
 
 from .oracles import coo_frontier_system, dense_snf_mod
@@ -77,7 +76,7 @@ def test_solve_consistency():
             M = rng.integers(0, q, (rows, cols)).astype(np.int64)
             X = rng.integers(0, q, (cols, 3)).astype(np.int64)
             B = (M @ X) % q
-            S = solve_mod(M, B, p, e)
+            S = solve_from_snf(snf_mod(M, p, e, want_l=True, want_r=True), B)
             assert S is not None
             assert ((M @ S) % q == B).all()
 
@@ -85,7 +84,7 @@ def test_solve_consistency():
 def test_solve_detects_unsolvable():
     # x * 2 = 1 has no solution mod 4
     M = np.array([[2]], dtype=np.int64)
-    assert solve_mod(M, np.array([1]), 2, 2) is None
+    assert solve_from_snf(snf_mod(M, 2, 2, want_l=True, want_r=True), np.array([1])) is None
 
 
 def test_cokernel_invariants():

@@ -1,4 +1,5 @@
-"""The package's syntax stays within the Python floor that pyproject.toml declares."""
+"""The syntax of the package and of its tests stays within the Python floor
+that pyproject.toml declares."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "superbrauer").glob("*.py"))
+# a module by its file name, a test file by its path from the root
+SOURCES = ({p.name: p for p in sorted((ROOT / "src" / "superbrauer").glob("*.py"))}
+           | {f"tests/{p.name}": p for p in sorted((ROOT / "tests").glob("*.py"))})
 
 
 def test_declared_floor_is_3_10():
@@ -18,7 +21,7 @@ def test_declared_floor_is_3_10():
     assert declared and tuple(map(int, declared.groups())) == (3, 10)
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+@pytest.mark.parametrize("path", SOURCES.values(), ids=list(SOURCES))
 def test_source_parses_as_python_3_10(path):
     """ast.parse with feature_version=(3, 10) rejects syntax newer than 3.10
     (except*, PEP 695 type parameters, ...); it does not check the standard

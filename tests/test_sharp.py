@@ -36,7 +36,6 @@ from superbrauer import (
     splitting_character,
     symmetric_group,
     theta,
-    twisted_group_algebra,
 )
 from superbrauer import cohomology
 from superbrauer.sharp import _abelian_table_invariants, sharp_class_table
@@ -198,9 +197,6 @@ def test_quaternion_symbol():
     assert quaternion_symbol(0, 0, REAL_CLOSED) == 0
     assert quaternion_symbol(1, 1, REAL_CLOSED) == 1  # Hamilton quaternions
     assert quaternion_symbol(1, 1, ALG_CLOSED) == 0
-    assert REAL_CLOSED.square_class(-3) == 1
-    assert REAL_CLOSED.square_class(7) == 0
-    assert ALG_CLOSED.square_class(-3) == 0
 
 
 def test_q_group_real_z2():
@@ -265,25 +261,6 @@ def test_eq_2_8_product_rule(z2z2, invx):
             assert q_part(prod) == q_part(c1) + q_part(c2) + pairing
             # characters multiply componentwise
             assert (char_of(prod) == (chi1 + chi2) % 2).all()
-
-
-def test_twisted_group_algebra(z2z2, invx):
-    lam = lam_cochain(z2z2)
-    alg = twisted_group_algebra(z2z2, lam, REAL_CLOSED)
-    # f_x f_y = - f_y f_x: exponents differ by N/2
-    ex, ix = alg.product(2, 1)
-    ey, iy = alg.product(1, 2)
-    assert ix == iy and (ex - ey) % 2 == 1
-    assert is_cocycle(alg.sigma)  # the structure constants are associative
-    assert alg.degrees_are_characters()
-    # trivial cocycle: plain group algebra
-    triv = twisted_group_algebra(z2z2, Cochain2.zero(z2z2, 2), REAL_CLOSED)
-    assert not triv.degree_map().any()
-    # non-cocycle input is rejected
-    vals = np.zeros((4, 4), dtype=np.int64)
-    vals[1, 2] = 1
-    with pytest.raises(NotCocycle):
-        twisted_group_algebra(z2z2, Cochain2(z2z2, 2, vals), REAL_CLOSED)
 
 
 def test_symmetric_intercalate_rejected_by_table_check():

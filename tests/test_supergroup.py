@@ -21,13 +21,10 @@ from superbrauer import (
     bm_supergroup,
     build_en,
     build_supergroup,
-    convolve,
     cyclic_group,
     dual_r_matrix,
-    eps_tensor_eps,
     h2_closed_field,
     invariant_symmetric_forms,
-    is_convolution_invertible,
     is_lazy,
     is_left_cocycle,
     is_right_cocycle,
@@ -56,11 +53,14 @@ from superbrauer.twisted import _sample, kernel_rows, twisted_terms
 from .oracles import (
     all_basis_r_delta,
     all_pairs_verify_hopf,
+    convolve,
     dense_lambda_cocycle,
     det_signed_minors,
+    eps_tensor_eps,
     factor_coproduct,
     four_loop_cocycle_check,
     four_loop_is_lazy,
+    is_convolution_invertible,
     leibniz_det,
     product_antipode,
     triple_tensor_legs,
