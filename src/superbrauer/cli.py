@@ -360,13 +360,70 @@ def _text_lines(doc: dict) -> list[str]:
     return lines
 
 
+# ints per slice that the C encoder writes in one piece; this bounds the
+# memory of one chunk whatever the size of the report
+_SLICE_INTS = 1024
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _json_chunks(x, indent: str = "\n"):
+    """The text of json.dumps(x, sort_keys=True, indent=2) in pieces; indent
+    is the line break and the spaces of the line that x starts on.
+
+    Dicts and other lists nest as json's own encoder nests them; keys must be
+    str.  A list of plain ints, or a list of non-empty lists of them, is
+    written by the C encoder with no spaces, a slice of at most _SLICE_INTS
+    ints (or one row) at a time, and indented with str.replace: the text of
+    an int holds no comma and no bracket.  Scalars go through the same C
+    encoder, so a value json cannot encode (a numpy int) raises TypeError."""
+    inner = indent + "  "
+    if isinstance(x, dict):
+        if not x:
+            yield "{}"
+            return
+        sep = "{" + inner
+        for k in sorted(x):
+            if not isinstance(k, str):
+                raise TypeError(f"report keys must be str, not {type(k).__name__}")
+            yield f"{sep}{_compact(k)}: "
+            yield from _json_chunks(x[k], inner)
+            sep = "," + inner
+        yield indent + "}"
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            yield "[]"
+            return
+        types = set(map(type, x))  # exact types: bools and numpy ints take the general path
+        if types == {int}:
+            for lo in range(0, len(x), _SLICE_INTS):
+                text = _compact(x[lo:lo + _SLICE_INTS])[1:-1]
+                yield ("," if lo else "[") + inner + text.replace(",", "," + inner)
+        elif types <= {list, tuple} and all(x) and set(map(type, itertools.chain.from_iterable(x))) == {int}:
+            item = inner + "  "
+            step = max(1, _SLICE_INTS // max(map(len, x)))
+            for lo in range(0, len(x), step):
+                text = _compact(x[lo:lo + step])[1:-1]  # "[1,2],[3,4]"
+                # the commas inside rows, the brackets, then the row separators "],"
+                text = text.replace(",", "," + item).replace("[", "[" + item).replace("]", inner + "]")
+                yield ("," if lo else "[") + inner + text.replace("]," + item, "]," + inner)
+        else:
+            sep = "[" + inner
+            for v in x:
+                yield sep
+                yield from _json_chunks(v, inner)
+                sep = "," + inner
+        yield indent + "]"
+    else:
+        yield _compact(x)
+
+
 def _write_report(doc: dict, fmt: str, fh) -> None:
     """Stream the report into fh, never holding its text as one string.  The
-    JSON is json.dumps(doc, sort_keys=True, indent=2), written 1024 encoder
-    chunks at a time: json.dump's one write per chunk is slower than one join."""
+    JSON is json.dumps(doc, sort_keys=True, indent=2), written chunk by chunk
+    as _json_chunks makes it; json's own indent encoder runs in pure Python,
+    one call per int."""
     if fmt == "json":
-        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
-        fh.writelines(iter(lambda: "".join(itertools.islice(chunks, 1024)), ""))
+        fh.writelines(_json_chunks(doc))
         fh.write("\n")
     else:
         fh.writelines(f"{line}\n" for line in _text_lines(doc))

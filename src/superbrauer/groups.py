@@ -77,11 +77,6 @@ def _mat_rank(m) -> int:
     return len(_row_reduce(m)[1])
 
 
-def _det(rows) -> Fraction:
-    _, pivots, det = _row_reduce(rows)
-    return det if len(pivots) == len(rows) else Fraction(0)
-
-
 @dataclass(eq=False)
 class FiniteGroup:
     """Multiplication-table group with 0-based element indices."""
@@ -318,15 +313,25 @@ def _close_integer(gens: list[Matrix], dim: int, cap: int):
     return elements, np.vstack(blocks), parent
 
 
+_TABLE_BLOCK = 256  # columns of the table built per block of its transpose
+
+
 def _table(right: np.ndarray, parent: list) -> np.ndarray:
     """Multiplication table from the generator columns: when j was first
-    reached as p * s_k, column j is x * j = (x * p) * s_k = right[x * p, k]."""
+    reached as p * s_k, column j is x * j = (x * p) * s_k = right[x * p, k].
+    The columns are built as contiguous rows of a (block, n) buffer, a block
+    at a time, and copied into the table; a parent earlier than the block is
+    read from the table.  A full transpose would be a second table."""
     n = len(right)
     mul = np.empty((n, n), dtype=np.int32)
-    mul[:, 0] = np.arange(n)
-    for j in range(1, n):
-        p, k = parent[j]
-        mul[:, j] = right[mul[:, p], k]
+    buf = np.empty((min(_TABLE_BLOCK, n), n), dtype=np.int32)
+    buf[0] = np.arange(n)
+    for lo in range(0, n, _TABLE_BLOCK):
+        hi = min(lo + _TABLE_BLOCK, n)
+        for j in range(max(lo, 1), hi):
+            p, k = parent[j]
+            buf[j - lo] = right[buf[p - lo] if p >= lo else mul[:, p], k]
+        mul[:, lo:hi] = buf[:hi - lo].T
     return mul
 
 

@@ -560,11 +560,6 @@ class HCochain2:
         d = _denominator_lcm(x for row in distinct for x in row)
         return [tuple(int(d * x) for x in row) for row in distinct], rid, d
 
-    def equals(self, other: "HCochain2") -> bool:
-        return len(self.values) == len(other.values) and all(
-            a is b or tuple(a) == tuple(b) for a, b in zip(self.values, other.values)
-        )
-
 
 def _failure_report(sigma: HCochain2, check: str, detail: str, failure) -> VerifyReport:
     """The report of a twisted-product check from its (first failing basis

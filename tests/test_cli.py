@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import re
 import stat
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from superbrauer import cli
 from superbrauer.cli import EXIT_BUDGET, EXIT_PARSE, EXIT_VERIFY, main
 
 
@@ -800,3 +806,63 @@ def test_golden_matrix_file_reports(tmp_path, args, matrix, digest, capsys):
     code, out = _run(args + [str(path), "--format", "json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _json_text(doc) -> str:
+    fh = io.StringIO()
+    cli._write_report(doc, "json", fh)
+    return fh.getvalue()
+
+
+_ints = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))  # past 2^63 both ways
+_keys = st.text(st.sampled_from(',[]{}"\\: \n\tab\u00e9\u4e2d\U0001f600'), max_size=6)
+_scalars = st.one_of(_ints, st.booleans(), st.none(), _keys, st.just(1.5))
+_int_lists = st.lists(_ints, max_size=7)
+_int_rows = st.lists(st.one_of(_int_lists, _int_lists.map(tuple)), max_size=5)  # empty rows included
+_rows_with_bools = st.lists(st.lists(st.one_of(_ints, st.booleans()), max_size=4), max_size=4)
+_json_docs = st.recursive(
+    st.one_of(_scalars, _int_lists, _int_lists.map(tuple), _int_rows, _rows_with_bools),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_keys, inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_docs, st.sampled_from([1, 2, 3, 1024]))
+def test_report_writer_equals_json_dumps(doc, slice_ints):
+    """The report is json.dumps(doc, sort_keys=True, indent=2) and a newline,
+    whatever the slice size of the int lists."""
+    with mock.patch.object(cli, "_SLICE_INTS", slice_ints):
+        assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([np.int64(1)], "not JSON serializable"),
+    ({"t": [[1, 2], [3, np.int32(4)]]}, "not JSON serializable"),
+    ({"a": {1: 2}}, "report keys must be str, not int"),
+    ({("a",): 1}, "report keys must be str, not tuple"),
+], ids=["numpy-int", "numpy-int-in-a-row", "int-key", "tuple-key"])
+def test_report_writer_raises_type_error(doc, message):
+    """A numpy int raises TypeError as json.dumps does; a key that is not a
+    str raises TypeError where json.dumps would coerce an int key."""
+    with pytest.raises(TypeError, match=message):
+        _json_text(doc)
+
+
+def test_report_writer_memory_is_bounded(tmp_path):
+    """Writing 20 000 sparse [i, j, value] entries and a 512 x 512 table peaks
+    under 1 MB of Python memory: the int lists are encoded a slice at a time,
+    never as one string (the report is 3.8 MB; encoded whole, the peak is 8.5 MB)."""
+    doc = {"entries": [[i, i % 7, -i] for i in range(20_000)],
+           "table": [[(i + j) % 512 for j in range(512)] for i in range(512)]}
+    path = tmp_path / "report.json"
+    with path.open("w") as fh:
+        tracemalloc.start()
+        try:
+            cli._write_report(doc, "json", fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1_000_000
+    assert json.loads(path.read_text()) == doc
