@@ -34,21 +34,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import BudgetExceeded, NotCocycle, ParseError
-from .groups import (
-    CentralInvolution,
-    FiniteGroup,
-    GroupCharacter,
-    QuotientData,
-    abelianization,
-    cyclic_group,
-    is_character,
-)
+from .groups import FiniteGroup, abelianization, is_character
 from .modlinalg import (
     CokernelData,
     SnfMod,
@@ -65,34 +56,28 @@ from .modlinalg import (
 DEFAULT_H2_BUDGET = 150_000
 
 
-@dataclass(frozen=True)
 class CoefficientModule:
     """Trivial coefficients Z_N, written additively (Z_N = mu_N), N < 2^62
     so that the sum of two int64 cochain values is exact."""
 
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int) -> None:
+        self.n = n
+        if n < 1:
             raise ParseError("coefficient modulus must be positive")
-        if self.n >= 2**62:
-            raise ParseError(f"coefficient modulus {self.n} is not below 2^62")
+        if n >= 2**62:
+            raise ParseError(f"coefficient modulus {n} is not below 2^62")
 
 
-@dataclass(eq=False)
 class Cochain2:
     """Normalized 2-cochain on G with values in Z_N."""
 
-    group: FiniteGroup
-    modulus: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.int64) % self.modulus
-        e = self.group.identity
+    def __init__(self, group: FiniteGroup, modulus: int, values: np.ndarray) -> None:
+        self.group = group
+        self.modulus = modulus
+        self.values = v = np.asarray(values, dtype=np.int64) % modulus
+        e = group.identity
         if v[e, :].any() or v[:, e].any():
             raise ParseError("cochain is not normalized")
-        self.values = v
 
     @classmethod
     def zero(cls, group: FiniteGroup, modulus: int) -> "Cochain2":
@@ -112,13 +97,6 @@ class Cochain2:
     def __neg__(self) -> "Cochain2":
         return self.copy_with(-self.values)
 
-    def equals(self, other: "Cochain2") -> bool:
-        return (
-            self.group is other.group
-            and self.modulus == other.modulus
-            and bool((self.values == other.values).all())
-        )
-
     def _compat(self, other: "Cochain2") -> None:
         if self.group is not other.group or self.modulus != other.modulus:
             raise ParseError("cochains live on different groups or moduli")
@@ -130,24 +108,6 @@ class Cochain2:
             "order": self.group.order,
             "entries": np.column_stack((ii, jj, self.values[ii, jj])).tolist(),
         }
-
-
-def cochain_from_sparse(group: FiniteGroup, data: dict) -> Cochain2:
-    """Inverse of Cochain2.to_sparse; ParseError on any malformed document."""
-    try:
-        n = CoefficientModule(int(data["modulus"])).n
-        order = int(data.get("order", group.order))
-        entries = [[int(x) for x in entry] for entry in data["entries"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed sparse cochain: {exc}") from exc
-    if order != group.order:
-        raise ParseError("cocycle order does not match the group")
-    vals = np.zeros((group.order, group.order), dtype=np.int64)
-    for entry in entries:
-        if len(entry) != 3 or not (0 <= entry[0] < order and 0 <= entry[1] < order):
-            raise ParseError(f"sparse cochain entry {entry} is not [i, j, value] with 0 <= i, j < {order}")
-        vals[entry[0], entry[1]] = entry[2] % n
-    return Cochain2(group, n, vals)
 
 
 def coboundary(group: FiniteGroup, modulus: int, gamma) -> Cochain2:
@@ -180,7 +140,6 @@ def is_cocycle(sigma: Cochain2) -> bool:
 # the presentation: edge labels T(x, s) as linear forms in the central values
 
 
-@dataclass(eq=False)
 class _Presentation:
     """Edge (x, s_k) of the Cayley graph has id x |S| + k.  Relators are
     words of (generator index, +-1) steps; cycles[j] holds the edge ids
@@ -189,10 +148,11 @@ class _Presentation:
     (j, starts, pos): each start's cycle x r_j had one open edge, at `pos`,
     which the batch filled."""
 
-    group: FiniteGroup
-    relators: list
-    cycles: list
-    schedule: list
+    def __init__(self, group: FiniteGroup, relators: list, cycles: list, schedule: list) -> None:
+        self.group = group
+        self.relators = relators
+        self.cycles = cycles
+        self.schedule = schedule
 
     def system(self, q: int) -> tuple[np.ndarray, np.ndarray]:
         """L and C over Z_q.  Replaying the fill, every edge label of the
@@ -309,29 +269,26 @@ def _cocycle_kernel(C: np.ndarray, p: int, e: int) -> np.ndarray:
     return kernel_mod(C, p, e)
 
 
-@dataclass(eq=False)
 class _PrimePiece:
     """The Z_q part of H^2: the kernel SNF and cokernel of the class map,
     and the edge labels (n |S| x factors) of its factor generators mod q."""
 
-    q: int
-    ksnf: SnfMod
-    ck: CokernelData
-    labels: np.ndarray
+    def __init__(self, q: int, ksnf: SnfMod, ck: CokernelData, labels: np.ndarray) -> None:
+        self.q = q
+        self.ksnf = ksnf
+        self.ck = ck
+        self.labels = labels
 
 
-@dataclass(eq=False)
 class CohomologyClass:
     """Element of a CohomologyGroup; coordinates reduced mod the invariants."""
 
-    parent: "CohomologyGroup"
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        inv = self.parent.invariants
-        if len(self.coords) != len(inv):
+    def __init__(self, parent: CohomologyGroup, coords: tuple[int, ...]) -> None:
+        self.parent = parent
+        inv = parent.invariants
+        if len(coords) != len(inv):
             raise ParseError("coordinate length mismatch")
-        self.coords = tuple(int(c) % d for c, d in zip(self.coords, inv))
+        self.coords = tuple(int(c) % d for c, d in zip(coords, inv))
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
         if other.parent is not self.parent:
@@ -368,19 +325,20 @@ class CohomologyClass:
         return hash((id(self.parent), self.coords))
 
 
-@dataclass(eq=False)
 class CohomologyGroup:
     """H^2(G, Z_N) with invariant factors, representatives and a class map.
 
     Classes are handled through the edge labels of the presentation; a dense
     n x n cochain is built only for a representative that is asked for."""
 
-    group: FiniteGroup
-    coeff: CoefficientModule
-    field_mode: str  # "muN" or "closed"
-    invariants: tuple[int, ...]
-    _pieces: list[_PrimePiece] = field(default_factory=list)
-    _sys: _Presentation | None = None
+    def __init__(self, group: FiniteGroup, coeff: CoefficientModule, field_mode: str, invariants: tuple[int, ...],
+                 _pieces: list[_PrimePiece] | None = None, _sys: _Presentation | None = None) -> None:
+        self.group = group
+        self.coeff = coeff
+        self.field_mode = field_mode  # "muN" or "closed"
+        self.invariants = invariants
+        self._pieces = [] if _pieces is None else _pieces
+        self._sys = _sys
 
     @property
     def size(self) -> int:
@@ -577,82 +535,3 @@ def h2_real_closed(g: FiniteGroup, budget: int = DEFAULT_H2_BUDGET) -> Cohomolog
     """H^2(G, k*) for real closed k: positive elements are uniquely divisible,
     so the coefficients reduce to {+1, -1} = Z_2."""
     return h2(g, CoefficientModule(2), budget)
-
-
-# ---------------------------------------------------------------------------
-# inflation, restriction, transgression
-
-
-def _embed_values(vals: np.ndarray, src_mod: int, dst_mod: int) -> np.ndarray:
-    """Push Z_m values into Z_M along mu_m -> mu_M (requires m | M)."""
-    if dst_mod == src_mod:
-        return vals
-    if dst_mod % src_mod:
-        raise ParseError("coefficients do not embed into the target module")
-    return vals * (dst_mod // src_mod)
-
-
-def inflation(qd: QuotientData, cls: CohomologyClass, target: CohomologyGroup | None = None) -> CohomologyClass:
-    """Pull a class on G/U back to G through the projection."""
-    if cls.parent.group is not qd.quotient:
-        raise ParseError("class does not live on the quotient group")
-    if target is None:
-        if cls.parent.field_mode == "closed":
-            target = h2_closed_field(qd.group)
-        else:
-            target = h2(qd.group, cls.parent.coeff)
-    rep = cls.representative()
-    proj = np.asarray(qd.projection)
-    vals = _embed_values(rep.values[np.ix_(proj, proj)], rep.modulus, target.coeff.n)
-    return target.class_of(Cochain2(qd.group, target.coeff.n, vals))
-
-
-def u_subgroup(inv: CentralInvolution) -> tuple[FiniteGroup, np.ndarray]:
-    """U = {1, u} as a standalone group plus its embedding into G.
-
-    Memoized per (group, u) so repeated calls share one group instance and
-    its memo.  The embedding lists the identity first: element 0 of U is 1.
-    """
-    g = inv.group
-    embed = np.array([g.identity] if inv.is_trivial else [g.identity, inv.u], dtype=np.int64)
-    return g.memo(("u_subgroup", inv.u), lambda: (cyclic_group(len(embed)), embed))
-
-
-def restriction(inv: CentralInvolution, cls: CohomologyClass, target: CohomologyGroup | None = None) -> CohomologyClass:
-    """Restrict a class on G to U = {1, u}."""
-    if cls.parent.group is not inv.group:
-        raise ParseError("class does not live on the ambient group")
-    ugroup, embed = u_subgroup(inv)
-    rep = cls.representative()
-    if target is None:
-        if cls.parent.field_mode == "closed":
-            target = h2_closed_field(ugroup, modulus=rep.modulus)
-        else:
-            target = h2(ugroup, cls.parent.coeff)
-    vals = _embed_values(rep.values[np.ix_(embed, embed)], rep.modulus, target.coeff.n)
-    return target.class_of(Cochain2(ugroup, target.coeff.n, vals))
-
-
-def transgression(
-    f: GroupCharacter,
-    qd: QuotientData,
-    target: CohomologyGroup | None = None,
-    section: np.ndarray | None = None,
-) -> CohomologyClass:
-    """T(f)(x, y) = f(phi(x) phi(y) phi(xy)^{-1}) for a section phi of G -> G/U."""
-    g = qd.group
-    q = qd.quotient
-    if f.group.order != 2:
-        raise ParseError("transgression input must be a character of U = {1, u}")
-    sec = qd.section if section is None else np.asarray(section, dtype=np.int64)
-    proj = np.asarray(qd.projection)
-    if (proj[sec] != np.arange(q.order)).any():
-        raise ParseError("section is not a section of the projection")
-    mul, invt = np.asarray(g.mul), np.asarray(g.inv)
-    w = mul[mul[np.ix_(sec, sec)], invt[sec[np.asarray(q.mul)]]]
-    uval = np.zeros(g.order, dtype=np.int64)
-    uval[qd.involution.u] = f(1)
-    if target is None:
-        target = h2(q, CoefficientModule(f.target_order))
-    vals = _embed_values(uval[w], f.target_order, target.coeff.n)
-    return target.class_of(Cochain2(q, target.coeff.n, vals))

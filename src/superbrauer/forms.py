@@ -8,7 +8,6 @@ coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -40,25 +39,22 @@ def is_symmetric(a: Matrix) -> bool:
     return a == mat_transpose(a)
 
 
-@dataclass(eq=False)
 class Representation:
     """Exact rational matrix representation, defined on the group generators.
     Its image is the closure of the generator matrices; x maps to the image
     element its BFS-tree path reaches, and rho(x) rho(s) = rho(xs) is checked."""
 
-    group: FiniteGroup
-    dim: int
-    gen_matrices: list[Matrix]
-
-    def __post_init__(self) -> None:
-        if len(self.gen_matrices) != len(self.group.gens):
+    def __init__(self, group: FiniteGroup, dim: int, gen_matrices: list[Matrix]) -> None:
+        self.group = g = group
+        self.dim = dim
+        self.gen_matrices = gen_matrices
+        if len(gen_matrices) != len(g.gens):
             raise ParseError("one matrix per group generator required")
-        for m in self.gen_matrices:
-            if len(m) != self.dim or any(len(r) != self.dim for r in m):
+        for m in gen_matrices:
+            if len(m) != dim or any(len(r) != dim for r in m):
                 raise ParseError("representation matrices must be dim x dim")
-        g = self.group
         try:
-            self._image, right, _ = _close_matrices(self.gen_matrices, self.dim, g.order)
+            self._image, right, _ = _close_matrices(gen_matrices, dim, g.order)
         except (CapExceeded, NotInvertible) as exc:
             raise ParseError("generator matrices are not compatible with the group") from exc
         steps, index = right.tolist(), [0] * g.order
@@ -82,12 +78,12 @@ def acts_as_minus_one(rep: Representation, inv: CentralInvolution) -> bool:
     return rep.matrix(inv.u) == mat_neg(_mat_identity(rep.dim))
 
 
-@dataclass(eq=False)
 class SymFormSpace:
     """Basis of the invariant symmetric forms, in reduced row-echelon shape."""
 
-    rep: Representation
-    basis: list[Matrix]
+    def __init__(self, rep: Representation, basis: list[Matrix]) -> None:
+        self.rep = rep
+        self.basis = basis
 
     @property
     def dim(self) -> int:
@@ -109,7 +105,7 @@ def _sym_from_coords(dim: int, vec: list[Fraction]) -> Matrix:
 
 def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Canonical nullspace basis: free coordinate set to 1, echelon back-substitution."""
-    red, pivot_cols, _ = _row_reduce(rows)
+    red, pivot_cols = _row_reduce(rows)
     free = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
     for fc in free:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,17 +40,12 @@ def _mat_identity(n: int) -> Matrix:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """Exact Gauss-Jordan elimination of a matrix of Fractions.
-
-    Returns the nonzero rows of the reduced row echelon form, their pivot
-    columns, and the signed product of the pivots, which is the determinant
-    when the matrix is square and of full rank.
-    """
+def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Exact Gauss-Jordan elimination of a matrix of Fractions: the nonzero
+    rows of the reduced row echelon form and their pivot columns."""
     out = [list(r) for r in rows]
     ncols = len(out[0]) if out else 0
     pivots: list[int] = []
-    det = Fraction(1)
     for c in range(ncols):
         lead = len(pivots)
         if lead == len(out):
@@ -61,40 +55,38 @@ def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int], Fraction]:
             continue
         if piv != lead:
             out[lead], out[piv] = out[piv], out[lead]
-            det = -det
         pv = out[lead][c]
-        det *= pv
         out[lead] = [x / pv for x in out[lead]]
         for r in range(len(out)):
             if r != lead and out[r][c] != 0:
                 f = out[r][c]
                 out[r] = [x - f * y for x, y in zip(out[r], out[lead])]
         pivots.append(c)
-    return out[:len(pivots)], pivots, det
+    return out[:len(pivots)], pivots
 
 
 def _mat_rank(m) -> int:
     return len(_row_reduce(m)[1])
 
 
-@dataclass(eq=False)
 class FiniteGroup:
     """Multiplication-table group with 0-based element indices."""
 
-    order: int
-    mul: np.ndarray  # (order, order) int32
-    inv: np.ndarray  # (order,) int32
-    identity: int = 0
-    element_labels: list[str] | None = None
-    gens: tuple[int, ...] = ()
-    tree: list[tuple[int, int, int]] = field(init=False)  # BFS-tree edges (x, k, x s_k), parents first
-    element_data: list | None = None  # permutation tuples or rational matrices
-    kind: str = "table"
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        reached, self.tree = self._bfs(self.gens) if self.gens else self._choose_generators()
-        if len(reached) != self.order:
+    def __init__(self, order: int, mul: np.ndarray, inv: np.ndarray, identity: int = 0,
+                 element_labels: list[str] | None = None, gens: tuple[int, ...] = (),
+                 element_data: list | None = None, kind: str = "table") -> None:
+        self.order = order
+        self.mul = mul  # (order, order) int32
+        self.inv = inv  # (order,) int32
+        self.identity = identity
+        self.element_labels = element_labels
+        self.gens = gens
+        self.element_data = element_data  # permutation tuples or rational matrices
+        self.kind = kind
+        self._memo: dict = {}
+        # BFS-tree edges (x, k, x s_k), parents first
+        reached, self.tree = self._bfs(gens) if gens else self._choose_generators()
+        if len(reached) != order:
             raise ParseError("generators do not generate the group")
 
     def memo(self, key, build):
@@ -169,7 +161,7 @@ class FiniteGroup:
             raise ParseError("inverse law fails")
         for s in self.gens:
             for lo in range(0, n, 256):  # row blocks keep the temporaries small
-                if not (mul[mul[lo:lo + 256, s], :] == mul[lo:lo + 256, mul[s, :]]).all():
+                if not (mul[mul[lo:lo + 256, s], :] == np.take(mul[lo:lo + 256], mul[s, :], axis=1)).all():
                     raise ParseError("associativity fails")
 
 
@@ -418,18 +410,15 @@ def symmetric_group(n: int) -> FiniteGroup:
     return close_generators(gens, cap=max(DEFAULT_CAP, 2)) if gens else cyclic_group(1)
 
 
-@dataclass(eq=False)
 class CentralInvolution:
     """A central element u with u^2 = 1; u = 1 only where explicitly allowed."""
 
-    group: FiniteGroup
-    u: int
-
-    def __post_init__(self) -> None:
-        g = self.group
-        if g.mul[self.u, self.u] != g.identity:
+    def __init__(self, group: FiniteGroup, u: int) -> None:
+        self.group = group
+        self.u = u
+        if group.mul[u, u] != group.identity:
             raise ParseError("u^2 != 1")
-        if not g.is_central(self.u):
+        if not group.is_central(u):
             raise ParseError("u is not central")
 
     @property
@@ -437,15 +426,16 @@ class CentralInvolution:
         return self.u == self.group.identity
 
 
-@dataclass(eq=False)
 class QuotientData:
     """G/U for U = {1, u}, with projection and a canonical section."""
 
-    group: FiniteGroup
-    involution: CentralInvolution
-    quotient: FiniteGroup
-    projection: np.ndarray  # element of G -> element of G/U
-    section: np.ndarray  # element of G/U -> element of G
+    def __init__(self, group: FiniteGroup, involution: CentralInvolution, quotient: FiniteGroup,
+                 projection: np.ndarray, section: np.ndarray) -> None:
+        self.group = group
+        self.involution = involution
+        self.quotient = quotient
+        self.projection = projection  # element of G -> element of G/U
+        self.section = section  # element of G/U -> element of G
 
 
 def quotient_by_central_involution(inv: CentralInvolution) -> QuotientData:
@@ -485,31 +475,29 @@ def is_character(g: FiniteGroup, values, n: int) -> bool:
     return not (v[g.identity] % n).any() and not ((v[:, None] + v[gens][None] - v[xs]) % n).any()
 
 
-@dataclass(eq=False)
 class GroupCharacter:
     """Additive character G -> Z_N."""
 
-    group: FiniteGroup
-    target_order: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.int64) % self.target_order
-        if not is_character(self.group, self.values, self.target_order):
+    def __init__(self, group: FiniteGroup, target_order: int, values: np.ndarray) -> None:
+        self.group = group
+        self.target_order = target_order
+        self.values = np.asarray(values, dtype=np.int64) % target_order
+        if not is_character(group, self.values, target_order):
             raise ParseError("character values are not a homomorphism")
 
     def __call__(self, g: int) -> int:
         return int(self.values[g])
 
 
-@dataclass(eq=False)
 class AbelianInvariants:
     """Cyclic decomposition of G^ab, largest invariant factor first."""
 
-    group: FiniteGroup
-    cyclic_orders: tuple[int, ...]
-    projection: np.ndarray  # (|G|, k) coordinate of each element in the decomposition
-    commutator_subgroup: tuple[int, ...]
+    def __init__(self, group: FiniteGroup, cyclic_orders: tuple[int, ...], projection: np.ndarray,
+                 commutator_subgroup: tuple[int, ...]) -> None:
+        self.group = group
+        self.cyclic_orders = cyclic_orders
+        self.projection = projection  # (|G|, k) coordinate of each element in the decomposition
+        self.commutator_subgroup = commutator_subgroup
 
     def coords(self, g: int) -> tuple[int, ...]:
         return tuple(int(x) for x in self.projection[g])
@@ -628,15 +616,3 @@ def load_group_file(path: str | Path, cap: int = DEFAULT_CAP) -> tuple[FiniteGro
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read group file {path}: {exc}") from exc
     return parse_group_spec(spec, cap=cap)
-
-
-def serialize_group(g: FiniteGroup) -> dict:
-    """Portable table form including the element indexing header."""
-    return {
-        "kind": "table",
-        "table": np.asarray(g.mul).tolist(),
-        "identity": int(g.identity),
-        "order": g.order,
-        "generators_idx": [int(x) for x in g.gens],
-        "labels": g.element_labels,
-    }

@@ -10,7 +10,6 @@ invariants, which is everything the cohomology pipeline needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,18 +60,19 @@ def _val_matrix(a: np.ndarray, p: int, e: int) -> np.ndarray:
     return v
 
 
-@dataclass
 class SnfMod:
     """Diagonalization D = L @ M @ R over Z/q with invertible L, R."""
 
-    p: int
-    e: int
-    diag: list[int]  # pivot valuations a_i, diagonal entries are p**a_i
-    rows: int
-    cols: int
-    L: np.ndarray | None
-    Linv: np.ndarray | None
-    R: np.ndarray | None
+    def __init__(self, p: int, e: int, diag: list[int], rows: int, cols: int, L: np.ndarray | None,
+                 Linv: np.ndarray | None, R: np.ndarray | None) -> None:
+        self.p = p
+        self.e = e
+        self.diag = diag  # pivot valuations a_i, diagonal entries are p**a_i
+        self.rows = rows
+        self.cols = cols
+        self.L = L
+        self.Linv = Linv
+        self.R = R
 
     @property
     def q(self) -> int:
@@ -200,17 +200,17 @@ def solve_from_snf(snf: SnfMod, B: np.ndarray) -> np.ndarray | None:
     return X[:, 0] if single else X
 
 
-@dataclass
 class CokernelData:
     """Z_q**z / colspan(P) as a sum of its nontrivial cyclic factors, largest
     first: x has coordinates (L @ x) mod orders, and column i of Linv is a
     preimage of the generator of factor i."""
 
-    p: int
-    e: int
-    orders: tuple[int, ...]
-    L: np.ndarray  # (k, z)
-    Linv: np.ndarray  # (z, k)
+    def __init__(self, p: int, e: int, orders: tuple[int, ...], L: np.ndarray, Linv: np.ndarray) -> None:
+        self.p = p
+        self.e = e
+        self.orders = orders
+        self.L = L  # (k, z)
+        self.Linv = Linv  # (z, k)
 
     def class_coords(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of x (z,), or of each row of x (m, z)."""

@@ -10,8 +10,6 @@ Brauer groups outside the scope of this library and is rejected up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BudgetExceeded, NotCocycle, NotSplit, ParseError, TrivialInvolution
@@ -40,16 +38,14 @@ from .groups import (
 ENUMERATION_BUDGET = 2**12
 
 
-@dataclass(frozen=True)
 class FieldDescriptor:
     """AlgClosedChar0 or RealClosed; fixes square classes, Br(k) and coefficients."""
 
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("closed", "real"):
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        if kind not in ("closed", "real"):
             raise ParseError(
-                f"unsupported field descriptor {self.kind!r}: only algebraically closed "
+                f"unsupported field descriptor {kind!r}: only algebraically closed "
                 "(char 0) and real closed fields are supported"
             )
 
@@ -79,16 +75,13 @@ def field_from_name(name: str) -> FieldDescriptor:
     raise ParseError(f"unknown field descriptor {name!r}")
 
 
-@dataclass(eq=False)
 class ZGrading:
     """Z_2-grading of k[G] induced by a cocycle class; u is always even."""
 
-    group: FiniteGroup
-    degree: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.degree = np.asarray(self.degree, dtype=np.int64) % 2
-        if not is_character(self.group, self.degree, 2):
+    def __init__(self, group: FiniteGroup, degree: np.ndarray) -> None:
+        self.group = group
+        self.degree = np.asarray(degree, dtype=np.int64) % 2
+        if not is_character(group, self.degree, 2):
             raise ParseError("grading is not a homomorphism to Z_2")
 
     def is_trivial(self) -> bool:
@@ -141,16 +134,18 @@ def sharp_inverse(sigma: Cochain2, inv: CentralInvolution) -> Cochain2:
     return Cochain2(sigma.group, n, vals)
 
 
-@dataclass(eq=False)
 class SharpGroup:
     """H^2_sharp(G, k*): the classes of H^2 under the sharp product."""
 
-    field: FieldDescriptor
-    inv: CentralInvolution
-    cohomology: CohomologyGroup
-    classes: list[CohomologyClass]
-    table: np.ndarray
-    invariants: tuple[int, ...]
+    def __init__(self, field: FieldDescriptor, inv: CentralInvolution, cohomology: CohomologyGroup,
+                 classes: list[CohomologyClass], table: np.ndarray, invariants: tuple[int, ...]) -> None:
+        self.field = field
+        self.inv = inv
+        self.cohomology = cohomology
+        self.classes = classes
+        self.table = table
+        self.invariants = invariants
+        self._index = {c.coords: i for i, c in enumerate(classes)}
 
     @property
     def size(self) -> int:
@@ -158,9 +153,6 @@ class SharpGroup:
 
     def index_of(self, cls: CohomologyClass) -> int:
         return self._index[cls.coords]
-
-    def __post_init__(self) -> None:
-        self._index = {c.coords: i for i, c in enumerate(self.classes)}
 
 
 def _positions(coords, orders) -> np.ndarray:
@@ -227,17 +219,18 @@ def quaternion_symbol(a, b, field: FieldDescriptor):
     return (field.kind == "real") * (a % 2) * (b % 2)
 
 
-@dataclass(eq=False)
 class BMGroup:
     """BM(k, k[G], R_u): central extension of Br(k) by H^2_sharp or Q(k, G).
 
     Element (b, i, a) = (Brauer part, i-th class of cohomology.all_classes(),
     parity) is row (b |H^2| + i)(1 + split) + a of the Cayley table."""
 
-    split: bool
-    cohomology: CohomologyGroup
-    table: np.ndarray
-    invariants: tuple[int, ...]
+    def __init__(self, split: bool, cohomology: CohomologyGroup, table: np.ndarray,
+                 invariants: tuple[int, ...]) -> None:
+        self.split = split
+        self.cohomology = cohomology
+        self.table = table
+        self.invariants = invariants
 
     @property
     def order(self) -> int:
@@ -293,7 +286,6 @@ def bm_group(
     return BMGroup(split=split, cohomology=cg, table=table, invariants=_abelian_table_invariants(table, 0))
 
 
-@dataclass(eq=False)
 class QGroup:
     """Q(k, G) for split G: H^2(G/U) x Hom(G/U, Z_2) x k*/(k*)^2 x Z_2.
 
@@ -301,8 +293,9 @@ class QGroup:
     character of all_characters(G/U, 2), square class, parity) is row
     ((c |Hom| + x) |k*/(k*)^2| + s) 2 + e of the Cayley table."""
 
-    table: np.ndarray
-    invariants: tuple[int, ...]
+    def __init__(self, table: np.ndarray, invariants: tuple[int, ...]) -> None:
+        self.table = table
+        self.invariants = invariants
 
     @property
     def order(self) -> int:

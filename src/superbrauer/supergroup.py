@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -79,23 +78,19 @@ def wedge_sign(m1: int, m2: int) -> int:
     return sign
 
 
-@dataclass(eq=False)
 class SupergroupAlgebra:
     """k[G] (x) Lambda(V) for a group datum (G, u, rho) with rho(u) = -1."""
 
-    group: FiniteGroup
-    inv: CentralInvolution
-    rep: Representation
-    nv: int = field(init=False)
-    dim: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.rep.group is not self.group or self.inv.group is not self.group:
+    def __init__(self, group: FiniteGroup, inv: CentralInvolution, rep: Representation) -> None:
+        self.group = group
+        self.inv = inv
+        self.rep = rep
+        if rep.group is not group or inv.group is not group:
             raise ParseError("group datum components live on different groups")
-        if not acts_as_minus_one(self.rep, self.inv):
+        if not acts_as_minus_one(rep, inv):
             raise NotMinusOne("u must act as -1 on V")
-        self.nv = self.rep.dim
-        self.dim = self.group.order * (1 << self.nv)
+        self.nv = rep.dim
+        self.dim = group.order * (1 << self.nv)
         self._prod: dict[tuple[int, int], Element] = {}
         self._cop: dict[int, list[tuple[int, int, int]]] = {}
         self._anti: dict[int, Element] = {}
@@ -334,13 +329,14 @@ def _minor_terms(A: Matrix, h: SupergroupAlgebra, dual: bool):
 # verification reports
 
 
-@dataclass
 class VerifyReport:
-    check: str
-    passed: bool
-    detail: str = ""
-    counterexample: tuple | None = None
-    sampled: bool = False
+    def __init__(self, check: str, passed: bool, detail: str = "", counterexample: tuple | None = None,
+                 sampled: bool = False) -> None:
+        self.check = check
+        self.passed = passed
+        self.detail = detail
+        self.counterexample = counterexample
+        self.sampled = sampled
 
     def __bool__(self) -> bool:
         return self.passed
@@ -521,7 +517,6 @@ def verify_triangular(h: SupergroupAlgebra, r: Tensor) -> VerifyReport:
 # cochains on H
 
 
-@dataclass(eq=False)
 class HCochain2:
     """Normalized 2-cochain on H: sigma(1, x) = sigma(x, 1) = eps(x).
 
@@ -530,14 +525,12 @@ class HCochain2:
     checks read the values once, through cleared, so they must not change
     after the cochain is built."""
 
-    algebra: SupergroupAlgebra
-    values: Sequence[Sequence[int | Fraction]]
-
-    def __post_init__(self) -> None:
-        h = self.algebra
+    def __init__(self, algebra: SupergroupAlgebra, values: Sequence[Sequence[int | Fraction]]) -> None:
+        self.algebra = h = algebra
+        self.values = values
         one = h.unit
         for b in h.basis():
-            if self.values[one][b] != h.counit_basis(b) or self.values[b][one] != h.counit_basis(b):
+            if values[one][b] != h.counit_basis(b) or values[b][one] != h.counit_basis(b):
                 raise ParseError("H-cochain is not normalized")
 
     def __call__(self, b1: int, b2: int) -> int | Fraction:
@@ -633,14 +626,15 @@ def lambda_cocycle(h: SupergroupAlgebra, sigma_matrix, require_invariant: bool =
 # lazy cohomology and the Brauer group of the supergroup algebra
 
 
-@dataclass(eq=False)
 class LazyCohomology:
     """H^2_L(H) = S^2(V*)^G x H^2(G/U, k*): linear dimension plus group part."""
 
-    algebra: SupergroupAlgebra
-    linear_dim: int
-    group_part: CohomologyGroup
-    k_trivial: bool  # CoInt/CoInn is trivial iff a splitting character exists
+    def __init__(self, algebra: SupergroupAlgebra, linear_dim: int, group_part: CohomologyGroup,
+                 k_trivial: bool) -> None:
+        self.algebra = algebra
+        self.linear_dim = linear_dim
+        self.group_part = group_part
+        self.k_trivial = k_trivial  # CoInt/CoInn is trivial iff a splitting character exists
 
     @property
     def invariants(self) -> tuple[int, ...]:
@@ -656,12 +650,12 @@ def lazy_cohomology(h: SupergroupAlgebra, budget: int = DEFAULT_H2_BUDGET) -> La
     return LazyCohomology(h, invariant_symmetric_forms(h.rep).dim, group_part, k_trivial)
 
 
-@dataclass(eq=False)
 class BMSupergroup:
     """BM(k, k[G] (x) Lambda V, R_u) = BM(k, k[G], R_u) x S^2(V*)^G."""
 
-    bm: BMGroup
-    linear_dim: int
+    def __init__(self, bm: BMGroup, linear_dim: int) -> None:
+        self.bm = bm
+        self.linear_dim = linear_dim
 
     @property
     def invariants(self) -> tuple[int, ...]:

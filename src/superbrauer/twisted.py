@@ -12,7 +12,6 @@ when a cochain check first runs, so jobs that check no cochain do not load it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .supergroup import SAMPLED_TRIPLES, HCochain2, SupergroupAlgebra, _denomina
 _CHUNK_TERMS = 1 << 12  # about this many leg pairs or triple terms per numpy pass
 
 
-@dataclass(frozen=True, eq=False)
 class ProductTables:
     """The structure constants of H as integer CSR tables.
 
@@ -32,20 +30,24 @@ class ProductTables:
     wedge[R, Q] is wedge_sign(R, Q), so g v_P . h v_Q = sum coef wedge[R, Q]
     (gh) v_{R+Q} / D."""
 
-    nv: int
-    mul: np.ndarray
-    leg_start: np.ndarray
-    leg_first: np.ndarray
-    leg_second: np.ndarray
-    leg_sign: np.ndarray
-    act_start: np.ndarray
-    act_mask: np.ndarray
-    act_coef: np.ndarray
-    wedge: np.ndarray
-    denominator: int  # D
-    max_terms: int  # terms of one product: (legs of a) (legs of b) (entries of a column)
-    max_coef: int  # the largest |act_coef|, at least 1
-    pair_chunk: int  # pairs per kernel pass
+    def __init__(self, nv: int, mul: np.ndarray, leg_start: np.ndarray, leg_first: np.ndarray,
+                 leg_second: np.ndarray, leg_sign: np.ndarray, act_start: np.ndarray, act_mask: np.ndarray,
+                 act_coef: np.ndarray, wedge: np.ndarray, denominator: int, max_terms: int, max_coef: int,
+                 pair_chunk: int) -> None:
+        self.nv = nv
+        self.mul = mul
+        self.leg_start = leg_start
+        self.leg_first = leg_first
+        self.leg_second = leg_second
+        self.leg_sign = leg_sign
+        self.act_start = act_start
+        self.act_mask = act_mask
+        self.act_coef = act_coef
+        self.wedge = wedge
+        self.denominator = denominator  # D
+        self.max_terms = max_terms  # terms of one product: (legs of a) (legs of b) (entries of a column)
+        self.max_coef = max_coef  # the largest |act_coef|, at least 1
+        self.pair_chunk = pair_chunk  # pairs per kernel pass
 
 
 def product_tables(h: SupergroupAlgebra) -> ProductTables:

@@ -12,7 +12,6 @@ when the group fits the budget, and quoted from the printed tables
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import CapExceeded, E8Refused, ParseError
 from .forms import Representation, as_matrix
@@ -23,13 +22,12 @@ from .supergroup import build_supergroup, lazy_cohomology
 WEYL_GROUP_BUDGET = 300  # largest |G(Phi)| computed by default; B4 = 384 is opt-in
 
 
-@dataclass(frozen=True)
 class RootSystemType:
-    family: str
-    rank: int
+    """A Dynkin type; equal types are one key of the group_datum cache."""
 
-    def __post_init__(self) -> None:
-        fam, n = self.family, self.rank
+    def __init__(self, family: str, rank: int) -> None:
+        self.family = fam = family
+        self.rank = n = rank
         ok = (
             (fam == "A" and n >= 1)
             or (fam == "B" and n >= 2)
@@ -40,6 +38,12 @@ class RootSystemType:
         )
         if not ok:
             raise ParseError(f"invalid root system type {fam}{n}")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RootSystemType) and (other.family, other.rank) == (self.family, self.rank)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.rank))
 
     @property
     def name(self) -> str:
@@ -136,15 +140,16 @@ def w0_acts_as_minus_one(t: RootSystemType) -> bool:
     return True  # B_n, F4, G2
 
 
-@dataclass(eq=False)
 class WeylGroupData:
-    type: RootSystemType
-    group: FiniteGroup
-    simple_reflections: tuple[int, ...]
-    w0: int
-    w0_word: tuple[int, ...]  # a reduced word for w0 in the simple reflections
-    coxeter_number: int
-    w0_is_minus_one: bool
+    def __init__(self, type: RootSystemType, group: FiniteGroup, simple_reflections: tuple[int, ...], w0: int,
+                 w0_word: tuple[int, ...], coxeter_number: int, w0_is_minus_one: bool) -> None:
+        self.type = type
+        self.group = group
+        self.simple_reflections = simple_reflections
+        self.w0 = w0
+        self.w0_word = w0_word  # a reduced word for w0 in the simple reflections
+        self.coxeter_number = coxeter_number
+        self.w0_is_minus_one = w0_is_minus_one
 
 
 def _is_minus_identity(mat) -> bool:
@@ -188,15 +193,16 @@ def build_weyl(t: RootSystemType, cap: int = DEFAULT_CAP) -> WeylGroupData:
     )
 
 
-@dataclass(eq=False)
 class GroupDatum:
     """(G(Phi), u, standard reflection representation) with rho(u) = -1."""
 
-    type: RootSystemType
-    group: FiniteGroup
-    inv: CentralInvolution
-    rep: Representation
-    extended: bool  # True when G = W x <theta>, theta = -w0
+    def __init__(self, type: RootSystemType, group: FiniteGroup, inv: CentralInvolution, rep: Representation,
+                 extended: bool) -> None:
+        self.type = type
+        self.group = group
+        self.inv = inv
+        self.rep = rep
+        self.extended = extended  # True when G = W x <theta>, theta = -w0
 
 
 def group_datum(t: RootSystemType, cap: int = DEFAULT_CAP) -> GroupDatum:
@@ -275,14 +281,15 @@ def literature_bm(t: RootSystemType) -> tuple[int, ...]:
     return (2, 2)  # F4
 
 
-@dataclass
 class TableRow:
-    type_name: str
-    mode: str  # "computed" or "literature"
-    h2l_invariants: tuple[int, ...]
-    h2l_linear_dim: int
-    bm_invariants: tuple[int, ...]
-    bm_linear_dim: int
+    def __init__(self, type_name: str, mode: str, h2l_invariants: tuple[int, ...], h2l_linear_dim: int,
+                 bm_invariants: tuple[int, ...], bm_linear_dim: int) -> None:
+        self.type_name = type_name
+        self.mode = mode  # "computed" or "literature"
+        self.h2l_invariants = h2l_invariants
+        self.h2l_linear_dim = h2l_linear_dim
+        self.bm_invariants = bm_invariants
+        self.bm_linear_dim = bm_linear_dim
 
     def as_dict(self) -> dict:
         return {

@@ -58,7 +58,11 @@ Lambda V filtration: they check `omega_Sigma = r_0 * r_{-Sigma}` and that
 `omega_Sigma` and `lambda` are invertible.  `leading_principal_minors_positive`
 is Sylvester's test, applied to the invariant form of a Weyl datum, and
 `literature_schur_multiplier` is the printed Schur multiplier of each Weyl
-group, which its computed closed-field H^2 must equal.
+group, which its computed closed-field H^2 must equal.  `inflation`,
+`restriction` and `transgression` (with `u_subgroup`) are the maps of the
+Hochschild-Serre sequence, whose exactness the tests check on the computed
+H^2; `serialize_group`, `cochain_from_sparse` and `cochain_equals` round-trip
+a group table and a sparse representative.
 """
 
 from __future__ import annotations
@@ -71,10 +75,19 @@ from fractions import Fraction
 import numpy as np
 
 from superbrauer import (
+    CentralInvolution,
+    CoefficientModule,
     CohomologyClass,
+    CohomologyGroup,
     Cochain2,
+    FiniteGroup,
+    GroupCharacter,
+    QuotientData,
     RootSystemType,
     all_characters,
+    cyclic_group,
+    h2,
+    h2_closed_field,
     quaternion_symbol,
     quotient_by_central_involution,
     splitting_character,
@@ -82,7 +95,6 @@ from superbrauer import (
 from superbrauer.cohomology import cycle_edges
 from superbrauer.errors import BudgetExceeded, ParseError
 from superbrauer.forms import Matrix, mat_neg
-from superbrauer.groups import _row_reduce
 from superbrauer.modlinalg import SnfMod, _val, _val_matrix, inverse_mod, kernel_mod
 from superbrauer.supergroup import (
     DEFAULT_DIM_BUDGET,
@@ -248,9 +260,22 @@ def leibniz_det(m):
 
 
 def det_by_elimination(rows) -> Fraction:
-    """det rows from the pivots of groups._row_reduce."""
-    _, pivots, det = _row_reduce(rows)
-    return det if len(pivots) == len(rows) else Fraction(0)
+    """det of a square matrix by Gaussian elimination: the signed product of
+    the pivots, 0 once a column has none."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
 
 
 def all_triples_is_cocycle(sigma):
@@ -1418,3 +1443,123 @@ def literature_schur_multiplier(t: RootSystemType) -> tuple[int, ...]:
     if fam == "F":
         return (2, 2)
     return (2,)  # G2
+
+
+# ---------------------------------------------------------------------------
+# inflation, restriction, transgression, and the portable documents of a group
+# and a cochain: the tests check Hochschild-Serre exactness and the
+# round trips with them
+
+
+def _embed_values(vals: np.ndarray, src_mod: int, dst_mod: int) -> np.ndarray:
+    """Push Z_m values into Z_M along mu_m -> mu_M (requires m | M)."""
+    if dst_mod == src_mod:
+        return vals
+    if dst_mod % src_mod:
+        raise ParseError("coefficients do not embed into the target module")
+    return vals * (dst_mod // src_mod)
+
+
+def inflation(qd: QuotientData, cls: CohomologyClass, target: CohomologyGroup | None = None) -> CohomologyClass:
+    """Pull a class on G/U back to G through the projection."""
+    if cls.parent.group is not qd.quotient:
+        raise ParseError("class does not live on the quotient group")
+    if target is None:
+        if cls.parent.field_mode == "closed":
+            target = h2_closed_field(qd.group)
+        else:
+            target = h2(qd.group, cls.parent.coeff)
+    rep = cls.representative()
+    proj = np.asarray(qd.projection)
+    vals = _embed_values(rep.values[np.ix_(proj, proj)], rep.modulus, target.coeff.n)
+    return target.class_of(Cochain2(qd.group, target.coeff.n, vals))
+
+
+def u_subgroup(inv: CentralInvolution) -> tuple[FiniteGroup, np.ndarray]:
+    """U = {1, u} as a standalone group plus its embedding into G.
+
+    Memoized per (group, u) so repeated calls share one group instance and
+    its memo.  The embedding lists the identity first: element 0 of U is 1.
+    """
+    g = inv.group
+    embed = np.array([g.identity] if inv.is_trivial else [g.identity, inv.u], dtype=np.int64)
+    return g.memo(("u_subgroup", inv.u), lambda: (cyclic_group(len(embed)), embed))
+
+
+def restriction(inv: CentralInvolution, cls: CohomologyClass, target: CohomologyGroup | None = None) -> CohomologyClass:
+    """Restrict a class on G to U = {1, u}."""
+    if cls.parent.group is not inv.group:
+        raise ParseError("class does not live on the ambient group")
+    ugroup, embed = u_subgroup(inv)
+    rep = cls.representative()
+    if target is None:
+        if cls.parent.field_mode == "closed":
+            target = h2_closed_field(ugroup, modulus=rep.modulus)
+        else:
+            target = h2(ugroup, cls.parent.coeff)
+    vals = _embed_values(rep.values[np.ix_(embed, embed)], rep.modulus, target.coeff.n)
+    return target.class_of(Cochain2(ugroup, target.coeff.n, vals))
+
+
+def transgression(
+    f: GroupCharacter,
+    qd: QuotientData,
+    target: CohomologyGroup | None = None,
+    section: np.ndarray | None = None,
+) -> CohomologyClass:
+    """T(f)(x, y) = f(phi(x) phi(y) phi(xy)^{-1}) for a section phi of G -> G/U."""
+    g = qd.group
+    q = qd.quotient
+    if f.group.order != 2:
+        raise ParseError("transgression input must be a character of U = {1, u}")
+    sec = qd.section if section is None else np.asarray(section, dtype=np.int64)
+    proj = np.asarray(qd.projection)
+    if (proj[sec] != np.arange(q.order)).any():
+        raise ParseError("section is not a section of the projection")
+    mul, invt = np.asarray(g.mul), np.asarray(g.inv)
+    w = mul[mul[np.ix_(sec, sec)], invt[sec[np.asarray(q.mul)]]]
+    uval = np.zeros(g.order, dtype=np.int64)
+    uval[qd.involution.u] = f(1)
+    if target is None:
+        target = h2(q, CoefficientModule(f.target_order))
+    vals = _embed_values(uval[w], f.target_order, target.coeff.n)
+    return target.class_of(Cochain2(q, target.coeff.n, vals))
+
+
+def serialize_group(g: FiniteGroup) -> dict:
+    """Portable table form including the element indexing header."""
+    return {
+        "kind": "table",
+        "table": np.asarray(g.mul).tolist(),
+        "identity": int(g.identity),
+        "order": g.order,
+        "generators_idx": [int(x) for x in g.gens],
+        "labels": g.element_labels,
+    }
+
+
+def cochain_from_sparse(group: FiniteGroup, data: dict) -> Cochain2:
+    """Inverse of Cochain2.to_sparse; ParseError on any malformed document."""
+    try:
+        n = CoefficientModule(int(data["modulus"])).n
+        order = int(data.get("order", group.order))
+        entries = [[int(x) for x in entry] for entry in data["entries"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed sparse cochain: {exc}") from exc
+    if order != group.order:
+        raise ParseError("cocycle order does not match the group")
+    vals = np.zeros((group.order, group.order), dtype=np.int64)
+    for entry in entries:
+        if len(entry) != 3 or not (0 <= entry[0] < order and 0 <= entry[1] < order):
+            raise ParseError(f"sparse cochain entry {entry} is not [i, j, value] with 0 <= i, j < {order}")
+        vals[entry[0], entry[1]] = entry[2] % n
+    return Cochain2(group, n, vals)
+
+
+def cochain_equals(sigma: Cochain2, other: Cochain2) -> bool:
+    """Whether two cochains live on one group and modulus with equal values."""
+    return (
+        sigma.group is other.group
+        and sigma.modulus == other.modulus
+        and bool((sigma.values == other.values).all())
+    )

@@ -31,14 +31,12 @@ from superbrauer import (
     h2,
     h2_closed_field,
     h2_sharp,
-    inflation,
     invariant_symmetric_forms,
     is_lazy,
     is_left_cocycle,
     lambda_cocycle,
     omega_sigma,
     quotient_by_central_involution,
-    restriction,
     r_matrix_RA,
     sharp,
     sharp_inverse,
@@ -46,15 +44,13 @@ from superbrauer import (
     symmetric_group,
     table_row,
     theta,
-    transgression,
-    u_subgroup,
     verify_hopf,
     verify_triangular,
 )
 from superbrauer.groups import GroupCharacter
 from superbrauer.weyl import literature_bm, literature_h2l, reflection_matrices
 
-from .oracles import table_order
+from .oracles import inflation, restriction, table_order, transgression, u_subgroup
 
 
 @contextmanager

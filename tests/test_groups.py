@@ -25,7 +25,6 @@ from superbrauer import (
     group_from_table,
     parse_group_spec,
     quotient_by_central_involution,
-    serialize_group,
     splitting_character,
     symmetric_group,
 )
@@ -34,7 +33,7 @@ from superbrauer.groups import is_character
 from superbrauer.sharp import ZGrading
 from superbrauer.weyl import RootSystemType, build_weyl, reflection_matrices
 
-from .oracles import all_pairs_is_character, enumerated_group_table, quotient_table_abelianization
+from .oracles import all_pairs_is_character, enumerated_group_table, quotient_table_abelianization, serialize_group
 
 
 def test_close_b2_matrices():

@@ -14,15 +14,11 @@ from superbrauer import (
     direct_product,
     h2,
     h2_closed_field,
-    inflation,
     quotient_by_central_involution,
-    restriction,
     symmetric_group,
-    transgression,
-    u_subgroup,
 )
 
-from .oracles import restriction_square_class
+from .oracles import inflation, restriction, restriction_square_class, transgression, u_subgroup
 
 
 def _u_char(ugroup, value, order=2):

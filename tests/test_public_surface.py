@@ -16,14 +16,12 @@ PUBLIC_NAMES = [
     "SuperbrauerError", "SupergroupAlgebra", "SymFormSpace", "TableRow", "TrivialInvolution", "VerifyReport",
     "WeylGroupData", "ZGrading", "abelianization", "acts_as_minus_one", "all_characters", "bm_group",
     "bm_supergroup", "build_en", "build_supergroup", "build_weyl", "close_generators", "coboundary",
-    "cochain_from_sparse", "cyclic_group", "direct_product", "dual_r_matrix", "field_from_name", "group_datum",
-    "group_from_table", "h2", "h2_closed_field", "h2_real_closed", "h2_sharp", "inflation",
-    "invariant_symmetric_forms", "is_cocycle", "is_invariant_form", "is_lazy", "is_left_cocycle",
-    "is_right_cocycle", "lambda_cocycle", "lazy_cohomology", "load_group_file", "omega_sigma",
-    "parse_group_spec", "q_group", "quaternion_symbol", "quotient_by_central_involution", "r_matrix_RA", "r_u",
-    "restriction", "serialize_group", "sharp", "sharp_inverse", "splitting_character", "symmetric_group",
-    "table_row", "theta", "transgression", "u_subgroup", "verify_hopf", "verify_quasitriangular",
-    "verify_triangular",
+    "cyclic_group", "direct_product", "dual_r_matrix", "field_from_name", "group_datum", "group_from_table",
+    "h2", "h2_closed_field", "h2_real_closed", "h2_sharp", "invariant_symmetric_forms", "is_cocycle",
+    "is_invariant_form", "is_lazy", "is_left_cocycle", "is_right_cocycle", "lambda_cocycle",
+    "lazy_cohomology", "load_group_file", "omega_sigma", "parse_group_spec", "q_group", "quaternion_symbol",
+    "quotient_by_central_involution", "r_matrix_RA", "r_u", "sharp", "sharp_inverse", "splitting_character",
+    "symmetric_group", "table_row", "theta", "verify_hopf", "verify_quasitriangular", "verify_triangular",
 ]
 
 
