@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import itertools
 import json
 import os
 import stat
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import errors
 from .cohomology import CoefficientModule, DEFAULT_H2_BUDGET, _check_h2_budget, h2
@@ -71,7 +72,7 @@ def _invariants(inv) -> list[int]:
     return [int(d) for d in inv]
 
 
-def _weyl_datum(args, cap: int, h2_budget: int | None = None, h2_quotient: bool = False):
+def _weyl_datum(args, h2_budget: int | None = None, h2_quotient: bool = False):
     """The Weyl datum of --type; it fixes G, u = w0 and V, so --group, --u and --rep are refused.
     With h2_budget, a datum that the closure admits but whose H^2 the budget
     refuses is refused before it is built: the H^2 of G, or with h2_quotient
@@ -80,23 +81,23 @@ def _weyl_datum(args, cap: int, h2_budget: int | None = None, h2_quotient: bool 
     extra = [flag for flag in ("group", "u", "rep") if getattr(args, flag, None) is not None]
     if extra:
         raise errors.ParseError(f"--{extra[0]} cannot be combined with --type: the Weyl datum fixes G, u = w0 and V")
-    t = RootSystemType.parse(args.type)
+    t, cap = RootSystemType.parse(args.type), args.budget_cap
     size = datum_size(t)
     if h2_budget is not None and size <= min(cap, MAX_TABLE_ORDER):
         _check_h2_budget(size // 2 if h2_quotient else size, h2_budget)
     return group_datum(t, cap=cap)
 
 
-def _need_group(args, cap: int, h2_budget: int | None = None,
+def _need_group(args, h2_budget: int | None = None,
                 h2_quotient: bool = False) -> tuple[FiniteGroup, int | None, Representation | None]:
     """Group datum from --group/--u or --type; Weyl types also give the rep.
     h2_budget is the H^2 budget of the job, of G or of G/U, checked early for --type."""
     if getattr(args, "type", None):
-        datum = _weyl_datum(args, cap, h2_budget, h2_quotient)
+        datum = _weyl_datum(args, h2_budget, h2_quotient)
         return datum.group, datum.inv.u, datum.rep
     if not getattr(args, "group", None):
         raise errors.ParseError("either --group FILE or --type XN is required")
-    g, u = load_group_file(args.group, cap=cap)
+    g, u = load_group_file(args.group, cap=args.budget_cap)
     if getattr(args, "u", None) is not None:
         u = resolve_u(g, int(args.u) if args.u.isdecimal() else args.u)
     rep = None
@@ -132,20 +133,24 @@ def _matrix_arg(spec: str, n: int):
     return data
 
 
-def _report(args, command: str, payload: dict, budgets: dict) -> dict:
-    return {
+def _report(args, result: dict, g: FiniteGroup | None = None) -> dict:
+    """The report of the parsed command: its name, every --budget-* flag it
+    accepts (named without the prefix), the seed, the header of g and result."""
+    doc = {
         "schema": SCHEMA,
-        "command": command,
-        "budgets": budgets,
-        "seed": getattr(args, "seed", 0),
-        **payload,
+        "command": args.command,
+        "budgets": {k[len("budget_"):]: v for k, v in vars(args).items() if k.startswith("budget_")},
+        "seed": args.seed,
+        "result": result,
     }
+    if g is not None:
+        doc["group"] = _group_header(g)
+    return doc
 
 
 def cmd_h2(args) -> dict:
     coeff = None if args.coeff is None else CoefficientModule(args.coeff)
-    g, _, _ = _need_group(args, args.budget_cap, args.budget_h2)
-    budgets = {"cap": args.budget_cap, "h2": args.budget_h2}
+    g, _, _ = _need_group(args, args.budget_h2)
     if coeff is not None:
         cg = h2(g, coeff, budget=args.budget_h2)
         coeff_desc = {"modulus": args.coeff}
@@ -155,52 +160,50 @@ def cmd_h2(args) -> dict:
     result = {"coefficients": coeff_desc, "invariants": _invariants(cg.invariants)}
     if args.format == "json":  # only the JSON report prints representatives; text builds none
         result["representatives"] = [r.to_sparse() for r in cg.reps]
-    return _report(args, "h2", {"group": _group_header(g), "result": result}, budgets)
+    return _report(args, result, g)
 
 
 def cmd_h2sharp(args) -> dict:
-    g, u, _ = _need_group(args, args.budget_cap, DEFAULT_H2_BUDGET)
+    g, u, _ = _need_group(args, DEFAULT_H2_BUDGET)
     if u is None:
         raise errors.ParseError("a central involution u is required (file key 'u' or --u)")
     inv = CentralInvolution(g, u)
     field = field_from_name(args.field)
     hs = h2_sharp(g, inv, field, budget=args.budget_enum)
-    budgets = {"cap": args.budget_cap, "enum": args.budget_enum}
     result = {
         "field": field.kind,
         "u": int(u),
         "split": splitting_character(inv) is not None,
         "invariants": _invariants(hs.invariants),
-        "classes": [list(c.coords) for c in hs.classes],
-        "cayley_table": hs.table.tolist(),
     }
-    if args.format == "json":  # only the JSON report prints representatives; text builds none
+    if args.format == "json":  # the text report prints no class, table or representative
+        result["classes"] = np.array([c.coords for c in hs.classes], dtype=np.int64)
+        result["cayley_table"] = hs.table
         # the last generator first, the order in which all_classes meets them
         result["generators"] = [
             {"coords": list(c.coords), "representative": rep.to_sparse()}
             for c, rep in reversed(list(zip(hs.cohomology.generators(), hs.cohomology.reps)))
         ]
-    return _report(args, "h2sharp", {"group": _group_header(g), "result": result}, budgets)
+    return _report(args, result, g)
 
 
 def cmd_bm(args) -> dict:
-    g, u, rep = _need_group(args, args.budget_cap, DEFAULT_H2_BUDGET)
+    g, u, rep = _need_group(args, DEFAULT_H2_BUDGET)
     if u is None:
         raise errors.ParseError("a central involution u is required (file key 'u' or --u)")
     inv = CentralInvolution(g, u)
     field = field_from_name(args.field)
     bms = bm_supergroup(g, inv, rep, field, budget=args.budget_enum) if rep is not None else None
     bm = bms.bm if bms is not None else bm_group(g, inv, field, budget=args.budget_enum)
-    budgets = {"cap": args.budget_cap, "enum": args.budget_enum}
     result = {
         "field": field.kind,
         "u": int(u),
         "split": bm.split,
         "invariants": _invariants(bm.invariants),
         "order": bm.order,
-        "cayley_table": bm.table.tolist(),
     }
-    if args.format == "json":  # only the JSON report prints representatives; text builds none
+    if args.format == "json":  # the text report prints no table or representative
+        result["cayley_table"] = bm.table
         gens = []
         if field.brauer_order > 1:
             gens.append({"kind": "brauer", "order": 2})
@@ -211,13 +214,11 @@ def cmd_bm(args) -> dict:
         result["generators"] = gens
     if bms is not None:
         result["linear_dim"] = bms.linear_dim
-    payload = {"group": _group_header(g), "result": result}
-    return _report(args, "bm", payload, budgets)
+    return _report(args, result, g)
 
 
 def cmd_lazy(args) -> dict:
-    g, u, rep = _need_group(args, args.budget_cap, args.budget_h2, h2_quotient=True)
-    budgets = {"cap": args.budget_cap, "h2": args.budget_h2}
+    g, u, rep = _need_group(args, args.budget_h2, h2_quotient=True)
     if rep is None:
         raise errors.ParseError("lazy cohomology needs a representation (--rep or --type)")
     if u is None:
@@ -225,31 +226,22 @@ def cmd_lazy(args) -> dict:
     inv = CentralInvolution(g, u)
     alg = build_supergroup(g, inv, rep)
     lc = lazy_cohomology(alg, budget=args.budget_h2)
-    payload = {
-        "group": _group_header(g),
-        "result": {
-            "dim_H": alg.dim,
-            "linear_dim": lc.linear_dim,
-            "group_part_invariants": _invariants(lc.invariants),
-            "k_trivial": lc.k_trivial,
-        },
+    result = {
+        "dim_H": alg.dim,
+        "linear_dim": lc.linear_dim,
+        "group_part_invariants": _invariants(lc.invariants),
+        "k_trivial": lc.k_trivial,
     }
-    return _report(args, "lazy", payload, budgets)
+    return _report(args, result, g)
 
 
 def cmd_invforms(args) -> dict:
-    g, _, rep = _need_group(args, args.budget_cap)
+    g, _, rep = _need_group(args)
     if rep is None:
         raise errors.ParseError("invforms needs a representation (--rep or --type)")
     forms = invariant_symmetric_forms(rep)
-    payload = {
-        "group": _group_header(g),
-        "result": {
-            "dim": forms.dim,
-            "basis": [[[str(x) for x in row] for row in b] for b in forms.basis],
-        },
-    }
-    return _report(args, "invforms", payload, {"cap": args.budget_cap})
+    result = {"dim": forms.dim, "basis": [[[str(x) for x in row] for row in b] for b in forms.basis]}
+    return _report(args, result, g)
 
 
 def cmd_weyl_table(args) -> dict:
@@ -257,13 +249,7 @@ def cmd_weyl_table(args) -> dict:
     if not names:
         raise errors.ParseError("--types names no root system type")
     rows = [table_row(RootSystemType.parse(n), group_budget=args.budget_weyl, cap=args.budget_cap) for n in names]
-    payload = {
-        "result": {
-            "rows": [r.as_dict() for r in rows],
-            "pretty": [r.pretty() for r in rows],
-        }
-    }
-    return _report(args, "weyl-table", payload, {"cap": args.budget_cap, "weyl": args.budget_weyl})
+    return _report(args, {"rows": [r.as_dict() for r in rows], "pretty": [r.pretty() for r in rows]})
 
 
 def _algebra_from_args(args):
@@ -280,7 +266,7 @@ def _algebra_from_args(args):
             raise errors.BudgetExceeded(f"dim E({n}) = 2^{n + 1} exceeds cap {args.budget_cap}; raise --budget-cap")
         return build_en(n)
     if getattr(args, "type", None):
-        datum = _weyl_datum(args, args.budget_cap)
+        datum = _weyl_datum(args)
         return build_supergroup(datum.group, datum.inv, datum.rep)
     raise errors.ParseError("verify needs --algebra E<n> or --type XN")
 
@@ -298,7 +284,6 @@ COMPOSITE_CHECKS = {
 def cmd_verify(args) -> dict:
     alg = _algebra_from_args(args)
     check = args.check
-    budgets = {"cap": args.budget_cap, "dim": args.budget_dim}
     if check == "hopf":
         rep = verify_hopf(alg)
     elif check in ("quasitriangular", "triangular"):
@@ -324,30 +309,28 @@ def cmd_verify(args) -> dict:
                 break
     else:
         raise errors.ParseError(f"unknown check {check!r}")
-    payload = {
-        "result": {
-            "check": check,
-            "dim": alg.dim,
-            "passed": bool(rep.passed),
-            "sampled": rep.sampled,
-            "detail": rep.detail,
-            "counterexample": list(rep.counterexample) if rep.counterexample else None,
-        }
+    result = {
+        "check": check,
+        "dim": alg.dim,
+        "passed": bool(rep.passed),
+        "sampled": rep.sampled,
+        "detail": rep.detail,
+        "counterexample": list(rep.counterexample) if rep.counterexample else None,
     }
-    return _report(args, "verify", payload, budgets)
+    return _report(args, result)
 
 
 def _text_lines(doc: dict) -> list[str]:
     lines = [f"superbrauer {doc['command']}  (schema {doc['schema']})"]
-    for k, v in sorted(doc.get("budgets", {}).items()):
+    for k, v in sorted(doc["budgets"].items()):
         lines.append(f"budget {k} = {v}")
-    lines.append(f"seed = {doc.get('seed', 0)}")
+    lines.append(f"seed = {doc['seed']}")
     if "group" in doc:
         g = doc["group"]
         lines.append(f"group: order {g['order']}, identity {g['identity']}, kind {g['kind']}, generators {g['generators_idx']}")
-    res = doc.get("result", {})
+    res = doc["result"]
     if doc["command"] == "weyl-table":
-        lines.extend(res.get("pretty", []))
+        lines.extend(res["pretty"])
         return lines
     for key in ("coefficients", "field", "u", "split", "invariants", "order", "linear_dim",
                 "group_part_invariants", "k_trivial", "dim", "dim_H", "check", "passed",
@@ -367,17 +350,31 @@ _compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _json_chunks(x, indent: str = "\n"):
-    """The text of json.dumps(x, sort_keys=True, indent=2) in pieces; indent
-    is the line break and the spaces of the line that x starts on.
+    """The text of json.dumps(x, sort_keys=True, indent=2) in pieces, with a
+    numpy array written as its tolist(); indent is the line break and the
+    spaces of the line that x starts on.
 
-    Dicts and other lists nest as json's own encoder nests them; keys must be
-    str.  A list of plain ints, or a list of non-empty lists of them, is
-    written by the C encoder with no spaces, a slice of at most _SLICE_INTS
-    ints (or one row) at a time, and indented with str.replace: the text of
-    an int holds no comma and no bracket.  Scalars go through the same C
-    encoder, so a value json cannot encode (a numpy int) raises TypeError."""
+    Dicts and lists nest as json's own encoder nests them; keys must be str.
+    A non-empty 2-D integer array (a Cayley table, class coordinates, sparse
+    cochain entries) is written by the C encoder with no spaces, a slice of
+    at most _SLICE_INTS ints (or one row) at a time, and indented with
+    str.replace: the text of an int holds no comma and no bracket.  Scalars
+    go through the same C encoder, so a value json cannot encode (a numpy
+    int) raises TypeError."""
     inner = indent + "  "
-    if isinstance(x, dict):
+    if isinstance(x, np.ndarray):
+        if not (x.ndim == 2 and x.size and x.dtype.kind in "iu"):
+            yield from _json_chunks(x.tolist(), indent)
+            return
+        item = inner + "  "
+        step = max(1, _SLICE_INTS // x.shape[1])
+        for lo in range(0, len(x), step):
+            text = _compact(x[lo:lo + step].tolist())[1:-1]  # "[1,2],[3,4]"
+            # the commas inside rows, the brackets, then the row separators "],"
+            text = text.replace(",", "," + item).replace("[", "[" + item).replace("]", inner + "]")
+            yield ("," if lo else "[") + inner + text.replace("]," + item, "]," + inner)
+        yield indent + "]"
+    elif isinstance(x, dict):
         if not x:
             yield "{}"
             return
@@ -393,25 +390,11 @@ def _json_chunks(x, indent: str = "\n"):
         if not x:
             yield "[]"
             return
-        types = set(map(type, x))  # exact types: bools and numpy ints take the general path
-        if types == {int}:
-            for lo in range(0, len(x), _SLICE_INTS):
-                text = _compact(x[lo:lo + _SLICE_INTS])[1:-1]
-                yield ("," if lo else "[") + inner + text.replace(",", "," + inner)
-        elif types <= {list, tuple} and all(x) and set(map(type, itertools.chain.from_iterable(x))) == {int}:
-            item = inner + "  "
-            step = max(1, _SLICE_INTS // max(map(len, x)))
-            for lo in range(0, len(x), step):
-                text = _compact(x[lo:lo + step])[1:-1]  # "[1,2],[3,4]"
-                # the commas inside rows, the brackets, then the row separators "],"
-                text = text.replace(",", "," + item).replace("[", "[" + item).replace("]", inner + "]")
-                yield ("," if lo else "[") + inner + text.replace("]," + item, "]," + inner)
-        else:
-            sep = "[" + inner
-            for v in x:
-                yield sep
-                yield from _json_chunks(v, inner)
-                sep = "," + inner
+        sep = "[" + inner
+        for v in x:
+            yield sep
+            yield from _json_chunks(v, inner)
+            sep = "," + inner
         yield indent + "]"
     else:
         yield _compact(x)

@@ -102,11 +102,13 @@ class Cochain2:
             raise ParseError("cochains live on different groups or moduli")
 
     def to_sparse(self) -> dict:
+        """The modulus, the order and the nonzero values: "entries" is a k x 3
+        int64 array of rows [i, j, value]."""
         ii, jj = np.nonzero(self.values)
         return {
             "modulus": self.modulus,
             "order": self.group.order,
-            "entries": np.column_stack((ii, jj, self.values[ii, jj])).tolist(),
+            "entries": np.column_stack((ii, jj, self.values[ii, jj])),
         }
 
 

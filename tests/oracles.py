@@ -150,25 +150,24 @@ def dense_bar_matrices(g):
 
 
 def gf_rank(M, p):
-    M = (np.array(M, dtype=np.int64) % p).tolist()
-    if not M:
-        return 0
-    rows, cols = len(M), len(M[0])
+    """Rank of M over GF(p) by row echelon elimination.  Each step touches
+    only the rows with a nonzero in the pivot column and the pivot row's
+    nonzero columns, so a sparse M (the L of a tall snf_mod) stays cheap."""
+    A = np.array(M, dtype=np.int64) % p
+    rows, cols = A.shape
     r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if M[i][c] % p), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = pow(M[r][c], -1, p)
-        M[r] = [(x * inv) % p for x in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c] % p:
-                f = M[i][c]
-                M[i] = [(x - f * y) % p for x, y in zip(M[i], M[r])]
-        r += 1
         if r == rows:
             break
+        nz = np.flatnonzero(A[r:, c])
+        if not len(nz):
+            continue
+        A[[r, r + nz[0]]] = A[[r + nz[0], r]]
+        A[r] = A[r] * pow(int(A[r, c]), -1, p) % p
+        below = r + 1 + np.flatnonzero(A[r + 1:, c])
+        cj = np.flatnonzero(A[r])
+        A[np.ix_(below, cj)] = (A[np.ix_(below, cj)] - np.outer(A[below, c], A[r, cj])) % p
+        r += 1
     return r
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from superbrauer import cli
 from superbrauer.cli import EXIT_BUDGET, EXIT_PARSE, EXIT_VERIFY, main
@@ -672,6 +674,56 @@ def test_text_reports_build_no_representative(zz_file, monkeypatch, capsys, args
         main([*args, "--group", zz_file, "--format", "json"])
 
 
+# a cheap job of every subcommand
+_SUBCOMMAND_JOBS = [
+    ["h2", "--type", "A1"],
+    ["h2sharp", "--type", "A1", "--field", "real"],
+    ["bm", "--type", "A1", "--field", "real"],
+    ["lazy", "--type", "A1"],
+    ["invforms", "--type", "A1"],
+    ["weyl-table", "--types", "A1"],
+    ["verify", "--algebra", "E1", "--check", "hopf"],
+]
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_subcommand_jobs_cover_every_subcommand():
+    assert sorted(args[0] for args in _SUBCOMMAND_JOBS) == sorted(_subparsers(cli.build_parser()))
+
+
+@pytest.mark.parametrize("args", _SUBCOMMAND_JOBS, ids=[args[0] for args in _SUBCOMMAND_JOBS])
+def test_report_echoes_every_budget_flag(args, capsys):
+    """A report echoes each --budget-* flag of its command, named without the
+    prefix, and the seed, whichever flags the command has."""
+    flags = {opt for action in _subparsers(cli.build_parser())[args[0]]._actions for opt in action.option_strings}
+    budgets = {flag.removeprefix("--budget-").replace("-", "_") for flag in flags if flag.startswith("--budget-")}
+    code, out = _run([*args, "--seed", "5", "--format", "json"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["command"] == args[0] and doc["seed"] == 5
+    assert set(doc["budgets"]) == budgets and "cap" in budgets
+
+
+@pytest.mark.parametrize("args, arrays", [
+    (["h2sharp", "--type", "B2", "--field", "real"], ("classes", "cayley_table")),
+    (["bm", "--type", "B2", "--field", "real"], ("cayley_table",)),
+], ids=["h2sharp", "bm"])
+def test_text_docs_build_no_table(args, arrays):
+    """The text report of h2sharp and bm holds no class list and no Cayley
+    table, as it prints neither; the JSON report holds them as int arrays,
+    and the sparse entries of its representatives as k x 3 arrays."""
+    parser = cli.build_parser()
+    text_args, json_args = parser.parse_args(args), parser.parse_args([*args, "--format", "json"])
+    assert not {"classes", "cayley_table"} & set(text_args.func(text_args)["result"])
+    result = json_args.func(json_args)["result"]
+    for key in arrays:
+        assert isinstance(result[key], np.ndarray) and result[key].ndim == 2 and result[key].dtype.kind == "i"
+    reps = [gen["representative"] for gen in result["generators"] if "representative" in gen]
+    assert reps and all(r["entries"].dtype == np.int64 and r["entries"].shape[1] == 3 for r in reps)
+
+
 def test_group_report_roundtrip(zz_file, capsys):
     """Serialized groups and cocycles re-parse to equal values."""
     from superbrauer import h2_real_closed, load_group_file, parse_group_spec
@@ -685,7 +737,7 @@ def test_group_report_roundtrip(zz_file, capsys):
     assert serialize_group(g2) == doc
     H = h2_real_closed(g)
     for rep in H.reps:
-        sp = json.loads(json.dumps(rep.to_sparse(), sort_keys=True))
+        sp = json.loads("".join(cli._json_chunks(rep.to_sparse())))
         assert cochain_equals(cochain_from_sparse(g, sp), rep)
 
 
@@ -752,20 +804,77 @@ GOLDEN_REPORTS = [
      "73eb7e4c8425eeff487cce210d21a245bad34bfb15e406cf5b01412e68847cea"),
 ]
 
+# SHA-256 of the default (text) report of each GOLDEN_REPORTS job
+TEXT_GOLDEN_REPORTS = {
+    "verify --algebra E2 --check hopf":
+        "eb5950edbf6f6a00fce733237ae84adeed0d0b63ff2bbea1ecf94dadd08a18cd",
+    "verify --algebra E2 --check quasitriangular":
+        "4d152b0f173bff2046c5dcee78fbb7e265128ae2b576f06d24b1ed372897429e",
+    "verify --algebra E2 --check triangular":
+        "3bc47659894b47f37ba83f0f207b097c307b7ee9f76b07a225f6e9dd1fd49676",
+    "verify --algebra E2 --check omega-lazy":
+        "0476327cc820e5a732b10d5ca1a97aa4fd3e6919c5813b7e17b4475c31853ac3",
+    "verify --algebra E2 --check omega-cocycle":
+        "66c858e19dd86b5312e9e2e4fb79b802f1444184846786c8ced8d77e1c816c4f",
+    "verify --algebra E2 --check lambda-lazy":
+        "c47dbcf760e958b3394f686523bcf1b8ad55602e6186c7c8113349aa2c4be3bf",
+    "verify --algebra E2 --check lambda-cocycle":
+        "4ef3402946b49d0b1a4a78521872045bae07013226f52a76a360a4df43be8922",
+    "verify --type B2 --check lambda-lazy --budget-dim 16":
+        "cfaad7360bb9f9b812b7a400ad21d0ff330d71f09baaae8beadd4ad6ba389acd",
+    "invforms --type G2":
+        "61ea50b4bf35095125f08dfb6a392dd06d2050378cc306fea9f3ae562e34a3e2",
+    "bm --type B3 --field real":
+        "34263b59c683e4e7c2eabc53bed6973c02a00dc0a939c24c0a9ee7bc4c4ba6f6",
+    "h2sharp --type B2 --field real":
+        "a6084145b09231bf51baa697af34c20d4129335cfd2f9d5f42fba711480f958c",
+    "h2 --type A3":
+        "c65189221bf8016d2e137c9029a50743773c7e927ff66383c05acbe83ca8ade4",
+    "weyl-table --types A1,B2,G2":
+        "3ca4255c960ed0ba3585285b28d36f1f826c35ebcfa91170e5d4498e4af75700",
+    "h2sharp --type A3 --field closed":
+        "b64040e8851f0171ea7c3c329223b2d37a3a365a17b0da3c2ccb347dfd04c3e2",
+    "bm --type G2 --field real":
+        "63a45cd7fcbc310b7e200a1bae0365efc5c3f3698fecd466a210bc86e179c3b7",
+    "verify --type D4 --check lambda-lazy --seed 1":
+        "e28b52e076ca049c0acc1d74ffe0ef7546a45809a86237d9c31ead38154ef755",
+    "bm --type B3 --field closed":
+        "db74d15b194569d6c47108e7e9411acc9ef20856e0cb5da4a56fb7d512ed7539",
+    "bm --field real --group z2xz4.json":
+        "2e765570dfc3d9b1e4b216def7aa3c4689d763f9495279f9c777e2f7b75e1079",
+    "h2 --type D4":
+        "10c17b250d8da44927bd084f59527052b1cad24887dc36cdde7bebbbc6afe9d0",
+    "h2 --type B3 --coeff 6":
+        "4efac69c74cdf75bb4cfa3cd0209d169ccc8d7481c0af05f0270b11f3a04509c",
+    "h2 --group z2xz4.json --coeff 12":
+        "ebe5bed7cbd46de715b477cc7d2e6337519957797991684275548882308a3bed",
+    "h2 --group z2xz4.json --coeff 33554432":
+        "b70f27e7067673216d8e67054c495b9b3e47fd89cf82689fb867f65d65b10192",
+    "verify --type B3 --check hopf":
+        "0061cbbdc304c5857b3691be9c387af6365fb78bfcc8e0233b51bfa2abdd60fd",
+    "verify --algebra E6 --check hopf":
+        "1dc59ed8f80cf2aa556915442606a95275b3d0f35ef20dd1abd0f6851aeb528a",
+    "verify --algebra E6 --check triangular --A identity":
+        "d88052ad7886af30aed426a13240a4dead5648fc95682ceaa57ff5a7030b289e",
+}
+
 # Z2 x Z4 on the points {0, 1} and {2, 3, 4, 5}, u = (0, 2)
 Z2XZ4_SPEC = {"kind": "permutations", "generators": [[1, 0, 2, 3, 4, 5], [0, 1, 3, 4, 5, 2]], "u": "g1 g1"}
 
 
-@pytest.mark.parametrize("args, digest, to_file", [
-    pytest.param(args, digest, to_file, id=" ".join(args) + (" --out FILE" if to_file else ""))
-    for args, digest in GOLDEN_REPORTS for to_file in (False, True)
+@pytest.mark.parametrize("args, format_args, digest, to_file", [
+    pytest.param(args, format_args, digest, to_file, id=" ".join(args) + name + (" --out FILE" if to_file else ""))
+    for args, json_digest in GOLDEN_REPORTS
+    for name, format_args, digest in (("", ["--format", "json"], json_digest),
+                                      (" text", [], TEXT_GOLDEN_REPORTS[" ".join(args)]))
+    for to_file in (False, True)
 ])
-def test_golden_reports(args, digest, to_file, capsys, tmp_path, monkeypatch):
-    """Each golden report, on stdout and through --out FILE."""
+def test_golden_reports(args, format_args, digest, to_file, capsys, tmp_path, monkeypatch):
+    """Each golden report, as JSON and as the default text, on stdout and through --out FILE."""
     (tmp_path / "z2xz4.json").write_text(json.dumps(Z2XZ4_SPEC))
     monkeypatch.chdir(tmp_path)
     out_args = ["--out", "report.json"] if to_file else []
-    code, out = _run(args + ["--format", "json", *out_args], capsys)
+    code, out = _run(args + [*format_args, *out_args], capsys)
     assert code == 0 and (out == "") == to_file
     report = (tmp_path / "report.json").read_bytes() if to_file else out.encode()
     assert hashlib.sha256(report).hexdigest() == digest
@@ -822,21 +931,39 @@ _scalars = st.one_of(_ints, st.booleans(), st.none(), _keys, st.just(1.5))
 _int_lists = st.lists(_ints, max_size=7)
 _int_rows = st.lists(st.one_of(_int_lists, _int_lists.map(tuple)), max_size=5)  # empty rows included
 _rows_with_bools = st.lists(st.lists(st.one_of(_ints, st.booleans()), max_size=4), max_size=4)
+# 2-D int arrays as the reports hold them: Cayley tables, class coordinates
+# (one empty row when H^2 is trivial) and sparse entries (none for a zero cochain)
+_int_arrays = st.one_of(
+    st.sampled_from([(0, 3), (1, 0)]), st.tuples(st.integers(1, 5), st.just(1)),
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5),
+).flatmap(lambda shape: hnp.arrays(st.sampled_from([np.int32, np.int64]), shape))
 _json_docs = st.recursive(
-    st.one_of(_scalars, _int_lists, _int_lists.map(tuple), _int_rows, _rows_with_bools),
+    st.one_of(_scalars, _int_lists, _int_lists.map(tuple), _int_rows, _rows_with_bools, _int_arrays),
     lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
                             st.dictionaries(_keys, inner, max_size=4)),
     max_leaves=12,
 )
 
 
+def _tolists(x):
+    """x with every numpy array replaced by its tolist()."""
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, dict):
+        return {k: _tolists(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_tolists(v) for v in x]
+    return x
+
+
 @settings(max_examples=400, deadline=None)
 @given(_json_docs, st.sampled_from([1, 2, 3, 1024]))
 def test_report_writer_equals_json_dumps(doc, slice_ints):
     """The report is json.dumps(doc, sort_keys=True, indent=2) and a newline,
-    whatever the slice size of the int lists."""
+    with each 2-D int array written as its tolist(), whatever the slice size
+    of the arrays."""
     with mock.patch.object(cli, "_SLICE_INTS", slice_ints):
-        assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert _json_text(doc) == json.dumps(_tolists(doc), sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -853,11 +980,12 @@ def test_report_writer_raises_type_error(doc, message):
 
 
 def test_report_writer_memory_is_bounded(tmp_path):
-    """Writing 20 000 sparse [i, j, value] entries and a 512 x 512 table peaks
-    under 1 MB of Python memory: the int lists are encoded a slice at a time,
-    never as one string (the report is 3.8 MB; encoded whole, the peak is 8.5 MB)."""
-    doc = {"entries": [[i, i % 7, -i] for i in range(20_000)],
-           "table": [[(i + j) % 512 for j in range(512)] for i in range(512)]}
+    """Writing 20 000 sparse [i, j, value] entries and a 512 x 512 table, the
+    arrays that the CLI hands over, peaks under 1 MB of Python memory: they
+    are encoded a slice at a time, never as one string or list (the report
+    is 3.8 MB; encoded whole, the peak is 8.5 MB)."""
+    i, j = np.arange(20_000), np.arange(512, dtype=np.int32)
+    doc = {"entries": np.column_stack((i, i % 7, -i)), "table": (j[:, None] + j) % 512}
     path = tmp_path / "report.json"
     with path.open("w") as fh:
         tracemalloc.start()
@@ -867,4 +995,4 @@ def test_report_writer_memory_is_bounded(tmp_path):
         finally:
             tracemalloc.stop()
     assert peak < 1_000_000
-    assert json.loads(path.read_text()) == doc
+    assert json.loads(path.read_text()) == _tolists(doc)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -650,3 +651,31 @@ def _lcm_of_orders(g):
 def test_group_exponent_is_lcm_of_element_orders(build):
     g = build()
     assert group_exponent(g) == _lcm_of_orders(g)
+
+
+def _elementary_divisors(orders) -> list[int]:
+    """The prime powers of a direct sum of cyclic groups of these orders."""
+    return sorted(p**e for d in orders for p, e in prime_power_factors(d))
+
+
+_UCT_GROUPS = {
+    "Z2xZ4": _SMALL_GROUPS["Z2xZ4"],
+    "S4": _FRONTIER_GROUPS["S4"],
+    "Z4xZ4": _SMALL_GROUPS["Z4xZ4"],
+    "G(A3)": _FRONTIER_GROUPS["G(A3)"],
+    **{f"W({t})": (lambda t=t: build_weyl(RootSystemType.parse(t)).group) for t in ("B3", "D4", "G2", "B4", "F4")},
+}
+
+
+@pytest.mark.parametrize("name", list(_UCT_GROUPS))
+def test_h2_obeys_universal_coefficients(name):
+    """H^2(G, Z_N) = Hom(M(G), Z_N) + Ext(G^ab, Z_N): its elementary divisors
+    are those of Z_gcd(m, N) over the Schur multiplier's invariants m and
+    Z_gcd(a, N) over G^ab's a.  G^ab comes from the edge relations and
+    cokernel_mod, not from the H^2 kernel."""
+    g = _UCT_GROUPS[name]()
+    budget = g.order**2  # admits W(F4)
+    schur, ab = h2_closed_field(g, budget=budget).invariants, abelianization(g).cyclic_orders
+    for n in (2, 4, 6, 8, 12):
+        want = [math.gcd(m, n) for m in schur] + [math.gcd(a, n) for a in ab]
+        assert _elementary_divisors(h2(g, n, budget=budget).invariants) == _elementary_divisors(want), n

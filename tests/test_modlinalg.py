@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superbrauer import RootSystemType, build_weyl
+from superbrauer import RootSystemType, build_weyl, cohomology, cyclic_group, direct_product, group_datum
 from superbrauer.modlinalg import (
     cokernel_mod,
     crt,
@@ -20,7 +21,7 @@ from superbrauer.modlinalg import (
     solve_from_snf,
 )
 
-from .oracles import coo_frontier_system, dense_snf_mod
+from .oracles import coo_frontier_system, count_image_mod, dense_snf_mod, gf_rank
 
 
 def test_prime_power_factors():
@@ -176,3 +177,42 @@ def test_snf_mod_matches_dense_oracle_on_zero_and_frontier_sample():
     np.add.at(M, (np.searchsorted(picks, sys.eq_rows[keep]), sys.eq_cols[keep]), sys.eq_vals[keep])
     assert np.count_nonzero(M % 16) < M.size // 10
     _assert_same_snf(M % 16, 2, 4)
+
+
+def test_gf_rank_matches_the_image_order():
+    """|image of M mod p| = p^rank, the image order from the integer SNF."""
+    rng = np.random.default_rng(7)
+    for p in (2, 3, 5):
+        for _ in range(40):
+            M = rng.integers(0, p, tuple(rng.integers(1, 8, 2))) * (rng.random() < 0.9)
+            assert p ** gf_rank(M, p) == count_image_mod(M, p)
+
+
+_CERTIFIED_GROUPS = {
+    "Z2xZ4": lambda: direct_product(cyclic_group(2), cyclic_group(4)),
+    "G(A3)": lambda: group_datum(RootSystemType.parse("A3")).group,
+    "W(B3)": lambda: build_weyl(RootSystemType.parse("B3")).group,
+    "G(D4)": lambda: group_datum(RootSystemType.parse("D4")).group,
+}
+
+
+@pytest.mark.parametrize("name", list(_CERTIFIED_GROUPS))
+def test_snf_certifies_the_cocycle_module(name):
+    """On the frontier rows C of each q = p^e || |G|: L C R = D mod q with L
+    and R of full rank mod p, C K = 0 for K = kernel_mod(C), and the span of
+    K has the order of ker D, prod p^a_i q^(cols - rank).  So span K = ker C,
+    whatever the pivot code did."""
+    g = _CERTIFIED_GROUPS[name]()
+    for p, e in prime_power_factors(g.order):
+        q = p**e
+        C = cohomology._presentation(g).system(q)[1]
+        rows, cols = C.shape
+        snf = snf_mod(C, p, e, want_l=True, want_r=True)
+        D = np.zeros((rows, cols), dtype=np.int64)
+        D[range(len(snf.diag)), range(len(snf.diag))] = [p**a % q for a in snf.diag]
+        assert (((snf.L @ C) % q @ snf.R) % q == D).all()
+        assert gf_rank(snf.L, p) == rows and gf_rank(snf.R, p) == cols
+        K = kernel_mod(C, p, e)
+        assert not ((C @ K) % q).any()
+        order = q ** (cols - len(snf.diag)) * math.prod(p**a for a in snf.diag)
+        assert count_image_mod(K.T, q) == order
