@@ -90,13 +90,6 @@ class Cochain2:
         self._compat(other)
         return self.copy_with(self.values + other.values)
 
-    def __sub__(self, other: "Cochain2") -> "Cochain2":
-        self._compat(other)
-        return self.copy_with(self.values - other.values)
-
-    def __neg__(self) -> "Cochain2":
-        return self.copy_with(-self.values)
-
     def _compat(self, other: "Cochain2") -> None:
         if self.group is not other.group or self.modulus != other.modulus:
             raise ParseError("cochains live on different groups or moduli")
@@ -297,21 +290,8 @@ class CohomologyClass:
             raise ParseError("classes from different cohomology groups")
         return CohomologyClass(self.parent, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self) -> "CohomologyClass":
-        return CohomologyClass(self.parent, tuple(-a for a in self.coords))
-
-    def __sub__(self, other: "CohomologyClass") -> "CohomologyClass":
-        return self + (-other)
-
     def is_trivial(self) -> bool:
         return all(c == 0 for c in self.coords)
-
-    def order(self) -> int:
-        o = 1
-        for c, d in zip(self.coords, self.parent.invariants):
-            if c:
-                o = int(np.lcm(o, d // np.gcd(c, d)))
-        return o
 
     def representative(self) -> Cochain2:
         return self.parent.rep_of_coords(self.coords)

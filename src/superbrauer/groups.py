@@ -69,6 +69,23 @@ def _mat_rank(m) -> int:
     return len(_row_reduce(m)[1])
 
 
+def bfs_tree(right: np.ndarray, identity: int = 0) -> list[tuple[int, int, int]]:
+    """The edges (x, k, x s_k) that first reach each element from `identity`
+    by right multiplication, in BFS order, from the generator columns
+    right[x, k] = x s_k; the tree spans the group iff it has order - 1 edges."""
+    rows = right.tolist()
+    reached = {identity}
+    tree = []
+    queue = [identity]
+    for x in queue:  # the queue grows while it is read
+        for k, y in enumerate(rows[x]):
+            if y not in reached:
+                reached.add(y)
+                tree.append((x, k, y))
+                queue.append(y)
+    return tree
+
+
 class FiniteGroup:
     """Multiplication-table group with 0-based element indices."""
 
@@ -85,8 +102,8 @@ class FiniteGroup:
         self.kind = kind
         self._memo: dict = {}
         # BFS-tree edges (x, k, x s_k), parents first
-        reached, self.tree = self._bfs(gens) if gens else self._choose_generators()
-        if len(reached) != order:
+        self.tree = bfs_tree(mul[:, list(gens)], identity) if gens else self._choose_generators()
+        if len(self.tree) != order - 1:
             raise ParseError("generators do not generate the group")
 
     def memo(self, key, build):
@@ -106,32 +123,16 @@ class FiniteGroup:
             out.append(k)
         return tuple(out[::-1])
 
-    def _bfs(self, gens) -> tuple[set[int], list[tuple[int, int, int]]]:
-        """The elements reached from the identity by right multiplication
-        with `gens`, and the edges (x, k, x s_k) that first reach each
-        element, in BFS order."""
-        reached = {self.identity}
-        tree = []
-        queue = [self.identity]
-        for x in queue:  # the queue grows while it is read
-            for k, s in enumerate(gens):
-                y = int(self.mul[x, s])
-                if y not in reached:
-                    reached.add(y)
-                    tree.append((x, k, y))
-                    queue.append(y)
-        return reached, tree
-
-    def _choose_generators(self):
-        """Greedy small generating set for table-built groups; returns its BFS."""
-        gens: list[int] = []
-        reached, tree = self._bfs(gens)
+    def _choose_generators(self) -> list[tuple[int, int, int]]:
+        """Greedy small generating set for table-built groups; returns its BFS tree."""
+        gens, tree, reached = [], [], {self.identity}
         for x in range(self.order):
             if x not in reached:
                 gens.append(x)
-                reached, tree = self._bfs(gens)
+                tree = bfs_tree(self.mul[:, gens], self.identity)
+                reached.update(y for _, _, y in tree)
         self.gens = tuple(gens)
-        return reached, tree
+        return tree
 
     def word_to_element(self, word: list[int] | tuple[int, ...]) -> int:
         x = self.identity
@@ -508,27 +509,35 @@ def abelianization(g: FiniteGroup) -> AbelianInvariants:
 
 
 def _abelianization_impl(g: FiniteGroup) -> AbelianInvariants:
-    """G^ab is Z^S modulo the abelianized Schreier generators c(x) + e_s -
-    c(xs), c(x) the letter count of the BFS word of x (Reidemeister-Schreier),
-    and x maps to the class of c(x).  p^e || |G| kills the p-part of G^ab, so
-    the cokernel of the relations over Z_{p^e} is that p-part."""
-    n, m = g.order, len(g.gens)
-    counts, eye = np.zeros((n, m), dtype=np.int64), np.eye(m, dtype=np.int64)
-    for x, k, y in g.tree:
-        counts[y] = counts[x] + eye[k]
-    rel = counts[:, None, :] + eye - counts[np.asarray(g.mul)[:, list(g.gens)]]
-    parts = []
-    for p, e in prime_power_factors(n):
-        ck = cokernel_mod(rel.reshape(n * m, m).T, p, e)
-        parts.append((ck.orders, ck.class_coords(counts)))
-    orders, coords = direct_sum(parts)
-    projection = np.array(coords, dtype=np.int64).reshape(len(orders), n).T
+    orders, coords = abelian_invariants(g.mul[:, list(g.gens)], g.tree)
+    projection = np.array(coords, dtype=np.int64).reshape(len(orders), g.order).T
     return AbelianInvariants(
         group=g,
         cyclic_orders=orders,
         projection=projection,
         commutator_subgroup=tuple(np.flatnonzero(~projection.any(axis=1)).tolist()),
     )
+
+
+def abelian_invariants(right: np.ndarray, tree) -> tuple[tuple[int, ...], list]:
+    """Invariant factors, largest first, of the abelianization of the group
+    with generator columns right[x, k] = x s_k (n x m) and BFS tree `tree`,
+    and the coordinates (n,) of each element along each factor.
+
+    G^ab is Z^S modulo the abelianized Schreier generators c(x) + e_s -
+    c(xs), c(x) the letter count of the tree word of x (Reidemeister-Schreier),
+    and x maps to the class of c(x).  p^e || n kills the p-part of G^ab, so
+    the cokernel of the relations over Z_{p^e} is that p-part."""
+    n, m = right.shape
+    counts, eye = np.zeros((n, m), dtype=np.int32), np.eye(m, dtype=np.int32)  # word lengths stay below n
+    for x, k, y in tree:
+        counts[y] = counts[x] + eye[k]
+    rel = counts[:, None, :] + eye - counts[right]
+    parts = []
+    for p, e in prime_power_factors(n):
+        ck = cokernel_mod(rel.reshape(n * m, m).T, p, e)
+        parts.append((ck.orders, ck.class_coords(counts)))
+    return direct_sum(parts)
 
 
 def all_characters(g: FiniteGroup, target_order: int):

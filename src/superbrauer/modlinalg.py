@@ -36,30 +36,6 @@ def inverse_mod(a: int, q: int) -> int:
     return pow(int(a), -1, q)
 
 
-def _val(a: int, p: int, e: int) -> int:
-    """p-valuation of the residue a in [0, q); val(0) = e."""
-    if a == 0:
-        return e
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
-    return v
-
-
-def _val_matrix(a: np.ndarray, p: int, e: int) -> np.ndarray:
-    v = np.zeros(a.shape, dtype=np.int64)
-    rem = a.copy()
-    for _ in range(e):
-        mask = (rem != 0) & (rem % p == 0)
-        if not mask.any():
-            break
-        rem[mask] //= p
-        v[mask] += 1
-    v[a == 0] = e
-    return v
-
-
 class SnfMod:
     """Diagonalization D = L @ M @ R over Z/q with invertible L, R."""
 
@@ -98,24 +74,18 @@ def snf_mod(
 
     diag: list[int] = []
     for s in range(min(rows, cols)):
-        # pivot search: unit in the current column, then any unit, then min valuation
+        # pivot search: unit in the current column, else the first entry of
+        # least valuation v, the first one not divisible by p**(v + 1)
         colunits = (A[s:, s] % p) != 0
         if colunits.any():
-            i, j = s + int(np.argmax(colunits)), s
+            i, j, v = s + int(np.argmax(colunits)), s, 0
         else:
             block = A[s:, s:]
-            units = (block % p) != 0
-            if units.any():
-                flat = int(np.argmax(units))
-                bi, bj = divmod(flat, cols - s)
-                i, j = s + bi, s + bj
-            elif not block.any():
+            if not block.any():
                 break
-            else:
-                vals = _val_matrix(block, p, e)
-                flat = int(np.argmin(vals))
-                bi, bj = divmod(flat, cols - s)
-                i, j = s + bi, s + bj
+            v = next(v for v in range(e) if (block % p ** (v + 1)).any())
+            bi, bj = divmod(int(np.argmax(block % p ** (v + 1) != 0)), cols - s)
+            i, j = s + bi, s + bj
         if i != s:
             A[[s, i], :] = A[[i, s], :]
             if L is not None:
@@ -126,9 +96,7 @@ def snf_mod(
             A[:, [s, j]] = A[:, [j, s]]
             if R is not None:
                 R[:, [s, j]] = R[:, [j, s]]
-        a = int(A[s, s])
-        v = _val(a, p, e)
-        u = a // p**v
+        u = int(A[s, s]) // p**v
         if u != 1:
             uinv = inverse_mod(u, q)
             A[s, s:] = (A[s, s:] * uinv) % q

@@ -1,7 +1,9 @@
 """The grading attached to a 2-cocycle, the twisted sharp product on H^2,
-and the Brauer group BM(k, k[G], R_u) and the group Q(k, G), whose Cayley
-tables are built from generating data: the sharp table, the sigma(u,u)
-markers and the class of C(1)^2 or the character pairing classes.
+and the Brauer group BM(k, k[G], R_u) and the group Q(k, G).  Each group is
+its generator columns x g_k, built from generating data (the sharp twist,
+the sigma(u,u) markers and the class of C(1)^2 or the character pairing
+classes); its invariants come from the Schreier relations, as G^ab's do,
+and its Cayley table is derived only when it is read.
 
 Only two base-field descriptors exist: algebraically closed of
 characteristic zero, and real closed.  Anything else has square classes and
@@ -9,6 +11,8 @@ Brauer groups outside the scope of this library and is rejected up front.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -27,9 +31,9 @@ from .cohomology import (
 from .groups import (
     CentralInvolution,
     FiniteGroup,
-    abelianization,
+    abelian_invariants,
     all_characters,
-    group_from_table,
+    bfs_tree,
     is_character,
     quotient_by_central_involution,
     splitting_character,
@@ -134,22 +138,61 @@ def sharp_inverse(sigma: Cochain2, inv: CentralInvolution) -> Cochain2:
     return Cochain2(sigma.group, n, vals)
 
 
-class SharpGroup:
-    """H^2_sharp(G, k*): the classes of H^2 under the sharp product."""
+class _GeneratedGroup:
+    """A finite abelian group given by its generator columns right[x, k] = x g_k
+    (n x k, identity 0), checked exhaustively on generators: each column
+    permutes 0..n-1, the columns commute (x g_a g_b = x g_b g_a) and the BFS
+    from 0 reaches every element.  A transitive abelian permutation group is
+    regular, so the columns are the right-regular action of an abelian group
+    of order n, whose invariants come from the Schreier relations as G^ab's do."""
 
-    def __init__(self, field: FieldDescriptor, inv: CentralInvolution, cohomology: CohomologyGroup,
-                 classes: list[CohomologyClass], table: np.ndarray, invariants: tuple[int, ...]) -> None:
-        self.field = field
-        self.inv = inv
-        self.cohomology = cohomology
-        self.classes = classes
-        self.table = table
-        self.invariants = invariants
-        self._index = {c.coords: i for i, c in enumerate(classes)}
+    def __init__(self, right: np.ndarray) -> None:
+        n, k = right.shape
+        seen = np.zeros((n, k), dtype=bool)
+        seen[right, np.arange(k)] = True
+        if not seen.all():
+            raise ParseError("a generator column is not a permutation")
+        twice = right[right]  # x g_a g_b at [x, a, b]
+        if (twice != twice.transpose(0, 2, 1)).any():
+            raise ParseError("the generator columns do not commute")
+        self.right = right
+        self.tree = bfs_tree(right)
+        if len(self.tree) != n - 1:
+            raise ParseError("the generator columns do not reach every element")
 
     @property
-    def size(self) -> int:
-        return len(self.classes)
+    def order(self) -> int:
+        return len(self.right)
+
+    @cached_property
+    def invariants(self) -> tuple[int, ...]:
+        """Invariant factors, largest first."""
+        return abelian_invariants(self.right, self.tree)[0]
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The Cayley table, derived on first read: row 0 is the identity's,
+        and for each tree edge (p, k, y) row y is right[row p, k], because
+        y x = p g_k x = (p x) g_k in an abelian group."""
+        n = self.order
+        table = np.empty((n, n), dtype=np.int32)
+        table[0] = np.arange(n)
+        for p, k, y in self.tree:
+            table[y] = self.right[table[p], k]
+        return table
+
+
+class SharpGroup(_GeneratedGroup):
+    """H^2_sharp(G, k*): the classes of H^2 under the sharp product, generated
+    by the generator classes of H^2."""
+
+    def __init__(self, cohomology: CohomologyGroup, classes: list[CohomologyClass], right: np.ndarray) -> None:
+        super().__init__(right)
+        self.cohomology = cohomology
+        self.classes = classes
+        self._index = {c.coords: i for i, c in enumerate(classes)}
+
+    size = _GeneratedGroup.order  # |H^2|
 
     def index_of(self, cls: CohomologyClass) -> int:
         return self._index[cls.coords]
@@ -163,8 +206,10 @@ def _positions(coords, orders) -> np.ndarray:
     return (np.asarray(coords, dtype=np.int64) % orders) @ radix
 
 
-def sharp_class_table(cg: CohomologyGroup, inv: CentralInvolution) -> tuple[list[CohomologyClass], np.ndarray]:
-    """Cayley table of the sharp product on the classes of cg, in all_classes order.
+def _sharp_products(cg: CohomologyGroup, inv: CentralInvolution):
+    """The classes of cg in all_classes order, and a map from a matrix of
+    second operands y (coordinate rows) to the positions of x # y (classes x
+    rows) for every class x.
 
     theta of rep_of_coords(x) is sum_a x_a theta_a mod 2, the class map is
     additive and (N/2) k mod N depends only on k mod 2, so
@@ -176,10 +221,20 @@ def sharp_class_table(cg: CohomologyGroup, inv: CentralInvolution) -> tuple[list
     twist = np.array(pairings, dtype=np.int64).reshape((len(degrees),) * 3)
     coords = np.array([c.coords for c in classes], dtype=np.int64)
     parity = coords % 2
-    table = np.zeros((len(classes), len(classes)), dtype=np.int32)
-    for i, x in enumerate(coords):
-        table[i] = _positions(x + coords + parity @ np.tensordot(parity[i], twist, axes=1), cg.invariants)
-    return classes, table
+
+    def times(ys) -> np.ndarray:
+        ys = np.asarray(ys, dtype=np.int64)
+        twisted = np.einsum("xa,yb,abc->xyc", parity, ys % 2, twist)
+        return _positions(coords[:, None] + ys + twisted, cg.invariants).astype(np.int32)
+
+    return classes, times
+
+
+def sharp_class_table(cg: CohomologyGroup, inv: CentralInvolution) -> tuple[list[CohomologyClass], np.ndarray]:
+    """The classes of cg in all_classes order and the generator columns
+    x # e_a of the sharp product (|H^2| x len(cg.invariants))."""
+    classes, times = _sharp_products(cg, inv)
+    return classes, times(np.eye(len(cg.invariants), dtype=np.int64))
 
 
 def h2_sharp(
@@ -188,7 +243,7 @@ def h2_sharp(
     field: FieldDescriptor,
     budget: int = ENUMERATION_BUDGET,
 ) -> SharpGroup:
-    """Enumerate H^2 under the sharp product and extract its abelian invariants."""
+    """H^2 under the sharp product, generated by the generator classes."""
     if inv.group is not g:
         raise ParseError("involution lives on a different group")
     if inv.is_trivial:
@@ -196,17 +251,7 @@ def h2_sharp(
     cg = field.cohomology(g)
     if cg.size > budget:
         raise BudgetExceeded(f"|H^2| = {cg.size} exceeds enumeration budget {budget}; raise --budget-enum")
-    classes, table = sharp_class_table(cg, inv)
-    invariants = _abelian_table_invariants(table, 0)  # all_classes starts at the zero class
-    return SharpGroup(field=field, inv=inv, cohomology=cg, classes=classes, table=table, invariants=invariants)
-
-
-def _abelian_table_invariants(table: np.ndarray, ident: int) -> tuple[int, ...]:
-    """Invariant factors, largest first, of an enumerated product table after
-    checking that it is an abelian group table."""
-    if (table != table.T).any():
-        raise ParseError("enumerated product is not commutative")
-    return abelianization(group_from_table(table, identity=ident)).cyclic_orders
+    return SharpGroup(cg, *sharp_class_table(cg, inv))
 
 
 def quaternion_symbol(a, b, field: FieldDescriptor):
@@ -219,22 +264,16 @@ def quaternion_symbol(a, b, field: FieldDescriptor):
     return (field.kind == "real") * (a % 2) * (b % 2)
 
 
-class BMGroup:
+class BMGroup(_GeneratedGroup):
     """BM(k, k[G], R_u): central extension of Br(k) by H^2_sharp or Q(k, G).
 
     Element (b, i, a) = (Brauer part, i-th class of cohomology.all_classes(),
     parity) is row (b |H^2| + i)(1 + split) + a of the Cayley table."""
 
-    def __init__(self, split: bool, cohomology: CohomologyGroup, table: np.ndarray,
-                 invariants: tuple[int, ...]) -> None:
+    def __init__(self, split: bool, cohomology: CohomologyGroup, right: np.ndarray) -> None:
+        super().__init__(right)
         self.split = split
         self.cohomology = cohomology
-        self.table = table
-        self.invariants = invariants
-
-    @property
-    def order(self) -> int:
-        return self.table.shape[0]
 
 
 def bm_group(
@@ -243,10 +282,11 @@ def bm_group(
     field: FieldDescriptor,
     budget: int = ENUMERATION_BUDGET,
 ) -> BMGroup:
-    """BM(k, k[G], R_u) for u != 1, its Cayley table built from generating data.
+    """BM(k, k[G], R_u) for u != 1, generated by the Brauer class (when
+    Br(k) = Z_2), the classes (0, e_a, 0) and C(1) = (0, 0, 1) (when split).
 
-    (b1, i1, a1)(b2, i2, a2) has class S[i1, i2], shifted by sharp with the
-    class of C(1)^2 when a1 = a2 = 1; Brauer part b1 + b2 + <M1, M2> plus
+    (b1, i1, a1)(b2, i2, a2) has class i1 # i2, shifted by sharp with the
+    class c11 of C(1)^2 when a1 = a2 = 1; Brauer part b1 + b2 + <M1, M2> plus
     <M12, -1> when a1 = a2 = 1, with <,> the quaternion symbol and M the
     sigma(u,u) square-class markers; parity a1 + a2.  Over Z_2 a marker is
     sigma(u,u) of rep_of_coords, a sum of generator representatives, so it
@@ -258,48 +298,41 @@ def bm_group(
     chi = splitting_character(inv)
     split = chi is not None
     cg = field.cohomology(g)
-    bo, h, s = field.brauer_order, cg.size, 1 + split
+    bo, h, s, r = field.brauer_order, cg.size, 1 + split, len(cg.invariants)
     if bo * h * s > budget:
         raise BudgetExceeded(f"|BM| = {bo * h * s} exceeds enumeration budget {budget}; raise --budget-enum")
-    classes, S = sharp_class_table(cg, inv)
-    M = np.zeros(h, dtype=np.int32)
+    classes, times = _sharp_products(cg, inv)
+    marks = np.zeros(r, dtype=np.int64)
     if field.kind == "real":
         # over Z_2 the bit sigma_a(u,u), the label sum along w_u from u (from 1 it is 0: the labels vanish on the tree)
         ids, signs = cycle_edges(g, [(j, 1) for j in g.word(inv.u)])
-        marks = [walk_sums(ids, signs, cg.labels_of_coords(c.coords), 2)[inv.u] for c in cg.generators()]
-        M[:] = np.array([c.coords for c in classes], dtype=np.int64) @ np.array(marks, dtype=np.int64) % 2
-    c11 = 0
-    if split:
-        c11 = int(_positions(cg.pairing_class(chi.values, chi.values).coords, cg.invariants))
-    b1, i1, a1, b2, i2, a2 = np.ix_(*(np.arange(d, dtype=np.int32) for d in (bo, h, s) * 2))
-    ij = S[i1, i2]
-    both = a1 * a2
-    table = b1 + b2 + quaternion_symbol(M[i1], M[i2], field) + both * quaternion_symbol(M[ij], 1, field)
-    # the row (b h + class) s + parity, in place: the table is the one array of full size
-    table %= bo
-    table *= h
-    table += np.where(both, S[ij, c11], ij)
-    table *= s
-    table += (a1 + a2) % s
-    table = table.reshape(bo * h * s, -1)
-    # the identity (0, zero class, 0) is element 0
-    return BMGroup(split=split, cohomology=cg, table=table, invariants=_abelian_table_invariants(table, 0))
+        marks[:] = [walk_sums(ids, signs, cg.labels_of_coords(c.coords), 2)[inv.u] for c in cg.generators()]
+    M = np.array([c.coords for c in classes], dtype=np.int64) @ marks % 2
+    c11 = cg.pairing_class(chi.values, chi.values).coords if split else (0,) * r
+    by_gen, by_c11 = times(np.eye(r, dtype=np.int64)), times([c11])[:, 0]
+    b1, i1, a1 = np.ix_(np.arange(bo), np.arange(h), np.arange(s))
+    zero = np.arange(h)  # x # 0
+
+    def times_gen(b2, sharp_i2, m2, a2) -> np.ndarray:
+        """x y for every element x and y = (b2, i2, a2), given x # i2 for every class and M[i2]."""
+        ij = sharp_i2[i1]
+        both = a1 * a2
+        b = (b1 + b2 + quaternion_symbol(M[i1], m2, field) + both * quaternion_symbol(M[ij], 1, field)) % bo
+        return ((b * h + np.where(both, by_c11[ij], ij)) * s + (a1 + a2) % s).ravel()
+
+    generators = [(1, zero, 0, 0)] if bo > 1 else []
+    generators += [(0, by_gen[:, a], marks[a], 0) for a in range(r)] + ([(0, zero, 0, 1)] if split else [])
+    # the identity (0, zero class, 0) is element 0; BM may be trivial, with no generator
+    right = np.array([times_gen(*y) for y in generators], dtype=np.int32).reshape(len(generators), bo * h * s).T
+    return BMGroup(split=split, cohomology=cg, right=right)
 
 
-class QGroup:
+class QGroup(_GeneratedGroup):
     """Q(k, G) for split G: H^2(G/U) x Hom(G/U, Z_2) x k*/(k*)^2 x Z_2.
 
     Element (c, x, s, e) = (c-th class of H^2(G/U).all_classes(), x-th
     character of all_characters(G/U, 2), square class, parity) is row
     ((c |Hom| + x) |k*/(k*)^2| + s) 2 + e of the Cayley table."""
-
-    def __init__(self, table: np.ndarray, invariants: tuple[int, ...]) -> None:
-        self.table = table
-        self.invariants = invariants
-
-    @property
-    def order(self) -> int:
-        return self.table.shape[0]
 
 
 def q_group(
@@ -308,11 +341,15 @@ def q_group(
     field: FieldDescriptor,
     budget: int = ENUMERATION_BUDGET,
 ) -> QGroup:
-    """The group Q(k, G) of the split short exact sequence.
+    """The group Q(k, G) of the split short exact sequence, generated by the
+    generator classes of H^2(G/U), a basis of Hom(G/U, Z_2), -1 (when
+    k*/(k*)^2 = Z_2) and the parity.
 
     (c1, x1, s1, e1)(c2, x2, s2, e2) = (c1 + c2 + P[x1, x2], x1 x2,
     s1 + s2 + e1 e2, e1 + e2), with P[x1, x2] the pairing_class of x1 and
-    x2, one per pair of characters."""
+    x2.  In all_characters order the character index is the bit vector of
+    the character's coordinates, so x1 x2 is x1 ^ x2 and the basis
+    characters are the indices 2^j."""
     if inv.is_trivial:
         raise TrivialInvolution("Q(k, G) needs u != 1")
     if splitting_character(inv) is None:
@@ -320,18 +357,22 @@ def q_group(
     q = quotient_by_central_involution(inv).quotient
     cq = field.cohomology(q)
     chars = [c.values % 2 for c in all_characters(q, 2)]
-    h, nc, sq = cq.size, len(chars), field.square_class_order
+    h, nc, sq, r = cq.size, len(chars), field.square_class_order, len(cq.invariants)
     if h * nc * sq * 2 > budget:
         raise BudgetExceeded(f"|Q(k,G)| = {h * nc * sq * 2} exceeds enumeration budget {budget}; raise --budget-enum")
-    lookup = {v.tobytes(): i for i, v in enumerate(chars)}
-    product = np.array([[lookup[((v + w) % 2).tobytes()] for w in chars] for v in chars], dtype=np.int32)
-    pairing = _positions([[cq.pairing_class(v, w).coords for w in chars] for v in chars], cq.invariants)
+    basis = [1 << j for j in range(nc.bit_length() - 1)]
+    pairing = {b: np.array([cq.pairing_class(v, chars[b]).coords for v in chars], dtype=np.int64).reshape(nc, r)
+               for b in basis}  # P[x1, b] for the basis characters b
+    pairing[0] = np.zeros((nc, r), dtype=np.int64)  # and for the trivial one
     coords = np.array([c.coords for c in cq.all_classes()], dtype=np.int64)
-    add = _positions(coords[:, None] + coords[None, :], cq.invariants)
-    c1, x1, s1, e1, c2, x2, s2, e2 = np.ix_(*(np.arange(d, dtype=np.int32) for d in (h, nc, sq, 2) * 2))
-    cls = add[add[c1, c2], pairing[x1, x2]]
-    table = ((cls * nc + product[x1, x2]) * sq + (s1 + s2 + e1 * e2) % sq) * 2 + (e1 + e2) % 2
-    table = table.reshape(h * nc * sq * 2, -1)
-    # the identity (zero class, trivial character, 0, 0) is element 0
-    return QGroup(table=table, invariants=_abelian_table_invariants(table, 0))
+    c1, x1, s1, e1 = np.ix_(*(np.arange(d) for d in (h, nc, sq, 2)))
 
+    def times_gen(c2, x2, s2, e2) -> np.ndarray:
+        """x y for every element x and y = (c2, x2, s2, e2)."""
+        cls = _positions(coords[c1] + c2 + pairing[x2][x1], cq.invariants)
+        return (((cls * nc + (x1 ^ x2)) * sq + (s1 + s2 + e1 * e2) % sq) * 2 + (e1 + e2) % 2).ravel()
+
+    generators = [(e, 0, 0, 0) for e in np.eye(r, dtype=np.int64)] + [(0, b, 0, 0) for b in basis]
+    generators += ([(0, 0, 1, 0)] if sq > 1 else []) + [(0, 0, 0, 1)]
+    # the identity (zero class, trivial character, 0, 0) is element 0
+    return QGroup(np.array([times_gen(*y) for y in generators], dtype=np.int32).T)

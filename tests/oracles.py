@@ -95,7 +95,7 @@ from superbrauer import (
 from superbrauer.cohomology import cycle_edges
 from superbrauer.errors import BudgetExceeded, ParseError
 from superbrauer.forms import Matrix, mat_neg
-from superbrauer.modlinalg import SnfMod, _val, _val_matrix, inverse_mod, kernel_mod
+from superbrauer.modlinalg import SnfMod, inverse_mod, kernel_mod
 from superbrauer.supergroup import (
     DEFAULT_DIM_BUDGET,
     SAMPLED_TRIPLES,
@@ -936,6 +936,30 @@ def leading_principal_minors_positive(sigma: Matrix) -> bool:
         if ok:
             return True
     return False
+
+
+def _val(a: int, p: int, e: int) -> int:
+    """p-valuation of the residue a in [0, q); val(0) = e."""
+    if a == 0:
+        return e
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return v
+
+
+def _val_matrix(a: np.ndarray, p: int, e: int) -> np.ndarray:
+    v = np.zeros(a.shape, dtype=np.int64)
+    rem = a.copy()
+    for _ in range(e):
+        mask = (rem != 0) & (rem % p == 0)
+        if not mask.any():
+            break
+        rem[mask] //= p
+        v[mask] += 1
+    v[a == 0] = e
+    return v
 
 
 def dense_snf_mod(

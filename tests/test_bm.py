@@ -3,6 +3,9 @@ order identity."""
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -25,6 +28,7 @@ from superbrauer import (
     splitting_character,
     symmetric_group,
 )
+from superbrauer.weyl import DEFAULT_TABLE_TYPES, WEYL_GROUP_BUDGET, datum_size
 
 from .oracles import (
     abelian_invariants_from_table,
@@ -262,3 +266,30 @@ def test_bm_real_z2_4():
     bm = bm_group(g, CentralInvolution(g, int(g.gens[0])), REAL_CLOSED)
     assert bm.order == 4096
     assert bm.invariants == (8, 4, 4, 4, 2, 2, 2)
+
+
+def test_bm_invariants_build_no_cayley_table():
+    """The invariants of the 4096-element BM of Z2^4 come from its generator
+    columns: the int32 Cayley table alone would take 64 MB."""
+    g = _cyclic_product([2, 2, 2, 2])
+    inv = CentralInvolution(g, int(g.gens[0]))
+    tracemalloc.start()
+    try:
+        invariants = bm_group(g, inv, REAL_CLOSED).invariants
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert invariants == (8, 4, 4, 4, 2, 2, 2)
+    assert peak < 16_000_000
+
+
+@pytest.mark.parametrize("name", [t for t in DEFAULT_TABLE_TYPES
+                                  if t != "E8" and datum_size(RootSystemType.parse(t)) <= WEYL_GROUP_BUDGET])
+@pytest.mark.parametrize("field", [ALG_CLOSED, REAL_CLOSED], ids=["closed", "real"])
+def test_order_identity_on_computed_table_rows(name, field):
+    """On every row table_row computes, over both fields, the invariants
+    multiply to |BM| and to |H^2_sharp| = |H^2|."""
+    d = group_datum(RootSystemType.parse(name))
+    bm, hs = bm_group(d.group, d.inv, field), h2_sharp(d.group, d.inv, field)
+    assert math.prod(bm.invariants) == bm.order == field.brauer_order * hs.size * 2 ** bm.split
+    assert math.prod(hs.invariants) == hs.size == field.cohomology(d.group).size

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -152,6 +153,59 @@ def test_generators_must_fit_the_declared_kind(tmp_path, capsys, spec, message):
     path.write_text(json.dumps(spec))
     assert main(["h2", "--group", str(path)]) == EXIT_PARSE
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([1, 2], "group spec must be an object with a 'kind' field"),
+    ({"generators": [[1, 0]]}, "group spec must be an object with a 'kind' field"),
+    ({"kind": "permutations", "generators": [[1, 0]], "u": 1.5}, "u must be an element index or a word in generators"),
+    ({"kind": "matrices", "generators": [[[True, 0], [0, 1]]]}, "bad rational entry True"),
+    ({"kind": "matrices", "generators": [[["x", 0], [0, 1]]]}, "bad rational entry 'x'"),
+    ({"kind": "matrices", "generators": [[[0.5, 0], [0, 1]]]}, "bad rational entry 0.5"),
+    ({"kind": "matrices", "generators": [[[1, 0], [0, 1]], [[1]]]}, "matrix generators must be square and equally sized"),
+    ({"kind": "table", "table": [[0, 1]]}, "multiplication table must be square"),
+    ({"kind": "table", "table": [[0, 2], [1, 0]]}, "table entries out of range"),
+    ({"kind": "table", "table": [[0, 0], [0, 0]]}, "table has no identity element"),
+    ({"kind": "table", "table": [[0, 1, 2], [1, 1, 1], [2, 2, 0]]}, "element 1 has no inverse"),
+], ids=["list", "no-kind", "float-u", "bool-entry", "string-entry", "float-entry", "unequal-sizes", "not-square",
+        "out-of-range", "no-identity", "no-inverse"])
+def test_malformed_group_file_is_refused_with_its_message(tmp_path, capsys, spec, message):
+    """Each fault of a group file exits 2 with one error line naming it."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(spec))
+    assert main(["h2", "--group", str(path)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_u_as_a_list_of_generator_indices(tmp_path, capsys):
+    """"u": [0] names the same element as "u": "g0"."""
+    reports = []
+    for u in ([0], "g0"):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"kind": "permutations", "generators": [[1, 0, 2, 3], [0, 1, 3, 2]], "u": u}))
+        code, out = _run(["h2sharp", "--group", str(path), "--field", "real", "--format", "json"], capsys)
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1] and reports[0]["result"]["u"] == 1
+
+
+def test_rep_matrix_that_is_not_square_is_refused(tmp_path, capsys):
+    group, rep = tmp_path / "z2.json", tmp_path / "rep.json"
+    group.write_text(json.dumps({"kind": "permutations", "generators": [[1, 0]], "u": "g0"}))
+    rep.write_text(json.dumps({"matrices": [[[1, 0]]]}))
+    assert main(["lazy", "--group", str(group), "--rep", str(rep)]) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: representation matrices must be dim x dim\n"
+
+
+def test_lambda_check_without_an_invariant_form_is_refused(capsys):
+    """E(0) has V = 0, so no invariant symmetric form exists for lambda."""
+    assert main(["verify", "--algebra", "E0", "--check", "lambda-lazy"]) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: no invariant symmetric form available\n"
+
+
+def test_omega_check_with_the_zero_sigma(capsys):
+    code, out = _run(["verify", "--algebra", "E2", "--check", "omega-lazy", "--sigma", "zero"], capsys)
+    assert code == 0 and "passed: True" in out
 
 
 def test_bm_rep_must_send_u_to_minus_one(tmp_path, capsys):
@@ -672,6 +726,28 @@ def test_text_reports_build_no_representative(zz_file, monkeypatch, capsys, args
     assert code == 0 and "invariants: [" in out
     with pytest.raises(RuntimeError, match="reconstruct called"):
         main([*args, "--group", zz_file, "--format", "json"])
+
+
+@pytest.mark.parametrize("args, json_prints_table", [
+    (["h2sharp", "--type", "B2", "--field", "real"], True),
+    (["bm", "--type", "B2", "--field", "real"], True),
+    (["weyl-table", "--types", "A1,B2"], False),
+    (["lazy", "--type", "B2"], False),
+], ids=["h2sharp", "bm", "weyl-table", "lazy"])
+def test_text_reports_derive_no_cayley_table(monkeypatch, capsys, args, json_prints_table):
+    """H^2_sharp, BM and Q(k, G) are generator columns; only a report that
+    prints a Cayley table (JSON h2sharp and bm) derives one."""
+    sharp_mod = importlib.import_module("superbrauer.sharp")  # the package attribute is the function
+
+    def refuse(self):
+        raise RuntimeError("Cayley table derived")
+
+    monkeypatch.setattr(sharp_mod._GeneratedGroup, "table", property(refuse))
+    code, out = _run(args, capsys)
+    assert code == 0 and out
+    if json_prints_table:
+        with pytest.raises(RuntimeError, match="Cayley table derived"):
+            main([*args, "--format", "json"])
 
 
 # a cheap job of every subcommand

@@ -24,6 +24,7 @@ from superbrauer import (
     cyclic_group,
     direct_product,
     group_datum,
+    group_from_table,
     h2,
     h2_closed_field,
     h2_sharp,
@@ -38,7 +39,7 @@ from superbrauer import (
     theta,
 )
 from superbrauer import cohomology
-from superbrauer.sharp import _abelian_table_invariants, sharp_class_table
+from superbrauer.sharp import SharpGroup, _GeneratedGroup, sharp_class_table
 from superbrauer.weyl import build_weyl
 
 from .oracles import (
@@ -269,22 +270,24 @@ def test_symmetric_intercalate_rejected_by_table_check():
     table = _intercalate_z1024(symmetric=True)
     assert (table == table.T).all()
     with pytest.raises(ParseError, match="associativity"):
-        _abelian_table_invariants(table, 0)
+        group_from_table(table, identity=0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(lambda ds: np.prod(ds) <= 256),
        st.integers(0, 2**32 - 1))
 def test_table_invariants_match_order_statistics_oracle(orders, seed):
-    """Invariant factors of a shuffled product of cyclic groups."""
+    """Invariant factors and derived table of a shuffled product of cyclic
+    groups, given by its generator columns (the identity stays element 0)."""
     g = cyclic_group(orders[0])
     for d in orders[1:]:
         g = direct_product(g, cyclic_group(d))
-    perm = np.random.default_rng(seed).permutation(g.order)  # relabel x -> perm[x]
+    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(g.order - 1)])  # relabel x -> perm[x]
     table = np.empty_like(np.asarray(g.mul))
     table[np.ix_(perm, perm)] = perm[np.asarray(g.mul)]
-    ident = int(perm[g.identity])
-    assert _abelian_table_invariants(table, ident) == abelian_invariants_from_table(table, ident)
+    generated = _GeneratedGroup(table[:, perm[list(g.gens)]])
+    assert generated.invariants == abelian_invariants_from_table(table, 0)
+    assert (generated.table == table).all()
 
 
 def _central_involutions(g):
@@ -309,9 +312,10 @@ def _twist_table_cases():
 
 
 def test_sharp_table_from_twist_matches_enumeration(monkeypatch):
-    """The table derived from the r x r twist classes equals the m x m
-    enumeration, using r theta calls, r^2 pairing_class calls and no
-    class_of call, and every class is the class of its own representative."""
+    """The generator columns from the r x r twist classes equal those of the
+    m x m enumeration, using r theta calls, r^2 pairing_class calls and no
+    class_of call; the table derived from them equals the whole enumeration;
+    and every class is the class of its own representative."""
     sharp_mod = importlib.import_module("superbrauer.sharp")  # the package attribute is the function
 
     for g, inv, field in _twist_table_cases():
@@ -338,11 +342,14 @@ def test_sharp_table_from_twist_matches_enumeration(monkeypatch):
             m.setattr(sharp_mod, "theta", counting_theta)
             m.setattr(CohomologyGroup, "pairing_class", counting_pairing_class)
             m.setattr(CohomologyGroup, "class_of", counting_class_of)
-            classes, table = sharp_class_table(cg, inv)
+            classes, columns = sharp_class_table(cg, inv)
         r = len(cg.invariants)
         assert calls == {"theta": r, "pairing_class": r * r, "class_of": 0}
         assert [c.coords for c in classes] == [c.coords for c in cg.all_classes()]
-        assert (table == enumerated_sharp_table(cg, inv)).all()
+        enumerated = enumerated_sharp_table(cg, inv)
+        generators = [next(i for i, c in enumerate(classes) if c.coords == tuple(e)) for e in np.eye(r, dtype=int)]
+        assert (columns == enumerated[:, generators]).all()
+        assert (SharpGroup(cg, classes, columns).table == enumerated).all()
 
 
 def _theta_data():
@@ -435,3 +442,15 @@ def test_theta_rejects_corrupted_labels(name, outcomes, field, monkeypatch):
                 assert (theta(cls, inv).degree == dense_theta(sigma, inv)).all()
                 kept += 1
     assert (raised, kept) == outcomes
+
+
+@pytest.mark.parametrize("right, message", [
+    (np.zeros((2, 1), dtype=np.int32), "a generator column is not a permutation"),
+    (symmetric_group(3).mul[:, [1, 2]], "the generator columns do not commute"),  # the two transpositions
+    (direct_product(cyclic_group(2), cyclic_group(2)).mul[:, [1]], "the generator columns do not reach every element"),
+], ids=["not-a-permutation", "not-commuting", "not-generating"])
+def test_generated_group_checks_its_columns(right, message):
+    """Generator columns are refused unless each permutes the elements, they
+    commute, and they reach every element from 0."""
+    with pytest.raises(ParseError, match=message):
+        _GeneratedGroup(right)

@@ -11,6 +11,7 @@ from superbrauer import (
     CapExceeded,
     E8Refused,
     RootSystemType,
+    abelianization,
     build_weyl,
     h2_closed_field,
     splitting_character,
@@ -19,6 +20,7 @@ from superbrauer import (
 from superbrauer.errors import ParseError
 from superbrauer.weyl import (
     _is_minus_identity,
+    cartan_matrix,
     classical_order,
     datum_size,
     literature_bm,
@@ -269,3 +271,18 @@ def test_f4_schur_multiplier_computed():
     t = RootSystemType.parse("F4")
     g = build_weyl(t).group
     assert h2_closed_field(g, budget=(g.order - 1) ** 2).invariants == literature_schur_multiplier(t)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "G2", "F4"])
+def test_weyl_abelianization_from_the_coxeter_graph(name):
+    """W^ab is Z2 per component of the graph on S with an edge where m_st is
+    odd (c_st c_ts = 1): two simple reflections are conjugate exactly when
+    such a path joins them."""
+    t = RootSystemType.parse(name)
+    c = cartan_matrix(t)
+    component = list(range(t.rank))
+    for _ in range(t.rank):  # each pass spreads the least index one more edge
+        for a, b in itertools.product(range(t.rank), repeat=2):
+            if c[a][b] * c[b][a] == 1:
+                component[a] = component[b] = min(component[a], component[b])
+    assert abelianization(build_weyl(t).group).cyclic_orders == (2,) * len(set(component))
