@@ -26,8 +26,9 @@ from .groups import (
     MAX_TABLE_ORDER,
     CentralInvolution,
     FiniteGroup,
-    load_group_file,
+    parse_group_spec,
     parse_rational,
+    read_group_file,
     resolve_u,
     splitting_character,
 )
@@ -56,6 +57,8 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
+
+NO_U = "a central involution u is required (file key 'u' or --u)"
 
 
 def _group_header(g: FiniteGroup) -> dict:
@@ -88,16 +91,23 @@ def _weyl_datum(args, h2_budget: int | None = None, h2_quotient: bool = False):
     return group_datum(t, cap=cap)
 
 
-def _need_group(args, h2_budget: int | None = None,
-                h2_quotient: bool = False) -> tuple[FiniteGroup, int | None, Representation | None]:
+def _need_group(args, h2_budget: int | None = None, h2_quotient: bool = False, no_rep: str | None = None,
+                no_u: str | None = None) -> tuple[FiniteGroup, int | None, Representation | None]:
     """Group datum from --group/--u or --type; Weyl types also give the rep.
-    h2_budget is the H^2 budget of the job, of G or of G/U, checked early for --type."""
+    h2_budget is the H^2 budget of the job, of G or of G/U, checked early for --type.
+    A job that needs a representation or u passes the refusal no_rep or no_u,
+    which a group file without one meets before its group is closed."""
     if getattr(args, "type", None):
         datum = _weyl_datum(args, h2_budget, h2_quotient)
         return datum.group, datum.inv.u, datum.rep
     if not getattr(args, "group", None):
         raise errors.ParseError("either --group FILE or --type XN is required")
-    g, u = load_group_file(args.group, cap=args.budget_cap)
+    if no_rep and not getattr(args, "rep", None):
+        raise errors.ParseError(no_rep)
+    spec = read_group_file(args.group)
+    if no_u and getattr(args, "u", None) is None and isinstance(spec, dict) and spec.get("u") is None:
+        raise errors.ParseError(no_u)
+    g, u = parse_group_spec(spec, cap=args.budget_cap)
     if getattr(args, "u", None) is not None:
         u = resolve_u(g, int(args.u) if args.u.isdecimal() else args.u)
     rep = None
@@ -164,9 +174,7 @@ def cmd_h2(args) -> dict:
 
 
 def cmd_h2sharp(args) -> dict:
-    g, u, _ = _need_group(args, DEFAULT_H2_BUDGET)
-    if u is None:
-        raise errors.ParseError("a central involution u is required (file key 'u' or --u)")
+    g, u, _ = _need_group(args, DEFAULT_H2_BUDGET, no_u=NO_U)
     inv = CentralInvolution(g, u)
     field = field_from_name(args.field)
     hs = h2_sharp(g, inv, field, budget=args.budget_enum)
@@ -188,9 +196,7 @@ def cmd_h2sharp(args) -> dict:
 
 
 def cmd_bm(args) -> dict:
-    g, u, rep = _need_group(args, DEFAULT_H2_BUDGET)
-    if u is None:
-        raise errors.ParseError("a central involution u is required (file key 'u' or --u)")
+    g, u, rep = _need_group(args, DEFAULT_H2_BUDGET, no_u=NO_U)
     inv = CentralInvolution(g, u)
     field = field_from_name(args.field)
     bms = bm_supergroup(g, inv, rep, field, budget=args.budget_enum) if rep is not None else None
@@ -218,11 +224,9 @@ def cmd_bm(args) -> dict:
 
 
 def cmd_lazy(args) -> dict:
-    g, u, rep = _need_group(args, args.budget_h2, h2_quotient=True)
-    if rep is None:
-        raise errors.ParseError("lazy cohomology needs a representation (--rep or --type)")
-    if u is None:
-        raise errors.ParseError("a central involution u is required")
+    g, u, rep = _need_group(args, args.budget_h2, h2_quotient=True,
+                            no_rep="lazy cohomology needs a representation (--rep or --type)",
+                            no_u="a central involution u is required")
     inv = CentralInvolution(g, u)
     alg = build_supergroup(g, inv, rep)
     lc = lazy_cohomology(alg, budget=args.budget_h2)
@@ -236,9 +240,7 @@ def cmd_lazy(args) -> dict:
 
 
 def cmd_invforms(args) -> dict:
-    g, _, rep = _need_group(args)
-    if rep is None:
-        raise errors.ParseError("invforms needs a representation (--rep or --type)")
+    g, _, rep = _need_group(args, no_rep="invforms needs a representation (--rep or --type)")
     forms = invariant_symmetric_forms(rep)
     result = {"dim": forms.dim, "basis": [[[str(x) for x in row] for row in b] for b in forms.basis]}
     return _report(args, result, g)

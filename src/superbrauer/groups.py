@@ -619,9 +619,12 @@ def resolve_u(g: FiniteGroup, u) -> int | None:
     raise ParseError("u must be an element index or a word in generators")
 
 
-def load_group_file(path: str | Path, cap: int = DEFAULT_CAP) -> tuple[FiniteGroup, int | None]:
+def read_group_file(path: str | Path):
     try:
-        spec = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read group file {path}: {exc}") from exc
-    return parse_group_spec(spec, cap=cap)
+
+
+def load_group_file(path: str | Path, cap: int = DEFAULT_CAP) -> tuple[FiniteGroup, int | None]:
+    return parse_group_spec(read_group_file(path), cap=cap)

@@ -1,102 +1,111 @@
-"""The sigma-twisted product m(a,b) = sum sigma(a1,b1) a2 b2 and its mirror
-m^op(a,b) = sum sigma(a2,b2) a1 b1 of a 2-cochain on k[G] (x) Lambda(V), as
-one batched numpy kernel, and the first failures of the cocycle and lazy
-checks built on it.
+"""The structure constants of k[G] (x) Lambda(V) as integer tables, and the
+batched numpy checks on them: the Hopf laws, the R-matrix identities, and the
+cocycle and lazy checks on m(a,b) = sum sigma(a1,b1) a2 b2 and its mirror
+m^op(a,b) = sum sigma(a2,b2) a1 b1.  product_tables writes, with A = P minus B,
+  Delta(g v_P) = sum_{B in P} wedge[B, A] g u^|B| v_A (x) g v_B,
+  S(g v_P) = (-1)^|P| u^|P| g^{-1} (g.v_P),
+and the product as the columns of the action.  supergroup imports this module
+on the first verify check, so jobs that check nothing do not load it.
 
-The kernel reads the structure constants from integer CSR tables, built once
-per algebra (SupergroupAlgebra.product_tables), and the cochain from its
-distinct cleared rows (HCochain2.cleared).  supergroup imports this module
-when a cochain check first runs, so jobs that check no cochain do not load it.
+Every law is homogeneous in the structure constants (and in R or sigma), so
+it is checked on integer numerators with the denominators' powers balanced:
+in int64 while a bound on every sum is below 2^63, else in Python ints
+(dtype=object) through the same code.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 
 import numpy as np
 
-from .supergroup import SAMPLED_TRIPLES, HCochain2, SupergroupAlgebra, _denominator_lcm, wedge_sign
+from .supergroup import SAMPLED_TRIPLES, HCochain2, SupergroupAlgebra, Tensor, _denominator_lcm
 
 _CHUNK_TERMS = 1 << 12  # about this many leg pairs or triple terms per numpy pass
 
 
 class ProductTables:
-    """The structure constants of H as integer CSR tables.
+    """The structure constants of H as integer CSR tables over one common
+    denominator D: every coefficient below is D times a structure constant.
 
-    Delta(b) is sum sign (x) first (x) second over the legs leg_start[b] ..
-    leg_start[b+1] - 1.  The nonzero entries (R, coef) of column P of
-    D Lambda rho(h^{-1}), D the least common denominator of the action, are
-    act_mask, act_coef over act_start[c] .. act_start[c+1] - 1, c = h 2^n + P.
-    wedge[R, Q] is wedge_sign(R, Q), so g v_P . h v_Q = sum coef wedge[R, Q]
-    (gh) v_{R+Q} / D."""
+    Delta(b) is sum leg_coef first (x) second / D over the legs leg_start[b] ..
+    leg_start[b+1] - 1, and S(b) is sum anti_coef anti_elem / D over
+    anti_start[b] .. anti_start[b+1] - 1.  The nonzero entries (R, coef) of
+    column P of D Lambda rho(h^{-1}) are act_mask, act_coef over act_start[c] ..
+    act_start[c+1] - 1, c = h 2^n + P; with the sign wedge[R, Q] of v_R ^ v_Q,
+    g v_P . h v_Q = sum coef wedge[R, Q] (gh) v_{R+Q} / D (products)."""
 
-    def __init__(self, nv: int, mul: np.ndarray, leg_start: np.ndarray, leg_first: np.ndarray,
-                 leg_second: np.ndarray, leg_sign: np.ndarray, act_start: np.ndarray, act_mask: np.ndarray,
-                 act_coef: np.ndarray, wedge: np.ndarray, denominator: int, max_terms: int, max_coef: int,
-                 pair_chunk: int) -> None:
-        self.nv = nv
-        self.mul = mul
-        self.leg_start = leg_start
-        self.leg_first = leg_first
-        self.leg_second = leg_second
-        self.leg_sign = leg_sign
-        self.act_start = act_start
-        self.act_mask = act_mask
-        self.act_coef = act_coef
-        self.wedge = wedge
-        self.denominator = denominator  # D
-        self.max_terms = max_terms  # terms of one product: (legs of a) (legs of b) (entries of a column)
-        self.max_coef = max_coef  # the largest |act_coef|, at least 1
-        self.pair_chunk = pair_chunk  # pairs per kernel pass
+    def __init__(self, nv: int, mul: np.ndarray, leg_start: np.ndarray, leg_first: np.ndarray, leg_second: np.ndarray,
+                 leg_coef: np.ndarray, act_start: np.ndarray, act_mask: np.ndarray, act_coef: np.ndarray,
+                 anti_start: np.ndarray, anti_elem: np.ndarray, anti_coef: np.ndarray, denominator: int) -> None:
+        self.nv, self.mul, self.denominator = nv, mul, denominator  # D
+        self.leg_start, self.leg_first, self.leg_second, self.leg_coef = leg_start, leg_first, leg_second, leg_coef
+        self.act_start, self.act_mask, self.act_coef = act_start, act_mask, act_coef
+        self.anti_start, self.anti_elem, self.anti_coef = anti_start, anti_elem, anti_coef
+        self.wedge = _wedge(nv)
+        legs, entries = np.diff(leg_start), np.diff(act_start)
+        self.max_terms = int(legs.max()) ** 2 * int(entries.max())  # terms of one twisted product
+        self.max_entries = int(max(legs.max(), entries.max(), np.diff(anti_start).max()))  # of one Delta, column or S
+        self.max_coef = max(int(abs(c).max()) for c in (leg_coef, act_coef, anti_coef))  # >= D
+        self.pair_chunk = max(1, int(_CHUNK_TERMS * len(legs) ** 2 / len(leg_first) ** 2))  # pairs per kernel pass
+
+    def exact(self, bound: int) -> ProductTables:
+        """These tables while bound < 2^63, else a copy with Python-int coefficients."""
+        if bound < 2**63:
+            return self
+        wide = copy.copy(self)
+        wide.leg_coef, wide.act_coef, wide.anti_coef = (c.astype(object) for c in (wide.leg_coef, wide.act_coef,
+                                                                                     wide.anti_coef))
+        return wide
+
+
+def _wedge(n: int) -> np.ndarray:
+    """wedge[R, Q]: the sign of v_R ^ v_Q merged into increasing order,
+    (-1)^#{r in R, q in Q: r > q}, and 0 where R and Q overlap."""
+    m = np.arange(1 << n)
+    bits = m[:, None] >> np.arange(n) & 1
+    above = bits[:, ::-1].cumsum(1)[:, ::-1] - bits  # the bits of R above i
+    return np.where(m[:, None] & m, 0, 1 - 2 * (above @ bits.T % 2))
 
 
 def product_tables(h: SupergroupAlgebra) -> ProductTables:
     n, top, order = h.nv, (1 << h.nv) - 1, h.group.order
     mul = np.asarray(h.group.mul, dtype=np.int64)
-    # the legs of Delta(g v_P) in the order of coproduct_basis: B over the subsets of P,
-    # A = P minus B, g u^|B| v_A (x) g v_B with sign wedge_sign(B, A); one row per g
-    subs = [(mask ^ sub, sub) for mask in range(top + 1) for sub in range(mask + 1) if sub & mask == sub]
-    rest, sub = (np.array(col, dtype=np.int64) for col in zip(*subs))
-    odd = np.array([bin(b).count("1") % 2 for _, b in subs], dtype=bool)
-    g = np.arange(order, dtype=np.int64)[:, None]
-    leg_first = (np.where(odd, mul[:, h.inv.u][:, None], g) << n | rest).ravel()
-    leg_second = (g << n | sub).ravel()
-    leg_sign = np.tile([wedge_sign(b, a) for a, b in subs], order)
-    legs = [1 << bin(mask).count("1") for mask in range(top + 1)] * order
+    ucol = mul[:, h.inv.u]
+    pop = np.array([bin(mask).count("1") for mask in range(top + 1)], dtype=np.int64)
     cols = [h.inverse_action(hh, mask) for hh in range(order) for mask in range(top + 1)]
     d = _denominator_lcm(c for col in cols for c in col.values())
     coefs = [int(d * c) for col in cols for c in col.values()]
-    max_coef = max(map(abs, coefs))  # >= D, from the column {0: 1} of the empty mask
+    dtype = np.int64 if max(map(abs, coefs)) < 2**63 else object  # max >= D, from the column {0: 1} of mask 0
+    act_start = np.cumsum([0, *map(len, cols)])
+    act_mask = np.array([r for col in cols for r in col], dtype=np.int64)
+    act_coef = np.array(coefs, dtype=dtype)
+    # Delta(g v_P): in (g x g) prod_{i in P} (v_i x 1 + u x v_i) each u moves left past the
+    # v_a with a < b, and v_a u = -u v_a; the legs of B over the subsets of P, one row per g
+    subs = [(mask ^ sub, sub) for mask in range(top + 1) for sub in range(mask + 1) if sub & mask == sub]
+    rest, sub = (np.array(col, dtype=np.int64) for col in zip(*subs))
+    g = np.arange(order, dtype=np.int64)[:, None]
+    # S(g v_P) from S(v_i) = -u v_i: moving the u's of S(v_P) = S(v_ik)...S(v_i1) left and
+    # reordering the v's give the same sign; g.v_P is the action column (g^{-1}, P)
+    b = np.arange(h.dim, dtype=np.int64)
+    gi, odd = np.asarray(h.group.inv, dtype=np.int64)[b >> n], pop[b & top] % 2
+    j, e = _entries(act_start, gi << n | b & top)
     return ProductTables(
         nv=n,
         mul=mul,
-        leg_start=np.cumsum([0, *legs]),
-        leg_first=leg_first,
-        leg_second=leg_second,
-        leg_sign=leg_sign,
-        act_start=np.cumsum([0, *map(len, cols)]),
-        act_mask=np.array([r for col in cols for r in col], dtype=np.int64),
-        act_coef=np.array(coefs, dtype=np.int64 if max_coef < 2**63 else object),
-        wedge=np.array([[wedge_sign(r, q) for q in range(top + 1)] for r in range(top + 1)], dtype=np.int64),
+        leg_start=np.cumsum([0, *np.tile(1 << pop, order)]),
+        leg_first=(np.where(pop[sub] % 2, ucol[:, None], g) << n | rest).ravel(),
+        leg_second=(g << n | sub).ravel(),
+        leg_coef=np.tile(d * _wedge(n)[sub, rest].astype(dtype), order),
+        act_start=act_start,
+        act_mask=act_mask,
+        act_coef=act_coef,
+        anti_start=np.searchsorted(j, np.arange(h.dim + 1)),
+        anti_elem=np.where(odd, ucol[gi], gi)[j] << n | act_mask[e],
+        anti_coef=np.where(odd, -1, 1)[j] * act_coef[e],
         denominator=d,
-        max_terms=4**n * max(map(len, cols)),
-        max_coef=max_coef,
-        pair_chunk=max(1, int(_CHUNK_TERMS * h.dim**2 / len(leg_first) ** 2)),
     )
-
-
-def kernel_rows(sigma: HCochain2, t: ProductTables) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of D sigma as one array, and the row id of each basis element.
-
-    No sum the checks form exceeds 2 max_terms smax^2 max_coef in absolute
-    value, smax the largest |D sigma|: a product has at most max_terms terms,
-    each of size at most smax max_coef, and the cocycle sides pair them with one
-    more value of D sigma.  Below 2^63 the array is int64, else it holds Python
-    ints (dtype=object) and the same code runs on them."""
-    rows, rid, _ = sigma.cleared
-    smax = max(abs(x) for row in rows for x in row)  # >= D sigma(1, 1) = D >= 1
-    exact64 = 2 * t.max_terms * smax * smax * t.max_coef < 2**63
-    return np.array(rows, dtype=np.int64 if exact64 else object), np.array(rid, dtype=np.int64)
 
 
 def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,45 +114,238 @@ def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
 
 
-def twisted_terms(t: ProductTables, rows: np.ndarray, rid: np.ndarray, a: np.ndarray, b: np.ndarray,
-                  op: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero terms (k, z, c) of D m(a_k, b_k), m(a,b) = sum sigma(a1,b1) a2 b2,
-    or with op of D m^op(a_k, b_k), m^op(a,b) = sum sigma(a2,b2) a1 b1, for the
-    cochain with rows rows[rid[x]] and D the denominator of the action.  k is
-    ascending; a z may repeat within one k (_summed adds them up).
+def _entries(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(j, e): the entries e of row rows[j] of a CSR table with row starts start, j ascending."""
+    j, i = _expand(start[rows + 1] - start[rows])
+    return j, start[rows][j] + i
 
-    One pass expands the pairs of legs (Delta a leg, Delta b leg), keeps those
-    with sigma(a1, b1) != 0, and expands each kept pair a2 b2 by the column of
-    the action it reads, keeping the disjoint wedges."""
+
+def _pairs(lo1: np.ndarray, hi1: np.ndarray, lo2: np.ndarray, hi2: np.ndarray):
+    """(k, i, l): every i in lo1[k] .. hi1[k] - 1 with every l in lo2[k] .. hi2[k] - 1, k ascending."""
+    n2 = hi2 - lo2
+    k, m = _expand((hi1 - lo1) * n2)
+    return k, lo1[k] + m // n2[k], lo2[k] + m % n2[k]
+
+
+def _matched(j1: np.ndarray, j2: np.ndarray, m: int):
+    """_pairs of two term lists with ascending group ids j1, j2 < m: every pair in one group."""
+    r = np.arange(m + 1)
+    s1, s2 = np.searchsorted(j1, r), np.searchsorted(j2, r)
+    return _pairs(s1[:-1], s1[1:], s2[:-1], s2[1:])
+
+
+def products(t: ProductTables, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero terms (j, z, c) of D x_j y_j = sum c z for basis elements x, y, j
+    ascending: g v_P . h v_Q = sum coef wedge[R, Q] (gh) v_{R+Q} over the entries
+    (R, coef) of the action column (h, P)."""
     n, top = t.nv, (1 << t.nv) - 1
-    first, second = (t.leg_second, t.leg_first) if op else (t.leg_first, t.leg_second)
-    start_a, start_b = t.leg_start[a], t.leg_start[b]
-    nb = t.leg_start[b + 1] - start_b
-    k, i = _expand((t.leg_start[a + 1] - start_a) * nb)
-    la = start_a[k] + i // nb[k]
-    lb = start_b[k] + i % nb[k]
-    s = rows[rid[first[la]], first[lb]]
-    keep = np.flatnonzero(s)
-    k, la, lb = k[keep], la[keep], lb[keep]
-    c = s[keep] * (t.leg_sign[la] * t.leg_sign[lb])
-    x, y = second[la], second[lb]
-    col = (y & ~top) | (x & top)  # h 2^n + P for x = g v_P, y = h v_Q
-    j, e = _expand(t.act_start[col + 1] - t.act_start[col])
-    e += t.act_start[col[j]]
+    j, e = _entries(t.act_start, (y & ~top) | (x & top))
     r, q = t.act_mask[e], y[j] & top
     w = t.wedge[r, q]
     keep = np.flatnonzero(w)
     j, e = j[keep], e[keep]
-    z = t.mul[x[j] >> n, y[j] >> n] << n | r[keep] | q[keep]
-    return k[j], z, c[j] * t.act_coef[e] * w[keep]
+    return j, t.mul[x[j] >> n, y[j] >> n] << n | r[keep] | q[keep], t.act_coef[e] * w[keep]
+
+
+def _coproducts(t: ProductTables, b: np.ndarray):
+    """The legs (j, first, second, D coef) of Delta(b_j), j ascending."""
+    j, e = _entries(t.leg_start, b)
+    return j, t.leg_first[e], t.leg_second[e], t.leg_coef[e]
+
+
+def _antipodes(t: ProductTables, b: np.ndarray):
+    """The terms (j, z, D coef) of S(b_j), j ascending."""
+    j, e = _entries(t.anti_start, b)
+    return j, t.anti_elem[e], t.anti_coef[e]
+
+
+def _product_terms(t: ProductTables, k: np.ndarray, x: np.ndarray, y: np.ndarray, c: np.ndarray):
+    """The terms (k, z, c D-coef) of the products c_i x_i y_i, each filed under k_i."""
+    j, z, cz = products(t, x, y)
+    return k[j], z, c[j] * cz
+
+
+def _tensor_terms(t: ProductTables, k: np.ndarray, c: np.ndarray, x1, y1, x2, y2, dim: int):
+    """The terms (k, z1 dim + z2, c D^2-coef) of c_i (x1_i y1_i) (x) (x2_i y2_i) in H (x) H."""
+    j1, z1, c1 = products(t, x1, y1)
+    j2, z2, c2 = products(t, x2, y2)
+    g, i1, i2 = _matched(j1, j2, len(k))
+    return k[g], z1[i1] * dim + z2[i2], c[g] * c1[i1] * c2[i2]
+
+
+def _every(n: int, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, m'): every i < n with every entry of m."""
+    return np.repeat(np.arange(n), len(m)), np.tile(m, n)
+
+
+def _filed(k, z: np.ndarray, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms (k, z, c) with a scalar k or c spread over z (a c past int64 as a Python int)."""
+    return np.broadcast_to(k, z.shape), z, c if isinstance(c, np.ndarray) else np.full(z.shape, c)
+
+
+def _gap(width: int, lhs: list, rhs: list) -> int | None:
+    """The least k at which the terms (k, z, c) of the lists lhs and rhs, z < width,
+    add up to different values, or None."""
+    k, z, c = (np.concatenate(p) for p in zip(*lhs, *((k, z, -c) for k, z, c in rhs)))
+    k = _summed(k, z, c, width)[0]
+    return int(k[0]) if k.size else None
+
+
+def _generators(h: SupergroupAlgebra) -> np.ndarray:
+    """g for g in G.gens, then v_0 .. v_{n-1}: the algebra generators of H."""
+    return np.array([h.encode(int(g), 0) for g in h.group.gens] + [h.v_element(i) for i in range(h.nv)], np.int64)
+
+
+_ONE_LAWS = ["coproduct not unital", *["counit law fails"] * 2, *["antipode axiom fails"] * 2, "coassociativity fails"]
+_PAIR_LAWS = ["coproduct not multiplicative", "counit not multiplicative", "antipode not anti-multiplicative"]
+
+
+def hopf_failure(h: SupergroupAlgebra) -> tuple[str, tuple[int, ...]] | None:
+    """The first failure (detail, basis elements) of the laws of verify_hopf, or None.
+    Each law of an element or pair is filed under its own k, in the order of the
+    report, so the least k at which the two sides differ is the first failure.
+
+    No sum has more than K^4 terms of at most M^4, K the most entries of one
+    Delta, action column or S and M the largest table coefficient."""
+    t = h.product_tables()
+    t = t.exact(2 * t.max_entries**4 * t.max_coef**4)
+    top, dim, d = (1 << t.nv) - 1, h.dim, t.denominator
+    # law l of u[i], 1 and then the generators, under 6 i + l: Delta(1) = 1 (x) 1 (i = 0 only),
+    # the two counit laws, the two antipode laws and coassociativity
+    gens = _generators(h)
+    u = np.concatenate([[h.unit], gens])
+    k, b1, b2, c = _coproducts(t, u)
+    e1, e2 = (b1 & top) == 0, (b2 & top) == 0  # eps(g v_P) = 1 if P is empty, else 0
+    ke = 6 * np.flatnonzero((u & top) == 0)  # 6 i for the u[i] with eps(u[i]) = 1
+    j1, x, c1 = _antipodes(t, b1)
+    j2, y, c2 = _antipodes(t, b2)
+    i1, x1, x2, cx = _coproducts(t, b1)
+    i2, y1, y2, cy = _coproducts(t, b2)
+    unit, ones = k == 0, np.full(len(ke), h.unit)
+    bad = _gap(dim**3, [(k[unit], b1[unit] * dim + b2[unit], c[unit]), (6 * k[e1] + 1, b2[e1], c[e1]),
+                        (6 * k[e2] + 2, b1[e2], c[e2]), _product_terms(t, 6 * k[j1] + 3, x, b2[j1], c[j1] * c1),
+                        _product_terms(t, 6 * k[j2] + 4, b1[j2], y, c[j2] * c2),
+                        (6 * k[i1] + 5, (x1 * dim + x2) * dim + b2[i1], c[i1] * cx)],
+               [_filed(0, u[:1] * (dim + 1), d), _filed(6 * np.arange(len(u)) + 1, u, d),
+                _filed(6 * np.arange(len(u)) + 2, u, d), _filed(ke + 3, ones, d**3), _filed(ke + 4, ones, d**3),
+                (6 * k[i2] + 5, (b1[i2] * dim + y1) * dim + y2, c[i2] * cy)])
+    if bad is not None:
+        return _ONE_LAWS[bad % 6], (int(u[bad // 6]),)
+    # Delta, eps and S on the products a s of every basis a with every generator s, law l of pair p under 3 p + l
+    ns = len(gens)
+    chunk = max(1, _CHUNK_TERMS * 64 // t.max_entries**2)  # pairs per pass; 16 x and 1/4 x ran slower on G(F4)
+    for lo in range(0, dim * ns, chunk):
+        p = np.arange(lo, min(lo + chunk, dim * ns))
+        a, s = p // ns, gens[p % ns]
+        j, z, cz = products(t, a, s)
+        i, z1, z2, cl = _coproducts(t, z)
+        q, la, ls = _pairs(t.leg_start[a], t.leg_start[a + 1], t.leg_start[s], t.leg_start[s + 1])
+        unit, eps = np.flatnonzero((z & top) == 0), np.flatnonzero(((a | s) & top) == 0)
+        i2, y, cs = _antipodes(t, z)
+        js, xs, c1 = _antipodes(t, s)
+        ja, ya, c2 = _antipodes(t, a)
+        g, m1, m2 = _matched(js, ja, len(p))
+        bad = _gap(dim * dim, [(3 * j[i], z1 * dim + z2, d * d * cz[i] * cl), (3 * j[unit] + 1, 0 * unit, cz[unit]),
+                               (3 * j[i2] + 2, y, d * cz[i2] * cs)],
+                   [_tensor_terms(t, 3 * q, t.leg_coef[la] * t.leg_coef[ls], t.leg_first[la], t.leg_first[ls],
+                                  t.leg_second[la], t.leg_second[ls], dim),
+                    _filed(3 * eps + 1, 0 * eps, d), _product_terms(t, 3 * g + 2, xs[m1], ya[m2], c1[m1] * c2[m2])])
+        if bad is not None:
+            return _PAIR_LAWS[bad % 3], (int(a[bad // 3]), int(s[bad // 3]))
+    return None
+
+
+def _r_terms(h: SupergroupAlgebra, r: Tensor):
+    """(tables, x, y, c, D_R): the terms c x (x) y of D_R R, D_R the least common
+    denominator of R (2 for R_A of an integral A, whose odd minors give halves),
+    with the tables in Python ints when a sum of the R checks may reach 2^63.  No
+    sum has more than |R| (|R| + K^2) K terms of at most R'^2 M^3, R' the larger
+    of D_R and the largest |c|, K and M as in hopf_failure."""
+    dr = _denominator_lcm(r.values())
+    c = [int(dr * v) for v in r.values()]
+    t = h.product_tables()
+    t = t.exact(2 * len(c) * (len(c) + t.max_entries**2) * t.max_entries * max([dr, *map(abs, c)])**2 * t.max_coef**3)
+    x, y = (np.array([key[i] for key in r], dtype=np.int64) for i in (0, 1))
+    return t, x, y, np.array(c, dtype=t.leg_coef.dtype), dr
+
+
+def quasitriangular_failure(h: SupergroupAlgebra, r: Tensor) -> tuple[str, tuple[int, ...]] | None:
+    """The first failure (detail, basis elements) of the identities of verify_quasitriangular, or None."""
+    t, x, y, c, dr = _r_terms(h, r)
+    top, dim = (1 << t.nv) - 1, h.dim
+    low = np.array([bin(mask).count("1") <= 1 for mask in range(top + 1)])
+    # (Delta x id)R = R13 R23 = sum r(a,b) r(x,y) a (x) x (x) by where the middle leg has degree <= 1,
+    # then (id x Delta)R = R13 R12 = sum r(x,y) r(a,b) xa (x) b (x) y where the last leg has: the same
+    # with the legs of R, the factors of each product and the other two legs swapped; one value v of
+    # that leg at a time
+    for law, (p, q) in enumerate(((x, y), (y, x))):
+        j, a1, a2, ca = _coproducts(t, p)
+        both = np.concatenate([p, a2])
+        for v in sorted(set(both[low[both & top]].tolist())):
+            keep = np.flatnonzero(a2 == v)
+            i, m = _every(len(c), np.flatnonzero(p == v))
+            jz, z, cz = products(t, *((q[i], q[m]) if law == 0 else (q[m], q[i])))
+            if _gap(dim * dim, [_filed(0, a1[keep] * dim + q[j[keep]], dr * c[j[keep]] * ca[keep])],
+                    [_filed(0, p[i[jz]] * dim + z, c[i[jz]] * c[m[jz]] * cz)]) is not None:
+                return ("(Delta x id)R != R13 R23", "(id x Delta)R != R13 R12")[law], ()
+    one, ea, eb = np.array([h.unit]), (x & top) == 0, (y & top) == 0
+    if _gap(dim, [_filed(0, y[ea], c[ea]), _filed(1, x[eb], c[eb])], [_filed(k, one, dr) for k in (0, 1)]) is not None:
+        return "(eps x id)R != 1", ()
+    # R Delta(s) = sum r(a,b) (a s1) (x) (b s2) and Delta^op(s) R = sum (s2 a) (x) (s1 b) r(a,b)
+    gens = _generators(h)
+    k, s1, s2, cl = _coproducts(t, gens)
+    f, i = _every(len(k), np.arange(len(c)))
+    bad = _gap(dim * dim, [_tensor_terms(t, k[f], cl[f] * c[i], x[i], s1[f], y[i], s2[f], dim)],
+               [_tensor_terms(t, k[f], cl[f] * c[i], s2[f], x[i], s1[f], y[i], dim)])
+    return None if bad is None else ("R Delta != Delta^op R", (int(gens[bad]),))
+
+
+def r21_failure(h: SupergroupAlgebra, r: Tensor) -> tuple[str, tuple[int, ...]] | None:
+    """The failure of R21 = (S x id)R, the last identity of verify_triangular, or None."""
+    t, x, y, c, _ = _r_terms(h, r)
+    j, z, cs = _antipodes(t, x)
+    if _gap(h.dim**2, [_filed(0, y * h.dim + x, t.denominator * c)], [_filed(0, z * h.dim + y[j], c[j] * cs)]) is None:
+        return None
+    return "R21 * R != 1 x 1", ()
+
+
+def kernel_rows(sigma: HCochain2, t: ProductTables) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of D' sigma as one array, and the row id of each basis element.
+
+    No sum the checks form exceeds 2 max_terms smax^2 max_coef^3, smax the
+    largest |D' sigma|: a product has at most max_terms terms of at most
+    smax max_coef^3 (two legs and an action entry), and the cocycle sides pair
+    them with one more value of D' sigma.  Below 2^63 the array is int64, else
+    it holds Python ints (dtype=object) and the same code runs on them."""
+    rows, rid, _ = sigma.cleared
+    smax = max(abs(x) for row in rows for x in row)  # >= D' sigma(1, 1) = D' >= 1
+    exact64 = 2 * t.max_terms * smax * smax * t.max_coef**3 < 2**63
+    return np.array(rows, dtype=np.int64 if exact64 else object), np.array(rid, dtype=np.int64)
+
+
+def twisted_terms(t: ProductTables, rows: np.ndarray, rid: np.ndarray, a: np.ndarray, b: np.ndarray,
+                  op: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero terms (k, z, c) of D^3 m(a_k, b_k), m(a,b) = sum sigma(a1,b1) a2 b2,
+    or with op of D^3 m^op(a_k, b_k), m^op(a,b) = sum sigma(a2,b2) a1 b1, for the
+    cochain with rows rows[rid[x]] and D the denominator of the tables.  k is
+    ascending; a z may repeat within one k (_summed adds them up).
+
+    One pass expands the pairs of legs (Delta a leg, Delta b leg), keeps those
+    with sigma(a1, b1) != 0, and multiplies out each kept pair a2 b2 (products)."""
+    first, second = (t.leg_second, t.leg_first) if op else (t.leg_first, t.leg_second)
+    k, la, lb = _pairs(t.leg_start[a], t.leg_start[a + 1], t.leg_start[b], t.leg_start[b + 1])
+    s = rows[rid[first[la]], first[lb]]
+    keep = np.flatnonzero(s)
+    k, la, lb = k[keep], la[keep], lb[keep]
+    return _product_terms(t, k, second[la], second[lb], s[keep] * (t.leg_coef[la] * t.leg_coef[lb]))
 
 
 def _summed(k: np.ndarray, z: np.ndarray, c: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The terms (k, z, c) with the coefficients of each (k, z) added up and zero
-    sums dropped, sorted by (k, z)."""
+    """The terms (k, z, c), z < dim, with the coefficients of each (k, z) added up
+    and zero sums dropped, sorted by (k, z); keys past int64 are Python ints."""
     if not len(c):
         return k, z, c
-    key = k * dim + z
+    key = (k if (int(k.max()) + 1) * dim < 2**63 else k.astype(object)) * dim + z
     order = np.argsort(key, kind="stable")  # pages in less numpy code than introsort: 0.25 MB of peak RSS
     key, c = key[order], c[order]
     heads = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
@@ -151,15 +353,6 @@ def _summed(k: np.ndarray, z: np.ndarray, c: np.ndarray, dim: int) -> tuple[np.n
     nz = np.flatnonzero(sums)
     key = key[heads[nz]]
     return key // dim, key % dim, sums[nz]
-
-
-def _segment_sums(vals: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The sums of consecutive runs of vals of the given lengths; 0 for an empty run."""
-    out = np.zeros(len(counts), dtype=vals.dtype)
-    filled = np.flatnonzero(counts)
-    if filled.size:
-        out[filled] = np.add.reduceat(vals, (np.cumsum(counts) - counts)[filled])
-    return out
 
 
 def _sample(h: SupergroupAlgebra, arity: int, budget: int, seed: int) -> np.ndarray | None:
@@ -186,11 +379,11 @@ def _tuple_blocks(sample: np.ndarray | None, dim: int, arity: int, size: int):
         yield tuple(idx // dim ** (arity - 1 - p) % dim for p in range(arity))
 
 
-def cocycle_failure(sigma: HCochain2, op: bool, budget: int, seed: int) -> tuple[tuple[int, ...] | None, bool]:
-    """(the first triple (a, b, c) of _tuple_blocks where sigma(m(a,b), c) !=
-    sigma(a, m(b,c)), or None; sampled), m the (op-)twisted product.  Both
-    sides have degree 2 in sigma and degree 1 in the structure constants, so the
-    identity is checked on the int rows of D sigma and the int action.  m is
+def cocycle_failure(sigma: HCochain2, op: bool, budget: int, seed: int) -> tuple[tuple | None, bool]:
+    """((detail, the first triple (a, b, c) of _tuple_blocks where sigma(m(a,b), c)
+    != sigma(a, m(b,c))) or None, sampled), m the (op-)twisted product.  Both
+    sides have degree 2 in sigma and degree 3 in the structure constants, so the
+    identity is checked on the int rows of D' sigma and the int tables.  m is
     computed once for every pair (a, b) and (b, c) of the triples, all dim^2
     pairs when the check is exhaustive; then each block of triples sums the
     terms of its two products against sigma."""
@@ -213,40 +406,31 @@ def cocycle_failure(sigma: HCochain2, op: bool, budget: int, seed: int) -> tuple
     start = np.searchsorted(mk, np.arange(len(keys) + 1))
 
     def terms(pairs: np.ndarray):
-        pos = np.searchsorted(keys, pairs)
-        counts = start[pos + 1] - start[pos]
-        tt, i = _expand(counts)
-        e = start[pos][tt] + i
-        return tt, mz[e], mv[e], counts
+        tt, e = _entries(start, np.searchsorted(keys, pairs))
+        return tt, mz[e], mv[e]
 
     per_block = max(1, int(_CHUNK_TERMS / (1 + 2 * len(mv) / len(keys))))
     for a, b, c in _tuple_blocks(sample, dim, 3, per_block):
-        tt, z, v, counts = terms(a * dim + b)
-        lhs = _segment_sums(v * rows[rid[z], c[tt]], counts)
-        tt, w, v, counts = terms(b * dim + c)
-        rhs = _segment_sums(v * rows[rid[a[tt]], w], counts)
-        bad = np.flatnonzero(lhs != rhs)
-        if bad.size:
-            x = bad[0]
-            return (int(a[x]), int(b[x]), int(c[x])), sample is not None
+        tt, z, v = terms(a * dim + b)
+        t2, w, v2 = terms(b * dim + c)
+        bad = _gap(1, [(tt, 0 * tt, v * rows[rid[z], c[tt]])], [(t2, 0 * t2, v2 * rows[rid[a[t2]], w])])
+        if bad is not None:
+            detail = "right cocycle equation fails" if op else "cocycle equation fails"
+            return (detail, (int(a[bad]), int(b[bad]), int(c[bad]))), sample is not None
     return None, sample is not None
 
 
-def lazy_failure(sigma: HCochain2, budget: int, seed: int) -> tuple[tuple[int, ...] | None, bool]:
-    """(the first pair (a, b) of _tuple_blocks where m(a,b) != m^op(a,b), or None;
-    sampled).  Both sides have degree 1 in sigma and in the structure
-    constants, so they are compared on the int rows of D sigma and the int
-    action, one block of pairs at a time."""
+def lazy_failure(sigma: HCochain2, budget: int, seed: int) -> tuple[tuple | None, bool]:
+    """((detail, the first pair (a, b) of _tuple_blocks where m(a,b) != m^op(a,b))
+    or None, sampled).  Both sides have degree 1 in sigma and degree 3 in the structure
+    constants, so they are compared on the int rows of D' sigma and the int
+    tables, one block of pairs at a time."""
     h = sigma.algebra
     t = h.product_tables()
     rows, rid = kernel_rows(sigma, t)
     sample = _sample(h, 2, budget, seed)
     for a, b in _tuple_blocks(sample, h.dim, 2, t.pair_chunk):
-        k1, z1, c1 = twisted_terms(t, rows, rid, a, b)
-        k2, z2, c2 = twisted_terms(t, rows, rid, a, b, op=True)
-        k, _, _ = _summed(np.concatenate([k1, k2]), np.concatenate([z1, z2]), np.concatenate([c1, -c2]), h.dim)
-        if k.size:
-            return (int(a[k[0]]), int(b[k[0]])), sample is not None
+        bad = _gap(h.dim, [twisted_terms(t, rows, rid, a, b)], [twisted_terms(t, rows, rid, a, b, op=True)])
+        if bad is not None:
+            return ("lazy condition fails", (int(a[bad]), int(b[bad]))), sample is not None
     return None, sample is not None
-
-

@@ -102,13 +102,21 @@ from superbrauer.supergroup import (
     Element,
     HCochain2,
     SupergroupAlgebra,
+    Tensor,
     VerifyReport,
-    _cop_tensor,
+    _denominator_lcm,
     _exact,
-    _tns_add,
-    tensor_flip,
-    tensor_mul,
 )
+
+Tensor3 = dict[tuple[int, int, int], int | Fraction]
+
+
+def _tns_add(t: dict, key, val: int | Fraction) -> None:
+    cur = t.get(key, 0) + val
+    if cur:
+        t[key] = cur
+    elif key in t:
+        del t[key]
 
 
 def dense_bar_matrices(g):
@@ -472,6 +480,7 @@ def _wedge_image(mat, mask, n):
 def factor_coproduct(h, b):
     """Delta(g v_P) multiplied out factor by factor: (g x g) times v_i x 1 + u x v_i
     for each i in P, in increasing order, with the algebra's products."""
+    h = dict_view(h)
     g, mask = h.decode(b)
     cur = {(h.encode(g, 0), h.encode(g, 0)): 1}
     m = mask
@@ -494,6 +503,7 @@ def factor_coproduct(h, b):
 def product_antipode(h, b):
     """S(g v_P) = S(v_P) S(g) multiplied out with mul_elements from S(g) = g^-1
     and S(v_i) = -u v_i."""
+    h = dict_view(h)
     g, mask = h.decode(b)
     acc = {h.unit: 1}
     bits = [i for i in range(h.nv) if (mask >> i) & 1]
@@ -661,7 +671,7 @@ def _tuples(h, arity, budget, seed):
 def four_loop_cocycle_check(sigma, right=False, budget=DEFAULT_DIM_BUDGET, seed=0):
     """(check, passed, detail, counterexample, sampled) of the left (or right)
     cocycle equation, expanding both coproducts and the product per triple."""
-    h = sigma.algebra
+    h = dict_view(sigma.algebra)
     v = sigma.values
     if right:
         check, detail = "right-cocycle", "right cocycle equation fails"
@@ -695,7 +705,7 @@ def four_loop_cocycle_check(sigma, right=False, budget=DEFAULT_DIM_BUDGET, seed=
 def four_loop_is_lazy(sigma, budget=DEFAULT_DIM_BUDGET, seed=0):
     """(check, passed, detail, counterexample, sampled) of
     sum sigma(a1,b1) a2 b2 = sum sigma(a2,b2) a1 b1, expanded per pair."""
-    h = sigma.algebra
+    h = dict_view(sigma.algebra)
     v = sigma.values
     pairs, sampled = _tuples(h, 2, budget, seed)
     for a, b in pairs:
@@ -714,6 +724,7 @@ def four_loop_is_lazy(sigma, budget=DEFAULT_DIM_BUDGET, seed=0):
 def twisted_product(h: SupergroupAlgebra, rows, a: int, b: int, op: bool = False) -> Element:
     """m(a,b) = sum sigma(a1,b1) a2 b2, or with op m^op(a,b) = sum sigma(a2,b2) a1 b1,
     for the cochain with the given rows."""
+    h = dict_view(h)
     ca, cb = h.coproduct_basis(a), h.coproduct_basis(b)
     if op:
         ca, cb = [(a2, a1, x) for a1, a2, x in ca], [(b2, b1, y) for b1, b2, y in cb]
@@ -729,10 +740,266 @@ def twisted_product(h: SupergroupAlgebra, rows, a: int, b: int, op: bool = False
     return {z: c for z, c in out.items() if c}
 
 
+class DictView:
+    """The structure constants of an algebra read off its product tables into
+    dicts, under the names of the dict arithmetic the Hopf-side oracles are
+    written in: product_basis, coproduct_basis, antipode_basis, counit_basis,
+    mul_elements and times_u.  Every other attribute is the algebra's.  The view reads the
+    tables the algebra holds, so a test that moves a table entry moves it for
+    the production checks and the oracles alike."""
+
+    def __init__(self, h: SupergroupAlgebra) -> None:
+        self.algebra = h
+        t = h.product_tables()
+        d = t.denominator
+
+        def rows(start, *cols):
+            start, cols = start.tolist(), [c.tolist() for c in cols]
+            return [list(zip(*(c[start[b]:start[b + 1]] for c in cols))) for b in range(len(start) - 1)]
+
+        self._cop = [[(x, y, _exact(Fraction(c, d))) for x, y, c in row]
+                     for row in rows(t.leg_start, t.leg_first, t.leg_second, t.leg_coef)]
+        self._anti = [{z: _exact(Fraction(c, d)) for z, c in row}
+                      for row in rows(t.anti_start, t.anti_elem, t.anti_coef)]
+        self._cols = rows(t.act_start, t.act_mask, t.act_coef)
+        self._mul, self._wedge, self._d = t.mul.tolist(), t.wedge.tolist(), d
+        self._prod: dict[tuple[int, int], Element] = {}
+
+    def __getattr__(self, name):
+        return getattr(self.algebra, name)
+
+    def times_u(self, g: int, k: int) -> int:
+        """The group element g u^k (u is central of order 2)."""
+        return self._mul[g][self.inv.u] if k % 2 else g
+
+    def product_basis(self, b1: int, b2: int) -> Element:
+        """g v_P . h v_Q = sum c wedge[R, Q] (gh) v_{R+Q} over the entries (R, c) of h^{-1}.v_P."""
+        out = self._prod.get((b1, b2))
+        if out is None:
+            (g, pmask), (h, qmask) = self.decode(b1), self.decode(b2)
+            out = self._prod[b1, b2] = {
+                self.encode(self._mul[g][h], r | qmask): _exact(Fraction(c * self._wedge[r][qmask], self._d))
+                for r, c in self._cols[self.encode(h, pmask)] if self._wedge[r][qmask]}
+        return out
+
+    def mul_elements(self, x: Element, y: Element) -> Element:
+        out: Element = {}
+        for b1, c1 in x.items():
+            for b2, c2 in y.items():
+                for b3, c3 in self.product_basis(b1, b2).items():
+                    val = out.get(b3, 0) + c1 * c2 * c3
+                    if val:
+                        out[b3] = val
+                    elif b3 in out:
+                        del out[b3]
+        return out
+
+    def counit_basis(self, b: int) -> int:
+        return 1 if self.decode(b)[1] == 0 else 0
+
+    def coproduct_basis(self, b: int) -> list[tuple[int, int, int | Fraction]]:
+        return self._cop[b]
+
+    def antipode_basis(self, b: int) -> Element:
+        return self._anti[b]
+
+
+def dict_view(h) -> DictView:
+    """The dict view of an algebra's product tables (a view stays as it is)."""
+    return h if isinstance(h, DictView) else DictView(h)
+
+
+def tensor_mul(h: SupergroupAlgebra, t1: Tensor, t2: Tensor) -> Tensor:
+    h = dict_view(h)
+    out: Tensor = {}
+    for (a, b), c1 in t1.items():
+        for (c, d), c2 in t2.items():
+            for x, cx in h.product_basis(a, c).items():
+                for y, cy in h.product_basis(b, d).items():
+                    _tns_add(out, (x, y), c1 * c2 * cx * cy)
+    return out
+
+
+def tensor_flip(t: Tensor) -> Tensor:
+    return {(b, a): c for (a, b), c in t.items()}
+
+
+def _cop_tensor(h: SupergroupAlgebra, b: int) -> Tensor:
+    h = dict_view(h)
+    return {(b1, b2): c for b1, b2, c in h.coproduct_basis(b)}
+
+
+def _generators(h: SupergroupAlgebra) -> list[int]:
+    """g for g in G.gens, then v_0 .. v_{n-1}: the algebra generators of H."""
+    return [h.encode(int(g), 0) for g in h.group.gens] + [h.v_element(i) for i in range(h.nv)]
+
+
+def generator_verify_hopf(h: SupergroupAlgebra) -> VerifyReport:
+    """Bialgebra and antipode axioms, exhaustive at every dimension.  With Delta(1) = 1 x 1,
+    Delta(as) = Delta(a)Delta(s), eps(as) = eps(a)eps(s) and S(as) = S(s)S(a) on basis x
+    generators hold on all pairs (induction on words); the counit, antipode and coassociativity
+    laws are closed under products, so 1 and the generators suffice: dim (|S| + n) products."""
+    h = dict_view(h)
+    gens = _generators(h)
+    if _cop_tensor(h, h.unit) != {(h.unit, h.unit): 1}:
+        return VerifyReport("hopf", False, "coproduct not unital", (h.label(h.unit),))
+    for b in [h.unit, *gens]:
+        cop = h.coproduct_basis(b)
+        left = {}
+        right = {}
+        anti1: Element = {}
+        anti2: Element = {}
+        for b1, b2, c in cop:
+            _tns_add(left, b2, c * h.counit_basis(b1))
+            _tns_add(right, b1, c * h.counit_basis(b2))
+            for z, cz in h.mul_elements(h.antipode_basis(b1), {b2: 1}).items():
+                _tns_add(anti1, z, c * cz)
+            for z, cz in h.mul_elements({b1: 1}, h.antipode_basis(b2)).items():
+                _tns_add(anti2, z, c * cz)
+        if left != {b: 1} or right != {b: 1}:
+            return VerifyReport("hopf", False, "counit law fails", (h.label(b),))
+        eps = {h.unit: h.counit_basis(b)} if h.counit_basis(b) else {}
+        if anti1 != eps or anti2 != eps:
+            return VerifyReport("hopf", False, "antipode axiom fails", (h.label(b),))
+        # coassociativity
+        lhs: Tensor3 = {}
+        rhs: Tensor3 = {}
+        for b1, b2, c in cop:
+            for x1, x2, cx in h.coproduct_basis(b1):
+                _tns_add(lhs, (x1, x2, b2), c * cx)
+            for y1, y2, cy in h.coproduct_basis(b2):
+                _tns_add(rhs, (b1, y1, y2), c * cy)
+        if lhs != rhs:
+            return VerifyReport("hopf", False, "coassociativity fails", (h.label(b),))
+    for a in h.basis():
+        for s in gens:
+            prod = h.product_basis(a, s)
+            delta: Tensor = {}
+            anti: Element = {}
+            for z, cz in prod.items():
+                for z1, z2, c in h.coproduct_basis(z):
+                    _tns_add(delta, (z1, z2), cz * c)
+                for y, cy in h.antipode_basis(z).items():
+                    _tns_add(anti, y, cz * cy)
+            pair = (h.label(a), h.label(s))
+            if delta != tensor_mul(h, _cop_tensor(h, a), _cop_tensor(h, s)):
+                return VerifyReport("hopf", False, "coproduct not multiplicative", pair)
+            if sum(cz * h.counit_basis(z) for z, cz in prod.items()) != h.counit_basis(a) * h.counit_basis(s):
+                return VerifyReport("hopf", False, "counit not multiplicative", pair)
+            if anti != h.mul_elements(h.antipode_basis(s), h.antipode_basis(a)):
+                return VerifyReport("hopf", False, "antipode not anti-multiplicative", pair)
+    return VerifyReport("hopf", True, f"dim {h.dim}")
+
+
+def dict_r_legs(h: SupergroupAlgebra, r: Tensor) -> tuple[Tensor3, Tensor3, Tensor3, Tensor3]:
+    """(Delta x id)R and R13 R23 on the entries whose middle leg has degree <= 1,
+    (id x Delta)R and R13 R12 on those whose last leg has degree <= 1.
+
+    (Delta x id)R = R13 R23 says that f(phi) = (phi x id)R is an algebra map
+    H* -> H, and (id x Delta)R = R13 R12 that f'(phi) = (id x phi)R is an
+    anti-map.  For each, the psi with f(phi psi) = f(phi) f(psi) for every phi
+    form a subalgebra of H*, and the dual-basis functionals delta_{g,P} with
+    |P| <= 1 generate H* (their span holds eps, and delta_{g,i} delta_{h,Q} =
+    +-delta_{h,Q+i} for g = h u^|Q|, i not in Q).  So each identity holds on all
+    of H (x) H (x) H once it holds on the slices where psi's leg has degree <= 1.
+    By the unit law R13 R23 = sum r(a,b) r(x,y) a (x) x (x) by and
+    R13 R12 = sum r(x,y) r(a,b) xa (x) b (x) y: one product per pair of an R
+    term and an R term of degree <= 1 on that leg."""
+    h = dict_view(h)
+    top = (1 << h.nv) - 1
+
+    def low(b: int) -> bool:
+        mask = b & top
+        return not mask & (mask - 1)
+
+    first_low = [(x, y, c) for (x, y), c in r.items() if low(x)]
+    second_low = [(x, y, c) for (x, y), c in r.items() if low(y)]
+    cop1: Tensor3 = {}
+    r13r23: Tensor3 = {}
+    cop2: Tensor3 = {}
+    r13r12: Tensor3 = {}
+    for (a, b), c in r.items():
+        for a1, a2, ca in h.coproduct_basis(a):
+            if low(a2):
+                cop1[a1, a2, b] = cop1.get((a1, a2, b), 0) + c * ca
+        for b1, b2, cb in h.coproduct_basis(b):
+            if low(b2):
+                cop2[a, b1, b2] = cop2.get((a, b1, b2), 0) + c * cb
+        for x, y, cxy in first_low:
+            for z, cz in h.product_basis(b, y).items():
+                r13r23[a, x, z] = r13r23.get((a, x, z), 0) + c * cxy * cz
+        for x, y, cxy in second_low:
+            for z, cz in h.product_basis(x, a).items():
+                r13r12[z, b, y] = r13r12.get((z, b, y), 0) + cxy * c * cz
+    return tuple({k: v for k, v in t.items() if v} for t in (cop1, r13r23, cop2, r13r12))
+
+
+def _cleared(r: Tensor) -> tuple[Tensor, int]:
+    """(D R, D) with D the least common denominator of the coefficients of R,
+    so that D R has int coefficients; D = 2 for R_A of an integral A, whose
+    odd minors (the empty one among them) give halves."""
+    d = _denominator_lcm(r.values())
+    return {k: _exact(d * c) for k, c in r.items()}, d
+
+
+def generator_verify_quasitriangular(h: SupergroupAlgebra, r: Tensor) -> VerifyReport:
+    """(Delta x id)R = R13 R23, (id x Delta)R = R13 R12, R Delta = Delta^op R.  Presumes
+    a Hopf algebra (verify_hopf): then H* is an algebra generated by the functionals
+    of degree <= 1, so the leg identities are checked on those slices (_r_legs); and
+    Delta and Delta^op are algebra maps, so the b with R Delta(b) = Delta^op(b) R form
+    a subalgebra and the generators suffice.
+
+    Each identity is homogeneous in R, so it is checked on the int numerator R' = D R
+    with the degrees balanced by D: D (Delta x id)R' = R'13 R'23, D (id x Delta)R' =
+    R'13 R'12, (eps x id)R' = (id x eps)R' = D 1 and R' Delta = Delta^op R'."""
+    h = dict_view(h)
+    r, d = _cleared(r)
+    cop1, r13r23, cop2, r13r12 = dict_r_legs(h, r)
+    if {k: d * c for k, c in cop1.items()} != r13r23:
+        return VerifyReport("quasitriangular", False, "(Delta x id)R != R13 R23")
+    if {k: d * c for k, c in cop2.items()} != r13r12:
+        return VerifyReport("quasitriangular", False, "(id x Delta)R != R13 R12")
+    # counit normalization
+    eps1: Element = {}
+    eps2: Element = {}
+    for (a, b), c in r.items():
+        _tns_add(eps1, b, c * h.counit_basis(a))
+        _tns_add(eps2, a, c * h.counit_basis(b))
+    if eps1 != {h.unit: d} or eps2 != {h.unit: d}:
+        return VerifyReport("quasitriangular", False, "(eps x id)R != 1")
+    for s in _generators(h):
+        dl = _cop_tensor(h, s)
+        if tensor_mul(h, r, dl) != tensor_mul(h, tensor_flip(dl), r):
+            return VerifyReport("quasitriangular", False, "R Delta != Delta^op R", (h.label(s),))
+    return VerifyReport("quasitriangular", True)
+
+
+def generator_verify_triangular(h: SupergroupAlgebra, r: Tensor) -> VerifyReport:
+    """Quasitriangular and R21 R = 1 x 1.  Presumes a Hopf algebra (verify_hopf).
+
+    Applying m (S x id) x id to (Delta x id)R = R13 R23 gives (S x id)R . R =
+    1 x (eps x id)R = 1 x 1, so R^{-1} = (S x id)R (Kassel, Quantum Groups,
+    Prop. VIII.2.1).  Once R is quasitriangular, R21 R = 1 x 1 is therefore
+    R21 = (S x id)R: linear in R, one antipode per term and no product."""
+    h = dict_view(h)
+    rep = generator_verify_quasitriangular(h, r)
+    if not rep.passed:
+        return VerifyReport("triangular", False, rep.detail, rep.counterexample)
+    gap: Tensor = {}  # R21 - (S x id)R
+    for (a, b), c in r.items():
+        _tns_add(gap, (b, a), c)
+        for x, cx in h.antipode_basis(a).items():
+            _tns_add(gap, (x, b), -c * cx)
+    if gap:
+        return VerifyReport("triangular", False, "R21 * R != 1 x 1")
+    return VerifyReport("triangular", True)
+
+
 def all_pairs_verify_hopf(h, budget=DEFAULT_DIM_BUDGET, seed=0):
     """The per-pair Hopf check: counit, antipode and coassociativity laws on
     every basis element met, and Delta(ab) = Delta(a)Delta(b) on all pairs
     while dim <= budget, else on the seeded sample of pairs."""
+    h = dict_view(h)
     pairs, sampled = _tuples(h, 2, budget, seed)
     pairs = list(pairs)
     singles = sorted({a for p in pairs for a in p})
@@ -781,6 +1048,7 @@ def all_pairs_verify_hopf(h, budget=DEFAULT_DIM_BUDGET, seed=0):
 def all_basis_r_delta(h, r, budget=DEFAULT_DIM_BUDGET, seed=0):
     """R Delta(b) = Delta^op(b) R on every basis element b while dim <= budget,
     else on the seeded sample."""
+    h = dict_view(h)
     elems, sampled = _tuples(h, 1, budget, seed)
     for (b,) in elems:
         d = _cop_tensor(h, b)
@@ -793,6 +1061,7 @@ def all_basis_r_delta(h, r, budget=DEFAULT_DIM_BUDGET, seed=0):
 def triple_tensor_legs(h, r):
     """(Delta x id)R, R13 R23, (id x Delta)R, R13 R12 with the legs embedded
     in H (x) H (x) H and multiplied factor by factor; zero entries dropped."""
+    h = dict_view(h)
     one = h.group.identity << h.nv
 
     def mul3(t1, t2):
@@ -822,6 +1091,7 @@ def uncleared_r_checks(h, r):
     given, no denominator cleared: the legs multiplied in H (x) H (x) H, the
     counit laws, R Delta(s) = Delta^op(s) R on g in G.gens then v_0 .. v_{n-1},
     and R21 R = 1 x 1."""
+    h = dict_view(h)
 
     def report(detail, counterexample=None):
         return (VerifyReport("quasitriangular", False, detail, counterexample),
@@ -848,7 +1118,8 @@ def uncleared_r_checks(h, r):
 
 
 def eps_tensor_eps(h: SupergroupAlgebra) -> HCochain2:
-    vals = [[h.counit_basis(a) * h.counit_basis(b) for b in h.basis()] for a in h.basis()]
+    eps = dict_view(h).counit_basis
+    vals = [[eps(a) * eps(b) for b in h.basis()] for a in h.basis()]
     return HCochain2(h, vals)
 
 
@@ -862,11 +1133,12 @@ def hcochain_equals(s1: HCochain2, s2: HCochain2) -> bool:
 def convolve(s1: HCochain2, s2: HCochain2) -> HCochain2:
     """(s1 * s2)(a, b) = sum s1(a1, b1) s2(a2, b2)."""
     h = s1.algebra
+    cop = dict_view(h).coproduct_basis
     vals = [[0] * h.dim for _ in range(h.dim)]
     for a in h.basis():
-        ca = h.coproduct_basis(a)
+        ca = cop(a)
         for b in h.basis():
-            cb = h.coproduct_basis(b)
+            cb = cop(b)
             acc = 0
             for a1, a2, x in ca:
                 for b1, b2, y in cb:
@@ -881,7 +1153,7 @@ def is_convolution_invertible(sigma: HCochain2) -> tuple[bool, HCochain2 | None]
     The top split of Delta(g v_P) is g u^|P| (x) g v_P with coefficient 1, so
     the system is triangular once sigma is nonzero on grouplike pairs.
     """
-    h = sigma.algebra
+    h = dict_view(sigma.algebra)
     vals = [[0] * h.dim for _ in range(h.dim)]
     order = sorted(
         ((a, b) for a in h.basis() for b in h.basis()),
@@ -903,10 +1175,10 @@ def is_convolution_invertible(sigma: HCochain2) -> tuple[bool, HCochain2 | None]
                     continue  # the leading term, solved for below
                 acc += x * y * sigma.values[a1][b1] * vals[a2][b2]
         vals[a][b] = _exact(Fraction(target - acc, lead))
-    tau = HCochain2(h, vals)
-    if not hcochain_equals(convolve(sigma, tau), eps_tensor_eps(h)):
+    tau = HCochain2(sigma.algebra, vals)
+    if not hcochain_equals(convolve(sigma, tau), eps_tensor_eps(sigma.algebra)):
         return False, None
-    if not hcochain_equals(convolve(tau, sigma), eps_tensor_eps(h)):
+    if not hcochain_equals(convolve(tau, sigma), eps_tensor_eps(sigma.algebra)):
         return False, None
     return True, tau
 

@@ -211,6 +211,20 @@ def test_q_table_matches_enumeration(name, u, field, monkeypatch):
     assert qg.invariants == abelian_invariants_from_table(qg.table, 0)
 
 
+@pytest.mark.parametrize("name, u", [("Z2", 1), ("Z2xZ2", 2), ("Z2xZ4", 4), ("Z2xS3", 6), ("A2", None), ("A3", None),
+                                     ("G2", None)],
+                         ids=["Z2", "Z2xZ2", "Z2xZ4-u(1,0)", "Z2xS3", "G(A2)", "G(A3)", "G(G2)"])
+def test_bm_against_q_where_u_splits(name, u):
+    """Where U splits, BM(k, k[G], R_u) is Q(k, G) on the closed field, the
+    same invariants, and over the reals Br(R) = Z_2 doubles it: |BM| = 2 |Q|.
+    The two are built from different generating data (H^2(G) with C(1), and
+    H^2(G/U) with Hom(G/U, Z_2)), so each checks the other."""
+    g, inv = _group_and_involution(name, u)
+    assert splitting_character(inv) is not None
+    assert bm_group(g, inv, ALG_CLOSED).invariants == q_group(g, inv, ALG_CLOSED).invariants
+    assert bm_group(g, inv, REAL_CLOSED).order == 2 * q_group(g, inv, REAL_CLOSED).order
+
+
 def test_bm_markers_match_dense_square_class():
     """Over the real field (0, i, 0)^2 has Brauer part <M_i, M_i> = M_i, the
     marker read off the labels; it equals restriction_square_class of the

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from superbrauer import cli
+from superbrauer import cli, groups
 from superbrauer.cli import EXIT_BUDGET, EXIT_PARSE, EXIT_VERIFY, main
 
 
@@ -290,11 +290,19 @@ def test_group_input_with_type_exit_code(capsys, args):
     (["bm", "--field", "real", "--group", "{no_u}"], "a central involution u is required (file key 'u' or --u)"),
     (["lazy", "--group", "{with_u}"], "lazy cohomology needs a representation (--rep or --type)"),
     (["lazy", "--group", "{no_u}", "--rep", "{rep}"], "a central involution u is required"),
+    (["lazy", "--group", "{no_u}"], "lazy cohomology needs a representation (--rep or --type)"),
     (["invforms", "--group", "{with_u}"], "invforms needs a representation (--rep or --type)"),
     (["verify", "--check", "hopf"], "verify needs --algebra E<n> or --type XN"),
-], ids=["h2-no-group", "h2sharp-no-u", "bm-no-u", "lazy-no-rep", "lazy-no-u", "invforms-no-rep", "verify-no-algebra"])
-def test_missing_input_exit_code(tmp_path, capsys, args, message):
-    """A command that lacks the group, u or representation it needs exits 2 and says which."""
+], ids=["h2-no-group", "h2sharp-no-u", "bm-no-u", "lazy-no-rep", "lazy-no-u", "lazy-no-rep-no-u", "invforms-no-rep",
+        "verify-no-algebra"])
+def test_missing_input_exit_code(tmp_path, capsys, monkeypatch, args, message):
+    """A command that lacks the group, u or representation it needs exits 2 and
+    says which, before it closes any group."""
+
+    def unclosed(*args, **kwargs):
+        raise AssertionError("the group was closed before the refusal")
+
+    monkeypatch.setattr(groups, "close_generators", unclosed)
     files = {"no_u": {"kind": "permutations", "generators": [[1, 0]]},
              "with_u": {"kind": "permutations", "generators": [[1, 0]], "u": "g0"},
              "rep": {"matrices": [[[-1]]]}}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from superbrauer import (
     ALG_CLOSED,
+    CentralInvolution,
     NotInvariant,
     NotMinusOne,
     NotSymmetric,
@@ -22,6 +24,7 @@ from superbrauer import (
     build_en,
     build_supergroup,
     cyclic_group,
+    direct_product,
     dual_r_matrix,
     h2_closed_field,
     invariant_symmetric_forms,
@@ -37,18 +40,10 @@ from superbrauer import (
     verify_quasitriangular,
     verify_triangular,
 )
-from superbrauer import supergroup
+from superbrauer import supergroup, twisted
 from superbrauer.groups import _mat_mul
-from superbrauer.supergroup import (
-    HCochain2,
-    _cleared,
-    _compound,
-    _r_legs,
-    _signed_minors,
-    tensor_flip,
-    tensor_mul,
-)
-from superbrauer.twisted import _sample, kernel_rows, twisted_terms
+from superbrauer.supergroup import HCochain2, _compound, _signed_minors
+from superbrauer.twisted import ProductTables, _r_terms, _sample, _wedge, kernel_rows, products, twisted_terms
 
 from .oracles import (
     all_basis_r_delta,
@@ -56,14 +51,21 @@ from .oracles import (
     convolve,
     dense_lambda_cocycle,
     det_signed_minors,
+    dict_r_legs,
+    dict_view,
     eps_tensor_eps,
     factor_coproduct,
     four_loop_cocycle_check,
     four_loop_is_lazy,
+    generator_verify_hopf,
+    generator_verify_quasitriangular,
+    generator_verify_triangular,
     hcochain_equals,
     is_convolution_invertible,
     leibniz_det,
     product_antipode,
+    tensor_flip,
+    tensor_mul,
     triple_tensor_legs,
     twisted_product,
     uncleared_r_checks,
@@ -81,8 +83,9 @@ def test_h4_is_sweedler():
 
 
 def test_en_relations_via_isomorphism():
-    """The stated E(n) presentation holds under c -> u, x_i -> u v_i."""
-    h = build_en(3)
+    """The stated E(n) presentation holds under c -> u, x_i -> u v_i, in the
+    structure constants of the product tables."""
+    h = dict_view(build_en(3))
     u = h.u_element
 
     def x(i):
@@ -125,13 +128,25 @@ def test_en_relations_via_isomorphism():
 
 
 def test_exterior_anticommutation():
-    h = build_en(2)
+    h = dict_view(build_en(2))
     v0, v1 = h.v_element(0), h.v_element(1)
     a = h.product_basis(v0, v1)
     b = h.product_basis(v1, v0)
     assert a == {h.encode(0, 0b11): Fraction(1)}
     assert b == {h.encode(0, 0b11): Fraction(-1)}
     assert h.product_basis(v0, v0) == {}
+
+
+def test_wedge_table_is_the_sign_of_merging():
+    """wedge[R, Q] is the sign of the permutation that sorts the indices of R
+    followed by those of Q, counted by inversions, and 0 where R and Q overlap."""
+    for n in range(6):
+        wedge = _wedge(n)
+        for r in range(1 << n):
+            for q in range(1 << n):
+                idx = [i for i in range(n) if r >> i & 1] + [i for i in range(n) if q >> i & 1]
+                inversions = sum(x > y for pos, x in enumerate(idx) for y in idx[pos + 1:])
+                assert wedge[r, q] == (0 if r & q else (-1) ** inversions)
 
 
 def test_hopf_axioms_en():
@@ -154,7 +169,8 @@ def test_hopf_check_catches_error_the_sampled_check_missed(datum_d4):
     h = build_supergroup(datum_d4.group, datum_d4.inv, datum_d4.rep)
     b = h.encode(12, 0b1101)
     assert h.label(b) == "g12*v0v2v3"
-    h._cop[b] = h.coproduct_basis(b) + [(h.unit, b, Fraction(1))]
+    assert (h.unit, b) not in {(x, y) for x, y, _ in dict_view(h).coproduct_basis(b)}
+    h = _moved(h, "coproduct", b, (h.unit, b), Fraction(1))
     rep = verify_hopf(h)
     assert (rep.passed, rep.detail, rep.counterexample, rep.sampled) == (
         False, "coproduct not multiplicative", ("g3*v0v1v2", "g4"), False)
@@ -164,14 +180,16 @@ def test_hopf_check_catches_error_the_sampled_check_missed(datum_d4):
 
 @pytest.mark.parametrize("name", ["E0", "E1", "E2", "E3", "E4", "datum_a1", "datum_b2", "datum_a2", "datum_b3"])
 def test_closed_forms_match_multiplied_out_coproduct_and_antipode(request, name):
-    """Delta and S in closed form equal Delta and S multiplied out from their
-    values on the generators, on every basis element of E(0)-E(4) and of the
-    W(A1), W(B2), G(A2) and W(B3) data."""
+    """Delta and S in closed form, as the tables hold them, equal Delta and S
+    multiplied out with the tables' product from their values on the
+    generators, on every basis element of E(0)-E(4) and of the W(A1), W(B2),
+    G(A2) and W(B3) data."""
     if name.startswith("E"):
         h = build_en(int(name[1:]))
     else:
         d = request.getfixturevalue(name)
         h = build_supergroup(d.group, d.inv, d.rep)
+    h = dict_view(h)
     for b in h.basis():
         assert sorted(h.coproduct_basis(b)) == sorted(factor_coproduct(h, b))
         assert h.antipode_basis(b) == product_antipode(h, b)
@@ -573,28 +591,50 @@ def test_twisted_product_checks_match_four_loop_oracle(case):
     assert _report_tuple(is_lazy(sigma, budget, seed)) == four_loop_is_lazy(sigma, budget, seed)
 
 
+def _moved(h, kind, b, key, value):
+    """A copy of h whose product tables have the coefficient of key in Delta(b)
+    (kind "coproduct", key a leg (b1, b2)) or S(b) (kind "antipode", key an
+    element) moved by value; every table is rescaled to the common denominator
+    of D and value, so half-integers move too."""
+    t = copy.copy(h.product_tables())
+    d = math.lcm(t.denominator, Fraction(value).denominator)
+    scale = d // t.denominator
+    t.leg_coef, t.act_coef, t.anti_coef = (c * scale for c in (t.leg_coef, t.act_coef, t.anti_coef))
+    prefix = "leg" if kind == "coproduct" else "anti"
+    names = ("leg_first", "leg_second") if kind == "coproduct" else ("anti_elem",)
+    start, coef = getattr(t, prefix + "_start").tolist(), getattr(t, prefix + "_coef").tolist()
+    keys = list(zip(*(getattr(t, name).tolist() for name in names)))
+    rows = [dict(zip(keys[lo:hi], coef[lo:hi])) for lo, hi in zip(start, start[1:])]
+    key = key if kind == "coproduct" else (key,)
+    rows[b][key] = rows[b].get(key, 0) + int(value * d)
+    rows[b] = {k: c for k, c in rows[b].items() if c}
+    setattr(t, prefix + "_start", np.cumsum([0, *map(len, rows)]))
+    for pos, name in enumerate(names):
+        setattr(t, name, np.array([k[pos] for row in rows for k in row], dtype=np.int64))
+    setattr(t, prefix + "_coef", np.array([c for row in rows for c in row.values()], dtype=t.leg_coef.dtype))
+    moved = copy.copy(h)
+    moved._tables = ProductTables(t.nv, t.mul, t.leg_start, t.leg_first, t.leg_second, t.leg_coef, t.act_start,
+                                  t.act_mask, t.act_coef, t.anti_start, t.anti_elem, t.anti_coef, d)
+    return moved
+
+
 @st.composite
 def _perturbed_hopf_algebras(draw):
-    """(algebra, memo dict, b, value) with Delta(b) or S(b) of one basis element
-    of E(0)-E(3), W(A1) or W(B2) moved by one coefficient; (algebra, None, None,
-    None) leaves the algebra as built."""
+    """An algebra of E(0)-E(3), W(A1) or W(B2), as built or with one coefficient
+    of Delta(b) or S(b) moved in its tables, half-integers included, with R_u
+    as built or with one coefficient moved."""
     h = _algebra(draw(st.sampled_from(["E0", "E1", "E2", "E3", "A1", "B2"])))
-    kind = draw(st.sampled_from([None, "coproduct", "antipode"]))
-    if kind is None:
-        return h, None, None, None
     basis = st.integers(0, h.dim - 1)
-    b = draw(basis)
+    kind = draw(st.sampled_from([None, "coproduct", "antipode"]))
     if kind == "coproduct":
-        memo, value = h._cop, {(b1, b2): c for b1, b2, c in h.coproduct_basis(b)}
+        h = _moved(h, kind, draw(basis), (draw(basis), draw(basis)), draw(_nonzero))
+    elif kind == "antipode":
+        h = _moved(h, kind, draw(basis), draw(basis), draw(_nonzero))
+    r = r_u(h)
+    if draw(st.booleans()):
         key = (draw(basis), draw(basis))
-    else:
-        memo, value = h._anti, dict(h.antipode_basis(b))
-        key = draw(basis)
-    value[key] = value.get(key, Fraction(0)) + draw(_nonzero)
-    value = {k: c for k, c in value.items() if c}
-    if kind == "coproduct":
-        value = [(b1, b2, c) for (b1, b2), c in value.items()]
-    return h, memo, b, value
+        r[key] = r.get(key, 0) + draw(_nonzero)
+    return h, kind, r
 
 
 @settings(max_examples=80, deadline=None)
@@ -602,17 +642,24 @@ def _perturbed_hopf_algebras(draw):
 def test_generator_hopf_check_matches_all_pairs_oracle(case):
     """The check on basis x generators gives the verdict of the all-pairs
     check, on the algebra as built and with one Delta(b) or S(b) moved."""
-    h, memo, b, value = case
-    if memo is not None:
-        saved, memo[b] = memo[b], value  # the strategy filled memo[b]
-    try:
-        new, old = verify_hopf(h), all_pairs_verify_hopf(h)
-    finally:
-        if memo is not None:
-            memo[b] = saved
+    h, kind, _ = case
+    new, old = verify_hopf(h), all_pairs_verify_hopf(h)
     assert new.passed == old.passed
     assert not new.sampled and not old.sampled
-    assert memo is not None or new.passed
+    assert kind is not None or new.passed
+
+
+@settings(max_examples=100, deadline=None)
+@given(_perturbed_hopf_algebras())
+def test_table_checks_match_dict_generator_checks(case):
+    """The Hopf, quasitriangular and triangular checks on the tables give the
+    reports of the dict generator checks on the same tables: verdict, detail
+    and first counterexample, on the algebra as built and with one Delta(b)
+    or S(b) moved, for R_u as built and with one coefficient moved."""
+    h, _, r = case
+    assert _report_tuple(verify_hopf(h)) == _report_tuple(generator_verify_hopf(h))
+    assert _report_tuple(verify_quasitriangular(h, r)) == _report_tuple(generator_verify_quasitriangular(h, r))
+    assert _report_tuple(verify_triangular(h, r)) == _report_tuple(generator_verify_triangular(h, r))
 
 
 def test_generator_r_delta_matches_all_basis_oracle(datum_b2):
@@ -629,7 +676,7 @@ def test_generator_r_delta_matches_all_basis_oracle(datum_b2):
 
 
 def _low_slices(h, legs):
-    """The leg tensors cut to the entries _r_legs keeps: (Delta x id)R and R13 R23
+    """The leg tensors cut to the entries dict_r_legs keeps: (Delta x id)R and R13 R23
     where the middle leg has degree <= 1, (id x Delta)R and R13 R12 where the last has."""
     def low(b):
         return bin(h.decode(b)[1]).count("1") <= 1
@@ -640,26 +687,29 @@ def _low_slices(h, legs):
 
 
 def test_r_legs_match_triple_tensor_oracle():
-    """The four leg tensors agree with the degree <= 1 slices of the H (x) H (x) H
-    products on random symmetric A, and on R_A with one coefficient changed."""
+    """The four leg tensors of the dict generator check agree with the degree <= 1
+    slices of the H (x) H (x) H products on random symmetric A, and on R_A with
+    one coefficient changed, where the table check fails as the dict check does."""
     rng = random.Random(7)
     for n in (1, 2, 3):
         h = build_en(n)
         for _ in range(3):
             r = r_matrix_RA(_random_symmetric(rng, n), h)
-            assert _r_legs(h, r) == _low_slices(h, triple_tensor_legs(h, r))
+            assert dict_r_legs(h, r) == _low_slices(h, triple_tensor_legs(h, r))
             bad = dict(r)
             key = rng.choice(sorted(bad))
             bad[key] += Fraction(rng.choice([-2, -1, 1, 3]), 2)
-            legs = _r_legs(h, bad)
+            legs = dict_r_legs(h, bad)
             assert legs == _low_slices(h, triple_tensor_legs(h, bad))
             assert legs[0] != legs[1] or legs[2] != legs[3]
-            assert not verify_quasitriangular(h, bad).passed
+            rep = verify_quasitriangular(h, bad)
+            assert not rep.passed
+            assert _report_tuple(rep) == _report_tuple(generator_verify_quasitriangular(h, bad))
 
 
 def test_r_legs_catch_perturbations_off_the_slices(datum_b2):
     """R_A on E(2), E(3) and R_u on W(B2) moved only in entries whose legs both have
-    degree >= 2, which no inner loop of _r_legs reads: the reports still equal the
+    degree >= 2, which the leg slices do not read: the reports still equal the
     full-tensor oracle's, and every moved R fails at a leg identity."""
     half = Fraction(1, 2)
     b2 = build_supergroup(datum_b2.group, datum_b2.inv, datum_b2.rep)
@@ -685,8 +735,11 @@ def test_r_legs_catch_perturbations_off_the_slices(datum_b2):
 def test_unit_law_on_basis(datum_b2):
     """The leg formulas use x 1 = 1 x = x on every basis element."""
     for h in (build_en(3), build_supergroup(datum_b2.group, datum_b2.inv, datum_b2.rep)):
-        for x in h.basis():
-            assert h.product_basis(x, h.unit) == h.product_basis(h.unit, x) == {x: Fraction(1)}
+        t = h.product_tables()
+        basis, one = np.arange(h.dim), np.full(h.dim, h.unit)
+        for x, y in ((basis, one), (one, basis)):
+            j, z, c = products(t, x, y)
+            assert j.tolist() == z.tolist() == list(h.basis()) and (c == t.denominator).all()
 
 
 def _is_exact(x):
@@ -710,9 +763,11 @@ def test_coefficients_are_int_where_integral(datum_b2):
     """On integral data every structure constant and lambda/omega value is an int;
     R_A and tau are ints where integral and Fractions only where a denominator survives."""
     for h, S, A in _integral_cases(datum_b2):
-        constants = [c for a in h.basis() for b in h.basis() for c in h.product_basis(a, b).values()]
-        constants += [c for b in h.basis() for _, _, c in h.coproduct_basis(b)]
-        constants += [c for b in h.basis() for c in h.antipode_basis(b).values()]
+        assert h.product_tables().denominator == 1
+        v = dict_view(h)
+        constants = [c for a in h.basis() for b in h.basis() for c in v.product_basis(a, b).values()]
+        constants += [c for b in h.basis() for _, _, c in v.coproduct_basis(b)]
+        constants += [c for b in h.basis() for c in v.antipode_basis(b).values()]
         sigma = omega_sigma(S, h) if A is not None else lambda_cocycle(h, S)
         constants += [x for row in sigma.values for x in row]
         assert constants and all(type(c) is int for c in constants)
@@ -817,7 +872,7 @@ def _kernel_cases(draw):
         rng = random.Random(draw(st.integers(0, 2**32)))
         vals = [[rng.choice([0] * 8 + [-4, -3, -2, -1, 1, 2, 3, 4]) for _ in h.basis()] for _ in h.basis()]
         for b in h.basis():
-            vals[h.unit][b] = vals[b][h.unit] = h.counit_basis(b)
+            vals[h.unit][b] = vals[b][h.unit] = dict_view(h).counit_basis(b)
         sigma = HCochain2(h, vals)
     else:
         sigma = _kernel_lambda(name)
@@ -828,8 +883,8 @@ def _kernel_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(_kernel_cases())
 def test_twisted_terms_match_dict_oracle(case):
-    """The kernel's terms of D m(a, b) and D m^op(a, b) on the int rows of D' sigma,
-    added up per (pair, z) and divided by the action's denominator D, are the
+    """The kernel's terms of D^3 m(a, b) and D^3 m^op(a, b) on the int rows of D' sigma,
+    added up per (pair, z) and divided by D^3, D the tables' denominator, are the
     dict-loop products of each pair on the same rows."""
     sigma, pairs = case
     h = sigma.algebra
@@ -840,7 +895,7 @@ def test_twisted_terms_match_dict_oracle(case):
     for op in (False, True):
         got = [{} for _ in pairs]
         for k, z, c in zip(*twisted_terms(t, rows, rid, a, b, op)):
-            got[k][int(z)] = got[k].get(int(z), 0) + Fraction(int(c), t.denominator)
+            got[k][int(z)] = got[k].get(int(z), 0) + Fraction(int(c), t.denominator**3)
         for (x, y), terms in zip(pairs, got):
             assert {z: c for z, c in terms.items() if c} == twisted_product(h, cleared, x, y, op)
 
@@ -875,6 +930,50 @@ def test_big_values_take_python_ints():
     assert _report_tuple(is_lazy(sigma)) == four_loop_is_lazy(sigma)
 
 
+def test_table_checks_take_python_ints_past_the_int64_bound(monkeypatch):
+    """Z2 x Z2 with u -> -I and the other generator -> [[1, N], [0, -1]], N =
+    (2^62 + 1)/2 (the closure of integer matrices refuses entries near 2^62):
+    the tables clear the action to D = 2 and hold the int64 entry 2^62 + 1,
+    so products of two table coefficients pass 2^64 and the Hopf and R checks
+    run on Python ints.  verify_hopf and verify_triangular with R_u give the
+    reports of the dict generator checks, as built and with one Delta(b)
+    coefficient moved by 3/2, and so does verify_triangular with R_u plus
+    2^63 (1 x 1), a coefficient no int64 holds."""
+    big = Fraction(2**62 + 1, 2)
+    g = direct_product(cyclic_group(2), cyclic_group(2))
+    mats = [((-1, 0), (0, -1)), ((1, big), (0, -1))]
+    rep = Representation(group=g, dim=2, gen_matrices=[tuple(tuple(map(Fraction, row)) for row in m) for m in mats])
+    h = build_supergroup(g, CentralInvolution(g, int(g.gens[0])), rep)
+    t = h.product_tables()
+    assert (t.denominator, t.max_coef, t.act_coef.dtype) == (2, 2**62 + 1, np.int64)
+    widened = []
+    exact = ProductTables.exact
+    monkeypatch.setattr(ProductTables, "exact",
+                        lambda t, bound: widened.append(exact(t, bound).act_coef.dtype == object) or exact(t, bound))
+    b = h.encode(int(g.gens[1]), 0b11)
+    x, y, _ = dict_view(h).coproduct_basis(b)[1]
+    for alg in (h, _moved(h, "coproduct", b, (x, y), Fraction(3, 2))):
+        reports = [verify_hopf(alg), verify_triangular(alg, r_u(alg))]
+        assert [_report_tuple(r) for r in reports] == [
+            _report_tuple(generator_verify_hopf(alg)), _report_tuple(generator_verify_triangular(alg, r_u(alg)))]
+        assert reports[0].passed == (alg is h) and reports[1].passed
+    r = r_u(h)
+    r[h.unit, h.unit] += 2**63
+    assert _report_tuple(verify_triangular(h, r)) == _report_tuple(generator_verify_triangular(h, r))
+    assert not verify_triangular(h, r).passed
+    assert widened and all(widened)
+
+
+def test_summed_keys_past_int64():
+    """_summed files the term (k, z) under k dim + z; with dim^3 triple keys on a
+    large algebra that passes 2^63, and the keys are then Python ints: the sums
+    equal those of a dict, where int64 keys would wrap and merge k = 1 and 3."""
+    dim = 2**62
+    k, z, c = np.array([3, 1, 3, 0]), np.array([5, 5, 5, 7]), np.array([1, 4, 2, -1])
+    got = twisted._summed(k, z, c, dim)
+    assert [list(map(int, x)) for x in got] == [[0, 1, 3], [7, 5, 5], [-1, 4, 3]]
+
+
 def test_sampled_draw_is_pinned(datum_b3):
     """Above the dim budget the checks read SAMPLED_TRIPLES tuples from
     random.Random(seed): on W(B3) (dim 384) with seed 7 these are the tuples.
@@ -894,8 +993,8 @@ def test_r_matrix_odd_minor_is_triangular():
     for n, A in ((1, [[1]]), (2, [[1, 3], [3, 2]]), (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])):
         h = build_en(n)
         r = r_matrix_RA(A, h)
-        cleared, d = _cleared(r)
-        assert d == 2 and all(type(c) is int for c in cleared.values())
+        *_, cleared, d = _r_terms(h, r)
+        assert d == 2 and cleared.dtype == np.int64 and (cleared == [2 * c for c in r.values()]).all()
         assert verify_quasitriangular(h, r).passed and verify_triangular(h, r).passed
 
 
