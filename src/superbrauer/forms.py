@@ -3,18 +3,19 @@
 No floating point anywhere: representations carry exact rational matrices
 and the space of invariant forms is the exact nullspace of the generator
 constraints rho(s)^t Sigma rho(s) - Sigma = 0 inside the symmetric
-coordinates.
+coordinates, on integers: N^t Sigma N = d^2 Sigma for rho(s) = N / d.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import CapExceeded, NotInvertible, ParseError
-from .groups import (CentralInvolution, FiniteGroup, Matrix, _close_matrices, _mat_identity, _mat_mul, _row_reduce,
-                     parse_rational)
+from .groups import (CentralInvolution, FiniteGroup, Matrix, _close_bfs, _close_matrices, _mat_identity, _mat_mul,
+                     _row_reduce, parse_rational)
 
 
 def as_matrix(rows) -> Matrix:
@@ -26,17 +27,21 @@ def as_matrix(rows) -> Matrix:
     return m
 
 
+def numerators(mats: list[Matrix]) -> tuple[np.ndarray, int]:
+    """(N, d): the matrices as one K x n x n array of integer numerators over
+    their least common denominator d (Python ints, dtype=object)."""
+    flat = [x for m in mats for row in m for x in row]
+    d = math.lcm(*{x.denominator for x in flat})
+    n = len(mats[0])
+    return np.array([x.numerator * (d // x.denominator) for x in flat], dtype=object).reshape(len(mats), n, n), d
+
+
 def mat_neg(a: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def mat_transpose(a: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
-
-
 def is_symmetric(a: Matrix) -> bool:
-    return a == mat_transpose(a)
+    return a == tuple(zip(*a))
 
 
 class Representation:
@@ -54,7 +59,7 @@ class Representation:
             if len(m) != dim or any(len(r) != dim for r in m):
                 raise ParseError("representation matrices must be dim x dim")
         try:
-            self._image, right, _ = _close_matrices(gen_matrices, dim, g.order)
+            self._image, right, _ = _closure(gen_matrices, dim, g.order)
         except (CapExceeded, NotInvertible) as exc:
             raise ParseError("generator matrices are not compatible with the group") from exc
         steps, index = right.tolist(), [0] * g.order
@@ -69,6 +74,18 @@ class Representation:
 
     def is_faithful(self) -> bool:
         return len(self._image) == self.group.order
+
+
+def _closure(gen_matrices: list[Matrix], dim: int, cap: int):
+    """_close_matrices within the cap |G|; integer generators that its int64
+    guard refuses are closed again in Python ints, at a cost the cap bounds."""
+    try:
+        return _close_matrices(gen_matrices, dim, cap)
+    except CapExceeded:
+        gens = [tuple(tuple(parse_rational(x) for x in row) for row in m) for m in gen_matrices]
+        if any(x.denominator != 1 for m in gens for row in m for x in row):
+            raise
+        return _close_bfs([tuple(tuple(map(int, r)) for r in m) for m in gens], _mat_mul, _mat_identity(dim, 1), cap)
 
 
 def acts_as_minus_one(rep: Representation, inv: CentralInvolution) -> bool:
@@ -103,7 +120,7 @@ def _sym_from_coords(dim: int, vec: list[Fraction]) -> Matrix:
     return tuple(tuple(row) for row in m)
 
 
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+def _nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
     """Canonical nullspace basis: free coordinate set to 1, echelon back-substitution."""
     red, pivot_cols = _row_reduce(rows)
     free = [c for c in range(ncols) if c not in pivot_cols]
@@ -124,33 +141,24 @@ def invariant_symmetric_forms(rep: Representation) -> SymFormSpace:
     generators is invariance under the whole group; each basis form is
     re-checked at generator level.
     """
-    d = rep.dim
-    pairs = _sym_coords(d)
-    rows: list[list[Fraction]] = []
+    pairs = _sym_coords(rep.dim)
+    rows: list[list[int]] = []
     for m in rep.gen_matrices:
-        for a in range(d):
-            for b in range(a, d):
-                row = []
-                for (i, j) in pairs:
-                    # coefficient of Sigma_ij in (M^t Sigma M - Sigma)_ab
-                    v = m[i][a] * m[j][b]
-                    if i != j:
-                        v += m[j][a] * m[i][b]
-                    if (i, j) == (a, b):
-                        v -= 1
-                    row.append(v)
-                rows.append(row)
-    basis_vecs = _row_reduce(_nullspace(rows, len(pairs)))[0]
-    basis = [_sym_from_coords(d, v) for v in basis_vecs]
+        num, d = numerators([m])
+        n = num[0].tolist()
+        for a, b in pairs:
+            # coefficient of Sigma_ij in d^2 (M^t Sigma M - Sigma)_ab = (N^t Sigma N - d^2 Sigma)_ab
+            rows.append([n[i][a] * n[j][b] + (n[j][a] * n[i][b] if i != j else 0) - (d * d if (i, j) == (a, b) else 0)
+                         for i, j in pairs])
+    basis = [_sym_from_coords(rep.dim, v) for v in _row_reduce(_nullspace(rows, len(pairs)))[0]]
     if not all(is_invariant_form(rep, sig) for sig in basis):
         raise ParseError("invariant form basis fails the generator check")
     return SymFormSpace(rep=rep, basis=basis)
 
 
 def is_invariant_form(rep: Representation, sigma: Matrix) -> bool:
-    """Generator-level check rho(s)^t Sigma rho(s) = Sigma."""
-    for m in rep.gen_matrices:
-        if _mat_mul(_mat_mul(mat_transpose(m), sigma), m) != sigma:
-            return False
-    return True
+    """Generator-level check rho(s)^t Sigma rho(s) = Sigma, as N^t S N = d^2 S for Sigma = S / e."""
+    s = numerators([sigma])[0][0]
+    gens = (numerators([m]) for m in rep.gen_matrices)
+    return all((n.T @ s @ n == d * d * s).all() for (n,), d in gens)
 

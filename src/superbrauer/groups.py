@@ -35,34 +35,34 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def _mat_identity(n: int) -> Matrix:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+def _mat_identity(n: int, one=Fraction(1)) -> Matrix:
+    return tuple(tuple(one if i == j else one - one for j in range(n)) for i in range(n))
 
 
 def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Exact Gauss-Jordan elimination of a matrix of Fractions: the nonzero
-    rows of the reduced row echelon form and their pivot columns."""
-    out = [list(r) for r in rows]
+    """The nonzero rows of the reduced row echelon form of a rational matrix and
+    their pivot columns, by fraction-free Gauss-Jordan (Bareiss) on the rows
+    scaled to integers: at pivot p each other row becomes (p row - entry pivot row)
+    / p' for the previous pivot p', exactly, so the pivot rows end on the last pivot."""
+    out = [[x.numerator * (m // x.denominator) for x in row]
+           for row in rows for m in [math.lcm(*(x.denominator for x in row))]]
     ncols = len(out[0]) if out else 0
     pivots: list[int] = []
+    prev = 1
     for c in range(ncols):
         lead = len(pivots)
         if lead == len(out):
             break
-        piv = next((r for r in range(lead, len(out)) if out[r][c] != 0), None)
+        piv = next((r for r in range(lead, len(out)) if out[r][c]), None)
         if piv is None:
             continue
-        if piv != lead:
-            out[lead], out[piv] = out[piv], out[lead]
-        pv = out[lead][c]
-        out[lead] = [x / pv for x in out[lead]]
-        for r in range(len(out)):
-            if r != lead and out[r][c] != 0:
-                f = out[r][c]
-                out[r] = [x - f * y for x, y in zip(out[r], out[lead])]
+        out[lead], out[piv] = out[piv], out[lead]
+        top, p = out[lead], out[lead][c]
+        out = [row if r == lead else [(p * x - row[c] * y) // prev for x, y in zip(row, top)]
+               for r, row in enumerate(out)]
+        prev = p
         pivots.append(c)
-    return out[:len(pivots)], pivots
+    return [[Fraction(x, prev) for x in row] for row in out[:len(pivots)]], pivots
 
 
 def _mat_rank(m) -> int:

@@ -182,9 +182,18 @@ class _GeneratedGroup:
         return table
 
 
+def _completed(right: np.ndarray, column) -> np.ndarray:
+    """right, then column(x) (y -> y x) for the lowest x the BFS from 0 misses, until it misses
+    none: under the sharp twist the generator classes may not generate (Z2^3, u = g0 g1 g2)."""
+    while len(tree := bfs_tree(right)) < len(right) - 1:
+        x = min(set(range(len(right))) - {0, *(y for _, _, y in tree)})
+        right = np.column_stack([right, column(x)]).astype(np.int32)
+    return right
+
+
 class SharpGroup(_GeneratedGroup):
     """H^2_sharp(G, k*): the classes of H^2 under the sharp product, generated
-    by the generator classes of H^2."""
+    by the generator classes of H^2 and the classes they miss."""
 
     def __init__(self, cohomology: CohomologyGroup, classes: list[CohomologyClass], right: np.ndarray) -> None:
         super().__init__(right)
@@ -231,19 +240,17 @@ def _sharp_products(cg: CohomologyGroup, inv: CentralInvolution):
 
 
 def sharp_class_table(cg: CohomologyGroup, inv: CentralInvolution) -> tuple[list[CohomologyClass], np.ndarray]:
-    """The classes of cg in all_classes order and the generator columns
-    x # e_a of the sharp product (|H^2| x len(cg.invariants))."""
+    """The classes of cg in all_classes order and the generator columns of the
+    sharp product: x # e_a for the generator classes e_a, then x # c for the
+    lowest class c they do not reach, until every class is reached."""
     classes, times = _sharp_products(cg, inv)
-    return classes, times(np.eye(len(cg.invariants), dtype=np.int64))
+    right = times(np.eye(len(cg.invariants), dtype=np.int64))
+    return classes, _completed(right, lambda c: times([classes[c].coords])[:, 0])
 
 
-def h2_sharp(
-    g: FiniteGroup,
-    inv: CentralInvolution,
-    field: FieldDescriptor,
-    budget: int = ENUMERATION_BUDGET,
-) -> SharpGroup:
-    """H^2 under the sharp product, generated by the generator classes."""
+def h2_sharp(g: FiniteGroup, inv: CentralInvolution, field: FieldDescriptor,
+             budget: int = ENUMERATION_BUDGET) -> SharpGroup:
+    """H^2 under the sharp product, generated by the generator classes (and those they miss)."""
     if inv.group is not g:
         raise ParseError("involution lives on a different group")
     if inv.is_trivial:
@@ -276,14 +283,10 @@ class BMGroup(_GeneratedGroup):
         self.cohomology = cohomology
 
 
-def bm_group(
-    g: FiniteGroup,
-    inv: CentralInvolution,
-    field: FieldDescriptor,
-    budget: int = ENUMERATION_BUDGET,
-) -> BMGroup:
+def bm_group(g: FiniteGroup, inv: CentralInvolution, field: FieldDescriptor,
+             budget: int = ENUMERATION_BUDGET) -> BMGroup:
     """BM(k, k[G], R_u) for u != 1, generated by the Brauer class (when
-    Br(k) = Z_2), the classes (0, e_a, 0) and C(1) = (0, 0, 1) (when split).
+    Br(k) = Z_2), the classes (0, e_a, 0), C(1) = (0, 0, 1) (when split) and what they miss.
 
     (b1, i1, a1)(b2, i2, a2) has class i1 # i2, shifted by sharp with the
     class c11 of C(1)^2 when a1 = a2 = 1; Brauer part b1 + b2 + <M1, M2> plus
@@ -324,7 +327,8 @@ def bm_group(
     generators += [(0, by_gen[:, a], marks[a], 0) for a in range(r)] + ([(0, zero, 0, 1)] if split else [])
     # the identity (0, zero class, 0) is element 0; BM may be trivial, with no generator
     right = np.array([times_gen(*y) for y in generators], dtype=np.int32).reshape(len(generators), bo * h * s).T
-    return BMGroup(split=split, cohomology=cg, right=right)
+    return BMGroup(split=split, cohomology=cg, right=_completed(right, lambda x: times_gen(  # x = (b h + i) s + a
+        x // (h * s), times([classes[x // s % h].coords])[:, 0], M[x // s % h], x % s)))
 
 
 class QGroup(_GeneratedGroup):
@@ -335,12 +339,8 @@ class QGroup(_GeneratedGroup):
     ((c |Hom| + x) |k*/(k*)^2| + s) 2 + e of the Cayley table."""
 
 
-def q_group(
-    g: FiniteGroup,
-    inv: CentralInvolution,
-    field: FieldDescriptor,
-    budget: int = ENUMERATION_BUDGET,
-) -> QGroup:
+def q_group(g: FiniteGroup, inv: CentralInvolution, field: FieldDescriptor,
+            budget: int = ENUMERATION_BUDGET) -> QGroup:
     """The group Q(k, G) of the split short exact sequence, generated by the
     generator classes of H^2(G/U), a basis of Hom(G/U, Z_2), -1 (when
     k*/(k*)^2 = Z_2) and the parity.

@@ -10,18 +10,18 @@ which matches E(n) under c -> u, x_i -> u v_i.  Delta, S and the product
 live in one place, the integer tables of the twisted module
 (SupergroupAlgebra.product_tables), on which every verify check runs.
 
-One routine, _compound, builds the exterior power Lambda(M) of a matrix: the
-group action h^{-1}.v_P is column P of Lambda rho(h^{-1}), and R_A, r_A,
-omega_Sigma and lambda read their signed minors det A[P,Q] off Lambda(A).
+The action h^{-1}.v_P is column P of the exterior power Lambda rho(h^{-1}), and
+R_A, r_A and lambda read their signed minors det A[P,Q] off Lambda(A); a cochain
+on H is kept as integer rows over its least common denominator.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-from collections.abc import Sequence
 from fractions import Fraction
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .errors import NotInvariant, NotMinusOne, NotSymmetric, ParseError
 from .cohomology import DEFAULT_H2_BUDGET, CohomologyGroup, h2_closed_field
@@ -33,6 +33,7 @@ from .forms import (
     invariant_symmetric_forms,
     is_invariant_form,
     is_symmetric,
+    numerators,
 )
 from .groups import CentralInvolution, FiniteGroup, cyclic_group, quotient_by_central_involution, splitting_character
 from .sharp import ENUMERATION_BUDGET, BMGroup, FieldDescriptor, bm_group
@@ -55,10 +56,6 @@ def _exact(x: int | Fraction) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
-def _popcount_above(mask: int, j: int) -> int:
-    return bin(mask >> (j + 1)).count("1")
-
-
 class SupergroupAlgebra:
     """k[G] (x) Lambda(V) for a group datum (G, u, rho) with rho(u) = -1."""
 
@@ -72,7 +69,6 @@ class SupergroupAlgebra:
             raise NotMinusOne("u must act as -1 on V")
         self.nv = rep.dim
         self.dim = group.order * (1 << self.nv)
-        self._action: dict[int, list[Element]] = {}  # h -> the columns of Lambda rho(h^{-1})
         self._tables: ProductTables | None = None
 
     # encoding ---------------------------------------------------------
@@ -103,14 +99,6 @@ class SupergroupAlgebra:
         return f"g{g}{('*' + vs) if vs else ''}"
 
     # structure constants ----------------------------------------------
-
-    def inverse_action(self, h: int, mask: int) -> Element:
-        """h^{-1}.v_P as {mask R: coefficient}: column P of Lambda rho(h^{-1}),
-        built once per h."""
-        cols = self._action.get(h)
-        if cols is None:
-            cols = self._action[h] = _compound(self.rep.matrix(int(self.group.inv[h])), self.nv)
-        return cols[mask]
 
     def product_tables(self) -> ProductTables:
         """The product, coproduct and antipode as integer tables, built once."""
@@ -159,31 +147,6 @@ def _checked_form(a, h: SupergroupAlgebra, what: str, en: bool = False) -> Matri
     return A
 
 
-def _compound(mat: Matrix, n: int) -> list[Element]:
-    """The exterior power Lambda(mat) of an n x n matrix: entry P is the column
-    mat.v_P = {mask R: det mat[R, P]}, nonzero minors only.  Column P is column
-    P minus its top index i wedged with column i of mat."""
-    cols: list[Element] = [{0: 1}]
-    for mask in range(1, 1 << n):
-        i = mask.bit_length() - 1
-        out: Element = {}
-        for em, c in cols[mask & ~(1 << i)].items():
-            for j in range(n):
-                a = mat[j][i]
-                if a == 0 or (em >> j) & 1:
-                    continue
-                sign = -1 if _popcount_above(em, j) % 2 else 1
-                out[em | (1 << j)] = out.get(em | (1 << j), 0) + c * _exact(a) * sign
-        cols.append({r: _exact(c) for r, c in out.items() if c})
-    return cols
-
-
-def _signed_minors(a: Matrix) -> list[Element]:
-    """Column Q of Lambda(A) signed: {mask P: (-1)^(s(s-1)/2) det A[P,Q]}, s = |Q|."""
-    signs = [(-1) ** (s * (s - 1) // 2) for s in range(len(a) + 1)]
-    return [{pm: signs[bin(qm).count("1")] * c for pm, c in col.items()} for qm, col in enumerate(_compound(a, len(a)))]
-
-
 def r_matrix_RA(a, h: SupergroupAlgebra) -> Tensor:
     """The triangular R-matrix of E(n) attached to a symmetric matrix A.
 
@@ -198,7 +161,7 @@ def dual_r_matrix(a, h: SupergroupAlgebra) -> HCochain2:
     """The dual triangular structure r_A of the self-dual E(n), as a functional
     on H (x) H; omega_Sigma = r_0 * r_{-Sigma} in the convolution algebra."""
     A = _checked_form(a, h, "r_A", en=True)
-    vals = [[0] * h.dim for _ in range(h.dim)]
+    vals: list[list[int | Fraction]] = [[0] * h.dim for _ in range(h.dim)]
     for x, y, c in _minor_terms(A, h, dual=True):
         vals[x][y] += c
     return HCochain2(h, vals)
@@ -207,14 +170,18 @@ def dual_r_matrix(a, h: SupergroupAlgebra) -> HCochain2:
 def _minor_terms(A: Matrix, h: SupergroupAlgebra, dual: bool):
     """(x, y, c) for the four terms c (v_P x v_F + u v_P x v_F + (-1)^s v_P x u v_F
     - (-1)^s u v_P x u v_F) of each signed minor c of A, the sum of R_A without
-    its 1/2; the dual r_A exchanges u v_P x v_F and v_P x u v_F."""
+    its 1/2; the dual r_A exchanges u v_P x v_F and v_P x u v_F.  Minors come
+    column F by column, P ascending."""
+    from .twisted import signed_minors
+
     e, uu = h.group.identity, h.inv.u
     middle = ((e, uu), (uu, e)) if dual else ((uu, e), (e, uu))
-    for fm, col in enumerate(_signed_minors(A)):
+    minors, d = signed_minors(A)
+    for fm, pm in zip(*(x.tolist() for x in np.nonzero(minors.T))):
+        c = _exact(Fraction(int(minors[pm, fm]), d))
         sgn = -1 if bin(fm).count("1") % 2 else 1
-        for pm, c in col.items():
-            for (g1, g2), coef in zip(((e, e), *middle, (uu, uu)), (c, c, c * sgn, -c * sgn)):
-                yield h.encode(g1, pm), h.encode(g2, fm), coef
+        for (g1, g2), coef in zip(((e, e), *middle, (uu, uu)), (c, c, c * sgn, -c * sgn)):
+            yield h.encode(g1, pm), h.encode(g2, fm), coef
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +219,6 @@ def verify_hopf(h: SupergroupAlgebra) -> VerifyReport:
     from .twisted import hopf_failure
 
     return _report(h, "hopf", hopf_failure(h), passed=f"dim {h.dim}")
-
-
-def _denominator_lcm(values) -> int:
-    """The least common denominator D of exact values: D x is an int for each x."""
-    return math.lcm(*{x.denominator for x in values})
 
 
 def verify_quasitriangular(h: SupergroupAlgebra, r: Tensor) -> VerifyReport:
@@ -299,39 +261,34 @@ def verify_triangular(h: SupergroupAlgebra, r: Tensor) -> VerifyReport:
 class HCochain2:
     """Normalized 2-cochain on H: sigma(1, x) = sigma(x, 1) = eps(x).
 
-    values[a] is the row sigma(a, .); rows may be shared between basis
-    elements (lambda_cocycle shares one immutable row per subset P).  The
-    checks read the values once, through cleared, so they must not change
-    after the cochain is built."""
+    Kept as sigma(a, b) = rows[rid[a], b] / D: the distinct rows of D sigma as one integer
+    array (int64, or Python ints as dtype=object), row ids and the least D; none may change."""
 
-    def __init__(self, algebra: SupergroupAlgebra, values: Sequence[Sequence[int | Fraction]]) -> None:
+    def __init__(self, algebra: SupergroupAlgebra, values, rid: np.ndarray | None = None, denominator: int = 1) -> None:
+        """From integer rows, row ids and D; without rid, values[a] = sigma(a, .) are exact values, cleared once."""
+        if rid is None:
+            (values,), denominator = numerators([values])
+            rid = np.arange(len(values))
         self.algebra = h = algebra
-        self.values = values
-        one, top = h.unit, (1 << h.nv) - 1
-        for b in h.basis():
-            eps = int(not b & top)  # eps(g v_P) = 1 if P is empty, else 0
-            if values[one][b] != eps or values[b][one] != eps:
-                raise ParseError("H-cochain is not normalized")
+        self.rows, self.rid, self.denominator = values, rid, denominator
+        eps = denominator * ((np.arange(h.dim) & ((1 << h.nv) - 1)) == 0)  # D eps(g v_P), 1 iff P is empty
+        if not ((values[rid[h.unit]] == eps).all() and (values[rid, h.unit] == eps).all()):
+            raise ParseError("H-cochain is not normalized")
 
     def __call__(self, b1: int, b2: int) -> int | Fraction:
         return self.values[b1][b2]
 
     @functools.cached_property
+    def values(self) -> list[tuple[int | Fraction, ...]]:
+        """values[a] = the row sigma(a, .) of exact values, one shared tuple per distinct row."""
+        d = self.denominator
+        rows = [tuple(row) if d == 1 else tuple(_exact(Fraction(x, d)) for x in row) for row in self.rows.tolist()]
+        return [rows[i] for i in self.rid.tolist()]
+
+    @functools.cached_property
     def cleared(self) -> tuple[list[tuple[int, ...]], list[int], int]:
-        """(the distinct rows of D sigma as int tuples, the row id of each basis
-        element, D), D the least common denominator of the values; built once.
-        Rows are distinct by identity, so each shared row is scaled once."""
-        ids: dict[int, int] = {}
-        distinct = []
-        rid = []
-        for row in self.values:
-            i = ids.get(id(row))
-            if i is None:
-                i = ids[id(row)] = len(distinct)
-                distinct.append(row)
-            rid.append(i)
-        d = _denominator_lcm(x for row in distinct for x in row)
-        return [tuple(int(d * x) for x in row) for row in distinct], rid, d
+        """(the distinct rows of D sigma as int tuples, the row id of each basis element, D)."""
+        return [tuple(row) for row in self.rows.tolist()], self.rid.tolist(), self.denominator
 
 
 def is_left_cocycle(sigma: HCochain2, budget: int = DEFAULT_DIM_BUDGET, seed: int = 0) -> VerifyReport:
@@ -375,21 +332,20 @@ def lambda_cocycle(h: SupergroupAlgebra, sigma_matrix, require_invariant: bool =
     """lambda(g v_P, h v_Q) = omega_Sigma(h^{-1}.v_P, v_Q), the lazy cocycle
     attached to an invariant symmetric form.
 
-    The row lambda(g v_P, .) does not depend on g, so one immutable row is
-    built per subset P and shared by every g v_P."""
+    The row lambda(g v_P, .) does not depend on g: all 2^n rows are one integer
+    product, row P at h 2^n + Q the sum of coef M[R, Q] over the entries (R, coef)
+    of the action column (h, P), M the signed minors of Sigma, below 2^n max_coef max|M|."""
     S = _checked_form(sigma_matrix, h, "lambda")
     if require_invariant and not is_invariant_form(h.rep, S):
         raise NotInvariant("symmetric form is not G-invariant")
-    minors = _signed_minors(S)  # column R: +-det S[Q, R] = +-det S[R, Q], S symmetric
-    rows = []
-    for pm in range(1 << h.nv):
-        row = [0] * h.dim
-        for hh in range(h.group.order):
-            for rm, c in h.inverse_action(hh, pm).items():
-                for qm, minor in minors[rm].items():
-                    row[h.encode(hh, qm)] += c * minor
-        rows.append(tuple(map(_exact, row)))
-    return HCochain2(h, [rows[h.decode(b)[1]] for b in h.basis()])
+    from .twisted import _lowest_terms, signed_minors
+
+    t, (minors, ds), top = h.product_tables(), signed_minors(S), 1 << h.nv
+    dtype = np.int64 if top * t.max_coef * int(np.abs(minors).max()) < 2**63 else object
+    act = np.zeros((h.dim, top), dtype=dtype)  # row h 2^n + P: the action column (h, P), dense
+    act[np.repeat(np.arange(h.dim), np.diff(t.act_start)), t.act_mask] = t.act_coef
+    rows, d = _lowest_terms((act.reshape(-1, top, top) @ minors.astype(dtype)).transpose(1, 0, 2), t.denominator * ds)
+    return HCochain2(h, rows.reshape(top, h.dim), np.arange(h.dim) & (top - 1), d)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ m^op(a,b) = sum sigma(a2,b2) a1 b1.  product_tables writes, with A = P minus B,
 and the product as the columns of the action.  supergroup imports this module
 on the first verify check, so jobs that check nothing do not load it.
 
+One routine, exterior_power, gives every minor of a stack of integer matrices:
+the action columns of every Lambda rho(h^{-1}) in one call, and the signed
+minors that lambda, R_A and r_A read off Lambda(A).
+
 Every law is homogeneous in the structure constants (and in R or sigma), so
 it is checked on integer numerators with the denominators' powers balanced:
 in int64 while a bound on every sum is below 2^63, else in Python ints
@@ -16,11 +20,13 @@ in int64 while a bound on every sum is below 2^63, else in Python ints
 from __future__ import annotations
 
 import copy
+import math
 import random
 
 import numpy as np
 
-from .supergroup import SAMPLED_TRIPLES, HCochain2, SupergroupAlgebra, Tensor, _denominator_lcm
+from .forms import Matrix, numerators
+from .supergroup import SAMPLED_TRIPLES, HCochain2, SupergroupAlgebra, Tensor
 
 _CHUNK_TERMS = 1 << 12  # about this many leg pairs or triple terms per numpy pass
 
@@ -55,8 +61,8 @@ class ProductTables:
         if bound < 2**63:
             return self
         wide = copy.copy(self)
-        wide.leg_coef, wide.act_coef, wide.anti_coef = (c.astype(object) for c in (wide.leg_coef, wide.act_coef,
-                                                                                     wide.anti_coef))
+        wide.leg_coef, wide.act_coef, wide.anti_coef = (c.astype(object) for c in (self.leg_coef, self.act_coef,
+                                                                                     self.anti_coef))
         return wide
 
 
@@ -69,18 +75,49 @@ def _wedge(n: int) -> np.ndarray:
     return np.where(m[:, None] & m, 0, 1 - 2 * (above @ bits.T % 2))
 
 
+def _lowest_terms(a: np.ndarray, d: int) -> tuple[np.ndarray, int]:
+    """The values a / d over their least common denominator: (a / g, d / g), g = gcd(d, a)."""
+    g = math.gcd(d, int(np.gcd.reduce(a, axis=None)))
+    return (a // g, d // g) if g > 1 else (a, d)
+
+
+def exterior_power(num: np.ndarray, d: int) -> tuple[np.ndarray, int]:
+    """(E, D): E[k, P, R] / D = det (num[k] / d)[R, P], row P of E[k] the column P of
+    Lambda(num[k] / d), for subsets as bit masks, D least.  Column P is column P - i wedged
+    with column i, i the top index of P: pass (i, j) adds wedge[R - j, j] det num[R - j, P - i]
+    num[j, i] to det num[R, P], and a minor of size s goes over d^n by d^(n - s).  No value
+    passes n! max(|num|, d)^n: int64 below 2^63, else Python ints; int64 where it fits."""
+    n = num.shape[-1]
+    dtype = np.int64 if math.factorial(n) * max(int(np.abs(num).max(initial=0)), d) ** n < 2**63 else object
+    num, masks, wedge = num.astype(dtype), np.arange(1 << n), _wedge(n)
+    out = np.zeros((len(num), 1 << n, 1 << n), dtype=dtype)
+    out[:, 0, 0] = 1
+    for i in range(n):
+        for j in range(n):
+            r = masks[masks >> j & 1 == 0]  # the R - j
+            out[:, 1 << i:2 << i, r | 1 << j] += wedge[r, 1 << j] * out[:, :1 << i, r] * num[:, j, i, None, None]
+    out *= np.array([d ** (n - s) for s in np.bitwise_count(masks).tolist()], dtype)[:, None]
+    out, den = _lowest_terms(out, d**n)
+    return out.astype(np.int64) if out.dtype == object and int(np.abs(out).max()) < 2**63 else out, den
+
+
+def signed_minors(a: Matrix) -> tuple[np.ndarray, int]:
+    """(M, d): M[R, Q] / d = (-1)^(s(s-1)/2) det a[R, Q], s = |Q|, d least."""
+    (minors,), d = exterior_power(*numerators([a]))
+    return (minors * (1 - 2 * (np.bitwise_count(np.arange(len(minors))).astype(np.int64)[:, None] >> 1 & 1))).T, d
+
+
 def product_tables(h: SupergroupAlgebra) -> ProductTables:
     n, top, order = h.nv, (1 << h.nv) - 1, h.group.order
     mul = np.asarray(h.group.mul, dtype=np.int64)
     ucol = mul[:, h.inv.u]
-    pop = np.array([bin(mask).count("1") for mask in range(top + 1)], dtype=np.int64)
-    cols = [h.inverse_action(hh, mask) for hh in range(order) for mask in range(top + 1)]
-    d = _denominator_lcm(c for col in cols for c in col.values())
-    coefs = [int(d * c) for col in cols for c in col.values()]
-    dtype = np.int64 if max(map(abs, coefs)) < 2**63 else object  # max >= D, from the column {0: 1} of mask 0
-    act_start = np.cumsum([0, *map(len, cols)])
-    act_mask = np.array([r for col in cols for r in col], dtype=np.int64)
-    act_coef = np.array(coefs, dtype=dtype)
+    pop = np.bitwise_count(np.arange(top + 1)).astype(np.int64)
+    # row h 2^n + P of cols is column P of D Lambda rho(h^{-1}), for every h at once
+    power, d = exterior_power(*numerators([h.rep.matrix(int(x)) for x in h.group.inv]))
+    cols = power.reshape(h.dim, top + 1)
+    col, act_mask = np.nonzero(cols)
+    act_coef = cols[col, act_mask]  # int64 when its largest entry, >= D from the column of mask 0, fits
+    act_start = np.concatenate([[0], np.cumsum(np.count_nonzero(cols, axis=1))])
     # Delta(g v_P): in (g x g) prod_{i in P} (v_i x 1 + u x v_i) each u moves left past the
     # v_a with a < b, and v_a u = -u v_a; the legs of B over the subsets of P, one row per g
     subs = [(mask ^ sub, sub) for mask in range(top + 1) for sub in range(mask + 1) if sub & mask == sub]
@@ -97,7 +134,7 @@ def product_tables(h: SupergroupAlgebra) -> ProductTables:
         leg_start=np.cumsum([0, *np.tile(1 << pop, order)]),
         leg_first=(np.where(pop[sub] % 2, ucol[:, None], g) << n | rest).ravel(),
         leg_second=(g << n | sub).ravel(),
-        leg_coef=np.tile(d * _wedge(n)[sub, rest].astype(dtype), order),
+        leg_coef=np.tile(d * _wedge(n)[sub, rest].astype(act_coef.dtype), order),
         act_start=act_start,
         act_mask=act_mask,
         act_coef=act_coef,
@@ -261,7 +298,7 @@ def _r_terms(h: SupergroupAlgebra, r: Tensor):
     with the tables in Python ints when a sum of the R checks may reach 2^63.  No
     sum has more than |R| (|R| + K^2) K terms of at most R'^2 M^3, R' the larger
     of D_R and the largest |c|, K and M as in hopf_failure."""
-    dr = _denominator_lcm(r.values())
+    dr = math.lcm(*{v.denominator for v in r.values()})
     c = [int(dr * v) for v in r.values()]
     t = h.product_tables()
     t = t.exact(2 * len(c) * (len(c) + t.max_entries**2) * t.max_entries * max([dr, *map(abs, c)])**2 * t.max_coef**3)
@@ -317,10 +354,9 @@ def kernel_rows(sigma: HCochain2, t: ProductTables) -> tuple[np.ndarray, np.ndar
     smax max_coef^3 (two legs and an action entry), and the cocycle sides pair
     them with one more value of D' sigma.  Below 2^63 the array is int64, else
     it holds Python ints (dtype=object) and the same code runs on them."""
-    rows, rid, _ = sigma.cleared
-    smax = max(abs(x) for row in rows for x in row)  # >= D' sigma(1, 1) = D' >= 1
+    smax = int(np.abs(sigma.rows).max())  # >= D' sigma(1, 1) = D' >= 1
     exact64 = 2 * t.max_terms * smax * smax * t.max_coef**3 < 2**63
-    return np.array(rows, dtype=np.int64 if exact64 else object), np.array(rid, dtype=np.int64)
+    return sigma.rows.astype(np.int64 if exact64 else object, copy=False), sigma.rid
 
 
 def twisted_terms(t: ProductTables, rows: np.ndarray, rid: np.ndarray, a: np.ndarray, b: np.ndarray,

@@ -24,7 +24,11 @@ element (on the production's seeded sample above the dim budget) instead of
 on the algebra generators.  `factor_coproduct` and `product_antipode` multiply
 Delta and S out from their values on the generators, and `det_signed_minors`
 takes one Gauss-Jordan determinant per minor, where the production writes
-Delta and S in closed form and reads every minor off one exterior power.  `uncleared_r_checks` checks the R-matrix
+Delta and S in closed form and reads every minor off one exterior power.
+`fraction_row_reduce` is Gauss-Jordan elimination on Fractions, where the
+production eliminates fraction-free on integer rows.  `dict_compound` is the exterior power as a dict recursion, one matrix and one
+column at a time, where the production runs the same recursion on integer
+numerator arrays for a whole stack of matrices at once.  `uncleared_r_checks` checks the R-matrix
 identities on `R` itself, with the legs from `triple_tensor_legs`, where the
 production clears the common denominator of `R` first.  The invariant-form
 oracle checks a form against the matrix of every element.
@@ -68,6 +72,7 @@ a group table and a sparse representative.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,7 +109,6 @@ from superbrauer.supergroup import (
     SupergroupAlgebra,
     Tensor,
     VerifyReport,
-    _denominator_lcm,
     _exact,
 )
 
@@ -251,6 +255,31 @@ def brute_h2_order(g, q):
     """|H^2(G, Z_q)| = |Z^2| / |B^2| from the dense bar system."""
     D, E = dense_bar_matrices(g)
     return count_kernel_mod(D, q) // count_image_mod(E, q)
+
+
+def fraction_row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Exact Gauss-Jordan elimination of a matrix of Fractions: the nonzero
+    rows of the reduced row echelon form and their pivot columns."""
+    out = [list(r) for r in rows]
+    ncols = len(out[0]) if out else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        lead = len(pivots)
+        if lead == len(out):
+            break
+        piv = next((r for r in range(lead, len(out)) if out[r][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != lead:
+            out[lead], out[piv] = out[piv], out[lead]
+        pv = out[lead][c]
+        out[lead] = [x / pv for x in out[lead]]
+        for r in range(len(out)):
+            if r != lead and out[r][c] != 0:
+                f = out[r][c]
+                out[r] = [x - f * y for x, y in zip(out[r], out[lead])]
+        pivots.append(c)
+    return out[:len(pivots)], pivots
 
 
 def leibniz_det(m):
@@ -514,6 +543,29 @@ def product_antipode(h, b):
     if len(bits) % 2:
         acc = {k: -v for k, v in acc.items()}
     return acc
+
+
+def _popcount_above(mask: int, j: int) -> int:
+    return bin(mask >> (j + 1)).count("1")
+
+
+def dict_compound(mat: Matrix, n: int) -> list[Element]:
+    """The exterior power Lambda(mat) of an n x n matrix: entry P is the column
+    mat.v_P = {mask R: det mat[R, P]}, nonzero minors only.  Column P is column
+    P minus its top index i wedged with column i of mat."""
+    cols: list[Element] = [{0: 1}]
+    for mask in range(1, 1 << n):
+        i = mask.bit_length() - 1
+        out: Element = {}
+        for em, c in cols[mask & ~(1 << i)].items():
+            for j in range(n):
+                a = mat[j][i]
+                if a == 0 or (em >> j) & 1:
+                    continue
+                sign = -1 if _popcount_above(em, j) % 2 else 1
+                out[em | (1 << j)] = out.get(em | (1 << j), 0) + c * _exact(a) * sign
+        cols.append({r: _exact(c) for r, c in out.items() if c})
+    return cols
 
 
 def det_signed_minors(a):
@@ -938,7 +990,7 @@ def _cleared(r: Tensor) -> tuple[Tensor, int]:
     """(D R, D) with D the least common denominator of the coefficients of R,
     so that D R has int coefficients; D = 2 for R_A of an integral A, whose
     odd minors (the empty one among them) give halves."""
-    d = _denominator_lcm(r.values())
+    d = math.lcm(*{c.denominator for c in r.values()})
     return {k: _exact(d * c) for k, c in r.items()}, d
 
 

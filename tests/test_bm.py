@@ -32,7 +32,9 @@ from superbrauer.weyl import DEFAULT_TABLE_TYPES, WEYL_GROUP_BUDGET, datum_size
 
 from .oracles import (
     abelian_invariants_from_table,
+    dense_sharp,
     enumerated_bm_table,
+    enumerated_sharp_table,
     enumerated_q_table,
     restriction_square_class,
     table_order,
@@ -272,6 +274,41 @@ def test_bm_order_and_invariants_on_random_groups(g, pick, field):
     bm = bm_group(g, inv, field)
     assert bm.order == field.brauer_order * h2_sharp(g, inv, field).size * 2 ** split
     assert bm.invariants == abelian_invariants_from_table(enumerated_bm_table(g, inv, field), 0)
+
+
+# (orders of the cyclic factors, index of u): data on which the generator classes
+# e_a generate a proper subgroup of H^2 under the sharp product
+_GENERATOR_CLASSES_MISS = [([2, 2, 2], 7), ([2, 2, 2, 2], 7), ([2, 2, 2, 2], 11), ([2, 2, 2, 2], 13),
+                           ([2, 2, 2, 2], 14), ([2, 2, 2, 2], 15), ([2, 2, 6], 21), ([2, 2, 2, 4], 28),
+                           ([2, 2, 2, 4], 30)]
+
+
+@_FIELDS
+@pytest.mark.parametrize("orders, u", _GENERATOR_CLASSES_MISS,
+                         ids=[f"{'x'.join(map(str, o))}-u{u}" for o, u in _GENERATOR_CLASSES_MISS])
+def test_sharp_and_bm_where_generator_classes_miss(orders, u, field):
+    """h2_sharp and bm_group add the columns of the classes the e_a miss: up to
+    |BM| = 256 the tables equal their enumerations cell for cell and the
+    invariants their order statistics; above, 300 sampled cells of the sharp
+    table equal the dense sharp product, its invariants equal the order
+    statistics of its table, and |BM| = |Br| |H^2_sharp| 2^split."""
+    g = _cyclic_product(orders)
+    inv = CentralInvolution(g, u)
+    cg = field.cohomology(g)
+    hs, bm = h2_sharp(g, inv, field), bm_group(g, inv, field)
+    assert hs.right.shape[1] > len(cg.invariants)  # the e_a alone do not reach every class
+    assert math.prod(hs.invariants) == hs.size == cg.size
+    assert math.prod(bm.invariants) == bm.order == field.brauer_order * hs.size * 2 ** bm.split
+    if bm.order <= 256:
+        assert (hs.table == enumerated_sharp_table(cg, inv)).all()
+        assert (bm.table == enumerated_bm_table(g, inv, field)).all()
+        assert bm.invariants == abelian_invariants_from_table(bm.table, 0)
+    else:
+        reps = [c.representative() for c in hs.classes]
+        rng = np.random.default_rng(u)
+        for i, j in rng.integers(0, hs.size, size=(300, 2)).tolist():
+            assert hs.table[i, j] == hs.index_of(cg.class_of(dense_sharp(reps[i], reps[j], inv)))
+    assert hs.invariants == abelian_invariants_from_table(hs.table, 0)
 
 
 def test_bm_real_z2_4():

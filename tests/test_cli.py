@@ -189,6 +189,26 @@ def test_u_as_a_list_of_generator_indices(tmp_path, capsys):
     assert reports[0] == reports[1] and reports[0]["result"]["u"] == 1
 
 
+def test_sharp_jobs_where_generator_classes_miss(tmp_path, capsys):
+    """On Z2^3 with u = g0 g1 g2 the generator classes do not generate H^2_sharp;
+    h2, h2sharp and bm exit 0 on both fields with the invariants of the library."""
+    from superbrauer import bm_group, field_from_name, h2_sharp
+    from superbrauer.groups import CentralInvolution, close_generators
+
+    gens = [[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]]
+    path = tmp_path / "z2cubed.json"
+    path.write_text(json.dumps({"kind": "permutations", "generators": gens, "u": "g0 g1 g2"}))
+    code, _ = _run(["h2", "--group", str(path)], capsys)
+    assert code == 0
+    g = close_generators(gens)
+    inv = CentralInvolution(g, g.word_to_element([0, 1, 2]))
+    for field in ("closed", "real"):
+        for cmd, fn in (("h2sharp", h2_sharp), ("bm", bm_group)):
+            code, out = _run([cmd, "--group", str(path), "--field", field, "--format", "json"], capsys)
+            assert code == 0
+            assert json.loads(out)["result"]["invariants"] == list(fn(g, inv, field_from_name(field)).invariants)
+
+
 def test_rep_matrix_that_is_not_square_is_refused(tmp_path, capsys):
     group, rep = tmp_path / "z2.json", tmp_path / "rep.json"
     group.write_text(json.dumps({"kind": "permutations", "generators": [[1, 0]], "u": "g0"}))

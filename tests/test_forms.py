@@ -13,12 +13,15 @@ from superbrauer import (
     Representation,
     acts_as_minus_one,
     build_en,
+    build_supergroup,
     cyclic_group,
+    direct_product,
     invariant_symmetric_forms,
     symmetric_group,
+    verify_hopf,
 )
-from superbrauer.forms import _mat_mul, _nullspace
-from superbrauer.groups import _mat_rank
+from superbrauer.forms import _nullspace
+from superbrauer.groups import _mat_mul, _mat_rank
 
 from .oracles import (
     det_by_elimination,
@@ -119,6 +122,21 @@ def test_more_incompatible_generator_matrices_rejected(group, matrices):
     g = cyclic_group(2) if group == "Z2" else symmetric_group(3)
     with pytest.raises(ParseError, match="not compatible with the group"):
         Representation(group=g, dim=1, gen_matrices=[_frac_mat(m) for m in matrices])
+
+
+def test_integer_matrices_past_the_int64_guard_are_closed_exactly():
+    """Z2 x Z2 with g0 -> -I and g1 -> [[1, 2^62], [0, -1]] is a representation:
+    the int64 guard of the batched closure refuses the entry 2^62, and the
+    closure in Python ints finds the image of order 4; u = g0 acts as -1, and
+    the supergroup algebra on it passes the Hopf check in Python ints."""
+    g = direct_product(cyclic_group(2), cyclic_group(2))
+    mats = [[[-1, 0], [0, -1]], [[1, 2**62], [0, -1]]]
+    rep = Representation(group=g, dim=2, gen_matrices=[_frac_mat(m) for m in mats])
+    assert rep.is_faithful()
+    assert {rep.matrix(x) for x in range(g.order)} == {((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((1, 2**62), (0, -1)),
+                                                       ((-1, -(2**62)), (0, 1))}
+    h = build_supergroup(g, CentralInvolution(g, int(g.gens[0])), rep)
+    assert verify_hopf(h).passed
 
 
 def _reps_to_walk():

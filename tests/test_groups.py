@@ -33,7 +33,8 @@ from superbrauer.groups import is_character
 from superbrauer.sharp import ZGrading
 from superbrauer.weyl import RootSystemType, build_weyl, reflection_matrices
 
-from .oracles import all_pairs_is_character, enumerated_group_table, quotient_table_abelianization, serialize_group
+from .oracles import (all_pairs_is_character, enumerated_group_table, fraction_row_reduce, quotient_table_abelianization,
+                      serialize_group)
 
 
 def test_close_b2_matrices():
@@ -426,3 +427,34 @@ def test_bad_specs_raise():
         parse_group_spec({"kind": "nonsense"})
     with pytest.raises(ParseError):
         parse_group_spec({"kind": "permutations", "generators": [[0, 0, 1]]})
+
+
+@st.composite
+def _rational_rows(draw):
+    """Up to 7 rows of up to 7 rationals (numerators up to 2^70 in one case in
+    four), with zero rows and rows that are rational combinations of earlier ones."""
+    ncols = draw(st.integers(0, 7))
+    big = draw(st.integers(0, 3)) == 0
+    entry = st.fractions(-(2**70), 2**70, max_denominator=50) if big else st.fractions(-5, 5, max_denominator=6)
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["free", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        elif kind == "combination" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(st.fractions(-3, 3, max_denominator=4)), draw(st.fractions(-3, 3, max_denominator=4))
+            rows.append([x * p + y * q for p, q in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_rows())
+def test_row_reduce_matches_fraction_gauss_jordan(rows):
+    """The fraction-free elimination gives the reduced row echelon form and the
+    pivots of Gauss-Jordan on Fractions, also with int entries."""
+    assert groups._row_reduce(rows) == fraction_row_reduce(rows)
+    ints = [[x.numerator for x in row] for row in rows]
+    assert groups._row_reduce(ints) == fraction_row_reduce([[Fraction(x) for x in row] for row in ints])

@@ -42,8 +42,10 @@ from superbrauer import (
 )
 from superbrauer import supergroup, twisted
 from superbrauer.groups import _mat_mul
-from superbrauer.supergroup import HCochain2, _compound, _signed_minors
-from superbrauer.twisted import ProductTables, _r_terms, _sample, _wedge, kernel_rows, products, twisted_terms
+from superbrauer.supergroup import HCochain2
+from superbrauer.forms import numerators
+from superbrauer.twisted import (ProductTables, _r_terms, _sample, _wedge, exterior_power, kernel_rows, products,
+                                 signed_minors, twisted_terms)
 
 from .oracles import (
     all_basis_r_delta,
@@ -51,6 +53,7 @@ from .oracles import (
     convolve,
     dense_lambda_cocycle,
     det_signed_minors,
+    dict_compound,
     dict_r_legs,
     dict_view,
     eps_tensor_eps,
@@ -210,21 +213,61 @@ def _square_matrices(draw):
 @settings(max_examples=80, deadline=None)
 @given(_square_matrices())
 def test_compound_matches_leibniz_minors(m):
-    """Column P of the compound holds det m[R, P] for every R with |R| = |P|, by
-    the Leibniz expansion, nonzero values only and ints where integral; the
-    signed minors are those of the per-minor Gauss-Jordan loop."""
+    """Column P of the exterior power holds det m[R, P] for every R with |R| = |P|,
+    by the Leibniz expansion, and 0 elsewhere, over the least common denominator
+    of these minors; the signed minors are those of the per-minor Gauss-Jordan loop."""
     n = len(m)
-    cols = _compound(m, n)
-    assert len(cols) == 2**n
-    for pm, col in enumerate(cols):
+    power, d = exterior_power(*numerators([m]))
+    assert power.shape == (1, 2**n, 2**n)
+    want = {}
+    for pm in range(2**n):
         P = [j for j in range(n) if (pm >> j) & 1]
         for rm in range(2**n):
             R = [i for i in range(n) if (rm >> i) & 1]
-            want = leibniz_det([[m[i][j] for j in P] for i in R]) if len(R) == len(P) else 0
-            assert col.get(rm, 0) == want
-        assert all(c and (isinstance(c, int) or c.denominator > 1) for c in col.values())
-    signed = {(pm, qm): c for qm, col in enumerate(_signed_minors(m)) for pm, c in col.items()}
-    assert signed == det_signed_minors(m)
+            want[rm, pm] = Fraction(leibniz_det([[m[i][j] for j in P] for i in R]) if len(R) == len(P) else 0)
+            assert Fraction(int(power[0, pm, rm]), d) == want[rm, pm]
+    assert d == math.lcm(*(x.denominator for x in want.values()))
+    signed, ds = signed_minors(m)
+    assert {(pm, qm): Fraction(int(signed[pm, qm]), ds) for pm, qm in zip(*np.nonzero(signed))} == det_signed_minors(m)
+
+
+@st.composite
+def _rational_stacks(draw):
+    """1-4 rational n x n matrices, n <= 4, some rows zero or dependent: entries
+    up to 3 over denominators up to 3, or in half of the stacks up to 2^40 over
+    denominators up to 2^20, whose minors pass int64 (the Python-int path)."""
+    n = draw(st.integers(0, 4))
+    big = draw(st.booleans())
+    entry = st.fractions(-(2**40), 2**40, max_denominator=2**20) if big else st.fractions(-3, 3, max_denominator=3)
+    mats = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        if n > 1 and draw(st.booleans()):
+            k, c = draw(st.integers(0, n - 1)), draw(st.sampled_from([0, 1, -2, Fraction(1, 3)]))
+            rows[k] = [c * x for x in rows[(k + 1) % n]]
+        mats.append(tuple(map(tuple, rows)))
+    return mats
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rational_stacks())
+def test_exterior_power_matches_dict_compound(mats):
+    """The batched exterior power of a stack holds, for every matrix, the columns
+    of the dict recursion over one least common denominator."""
+    n = len(mats[0])
+    power, d = exterior_power(*numerators(mats))
+    want = [{(rm, pm): c for pm, col in enumerate(dict_compound(m, n)) for rm, c in col.items()} for m in mats]
+    for k, cols in enumerate(want):
+        assert {(rm, pm): Fraction(int(power[k, pm, rm]), d) for pm, rm in zip(*np.nonzero(power[k]))} == cols
+    assert d == math.lcm(*(Fraction(c).denominator for cols in want for c in cols.values()))
+
+
+def test_exterior_power_takes_python_ints_past_int64():
+    """The 2 x 2 determinants 2^80 - 3 and 3 2^63 - 2^63 = 2^64 and the entry 2^63
+    stay exact: the passes run on Python ints, and the array keeps them."""
+    power, d = exterior_power(*numerators([((2**40, 1), (3, 2**40)), ((2**63, 2**63), (1, 3))]))
+    assert power.dtype == object and d == 1
+    assert (power[0, 3, 3], power[1, 3, 3], power[1, 2, 1]) == (2**80 - 3, 2**64, 2**63)
 
 
 def test_build_requires_minus_one(datum_a2):
@@ -438,24 +481,18 @@ def test_lambda_rows_match_dense_oracle(datum_a2, datum_b2):
 
 
 def test_group_action_computed_once_per_element_and_subset(datum_b2, monkeypatch):
-    """Lambda rho(h^-1), every h^-1.v_P at once, is built at most once per h while
-    lambda is built and checked; the one other exterior power is that of Sigma."""
+    """Lambda rho(h^-1) for every h, every h^-1.v_P at once, is one exterior power
+    of the stack of all |G| matrices, built once per algebra while lambda is built
+    and checked twice; the one other exterior power of each lambda is that of Sigma."""
     h = build_supergroup(datum_b2.group, datum_b2.inv, datum_b2.rep)
-    built, calls = [], []
-
-    class Counting(dict):
-        def __setitem__(self, x, cols):
-            built.append(x)
-            super().__setitem__(x, cols)
-
-    compound = supergroup._compound
-    monkeypatch.setattr(supergroup, "_compound", lambda mat, n: calls.append(mat) or compound(mat, n))
-    h._action = Counting()
+    calls = []
+    power = twisted.exterior_power
+    monkeypatch.setattr(twisted, "exterior_power", lambda num, d: calls.append(len(num)) or power(num, d))
     S = invariant_symmetric_forms(datum_b2.rep).basis[0]
-    lam = lambda_cocycle(h, S)
-    assert is_left_cocycle(lam).passed and is_lazy(lam).passed
-    assert built and len(built) == len(set(built)) <= h.group.order
-    assert len(calls) == len(built) + 1
+    for _ in range(2):
+        lam = lambda_cocycle(h, S)
+        assert is_left_cocycle(lam).passed and is_lazy(lam).passed
+    assert calls == [h.group.order, 1, 1]
 
 
 def test_counit_cochain_passes_everything():
@@ -930,6 +967,35 @@ def test_big_values_take_python_ints():
     assert _report_tuple(is_lazy(sigma)) == four_loop_is_lazy(sigma)
 
 
+def _big_entry_algebra():
+    """Z2 x Z2 with u -> -I and the other generator -> [[1, N], [0, -1]], N = (2^62 + 1)/2."""
+    big = Fraction(2**62 + 1, 2)
+    g = direct_product(cyclic_group(2), cyclic_group(2))
+    mats = [((-1, 0), (0, -1)), ((1, big), (0, -1))]
+    rep = Representation(group=g, dim=2, gen_matrices=[tuple(tuple(map(Fraction, row)) for row in m) for m in mats])
+    return build_supergroup(g, CentralInvolution(g, int(g.gens[0])), rep)
+
+
+def test_lambda_and_omega_match_dense_oracle():
+    """lambda of every invariant form basis element and of a random symmetric form
+    (invariance not required) on the W(A2), W(B2), W(B3), conjugated W(B2) and
+    big-entry data, whose minors pass 2^63, and omega_Sigma of two random forms
+    on E(1)-E(4), equal the entry-by-entry oracle, one row object per subset."""
+    rng = random.Random(5)
+    cases = []
+    for h in [*map(_kernel_algebra, ("A2", "B2", "B3", "B2/2")), _big_entry_algebra()]:
+        cases += [(lambda_cocycle(h, S), S) for S in invariant_symmetric_forms(h.rep).basis]
+        S = _random_symmetric(rng, h.nv)
+        cases.append((lambda_cocycle(h, S, require_invariant=False), S))
+    assert cases[-1][0].rows.dtype == object  # the big-entry datum's numerators pass int64
+    for n in (1, 2, 3, 4):
+        cases += [(omega_sigma(S, _kernel_algebra(f"E{n}")), S) for S in (_random_symmetric(rng, n) for _ in range(2))]
+    for sigma, S in cases:
+        h = sigma.algebra
+        assert [list(row) for row in sigma.values] == dense_lambda_cocycle(h, S)
+        assert len({id(row) for row in sigma.values}) == len(sigma.rows) == 2**h.nv
+
+
 def test_table_checks_take_python_ints_past_the_int64_bound(monkeypatch):
     """Z2 x Z2 with u -> -I and the other generator -> [[1, N], [0, -1]], N =
     (2^62 + 1)/2 (the closure of integer matrices refuses entries near 2^62):
@@ -939,18 +1005,14 @@ def test_table_checks_take_python_ints_past_the_int64_bound(monkeypatch):
     reports of the dict generator checks, as built and with one Delta(b)
     coefficient moved by 3/2, and so does verify_triangular with R_u plus
     2^63 (1 x 1), a coefficient no int64 holds."""
-    big = Fraction(2**62 + 1, 2)
-    g = direct_product(cyclic_group(2), cyclic_group(2))
-    mats = [((-1, 0), (0, -1)), ((1, big), (0, -1))]
-    rep = Representation(group=g, dim=2, gen_matrices=[tuple(tuple(map(Fraction, row)) for row in m) for m in mats])
-    h = build_supergroup(g, CentralInvolution(g, int(g.gens[0])), rep)
+    h = _big_entry_algebra()
     t = h.product_tables()
     assert (t.denominator, t.max_coef, t.act_coef.dtype) == (2, 2**62 + 1, np.int64)
     widened = []
     exact = ProductTables.exact
     monkeypatch.setattr(ProductTables, "exact",
                         lambda t, bound: widened.append(exact(t, bound).act_coef.dtype == object) or exact(t, bound))
-    b = h.encode(int(g.gens[1]), 0b11)
+    b = h.encode(int(h.group.gens[1]), 0b11)
     x, y, _ = dict_view(h).coproduct_basis(b)[1]
     for alg in (h, _moved(h, "coproduct", b, (x, y), Fraction(3, 2))):
         reports = [verify_hopf(alg), verify_triangular(alg, r_u(alg))]
