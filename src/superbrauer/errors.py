@@ -15,6 +15,10 @@ class CapExceeded(SuperbrauerError):
     """Group closure passed the configured enumeration cap."""
 
 
+class Int64Exceeded(CapExceeded):
+    """A batched integer closure would leave exact int64 arithmetic."""
+
+
 class NotInvertible(SuperbrauerError):
     """A matrix generator is singular."""
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapExceeded, NotInvertible, ParseError
+from .errors import CapExceeded, Int64Exceeded, NotInvertible, ParseError
 from .groups import (CentralInvolution, FiniteGroup, Matrix, _close_bfs, _close_matrices, _mat_identity, _mat_mul,
                      _row_reduce, parse_rational)
 
@@ -81,11 +81,9 @@ def _closure(gen_matrices: list[Matrix], dim: int, cap: int):
     guard refuses are closed again in Python ints, at a cost the cap bounds."""
     try:
         return _close_matrices(gen_matrices, dim, cap)
-    except CapExceeded:
-        gens = [tuple(tuple(parse_rational(x) for x in row) for row in m) for m in gen_matrices]
-        if any(x.denominator != 1 for m in gens for row in m for x in row):
-            raise
-        return _close_bfs([tuple(tuple(map(int, r)) for r in m) for m in gens], _mat_mul, _mat_identity(dim, 1), cap)
+    except Int64Exceeded:  # only integer generators reach the guard
+        gens = [tuple(tuple(int(parse_rational(x)) for x in row) for row in m) for m in gen_matrices]
+        return _close_bfs(gens, _mat_mul, _mat_identity(dim, 1), cap)
 
 
 def acts_as_minus_one(rep: Representation, inv: CentralInvolution) -> bool:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapExceeded, NotInvertible, ParseError, TrivialInvolution
+from .errors import CapExceeded, Int64Exceeded, NotInvertible, ParseError, TrivialInvolution
 from .modlinalg import cokernel_mod, direct_sum, prime_power_factors
 
 DEFAULT_CAP = 200_000
@@ -268,8 +268,8 @@ def _close_matrices(generators: list, dim: int, cap: int):
 def _check_int64(term: int, dim: int) -> None:
     """Refuse products whose sums of dim terms of size `term` could leave int64."""
     if term * dim >= 2**62:
-        raise CapExceeded(f"integer matrix products with terms up to {term} leave exact int64 arithmetic "
-                          "(term x dim must stay below 2^62)")
+        raise Int64Exceeded(f"integer matrix products with terms up to {term} leave exact int64 arithmetic "
+                            "(term x dim must stay below 2^62)")
 
 
 def _close_integer(gens: list[Matrix], dim: int, cap: int):

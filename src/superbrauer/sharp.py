@@ -248,8 +248,12 @@ def sharp_class_table(cg: CohomologyGroup, inv: CentralInvolution) -> tuple[list
     return classes, _completed(right, lambda c: times([classes[c].coords])[:, 0])
 
 
-def h2_sharp(g: FiniteGroup, inv: CentralInvolution, field: FieldDescriptor,
-             budget: int = ENUMERATION_BUDGET) -> SharpGroup:
+def h2_sharp(
+    g: FiniteGroup,
+    inv: CentralInvolution,
+    field: FieldDescriptor,
+    budget: int = ENUMERATION_BUDGET,
+) -> SharpGroup:
     """H^2 under the sharp product, generated by the generator classes (and those they miss)."""
     if inv.group is not g:
         raise ParseError("involution lives on a different group")
@@ -283,8 +287,12 @@ class BMGroup(_GeneratedGroup):
         self.cohomology = cohomology
 
 
-def bm_group(g: FiniteGroup, inv: CentralInvolution, field: FieldDescriptor,
-             budget: int = ENUMERATION_BUDGET) -> BMGroup:
+def bm_group(
+    g: FiniteGroup,
+    inv: CentralInvolution,
+    field: FieldDescriptor,
+    budget: int = ENUMERATION_BUDGET,
+) -> BMGroup:
     """BM(k, k[G], R_u) for u != 1, generated by the Brauer class (when
     Br(k) = Z_2), the classes (0, e_a, 0), C(1) = (0, 0, 1) (when split) and what they miss.
 
@@ -339,8 +347,12 @@ class QGroup(_GeneratedGroup):
     ((c |Hom| + x) |k*/(k*)^2| + s) 2 + e of the Cayley table."""
 
 
-def q_group(g: FiniteGroup, inv: CentralInvolution, field: FieldDescriptor,
-            budget: int = ENUMERATION_BUDGET) -> QGroup:
+def q_group(
+    g: FiniteGroup,
+    inv: CentralInvolution,
+    field: FieldDescriptor,
+    budget: int = ENUMERATION_BUDGET,
+) -> QGroup:
     """The group Q(k, G) of the split short exact sequence, generated by the
     generator classes of H^2(G/U), a basis of Hom(G/U, Z_2), -1 (when
     k*/(k*)^2 = Z_2) and the parity.

@@ -176,9 +176,10 @@ def _minor_terms(A: Matrix, h: SupergroupAlgebra, dual: bool):
 
     e, uu = h.group.identity, h.inv.u
     middle = ((e, uu), (uu, e)) if dual else ((uu, e), (e, uu))
-    minors, d = signed_minors(A)
-    for fm, pm in zip(*(x.tolist() for x in np.nonzero(minors.T))):
-        c = _exact(Fraction(int(minors[pm, fm]), d))
+    start, mask, minors, d = signed_minors(A)
+    column = np.repeat(np.arange(len(start) - 1), np.diff(start))
+    for fm, pm, c in zip(column.tolist(), mask.tolist(), minors.tolist()):
+        c = _exact(Fraction(c, d))
         sgn = -1 if bin(fm).count("1") % 2 else 1
         for (g1, g2), coef in zip(((e, e), *middle, (uu, uu)), (c, c, c * sgn, -c * sgn)):
             yield h.encode(g1, pm), h.encode(g2, fm), coef
@@ -332,20 +333,25 @@ def lambda_cocycle(h: SupergroupAlgebra, sigma_matrix, require_invariant: bool =
     """lambda(g v_P, h v_Q) = omega_Sigma(h^{-1}.v_P, v_Q), the lazy cocycle
     attached to an invariant symmetric form.
 
-    The row lambda(g v_P, .) does not depend on g: all 2^n rows are one integer
-    product, row P at h 2^n + Q the sum of coef M[R, Q] over the entries (R, coef)
-    of the action column (h, P), M the signed minors of Sigma, below 2^n max_coef max|M|."""
+    The row lambda(g v_P, .) does not depend on g: row P at h 2^n + Q is the sum of
+    coef M[R, Q] over the entries (R, coef) of the action column (h, P), M the signed
+    minors of Sigma, at most 2^n terms below max_coef max|M| each; one row per pass.
+    Row R of M is column R of the signed exterior power, as Sigma is symmetric."""
     S = _checked_form(sigma_matrix, h, "lambda")
     if require_invariant and not is_invariant_form(h.rep, S):
         raise NotInvariant("symmetric form is not G-invariant")
-    from .twisted import _lowest_terms, signed_minors
+    from .twisted import _entries, _lowest_terms, signed_minors
 
-    t, (minors, ds), top = h.product_tables(), signed_minors(S), 1 << h.nv
-    dtype = np.int64 if top * t.max_coef * int(np.abs(minors).max()) < 2**63 else object
-    act = np.zeros((h.dim, top), dtype=dtype)  # row h 2^n + P: the action column (h, P), dense
-    act[np.repeat(np.arange(h.dim), np.diff(t.act_start)), t.act_mask] = t.act_coef
-    rows, d = _lowest_terms((act.reshape(-1, top, top) @ minors.astype(dtype)).transpose(1, 0, 2), t.denominator * ds)
-    return HCochain2(h, rows.reshape(top, h.dim), np.arange(h.dim) & (top - 1), d)
+    t, (start, mask, minors, ds), top = h.product_tables(), signed_minors(S), 1 << h.nv
+    dtype = np.int64 if top * t.max_coef * max(int(minors.max()), -int(minors.min())) < 2**63 else object
+    coef, minors = t.act_coef.astype(dtype, copy=False), minors.astype(dtype, copy=False)
+    rows = np.zeros((top, h.group.order, top), dtype)
+    for pm in range(top):  # the entries (R, c) of the action columns (h, P) of every h, and those (Q, m) of M[R]
+        j, e = _entries(t.act_start, np.arange(pm, h.dim, top))
+        k, f = _entries(start, t.act_mask[e])
+        np.add.at(rows[pm], (j[k], mask[f]), coef[e[k]] * minors[f])
+    rows, d = _lowest_terms(rows.reshape(top, h.dim), t.denominator * ds)
+    return HCochain2(h, rows, np.arange(h.dim) & (top - 1), d)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ m^op(a,b) = sum sigma(a2,b2) a1 b1.  product_tables writes, with A = P minus B,
 and the product as the columns of the action.  supergroup imports this module
 on the first verify check, so jobs that check nothing do not load it.
 
-One routine, exterior_power, gives every minor of a stack of integer matrices:
-the action columns of every Lambda rho(h^{-1}) in one call, and the signed
-minors that lambda, R_A and r_A read off Lambda(A).
+One routine, exterior_power, gives the nonzero minors of a stack of integer
+matrices as one CSR table: the action columns of every Lambda rho(h^{-1}) in
+one call, and the signed minors that lambda, R_A and r_A read off Lambda(A).
 
 Every law is homogeneous in the structure constants (and in R or sigma), so
 it is checked on integer numerators with the denominators' powers balanced:
@@ -75,49 +75,63 @@ def _wedge(n: int) -> np.ndarray:
     return np.where(m[:, None] & m, 0, 1 - 2 * (above @ bits.T % 2))
 
 
+def _popcount(n: int) -> np.ndarray:
+    """pop[m]: the number of elements of the subset m of {0..n-1}."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n) & 1).sum(1)
+
+
 def _lowest_terms(a: np.ndarray, d: int) -> tuple[np.ndarray, int]:
-    """The values a / d over their least common denominator: (a / g, d / g), g = gcd(d, a)."""
+    """The values a / d over their least common denominator: (a / g, d / g), g = gcd(d, a), in place."""
     g = math.gcd(d, int(np.gcd.reduce(a, axis=None)))
-    return (a // g, d // g) if g > 1 else (a, d)
+    if g > 1:
+        a //= g
+    return a, d // g
 
 
-def exterior_power(num: np.ndarray, d: int) -> tuple[np.ndarray, int]:
-    """(E, D): E[k, P, R] / D = det (num[k] / d)[R, P], row P of E[k] the column P of
-    Lambda(num[k] / d), for subsets as bit masks, D least.  Column P is column P - i wedged
-    with column i, i the top index of P: pass (i, j) adds wedge[R - j, j] det num[R - j, P - i]
-    num[j, i] to det num[R, P], and a minor of size s goes over d^n by d^(n - s).  No value
-    passes n! max(|num|, d)^n: int64 below 2^63, else Python ints; int64 where it fits."""
-    n = num.shape[-1]
+def exterior_power(num: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(start, mask, coef, D): the nonzero minors of a stack of matrices num[k] / d as a CSR
+    table, coef / D = det (num[k] / d)[R, P] for the entries (R, coef) of row c = k 2^n + P,
+    start[c] .. start[c+1] - 1, R ascending, subsets as bit masks and D least; row c is the
+    column P of Lambda(num[k] / d).  Column P is column P - i wedged with column i, i the top
+    index of P: an entry (R, c) of column P - i and num[j, i] != 0, j not in R, give the term
+    (-1)^#{r in R: r > j} c num[j, i] of R + j; a minor of size s goes over d^n by d^(n - s).
+    No value passes n! max(|num|, d)^n: int64 below 2^63, else Python ints; int64 where it fits."""
+    n, top = num.shape[-1], (1 << num.shape[-1]) - 1
     dtype = np.int64 if math.factorial(n) * max(int(np.abs(num).max(initial=0)), d) ** n < 2**63 else object
-    num, masks, wedge = num.astype(dtype), np.arange(1 << n), _wedge(n)
-    out = np.zeros((len(num), 1 << n, 1 << n), dtype=dtype)
-    out[:, 0, 0] = 1
+    num, pop = num.astype(dtype), _popcount(n)
+    key, val = np.arange(len(num)) << 2 * n, np.ones(len(num), dtype)  # key (k 2^n + P) 2^n + R
     for i in range(n):
-        for j in range(n):
-            r = masks[masks >> j & 1 == 0]  # the R - j
-            out[:, 1 << i:2 << i, r | 1 << j] += wedge[r, 1 << j] * out[:, :1 << i, r] * num[:, j, i, None, None]
-    out *= np.array([d ** (n - s) for s in np.bitwise_count(masks).tolist()], dtype)[:, None]
-    out, den = _lowest_terms(out, d**n)
-    return out.astype(np.int64) if out.dtype == object and int(np.abs(out).max()) < 2**63 else out, den
+        k, r = key >> 2 * n, key & top
+        e, j = np.nonzero((r[:, None] >> np.arange(n) & 1 == 0) & (num[k, :, i] != 0))  # entry e meets num[j, i]
+        new_key = key[e] + (1 << n + i) + (1 << j)
+        new_val = val[e] * num[k[e], j, i] * (1 - 2 * (pop[r[e] >> j + 1] & 1))
+        order = np.argsort(new_key, kind="stable")  # the sort of _gap: no more numpy code paged in
+        new_key, new_val = new_key[order], new_val[order]
+        first = np.flatnonzero(np.diff(new_key, prepend=-1))  # the terms of one minor, now adjacent
+        sums = np.add.reduceat(new_val, first) if len(first) else new_val
+        key, val = np.concatenate([key, new_key[first][sums != 0]]), np.concatenate([val, sums[sums != 0]])
+    order = np.argsort(key, kind="stable")
+    key, val = key[order], val[order] * np.array([d ** (n - s) for s in range(n + 1)], dtype)[pop[key[order] & top]]
+    val, den = _lowest_terms(val, d**n)
+    val = val.astype(np.int64) if val.dtype == object and int(np.abs(val).max()) < 2**63 else val
+    return np.searchsorted(key >> n, np.arange((len(num) << n) + 1)), key & top, val, den
 
 
-def signed_minors(a: Matrix) -> tuple[np.ndarray, int]:
-    """(M, d): M[R, Q] / d = (-1)^(s(s-1)/2) det a[R, Q], s = |Q|, d least."""
-    (minors,), d = exterior_power(*numerators([a]))
-    return (minors * (1 - 2 * (np.bitwise_count(np.arange(len(minors))).astype(np.int64)[:, None] >> 1 & 1))).T, d
+def signed_minors(a: Matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(start, mask, coef, d): the exterior power of a signed, coef / d = (-1)^(s(s-1)/2)
+    det a[P, Q], s = |Q|, for the entries (P, coef) of column Q, start[Q] .. start[Q+1] - 1."""
+    start, mask, coef, d = exterior_power(*numerators([a]))
+    return start, mask, coef * (1 - 2 * (_popcount(len(a))[mask] >> 1 & 1)), d  # |P| = |Q|
 
 
 def product_tables(h: SupergroupAlgebra) -> ProductTables:
     n, top, order = h.nv, (1 << h.nv) - 1, h.group.order
     mul = np.asarray(h.group.mul, dtype=np.int64)
     ucol = mul[:, h.inv.u]
-    pop = np.bitwise_count(np.arange(top + 1)).astype(np.int64)
-    # row h 2^n + P of cols is column P of D Lambda rho(h^{-1}), for every h at once
-    power, d = exterior_power(*numerators([h.rep.matrix(int(x)) for x in h.group.inv]))
-    cols = power.reshape(h.dim, top + 1)
-    col, act_mask = np.nonzero(cols)
-    act_coef = cols[col, act_mask]  # int64 when its largest entry, >= D from the column of mask 0, fits
-    act_start = np.concatenate([[0], np.cumsum(np.count_nonzero(cols, axis=1))])
+    pop = _popcount(n)
+    # row h 2^n + P of the action is column P of D Lambda rho(h^{-1}), for every h at once; act_coef
+    # is int64 when its largest entry, >= D from the column of mask 0, fits
+    act_start, act_mask, act_coef, d = exterior_power(*numerators([h.rep.matrix(int(x)) for x in h.group.inv]))
     # Delta(g v_P): in (g x g) prod_{i in P} (v_i x 1 + u x v_i) each u moves left past the
     # v_a with a < b, and v_a u = -u v_a; the legs of B over the subsets of P, one row per g
     subs = [(mask ^ sub, sub) for mask in range(top + 1) for sub in range(mask + 1) if sub & mask == sub]
@@ -354,7 +368,7 @@ def kernel_rows(sigma: HCochain2, t: ProductTables) -> tuple[np.ndarray, np.ndar
     smax max_coef^3 (two legs and an action entry), and the cocycle sides pair
     them with one more value of D' sigma.  Below 2^63 the array is int64, else
     it holds Python ints (dtype=object) and the same code runs on them."""
-    smax = int(np.abs(sigma.rows).max())  # >= D' sigma(1, 1) = D' >= 1
+    smax = max(int(sigma.rows.max()), -int(sigma.rows.min()))  # >= D' sigma(1, 1) = D' >= 1
     exact64 = 2 * t.max_terms * smax * smax * t.max_coef**3 < 2**63
     return sigma.rows.astype(np.int64 if exact64 else object, copy=False), sigma.rid
 

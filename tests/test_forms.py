@@ -20,6 +20,7 @@ from superbrauer import (
     symmetric_group,
     verify_hopf,
 )
+from superbrauer import forms
 from superbrauer.forms import _nullspace
 from superbrauer.groups import _mat_mul, _mat_rank
 
@@ -137,6 +138,16 @@ def test_integer_matrices_past_the_int64_guard_are_closed_exactly():
                                                        ((-1, -(2**62)), (0, 1))}
     h = build_supergroup(g, CentralInvolution(g, int(g.gens[0])), rep)
     assert verify_hopf(h).passed
+
+
+def test_integer_image_past_the_cap_is_refused_after_one_closure(monkeypatch):
+    """[[2]] on Z2 has an infinite image that stays within int64 up to the cap |G|:
+    the batched closure refuses it at the cap, and no Python-int closure runs."""
+    calls = []
+    monkeypatch.setattr(forms, "_close_bfs", lambda *args: calls.append(args))
+    with pytest.raises(ParseError, match="not compatible with the group"):
+        Representation(group=cyclic_group(2), dim=1, gen_matrices=[_frac_mat([[2]])])
+    assert calls == []
 
 
 def _reps_to_walk():

@@ -210,6 +210,18 @@ def _square_matrices(draw):
     return rows
 
 
+def _dense_power(*mats):
+    """The CSR exterior power of the stack mats as a dense array E[k, P, R], and D; the
+    rows of each column are strictly ascending, and only nonzero minors are stored."""
+    start, mask, coef, d = exterior_power(*numerators(list(mats)))
+    n = len(mats[0])
+    rows = np.repeat(np.arange(len(start) - 1), np.diff(start))
+    assert (coef != 0).all() and (np.diff(rows << n | mask) > 0).all()
+    power = np.zeros((len(mats), 2**n, 2**n), dtype=coef.dtype)
+    power.reshape(-1, 2**n)[rows, mask] = coef
+    return power, d
+
+
 @settings(max_examples=80, deadline=None)
 @given(_square_matrices())
 def test_compound_matches_leibniz_minors(m):
@@ -217,7 +229,7 @@ def test_compound_matches_leibniz_minors(m):
     by the Leibniz expansion, and 0 elsewhere, over the least common denominator
     of these minors; the signed minors are those of the per-minor Gauss-Jordan loop."""
     n = len(m)
-    power, d = exterior_power(*numerators([m]))
+    power, d = _dense_power(m)
     assert power.shape == (1, 2**n, 2**n)
     want = {}
     for pm in range(2**n):
@@ -227,8 +239,10 @@ def test_compound_matches_leibniz_minors(m):
             want[rm, pm] = Fraction(leibniz_det([[m[i][j] for j in P] for i in R]) if len(R) == len(P) else 0)
             assert Fraction(int(power[0, pm, rm]), d) == want[rm, pm]
     assert d == math.lcm(*(x.denominator for x in want.values()))
-    signed, ds = signed_minors(m)
-    assert {(pm, qm): Fraction(int(signed[pm, qm]), ds) for pm, qm in zip(*np.nonzero(signed))} == det_signed_minors(m)
+    start, mask, signed, ds = signed_minors(m)
+    qs = np.repeat(np.arange(2**n), np.diff(start))
+    assert {(pm, qm): Fraction(c, ds) for pm, qm, c in zip(mask.tolist(), qs.tolist(), signed.tolist())} \
+        == det_signed_minors(m)
 
 
 @st.composite
@@ -255,7 +269,7 @@ def test_exterior_power_matches_dict_compound(mats):
     """The batched exterior power of a stack holds, for every matrix, the columns
     of the dict recursion over one least common denominator."""
     n = len(mats[0])
-    power, d = exterior_power(*numerators(mats))
+    power, d = _dense_power(*mats)
     want = [{(rm, pm): c for pm, col in enumerate(dict_compound(m, n)) for rm, c in col.items()} for m in mats]
     for k, cols in enumerate(want):
         assert {(rm, pm): Fraction(int(power[k, pm, rm]), d) for pm, rm in zip(*np.nonzero(power[k]))} == cols
@@ -265,7 +279,7 @@ def test_exterior_power_matches_dict_compound(mats):
 def test_exterior_power_takes_python_ints_past_int64():
     """The 2 x 2 determinants 2^80 - 3 and 3 2^63 - 2^63 = 2^64 and the entry 2^63
     stay exact: the passes run on Python ints, and the array keeps them."""
-    power, d = exterior_power(*numerators([((2**40, 1), (3, 2**40)), ((2**63, 2**63), (1, 3))]))
+    power, d = _dense_power(((2**40, 1), (3, 2**40)), ((2**63, 2**63), (1, 3)))
     assert power.dtype == object and d == 1
     assert (power[0, 3, 3], power[1, 3, 3], power[1, 2, 1]) == (2**80 - 3, 2**64, 2**63)
 
