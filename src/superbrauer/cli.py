@@ -51,7 +51,9 @@ from .supergroup import (
 )
 from .weyl import WEYL_GROUP_BUDGET, DEFAULT_TABLE_TYPES, RootSystemType, datum_size, group_datum, table_row
 
-SCHEMA = "superbrauer-report/1"
+SCHEMA = "superbrauer-report/2"
+# the text form has kept its layout since /1: schema /2 changed only how JSON writes classes
+TEXT_SCHEMA = "superbrauer-report/1"
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -73,6 +75,14 @@ def _group_header(g: FiniteGroup) -> dict:
 
 def _invariants(inv) -> list[int]:
     return [int(d) for d in inv]
+
+
+def _class_doc(cg, cls) -> dict:
+    """A class of H^2(G, Z_N) as its edge labels: labels[x, k] = sigma(x, s_k)
+    mod N of the representative that vanishes on the BFS tree, an |G| x |S|
+    int64 array (|G| |S| values, where the cochain has |G|^2)."""
+    g = cg.group
+    return {"modulus": cg.coeff.n, "labels": cg.labels_of_coords(cls.coords).reshape(g.order, len(g.gens))}
 
 
 def _weyl_datum(args, h2_budget: int | None = None, h2_quotient: bool = False):
@@ -168,8 +178,9 @@ def cmd_h2(args) -> dict:
         cg = field_from_name(args.field).cohomology(g, args.budget_h2)
         coeff_desc = {"field": args.field, "modulus": cg.coeff.n}
     result = {"coefficients": coeff_desc, "invariants": _invariants(cg.invariants)}
-    if args.format == "json":  # only the JSON report prints representatives; text builds none
-        result["representatives"] = [r.to_sparse() for r in cg.reps]
+    if args.format == "json":  # only the JSON report prints the generator classes
+        result["generators"] = [{"order_in_h2": int(d), **_class_doc(cg, c)}
+                                for d, c in zip(cg.invariants, cg.generators())]
     return _report(args, result, g)
 
 
@@ -184,14 +195,12 @@ def cmd_h2sharp(args) -> dict:
         "split": splitting_character(inv) is not None,
         "invariants": _invariants(hs.invariants),
     }
-    if args.format == "json":  # the text report prints no class, table or representative
+    if args.format == "json":  # the text report prints no class, table or labels
         result["classes"] = np.array([c.coords for c in hs.classes], dtype=np.int64)
         result["cayley_table"] = hs.table
         # the last generator first, the order in which all_classes meets them
-        result["generators"] = [
-            {"coords": list(c.coords), "representative": rep.to_sparse()}
-            for c, rep in reversed(list(zip(hs.cohomology.generators(), hs.cohomology.reps)))
-        ]
+        result["generators"] = [{"coords": list(c.coords), **_class_doc(hs.cohomology, c)}
+                                for c in reversed(hs.cohomology.generators())]
     return _report(args, result, g)
 
 
@@ -208,13 +217,13 @@ def cmd_bm(args) -> dict:
         "invariants": _invariants(bm.invariants),
         "order": bm.order,
     }
-    if args.format == "json":  # the text report prints no table or representative
+    if args.format == "json":  # the text report prints no table or labels
         result["cayley_table"] = bm.table
         gens = []
         if field.brauer_order > 1:
             gens.append({"kind": "brauer", "order": 2})
-        for d, rep in zip(bm.cohomology.invariants, bm.cohomology.reps):
-            gens.append({"kind": "cohomology", "order_in_h2": int(d), "representative": rep.to_sparse()})
+        for d, c in zip(bm.cohomology.invariants, bm.cohomology.generators()):
+            gens.append({"kind": "cohomology", "order_in_h2": int(d), **_class_doc(bm.cohomology, c)})
         if bm.split:
             gens.append({"kind": "C(1)", "parity": 1})
         result["generators"] = gens
@@ -323,7 +332,7 @@ def cmd_verify(args) -> dict:
 
 
 def _text_lines(doc: dict) -> list[str]:
-    lines = [f"superbrauer {doc['command']}  (schema {doc['schema']})"]
+    lines = [f"superbrauer {doc['command']}  (schema {TEXT_SCHEMA})"]
     for k, v in sorted(doc["budgets"].items()):
         lines.append(f"budget {k} = {v}")
     lines.append(f"seed = {doc['seed']}")
@@ -357,8 +366,8 @@ def _json_chunks(x, indent: str = "\n"):
     spaces of the line that x starts on.
 
     Dicts and lists nest as json's own encoder nests them; keys must be str.
-    A non-empty 2-D integer array (a Cayley table, class coordinates, sparse
-    cochain entries) is written by the C encoder with no spaces, a slice of
+    A non-empty 2-D integer array (a Cayley table, class coordinates, edge
+    labels) is written by the C encoder with no spaces, a slice of
     at most _SLICE_INTS ints (or one row) at a time, and indented with
     str.replace: the text of an int holds no comma and no bracket.  Scalars
     go through the same C encoder, so a value json cannot encode (a numpy

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -79,10 +78,6 @@ class Cochain2:
         if v[e, :].any() or v[:, e].any():
             raise ParseError("cochain is not normalized")
 
-    @classmethod
-    def zero(cls, group: FiniteGroup, modulus: int) -> "Cochain2":
-        return cls(group, modulus, np.zeros((group.order, group.order), dtype=np.int64))
-
     def copy_with(self, values: np.ndarray) -> "Cochain2":
         return Cochain2(self.group, self.modulus, values)
 
@@ -93,16 +88,6 @@ class Cochain2:
     def _compat(self, other: "Cochain2") -> None:
         if self.group is not other.group or self.modulus != other.modulus:
             raise ParseError("cochains live on different groups or moduli")
-
-    def to_sparse(self) -> dict:
-        """The modulus, the order and the nonzero values: "entries" is a k x 3
-        int64 array of rows [i, j, value]."""
-        ii, jj = np.nonzero(self.values)
-        return {
-            "modulus": self.modulus,
-            "order": self.group.order,
-            "entries": np.column_stack((ii, jj, self.values[ii, jj])),
-        }
 
 
 def coboundary(group: FiniteGroup, modulus: int, gamma) -> Cochain2:
@@ -173,23 +158,6 @@ class _Presentation:
         """z_j, the signed sum of the edge labels (n |S|,) along r_j from 1."""
         e = self.group.identity
         return np.array([signs @ labels[ids[e]] for ids, signs in self.cycles], dtype=np.int64)
-
-    def reconstruct(self, labels: np.ndarray, modulus: int) -> np.ndarray:
-        """The cochain with edge labels `labels` (n |S|,) vanishing on the
-        tree: sigma(g, x s) = sigma(g, x) + T(g x, s) on each tree edge x s,
-        for all the edges of one BFS level at once (rows out[y] = sigma(., y)).
-        Each step is reduced, so labels in [0, modulus), modulus < 2^62, stay
-        exact in int64."""
-        g = self.group
-        n, m = g.order, len(g.gens)
-        mul = np.asarray(g.mul)
-        edges = np.array(g.tree, dtype=np.int64).reshape(-1, 3)
-        depth = np.array([len(g.word(y)) for y in edges[:, 2]], dtype=np.int64)
-        out = np.zeros((n, n), dtype=np.int64)
-        for d in range(1, depth.max(initial=0) + 1):
-            x, k, y = edges[depth == d].T
-            out[y] = (out[x] + labels[mul[:, x].T * m + k[:, None]]) % modulus
-        return np.ascontiguousarray(out.T)
 
 
 def cycle_edges(g: FiniteGroup, relator) -> tuple[np.ndarray, np.ndarray]:
@@ -293,9 +261,6 @@ class CohomologyClass:
     def is_trivial(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def representative(self) -> Cochain2:
-        return self.parent.rep_of_coords(self.coords)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CohomologyClass)
@@ -308,10 +273,12 @@ class CohomologyClass:
 
 
 class CohomologyGroup:
-    """H^2(G, Z_N) with invariant factors, representatives and a class map.
+    """H^2(G, Z_N) with invariant factors and a class map.
 
-    Classes are handled through the edge labels of the presentation; a dense
-    n x n cochain is built only for a representative that is asked for."""
+    A class lives as the edge labels (n |S|,) of its representative that
+    vanishes on the BFS tree, T(x, s) = sigma(x, s) mod N (labels_of_coords):
+    n |S| values where the cochain would take n^2.  No method builds a dense
+    n x n cochain; class_of takes one from the caller."""
 
     def __init__(self, group: FiniteGroup, coeff: CoefficientModule, field_mode: str, invariants: tuple[int, ...],
                  _pieces: list[_PrimePiece] | None = None, _sys: _Presentation | None = None) -> None:
@@ -332,11 +299,6 @@ class CohomologyGroup:
     def generators(self) -> list[CohomologyClass]:
         return [CohomologyClass(self, tuple(e)) for e in np.eye(len(self.invariants), dtype=np.int64)]
 
-    @cached_property
-    def reps(self) -> list[Cochain2]:
-        """One representative per invariant factor, built on first use."""
-        return [c.representative() for c in self.generators()]
-
     def zero_class(self) -> CohomologyClass:
         return CohomologyClass(self, (0,) * len(self.invariants))
 
@@ -345,7 +307,7 @@ class CohomologyGroup:
             yield CohomologyClass(self, coords)
 
     def labels_of_coords(self, coords) -> np.ndarray:
-        """The edge labels (n |S|,) of sum_i c_i rep_i: sum_i c_i labels_i mod q per piece (below
+        """The edge labels (n |S|,) of the class sum_i c_i gen_i: sum_i c_i labels_i mod q per piece (below
         |R| q^2 < 2^62), glued by CRT with 0 mod the prime powers of N that no piece solves."""
         g, n = self.group, self.coeff.n
         labels = []
@@ -354,12 +316,6 @@ class CohomologyGroup:
             labels.append(piece.labels @ c % piece.q)
         qs = [piece.q for piece in self._pieces]
         return crt(labels + [np.zeros(g.order * len(g.gens), dtype=np.int64)], qs + [n // math.prod(qs)])
-
-    def rep_of_coords(self, coords) -> Cochain2:
-        """sum_i c_i rep_i, rebuilt once mod N from its labels."""
-        if self._sys is None:
-            return Cochain2.zero(self.group, self.coeff.n)
-        return Cochain2(self.group, self.coeff.n, self._sys.reconstruct(self.labels_of_coords(coords), self.coeff.n))
 
     def is_cocycle_labels(self, labels: np.ndarray) -> bool:
         """The rows of C on edge labels (n |S|,) in [0, N): the edges from 1
@@ -463,7 +419,7 @@ def _h2_impl(g: FiniteGroup, coeff: CoefficientModule, mode: str) -> CohomologyG
 
 
 def h2(g: FiniteGroup, coeff: CoefficientModule | int, budget: int = DEFAULT_H2_BUDGET) -> CohomologyGroup:
-    """H^2(G, Z_N) with trivial action, as invariant factors plus representatives."""
+    """H^2(G, Z_N) with trivial action, as invariant factors plus generator labels."""
     if isinstance(coeff, int):
         coeff = CoefficientModule(coeff)
     _check_h2_budget(g.order, budget)

@@ -220,7 +220,7 @@ def _sharp_products(cg: CohomologyGroup, inv: CentralInvolution):
     second operands y (coordinate rows) to the positions of x # y (classes x
     rows) for every class x.
 
-    theta of rep_of_coords(x) is sum_a x_a theta_a mod 2, the class map is
+    theta of the class x is sum_a x_a theta_a mod 2, the class map is
     additive and (N/2) k mod N depends only on k mod 2, so
     x # y = x + y + sum_ab (x_a mod 2)(y_b mod 2) P_ab, where P_ab is the
     pairing_class of theta_a and theta_b of the generator classes."""
@@ -300,8 +300,8 @@ def bm_group(
     class c11 of C(1)^2 when a1 = a2 = 1; Brauer part b1 + b2 + <M1, M2> plus
     <M12, -1> when a1 = a2 = 1, with <,> the quaternion symbol and M the
     sigma(u,u) square-class markers; parity a1 + a2.  Over Z_2 a marker is
-    sigma(u,u) of rep_of_coords, a sum of generator representatives, so it
-    is linear mod 2 in the class coordinates."""
+    sigma(u,u) of the class's tree-gauge representative, whose labels are the
+    sum of the generators' labels, so it is linear mod 2 in the class coordinates."""
     if inv.group is not g:
         raise ParseError("involution lives on a different group")
     if inv.is_trivial:

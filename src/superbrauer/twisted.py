@@ -44,12 +44,13 @@ class ProductTables:
 
     def __init__(self, nv: int, mul: np.ndarray, leg_start: np.ndarray, leg_first: np.ndarray, leg_second: np.ndarray,
                  leg_coef: np.ndarray, act_start: np.ndarray, act_mask: np.ndarray, act_coef: np.ndarray,
-                 anti_start: np.ndarray, anti_elem: np.ndarray, anti_coef: np.ndarray, denominator: int) -> None:
+                 anti_start: np.ndarray, anti_elem: np.ndarray, anti_coef: np.ndarray, denominator: int,
+                 wedge: np.ndarray) -> None:
         self.nv, self.mul, self.denominator = nv, mul, denominator  # D
         self.leg_start, self.leg_first, self.leg_second, self.leg_coef = leg_start, leg_first, leg_second, leg_coef
         self.act_start, self.act_mask, self.act_coef = act_start, act_mask, act_coef
         self.anti_start, self.anti_elem, self.anti_coef = anti_start, anti_elem, anti_coef
-        self.wedge = _wedge(nv)
+        self.wedge = wedge  # _wedge(nv), built once by product_tables
         legs, entries = np.diff(leg_start), np.diff(act_start)
         self.max_terms = int(legs.max()) ** 2 * int(entries.max())  # terms of one twisted product
         self.max_entries = int(max(legs.max(), entries.max(), np.diff(anti_start).max()))  # of one Delta, column or S
@@ -68,16 +69,34 @@ class ProductTables:
 
 def _wedge(n: int) -> np.ndarray:
     """wedge[R, Q]: the sign of v_R ^ v_Q merged into increasing order,
-    (-1)^#{r in R, q in Q: r > q}, and 0 where R and Q overlap."""
-    m = np.arange(1 << n)
-    bits = m[:, None] >> np.arange(n) & 1
-    above = bits[:, ::-1].cumsum(1)[:, ::-1] - bits  # the bits of R above i
-    return np.where(m[:, None] & m, 0, 1 - 2 * (above @ bits.T % 2))
+    (-1)^#{r in R, q in Q: r > q}, and 0 where R and Q overlap.  Built one
+    index i at a time: i in R and not in Q passes every q in Q, a sign
+    (-1)^|Q|; i in both overlaps."""
+    w = np.zeros((1 << n, 1 << n), dtype=np.int64)
+    w[0, 0] = 1
+    for i in range(n):
+        h = 1 << i  # rows and columns below h are the subsets of {0..i-1}
+        w[:h, h:2 * h] = w[:h, :h]
+        w[h:2 * h, :h] = w[:h, :h] * (1 - 2 * (_popcount(i) & 1))  # (-1)^|Q|
+    return w
 
 
 def _popcount(n: int) -> np.ndarray:
     """pop[m]: the number of elements of the subset m of {0..n-1}."""
     return (np.arange(1 << n)[:, None] >> np.arange(n) & 1).sum(1)
+
+
+def _submasks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, sub) for every subset sub of every subset mask of {0..n-1}, 3^n
+    pairs, mask ascending and then sub ascending: the k-th subset of mask
+    puts bit t of k on the t-th lowest element of mask."""
+    mask, k = _expand(1 << _popcount(n))
+    sub, rank = np.zeros_like(mask), np.zeros_like(mask)  # rank: the elements of mask below i
+    for i in range(n):
+        bit = mask >> i & 1
+        sub |= (k >> rank & bit) << i
+        rank += bit
+    return mask, sub
 
 
 def _lowest_terms(a: np.ndarray, d: int) -> tuple[np.ndarray, int]:
@@ -134,8 +153,8 @@ def product_tables(h: SupergroupAlgebra) -> ProductTables:
     act_start, act_mask, act_coef, d = exterior_power(*numerators([h.rep.matrix(int(x)) for x in h.group.inv]))
     # Delta(g v_P): in (g x g) prod_{i in P} (v_i x 1 + u x v_i) each u moves left past the
     # v_a with a < b, and v_a u = -u v_a; the legs of B over the subsets of P, one row per g
-    subs = [(mask ^ sub, sub) for mask in range(top + 1) for sub in range(mask + 1) if sub & mask == sub]
-    rest, sub = (np.array(col, dtype=np.int64) for col in zip(*subs))
+    mask, sub = _submasks(n)
+    rest, wedge = mask ^ sub, _wedge(n)
     g = np.arange(order, dtype=np.int64)[:, None]
     # S(g v_P) from S(v_i) = -u v_i: moving the u's of S(v_P) = S(v_ik)...S(v_i1) left and
     # reordering the v's give the same sign; g.v_P is the action column (g^{-1}, P)
@@ -148,7 +167,7 @@ def product_tables(h: SupergroupAlgebra) -> ProductTables:
         leg_start=np.cumsum([0, *np.tile(1 << pop, order)]),
         leg_first=(np.where(pop[sub] % 2, ucol[:, None], g) << n | rest).ravel(),
         leg_second=(g << n | sub).ravel(),
-        leg_coef=np.tile(d * _wedge(n)[sub, rest].astype(act_coef.dtype), order),
+        leg_coef=np.tile(d * wedge[sub, rest].astype(act_coef.dtype), order),
         act_start=act_start,
         act_mask=act_mask,
         act_coef=act_coef,
@@ -156,6 +175,7 @@ def product_tables(h: SupergroupAlgebra) -> ProductTables:
         anti_elem=np.where(odd, ucol[gi], gi)[j] << n | act_mask[e],
         anti_coef=np.where(odd, -1, 1)[j] * act_coef[e],
         denominator=d,
+        wedge=wedge,
     )
 
 

@@ -22,7 +22,8 @@ index arithmetic, the R-matrix legs are multiplied in H (x) H (x) H, and
 the Hopf axioms and `R Delta = Delta^op R` are checked on every basis pair or
 element (on the production's seeded sample above the dim budget) instead of
 on the algebra generators.  `factor_coproduct` and `product_antipode` multiply
-Delta and S out from their values on the generators, and `det_signed_minors`
+Delta and S out from their values on the generators, `looped_coproduct_legs`
+finds the legs of Delta by a Python loop over every pair of masks, and `det_signed_minors`
 takes one Gauss-Jordan determinant per minor, where the production writes
 Delta and S in closed form and reads every minor off one exterior power.
 `fraction_row_reduce` is Gauss-Jordan elimination on Fractions, where the
@@ -66,7 +67,12 @@ group, which its computed closed-field H^2 must equal.  `inflation`,
 `restriction` and `transgression` (with `u_subgroup`) are the maps of the
 Hochschild-Serre sequence, whose exactness the tests check on the computed
 H^2; `serialize_group`, `cochain_from_sparse` and `cochain_equals` round-trip
-a group table and a sparse representative.
+a group table and a sparse representative.  `reconstruct` rebuilds the dense
+n x n cocycle that vanishes on the BFS tree from its n |S| edge labels, one
+BFS level at a time; `rep_of_coords`, `representative` and `reps` give the
+dense representative of a class and `to_sparse` its [i, j, value] rows, where
+the production and its reports keep only the labels; `cochain_from_labels`
+reads a report's `labels` back into a cochain.
 """
 
 from __future__ import annotations
@@ -97,7 +103,7 @@ from superbrauer import (
     quotient_by_central_involution,
     splitting_character,
 )
-from superbrauer.cohomology import cycle_edges
+from superbrauer.cohomology import _presentation, cycle_edges
 from superbrauer.errors import BudgetExceeded, ParseError
 from superbrauer.forms import Matrix, mat_neg
 from superbrauer.modlinalg import SnfMod, inverse_mod, kernel_mod
@@ -506,6 +512,26 @@ def _wedge_image(mat, mask, n):
     return cur
 
 
+def looped_coproduct_legs(h):
+    """The coproduct legs of `product_tables` as a Python double loop over the
+    4^n pairs of masks finds them, with the signs from the int64 table of
+    inversion parities: (leg_start, leg_first, leg_second, wedge[B, P - B] per
+    leg, that table)."""
+    n, top, order = h.nv, (1 << h.nv) - 1, h.group.order
+    mul = np.asarray(h.group.mul, dtype=np.int64)
+    ucol = mul[:, h.inv.u]
+    m = np.arange(1 << n)
+    bits = m[:, None] >> np.arange(n) & 1
+    pop = bits.sum(1)
+    above = bits[:, ::-1].cumsum(1)[:, ::-1] - bits  # the bits of R above i
+    wedge = np.where(m[:, None] & m, 0, 1 - 2 * (above @ bits.T % 2))
+    subs = [(mask ^ sub, sub) for mask in range(top + 1) for sub in range(mask + 1) if sub & mask == sub]
+    rest, sub = (np.array(col, dtype=np.int64) for col in zip(*subs))
+    g = np.arange(order, dtype=np.int64)[:, None]
+    return (np.cumsum([0, *np.tile(1 << pop, order)]), (np.where(pop[sub] % 2, ucol[:, None], g) << n | rest).ravel(),
+            (g << n | sub).ravel(), np.tile(wedge[sub, rest], order), wedge)
+
+
 def factor_coproduct(h, b):
     """Delta(g v_P) multiplied out factor by factor: (g x g) times v_i x 1 + u x v_i
     for each i in P, in increasing order, with the algebra's products."""
@@ -642,7 +668,7 @@ def enumerated_sharp_table(cg, inv):
     """The sharp Cayley table on cg.all_classes(), one full dense sharp product
     and one class_of per cell."""
     classes = list(cg.all_classes())
-    reps = [c.representative() for c in classes]
+    reps = [representative(c) for c in classes]
     index = {c.coords: i for i, c in enumerate(classes)}
     table = np.zeros((len(classes), len(classes)), dtype=np.int32)
     for i, x in enumerate(reps):
@@ -662,7 +688,7 @@ def enumerated_bm_table(g, inv, field):
     classes = list(cg.all_classes())
     index = {c.coords: i for i, c in enumerate(classes)}
     sharp_table = enumerated_sharp_table(cg, inv)
-    markers = [restriction_square_class(inv, c.representative()) if field.kind == "real" else 0 for c in classes]
+    markers = [restriction_square_class(inv, representative(c)) if field.kind == "real" else 0 for c in classes]
     c11 = index[cg.zero_class().coords]
     if chi is not None:
         n = cg.coeff.n
@@ -1793,9 +1819,65 @@ def literature_schur_multiplier(t: RootSystemType) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# inflation, restriction, transgression, and the portable documents of a group
-# and a cochain: the tests check Hochschild-Serre exactness and the
-# round trips with them
+# dense representatives rebuilt from edge labels, inflation, restriction,
+# transgression, and the portable documents of a group and a cochain: the
+# tests check Hochschild-Serre exactness and the round trips with them
+
+
+def reconstruct(sys, labels: np.ndarray, modulus: int) -> np.ndarray:
+    """The cochain with edge labels `labels` (n |S|,) vanishing on the
+    tree: sigma(g, x s) = sigma(g, x) + T(g x, s) on each tree edge x s,
+    for all the edges of one BFS level at once (rows out[y] = sigma(., y)).
+    Each step is reduced, so labels in [0, modulus), modulus < 2^62, stay
+    exact in int64.  `sys` is the group's presentation."""
+    g = sys.group
+    n, m = g.order, len(g.gens)
+    mul = np.asarray(g.mul)
+    edges = np.array(g.tree, dtype=np.int64).reshape(-1, 3)
+    depth = np.array([len(g.word(y)) for y in edges[:, 2]], dtype=np.int64)
+    out = np.zeros((n, n), dtype=np.int64)
+    for d in range(1, depth.max(initial=0) + 1):
+        x, k, y = edges[depth == d].T
+        out[y] = (out[x] + labels[mul[:, x].T * m + k[:, None]]) % modulus
+    return np.ascontiguousarray(out.T)
+
+
+def rep_of_coords(cg: CohomologyGroup, coords) -> Cochain2:
+    """sum_i c_i rep_i, rebuilt once mod N from its labels."""
+    if cg._sys is None:
+        return Cochain2(cg.group, cg.coeff.n, np.zeros((cg.group.order, cg.group.order), dtype=np.int64))
+    return Cochain2(cg.group, cg.coeff.n, reconstruct(cg._sys, cg.labels_of_coords(coords), cg.coeff.n))
+
+
+def representative(cls: CohomologyClass) -> Cochain2:
+    return rep_of_coords(cls.parent, cls.coords)
+
+
+def reps(cg: CohomologyGroup) -> list[Cochain2]:
+    """One representative per invariant factor."""
+    return [representative(c) for c in cg.generators()]
+
+
+def to_sparse(sigma: Cochain2) -> dict:
+    """The modulus, the order and the nonzero values: "entries" is a k x 3
+    int64 array of rows [i, j, value]."""
+    ii, jj = np.nonzero(sigma.values)
+    return {
+        "modulus": sigma.modulus,
+        "order": sigma.group.order,
+        "entries": np.column_stack((ii, jj, sigma.values[ii, jj])),
+    }
+
+
+def cochain_from_labels(group: FiniteGroup, doc: dict) -> Cochain2:
+    """The cochain of a report's class document {"modulus", "labels"}, its
+    |G| x |S| edge labels rebuilt along the BFS tree of `group`."""
+    n = CoefficientModule(int(doc["modulus"])).n
+    labels = np.asarray(doc["labels"], dtype=np.int64)
+    if labels.shape != (group.order, len(group.gens)):
+        raise ParseError(f"labels of shape {labels.shape} on a group of order {group.order} "
+                         f"with {len(group.gens)} generators")
+    return Cochain2(group, n, reconstruct(_presentation(group), labels.ravel() % n, n))
 
 
 def _embed_values(vals: np.ndarray, src_mod: int, dst_mod: int) -> np.ndarray:
@@ -1816,7 +1898,7 @@ def inflation(qd: QuotientData, cls: CohomologyClass, target: CohomologyGroup | 
             target = h2_closed_field(qd.group)
         else:
             target = h2(qd.group, cls.parent.coeff)
-    rep = cls.representative()
+    rep = representative(cls)
     proj = np.asarray(qd.projection)
     vals = _embed_values(rep.values[np.ix_(proj, proj)], rep.modulus, target.coeff.n)
     return target.class_of(Cochain2(qd.group, target.coeff.n, vals))
@@ -1838,7 +1920,7 @@ def restriction(inv: CentralInvolution, cls: CohomologyClass, target: Cohomology
     if cls.parent.group is not inv.group:
         raise ParseError("class does not live on the ambient group")
     ugroup, embed = u_subgroup(inv)
-    rep = cls.representative()
+    rep = representative(cls)
     if target is None:
         if cls.parent.field_mode == "closed":
             target = h2_closed_field(ugroup, modulus=rep.modulus)
@@ -1886,7 +1968,7 @@ def serialize_group(g: FiniteGroup) -> dict:
 
 
 def cochain_from_sparse(group: FiniteGroup, data: dict) -> Cochain2:
-    """Inverse of Cochain2.to_sparse; ParseError on any malformed document."""
+    """Inverse of to_sparse; ParseError on any malformed document."""
     try:
         n = CoefficientModule(int(data["modulus"])).n
         order = int(data.get("order", group.order))

@@ -742,18 +742,18 @@ def test_lazy_and_invforms_via_type(capsys):
     ["bm", "--field", "real"],
 ], ids=["h2", "h2sharp", "bm"])
 def test_text_reports_build_no_representative(zz_file, monkeypatch, capsys, args):
-    """The text report prints no representative, so it rebuilds no dense
-    cochain; the JSON report of the same job does."""
-    from superbrauer import cohomology
+    """Neither the text nor the JSON report builds a dense cochain: the JSON
+    report writes each generator class as its edge labels."""
+    from superbrauer import Cochain2
 
     def refuse(*args):
-        raise RuntimeError("reconstruct called")
+        raise RuntimeError("dense cochain built")
 
-    monkeypatch.setattr(cohomology._Presentation, "reconstruct", refuse)
-    code, out = _run([*args, "--group", zz_file], capsys)  # a group file is a fresh group with empty memos
-    assert code == 0 and "invariants: [" in out
-    with pytest.raises(RuntimeError, match="reconstruct called"):
-        main([*args, "--group", zz_file, "--format", "json"])
+    monkeypatch.setattr(Cochain2, "__init__", refuse)
+    for format_args in ([], ["--format", "json"]):
+        # a group file is a fresh group with empty memos
+        code, out = _run([*args, "--group", zz_file, *format_args], capsys)
+        assert code == 0 and "invariants" in out
 
 
 @pytest.mark.parametrize("args, json_prints_table", [
@@ -815,24 +815,27 @@ def test_report_echoes_every_budget_flag(args, capsys):
     (["bm", "--type", "B2", "--field", "real"], ("cayley_table",)),
 ], ids=["h2sharp", "bm"])
 def test_text_docs_build_no_table(args, arrays):
-    """The text report of h2sharp and bm holds no class list and no Cayley
-    table, as it prints neither; the JSON report holds them as int arrays,
-    and the sparse entries of its representatives as k x 3 arrays."""
+    """The text report of h2sharp and bm holds no class list, Cayley table
+    or labels, as it prints none; the JSON report holds them as int arrays,
+    the labels of each generator class as an |G| x |S| int64 array."""
     parser = cli.build_parser()
     text_args, json_args = parser.parse_args(args), parser.parse_args([*args, "--format", "json"])
-    assert not {"classes", "cayley_table"} & set(text_args.func(text_args)["result"])
-    result = json_args.func(json_args)["result"]
+    text_result = text_args.func(text_args)["result"]
+    assert not {"classes", "cayley_table", "generators"} & set(text_result)
+    doc = json_args.func(json_args)
+    result, order, gens = doc["result"], doc["group"]["order"], doc["group"]["generators_idx"]
     for key in arrays:
         assert isinstance(result[key], np.ndarray) and result[key].ndim == 2 and result[key].dtype.kind == "i"
-    reps = [gen["representative"] for gen in result["generators"] if "representative" in gen]
-    assert reps and all(r["entries"].dtype == np.int64 and r["entries"].shape[1] == 3 for r in reps)
+    labels = [gen["labels"] for gen in result["generators"] if "labels" in gen]
+    assert labels and all(lab.dtype == np.int64 and lab.shape == (order, len(gens)) for lab in labels)
 
 
 def test_group_report_roundtrip(zz_file, capsys):
-    """Serialized groups and cocycles re-parse to equal values."""
+    """Serialized groups re-parse to equal values, and the labels a report
+    writes for a class rebuild its representative on the re-parsed group."""
     from superbrauer import h2_real_closed, load_group_file, parse_group_spec
 
-    from .oracles import cochain_equals, cochain_from_sparse, serialize_group
+    from .oracles import cochain_from_labels, reps, serialize_group
 
     g, u = load_group_file(zz_file)
     doc = serialize_group(g)
@@ -840,16 +843,19 @@ def test_group_report_roundtrip(zz_file, capsys):
     g2, _ = parse_group_spec(doc2)
     assert serialize_group(g2) == doc
     H = h2_real_closed(g)
-    for rep in H.reps:
-        sp = json.loads("".join(cli._json_chunks(rep.to_sparse())))
-        assert cochain_equals(cochain_from_sparse(g, sp), rep)
+    assert len(H.generators()) == 3
+    for c, rep in zip(H.generators(), reps(H)):
+        written = json.loads("".join(cli._json_chunks(cli._class_doc(H, c))))
+        for group in (g, g2):
+            back = cochain_from_labels(group, written)
+            assert back.modulus == rep.modulus and (back.values == rep.values).all()
 
 
 def test_out_file(tmp_path, zz_file, capsys):
     out = tmp_path / "report.json"
     code, _ = _run(["h2", "--group", zz_file, "--format", "json", "--out", str(out)], capsys)
     assert code == 0
-    assert json.loads(out.read_text())["schema"] == "superbrauer-report/1"
+    assert json.loads(out.read_text())["schema"] == "superbrauer-report/2"
     code, printed = _run(["h2", "--group", zz_file, "--format", "json", "--out", ""], capsys)  # an empty --out is stdout
     assert code == 0 and printed.encode() == out.read_bytes()
 
@@ -857,55 +863,55 @@ def test_out_file(tmp_path, zz_file, capsys):
 # SHA-256 of the --format json reports, frozen so that refactors keep them byte-identical
 GOLDEN_REPORTS = [
     (["verify", "--algebra", "E2", "--check", "hopf"],
-     "1eaae1f6cd3b4b9e71a0fa58868780017930011bb3f615605a852212d35d9f21"),
+     "28324408732bd34eca920f510da8300dc8decd53fe5ac6bd6bda9e9245c1c118"),
     (["verify", "--algebra", "E2", "--check", "quasitriangular"],
-     "a0a4a1e42c4c70139905896c731d0b59d1bc7ef81b0bf12a61c55750ec4ef4f3"),
+     "596022afbe994180500c340977a79ebffa00c653b5a5642a040efd50edf6c90a"),
     (["verify", "--algebra", "E2", "--check", "triangular"],
-     "9b618a66a698813e88b3a8ebcbf19fc1e2cd88e50b2da5f0d32a6e32d2417342"),
+     "10361b357f1d84fef774ca422a162ca05f6d08ec11bede98ca9a7925db99ecea"),
     (["verify", "--algebra", "E2", "--check", "omega-lazy"],
-     "90da1e18d25dd454bd237e540cd495b650ce40a1b2ed1c05d4aaf16f391668d9"),
+     "d6c3a48e8a9ab009cc6dc4e4d8536cc2b4805b1dbb5804760dbca4f2f7b071af"),
     (["verify", "--algebra", "E2", "--check", "omega-cocycle"],
-     "2ae3f18c91174b3182a797e8b3785f04b63637a9f865f9af667e0ad77605deca"),
+     "5ae71c4942bff61a8d20b8c1c4ae9cad7341b1b0124ce51445273c9d0fa2749c"),
     (["verify", "--algebra", "E2", "--check", "lambda-lazy"],
-     "a63868c57821955334e63d5b215bda59b66cb3f17901f045472a9d32bb67124e"),
+     "c3bf86e96ac929a5c5ee54d157d76942e003d1b328ebe678a61ca01556256b7b"),
     (["verify", "--algebra", "E2", "--check", "lambda-cocycle"],
-     "a305245704d5c75343bca65dc720de4ecd34176ca242718f4a113737ade84cba"),
+     "09de5dc8114c61c2b512ac43425fbb253ac7b37c6497e85fd99bb90fdaa96d30"),
     (["verify", "--type", "B2", "--check", "lambda-lazy", "--budget-dim", "16"],  # sampled
-     "20086b62f1ff8d38dda2665adc4896d9dd20db1d5b9b3d3b8d6502d2947307dd"),
+     "014874070b0f7cdacc1eb7a0276730b52c8d982fc48efacde1468bda9a4b36ab"),
     (["invforms", "--type", "G2"],
-     "6af3daa0762a32c2c7a9f21fb7f9f85ff19daf246d29a4470319cd3418b8f633"),
+     "e9e7f0000ccbdeb8f8ec186782d9c0d05c2e8fae56f66e057a0f28232553ac8d"),
     (["bm", "--type", "B3", "--field", "real"],
-     "3d8586315bccb4fc88e4089922ee411f429b20158e0b7276aa921efe35149c4e"),
+     "e68fbf0f44f2640fdb70911eb938322bef88a064f96bf9bac4f914fc63da5dbc"),
     (["h2sharp", "--type", "B2", "--field", "real"],
-     "fe40189ec129ef444b65595e762b425bfabc47cac714133e62ddc4d5c5af5f1d"),
+     "b124e9297ccd0800b8c76466de702edd7f0d03c47fdbffb86401700db4ed12e7"),
     (["h2", "--type", "A3"],
-     "2a6f106db6b1b80bba304d65670ac0fa9827aefd9c4d4f04a36d84dde7a0a364"),
+     "28c9e4b266cffa7e8b32cf3e86c6174a3fc966d6dbca0d8315caeb10ad2767ce"),
     (["weyl-table", "--types", "A1,B2,G2"],
-     "c26be73283e4601af2abb2407bcb678ca36a794aef16c1989a170d5e99d976f3"),
+     "159e109929aabf8a5dfb0a4182d0636de95064a04de0a55c25ad566841f4b3a6"),
     (["h2sharp", "--type", "A3", "--field", "closed"],
-     "8debbea3ea9ca57432e624409bfe12821c65b2b7a7ccba5a39477889d0703857"),
+     "2034ddee08070927e7c01b49291d38058a63ab7a616f82004b778ea5bbb79b46"),
     (["bm", "--type", "G2", "--field", "real"],
-     "c51cad1e6063b0c21ce83410fae99aa8634402fc7ca7443eca05a48ca7790130"),
+     "53d7ccc4b21172ea890a10dbd729af15d865b0c9ee95033e124c9d5bb80edcb5"),
     (["verify", "--type", "D4", "--check", "lambda-lazy", "--seed", "1"],  # dim 3072, sampled
-     "ddc647a51a704f441f45d4868de61b47e4e895cb02619528eef4179e1ed02d5a"),
+     "25df94ffa616f64fb9801a7d8308e0a18b8565530f1649a54686992d4cf406ac"),
     (["bm", "--type", "B3", "--field", "closed"],
-     "54a073a4b7ed9f0fb38cdc4c4926186b49b0869b046ca3a1e46dbe8a60c683d3"),
+     "d753a4d9f598deeab14622645c697fa50af53f23ec187b760eb58a4b17715cfb"),
     (["bm", "--field", "real", "--group", "z2xz4.json"],  # u = (0, 2): not split
-     "fd2c0a2401ba563640e8b2d4f122405d71d105a34a5e4d55d60d829ff8ac064f"),
+     "d06f64ea530cb33f2a958376d7d8dff15067b67ff84305f9c8abaffc5359eaac"),
     (["h2", "--type", "D4"],  # closed field, Z_192: p = 3 has a cyclic Sylow and is skipped
-     "172f7113d210a6c96da38cdd08e87856e86d61ba9db3a635b1f10b7cb3ab6375"),
+     "db5851469f7fcca90b3a6ae5a52540e470e54026d28d77c201339b78cab4022e"),
     (["h2", "--type", "B3", "--coeff", "6"],  # p = 3 kept for Ext(G^ab, Z_3)
-     "639356533924d61faf563d78734323115116f5e7ca960031022f24745b2122e6"),
+     "3298a7af72db5a6ba7b265676361cf3aa4fff97ebfbc7744df5bb4708d511318"),
     (["h2", "--group", "z2xz4.json", "--coeff", "12"],  # p = 3 does not divide 8 and is skipped
-     "6fe2f2cd59cbefd05c9d10b9710ca4db7d5fe59b9e0b98727a92811f61169c5e"),
+     "79254658e1b2c13fd2d93593143bbcb41ebe80387c7b1f6821337fccd3d744d7"),
     (["h2", "--group", "z2xz4.json", "--coeff", "33554432"],  # 2^25: |R| q^2 = 3 * 2^50, inside the exact int64 bound 2^62, past float64's 2^53
-     "db7a752c594ab761b1607c06a5d49df509c847fa58343d5398a0c993609d7700"),
+     "2fb1e0d5c1969bba16e226920f7265e723e75b26899a9f7e4e5647c9c70b1cf1"),
     (["verify", "--type", "B3", "--check", "hopf"],  # dim 384: exhaustive above the dim budget
-     "394741f78edb6f7e82d7cf415f9e62ef4b2e68842ac2f34d5a47c93bed6eedd5"),
+     "da087a588af5965317b4f657c5a9e32f76ff8c306adc40ebe69e62d4441a410d"),
     (["verify", "--algebra", "E6", "--check", "hopf"],  # dim 128
-     "f25cb088ffad78c119e32021be04e2aa42494074b58ce43cc02e26d24abb8a8f"),
+     "94c18e69024276be8678df953d9d8c1ea490dec705783ac62eef484f2aebb0bf"),
     (["verify", "--algebra", "E6", "--check", "triangular", "--A", "identity"],  # dim 128
-     "73eb7e4c8425eeff487cce210d21a245bad34bfb15e406cf5b01412e68847cea"),
+     "38017a1215abadf2f44729fd8c9004bd683e6f814c8cf36695850bbf5c584499"),
 ]
 
 # SHA-256 of the default (text) report of each GOLDEN_REPORTS job
@@ -984,13 +990,52 @@ def test_golden_reports(args, format_args, digest, to_file, capsys, tmp_path, mo
     assert hashlib.sha256(report).hexdigest() == digest
 
 
+_CLASS_JOBS = [args for args, _ in GOLDEN_REPORTS if args[0] in ("h2", "h2sharp", "bm")]
+
+
+@pytest.mark.parametrize("args", _CLASS_JOBS, ids=[" ".join(args) for args in _CLASS_JOBS])
+def test_golden_report_labels_rebuild_the_representatives(args, capsys, tmp_path, monkeypatch):
+    """Each generator class of a golden h2, h2sharp or bm report, rebuilt from
+    its labels along the BFS tree, is the dense representative the JSON
+    report printed before it wrote labels (rep_of_coords): a cocycle whose
+    class has the generator's coordinates."""
+    from superbrauer import field_from_name, h2, is_cocycle
+
+    from .oracles import cochain_from_labels, rep_of_coords
+
+    (tmp_path / "z2xz4.json").write_text(json.dumps(Z2XZ4_SPEC))
+    monkeypatch.chdir(tmp_path)
+    code, out = _run([*args, "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    parsed = cli.build_parser().parse_args(args)
+    g, _, _ = cli._need_group(parsed)  # the same indexing as the report's group
+    if getattr(parsed, "coeff", None) is not None:
+        cg = h2(g, parsed.coeff)
+    else:
+        cg = field_from_name(parsed.field).cohomology(g)
+    assert doc["group"]["order"] == g.order and doc["group"]["generators_idx"] == list(g.gens)
+    entries = [gen for gen in doc["result"]["generators"] if "labels" in gen]
+    if args[0] == "h2sharp":
+        coords = [tuple(gen["coords"]) for gen in entries]
+    else:
+        assert [gen["order_in_h2"] for gen in entries] == list(cg.invariants)
+        coords = [c.coords for c in cg.generators()]
+    assert sorted(coords) == sorted(c.coords for c in cg.generators())
+    for gen, c in zip(entries, coords):
+        assert gen["modulus"] == cg.coeff.n
+        sigma = cochain_from_labels(g, gen)
+        assert (sigma.values == rep_of_coords(cg, c).values).all()
+        assert is_cocycle(sigma) and cg.class_of(sigma).coords == c
+
+
 # failing lambda reports for the non-invariant Sigma = diag(1, 2) on W(B2), whose
 # first counterexample is (g0*v0, g0*v0, g2) when the check is exhaustive
 FAILING_LAMBDA_REPORTS = [
     (["verify", "--type", "B2", "--check", "lambda-lazy", "--skip-invariance"],
-     "487f7948032e7e7f309da777a0a8ddc1ccfccb88bf40e7bfb5e31c1213227c3b"),
+     "a9584dfd30a4cc8867452be475523123234c7107423773f4d43fb7b114f3a7b8"),
     (["verify", "--type", "B2", "--check", "lambda-cocycle", "--skip-invariance", "--budget-dim", "16"],  # sampled
-     "2197a346bf525df2f32b0c52fc5de0b1673f86028d582a1470cf524e8d79033e"),
+     "3ead898cc99976e78d92f676a5d3c49638ae065413329ccb110bd199fcfa0cf8"),
 ]
 
 
@@ -1007,10 +1052,10 @@ def test_golden_failing_lambda_reports(tmp_path, args, digest, capsys):
 MATRIX_FILE_REPORTS = [
     (["verify", "--algebra", "E3", "--check", "triangular", "--A"],
      '[[1, 2, -1], [2, "1/3", "1/2"], [-1, "1/2", 2]]',
-     "692f906352380a4b830c9fa0add3a2d6ac1fb56ae415770ef75f878a095f22e4"),
+     "f5ef22e3d9f8113f0655cd7d8f5ee406fe0f6b555a02c3ef0c4b536cb4d0c24c"),
     (["verify", "--algebra", "E3", "--check", "omega-lazy", "--sigma"],
      '[[2, 0, 0], [0, -1, 0], [0, 0, "3/2"]]',
-     "c753d6173a6724d773fa9589b7b949311fa5b06708255b3044e0858b2028df6a"),
+     "502a05ef189c19bb18ef56a4e6dca8b292344c583804286ea05fcea7fed6f5b2"),
 ]
 
 
@@ -1084,8 +1129,8 @@ def test_report_writer_raises_type_error(doc, message):
 
 
 def test_report_writer_memory_is_bounded(tmp_path):
-    """Writing 20 000 sparse [i, j, value] entries and a 512 x 512 table, the
-    arrays that the CLI hands over, peaks under 1 MB of Python memory: they
+    """Writing a 20 000 x 3 int array (the edge labels of 20 000 elements on
+    three generators) and a 512 x 512 table peaks under 1 MB of Python memory: they
     are encoded a slice at a time, never as one string or list (the report
     is 3.8 MB; encoded whole, the peak is 8.5 MB)."""
     i, j = np.arange(20_000), np.arange(512, dtype=np.int32)

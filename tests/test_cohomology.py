@@ -52,9 +52,13 @@ from .oracles import (
     gauge_fix,
     gauge_fixed,
     presentation_unknowns,
+    reconstruct,
     relator_rows,
+    rep_of_coords,
+    reps,
     restriction,
     table_order,
+    to_sparse,
     u_subgroup,
 )
 
@@ -199,16 +203,16 @@ def test_class_of_kills_exactly_coboundaries(z2z2):
 
 def test_class_of_linear(s3):
     H = h2(s3, 6)
-    reps = [H.rep_of_coords(c.coords) for c in H.all_classes()]
-    for a in reps:
-        for b in reps:
+    dense = [rep_of_coords(H, c.coords) for c in H.all_classes()]
+    for a in dense:
+        for b in dense:
             s = Cochain2(s3, 6, a.values + b.values)
             assert H.class_of(s).coords == (H.class_of(a) + H.class_of(b)).coords
 
 
 def test_rep_classes_are_unit_vectors(z4z4):
     H = h2(z4z4, 4)
-    for k, rep in enumerate(H.reps):
+    for k, rep in enumerate(reps(H)):
         coords = H.class_of(rep).coords
         assert coords == tuple(1 if i == k else 0 for i in range(len(H.invariants)))
 
@@ -235,8 +239,8 @@ def test_h2_budget():
 
 def test_cochain_sparse_roundtrip(z2z2):
     H = h2(z2z2, 2)
-    for rep in H.reps:
-        doc = rep.to_sparse()
+    for rep in reps(H):
+        doc = to_sparse(rep)
         back = cochain_from_sparse(z2z2, doc)
         assert cochain_equals(back, rep)
 
@@ -292,7 +296,7 @@ def test_is_cocycle_matches_all_triples_oracle(name, modulus, seed, perturb):
     H = h2(g, modulus)
     gamma = rng.integers(0, modulus, g.order)
     gamma[g.identity] = 0
-    sigma = H.rep_of_coords(rng.integers(0, modulus, len(H.invariants))) + coboundary(g, modulus, gamma)
+    sigma = rep_of_coords(H, rng.integers(0, modulus, len(H.invariants))) + coboundary(g, modulus, gamma)
     if perturb:
         vals = sigma.values.copy()
         i, j = (int(x) for x in rng.choice([x for x in range(g.order) if x != g.identity], 2))
@@ -390,11 +394,11 @@ def test_rep_of_coords_is_exact_when_c_times_n_passes_int64():
     N = 8 * (2**58 + 69)
     H = h2(cyclic_group(8), CoefficientModule(N))
     assert H.invariants == (8,)
-    sigma = H.rep_of_coords((7,))
-    exact = [[7 * int(x) % N for x in row] for row in H.reps[0].values]
+    sigma = rep_of_coords(H, (7,))
+    exact = [[7 * int(x) % N for x in row] for row in reps(H)[0].values]
     assert sigma.values.tolist() == exact
     assert is_cocycle(sigma) and H.class_of(sigma).coords == (7,)
-    assert H.rep_of_coords((7 + 8 * N,)).values.tolist() == exact
+    assert rep_of_coords(H, (7 + 8 * N,)).values.tolist() == exact
 
 
 _FRONTIER_GROUPS = {
@@ -484,7 +488,7 @@ def test_unfilled_edge_gives_false_cocycles(name):
             K = f_column_kernel(relator_rows(g, unknowns, relators), p, e)
             labels = np.zeros((K.shape[1], g.order * len(g.gens)), dtype=np.int64)
             labels[:, unknowns] = K.T
-            columns = [Cochain2(g, p**e, sys.reconstruct(lab, p**e)) for lab in labels]
+            columns = [Cochain2(g, p**e, reconstruct(sys, lab, p**e)) for lab in labels]
             assert all(is_cocycle(c) for c in columns) == all_cocycles, (p, len(relators))
 
 
@@ -499,7 +503,7 @@ def test_labels_are_linear_in_central_values(name):
     for N in (g.order, 12):
         H, L = h2(g, N), sys.system(N)[0]
         A = cohomology._coboundary_values(sys, "muN", N)
-        sigma = H.rep_of_coords(rng.integers(0, N, len(H.invariants)))
+        sigma = rep_of_coords(H, rng.integers(0, N, len(H.invariants)))
         labels = np.zeros(g.order * len(g.gens), dtype=np.int64)
         labels[unknowns] = gauge_fix(g, unknowns, sigma.values[:, list(g.gens)])
         z = sys.central_values(labels) % N
@@ -613,19 +617,22 @@ def test_pairing_class_refuses_a_non_character():
 
 
 def test_reps_are_built_only_when_read(monkeypatch):
-    """The solve keeps labels: lazy cohomology and the invariants never
-    rebuild a dense cochain, and reading the representatives does."""
+    """The solve keeps labels: lazy cohomology, the invariants and the
+    generator labels build no dense cochain; only a dense representative,
+    which the tests' oracle alone rebuilds, does."""
     def refuse(*args):
-        raise RuntimeError("reconstruct called")
+        raise RuntimeError("dense cochain built")
 
-    monkeypatch.setattr(cohomology._Presentation, "reconstruct", refuse)
+    monkeypatch.setattr(Cochain2, "__init__", refuse)
     datum = group_datum(RootSystemType.parse("B3"))  # a fresh group with empty memos
-    lc = lazy_cohomology(build_supergroup(datum.group, datum.inv, datum.rep))
+    g = datum.group
+    lc = lazy_cohomology(build_supergroup(g, datum.inv, datum.rep))
     assert lc.invariants == (2,)
-    H = h2(datum.group, 12)
+    H = h2(g, 12)
     assert H.invariants == (2, 2, 2, 2)
-    with pytest.raises(RuntimeError, match="reconstruct called"):
-        H.reps
+    assert all(H.labels_of_coords(c.coords).shape == (g.order * len(g.gens),) for c in H.generators())
+    with pytest.raises(RuntimeError, match="dense cochain built"):
+        reps(H)
 
 
 def _lcm_of_orders(g):

@@ -18,7 +18,7 @@ from superbrauer import (
     symmetric_group,
 )
 
-from .oracles import inflation, restriction, restriction_square_class, transgression, u_subgroup
+from .oracles import inflation, representative, restriction, restriction_square_class, transgression, u_subgroup
 
 
 def _u_char(ugroup, value, order=2):
@@ -115,7 +115,7 @@ def test_restriction_examples(z2z2):
     c = HG.class_of(Cochain2(z2z2, 2, vals))
     res = restriction(inv, c, HU)
     assert not res.is_trivial()
-    assert restriction_square_class(inv, c.representative()) == 1
+    assert restriction_square_class(inv, representative(c)) == 1
     # coboundaries restrict trivially
     cob = coboundary(z2z2, 2, [0, 1, 1, 0])
     assert restriction(inv, HG.class_of(cob), HU).is_trivial()

@@ -66,6 +66,7 @@ from .oracles import (
     hcochain_equals,
     is_convolution_invertible,
     leibniz_det,
+    looped_coproduct_legs,
     product_antipode,
     tensor_flip,
     tensor_mul,
@@ -150,6 +151,26 @@ def test_wedge_table_is_the_sign_of_merging():
                 idx = [i for i in range(n) if r >> i & 1] + [i for i in range(n) if q >> i & 1]
                 inversions = sum(x > y for pos, x in enumerate(idx) for y in idx[pos + 1:])
                 assert wedge[r, q] == (0 if r & q else (-1) ** inversions)
+
+
+@pytest.mark.parametrize("name", [f"E{n}" for n in range(9)] + ["A1", "A2", "A3", "B2", "B3", "G2", "D4"])
+def test_coproduct_legs_match_the_looped_build(name):
+    """product_tables enumerates the legs (P - B, B) with numpy and builds the
+    wedge table once, one index at a time: legs, coefficients D wedge[B, P - B]
+    and the table equal the Python loop over every pair of masks with the
+    table of inversion parities."""
+    if name.startswith("E"):
+        h = build_en(int(name[1:]))
+    else:
+        from superbrauer import RootSystemType, group_datum
+
+        d = group_datum(RootSystemType.parse(name))
+        h = build_supergroup(d.group, d.inv, d.rep)
+    t = h.product_tables()
+    start, first, second, sign, wedge = looped_coproduct_legs(h)
+    assert t.wedge.dtype == wedge.dtype and np.array_equal(t.wedge, wedge)
+    assert np.array_equal(t.leg_start, start) and np.array_equal(t.leg_first, first)
+    assert np.array_equal(t.leg_second, second) and np.array_equal(t.leg_coef, t.denominator * sign)
 
 
 def test_hopf_axioms_en():
@@ -665,7 +686,7 @@ def _moved(h, kind, b, key, value):
     setattr(t, prefix + "_coef", np.array([c for row in rows for c in row.values()], dtype=t.leg_coef.dtype))
     moved = copy.copy(h)
     moved._tables = ProductTables(t.nv, t.mul, t.leg_start, t.leg_first, t.leg_second, t.leg_coef, t.act_start,
-                                  t.act_mask, t.act_coef, t.anti_start, t.anti_elem, t.anti_coef, d)
+                                  t.act_mask, t.act_coef, t.anti_start, t.anti_elem, t.anti_coef, d, t.wedge)
     return moved
 
 
