@@ -16,13 +16,21 @@ import stat
 import sys
 from pathlib import Path
 
+# No float array of this package reaches BLAS, so OpenBLAS's worker threads
+# would only spin (about 65 ms of CPU per job on 2 cores).  OpenBLAS reads the
+# count when numpy is first imported; a count the user set is kept.
+_THREAD_VARS = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
+if "numpy" not in sys.modules and not _THREAD_VARS & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from . import errors
-from .cohomology import CoefficientModule, DEFAULT_H2_BUDGET, _check_h2_budget, h2
 from .forms import Representation, invariant_symmetric_forms
 from .groups import (
     DEFAULT_CAP,
+    DEFAULT_H2_BUDGET,
+    ENUMERATION_BUDGET,
     MAX_TABLE_ORDER,
     CentralInvolution,
     FiniteGroup,
@@ -32,7 +40,6 @@ from .groups import (
     resolve_u,
     splitting_character,
 )
-from .sharp import ENUMERATION_BUDGET, bm_group, field_from_name, h2_sharp
 from .supergroup import (
     DEFAULT_DIM_BUDGET,
     bm_supergroup,
@@ -97,6 +104,8 @@ def _weyl_datum(args, h2_budget: int | None = None, h2_quotient: bool = False):
     t, cap = RootSystemType.parse(args.type), args.budget_cap
     size = datum_size(t)
     if h2_budget is not None and size <= min(cap, MAX_TABLE_ORDER):
+        from .cohomology import _check_h2_budget
+
         _check_h2_budget(size // 2 if h2_quotient else size, h2_budget)
     return group_datum(t, cap=cap)
 
@@ -169,6 +178,9 @@ def _report(args, result: dict, g: FiniteGroup | None = None) -> dict:
 
 
 def cmd_h2(args) -> dict:
+    from .cohomology import CoefficientModule, h2
+    from .sharp import field_from_name
+
     coeff = None if args.coeff is None else CoefficientModule(args.coeff)
     g, _, _ = _need_group(args, args.budget_h2)
     if coeff is not None:
@@ -185,6 +197,8 @@ def cmd_h2(args) -> dict:
 
 
 def cmd_h2sharp(args) -> dict:
+    from .sharp import field_from_name, h2_sharp
+
     g, u, _ = _need_group(args, DEFAULT_H2_BUDGET, no_u=NO_U)
     inv = CentralInvolution(g, u)
     field = field_from_name(args.field)
@@ -205,6 +219,8 @@ def cmd_h2sharp(args) -> dict:
 
 
 def cmd_bm(args) -> dict:
+    from .sharp import bm_group, field_from_name
+
     g, u, rep = _need_group(args, DEFAULT_H2_BUDGET, no_u=NO_U)
     inv = CentralInvolution(g, u)
     field = field_from_name(args.field)

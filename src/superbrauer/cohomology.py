@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .errors import BudgetExceeded, NotCocycle, ParseError
-from .groups import FiniteGroup, abelianization, is_character
+from .groups import DEFAULT_H2_BUDGET, FiniteGroup, abelianization, is_character
 from .modlinalg import (
     CokernelData,
     SnfMod,
@@ -51,8 +51,6 @@ from .modlinalg import (
     snf_mod,
     solve_from_snf,
 )
-
-DEFAULT_H2_BUDGET = 150_000
 
 
 class CoefficientModule:

@@ -23,6 +23,8 @@ from .errors import CapExceeded, Int64Exceeded, NotInvertible, ParseError, Trivi
 from .modlinalg import cokernel_mod, direct_sum, prime_power_factors
 
 DEFAULT_CAP = 200_000
+DEFAULT_H2_BUDGET = 150_000  # bound on (|G|-1)^2 for one H^2 solve
+ENUMERATION_BUDGET = 2**12  # bound on the classes a sharp/BM/Q group enumerates
 MAX_TABLE_ORDER = 20_000  # largest group whose n x n multiplication table is built
 
 Matrix = tuple[tuple[Fraction, ...], ...]

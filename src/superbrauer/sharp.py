@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import BudgetExceeded, NotCocycle, NotSplit, ParseError, TrivialInvolution
 from .cohomology import (
-    DEFAULT_H2_BUDGET,
     CohomologyClass,
     CohomologyGroup,
     Cochain2,
@@ -29,6 +28,8 @@ from .cohomology import (
     walk_sums,
 )
 from .groups import (
+    DEFAULT_H2_BUDGET,
+    ENUMERATION_BUDGET,
     CentralInvolution,
     FiniteGroup,
     abelian_invariants,
@@ -38,8 +39,6 @@ from .groups import (
     quotient_by_central_involution,
     splitting_character,
 )
-
-ENUMERATION_BUDGET = 2**12
 
 
 class FieldDescriptor:

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NotInvariant, NotMinusOne, NotSymmetric, ParseError
-from .cohomology import DEFAULT_H2_BUDGET, CohomologyGroup, h2_closed_field
 from .forms import (
     Matrix,
     Representation,
@@ -35,10 +34,12 @@ from .forms import (
     is_symmetric,
     numerators,
 )
-from .groups import CentralInvolution, FiniteGroup, cyclic_group, quotient_by_central_involution, splitting_character
-from .sharp import ENUMERATION_BUDGET, BMGroup, FieldDescriptor, bm_group
+from .groups import (DEFAULT_H2_BUDGET, ENUMERATION_BUDGET, CentralInvolution, FiniteGroup, cyclic_group,
+                     quotient_by_central_involution, splitting_character)
 
 if TYPE_CHECKING:
+    from .cohomology import CohomologyGroup
+    from .sharp import BMGroup, FieldDescriptor
     from .twisted import ProductTables
 
 DEFAULT_DIM_BUDGET = 64
@@ -374,6 +375,8 @@ class LazyCohomology:
 
 
 def lazy_cohomology(h: SupergroupAlgebra, budget: int = DEFAULT_H2_BUDGET) -> LazyCohomology:
+    from .cohomology import h2_closed_field
+
     # rho(u) = -1 on V != 0 forces u != 1
     k_trivial = h.inv.is_trivial or splitting_character(h.inv) is not None
     if h.nv == 0:
@@ -396,6 +399,8 @@ class BMSupergroup:
 
 def bm_supergroup(g: FiniteGroup, inv: CentralInvolution, rep: Representation, field: FieldDescriptor,
                   budget: int = ENUMERATION_BUDGET) -> BMSupergroup:
+    from .sharp import bm_group
+
     if not acts_as_minus_one(rep, inv):
         raise NotMinusOne("u must act as -1 on V")
     return BMSupergroup(bm=bm_group(g, inv, field, budget), linear_dim=invariant_symmetric_forms(rep).dim)

@@ -25,6 +25,7 @@ import random
 
 import numpy as np
 
+from .errors import CapExceeded
 from .forms import Matrix, numerators
 from .supergroup import SAMPLED_TRIPLES, HCochain2, SupergroupAlgebra, Tensor
 
@@ -425,14 +426,34 @@ def _summed(k: np.ndarray, z: np.ndarray, c: np.ndarray, dim: int) -> tuple[np.n
     return key // dim, key % dim, sums[nz]
 
 
+def _draws(seed: int, dim: int, count: int) -> np.ndarray:
+    """The first count values of random.Random(seed).randrange(dim), as int64.
+    randrange(dim) reads getrandbits(k), k = dim.bit_length(), until a value is
+    below dim, and for k <= 32 that value is the top k bits of the next 32-bit
+    word of the generator.  One getrandbits(32 m) returns the next m words, the
+    first in its lowest bits, so the words are drawn in bulk and read
+    little-endian.  A dim of 2^32 or more, whose draw spans two words, is
+    refused; the product tables, built before any draw, have a row per basis
+    element, so no check reaches that dim."""
+    k = dim.bit_length()
+    if k > 32:
+        raise CapExceeded(f"dim {dim} is 2^32 or more; a sampled check draws one 32-bit word per index")
+    rng, kept = random.Random(seed), []
+    while count:
+        m = count * 2**k // dim + 16  # a word is kept with probability dim / 2^k > 1/2
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4") >> (32 - k)
+        kept.append(words[words < dim][:count])
+        count -= len(kept[-1])
+    return np.concatenate(kept).astype(np.int64)
+
+
 def _sample(h: SupergroupAlgebra, arity: int, budget: int, seed: int) -> np.ndarray | None:
     """None while dim <= budget, when a check visits every arity-tuple of basis
-    elements; else SAMPLED_TRIPLES tuples drawn from random.Random(seed), as an
-    arity x N int64 array."""
+    elements; else SAMPLED_TRIPLES tuples drawn from random.Random(seed), one
+    randrange(dim) per index, as an arity x N int64 array."""
     if h.dim <= budget:
         return None
-    rng = random.Random(seed)
-    return np.array([[rng.randrange(h.dim) for _ in range(arity)] for _ in range(SAMPLED_TRIPLES)], dtype=np.int64).T
+    return _draws(seed, h.dim, arity * SAMPLED_TRIPLES).reshape(SAMPLED_TRIPLES, arity).T
 
 
 def _tuple_blocks(sample: np.ndarray | None, dim: int, arity: int, size: int):

@@ -16,8 +16,6 @@ import functools
 from .errors import CapExceeded, E8Refused, ParseError
 from .forms import Representation, as_matrix
 from .groups import DEFAULT_CAP, MAX_TABLE_ORDER, CentralInvolution, FiniteGroup, close_generators
-from .sharp import ALG_CLOSED, bm_group
-from .supergroup import build_supergroup, lazy_cohomology
 
 WEYL_GROUP_BUDGET = 300  # largest |G(Phi)| computed by default; B4 = 384 is opt-in
 
@@ -322,6 +320,9 @@ def table_row(
 ) -> TableRow:
     """One row of the two final tables; computed when |G(Phi)| fits the budget.
     H^2_L and BM share their linear part dim S^2(V*)^G, computed once."""
+    from .sharp import ALG_CLOSED, bm_group
+    from .supergroup import build_supergroup, lazy_cohomology
+
     if datum_size(t) > group_budget or (t.family == "E" and t.rank == 8):
         return TableRow(
             type_name=t.name,

@@ -21,7 +21,9 @@ pair in dicts where the production expands batches of pairs with numpy
 index arithmetic, the R-matrix legs are multiplied in H (x) H (x) H, and
 the Hopf axioms and `R Delta = Delta^op R` are checked on every basis pair or
 element (on the production's seeded sample above the dim budget) instead of
-on the algebra generators.  `factor_coproduct` and `product_antipode` multiply
+on the algebra generators; `randrange_sample` draws that sample one
+`randrange` call per index, where the production reads 32-bit words of one
+bulk `getrandbits`.  `factor_coproduct` and `product_antipode` multiply
 Delta and S out from their values on the generators, `looped_coproduct_legs`
 finds the legs of Delta by a Python loop over every pair of masks, and `det_signed_minors`
 takes one Gauss-Jordan determinant per minor, where the production writes
@@ -742,8 +744,14 @@ def _tuples(h, arity, budget, seed):
     """All basis tuples while dim <= budget, else the production's sample draw."""
     if h.dim <= budget:
         return itertools.product(range(h.dim), repeat=arity), False
+    return randrange_sample(h.dim, arity, seed), True
+
+
+def randrange_sample(dim, arity, seed):
+    """SAMPLED_TRIPLES arity-tuples of indices below dim, one
+    random.Random(seed).randrange(dim) call per index."""
     rng = random.Random(seed)
-    return [tuple(rng.randrange(h.dim) for _ in range(arity)) for _ in range(SAMPLED_TRIPLES)], True
+    return [tuple(rng.randrange(dim) for _ in range(arity)) for _ in range(SAMPLED_TRIPLES)]
 
 
 def four_loop_cocycle_check(sigma, right=False, budget=DEFAULT_DIM_BUDGET, seed=0):

@@ -3,9 +3,16 @@ as a diff of this list."""
 
 from __future__ import annotations
 
+import importlib
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import superbrauer
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 PUBLIC_NAMES = [
     "ALG_CLOSED", "AbelianInvariants", "BMGroup", "BMSupergroup", "BudgetExceeded", "CapExceeded",
@@ -26,8 +33,31 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    """Every name superbrauer binds without a leading underscore, less its
-    submodules (which a test or a lazy import may or may not have loaded)."""
-    names = sorted(name for name, value in vars(superbrauer).items()
-                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    """Every name dir(superbrauer) lists without a leading underscore, less its
+    submodules (which a test or a lazy import may or may not have loaded).
+    The names resolve on first use, so they are listed by dir(), not vars()."""
+    names = sorted(name for name in dir(superbrauer)
+                   if not name.startswith("_") and not isinstance(getattr(superbrauer, name), types.ModuleType))
     assert names == PUBLIC_NAMES
+    assert sorted(superbrauer.__all__) == PUBLIC_NAMES
+
+
+def test_public_names_resolve_to_their_home_modules():
+    """Each name is the object its defining submodule binds, and a star import
+    binds every one of them."""
+    for name in PUBLIC_NAMES:
+        home = importlib.import_module(f"superbrauer.{superbrauer._HOME[name]}")
+        assert getattr(superbrauer, name) is getattr(home, name)
+    namespace: dict = {}
+    exec("from superbrauer import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC_NAMES
+
+
+def test_sharp_stays_the_function_after_its_submodule_loads():
+    """Importing superbrauer.sharp binds the submodule on the package, which
+    must not replace the public function sharp.  The probe runs in a fresh
+    interpreter, where the import loads the submodule."""
+    probe = ("import types, superbrauer, superbrauer.sharp, sys\n"
+             "assert not isinstance(superbrauer.sharp, types.ModuleType)\n"
+             "assert superbrauer.sharp is sys.modules['superbrauer.sharp'].sharp")
+    subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)}, check=True, timeout=120)

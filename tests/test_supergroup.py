@@ -7,6 +7,7 @@ import functools
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +42,7 @@ from superbrauer import (
     verify_triangular,
 )
 from superbrauer import supergroup, twisted
+from superbrauer.errors import CapExceeded
 from superbrauer.groups import _mat_mul
 from superbrauer.supergroup import HCochain2
 from superbrauer.forms import numerators
@@ -60,6 +62,7 @@ from .oracles import (
     factor_coproduct,
     four_loop_cocycle_check,
     four_loop_is_lazy,
+    randrange_sample,
     generator_verify_hopf,
     generator_verify_quasitriangular,
     generator_verify_triangular,
@@ -1083,6 +1086,20 @@ def test_sampled_draw_is_pinned(datum_b3):
     assert pairs.shape == (2, 1500)
     assert pairs.T[:5].tolist() == [[165, 77], [202, 333], [24, 37], [274, 48], [187, 298]]
     assert _sample(h, 3, h.dim, 7) is None and _sample(h, 2, h.dim, 7) is None
+
+
+@pytest.mark.parametrize("dim", [65, 100, 384, 1000, 2**12, 2**12 + 1, 3 * 2**17, 2**20 - 1, 2**24, 10**9,
+                                 2**31, 2**31 + 1, 2**32 - 1])
+def test_bulk_draw_matches_randrange(dim):
+    """The sample read off one getrandbits call is the sequence of randrange(dim)
+    calls, at powers of two, one past them and up to the 32-bit limit; a dim of
+    2^32, whose randrange spans two words, is refused."""
+    h = types.SimpleNamespace(dim=dim)
+    for seed in (0, 1, 7, 2026):
+        for arity in (2, 3):
+            assert _sample(h, arity, 64, seed).T.tolist() == [list(t) for t in randrange_sample(dim, arity, seed)]
+    with pytest.raises(CapExceeded):
+        _sample(types.SimpleNamespace(dim=2**32), 2, 64, 0)
 
 
 def test_r_matrix_odd_minor_is_triangular():
